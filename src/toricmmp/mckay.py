@@ -5,8 +5,9 @@ by cyclic generators (1/r)(w_1..w_n).  The quotient is the orthant cone in
 the overlattice N generated by the weight vectors; the pipeline
 terminalizes, drops the quasi-reflection boundary, runs the relative MMP,
 and records one ledger entry per step with the exact stack-rank change.
-The ranks telescope: the order of the acting group equals the rank of the
-final model plus the total rank spent along the way.
+Each entry is built from the pair the engine itself stepped to; no step
+is replayed.  The ranks telescope: the order of the acting group equals
+the rank of the final model plus the total rank spent along the way.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError
-from .fan import fans_equal, make_fan, star_subdivision, walls
+from .fan import make_fan
 from .lattice import (
     LatticeBasis,
     det,
@@ -25,7 +26,7 @@ from .lattice import (
     vec_mat,
     vec_scale,
 )
-from .mmp import bistellar_flip, divisorial_contract, relative_mmp, terminalize
+from .mmp import _extraction_pairs, _mmp_pairs
 from .pairs import make_pair
 
 
@@ -187,20 +188,36 @@ def _center_map(quotient):
     return center_of
 
 
-def _wall_by_vectors(fan, shared_vecs):
-    target = set(shared_vecs)
-    for w in walls(fan):
-        if {fan.rays[i] for i in w.shared} == target:
-            return w
-    raise EngineInvariantError("recorded wall not present during replay")
-
-
 def _checked_entry(kind, ray, center, before, after, psi=None, components=None):
     if after > before:
         raise EngineInvariantError(f"stack rank increased across a {kind} step")
     if psi == 1 and before != after:
         raise EngineInvariantError("crepant extraction changed the stack rank")
     return LedgerEntry(kind, ray, center, before, after, psi, components)
+
+
+def _pipeline_steps(X):
+    """(kind, ray, pair after the step, psi, components) for every step of
+    the pipeline, in ledger order."""
+    work = X
+    for st, work in _extraction_pairs(X):
+        yield "extraction", st.ray, work, st.psi_value, None
+    for i in range(len(work.fan.rays)):
+        if work.coeffs[i] == 0:
+            continue
+        m = _standard_multiplicities(work)[i]
+        ray = work.fan.rays[i]
+        coeffs = work.coeffs[:i] + (Fraction(0),) + work.coeffs[i + 1:]
+        work = make_pair(work.fan, coeffs, work.lattice)
+        yield "coefficient_drop", ray, work, None, case_a_components(m, 1)
+    for st, work in _mmp_pairs(work, X.fan.rays):
+        if st.kind == "flip":
+            # the flip locus: primitive sum of the circuit's negative rays
+            neg = [v for v, a in zip(st.circuit, st.coeffs) if a < 0]
+            ray = primitive(tuple(map(sum, zip(*neg))))
+        else:
+            ray = st.removed_ray
+        yield st.kind, ray, work, None, None
 
 
 def mckay_pipeline(G):
@@ -214,73 +231,14 @@ def mckay_pipeline(G):
         raise EngineInvariantError("stack rank of the quotient misses the group order")
     center_of = _center_map(X)
     ledger = []
-
-    work = X
-    terminal, ext_steps = terminalize(X)
-    for st in ext_steps:
-        nxt = make_pair(
-            star_subdivision(work.fan, st.ray),
-            work.coeffs + (Fraction(0),),
-            work.lattice,
-        )
+    final, rank_y = X, rank_x
+    for kind, ray, final, psi, components in _pipeline_steps(X):
+        after = stack_rank(final)
         ledger.append(
-            _checked_entry(
-                "extraction", st.ray, center_of(st.ray),
-                stack_rank(work), stack_rank(nxt), psi=st.psi_value,
-            )
+            _checked_entry(kind, ray, center_of(ray), rank_y, after, psi, components)
         )
-        work = nxt
-    if not fans_equal(work.fan, terminal.fan):
-        raise EngineInvariantError("extraction replay diverged")
+        rank_y = after
 
-    for i in range(len(work.fan.rays)):
-        if work.coeffs[i] == 0:
-            continue
-        m = _standard_multiplicities(work)[i]
-        coeffs = work.coeffs[:i] + (Fraction(0),) + work.coeffs[i + 1:]
-        nxt = make_pair(work.fan, coeffs, work.lattice)
-        ray = work.fan.rays[i]
-        ledger.append(
-            _checked_entry(
-                "coefficient_drop", ray, center_of(ray),
-                stack_rank(work), stack_rank(nxt),
-                components=case_a_components(m, 1),
-            )
-        )
-        work = nxt
-
-    final, msteps = relative_mmp(work, X.fan.rays)
-    for st in msteps:
-        w = _wall_by_vectors(work.fan, st.wall)
-        if st.kind == "flip":
-            locus = (0,) * work.fan.dim
-            for vec, a in zip(st.circuit, st.coeffs):
-                if a < 0:
-                    locus = tuple(l + x for l, x in zip(locus, vec))
-            nxt = make_pair(
-                bistellar_flip(work.fan, w), work.coeffs, work.lattice
-            )
-            entry_ray = primitive(locus)
-            kind = "flip"
-        else:
-            fan2, removed, _ = divisorial_contract(work.fan, w)
-            j = work.fan.rays.index(removed)
-            nxt = make_pair(
-                fan2, work.coeffs[:j] + work.coeffs[j + 1:], work.lattice
-            )
-            entry_ray = removed
-            kind = "divisorial"
-        ledger.append(
-            _checked_entry(
-                kind, entry_ray, center_of(entry_ray),
-                stack_rank(work), stack_rank(nxt),
-            )
-        )
-        work = nxt
-    if not fans_equal(work.fan, final.fan):
-        raise EngineInvariantError("minimal model replay diverged")
-
-    rank_y = stack_rank(final)
     spent = sum(e.rank_before - e.rank_after for e in ledger)
     if rank_y + spent != order:
         raise EngineInvariantError("rank ledger does not telescope to the group order")

@@ -292,7 +292,9 @@ def regular_triangulation(rays, heights, lattice=None):
 
 class EpsPoly:
     """Polynomial in one positive infinitesimal with Fraction coefficients,
-    constant term first, ordered by the sign of the lowest nonzero term."""
+    constant term first, ordered by the sign of the lowest nonzero term.
+    Numbers mix in as constants; polynomials are only added, subtracted
+    and scaled by numbers, never multiplied together."""
 
     __slots__ = ("c",)
 
@@ -314,28 +316,19 @@ class EpsPoly:
         n = max(len(self.c), len(o.c))
         return EpsPoly([self._get(i) + o._get(i) for i in range(n)])
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EpsPoly([-x for x in self.c])
-
-    def __sub__(self, other):
-        return self + (-(other if isinstance(other, EpsPoly) else EpsPoly((other,))))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = other if isinstance(other, EpsPoly) else EpsPoly((other,))
-        if not self.c or not o.c:
-            return EpsPoly()
-        out = [Fraction(0)] * (len(self.c) + len(o.c) - 1)
-        for i, a in enumerate(self.c):
-            for j, b in enumerate(o.c):
-                out[i + j] += a * b
-        return EpsPoly(out)
+    def __mul__(self, k):
+        return EpsPoly([k * x for x in self.c])
 
     __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
 
     def sign(self):
         for x in self.c:
@@ -446,11 +439,24 @@ def flop_decompose(pair_x, pair_y, ample_x=None, ample_y=None):
 # ------------------------------------------------------------ relative MMP
 
 
+def _collect(pair, stepped):
+    """(last pair, steps) from a generator of (step, pair after step)."""
+    steps = []
+    for step, pair in stepped:
+        steps.append(step)
+    return pair, tuple(steps)
+
+
 def relative_mmp(pair, base):
     """Run the (K+B)-MMP of a pair whose fan triangulates the cone over
     base.  Executes the positive-discrepancy-defect wall of largest defect
     each round (ties by smallest apex ray pair, skipping non-extremal
     walls) until K+B is nef over the base.  Returns (pair, steps)."""
+    return _collect(pair, _mmp_pairs(pair, base))
+
+
+def _mmp_pairs(pair, base):
+    """The steps of relative_mmp, each yielded with the pair it leaves."""
     fan = pair.fan
     if fan.support_kind != "cone-supported":
         raise InvalidInputError("relative MMP needs a fan supported on a strictly convex cone")
@@ -465,7 +471,6 @@ def relative_mmp(pair, base):
             raise InvalidInputError("fan support exceeds the base cone")
 
     cur = pair
-    steps = []
     budget = 10 * len(fan.rays) ** 2
     while True:
         psi = psi_heights(cur)
@@ -520,8 +525,7 @@ def relative_mmp(pair, base):
             break
         if executed is None:
             raise EngineInvariantError("no executable wall among positive defects")
-        steps.append(executed)
-    return cur, tuple(steps)
+        yield executed, cur
 
 
 # ---------------------------------------------------------- terminalize
@@ -530,20 +534,23 @@ def relative_mmp(pair, base):
 def terminalize(pair):
     """Extract every valuation of log discrepancy at most one, worst
     first, assigning the new rays coefficient zero.  Returns (pair, steps)."""
+    return _collect(pair, _extraction_pairs(pair))
+
+
+def _extraction_pairs(pair):
+    """The steps of terminalize, each yielded with the pair it leaves."""
     cur = pair
-    steps = []
     budget = 10 * len(pair.fan.rays) ** 2
     while True:
         wit = min_discrepancy_witness(cur)
         if wit is None or wit[0] > 1:
-            break
+            return
         if budget == 0:
             raise BudgetExceededError("extraction budget exhausted")
         budget -= 1
         val, pt = wit
         w = primitive(pt)
-        steps.append(ExtractionStep(ray=w, psi_value=val))
         cur = make_pair(
             star_subdivision(cur.fan, w), cur.coeffs + (Fraction(0),), cur.lattice
         )
-    return cur, tuple(steps)
+        yield ExtractionStep(ray=w, psi_value=val), cur

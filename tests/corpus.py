@@ -5,14 +5,22 @@ strictly convex integer heights (paraboloid plus jitter, retried until
 generic), triangulates, and then applies one to six random regular
 flips.  Both fans carry zero boundary, so every wall is crepant and the
 two pairs are K-equivalent by construction.
+
+Also holds the replay oracle: step records re-applied by public surgery.
 """
 
 import random
 
 from toricmmp.circuits import classify, wall_relation
 from toricmmp.errors import InvalidInputError, NonProjectiveError
-from toricmmp.fan import walls
-from toricmmp.mmp import ample_heights, bistellar_flip, regular_triangulation
+from toricmmp.fan import star_subdivision, walls
+from toricmmp.mmp import (
+    ExtractionStep,
+    ample_heights,
+    bistellar_flip,
+    divisorial_contract,
+    regular_triangulation,
+)
 from toricmmp.pairs import make_pair
 
 
@@ -80,3 +88,27 @@ def flop_case(seed):
         zeros = [0] * len(fx.rays)
         return make_pair(fx, zeros), make_pair(fy, zeros), done
     raise RuntimeError(f"no corpus case for seed {seed}")
+
+
+def replay(pair, steps):
+    """[pair, pair after step 1, ...]: each step record applied by public
+    surgery.  An ExtractionStep star-subdivides at its ray (coefficient 0);
+    any other record names its wall by the shared ray vectors, which is
+    flipped, or contracted when the record's kind is "divisorial"."""
+    out = [pair]
+    for st in steps:
+        fan, coeffs = pair.fan, pair.coeffs
+        if isinstance(st, ExtractionStep):
+            fan, coeffs = star_subdivision(fan, st.ray), coeffs + (0,)
+        else:
+            target = set(st.wall)
+            w = next(w for w in walls(fan) if {fan.rays[i] for i in w.shared} == target)
+            if getattr(st, "kind", "flip") == "divisorial":
+                contracted, removed, _ = divisorial_contract(fan, w)
+                j = fan.rays.index(removed)
+                fan, coeffs = contracted, coeffs[:j] + coeffs[j + 1:]
+            else:
+                fan = bistellar_flip(fan, w)
+        pair = make_pair(fan, coeffs, pair.lattice)
+        out.append(pair)
+    return out

