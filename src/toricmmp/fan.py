@@ -2,10 +2,12 @@
 
 A Fan stores primitive integer rays (in coordinates of whatever lattice the
 caller fixed) and its maximal cones as sorted ray-index tuples.  Everything
-downstream assumes validity, so construction checks eagerly: `full` runs the
-pairwise intersection-is-a-common-face test, `fast` covers the cheaper
-invariants that internal surgeries can break (used where the input fan was
-already validated and the surgery is proven shape-preserving).
+downstream assumes validity, so construction checks eagerly: `fast` covers
+the cheap invariants that internal surgeries can break (used where the input
+fan was already validated and the surgery is proven shape-preserving), and
+`full` adds the test that any two cones meet in a common face.  For complete
+and cone-supported fans that test is one degree-one point check; fans of
+support kind "other" keep the pairwise LP test.
 """
 
 from __future__ import annotations
@@ -126,6 +128,27 @@ def _lp_face_check(fan, ca, cb, shared):
     return opt > 0
 
 
+def _check_degree_one(fan):
+    """Common-face test for complete and cone-supported fans.
+
+    The fast checks make the cones an oriented pseudomanifold whose map into
+    the support preserves orientation on each cone (every facet lies in at
+    most two cones, with the two apexes on opposite sides; boundary
+    functionals are >= 0 on all rays).  So a constant number d of cones
+    covers each generic point of the support's interior, and the fan is
+    valid iff d = 1.  The sum p of cone 0's rays is interior to cone 0: no
+    other closed cone contains p in a valid fan, and some other one does
+    when d >= 2.
+    """
+    first = fan.max_cones[0]
+    p = tuple(map(sum, zip(*fan.ray_matrix(first))))
+    for cone in fan.max_cones[1:]:
+        if _barycentric(fan, cone, p) is not None:
+            raise InvalidInputError(
+                f"cones {first} and {cone} do not intersect in a common face"
+            )
+
+
 def _check_pairwise_faces(fan):
     m = len(fan.max_cones)
     for ca in range(m):
@@ -166,10 +189,14 @@ def _wall_graph_connected(n_cones, fm):
 def make_fan(rays, max_cones, *, validate="full"):
     """Build a Fan after validating it.
 
-    validate: "full" adds the pairwise common-face test on top of the "fast"
-    checks (simplicial cones, facet incidence <= 2, apexes on opposite sides
-    of each wall, every ray used, primitive distinct rays).
+    validate: "fast" checks simplicial cones, facet incidence <= 2, apexes
+    on opposite sides of each wall, every ray used, primitive distinct rays.
+    "full" adds the test that any two cones meet in a common face: the
+    degree-one point check for complete and cone-supported fans, the
+    pairwise LP test for fans of support kind "other".
     """
+    if validate not in ("full", "fast"):
+        raise InvalidInputError(f"unknown validation level {validate!r}")
     rays = tuple(tuple(x for x in r) for r in rays)
     if not rays:
         raise InvalidInputError("fan needs at least one ray")
@@ -256,9 +283,10 @@ def make_fan(rays, max_cones, *, validate="full"):
 
     fan = Fan(n, rays, cones, kind)
     if validate == "full":
-        _check_pairwise_faces(fan)
-    elif validate != "fast":
-        raise InvalidInputError(f"unknown validation level {validate!r}")
+        if kind == "other":
+            _check_pairwise_faces(fan)
+        else:
+            _check_degree_one(fan)
     return fan
 
 

@@ -1,7 +1,9 @@
 """Exact linear programming, wrapping sympy's rational simplex solver.
 
 Used for two infrastructure jobs: finding strictly convex (ample) height
-functions and deciding cone separation questions during fan validation.
+functions and deciding cone separation questions during full validation of
+fans whose support kind is "other" (complete and cone-supported fans are
+validated without LP).
 All data in and out is Fraction.  The backend mishandles eq-only systems
 and explicit bounds lists, so equalities are lowered to inequality pairs
 and general variable bounds to shifted/split nonnegative variables here.

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from toricmmp import fan as fan_module
 from toricmmp.errors import InvalidInputError
 from toricmmp.fan import (
     fans_equal,
@@ -15,6 +18,9 @@ from toricmmp.fan import (
     support_cone_rays,
     walls,
 )
+from toricmmp.jsonio import pair_from_json
+from toricmmp.lattice import det, primitive
+from toricmmp.mckay import hj_resolution
 
 P2 = make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 ORTHANT2 = make_fan([(1, 0), (0, 1)], [(0, 1)])
@@ -84,12 +90,133 @@ def test_make_fan_rejects_bad_input():
         make_fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2)])
 
 
+def test_make_fan_rejects_unknown_level_first():
+    with pytest.raises(InvalidInputError, match="unknown validation level"):
+        make_fan([(2, 0), (0, 1)], [(0, 1)], validate="ful")
+
+
 def test_full_validation_catches_nested_cones():
     rays = [(1, 0), (0, 1), (2, 1), (1, 2)]
     cones = [(0, 1), (2, 3)]  # second cone sits inside the first
-    make_fan(rays, cones, validate="fast")  # fast checks cannot see it
+    fast = make_fan(rays, cones, validate="fast")  # fast checks cannot see it
+    assert fast.support_kind == "other"  # so "full" takes the pairwise LP test
     with pytest.raises(InvalidInputError):
         make_fan(rays, cones, validate="full")
+
+
+# primitive rays at 0, 80, 160, ..., 640 degrees: consecutive pairs span
+# cones that wind twice around the origin
+DOUBLE_RING = [(1, 0), (1, 5), (-3, 1), (-5, -9), (4, -3), (4, 3), (-5, 9),
+               (-3, -1), (1, -5)]
+RING_CONES = [(k, (k + 1) % 9) for k in range(9)]
+UP, DOWN = 9, 10
+DOUBLE_RING_3D = [r + (0,) for r in DOUBLE_RING] + [(0, 0, 1), (0, 0, -1)]
+
+
+@pytest.mark.parametrize("rays, cones, kind", [
+    (DOUBLE_RING, RING_CONES, "complete"),
+    # suspension: a complete star wrapped twice around each pole
+    (DOUBLE_RING_3D, [c + (pole,) for c in RING_CONES for pole in (UP, DOWN)],
+     "complete"),
+    # its upper half covers the half-space z >= 0 twice
+    (DOUBLE_RING_3D[:10], [c + (UP,) for c in RING_CONES], "cone-supported"),
+], ids=["double-ring", "double-suspension", "double-half-space"])
+def test_full_validation_catches_multiple_covers(rays, cones, kind):
+    assert make_fan(rays, cones, validate="fast").support_kind == kind
+    with pytest.raises(InvalidInputError, match="common face"):
+        make_fan(rays, cones, validate="full")
+
+
+def _fan_on_used_rays(rays, cones):
+    used = sorted({i for c in cones for i in c})
+    index = {i: j for j, i in enumerate(used)}
+    return make_fan(
+        [rays[i] for i in used],
+        [tuple(index[i] for i in c) for c in cones],
+        validate="fast",
+    )
+
+
+def _grown_fan(rng, dim):
+    """A random fan over small integer rays: starting from one simplicial
+    cone, each step adds a cone across a facet that lies in one cone so
+    far, while the fast checks still pass."""
+    simplices = []
+    while not simplices:
+        rays = sorted({
+            primitive(r)
+            for r in (tuple(rng.randint(-2, 2) for _ in range(dim))
+                      for _ in range(dim + 5))
+            if any(r)
+        })
+        simplices = [
+            c for c in combinations(range(len(rays)), dim)
+            if det(tuple(rays[i] for i in c))
+        ]
+    cones = [rng.choice(simplices)]
+    for _ in range(rng.randint(1, 3 * dim)):
+        once = Counter(c[:k] + c[k + 1:] for c in cones for k in range(dim))
+        cands = [
+            s for s in simplices if s not in cones
+            and any(once[s[:k] + s[k + 1:]] == 1 for k in range(dim))
+        ]
+        rng.shuffle(cands)
+        for s in cands:
+            try:
+                _fan_on_used_rays(rays, cones + [s])
+            except InvalidInputError:
+                continue
+            cones.append(s)
+            break
+    return _fan_on_used_rays(rays, cones)
+
+
+def test_degree_one_check_matches_lp_oracle():
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(120):
+        fan = _grown_fan(rng, rng.choice([2, 3, 4]))
+        if fan.support_kind == "other":
+            continue
+        try:
+            fan_module._check_pairwise_faces(fan)
+            valid = True
+        except InvalidInputError:
+            valid = False
+        try:
+            make_fan(fan.rays, fan.max_cones, validate="full")
+            accepted = True
+        except InvalidInputError:
+            accepted = False
+        assert accepted == valid, (fan.rays, fan.max_cones)
+        seen.add((fan.dim, fan.support_kind, valid))
+    # the sample covers every dimension, both kinds and both verdicts
+    assert {s[0] for s in seen} == {2, 3, 4}
+    assert {s[1] for s in seen} == {"complete", "cone-supported"}
+    assert {s[2] for s in seen} == {True, False}
+
+
+# a flop-corpus pair whose fan has cone pairs that share no facet and
+# have no cheap separating certificate
+PAIR_3D = {
+    "dim": 3,
+    "rays": [[0, 2, 1], [0, 3, 1], [1, 0, 1], [3, 0, 1], [3, 1, 1], [3, 2, 1],
+             [3, 3, 1]],
+    "cones": [[0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 5, 6], [2, 3, 4]],
+    "coeffs": [0, 0, 0, 0, 0, 0, 0],
+}
+
+
+def test_full_validation_of_convex_supports_makes_no_lp_call(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("full validation called the LP")
+
+    monkeypatch.setattr(fan_module, "lp_maximize", no_lp)
+    fan, chain = hj_resolution(30, 7)
+    assert len(fan.max_cones) == len(chain) + 1
+    for fan in (ATIYAH_X, ATIYAH_Y):
+        make_fan(fan.rays, fan.max_cones, validate="full")
+    assert len(pair_from_json(PAIR_3D).fan.max_cones) == 5
 
 
 def test_locate_at_rays_and_interior():
