@@ -1,8 +1,8 @@
 """Cyclic surface quotients: continued-fraction chains and boundary restriction.
 
-The resolution of (1/r)(1, a) is read off the boundary lattice points of
-a Newton polygon; the chain of numbers -b_i records the exceptional
-curves.  The same fans fall out of the general quotient pipeline, which
+The resolution of (1/r)(1, a) is computed from the Hirzebruch-Jung
+continued fraction of r/a; the chain of numbers -b_i records the
+exceptional curves.  The same fans fall out of the general quotient pipeline, which
 knows nothing about continued fractions.
 """
 

@@ -12,6 +12,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError
+from .fan import walls
 from .lattice import det
 
 
@@ -64,6 +65,12 @@ def wall_relation(fan, wall):
         s_zero=tuple(i for i, a in zip(circuit, coeffs) if a == 0),
         s_minus=tuple(i for i, a in zip(circuit, coeffs) if a < 0),
     )
+
+
+def _relations(fan):
+    """(wall, its relation) for every wall of the fan, in walls() order.
+    Lazy, so a caller that stops early computes no further relations."""
+    return ((w, wall_relation(fan, w)) for w in walls(fan))
 
 
 def defect(relation, heights):

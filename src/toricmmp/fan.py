@@ -65,13 +65,23 @@ def _facet_functional(fan, cone, k):
     return tuple(Cinv[i][k] for i in range(fan.dim))
 
 
-@lru_cache(maxsize=None)
 def _facet_map(fan):
+    """Every facet of a maximal cone, mapped to the cones containing it."""
     fm = defaultdict(list)
     for ci, cone in enumerate(fan.max_cones):
         for k in range(fan.dim):
             fm[cone[:k] + cone[k + 1:]].append(ci)
     return dict(fm)
+
+
+def _boundary_facets(fan, fm):
+    """(facet, inward functional) for every facet of the facet map fm that
+    lies in a single cone; the functional is 1 on that cone's apex."""
+    for facet, cs in fm.items():
+        if len(cs) == 1:
+            cone = fan.max_cones[cs[0]]
+            k = next(k for k in range(fan.dim) if cone[k] not in facet)
+            yield facet, _facet_functional(fan, cone, k)
 
 
 def walls(fan):
@@ -239,16 +249,12 @@ def make_fan(rays, max_cones, *, validate="full"):
         if det(tuple(rays[i] for i in c)) == 0:
             raise InvalidInputError(f"cone {c} is not simplicial")
 
-    fm = defaultdict(list)
-    for ci, c in enumerate(cones):
-        for k in range(n):
-            fm[c[:k] + c[k + 1:]].append(ci)
+    # provisional fan for functional helpers; support kind fixed below
+    provisional = Fan(n, rays, cones, "other")
+    fm = _facet_map(provisional)
     for facet, cs in fm.items():
         if len(cs) > 2:
             raise InvalidInputError(f"facet {facet} shared by more than two cones")
-
-    # provisional fan for functional helpers; support kind fixed below
-    provisional = Fan(n, rays, cones, "other")
 
     for facet, cs in fm.items():
         if len(cs) == 2:
@@ -265,21 +271,12 @@ def make_fan(rays, max_cones, *, validate="full"):
 
     if all(len(cs) == 2 for cs in fm.values()):
         kind = "complete"
-    else:
+    elif _wall_graph_connected(len(cones), fm) and all(
+        dot(u, r) >= 0 for _, u in _boundary_facets(provisional, fm) for r in rays
+    ):
         kind = "cone-supported"
-        if not _wall_graph_connected(len(cones), fm):
-            kind = "other"
-        else:
-            for facet, cs in fm.items():
-                if len(cs) != 1:
-                    continue
-                ci = cs[0]
-                shared = set(facet)
-                k = next(k for k in range(n) if cones[ci][k] not in shared)
-                u = _facet_functional(provisional, cones[ci], k)
-                if any(dot(u, r) < 0 for r in rays):
-                    kind = "other"
-                    break
+    else:
+        kind = "other"
 
     fan = Fan(n, rays, cones, kind)
     if validate == "full":
@@ -347,18 +344,8 @@ def fans_equal(f1, f2):
 
 def boundary_functionals(fan):
     """Inward functionals of the boundary facets (deduplicated)."""
-    out = []
-    for facet, cs in _facet_map(fan).items():
-        if len(cs) != 1:
-            continue
-        cone = fan.max_cones[cs[0]]
-        shared = set(facet)
-        k = next(k for k in range(fan.dim) if cone[k] not in shared)
-        u = _facet_functional(fan, cone, k)
-        scaled = primitive(u)
-        if scaled not in out:
-            out.append(scaled)
-    return tuple(out)
+    fns = (primitive(u) for _, u in _boundary_facets(fan, _facet_map(fan)))
+    return tuple(dict.fromkeys(fns))
 
 
 def support_cone_rays(fan):

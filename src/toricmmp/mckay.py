@@ -258,51 +258,27 @@ def mckay_pipeline(G):
 
 
 def hj_resolution(r, a):
-    """Resolution fan of the cyclic surface quotient (1/r)(1, a) from the
-    boundary lattice points of its Newton polygon, with the chain of
-    self-intersection numbers -b_i read off the consecutive relations
-    v_{i-1} + v_{i+1} = b_i v_i."""
+    """Resolution fan of the cyclic surface quotient (1/r)(1, a) and its
+    chain of self-intersection numbers -b_i, from the Hirzebruch-Jung
+    continued fraction r/a = b_1 - 1/(b_2 - ...).  The rays u_i run along
+    the Newton polygon boundary from (0, 1) through (1/r)(1, a) to (1, 0)
+    by u_{i+1} = b_i u_i - u_{i-1}, with b_i = ceil(n/d) while (n, d)
+    steps from (r, a) to (d, b_i d - n) until d = 0."""
     if not (isinstance(r, int) and isinstance(a, int)):
         raise InvalidInputError("need integer parameters")
     if not (0 < a < r) or gcd(r, a) != 1:
         raise InvalidInputError("need 0 < a < r with gcd(r, a) = 1")
-    G = make_group(2, [(r, (1, a))])
-    B = group_lattice(G)
-    pts = {(Fraction(k, r), Fraction(k * a % r, r)) for k in range(1, r)}
-    pts |= {(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))}
-    # walk the lower-left hull boundary from (0,1) to (1,0); among
-    # collinear candidates take the nearest so on-edge points survive
-    boundary = [(Fraction(0), Fraction(1))]
-    while boundary[-1] != (Fraction(1), Fraction(0)):
-        v = boundary[-1]
-        best = None
-        for q in pts:
-            if q == v or q in boundary:
-                continue
-            if best is None:
-                best = q
-                continue
-            dq = (q[0] - v[0], q[1] - v[1])
-            db = (best[0] - v[0], best[1] - v[1])
-            cross = dq[0] * db[1] - dq[1] * db[0]
-            if cross > 0 or (cross == 0 and abs(dq[0]) + abs(dq[1]) < abs(db[0]) + abs(db[1])):
-                best = q
-        boundary.append(best)
-    rays = []
-    for p in boundary:
-        coords = B.coords(p)
-        rays.append(tuple(int(x) for x in coords))
+    B = group_lattice(make_group(2, [(r, (1, a))]))
+    boundary = [(Fraction(0), Fraction(1)), (Fraction(1, r), Fraction(a, r))]
     chain = []
-    for i in range(1, len(boundary) - 1):
-        prev_pt, cur_pt, next_pt = boundary[i - 1], boundary[i], boundary[i + 1]
-        total = tuple(pq + nq for pq, nq in zip(prev_pt, next_pt))
-        k = next(j for j in range(2) if cur_pt[j] != 0)
-        b = total[k] / cur_pt[k]
-        if b.denominator != 1 or any(
-            total[j] != b * cur_pt[j] for j in range(2)
-        ) or b < 2:
-            raise EngineInvariantError("boundary points violate the chain relation")
-        chain.append(-int(b))
+    n, d = r, a
+    while d:
+        b = -(-n // d)
+        chain.append(-b)
+        n, d = d, b * d - n
+        (x0, y0), (x1, y1) = boundary[-2:]
+        boundary.append((b * x1 - x0, b * y1 - y0))
+    rays = [tuple(int(x) for x in B.coords(p)) for p in boundary]
     cones = [(i, i + 1) for i in range(len(rays) - 1)]
     fan = make_fan(rays, cones, validate="full")
     return fan, tuple(chain)

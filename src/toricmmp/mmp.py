@@ -11,7 +11,7 @@ explicit lexicographic rules, so every run is deterministic.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .circuits import classify, defect, wall_relation
+from .circuits import _relations, classify, defect, wall_relation
 from .errors import (
     BudgetExceededError,
     EngineInvariantError,
@@ -20,14 +20,13 @@ from .errors import (
     NotKEquivalentError,
 )
 from .fan import (
-    _facet_functional,
+    _boundary_facets,
     _facet_map,
     fans_equal,
     in_support,
     make_fan,
     point_in_cone,
     star_subdivision,
-    walls,
 )
 from .lattice import LatticeBasis, dot, mat_rank, primitive
 from .linprog import lp_maximize
@@ -64,18 +63,16 @@ def ample_heights(fan):
     """Heights strictly convex across every wall, found by maximizing the
     worst wall defect inside the unit box.  Raises NonProjectiveError when
     only flat-or-worse height functions exist."""
-    ws = walls(fan)
     n_rays = len(fan.rays)
-    if not ws:
-        return (Fraction(0),) * n_rays
     rows = []
-    for w in ws:
-        rel = wall_relation(fan, w)
+    for _, rel in _relations(fan):
         row = [Fraction(0)] * (n_rays + 1)
         for i, a in zip(rel.ray_indices, rel.coeffs):
             row[i] -= a
         row[n_rays] = Fraction(1)
         rows.append(row)  # t - defect_w(h) <= 0
+    if not rows:
+        return (Fraction(0),) * n_rays
     objective = [Fraction(0)] * n_rays + [Fraction(1)]
     bounds = [(-1, 1)] * n_rays + [(0, 1)]
     opt, x = lp_maximize(objective, rows, [0] * len(rows), bounds)
@@ -90,25 +87,24 @@ def _checked_convex_heights(fan, given, label):
     hs = tuple(Fraction(h) for h in given)
     if len(hs) != len(fan.rays):
         raise InvalidInputError(f"{label}: one height per ray required")
-    for w in walls(fan):
-        if defect(wall_relation(fan, w), hs) <= 0:
-            raise InvalidInputError(f"{label}: heights are not strictly convex")
+    if any(defect(rel, hs) <= 0 for _, rel in _relations(fan)):
+        raise InvalidInputError(f"{label}: heights are not strictly convex")
     return hs
 
 
 # -------------------------------------------------------------- surgeries
 
 
-def _flip_replacement(fan, rel):
-    """Max cones after the bistellar move across rel, or None when some
-    plus-side cone of the circuit is missing (circuit not isolated)."""
+def _flipped(fan, rel):
+    """Fan after the bistellar move across rel, or None when some plus-side
+    cone of the circuit is missing (circuit not isolated)."""
     circ = set(rel.ray_indices)
     plus = {tuple(sorted(circ - {i})) for i in rel.s_plus}
-    present = set(fan.max_cones)
-    if not plus <= present:
+    if not plus <= set(fan.max_cones):
         return None
     minus = [tuple(sorted(circ - {j})) for j in rel.s_minus]
-    return [c for c in fan.max_cones if c not in plus] + minus
+    cones = [c for c in fan.max_cones if c not in plus] + minus
+    return make_fan(fan.rays, cones, validate="fast")
 
 
 def bistellar_flip(fan, wall):
@@ -120,15 +116,16 @@ def bistellar_flip(fan, wall):
     rel = wall_relation(fan, wall)
     if classify(rel).kind != "flipping":
         raise InvalidInputError("wall is not of flipping type")
-    cones = _flip_replacement(fan, rel)
-    if cones is None:
+    out = _flipped(fan, rel)
+    if out is None:
         raise InvalidInputError("wall circuit is not isolated")
-    return make_fan(fan.rays, cones, validate="fast")
+    return out
 
 
-def _contracted_fan(fan, rel, j):
-    """Fan after removing ray j of a divisorial circuit, or None when the
-    star of j is not exactly the plus side of the circuit."""
+def _contracted(fan, rel, j):
+    """(fan, removed ray, center rays) after removing ray j of a divisorial
+    circuit, or None when the star of j is not exactly the plus side of the
+    circuit.  The center rays span the face the removed divisor maps onto."""
     circ = set(rel.ray_indices)
     star = {c for c in fan.max_cones if j in c}
     plus = {tuple(sorted(circ - {i})) for i in rel.s_plus}
@@ -143,7 +140,8 @@ def _contracted_fan(fan, rel, j):
     ]
     cones.append(tuple(sorted(shift(i) for i in circ - {j})))
     rays = fan.rays[:j] + fan.rays[j + 1:]
-    return make_fan(rays, cones, validate="fast")
+    center = tuple(fan.rays[i] for i in sorted(rel.s_plus + rel.s_zero))
+    return make_fan(rays, cones, validate="fast"), fan.rays[j], center
 
 
 def divisorial_contract(fan, wall):
@@ -156,12 +154,10 @@ def divisorial_contract(fan, wall):
     kind = classify(rel)
     if kind.kind != "divisorial":
         raise InvalidInputError("wall is not of divisorial type")
-    j = kind.ray
-    out = _contracted_fan(fan, rel, j)
+    out = _contracted(fan, rel, kind.ray)
     if out is None:
         raise InvalidInputError("star of the contracted ray does not match the circuit")
-    center = tuple(fan.rays[i] for i in sorted(rel.s_plus + rel.s_zero))
-    return out, fan.rays[j], center
+    return out
 
 
 # ------------------------------------------------- regular triangulation
@@ -173,15 +169,11 @@ def _insert_ray(fan, r):
     if in_support(fan, r):
         return star_subdivision(fan, r)
     new_idx = len(fan.rays)
-    added = []
-    for facet, cs in _facet_map(fan).items():
-        if len(cs) != 1:
-            continue
-        cone = fan.max_cones[cs[0]]
-        k = next(k for k in range(fan.dim) if cone[k] not in facet)
-        u = _facet_functional(fan, cone, k)
-        if dot(u, r) < 0:
-            added.append(tuple(sorted(facet + (new_idx,))))
+    added = [
+        tuple(sorted(facet + (new_idx,)))
+        for facet, u in _boundary_facets(fan, _facet_map(fan))
+        if dot(u, r) < 0
+    ]
     if not added:
         raise EngineInvariantError("outside ray sees no boundary facet")
     return make_fan(fan.rays + (r,), list(fan.max_cones) + added, validate="fast")
@@ -190,12 +182,11 @@ def _insert_ray(fan, r):
 def _negative_walls(fan, hmap):
     hs = tuple(hmap[v] for v in fan.rays)
     out = []
-    for w in walls(fan):
-        rel = wall_relation(fan, w)
+    for w, rel in _relations(fan):
         d = defect(rel, hs)
         if d < 0:
             key = tuple(sorted(fan.rays[i] for i in w.shared))
-            out.append((d, key, w, rel))
+            out.append((d, key, rel))
     out.sort(key=lambda e: (e[0], e[1]))
     return out
 
@@ -209,12 +200,11 @@ def _flips_to_convexity(fan, hmap, budget, focus):
         if focus is not None:
             cands = [
                 e for e in cands
-                if focus in tuple(fan.rays[i] for i in e[3].ray_indices)
+                if focus in tuple(fan.rays[i] for i in e[2].ray_indices)
             ]
         if not cands:
             return fan, budget
-        progressed = False
-        for _, _, w, rel in cands:
+        for _, _, rel in cands:
             kind = classify(rel)
             if kind.kind == "divisorial":
                 raise InvalidInputError(
@@ -224,16 +214,15 @@ def _flips_to_convexity(fan, hmap, budget, focus):
                 raise InvalidInputError(
                     "fiber-type wall: heights have no lower hull over this support"
                 )
-            cones = _flip_replacement(fan, rel)
-            if cones is None:
+            nxt = _flipped(fan, rel)
+            if nxt is None:
                 continue
             if budget == 0:
                 raise BudgetExceededError("flip budget exhausted")
             budget -= 1
-            fan = make_fan(fan.rays, cones, validate="fast")
-            progressed = True
+            fan = nxt
             break
-        if not progressed:
+        else:
             if focus is not None:
                 return fan, budget
             raise EngineInvariantError("negative wall stuck with non-isolated circuit")
@@ -279,72 +268,11 @@ def regular_triangulation(rays, heights, lattice=None):
     fan, budget = _flips_to_convexity(fan, hmap, budget, focus=None)
 
     final_hs = tuple(hmap[v] for v in fan.rays)
-    for w in walls(fan):
-        if defect(wall_relation(fan, w), final_hs) == 0:
-            raise InvalidInputError("heights are not generic: flat wall at convergence")
+    if any(defect(rel, final_hs) == 0 for _, rel in _relations(fan)):
+        raise InvalidInputError("heights are not generic: flat wall at convergence")
     pos = {v: k for k, v in enumerate(rays)}
     cones = [tuple(sorted(pos[fan.rays[i]] for i in c)) for c in fan.max_cones]
     return make_fan(rays, cones, validate="fast")
-
-
-# ------------------------------------------------------ symbolic epsilon
-
-
-class EpsPoly:
-    """Polynomial in one positive infinitesimal with Fraction coefficients,
-    constant term first, ordered by the sign of the lowest nonzero term.
-    Numbers mix in as constants; polynomials are only added, subtracted
-    and scaled by numbers, never multiplied together."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(x) for x in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.c = tuple(cs)
-
-    def _get(self, i):
-        return self.c[i] if i < len(self.c) else Fraction(0)
-
-    @property
-    def const_term(self):
-        return self._get(0)
-
-    def __add__(self, other):
-        o = other if isinstance(other, EpsPoly) else EpsPoly((other,))
-        n = max(len(self.c), len(o.c))
-        return EpsPoly([self._get(i) + o._get(i) for i in range(n)])
-
-    def __mul__(self, k):
-        return EpsPoly([k * x for x in self.c])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def sign(self):
-        for x in self.c:
-            if x:
-                return 1 if x > 0 else -1
-        return 0
-
-    def __eq__(self, other):
-        o = other if isinstance(other, EpsPoly) else EpsPoly((other,))
-        return self.c == o.c
-
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __repr__(self):
-        return f"EpsPoly({self.c})"
 
 
 # ---------------------------------------------------------- flop sweeper
@@ -367,34 +295,39 @@ def flop_decompose(pair_x, pair_y, ample_x=None, ample_y=None):
     h1_y = _checked_convex_heights(fy, ample_y, "ampleY")
     pos_y = {v: i for i, v in enumerate(fy.rays)}
     h1 = tuple(h1_y[pos_y[v]] for v in fx.rays)
-    # target heights with the symbolic tie-breaker on ray i at eps^(i+1)
-    pert = [EpsPoly((h1[i],) + (0,) * i + (1,)) for i in range(n_rays)]
+    # The target heights carry a symbolic tie-breaker eps^(i+1) on ray i, so
+    # a defect is the list of its eps-power coefficients, constant term
+    # first, and compares with another by list order: lexicographic sign.
+    zero = [0] * (n_rays + 1)
     psi = psi_heights(pair_x)
+
+    def cross(e, f):  # f's q scaled by e's d0: compares crossing times d0/q
+        return [e[0] * x for x in f[1]]
 
     cur = fx
     steps = []
     budget = 10 * n_rays * n_rays
     while True:
         events = []
-        for w in walls(cur):
-            rel = wall_relation(cur, w)
-            d1 = EpsPoly()
+        for w, rel in _relations(cur):
+            d1 = [defect(rel, h1)] + [0] * n_rays
             for i, a in zip(rel.ray_indices, rel.coeffs):
-                d1 = d1 + a * pert[i]
-            if d1.sign() >= 0:
+                d1[i + 1] = a
+            if d1 >= zero:
                 continue  # never crosses zero before the target
             d0 = Fraction(defect(rel, h0))
             if d0 <= 0:
                 raise EngineInvariantError("wall defect nonpositive before its event")
-            events.append((d0, d0 - d1, w, rel))
+            q = [d0 - d1[0]] + [-x for x in d1[1:]]  # d0 - d1
+            events.append((d0, q, w, rel))
         if not events:
             break
-        # crossing time d0/(d0-d1): minimize by exact cross-multiplication
-        best = None
-        for ev in events:
-            if best is None or ev[0] * best[1] < best[0] * ev[1]:
+        # crossing time d0/q: minimize by exact cross-multiplication
+        best = events[0]
+        for ev in events[1:]:
+            if cross(ev, best) < cross(best, ev):
                 best = ev
-        tied = [ev for ev in events if ev[0] * best[1] == best[0] * ev[1]]
+        tied = [ev for ev in events if cross(ev, best) == cross(best, ev)]
         signatures = {
             (tuple(cur.rays[i] for i in ev[3].ray_indices), ev[3].coeffs)
             for ev in tied
@@ -412,13 +345,13 @@ def flop_decompose(pair_x, pair_y, ample_x=None, ample_y=None):
                 "event wall is not of flipping type: "
                 "inputs are not isomorphic in codimension one"
             )
-        cones = _flip_replacement(cur, rel)
-        if cones is None:
+        nxt = _flipped(cur, rel)
+        if nxt is None:
             raise EngineInvariantError("event circuit is not isolated")
         if budget == 0:
             raise BudgetExceededError("flop step budget exhausted")
         budget -= 1
-        event_time = d0 / q.const_term
+        event_time = d0 / q[0]
         if not 0 < event_time < 1:
             raise EngineInvariantError(f"event time {event_time} outside (0,1)")
         steps.append(
@@ -430,7 +363,7 @@ def flop_decompose(pair_x, pair_y, ample_x=None, ample_y=None):
                 k_defect_check=k_defect,
             )
         )
-        cur = make_fan(cur.rays, cones, validate="fast")
+        cur = nxt
     if not fans_equal(cur, fy):
         raise EngineInvariantError("sweep exhausted before reaching the target fan")
     return tuple(steps)
@@ -475,8 +408,7 @@ def _mmp_pairs(pair, base):
     while True:
         psi = psi_heights(cur)
         cands = []
-        for w in walls(cur.fan):
-            rel = wall_relation(cur.fan, w)
+        for w, rel in _relations(cur.fan):
             d = defect(rel, psi)
             if d > 0:
                 apexes = tuple(sorted((cur.fan.rays[w.apex_a], cur.fan.rays[w.apex_b])))
@@ -487,7 +419,6 @@ def _mmp_pairs(pair, base):
         if budget == 0:
             raise BudgetExceededError("step budget exhausted")
         budget -= 1
-        executed = None
         for neg_d, _, w, rel in cands:
             kind = classify(rel)
             if kind.kind == "fiber":
@@ -495,37 +426,28 @@ def _mmp_pairs(pair, base):
                     "fiber-type wall with positive defect: "
                     "the pair is not birational over this base"
                 )
-            wall_rays = tuple(cur.fan.rays[i] for i in w.shared)
-            circuit = tuple(cur.fan.rays[i] for i in rel.ray_indices)
             if kind.kind == "divisorial":
-                new_fan = _contracted_fan(cur.fan, rel, kind.ray)
+                out = _contracted(cur.fan, rel, kind.ray)
+                if out is None:
+                    continue
+                new_fan, removed, center = out
+                coeffs = cur.coeffs[:kind.ray] + cur.coeffs[kind.ray + 1:]
+            else:
+                new_fan, removed, center = _flipped(cur.fan, rel), None, None
                 if new_fan is None:
                     continue
-                removed = cur.fan.rays[kind.ray]
-                center = tuple(
-                    cur.fan.rays[i] for i in sorted(rel.s_plus + rel.s_zero)
-                )
-                coeffs = tuple(
-                    c for i, c in enumerate(cur.coeffs) if i != kind.ray
-                )
-                executed = MmpStep(
-                    "divisorial", wall_rays, circuit, rel.coeffs, -neg_d, removed, center
-                )
-                cur = make_pair(new_fan, coeffs, cur.lattice)
-                break
-            cones = _flip_replacement(cur.fan, rel)
-            if cones is None:
-                continue
-            executed = MmpStep(
-                "flip", wall_rays, circuit, rel.coeffs, -neg_d, None, None
-            )
-            cur = make_pair(
-                make_fan(cur.fan.rays, cones, validate="fast"), cur.coeffs, cur.lattice
-            )
+                coeffs = cur.coeffs
             break
-        if executed is None:
+        else:
             raise EngineInvariantError("no executable wall among positive defects")
-        yield executed, cur
+        step = MmpStep(
+            "flip" if removed is None else "divisorial",
+            tuple(cur.fan.rays[i] for i in w.shared),
+            tuple(cur.fan.rays[i] for i in rel.ray_indices),
+            rel.coeffs, -neg_d, removed, center,
+        )
+        cur = make_pair(new_fan, coeffs, cur.lattice)
+        yield step, cur
 
 
 # ---------------------------------------------------------- terminalize

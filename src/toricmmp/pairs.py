@@ -11,9 +11,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .circuits import defect, wall_relation
+from .circuits import _relations, defect
 from .errors import InvalidInputError
-from .fan import Fan, _rays_inverse, locate, walls
+from .fan import Fan, _rays_inverse, in_support, locate
 from .lattice import (
     LatticeBasis,
     box_points,
@@ -149,15 +149,13 @@ def _check_common_footing(pair_x, pair_y):
         raise InvalidInputError("pairs have different dimensions")
 
 
-def _check_supports_equal(fan_x, fan_y, same_rays):
+def _check_supports_equal(fan_x, fan_y):
     kx, ky = fan_x.support_kind, fan_y.support_kind
     if "other" in (kx, ky):
         raise InvalidInputError("fan support is neither complete nor a cone")
     if kx != ky:
         raise InvalidInputError("supports differ")
-    if kx == "cone-supported" and not same_rays:
-        from .fan import in_support
-
+    if kx == "cone-supported":
         ok = all(in_support(fan_y, r) for r in fan_x.rays) and all(
             in_support(fan_x, r) for r in fan_y.rays
         )
@@ -174,7 +172,7 @@ def k_equivalent(pair_x, pair_y):
     """
     _check_common_footing(pair_x, pair_y)
     fx, fy = pair_x.fan, pair_y.fan
-    _check_supports_equal(fx, fy, same_rays=False)
+    _check_supports_equal(fx, fy)
     if dict(zip(fx.rays, pair_x.coeffs)) != dict(zip(fy.rays, pair_y.coeffs)):
         return False
     psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
@@ -198,7 +196,7 @@ def k_compare(pair_x, pair_y):
     """
     _check_common_footing(pair_x, pair_y)
     fx, fy = pair_x.fan, pair_y.fan
-    _check_supports_equal(fx, fy, same_rays=False)
+    _check_supports_equal(fx, fy)
     psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
     lt = gt = False
     for cx in fx.max_cones:
@@ -227,4 +225,4 @@ def is_nef(fan, heights):
     hs = tuple(Fraction(h) for h in heights)
     if len(hs) != len(fan.rays):
         raise InvalidInputError("one height per ray required")
-    return all(defect(wall_relation(fan, w), hs) >= 0 for w in walls(fan))
+    return all(defect(rel, hs) >= 0 for _, rel in _relations(fan))

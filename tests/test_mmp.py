@@ -1,13 +1,14 @@
 """Engine tests: triangulation vs exhaustive hull oracle, flip surgery,
 flop sweep, relative MMP, terminalization."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from corpus import replay
+from corpus import flop_case, replay
 
 from toricmmp.circuits import classify, defect, wall_relation
 from toricmmp.errors import (
@@ -17,9 +18,9 @@ from toricmmp.errors import (
     NotKEquivalentError,
 )
 from toricmmp.fan import fans_equal, make_fan, walls
+from toricmmp.jsonio import dumps
 from toricmmp.lattice import det, mat_inv, primitive
 from toricmmp.mmp import (
-    EpsPoly,
     ample_heights,
     bistellar_flip,
     divisorial_contract,
@@ -243,18 +244,83 @@ def test_regular_triangulation_matches_hull_oracle():
 
 # ------------------------------------------------------- symbolic epsilon
 
+# flop_decompose(*flop_case(seed)[:2]) in canonical JSON, recorded when the
+# infinitesimal was still a polynomial class.  Each case has an event where
+# the unperturbed pencil ties two circuits with different supports; the
+# infinitesimal on the target heights splits the tie.
+TIE_SPLIT_STEPS = {
+    0: (
+        '[{"circuit":[[0,1,2,1],[0,2,0,1],[1,0,0,1],[1,1,1,1],[1,1,2,1]],"coeffs":[-1,1,1,-4,3]'
+        ',"event_time":"1/2","k_defect_check":0'
+        ',"wall":[[0,1,2,1],[0,2,0,1],[1,1,1,1]]},'
+        '{"circuit":[[0,2,0,1],[1,1,1,1],[1,1,2,1],[2,1,2,1],[2,2,0,1]],"coeffs":[1,0,-2,2,-1]'
+        ',"event_time":"1/2","k_defect_check":0'
+        ',"wall":[[1,1,1,1],[1,1,2,1],[2,2,0,1]]}]'
+    ),
+    16: (
+        '[{"circuit":[[0,0,1,1],[0,1,0,1],[0,2,2,1],[1,1,1,1],[1,1,2,1]],"coeffs":[-1,2,-1,-3,3]'
+        ',"event_time":"1/8","k_defect_check":0'
+        ',"wall":[[0,0,1,1],[0,2,2,1],[1,1,1,1]]},'
+        '{"circuit":[[0,1,0,1],[0,2,2,1],[1,1,1,1],[1,1,2,1],[1,2,2,1]],"coeffs":[1,-1,-2,1,1]'
+        ',"event_time":"1/6","k_defect_check":0'
+        ',"wall":[[0,1,0,1],[0,2,2,1],[1,1,1,1]]},'
+        '{"circuit":[[0,0,1,1],[0,1,0,1],[1,0,2,1],[1,1,1,1],[1,1,2,1]],"coeffs":[-1,1,1,-1,0]'
+        ',"event_time":"1/2","k_defect_check":0'
+        ',"wall":[[0,0,1,1],[1,1,1,1],[1,1,2,1]]},'
+        '{"circuit":[[0,0,1,1],[0,1,0,1],[0,2,2,1],[1,1,2,1],[1,2,2,1]],"coeffs":[2,-1,-1,-3,3]'
+        ',"event_time":"1/2","k_defect_check":0'
+        ',"wall":[[0,1,0,1],[0,2,2,1],[1,1,2,1]]}]'
+    ),
+    24: (
+        '[{"circuit":[[0,0,0,1],[0,1,2,1],[0,2,1,1],[1,2,1,1],[2,0,1,1]],"coeffs":[-2,-2,7,-6,3]'
+        ',"event_time":"2/5","k_defect_check":0'
+        ',"wall":[[0,0,0,1],[0,1,2,1],[1,2,1,1]]},'
+        '{"circuit":[[0,1,2,1],[1,2,1,1],[1,2,2,1],[2,0,1,1],[2,0,2,1]],"coeffs":[0,1,-1,-1,1]'
+        ',"event_time":"1/2","k_defect_check":0'
+        ',"wall":[[0,1,2,1],[1,2,2,1],[2,0,1,1]]},'
+        '{"circuit":[[0,0,0,1],[0,0,2,1],[0,1,2,1],[0,2,1,1],[2,0,1,1]],"coeffs":[-1,3,-4,2,0]'
+        ',"event_time":"5/8","k_defect_check":0'
+        ',"wall":[[0,0,0,1],[0,1,2,1],[2,0,1,1]]},'
+        '{"circuit":[[0,1,2,1],[0,2,1,1],[1,2,1,1],[2,0,1,1],[2,0,2,1]],"coeffs":[-2,3,-2,-1,2]'
+        ',"event_time":"2/3","k_defect_check":0'
+        ',"wall":[[0,1,2,1],[1,2,1,1],[2,0,1,1]]},'
+        '{"circuit":[[0,1,2,1],[0,2,1,1],[1,2,1,1],[1,2,2,1],[2,0,2,1]],"coeffs":[-2,3,-3,1,1]'
+        ',"event_time":"3/4","k_defect_check":0'
+        ',"wall":[[0,1,2,1],[0,2,1,1],[1,2,1,1]]},'
+        '{"circuit":[[0,0,2,1],[0,1,2,1],[0,2,1,1],[2,0,1,1],[2,0,2,1]],"coeffs":[1,-2,1,-1,1]'
+        ',"event_time":"3/4","k_defect_check":0'
+        ',"wall":[[0,0,2,1],[0,1,2,1],[2,0,1,1]]}]'
+    ),
+}
 
-def test_epspoly_ordering():
-    a = EpsPoly((0, 1))          # eps
-    b = EpsPoly((0, 0, 5))       # 5 eps^2
-    assert b < a < EpsPoly((1,))
-    assert (a - a).sign() == 0
-    assert (2 * a).c == (0, 2)
-    assert EpsPoly((Fraction(1, 2),)) - Fraction(1, 2) == EpsPoly()
-    assert (-a).sign() == -1
+
+@pytest.mark.parametrize("seed", sorted(TIE_SPLIT_STEPS))
+def test_flop_tie_break_output(seed):
+    px, py, _ = flop_case(seed)
+    expected = json.dumps(json.loads(TIE_SPLIT_STEPS[seed]), indent=2, sort_keys=True)
+    assert dumps(flop_decompose(px, py)) == expected
 
 
 # ------------------------------------------------------------ flop sweep
+
+# One 4-ray circuit seen from two walls whose relations differ only in a
+# zero-coefficient ray: (0,1,2,3,4) with (-2,1,0,2,-1) and (0,1,3,4,5) with
+# (-2,1,2,-1,0).  The tie check keys on ray_indices, which include that ray,
+# so the sweep reports two distinct simultaneous circuits.
+TIED_RAYS = [[0, 1, 1, 1], [0, 1, 2, 1], [1, 0, 0, 1], [1, 1, 0, 1], [2, 1, 0, 1], [2, 2, 0, 1]]
+TIED_X = [[0, 1, 2, 4], [0, 1, 4, 5], [0, 2, 3, 4], [0, 3, 4, 5]]
+TIED_Y = [[0, 1, 2, 3], [0, 1, 3, 5], [1, 2, 3, 5], [1, 2, 4, 5]]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=EngineInvariantError,
+    reason="one circuit seen from two walls is taken for simultaneous events",
+)
+def test_flop_decompose_one_circuit_two_walls():
+    px = make_pair(make_fan(TIED_RAYS, TIED_X), [0] * 6)
+    py = make_pair(make_fan(TIED_RAYS, TIED_Y), [0] * 6)
+    steps = flop_decompose(px, py)
+    assert fans_equal(replay(px, steps)[-1].fan, py.fan)
 
 
 def test_flop_decompose_atiyah():
