@@ -29,7 +29,7 @@ class ContractionType(NamedTuple):
     ray: int | None      # the contracted ray for divisorial walls
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 13)
 def _circuit_coeffs(vectors, apex_positions):
     """Primitive kernel coefficients of the (n+1) x n matrix of circuit rays,
     signed so the apex positions carry positive entries."""

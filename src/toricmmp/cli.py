@@ -36,7 +36,8 @@ def _load_pair(path):
     if "gens" in data:
         raise InvalidInputError(f"{path}: got a group file, expected a fan or pair")
     if "coeffs" not in data:
-        data = {**data, "coeffs": [0] * len(data.get("rays", ()))}
+        rays = data.get("rays")  # a non-list is rejected by pair_from_json
+        data = {**data, "coeffs": [0] * len(rays) if isinstance(rays, list) else []}
     return pair_from_json(data)
 
 

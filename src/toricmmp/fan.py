@@ -15,11 +15,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .lattice import det, dot, mat_inv, mat_rank, primitive, vec_mat
+from .lattice import adjugate, dot, mat_rank, primitive, vec_mat
 from .linprog import lp_maximize
 
 
@@ -42,27 +41,30 @@ class Wall(NamedTuple):
     apex_b: int
 
 
-@lru_cache(maxsize=None)
-def _rays_inverse(ray_rows):
-    try:
-        return mat_inv(ray_rows)
-    except ValueError:
+def _solve(rows, p):
+    """(num, m) with p = sum (num_i / m) rows_i and m = |det rows|, so the
+    numerators num carry the signs of p's coordinates in the cone's rays."""
+    adj, d = adjugate(rows)
+    if adj is None:
         raise InvalidInputError("cone rays are linearly dependent")
+    num = vec_mat(p, adj)
+    return (num, d) if d > 0 else (tuple(-x for x in num), -d)
 
 
 def _barycentric(fan, cone, p):
-    """Coefficients lam with p = sum lam_i ray_i over the cone, or None if
-    any coefficient is negative (p outside the cone)."""
-    lam = vec_mat(p, _rays_inverse(fan.ray_matrix(cone)))
-    if all(x >= 0 for x in lam):
-        return lam
+    """Numerators num with p = sum (num_i / m) ray_i over the cone, m > 0,
+    or None if any is negative (p outside the cone)."""
+    num, _ = _solve(fan.ray_matrix(cone), p)
+    if all(x >= 0 for x in num):
+        return num
     return None
 
 
 def _facet_functional(fan, cone, k):
-    """Linear form vanishing on cone minus ray k, equal to 1 on ray k."""
-    Cinv = _rays_inverse(fan.ray_matrix(cone))
-    return tuple(Cinv[i][k] for i in range(fan.dim))
+    """Integer linear form vanishing on cone minus ray k, positive on ray k:
+    column k of the cone's adjugate."""
+    adj, d = adjugate(fan.ray_matrix(cone))
+    return tuple(row[k] if d > 0 else -row[k] for row in adj)
 
 
 def _facet_map(fan):
@@ -76,7 +78,7 @@ def _facet_map(fan):
 
 def _boundary_facets(fan, fm):
     """(facet, inward functional) for every facet of the facet map fm that
-    lies in a single cone; the functional is 1 on that cone's apex."""
+    lies in a single cone; the functional is positive on that cone's apex."""
     for facet, cs in fm.items():
         if len(cs) == 1:
             cone = fan.max_cones[cs[0]]
@@ -107,9 +109,9 @@ def _certificate(fan, ca, cb, shared):
     the form -sum of ca's dual functionals off the shared set must be
     strictly positive on cb's non-shared rays."""
     cone_a = fan.max_cones[ca]
-    Cinv = _rays_inverse(fan.ray_matrix(cone_a))
-    ks = [k for k in range(fan.dim) if cone_a[k] not in shared]
-    u = tuple(-sum(Cinv[i][k] for k in ks) for i in range(fan.dim))
+    fs = [_facet_functional(fan, cone_a, k) for k in range(fan.dim)
+          if cone_a[k] not in shared]
+    u = tuple(-sum(c) for c in zip(*fs))
     return all(
         dot(u, fan.rays[j]) > 0 for j in fan.max_cones[cb] if j not in shared
     )
@@ -246,7 +248,7 @@ def make_fan(rays, max_cones, *, validate="full"):
         raise InvalidInputError("fan has unused rays")
 
     for c in cones:
-        if det(tuple(rays[i] for i in c)) == 0:
+        if adjugate(tuple(rays[i] for i in c))[1] == 0:
             raise InvalidInputError(f"cone {c} is not simplicial")
 
     # provisional fan for functional helpers; support kind fixed below
@@ -294,14 +296,13 @@ def locate(fan, p):
     if len(p) != fan.dim:
         raise InvalidInputError("point dimension mismatch")
     for ci, cone in enumerate(fan.max_cones):
-        lam = _barycentric(fan, cone, p)
-        if lam is not None:
-            return ci, lam
+        num, m = _solve(fan.ray_matrix(cone), p)
+        if all(x >= 0 for x in num):
+            return ci, tuple(x / m for x in num)
     raise InvalidInputError(f"point {p} outside the fan support")
 
 
 def in_support(fan, p):
-    p = tuple(Fraction(x) for x in p)
     return any(_barycentric(fan, c, p) is not None for c in fan.max_cones)
 
 
@@ -311,10 +312,9 @@ def star_subdivision(fan, w):
     wp = primitive(w)
     if wp in fan.rays:
         raise InvalidInputError(f"{wp} is already a ray")
-    wf = tuple(Fraction(x) for x in wp)
     kept, split = [], []
     for cone in fan.max_cones:
-        lam = _barycentric(fan, cone, wf)
+        lam = _barycentric(fan, cone, wp)
         if lam is None:
             kept.append(cone)
         else:
@@ -362,12 +362,12 @@ def support_cone_rays(fan):
 
 
 def point_in_cone(p, gens):
-    """Is p a nonnegative rational combination of the generator vectors?"""
-    p = tuple(Fraction(x) for x in p)
+    """Is p a nonnegative rational combination of the integer generators?"""
     n = len(p)
-    if len(gens) == n and det(tuple(gens)) != 0:
-        lam = vec_mat(p, _rays_inverse(tuple(tuple(g) for g in gens)))
-        return all(x >= 0 for x in lam)
+    if len(gens) == n:
+        adj, d = adjugate(tuple(tuple(g) for g in gens))
+        if d:
+            return all(x * d >= 0 for x in vec_mat(p, adj))
     from .linprog import lp_feasible
 
     A_eq = [[Fraction(g[j]) for g in gens] for j in range(n)]

@@ -72,10 +72,14 @@ def _require_keys(d, required, optional=()):
         )
 
 
-def _int_vector(v):
+def _list(v, what):
     if not isinstance(v, (list, tuple)):
-        raise InvalidInputError("expected a list of integers")
-    return tuple(int_from_json(x) for x in v)
+        raise InvalidInputError(f"expected a list of {what}")
+    return v
+
+
+def _int_vector(v):
+    return tuple(int_from_json(x) for x in _list(v, "integers"))
 
 
 def fan_to_json(fan):
@@ -89,10 +93,10 @@ def fan_to_json(fan):
 def fan_from_json(d, validate="full"):
     _require_keys(d, ("dim", "rays", "cones"))
     dim = int_from_json(d["dim"])
-    rays = [_int_vector(r) for r in d["rays"]]
+    rays = [_int_vector(r) for r in _list(d["rays"], "rays")]
     if any(len(r) != dim for r in rays):
         raise InvalidInputError("ray length does not match dim")
-    cones = [_int_vector(c) for c in d["cones"]]
+    cones = [_int_vector(c) for c in _list(d["cones"], "cones")]
     return make_fan(rays, cones, validate=validate)
 
 
@@ -111,10 +115,13 @@ def pair_from_json(d, validate="full"):
     fan = fan_from_json(
         {k: d[k] for k in ("dim", "rays", "cones")}, validate=validate
     )
-    coeffs = [rational_from_json(c) for c in d["coeffs"]]
+    coeffs = [rational_from_json(c) for c in _list(d["coeffs"], "coefficients")]
     lattice = None
     if "lattice" in d:
-        rows = [[rational_from_json(x) for x in row] for row in d["lattice"]]
+        rows = [
+            [rational_from_json(x) for x in _list(row, "rationals")]
+            for row in _list(d["lattice"], "lattice rows")
+        ]
         lattice = LatticeBasis.from_rows(rows)
     return make_pair(fan, coeffs, lattice)
 
@@ -132,7 +139,7 @@ def group_to_json(G):
 def group_from_json(d):
     _require_keys(d, ("n", "gens"))
     gens = []
-    for g in d["gens"]:
+    for g in _list(d["gens"], "generators"):
         _require_keys(g, ("r", "weights"))
         gens.append((int_from_json(g["r"]), _int_vector(g["weights"])))
     return make_group(int_from_json(d["n"]), gens)

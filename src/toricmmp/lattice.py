@@ -1,6 +1,8 @@
 """Exact lattice linear algebra.
 
-Normal forms (Hermite, Smith), primitive vectors, canonical lattice bases,
+One integer cone kernel, the cached `adjugate`, serves every solve over a
+simplicial cone as integer numerators over its determinant.  Around it:
+normal forms (Hermite, Smith), primitive vectors, canonical lattice bases,
 cone multiplicities and box-point enumeration.  Everything runs on Python
 ints and fractions.Fraction; there is no floating point in this package.
 
@@ -10,7 +12,6 @@ by row vectors: the lattice spanned by a basis B is {x.B : x integer row}.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, cached_property
@@ -26,10 +27,6 @@ def dot(u, v):
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c, v):
@@ -54,54 +51,48 @@ def mat_identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_inv(M):
-    """Exact inverse via Gauss-Jordan over Fraction. Raises ValueError if singular."""
+@lru_cache(maxsize=1 << 14)
+def adjugate(M):
+    """(adj, d) for a square integer matrix of row tuples: d = det M and the
+    integer adj with M.adj = d.I, or (None, 0) when d = 0.  Fraction-free
+    Gauss-Jordan on [M | I]: every division by the previous pivot is exact,
+    and the last pivot is d up to the sign of the row swaps."""
     n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if A[i][k]), None)
         if piv is None:
-            raise ValueError("singular matrix")
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return tuple(tuple(row[n:]) for row in A)
+            return None, 0
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        top = A[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                f = A[i][k]
+                A[i] = [(p * x - f * y) // prev for x, y in zip(A[i], top)]
+        prev = p
+    return tuple(tuple(sign * x for x in row[n:]) for row in A), sign * prev
+
+
+def mat_inv(M):
+    """Exact inverse of a rational matrix: the adjugate of its integer
+    scaling, divided by the determinant.  Raises ValueError if singular."""
+    den = lcm(*(Fraction(x).denominator for row in M for x in row))
+    adj, d = adjugate(tuple(tuple(int(x * den) for x in row) for row in M))
+    if adj is None:
+        raise ValueError("singular matrix")
+    return tuple(tuple(Fraction(x * den, d) for x in row) for row in adj)
 
 
 def det(M):
-    """Exact determinant; Bareiss on integer input, fraction elimination otherwise."""
-    n = len(M)
-    if n == 0:
-        return 1
-    if all(isinstance(x, int) for row in M for x in row):
-        return _det_bareiss(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            sign = -sign
-        result *= A[col][col]
-        inv = 1 / A[col][col]
-        for r in range(col + 1, n):
-            if A[r][col] != 0:
-                f = A[r][col] * inv
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return sign * result
-
-
-def _det_bareiss(M):
+    """Exact determinant of an integer matrix, by Bareiss elimination."""
     A = [list(row) for row in M]
     n = len(A)
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -382,15 +373,22 @@ class LatticeBasis:
         return all(c.denominator == 1 for c in self.coords(v))
 
 
-def _lattice_coord_matrix(rays, lattice):
-    """Integer matrix of ray coordinates in the lattice basis."""
+def _lattice_coord_matrix(rays, lattice, caller):
+    """Integer matrix C of the coordinates of dim-many independent rays in
+    the lattice basis, and |det C|, the multiplicity of their cone."""
+    if len(rays) != lattice.dim:
+        raise InvalidInputError(f"{caller} needs dim-many rays")
     C = []
     for ray in rays:
         c = lattice.coords(ray)
         if any(x.denominator != 1 for x in c):
             raise InvalidInputError(f"ray {tuple(ray)} not in lattice")
         C.append(tuple(int(x) for x in c))
-    return tuple(C)
+    C = tuple(C)
+    d = adjugate(C)[1]
+    if d == 0:
+        raise InvalidInputError("dependent rays")
+    return C, abs(d)
 
 
 def cone_multiplicity(rays, lattice):
@@ -398,13 +396,7 @@ def cone_multiplicity(rays, lattice):
 
     The cone must be simplicial and full dimensional: len(rays) == dim.
     """
-    if len(rays) != lattice.dim:
-        raise InvalidInputError("cone_multiplicity needs dim-many rays")
-    C = _lattice_coord_matrix(rays, lattice)
-    d = det(C)
-    if d == 0:
-        raise InvalidInputError("dependent rays")
-    return abs(d)
+    return _lattice_coord_matrix(rays, lattice, "cone_multiplicity")[1]
 
 
 class BoxPoint(NamedTuple):
@@ -412,36 +404,34 @@ class BoxPoint(NamedTuple):
     bary: tuple       # coefficients t_i in [0,1) with point = sum t_i ray_i
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 13)
 def _box_points_in_coords(C):
     """Nonzero lattice points of the half-open parallelepiped of the rows of C,
-    as (lattice coords, barycentric) pairs sorted by barycentric tuple."""
-    n = len(C)
-    D, U, V = smith_normal_form([list(row) for row in C])
-    Vinv = mat_inv(V)
-    Cinv = mat_inv(C)
-    out = []
-    for w in itertools.product(*(range(D[i][i]) for i in range(n))):
-        if not any(w):
-            continue
-        x = vec_mat(w, Vinv)
-        s = vec_mat(x, Cinv)
-        t = tuple(si - (si.numerator // si.denominator) for si in s)
-        p = vec_mat(t, C)
-        assert all(pi.denominator == 1 for pi in p)
-        out.append((tuple(int(pi) for pi in p), t))
-    out.sort(key=lambda pt: pt[1])
-    return tuple(out)
+    as (lattice coords, barycentric) pairs sorted by barycentric tuple.
+
+    With U.C.V = D the Smith form, C^-1 = V.D^-1.U, so the barycentrics over
+    m = |det C| are the sums sum w_i (m/D_i) U_i, 0 <= w_i < D_i, mod m.  The
+    denominator is common, so sorting these numerators sorts the points."""
+    D, U, _ = smith_normal_form(C)
+    m = abs(adjugate(C)[1])
+    nums = [(0,) * len(C)]
+    for i, row in enumerate(U):
+        g = vec_scale(m // D[i][i], row)
+        nums = [
+            tuple((a + k * b) % m for a, b in zip(num, g))
+            for num in nums for k in range(D[i][i])
+        ]
+    nums.sort()
+    return tuple(
+        (tuple(x // m for x in vec_mat(num, C)), tuple(Fraction(x, m) for x in num))
+        for num in nums[1:]
+    )
 
 
 def box_points(rays, lattice):
     """All nonzero lattice points sum(t_i ray_i) with t_i in [0,1), together
     with their barycentric coordinates; count equals multiplicity - 1."""
-    if len(rays) != lattice.dim:
-        raise InvalidInputError("box_points needs dim-many rays")
-    C = _lattice_coord_matrix(rays, lattice)
-    if det(C) == 0:
-        raise InvalidInputError("dependent rays")
+    C, _ = _lattice_coord_matrix(rays, lattice, "box_points")
     return [
         BoxPoint(point=lattice.ambient(p), bary=t)
         for p, t in _box_points_in_coords(C)

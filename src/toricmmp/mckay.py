@@ -15,12 +15,11 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError
-from .fan import make_fan
+from .fan import _solve, make_fan
 from .lattice import (
     LatticeBasis,
     det,
     mat_identity,
-    mat_inv,
     primitive,
     smith_normal_form,
     vec_mat,
@@ -175,17 +174,12 @@ def boundary_divisor_pair(pair, ray_index):
 # ------------------------------------------------------------- pipeline
 
 
-def _center_map(quotient):
-    rays = quotient.fan.rays
-    inv = mat_inv(rays)
-
-    def center_of(x):
-        lam = vec_mat(tuple(Fraction(v) for v in x), inv)
-        if any(l < 0 for l in lam):
-            raise EngineInvariantError("step locus escapes the quotient cone")
-        return tuple(i for i, l in enumerate(lam) if l > 0)
-
-    return center_of
+def _center(quotient, x):
+    """Indices of the quotient rays spanning the smallest face containing x."""
+    lam, _ = _solve(quotient.fan.rays, x)
+    if any(l < 0 for l in lam):
+        raise EngineInvariantError("step locus escapes the quotient cone")
+    return tuple(i for i, l in enumerate(lam) if l > 0)
 
 
 def _checked_entry(kind, ray, center, before, after, psi=None, components=None):
@@ -229,13 +223,12 @@ def mckay_pipeline(G):
     rank_x = stack_rank(X)
     if rank_x != order:
         raise EngineInvariantError("stack rank of the quotient misses the group order")
-    center_of = _center_map(X)
     ledger = []
     final, rank_y = X, rank_x
     for kind, ray, final, psi, components in _pipeline_steps(X):
         after = stack_rank(final)
         ledger.append(
-            _checked_entry(kind, ray, center_of(ray), rank_y, after, psi, components)
+            _checked_entry(kind, ray, _center(X, ray), rank_y, after, psi, components)
         )
         rank_y = after
 

@@ -8,22 +8,19 @@ comparison all reduce to exact evaluations of psi.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .circuits import _relations, defect
 from .errors import InvalidInputError
-from .fan import Fan, _rays_inverse, in_support, locate
+from .fan import Fan, _facet_functional, _solve, in_support, locate
 from .lattice import (
     LatticeBasis,
     box_points,
     cofactor_kernel,
     dot,
-    mat_inv,
     mat_rank,
     primitive,
     vec_add,
-    vec_mat,
 )
 
 
@@ -63,8 +60,8 @@ def pl_eval(fan, heights, point):
 
 def _linear_eval(fan, cone, heights, point):
     # the linear extension of the cone's heights, no containment test
-    lam = vec_mat(tuple(Fraction(x) for x in point), _rays_inverse(fan.ray_matrix(cone)))
-    return sum(l * heights[i] for l, i in zip(lam, cone))
+    num, m = _solve(fan.ray_matrix(cone), point)
+    return sum(x * heights[i] for x, i in zip(num, cone)) / m
 
 
 def min_discrepancy_witness(pair):
@@ -110,22 +107,14 @@ def is_canonical(pair):
     return wit is None or wit[0] >= 1
 
 
-@lru_cache(maxsize=None)
-def _integer_functionals(ray_rows):
-    """Primitive integer facet functionals of a simplicial cone, the j-th
-    positive on ray j and vanishing on the others."""
-    inv = mat_inv(ray_rows)
-    n = len(ray_rows)
-    return tuple(primitive([inv[i][j] for i in range(n)]) for j in range(n))
-
-
 def cell_extreme_rays(fan_x, cone_x, fan_y, cone_y):
     """Primitive extreme rays of the intersection of two full-dimensional
     simplicial cones; empty when the intersection is lower-dimensional."""
     n = fan_x.dim
-    funcs = _integer_functionals(fan_x.ray_matrix(cone_x))
-    funcs += _integer_functionals(fan_y.ray_matrix(cone_y))
-    funcs = tuple(dict.fromkeys(funcs))
+    funcs = tuple(dict.fromkeys(
+        primitive(_facet_functional(fan, cone, k))
+        for fan, cone in ((fan_x, cone_x), (fan_y, cone_y)) for k in range(n)
+    ))
     found = {}
     for sub in combinations(funcs, n - 1):
         v = cofactor_kernel(sub)

@@ -135,6 +135,35 @@ def test_mckay_batch(capsys, tmp_path):
     assert "== c.json" in out and "error:" in out
 
 
+PAIR = {"dim": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]], "coeffs": [0, 0]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("check", {"dim": 2, "rays": 5, "cones": []}),
+    ("rank", {"dim": 2, "rays": 5, "cones": []}),
+    ("terminalize", {"dim": 2, "rays": 5, "cones": []}),
+    ("check", {**PAIR, "rays": {"0": [1, 0]}}),
+    ("check", {**PAIR, "cones": 5}),
+    ("check", {**PAIR, "coeffs": 5}),
+    ("rank", {**PAIR, "lattice": 5}),
+    ("rank", {**PAIR, "lattice": [5, 6]}),
+    ("mckay", {"n": 2, "gens": 5}),
+    ("rank", {"n": 2, "gens": 5}),
+])
+def test_non_list_fields_exit_one(capsys, tmp_path, command, payload):
+    path = write(tmp_path / "in.json", payload)
+    code, _, err = run(capsys, command, path)
+    assert code == 1 and err.startswith("error:")
+
+
+def test_mckay_batch_non_list_gens(capsys, tmp_path):
+    d = tmp_path / "groups"
+    d.mkdir()
+    write(d / "bad.json", {"n": 2, "gens": 5})
+    code, out, _ = run(capsys, "mckay", "--batch", str(d))
+    assert code == 1 and "error: expected a list of generators" in out
+
+
 def test_mckay_needs_exactly_one_input(capsys, sixth_group_file):
     code, _, err = run(capsys, "mckay")
     assert code == 1

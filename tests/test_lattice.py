@@ -7,12 +7,16 @@ import pytest
 
 from toricmmp.errors import InvalidInputError
 from toricmmp.lattice import (
+    BoxPoint,
     LatticeBasis,
+    _box_points_in_coords,
+    adjugate,
     box_points,
     cone_multiplicity,
     det,
     hermite_normal_form,
     invariant_factors,
+    mat_inv,
     mat_mul,
     primitive,
     smith_normal_form,
@@ -52,24 +56,26 @@ def oracle_invariant_factors(M):
     return tuple(factors)
 
 
-def oracle_solve(C, target):
-    """Solve t.C = target by Cramer's rule; C square nonsingular."""
-    n = len(C)
-    # t.C = target is C^T t^T = target^T
-    A = [[C[j][i] for j in range(n)] for i in range(n)]
-    d = oracle_det(A)
-    t = []
-    for i in range(n):
-        Ai = [row[:] for row in A]
-        for r in range(n):
-            Ai[r][i] = target[r]
-        t.append(Fraction(oracle_det(Ai), d))
-    return t
+def oracle_adjugate(M):
+    """Adjugate from Laplace cofactors: adj[i][j] = (-1)^(i+j) det(M minus
+    row j and column i)."""
+    n = len(M)
+    if n == 1:
+        return [[1]]
+    return [
+        [(-1) ** (i + j) * oracle_det(
+            [row[:i] + row[i + 1:] for k, row in enumerate(M) if k != j])
+         for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def oracle_parallelepiped_points(C):
-    """Brute-force integer points of {t.C : t in [0,1)^n}, origin excluded."""
+    """Brute-force integer points of {t.C : t in [0,1)^n}, origin excluded.
+    With adj and d from cofactors, t = p.adj / d, so 0 <= t_i < 1 exactly
+    when 0 <= (p.adj)_i * d < d^2."""
     n = len(C)
+    adj, d = oracle_adjugate(C), oracle_det(C)
     corners = [
         [sum(e[i] * C[i][j] for i in range(n)) for j in range(n)]
         for e in itertools.product([0, 1], repeat=n)
@@ -78,11 +84,49 @@ def oracle_parallelepiped_points(C):
     hi = [max(c[j] for c in corners) for j in range(n)]
     found = []
     for p in itertools.product(*(range(lo[j], hi[j] + 1) for j in range(n))):
-        t = oracle_solve(C, list(p))
-        if all(0 <= ti < 1 for ti in t) and any(p):
-            found.append((p, tuple(t)))
+        num = [sum(p[k] * adj[k][i] for k in range(n)) for i in range(n)]
+        if all(0 <= x * d < d * d for x in num) and any(p):
+            found.append((p, tuple(Fraction(x, d) for x in num)))
     found.sort(key=lambda pt: pt[1])
     return found
+
+
+def oracle_inverse(M):
+    """Gauss-Jordan inverse over Fraction."""
+    n = len(M)
+    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if A[r][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        inv = 1 / A[col][col]
+        A[col] = [x * inv for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return tuple(tuple(row[n:]) for row in A)
+
+
+def oracle_box_points_in_coords(C):
+    """Box points by Smith form coset representatives and Fraction inverses:
+    (lattice coords, barycentric) pairs sorted by barycentric tuple."""
+    n = len(C)
+    D, U, V = smith_normal_form([list(row) for row in C])
+    Vinv = oracle_inverse(V)
+    Cinv = oracle_inverse(C)
+    out = []
+    for w in itertools.product(*(range(D[i][i]) for i in range(n))):
+        if not any(w):
+            continue
+        x = [sum(w[i] * Vinv[i][j] for i in range(n)) for j in range(n)]
+        s = [sum(x[i] * Cinv[i][j] for i in range(n)) for j in range(n)]
+        t = tuple(si - (si.numerator // si.denominator) for si in s)
+        p = [sum(t[i] * C[i][j] for i in range(n)) for j in range(n)]
+        assert all(pi.denominator == 1 for pi in p)
+        out.append((tuple(int(pi) for pi in p), t))
+    out.sort(key=lambda pt: pt[1])
+    return tuple(out)
 
 
 def random_nonsingular(rng, n, bound=5, max_det=None):
@@ -352,3 +396,61 @@ def test_det_matches_oracle():
         n = rng.choice([1, 2, 3, 4])
         M = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
         assert det(M) == oracle_det(M)
+
+
+def test_adjugate_matches_cofactor_oracle():
+    rng = random.Random(2718)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        M = tuple(
+            tuple(rng.choice((0, rng.randint(-6, 6))) for _ in range(n))
+            for _ in range(n)
+        )
+        d = oracle_det([list(row) for row in M])
+        adj, d_kernel = adjugate(M)
+        assert d_kernel == d
+        if d == 0:
+            singular += 1
+            assert adj is None
+        else:
+            assert [list(row) for row in adj] == oracle_adjugate([list(row) for row in M])
+    assert singular >= 20
+
+
+def test_mat_inv_on_rational_bases():
+    rng = random.Random(1618)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        rows = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+                for _ in range(n + 1)]
+        try:
+            basis = LatticeBasis.from_rows(rows)
+        except InvalidInputError:
+            continue
+        identity = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+        assert mat_mul(mat_inv(basis.rows), basis.rows) == identity
+    with pytest.raises(ValueError):
+        mat_inv(((Fraction(1, 2), 1), (1, 2)))
+
+
+def test_box_points_match_fraction_oracle():
+    rng = random.Random(1009)
+    checked = 0
+    while checked < 30:
+        n = rng.choice([2, 3, 4])
+        C = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+        d = oracle_det([list(row) for row in C])
+        if d == 0 or abs(d) > 1000:
+            continue
+        checked += 1
+        assert _box_points_in_coords(C) == oracle_box_points_in_coords(C)
+    for r in range(2, 25):
+        for a in range(1, r):
+            lat = LatticeBasis.from_rows([[1, 0], [0, 1], [Fraction(1, r), Fraction(a, r)]])
+            C = tuple(tuple(int(x) for x in lat.coords(v)) for v in ((1, 0), (0, 1)))
+            expected = [
+                BoxPoint(point=lat.ambient(p), bary=t)
+                for p, t in oracle_box_points_in_coords(C)
+            ]
+            assert box_points([(1, 0), (0, 1)], lat) == expected

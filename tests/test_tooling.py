@@ -1,9 +1,13 @@
-"""The benchmark tracer names engine functions by (module, function); every
-name must still exist, or tracing and the smoke run break."""
+"""Guards on the engine's shape: the benchmark tracer names engine functions
+by (module, function), and every name must still exist, or tracing and the
+smoke run break; every cache has a bound."""
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
+
+import toricmmp
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -19,3 +23,14 @@ def test_tracer_tables_name_existing_functions():
         if not callable(getattr(importlib.import_module(f"toricmmp.{mod}"), fn, None))
     ]
     assert missing == []
+
+
+def test_every_lru_cache_is_bounded():
+    caches = {}
+    for info in pkgutil.iter_modules(toricmmp.__path__):
+        mod = importlib.import_module(f"toricmmp.{info.name}")
+        for name, obj in vars(mod).items():
+            if callable(getattr(obj, "cache_info", None)):
+                caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
+    assert caches
+    assert [name for name, size in caches.items() if size is None] == []
