@@ -32,8 +32,11 @@ def int_from_json(v):
     if isinstance(v, str):
         s = v.strip()
         body = s[1:] if s[:1] in "+-" else s
-        if body.isdigit():
-            return int(s)
+        if body.isdecimal():
+            try:
+                return int(s)
+            except ValueError:  # more digits than int() converts
+                pass
         raise InvalidInputError(f"not an integer: {v!r}")
     raise InvalidInputError(f"expected an integer, got {type(v).__name__}")
 

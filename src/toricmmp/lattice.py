@@ -110,25 +110,8 @@ def det(M):
 
 
 def mat_rank(rows):
-    """Rank of a rational matrix, exact Gaussian elimination."""
-    A = [[Fraction(x) for x in row] for row in rows]
-    if not A:
-        return 0
-    n = len(A[0])
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        for i in range(r + 1, len(A)):
-            if A[i][c] != 0:
-                f = A[i][c] / A[r][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        r += 1
-        if r == len(A):
-            break
-    return r
+    """Rank of an integer matrix: the nonzero rows of its echelon form."""
+    return sum(1 for row in _hnf_upper(rows)[0] if any(row)) if rows else 0
 
 
 def cofactor_kernel(rows):
@@ -149,10 +132,11 @@ def cofactor_kernel(rows):
 def primitive(v):
     """Shortest integer vector on the ray of v (direction preserved).
 
-    Accepts integer or rational coordinates; rejects the zero vector.
+    Accepts int or Fraction coordinates (both have a denominator, 1 for an
+    int, so integer vectors never become Fractions); rejects the zero vector.
     """
-    den = lcm(*(Fraction(x).denominator for x in v)) if v else 1
-    ints = [int(Fraction(x) * den) for x in v]
+    den = lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
     g = gcd(*ints)
     if g == 0:
         raise InvalidInputError("zero vector has no primitive representative")
@@ -404,16 +388,23 @@ class BoxPoint(NamedTuple):
     bary: tuple       # coefficients t_i in [0,1) with point = sum t_i ray_i
 
 
+MAX_MULTIPLICITY = 10 ** 6   # box-point enumeration is linear in it
+
+
 @lru_cache(maxsize=1 << 13)
 def _box_points_in_coords(C):
-    """Nonzero lattice points of the half-open parallelepiped of the rows of C,
-    as (lattice coords, barycentric) pairs sorted by barycentric tuple.
-
-    With U.C.V = D the Smith form, C^-1 = V.D^-1.U, so the barycentrics over
-    m = |det C| are the sums sum w_i (m/D_i) U_i, 0 <= w_i < D_i, mod m.  The
-    denominator is common, so sorting these numerators sorts the points."""
-    D, U, _ = smith_normal_form(C)
+    """(m, ((point, num), ...)): m = |det C| and every nonzero lattice point
+    of the half-open parallelepiped of the rows of C with its integer
+    barycentric numerators num over m (point = num.C / m), sorted by num.
+    With U.C.V = D the Smith form, C^-1 = V.D^-1.U, so num runs over the sums
+    sum w_i (m/D_i) U_i, 0 <= w_i < D_i, mod m.  A multiplicity above
+    MAX_MULTIPLICITY raises InvalidInputError before any enumeration."""
     m = abs(adjugate(C)[1])
+    if m > MAX_MULTIPLICITY:
+        raise InvalidInputError(
+            f"cone multiplicity {m} exceeds the box-point limit {MAX_MULTIPLICITY}"
+        )
+    D, U, _ = smith_normal_form(C)
     nums = [(0,) * len(C)]
     for i, row in enumerate(U):
         g = vec_scale(m // D[i][i], row)
@@ -422,17 +413,15 @@ def _box_points_in_coords(C):
             for num in nums for k in range(D[i][i])
         ]
     nums.sort()
-    return tuple(
-        (tuple(x // m for x in vec_mat(num, C)), tuple(Fraction(x, m) for x in num))
-        for num in nums[1:]
-    )
+    return m, tuple((tuple(x // m for x in vec_mat(num, C)), num) for num in nums[1:])
 
 
 def box_points(rays, lattice):
-    """All nonzero lattice points sum(t_i ray_i) with t_i in [0,1), together
-    with their barycentric coordinates; count equals multiplicity - 1."""
+    """All nonzero lattice points sum(t_i ray_i) with t_i in [0,1), with their
+    barycentrics: multiplicity - 1 of them, for multiplicity <= MAX_MULTIPLICITY."""
     C, _ = _lattice_coord_matrix(rays, lattice, "box_points")
+    m, pts = _box_points_in_coords(C)
     return [
-        BoxPoint(point=lattice.ambient(p), bary=t)
-        for p, t in _box_points_in_coords(C)
+        BoxPoint(point=lattice.ambient(p), bary=tuple(Fraction(x, m) for x in num))
+        for p, num in pts
     ]

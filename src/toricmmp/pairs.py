@@ -9,13 +9,15 @@ comparison all reduce to exact evaluations of psi.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from operator import mul
 
 from .circuits import _relations, defect
 from .errors import InvalidInputError
 from .fan import Fan, _facet_functional, _solve, in_support, locate
 from .lattice import (
     LatticeBasis,
-    box_points,
+    _box_points_in_coords,
     cofactor_kernel,
     dot,
     mat_rank,
@@ -73,23 +75,28 @@ def min_discrepancy_witness(pair):
     any lattice point splits as an integer ray combination plus a box
     point, psi is positive on rays, and a non-primitive pair sum rescales
     to a box point of the same cone.
+
+    Candidates score as integers over m * L, m the cone's multiplicity and
+    L the lcm of the psi denominators: sum(num_i * psi_i * L) at box point
+    barycentrics num / m, m * (psi_a + psi_b) * L at a pair sum.  Only each
+    cone's least (key, point) becomes a Fraction.
     """
     psi = psi_heights(pair)
+    L = lcm(*(h.denominator for h in psi))
+    scaled = [h.numerator * (L // h.denominator) for h in psi]
     fan = pair.fan
-    std = LatticeBasis.standard(fan.dim)
     best = None
     for cone in fan.max_cones:
-        rays = fan.ray_matrix(cone)
-        for bp in box_points(rays, std):
-            val = sum(t * psi[i] for t, i in zip(bp.bary, cone))
-            cand = (val, tuple(int(x) for x in bp.point))
-            if best is None or cand < best:
-                best = cand
+        m, pts = _box_points_in_coords(fan.ray_matrix(cone))
+        P = [scaled[i] for i in cone]
+        keys = [(sum(map(mul, num, P)), p) for p, num in pts]
         for a, b in combinations(cone, 2):
             w = vec_add(fan.rays[a], fan.rays[b])
-            if primitive(w) != w:
-                continue
-            cand = (psi[a] + psi[b], w)
+            if gcd(*w) == 1:
+                keys.append((m * (scaled[a] + scaled[b]), w))
+        if keys:
+            key, point = min(keys)
+            cand = (Fraction(key, m * L), point)
             if best is None or cand < best:
                 best = cand
     return best

@@ -1,8 +1,10 @@
 """End-to-end command tests: files in, lines or canonical JSON out."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from toricmmp.cli import main
 from toricmmp.fan import make_fan
@@ -248,3 +250,80 @@ def test_output_matches_library_dumps(capsys, sixth_group_file):
 
     code, out, _ = run(capsys, "mckay", sixth_group_file, "--json")
     assert out == dumps(mckay_pipeline(make_group(2, [(6, (3, 2))]))) + "\n"
+
+
+def test_huge_multiplicity_exits_one_before_enumerating(capsys, tmp_path, monkeypatch):
+    # 70 bytes of JSON for a cone of multiplicity 10^9
+    path = write(tmp_path / "huge.json", {
+        "dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [1, 1, 10 ** 9]],
+        "cones": [[0, 1, 2]],
+    })
+
+    def no_enumeration(_):
+        raise AssertionError("box-point enumeration started")
+
+    monkeypatch.setattr("toricmmp.lattice.smith_normal_form", no_enumeration)
+    for command in ("check", "terminalize"):
+        code, out, err = run(capsys, command, path)
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert "1000000000" in err and "Traceback" not in err
+
+
+FUZZ_SEEDS = [
+    ("check", {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+               "cones": [[0, 1], [1, 2], [0, 2]]}),
+    ("terminalize", {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [-3, -1, 5]],
+                     "cones": [[0, 1, 2]], "coeffs": [0, "1/2", 0],
+                     "lattice": [[1, 0, 0], [0, 1, 0], ["3/5", "1/5", "1/5"]]}),
+    ("rank", {"dim": 2, "rays": [[1, 0], [1, 3]], "cones": [[0, 1]],
+              "coeffs": ["1/3", 0]}),
+    ("mckay", {"n": 3, "gens": [{"r": 5, "weights": [1, 2, 2]}]}),
+    ("rank", {"n": 2, "gens": [{"r": 6, "weights": [3, 2]},
+                               {"r": 2, "weights": [1, 1]}]}),
+]
+KEYS = ["dim", "rays", "cones", "coeffs", "lattice", "n", "gens", "r", "weights"]
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.just(0.5),
+    st.sampled_from(["1/2", "-2/3", "1/0", "x", "", " 7 ", "\u00b2", "3" * 5000]),
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+def _slots(doc):
+    """Every (container, key) slot inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for k, v in items:
+        yield doc, k
+        if isinstance(v, (dict, list)):
+            yield from _slots(v)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_mutated_inputs_exit_zero_or_one(capsys, tmp_path, data):
+    command, doc = data.draw(st.sampled_from(FUZZ_SEEDS))
+    command = data.draw(
+        st.sampled_from([command, "check", "rank", "terminalize", "mckay"]))
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        box, key = data.draw(st.sampled_from(list(_slots(doc))))
+        edit = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if edit == "replace":
+            box[key] = data.draw(VALUES)
+        elif edit == "delete":
+            del box[key]
+        elif isinstance(box, list):
+            box.append(copy.deepcopy(box[key]))
+        else:
+            box[data.draw(st.sampled_from(KEYS))] = copy.deepcopy(box[key])
+        if not doc:
+            break
+    path = write(tmp_path / "in.json", doc)
+    code, _, err = run(capsys, command, path)
+    assert code in (0, 1) and "Traceback" not in err

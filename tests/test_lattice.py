@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -18,6 +18,7 @@ from toricmmp.lattice import (
     invariant_factors,
     mat_inv,
     mat_mul,
+    mat_rank,
     primitive,
     smith_normal_form,
 )
@@ -222,6 +223,26 @@ def test_snf_rectangular():
     assert mat_mul(mat_mul(U, [[2, 4, 6]]), V) == D
 
 
+def test_mat_rank_matches_minor_oracle():
+    # integer combinations of a few base rows give every rank up to n
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.choice([2, 3, 4])
+        base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        rows = [
+            tuple(sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(n))
+            for _ in range(rng.randint(1, n + 2))
+        ]
+        expected = max((
+            k for k in range(1, min(len(rows), n) + 1)
+            for rs in itertools.combinations(rows, k)
+            for cs in itertools.combinations(range(n), k)
+            if oracle_det([[r[j] for j in cs] for r in rs])
+        ), default=0)
+        assert mat_rank(rows) == expected
+    assert mat_rank([]) == 0
+
+
 # ---------------------------------------------------------------- primitive
 
 def test_primitive_examples():
@@ -247,6 +268,32 @@ def test_primitive_properties():
         k = rng.randint(1, 5)
         assert primitive(tuple(k * x for x in v)) == p
         assert gcd(*p) == 1
+
+
+def oracle_primitive(v):
+    """primitive with every coordinate lifted to Fraction first."""
+    fs = [Fraction(x) for x in v]
+    den = lcm(*(f.denominator for f in fs))
+    ints = [int(f * den) for f in fs]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def test_primitive_matches_fraction_oracle():
+    rng = random.Random(2026)
+    for _ in range(600):
+        kind = rng.choice(["int", "rational", "mixed"])
+        v = tuple(
+            rng.randint(-30, 30)
+            if kind == "int" or (kind == "mixed" and rng.random() < 0.5)
+            else Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+            for _ in range(rng.choice([1, 2, 3, 4]))
+        )
+        if not any(v):
+            continue
+        p = primitive(v)
+        assert p == oracle_primitive(v)
+        assert all(type(x) is int for x in p)
 
 
 def test_primitive_zero_rejected():
@@ -444,7 +491,10 @@ def test_box_points_match_fraction_oracle():
         if d == 0 or abs(d) > 1000:
             continue
         checked += 1
-        assert _box_points_in_coords(C) == oracle_box_points_in_coords(C)
+        m, pts = _box_points_in_coords(C)
+        assert m == abs(d)
+        got = tuple((p, tuple(Fraction(x, m) for x in num)) for p, num in pts)
+        assert got == oracle_box_points_in_coords(C)
     for r in range(2, 25):
         for a in range(1, r):
             lat = LatticeBasis.from_rows([[1, 0], [0, 1], [Fraction(1, r), Fraction(a, r)]])

@@ -3,13 +3,15 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from toricmmp.errors import InvalidInputError
 from toricmmp.fan import in_support, make_fan, star_subdivision
 from toricmmp.lattice import det, primitive
+from toricmmp.mckay import group_lattice, make_group, quotient_pair
+from toricmmp.mmp import _extraction_pairs
 from toricmmp.pairs import (
     cell_extreme_rays,
     is_canonical,
@@ -45,6 +47,57 @@ def oracle_min_psi(pair, cap):
         val = pl_eval(fan, psi, pt)
         if best is None or val < best:
             best = val
+    return best
+
+
+def oracle_box_points(rays):
+    """Box points of a simplicial cone as (point, t) pairs: the subgroup of
+    (Q/Z)^n generated by the rows of the Fraction inverse of the ray matrix,
+    closed by search, so no Smith form and no adjugate is involved."""
+    n = len(rays)
+    A = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rays)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if A[i][c])
+        A[c], A[piv] = A[piv], A[c]
+        A[c] = [x / A[c][c] for x in A[c]]
+        for i in range(n):
+            if i != c:
+                A[i] = [x - A[i][c] * y for x, y in zip(A[i], A[c])]
+    gens = [row[n:] for row in A]  # e_j = sum_i gens[j][i] * rays[i]
+    zero = (Fraction(0),) * n
+    seen, todo = {zero}, [zero]
+    while todo:
+        t = todo.pop()
+        for g in gens:
+            u = tuple((a + b) % 1 for a, b in zip(t, g))
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return [
+        (tuple(int(sum(ti * r[j] for ti, r in zip(t, rays))) for j in range(n)), t)
+        for t in seen if t != zero
+    ]
+
+
+def oracle_witness(pair):
+    """min_discrepancy_witness as it was in Fraction arithmetic: psi of each
+    box point as a Fraction sum, pair sums filtered by primitive."""
+    psi = psi_heights(pair)
+    fan = pair.fan
+    best = None
+    for cone in fan.max_cones:
+        for point, bary in oracle_box_points(fan.ray_matrix(cone)):
+            cand = (sum(t * psi[i] for t, i in zip(bary, cone)), point)
+            if best is None or cand < best:
+                best = cand
+        for a, b in combinations(cone, 2):
+            w = tuple(x + y for x, y in zip(fan.rays[a], fan.rays[b]))
+            if primitive(w) != w:
+                continue
+            cand = (psi[a] + psi[b], w)
+            if best is None or cand < best:
+                best = cand
     return best
 
 
@@ -137,6 +190,39 @@ def test_min_discrepancy_matches_bruteforce():
         assert oracle == wit[0]
         assert is_terminal(pair) == (oracle > 1)
         assert is_canonical(pair) == (oracle >= 1)
+
+
+def test_witness_matches_fraction_oracle():
+    # the integer scoring must return the oracle's (value, point), ties
+    # included: extraction order depends on the point
+    rng = random.Random(20261018)
+    pool = [0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(6, 7)]
+    pairs = [
+        random_cone_pair(rng, dim, pool, 4) for dim in (2, 3, 4) for _ in range(25)
+    ]
+    seen = set()
+    for r in range(2, 8):
+        for ws in product(range(r), repeat=3):
+            G = make_group(3, [(r, ws)])
+            key = group_lattice(G).rows
+            if key not in seen:
+                seen.add(key)
+                X = quotient_pair(G)
+                pairs += [X] + [p for _, p in _extraction_pairs(X)]
+    pairs += [
+        quotient_pair(make_group(3, [(25, (1, 10, 22))])),
+        quotient_pair(make_group(3, [(8, (3, 6, 1)), (5, (0, 0, 1))])),
+    ]
+    sum_wins = 0
+    for pair in pairs:
+        wit = min_discrepancy_witness(pair)
+        assert wit == oracle_witness(pair)
+        rays = pair.fan.rays
+        sum_wins += wit[1] in {
+            tuple(x + y for x, y in zip(rays[a], rays[b]))
+            for c in pair.fan.max_cones for a, b in combinations(c, 2)
+        }
+    assert 0 < sum_wins < len(pairs)
 
 
 def test_terminal_implies_canonical():
