@@ -55,9 +55,16 @@ class McKayReport(NamedTuple):
     rank_resolution: int
 
 
+# group_lattice Hermite-reduces an n x n identity, cubic in n: `toricmmp rank`
+# on {"n": 32, "gens": []} takes 1.25 s (0.9 s of it start-up), at n = 160 25 s
+MAX_GROUP_DIM = 32
+
+
 def make_group(n, gens):
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError("group dimension must be a positive integer")
+    if n > MAX_GROUP_DIM:
+        raise InvalidInputError(f"group dimension {n} exceeds the limit {MAX_GROUP_DIM}")
     out = []
     for g in gens:
         r, weights = g

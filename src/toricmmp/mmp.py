@@ -18,6 +18,7 @@ from .errors import (
     InvalidInputError,
     NonProjectiveError,
     NotKEquivalentError,
+    ToricMmpError,
 )
 from .fan import (
     _boundary_facets,
@@ -30,7 +31,13 @@ from .fan import (
 )
 from .lattice import LatticeBasis, dot, mat_rank, primitive
 from .linprog import lp_maximize
-from .pairs import k_equivalent, make_pair, min_discrepancy_witness, psi_heights
+from .pairs import (
+    _same_rays_and_coeffs,
+    k_equivalent,
+    make_pair,
+    min_discrepancy_witness,
+    psi_heights,
+)
 
 
 class FlopStep(NamedTuple):
@@ -286,9 +293,24 @@ def flop_decompose(pair_x, pair_y, ample_x=None, ample_y=None):
     the target heights, so each event is a single circuit.  Returns the
     tuple of FlopStep records; replaying their circuits on the first fan
     reproduces the second.
+
+    A sweep that reaches Y certifies K-equivalence: rays and coefficients
+    agree, and each event circuit has psi-defect 0, so psi is linear on its
+    cones and the flip keeps it.  Only a failed sweep runs the cell walk
+    k_equivalent: False raises NotKEquivalentError, True the sweep's error.
     """
-    if not k_equivalent(pair_x, pair_y):
+    if not _same_rays_and_coeffs(pair_x, pair_y):
         raise NotKEquivalentError("pairs are not K-equivalent")
+    try:
+        return _sweep(pair_x, pair_y, ample_x, ample_y)
+    except ToricMmpError:
+        if not k_equivalent(pair_x, pair_y):
+            raise NotKEquivalentError("pairs are not K-equivalent") from None
+        raise
+
+
+def _sweep(pair_x, pair_y, ample_x, ample_y):
+    """flop_decompose's steps, with no K-equivalence check of its own."""
     fx, fy = pair_x.fan, pair_y.fan
     n_rays = len(fx.rays)
     h0 = _checked_convex_heights(fx, ample_x, "ampleX")

@@ -138,25 +138,27 @@ def cell_extreme_rays(fan_x, cone_x, fan_y, cone_y):
     return tuple(sorted(rays))
 
 
-def _check_common_footing(pair_x, pair_y):
+def _same_rays_and_coeffs(pair_x, pair_y):
+    """The cheap half of K-equivalence: raise InvalidInputError unless the
+    pairs share lattice, dimension and support, then say whether they
+    carry the same coefficient on the same rays."""
+    fx, fy = pair_x.fan, pair_y.fan
     if pair_x.lattice != pair_y.lattice:
         raise InvalidInputError("pairs live on different lattices")
-    if pair_x.fan.dim != pair_y.fan.dim:
+    if fx.dim != fy.dim:
         raise InvalidInputError("pairs have different dimensions")
-
-
-def _check_supports_equal(fan_x, fan_y):
-    kx, ky = fan_x.support_kind, fan_y.support_kind
+    kx, ky = fx.support_kind, fy.support_kind
     if "other" in (kx, ky):
         raise InvalidInputError("fan support is neither complete nor a cone")
     if kx != ky:
         raise InvalidInputError("supports differ")
     if kx == "cone-supported":
-        ok = all(in_support(fan_y, r) for r in fan_x.rays) and all(
-            in_support(fan_x, r) for r in fan_y.rays
+        ok = all(in_support(fy, r) for r in fx.rays) and all(
+            in_support(fx, r) for r in fy.rays
         )
         if not ok:
             raise InvalidInputError("supports differ")
+    return dict(zip(fx.rays, pair_x.coeffs)) == dict(zip(fy.rays, pair_y.coeffs))
 
 
 def k_equivalent(pair_x, pair_y):
@@ -166,11 +168,9 @@ def k_equivalent(pair_x, pair_y):
     decided exactly at the extreme rays of all full-dimensional pairwise
     cone intersections.
     """
-    _check_common_footing(pair_x, pair_y)
-    fx, fy = pair_x.fan, pair_y.fan
-    _check_supports_equal(fx, fy)
-    if dict(zip(fx.rays, pair_x.coeffs)) != dict(zip(fy.rays, pair_y.coeffs)):
+    if not _same_rays_and_coeffs(pair_x, pair_y):
         return False
+    fx, fy = pair_x.fan, pair_y.fan
     psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
     for cx in fx.max_cones:
         rx = set(fx.ray_matrix(cx))
@@ -190,9 +190,8 @@ def k_compare(pair_x, pair_y):
     canonical divisor means lower psi: psi_X <= psi_Y everywhere with a
     strict point reports X_ge_Y.
     """
-    _check_common_footing(pair_x, pair_y)
+    _same_rays_and_coeffs(pair_x, pair_y)  # for its footing and support checks
     fx, fy = pair_x.fan, pair_y.fan
-    _check_supports_equal(fx, fy)
     psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
     lt = gt = False
     for cx in fx.max_cones:

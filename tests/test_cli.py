@@ -269,6 +269,21 @@ def test_huge_multiplicity_exits_one_before_enumerating(capsys, tmp_path, monkey
         assert "1000000000" in err and "Traceback" not in err
 
 
+def test_huge_group_dimension_exits_one_at_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "wide.json"
+    path.write_text('{"n": 100000, "gens": []}')
+    assert path.stat().st_size == 25
+
+    def no_lattice(_):
+        raise AssertionError("the group lattice was built")
+
+    monkeypatch.setattr("toricmmp.mckay.mat_identity", no_lattice)
+    for command in ("rank", "mckay"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert "100000" in err and "Traceback" not in err
+
+
 FUZZ_SEEDS = [
     ("check", {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
                "cones": [[0, 1], [1, 2], [0, 2]]}),

@@ -10,6 +10,7 @@ from toricmmp.errors import InvalidInputError
 from toricmmp.fan import fans_equal
 from toricmmp.lattice import det, mat_rank
 from toricmmp.mckay import (
+    MAX_GROUP_DIM,
     boundary_divisor_pair,
     case_a_components,
     group_lattice,
@@ -35,6 +36,9 @@ def test_make_group_validation():
     # weights live in [0, r)
     g = make_group(2, [(3, (4, -1))])
     assert g.gens == ((3, (1, 2)),)
+    assert group_order(make_group(MAX_GROUP_DIM, [])) == 1
+    with pytest.raises(InvalidInputError, match=f"exceeds the limit {MAX_GROUP_DIM}"):
+        make_group(MAX_GROUP_DIM + 1, [])
 
 
 def test_group_order_cyclic_and_product():

@@ -382,6 +382,52 @@ def test_flop_decompose_validates_given_heights():
     assert len(steps) == 1
 
 
+def _bumped_corpus_case(seed):
+    """flop_case(seed) with one seeded ray's coefficient raised to 1/4, 1/2
+    or 3/4 on both sides: equal rays and coefficients, but psi stays linear
+    across the flipped circuits only when none of them bends at that ray."""
+    px, py, _ = flop_case(seed)
+    rng = random.Random(seed)
+    ray, c = rng.choice(px.fan.rays), Fraction(rng.randrange(1, 4), 4)
+
+    def bump(p):
+        return make_pair(p.fan, [c if r == ray else 0 for r in p.fan.rays], p.lattice)
+
+    return bump(px), bump(py)
+
+
+def test_flop_decompose_matches_cell_walk_on_bumped_corpus():
+    verdicts = []
+    for seed in range(80):
+        px, py = _bumped_corpus_case(seed)
+        verdicts.append(k_equivalent(px, py))
+        if verdicts[-1]:
+            steps = flop_decompose(px, py)
+            assert fans_equal(replay(px, steps)[-1].fan, py.fan), seed
+        else:
+            with pytest.raises(NotKEquivalentError, match="pairs are not K-equivalent"):
+                flop_decompose(px, py)
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts are exercised
+
+
+def test_successful_sweeps_never_run_the_cell_walk(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the cell walk ran on a successful decomposition")
+
+    monkeypatch.setattr("toricmmp.mmp.k_equivalent", forbidden)
+    monkeypatch.setattr("toricmmp.pairs.cell_extreme_rays", forbidden)
+    for seed in range(80):
+        px, py, _ = flop_case(seed)
+        assert fans_equal(replay(px, flop_decompose(px, py))[-1].fan, py.fan), seed
+    assert len(flop_decompose(make_pair(ATIYAH_X, [0] * 4), make_pair(ATIYAH_Y, [0] * 4))) == 1
+    X = make_fan(PENTAGON, [(0, 1, 2), (0, 2, 3), (0, 3, 4)])
+    Y = make_fan(PENTAGON, [(1, 2, 3), (1, 3, 4), (0, 1, 4)])
+    assert len(flop_decompose(make_pair(X, [0] * 5), make_pair(Y, [0] * 5))) == 2
+    for seed, text in TIE_SPLIT_STEPS.items():
+        px, py, _ = flop_case(seed)
+        assert json.loads(dumps(flop_decompose(px, py))) == json.loads(text)
+
+
 # ------------------------------------------------------------ relative MMP
 
 
