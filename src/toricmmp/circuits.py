@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError
 from .fan import walls
-from .lattice import det
+from .lattice import cofactor_kernel
 
 
 class WallRelation(NamedTuple):
@@ -32,12 +32,9 @@ class ContractionType(NamedTuple):
 @lru_cache(maxsize=1 << 13)
 def _circuit_coeffs(vectors, apex_positions):
     """Primitive kernel coefficients of the (n+1) x n matrix of circuit rays,
-    signed so the apex positions carry positive entries."""
-    m = len(vectors)
-    raw = []
-    for i in range(m):
-        rows = vectors[:i] + vectors[i + 1:]
-        raw.append((-1) ** i * det(rows))
+    signed so the apex positions carry positive entries.  The signed maximal
+    minors are the cofactor kernel of the transposed matrix."""
+    raw = cofactor_kernel(tuple(zip(*vectors)))
     g = gcd(*raw)
     if g == 0:
         raise InvalidInputError("degenerate wall: circuit rays do not span")

@@ -7,7 +7,10 @@ the cheap invariants that internal surgeries can break (used where the input
 fan was already validated and the surgery is proven shape-preserving), and
 `full` adds the test that any two cones meet in a common face.  For complete
 and cone-supported fans that test is one degree-one point check; fans of
-support kind "other" keep the pairwise LP test.
+support kind "other" keep the pairwise LP test.  Exact LP also decides
+membership in a cone over non-simplicial generators.  Both LPs are posed
+in the standard form of `linprog.lp_maximize` with the origin feasible,
+so the solver never needs a phase-one search, which can cycle.
 """
 
 from __future__ import annotations
@@ -121,22 +124,21 @@ def _lp_face_check(fan, ca, cb, shared):
     """Exact decision: do cones ca and cb intersect exactly in the common
     face spanned by their shared rays?  Searches for a separating form u
     with u = 0 on shared rays, u <= -s on ca's others, u >= s on cb's
-    others; valid iff max s > 0."""
+    others; valid iff max s > 0.  In standard form u = u+ - u- with u+, u-
+    in [0, 1]^n and s >= 0: every right-hand side is 0 or 1, so the origin
+    is a feasible start."""
     n = fan.dim
-    A_le, b_le, A_eq, b_eq = [], [], [], []
-    for j in shared:
-        A_eq.append(list(fan.rays[j]) + [0])
-        b_eq.append(0)
-    for j in fan.max_cones[ca]:
-        if j not in shared:
-            A_le.append(list(fan.rays[j]) + [1])
-            b_le.append(0)
-    for j in fan.max_cones[cb]:
-        if j not in shared:
-            A_le.append([-x for x in fan.rays[j]] + [1])
-            b_le.append(0)
-    bounds = [(-1, 1)] * n + [(0, None)]
-    opt, _ = lp_maximize([0] * n + [1], A_le, b_le, bounds, A_eq, b_eq)
+
+    def row(j, sign, t):  # sign * u.ray_j + t * s <= 0 over (u+, u-, s)
+        r = tuple(sign * x for x in fan.rays[j])
+        return r + tuple(-x for x in r) + (t,)
+
+    rows = [row(j, 1, 1) for j in fan.max_cones[ca] if j not in shared]
+    rows += [row(j, -1, 1) for j in fan.max_cones[cb] if j not in shared]
+    rows += [row(j, sign, 0) for j in shared for sign in (1, -1)]
+    b = [0] * len(rows) + [1] * (2 * n)
+    rows += [tuple(int(i == k) for i in range(2 * n + 1)) for k in range(2 * n)]
+    opt, _ = lp_maximize([0] * (2 * n) + [1], rows, b)
     return opt > 0
 
 
@@ -362,13 +364,19 @@ def support_cone_rays(fan):
 
 
 def point_in_cone(p, gens):
-    """Is p a nonnegative rational combination of the integer generators?"""
+    """Is p a nonnegative rational combination of the integer generators?
+
+    An invertible square set is solved by its adjugate.  Otherwise, by
+    Farkas, p is in the cone iff no form u that is >= 0 on every generator
+    is negative on p: the LP minimizes u.p over u = u+ - u- with u+, u- in
+    [0, 1]^n, and every right-hand side is 0 or 1, so the origin is a
+    feasible start."""
     n = len(p)
     if len(gens) == n:
         adj, d = adjugate(tuple(tuple(g) for g in gens))
         if d:
             return all(x * d >= 0 for x in vec_mat(p, adj))
-    from .linprog import lp_feasible
-
-    A_eq = [[Fraction(g[j]) for g in gens] for j in range(n)]
-    return lp_feasible([], [], [(0, None)] * len(gens), A_eq, list(p))
+    A = [tuple(-x for x in g) + tuple(g) for g in gens]
+    A += [tuple(int(i == k) for i in range(2 * n)) for k in range(2 * n)]
+    opt, _ = lp_maximize([-x for x in p] + list(p), A, [0] * len(gens) + [1] * (2 * n))
+    return opt == 0

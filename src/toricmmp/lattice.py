@@ -321,12 +321,13 @@ class LatticeBasis:
         if any(len(r) != n for r in rows):
             raise InvalidInputError("generators of mixed dimension")
         den = lcm(*(x.denominator for row in rows for x in row))
-        scaled = [[int(x * den) for x in row] for row in rows]
-        ech, _ = _hnf_upper(scaled)
-        ech = [row for row in ech if any(row)]
+        # one reversed Hermite pass: its nonzero rows, reversed back, are
+        # the unique lower-triangular Hermite form of the lattice
+        scaled = _reverse_both([[int(x * den) for x in row] for row in rows])
+        ech = [row for row in _hnf_upper(scaled)[0] if any(row)]
         if len(ech) != n:
             raise InvalidInputError("generators do not span a full-rank lattice")
-        low, _ = hermite_normal_form(ech)
+        low = _reverse_both(ech)
         return cls(tuple(tuple(Fraction(x, den) for x in row) for row in low))
 
     @property

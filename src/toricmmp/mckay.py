@@ -85,11 +85,16 @@ def group_lattice(G):
     return LatticeBasis.from_rows(rows)
 
 
-def group_order(G):
-    order = 1 / group_lattice(G).determinant
+def _lattice_order(B):
+    """The index [B : Z^n] of an overlattice of Z^n."""
+    order = 1 / B.determinant
     if order.denominator != 1:
         raise EngineInvariantError("lattice index is not an integer")
     return int(order)
+
+
+def group_order(G):
+    return _lattice_order(group_lattice(G))
 
 
 def is_sl(G):
@@ -226,7 +231,7 @@ def mckay_pipeline(G):
     the relative MMP over the quotient cone, and account for every unit of
     group order in the ledger."""
     X = quotient_pair(G)
-    order = group_order(G)
+    order = _lattice_order(X.lattice)
     rank_x = stack_rank(X)
     if rank_x != order:
         raise EngineInvariantError("stack rank of the quotient misses the group order")

@@ -29,7 +29,7 @@ from .fan import (
     point_in_cone,
     star_subdivision,
 )
-from .lattice import LatticeBasis, dot, mat_rank, primitive
+from .lattice import dot, mat_rank, primitive
 from .linprog import lp_maximize
 from .pairs import (
     _same_rays_and_coeffs,
@@ -68,24 +68,28 @@ class ExtractionStep(NamedTuple):
 
 def ample_heights(fan):
     """Heights strictly convex across every wall, found by maximizing the
-    worst wall defect inside the unit box.  Raises NonProjectiveError when
-    only flat-or-worse height functions exist."""
+    worst wall defect t over heights h in [-1, 1] and t in [0, 1].  Raises
+    NonProjectiveError when only flat-or-worse height functions exist.
+
+    In standard form over y = (h + 1, t) >= 0: one row t - defect_w(y - 1)
+    <= 0 per wall, in walls() order, then the caps y_i <= 2 and t <= 1."""
     n_rays = len(fan.rays)
-    rows = []
+    A, b = [], []
     for _, rel in _relations(fan):
-        row = [Fraction(0)] * (n_rays + 1)
+        row = [0] * (n_rays + 1)
         for i, a in zip(rel.ray_indices, rel.coeffs):
-            row[i] -= a
-        row[n_rays] = Fraction(1)
-        rows.append(row)  # t - defect_w(h) <= 0
-    if not rows:
+            row[i] = -a
+        row[n_rays] = 1
+        A.append(row)
+        b.append(-sum(rel.coeffs))
+    if not A:
         return (Fraction(0),) * n_rays
-    objective = [Fraction(0)] * n_rays + [Fraction(1)]
-    bounds = [(-1, 1)] * n_rays + [(0, 1)]
-    opt, x = lp_maximize(objective, rows, [0] * len(rows), bounds)
+    A += [[int(i == k) for i in range(n_rays + 1)] for k in range(n_rays + 1)]
+    b += [2] * n_rays + [1]
+    opt, y = lp_maximize([0] * n_rays + [1], A, b)
     if opt <= 0:
         raise NonProjectiveError("no strictly convex height function exists")
-    return tuple(x[:n_rays])
+    return tuple(v - 1 for v in y[:n_rays])
 
 
 def _checked_convex_heights(fan, given, label):
@@ -235,17 +239,13 @@ def _flips_to_convexity(fan, hmap, budget, focus):
             raise EngineInvariantError("negative wall stuck with non-isolated circuit")
 
 
-def regular_triangulation(rays, heights, lattice=None):
+def regular_triangulation(rays, heights):
     """Triangulate the cone over the rays along the lower hull of the
     lifted heights, by incremental placing and flips to convexity."""
     rays = tuple(tuple(x) for x in rays)
     if not rays:
         raise InvalidInputError("no rays given")
     dim = len(rays[0])
-    if lattice is None:
-        lattice = LatticeBasis.standard(dim)
-    if lattice.dim != dim:
-        raise InvalidInputError("lattice dimension does not match the rays")
     if len(set(rays)) != len(rays):
         raise InvalidInputError("duplicate ray")
     for r in rays:

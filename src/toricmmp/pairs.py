@@ -9,7 +9,7 @@ comparison all reduce to exact evaluations of psi.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .circuits import _relations, defect
@@ -114,14 +114,28 @@ def is_canonical(pair):
     return wit is None or wit[0] >= 1
 
 
+# the cell walk solves one (n-1)-subset of the <= 2n facet functionals at a
+# time: 2^14 admits C(16, 7) = 11,440, the dimension-8 worst case.  On a
+# 2-core VM, `flop-decompose` rejected a circuit pair with a coefficient-1/2
+# ray in 1.5 s in dimension 8 and in 9.8 s in dimension 9
+MAX_CELL_SUBSETS = 2 ** 14
+
+
 def cell_extreme_rays(fan_x, cone_x, fan_y, cone_y):
     """Primitive extreme rays of the intersection of two full-dimensional
-    simplicial cones; empty when the intersection is lower-dimensional."""
+    simplicial cones; empty when the intersection is lower-dimensional.
+    More than MAX_CELL_SUBSETS facet subsets raise InvalidInputError before
+    any enumeration."""
     n = fan_x.dim
     funcs = tuple(dict.fromkeys(
         primitive(_facet_functional(fan, cone, k))
         for fan, cone in ((fan_x, cone_x), (fan_y, cone_y)) for k in range(n)
     ))
+    count = comb(len(funcs), n - 1)
+    if count > MAX_CELL_SUBSETS:
+        raise InvalidInputError(
+            f"cell walk over {count} facet subsets exceeds the limit {MAX_CELL_SUBSETS}"
+        )
     found = {}
     for sub in combinations(funcs, n - 1):
         v = cofactor_kernel(sub)

@@ -10,7 +10,7 @@ from toricmmp.cli import main
 from toricmmp.fan import make_fan
 from toricmmp.jsonio import dumps, fan_to_json, group_to_json, pair_to_json
 from toricmmp.mckay import make_group, quotient_pair
-from toricmmp.pairs import make_pair
+from toricmmp.pairs import MAX_CELL_SUBSETS, make_pair
 
 
 def write(path, payload):
@@ -282,6 +282,34 @@ def test_huge_group_dimension_exits_one_at_once(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, command, str(path))
         assert code == 1 and out == "" and err.startswith("error:")
         assert "100000" in err and "Traceback" not in err
+
+
+def test_cell_walk_limit_exits_one_at_once(capsys, tmp_path, monkeypatch):
+    # the height-one circuit w - sum v_k + (n - 2) v_0 = 0 in dimension 10,
+    # both sides, with coefficient 1/2 on v_0: the sweep fails on the
+    # nonzero event defect, and the cell walk over one cone pair would need
+    # C(19, 9) = 92,378 facet subsets
+    n = 10
+    rays = [[0] * (n - 1) + [1]]
+    rays += [[int(i == k) for i in range(n - 1)] + [1] for k in range(n - 1)]
+    rays.append([1] * n)
+    coeffs = ["1/2"] + [0] * n
+
+    def side(drop):
+        cones = [[i for i in range(n + 1) if i != j] for j in drop]
+        return {"dim": n, "rays": rays, "cones": cones, "coeffs": coeffs}
+
+    x = write(tmp_path / "x.json", side([0, n]))
+    y = write(tmp_path / "y.json", side(range(1, n)))
+
+    def no_walk(_):
+        raise AssertionError("the cell walk enumerated facet subsets")
+
+    monkeypatch.setattr("toricmmp.pairs.cofactor_kernel", no_walk)
+    code, out, err = run(capsys, "flop-decompose", x, y)
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert "92378" in err and str(MAX_CELL_SUBSETS) in err
+    assert "Traceback" not in err
 
 
 FUZZ_SEEDS = [

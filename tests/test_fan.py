@@ -8,6 +8,7 @@ import pytest
 from toricmmp import fan as fan_module
 from toricmmp.errors import InvalidInputError
 from toricmmp.fan import (
+    Fan,
     fans_equal,
     in_support,
     is_complete,
@@ -19,7 +20,15 @@ from toricmmp.fan import (
     walls,
 )
 from toricmmp.jsonio import pair_from_json
-from toricmmp.lattice import det, primitive
+from toricmmp.lattice import (
+    adjugate,
+    cofactor_kernel,
+    det,
+    dot,
+    mat_rank,
+    primitive,
+    vec_mat,
+)
 from toricmmp.mckay import hj_resolution
 
 P2 = make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
@@ -196,6 +205,59 @@ def test_degree_one_check_matches_lp_oracle():
     assert {s[2] for s in seen} == {True, False}
 
 
+def oracle_meet_in_shared_face(cone_a, cone_b, shared):
+    """Two simplicial cones meet exactly in cone(shared) iff every extreme
+    ray of their intersection is a shared ray.  Each extreme ray is the
+    kernel of n-1 of the 2n facet functionals (adjugate columns) and is
+    >= 0 on all of them."""
+    fs = []
+    for cone in (cone_a, cone_b):
+        adj, d = adjugate(tuple(cone))
+        fs += [tuple(row[k] * (1 if d > 0 else -1) for row in adj) for k in range(len(cone))]
+    for sub in combinations(fs, len(cone_a) - 1):
+        v = cofactor_kernel(sub)
+        for w in (v, tuple(-x for x in v)):
+            if any(w) and all(dot(f, w) >= 0 for f in fs) and primitive(w) not in shared:
+                return False
+    return True
+
+
+# cone (0, 1, 2) lies inside cone (0, 3, 4); posed with u = y - 1 and y in
+# [0, 2]^n, this face check has negative right-hand sides, and sympy's
+# phase-one search cycles on it forever
+NESTED_RAYS = [(-1, 2, -1), (-1, -3, -3), (0, -2, 1), (-1, -3, 3), (2, 0, -3)]
+
+
+def test_lp_face_check_matches_intersection_oracle():
+    assert not fan_module._lp_face_check(
+        Fan(3, tuple(NESTED_RAYS), ((0, 1, 2), (0, 3, 4)), "other"), 0, 1, {0}
+    )
+    with pytest.raises(InvalidInputError, match="common face"):
+        make_fan(NESTED_RAYS, [(0, 1, 2), (0, 3, 4)])
+    rng = random.Random(1618)
+    verdicts = Counter()
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        k = rng.randint(0, n - 1)
+        vecs = set()
+        while len(vecs) < 2 * n - k:
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            if any(v):
+                vecs.add(primitive(v))
+        rays = sorted(vecs)
+        cone_a, cone_b = tuple(range(n)), tuple(range(k)) + tuple(range(n, 2 * n - k))
+        if any(det([rays[i] for i in c]) == 0 for c in (cone_a, cone_b)):
+            continue
+        fan = Fan(n, tuple(rays), (cone_a, cone_b), "other")
+        verdict = fan_module._lp_face_check(fan, 0, 1, set(range(k)))
+        expected = oracle_meet_in_shared_face(
+            [rays[i] for i in cone_a], [rays[i] for i in cone_b], rays[:k]
+        )
+        assert verdict == expected, (rays, k)
+        verdicts[n, verdict] += 1
+    assert all(verdicts[n, v] >= 5 for n in (2, 3, 4) for v in (True, False)), verdicts
+
+
 # a flop-corpus pair whose fan has cone pairs that share no facet and
 # have no cheap separating certificate
 PAIR_3D = {
@@ -331,6 +393,55 @@ def test_point_in_cone():
     gens4 = [(1, 0), (1, 1), (0, 1), (1, 2)]
     assert point_in_cone((5, 3), gens4)
     assert not point_in_cone((1, -1), gens4)
+
+
+def oracle_in_cone(p, gens):
+    """Caratheodory: p lies in the cone over spanning generators iff it lies
+    in the cone of some independent n-subset, solved by its adjugate."""
+    for sub in combinations(gens, len(p)):
+        adj, d = adjugate(sub)
+        if d and all(x * d >= 0 for x in vec_mat(p, adj)):
+            return True
+    return False
+
+
+# outside points on which the equality form G.lam = p of the membership LP
+# makes sympy's phase-one search cycle forever (the first) or return a
+# point that violates G.lam = p (the second)
+OUTSIDE_CONE = [
+    ((3, 1, 0), [(-3, 2, 3), (0, 1, 1), (2, -2, 3), (3, 1, 2)]),
+    ((-1, 2, 0, 3), [(-3, 1, 0, 1), (-1, 3, 3, 3), (0, 0, -2, 2), (2, -3, -3, 1),
+                     (2, -2, -2, 3), (3, -3, 2, 3), (3, -2, 0, 1)]),
+]
+
+
+def test_point_in_cone_lp_matches_caratheodory_oracle():
+    for p, gens in OUTSIDE_CONE:
+        assert not oracle_in_cone(p, gens)
+        assert not point_in_cone(p, gens)
+    rng = random.Random(2718)
+    verdicts = Counter()
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        # positive last coordinate keeps the cone pointed, so points fall
+        # on both sides; more than n generators forces the LP branch
+        gens = set()
+        while len(gens) < n + rng.randint(1, 3):
+            gens.add(tuple(rng.randint(-3, 3) for _ in range(n - 1)) + (rng.randint(1, 3),))
+        gens = sorted(gens)
+        if mat_rank(gens) < n:
+            continue
+        if rng.random() < 0.5:
+            p = tuple(
+                sum(Fraction(rng.randint(0, 4), rng.randint(1, 3)) * g[j] for g in gens)
+                for j in range(n)
+            )
+        else:
+            p = tuple(rng.randint(-4, 4) for _ in range(n))
+        verdict = point_in_cone(p, gens)
+        assert verdict == oracle_in_cone(p, gens), (p, gens)
+        verdicts[n, verdict] += 1
+    assert all(verdicts[n, v] >= 5 for n in (2, 3, 4) for v in (True, False)), verdicts
 
 
 def test_walls_deterministic_order():

@@ -1,6 +1,7 @@
 """Engine tests: triangulation vs exhaustive hull oracle, flip surgery,
 flop sweep, relative MMP, terminalization."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -106,6 +107,21 @@ def test_ample_heights_nonprojective_pinwheel():
     fan = make_fan(rays, pin)
     with pytest.raises(NonProjectiveError):
         ample_heights(fan)
+
+
+# sha256 over the ample_heights vertices of both fans of corpus seeds 0-79:
+# the flop sweep starts from this vertex, so a different optimal vertex of
+# the same LP changes every downstream flop digest
+AMPLE_CORPUS_SHA256 = "f48f88e3aeb0f60431323f4186aaffa5cf219ffc339c78b70fe9c8059b87d5d6"
+
+
+def test_ample_heights_corpus_vertices_pinned():
+    h = hashlib.sha256()
+    for seed in range(80):
+        px, py, _ = flop_case(seed)
+        for pair in (px, py):
+            h.update((",".join(map(str, ample_heights(pair.fan))) + ";").encode())
+    assert h.hexdigest() == AMPLE_CORPUS_SHA256
 
 
 # --------------------------------------------------------------- flips
