@@ -1,7 +1,14 @@
+import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from corpus import flop_case
+
+import toricmmp.mmp as mmp
+from toricmmp.errors import BudgetExceededError
 from toricmmp.linprog import LpInfeasible, LpUnbounded, lp_maximize
 
 
@@ -39,3 +46,123 @@ def test_exact_rational_data():
     opt, y = lp_maximize([Fraction(1, 3)], [[Fraction(2, 7)]], [Fraction(3, 5)])
     assert opt == Fraction(1, 3) * Fraction(21, 10)
     assert y == (Fraction(21, 10),)
+
+
+# Two LPs on which sympy's phase one cycles forever: its rule is
+# deterministic in (basis arrangement, last pivot), and both revisit a state.
+CYCLING = [
+    ([-3, -1], [[1, 1], [3, 1], [-1, 2]], [1, 0, -1]),
+    ([2, -2, 3, -2, -3],
+     [[2, 1, -2, -3, 3], [1, 3, 1, -1, 1], [-1, -2, 1, 3, -3], [0, 0, 0, 3, -1],
+      [1, -3, 2, 3, 1], [1, -2, -1, 1, -1]],
+     [1, 1, 1, 0, -1, -1]),
+]
+
+
+def test_cycling_phase_one_raises_at_once():
+    for c, A, b in CYCLING:
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="cycles"):
+            lp_maximize(c, A, b)
+        assert time.perf_counter() - start < 1
+
+
+def test_repeated_pivot_stop_checks_the_point():
+    # 3y <= 0 and -2y <= -2 leave nothing; sympy's phase one stops on a
+    # repeated pivot and returns y = 2/3, which passes its sign check
+    with pytest.raises(BudgetExceededError, match="outside A y <= b"):
+        lp_maximize([2], [[3], [-2], [3], [-2], [3]], [0, -2, -3, 0, 2])
+
+
+# ------------------------------------------------- differential against sympy
+
+
+def _outcome(solve, c, A, b):
+    try:
+        return "optimal", solve(c, A, b)
+    except (LpInfeasible, LpUnbounded, BudgetExceededError) as e:
+        return type(e).__name__, str(e)
+
+
+def _sympy_maximize(c, A, b):
+    """The former sympy-backed lp_maximize, as the oracle."""
+    from sympy import Rational
+    from sympy.solvers.simplex import InfeasibleLPError, UnboundedLPError, linprog
+
+    def frac(x):
+        return Fraction(x) if isinstance(x, int) else Fraction(int(x.p), int(x.q))
+
+    try:
+        val, y = linprog([-Rational(x) for x in c],
+                         [[Rational(x) for x in row] for row in A],
+                         [Rational(x) for x in b])
+    except InfeasibleLPError:
+        raise LpInfeasible("LP infeasible")
+    except UnboundedLPError:
+        raise LpUnbounded("LP unbounded")
+    return -frac(val), tuple(frac(v) for v in y)
+
+
+def _agree(lps):
+    """Run the port on every LP, then sympy wherever the port did not find
+    a cycle (the rule is the same, so sympy then terminates too).  Returns
+    the count of each outcome."""
+    counts = Counter()
+    for c, A, b in lps:
+        kind, mine = _outcome(lp_maximize, c, A, b)
+        if kind == "BudgetExceededError" and "cycles" in mine:
+            counts["cycles"] += 1
+            continue
+        ref_kind, ref = _outcome(_sympy_maximize, c, A, b)
+        if kind == "BudgetExceededError":
+            # sympy returns a point that breaks A y <= b
+            assert ref_kind == "optimal"
+            assert any(sum(a * v for a, v in zip(row, ref[1])) > bi for row, bi in zip(A, b))
+        else:
+            assert ref_kind == kind and (kind != "optimal" or ref == mine), (c, A, b)
+        counts[kind] += 1
+    return counts
+
+
+def _random_lps(rng, count, entry):
+    lps = []
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+        lps.append(([entry() for _ in range(n)],
+                    [[entry() for _ in range(n)] for _ in range(m)],
+                    [entry() for _ in range(m)]))
+    return lps
+
+
+def test_matches_sympy_on_ample_heights_corpus(monkeypatch):
+    pytest.importorskip("sympy")
+    lps = []
+
+    def recording(c, A, b):
+        lps.append((c, A, b))
+        return lp_maximize(c, A, b)
+
+    cases = [flop_case(seed)[:2] for seed in range(100)]
+    monkeypatch.setattr(mmp, "lp_maximize", recording)
+    for px, py in cases:
+        mmp.ample_heights(px.fan)
+        mmp.ample_heights(py.fan)
+    assert len(lps) == 200
+    assert _agree(lps) == {"optimal": 200}
+
+
+def test_matches_sympy_on_random_integer_lps():
+    pytest.importorskip("sympy")
+    rng = random.Random(11)
+    counts = _agree(_random_lps(rng, 1000, lambda: rng.randint(-3, 3)))
+    # every branch of both phases is reached
+    assert all(counts[k] >= 2 for k in
+               ("optimal", "LpInfeasible", "LpUnbounded", "cycles", "BudgetExceededError"))
+
+
+def test_matches_sympy_on_random_fraction_lps():
+    pytest.importorskip("sympy")
+    rng = random.Random(12)
+    counts = _agree(_random_lps(
+        rng, 300, lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5))))
+    assert all(counts[k] >= 20 for k in ("optimal", "LpInfeasible", "LpUnbounded"))
