@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InvalidInputError
+from .errors import EngineInvariantError, InvalidInputError
 from .lattice import adjugate, dot, mat_rank, primitive, vec_mat
 from .linprog import lp_maximize
 
@@ -182,6 +182,18 @@ def _check_pairwise_faces(fan):
                 )
 
 
+def _check_apexes(fan, facet, ca, cb):
+    """Raise unless the cones ca and cb, which share facet, have their
+    apexes on opposite sides of it."""
+    k = next(k for k in range(fan.dim) if ca[k] not in facet)
+    u = _facet_functional(fan, ca, k)
+    apex_b = next(i for i in cb if i not in facet)
+    if dot(u, fan.rays[apex_b]) >= 0:
+        raise InvalidInputError(
+            f"cones {ca} and {cb} lie on the same side of their shared facet {facet}"
+        )
+
+
 def _wall_graph_connected(n_cones, fm):
     if n_cones <= 1:
         return True
@@ -262,16 +274,7 @@ def make_fan(rays, max_cones, *, validate="full"):
 
     for facet, cs in fm.items():
         if len(cs) == 2:
-            ca, cb = cs
-            shared = set(facet)
-            k = next(k for k in range(n) if cones[ca][k] not in shared)
-            u = _facet_functional(provisional, cones[ca], k)
-            apex_b = next(i for i in cones[cb] if i not in shared)
-            if dot(u, rays[apex_b]) >= 0:
-                raise InvalidInputError(
-                    f"cones {cones[ca]} and {cones[cb]} lie on the same side "
-                    f"of their shared facet {facet}"
-                )
+            _check_apexes(provisional, facet, cones[cs[0]], cones[cs[1]])
 
     if all(len(cs) == 2 for cs in fm.values()):
         kind = "complete"
@@ -308,28 +311,147 @@ def in_support(fan, p):
     return any(_barycentric(fan, c, p) is not None for c in fan.max_cones)
 
 
+def _face(cone, lam):
+    """Ray indices of the face of cone whose relative interior holds the
+    point with barycentric numerators lam."""
+    return {i for i, x in zip(cone, lam) if x > 0}
+
+
+def _joins(cone, face, w_idx):
+    """The cones replacing cone when ray w_idx enters the relative interior
+    of its face: the joins of w with the facets of cone missing a ray of
+    that face."""
+    return [
+        tuple(sorted(cone[:k] + cone[k + 1:] + (w_idx,)))
+        for k, i in enumerate(cone) if i in face
+    ]
+
+
+def _scan_star(fan, w):
+    """(cone, face carrying w) for every maximal cone containing w, in
+    cone order."""
+    out = []
+    for cone in fan.max_cones:
+        lam = _barycentric(fan, cone, w)
+        if lam is not None:
+            out.append((cone, _face(cone, lam)))
+    return out
+
+
+def _walk_star(facets, cone, face):
+    """The cones containing the given face of cone, found by walking from
+    cone across the facets that contain the face; facets maps each facet to
+    the cones containing it."""
+    star, todo = {cone}, [cone]
+    while todo:
+        c = todo.pop()
+        for k, i in enumerate(c):
+            if i not in face:
+                for d in facets[c[:k] + c[k + 1:]]:
+                    if d not in star:
+                        star.add(d)
+                        todo.append(d)
+    return star
+
+
 def star_subdivision(fan, w):
     """Insert primitive(w) as a new ray; every maximal cone containing it is
     replaced by the joins of w with its facets not containing w."""
     wp = primitive(w)
     if wp in fan.rays:
         raise InvalidInputError(f"{wp} is already a ray")
-    kept, split = [], []
-    for cone in fan.max_cones:
-        lam = _barycentric(fan, cone, wp)
-        if lam is None:
-            kept.append(cone)
-        else:
-            split.append((cone, lam))
+    split = _scan_star(fan, wp)
     if not split:
         raise InvalidInputError(f"{wp} is outside the fan support")
     w_idx = len(fan.rays)
-    new_cones = list(kept)
-    for cone, lam in split:
-        for k in range(fan.dim):
-            if lam[k] > 0:
-                new_cones.append(tuple(sorted(cone[:k] + cone[k + 1:] + (w_idx,))))
+    gone = {cone for cone, _ in split}
+    new_cones = [c for c in fan.max_cones if c not in gone]
+    for cone, face in split:
+        new_cones += _joins(cone, face, w_idx)
     return make_fan(fan.rays + (wp,), new_cones, validate="fast")
+
+
+class _Subdivision:
+    """A fan under repeated star subdivision, held as local state so that a
+    step costs the cones around its new ray, not the whole fan: the facet
+    map, and the cone order as dict order (kept cones stay in place, new
+    ones are appended, as in star_subdivision).
+
+    A step walks from a cone holding the new ray to its star, and applies
+    make_fan's fast checks to exactly the facets it touched: new cones are
+    simplicial, a facet lies in at most two cones with their apexes on
+    opposite sides, and a new boundary facet keeps the support kind (there
+    is none in a complete fan, and it is >= 0 on every ray in a
+    cone-supported one).  A star subdivision at a point of the support
+    keeps the kind and the wall-graph connectivity of a valid fan, so no
+    other facet needs a look.  The walk reaches the whole star where the
+    link of a face is connected, as in complete and cone-supported fans; a
+    fan of kind "other" may be pinched along a face, so there the star is
+    the barycentric scan.
+    """
+
+    def __init__(self, fan):
+        self.dim, self.kind = fan.dim, fan.support_kind
+        self.rays = list(fan.rays)
+        self.cones = dict.fromkeys(fan.max_cones)
+        self.facets = {
+            f: [fan.max_cones[i] for i in cs] for f, cs in _facet_map(fan).items()
+        }
+
+    def ray_matrix(self, cone):
+        return tuple(self.rays[i] for i in cone)
+
+    def fan(self):
+        return Fan(self.dim, tuple(self.rays), tuple(self.cones), self.kind)
+
+    def subdivide(self, cone, w):
+        """Insert the primitive point w of cone as a new ray, as
+        star_subdivision does; returns the cones it creates."""
+        if w in self.rays:
+            raise InvalidInputError(f"{w} is already a ray")
+        if self.kind == "other":
+            star = _scan_star(self.fan(), w)
+        else:
+            face = _face(cone, _barycentric(self, cone, w))
+            walked = _walk_star(self.facets, cone, face)
+            star = [(c, face) for c in self.cones if c in walked]
+        w_idx = len(self.rays)
+        self.rays.append(w)
+        change = {}
+        for c, _ in star:
+            del self.cones[c]
+            for k in range(self.dim):
+                f = c[:k] + c[k + 1:]
+                self.facets[f].remove(c)
+                change[f] = change.get(f, 0) - 1
+        new = [j for c, face in star for j in _joins(c, face, w_idx)]
+        for c in new:
+            if adjugate(self.ray_matrix(c))[1] == 0:
+                raise InvalidInputError(f"cone {c} is not simplicial")
+            self.cones[c] = None
+            for k in range(self.dim):
+                f = c[:k] + c[k + 1:]
+                self.facets.setdefault(f, []).append(c)
+                change[f] = change.get(f, 0) + 1
+        for f, delta in change.items():
+            cs = self.facets[f]
+            if len(cs) > 2:
+                raise InvalidInputError(f"facet {f} shared by more than two cones")
+            if len(cs) == 2:
+                _check_apexes(self, f, *cs)
+            elif not cs:
+                del self.facets[f]
+            elif delta and not self._keeps_kind(f, cs[0]):
+                raise EngineInvariantError("star subdivision changed the support kind")
+        return new
+
+    def _keeps_kind(self, facet, cone):
+        """May facet, newly on the boundary in cone, lie on the boundary?"""
+        if self.kind != "cone-supported":
+            return self.kind == "other"
+        k = next(k for k in range(self.dim) if cone[k] not in facet)
+        u = _facet_functional(self, cone, k)
+        return all(dot(u, r) >= 0 for r in self.rays)
 
 
 def fans_equal(f1, f2):

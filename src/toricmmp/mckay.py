@@ -6,24 +6,24 @@ the overlattice N generated by the weight vectors; the pipeline
 terminalizes, drops the quasi-reflection boundary, runs the relative MMP,
 and records one ledger entry per step with the exact stack-rank change.
 Each entry is built from the pair the engine itself stepped to; no step
-is replayed.  The ranks telescope: the order of the acting group equals
+is replayed, and an extraction's rank is updated from the cones it
+replaced alone.  The ranks telescope: the order of the acting group equals
 the rank of the final model plus the total rank spent along the way.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError
 from .fan import _solve, make_fan
 from .lattice import (
     LatticeBasis,
-    det,
+    adjugate,
     mat_identity,
     primitive,
     smith_normal_form,
     vec_mat,
-    vec_scale,
 )
 from .mmp import _extraction_pairs, _mmp_pairs
 from .pairs import make_pair
@@ -101,6 +101,24 @@ def is_sl(G):
     return all(sum(ws) % r == 0 for r, ws in G.gens)
 
 
+def _lattice_coords(B, points, den=1):
+    """Integer coordinates x, x.B = p / den, of lattice points of B given by
+    integer vectors p over a common den.  Read from the integer adjugate of
+    B's rows scaled to integers: B = S / s and S.adj = d.I give
+    x = p.adj * s / (d * den), with no Fraction per point."""
+    s = lcm(*(x.denominator for row in B.rows for x in row))
+    S = tuple(tuple(x.numerator * (s // x.denominator) for x in row) for row in B.rows)
+    adj, d = adjugate(S)
+    q = d * den
+    out = []
+    for p in points:
+        num = vec_mat(p, adj)
+        if any(v * s % q for v in num):
+            raise EngineInvariantError(f"point {tuple(p)}/{den} escaped its own overlattice")
+        out.append(tuple(v * s // q for v in num))
+    return out
+
+
 def quotient_pair(G):
     """The quotient orthant as a pair: rays are the primitivized axis
     images e_i / m_i, each carrying coefficient 1 - 1/m_i, where m_i is
@@ -108,14 +126,9 @@ def quotient_pair(G):
     B = group_lattice(G)
     rays = []
     mults = []
-    for i in range(G.n):
-        e = tuple(int(i == j) for j in range(G.n))
-        coords = B.coords(e)
-        if any(x.denominator != 1 for x in coords):
-            raise EngineInvariantError("unit vector escaped its own overlattice")
-        ints = [int(x) for x in coords]
-        m = gcd(*ints)
-        rays.append(tuple(x // m for x in ints))
+    for x in _lattice_coords(B, mat_identity(G.n)):
+        m = gcd(*x)
+        rays.append(tuple(v // m for v in x))
         mults.append(m)
     fan = make_fan(rays, [tuple(range(G.n))], validate="full")
     coeffs = [Fraction(m - 1, m) for m in mults]
@@ -123,27 +136,32 @@ def quotient_pair(G):
 
 
 def _standard_multiplicities(pair):
+    """m_i with coefficient d_i = 1 - 1/m_i: in lowest terms, d_i = p/q is
+    of that form exactly when p = q - 1, and then m_i = q."""
     ms = []
     for d in pair.coeffs:
-        m = 1 / (1 - Fraction(d))
-        if m.denominator != 1:
+        if d.numerator != d.denominator - 1:
             raise InvalidInputError(
                 f"coefficient {d} is not of the standard form 1 - 1/m"
             )
-        ms.append(int(m))
+        ms.append(d.denominator)
     return ms
+
+
+def _cone_rank(fan, cone, ms):
+    """Multiplicity of one cone in the stack lattice: |det| of its rays,
+    read from the cached adjugate, times the m_i of its rays."""
+    rank = abs(adjugate(fan.ray_matrix(cone))[1])
+    for i in cone:
+        rank *= ms[i]
+    return rank
 
 
 def stack_rank(pair):
     """Sum of maximal-cone multiplicities in the stack lattice spanned by
     m_i * v_i; equals the group order for a quotient pair."""
     ms = _standard_multiplicities(pair)
-    fan = pair.fan
-    total = 0
-    for cone in fan.max_cones:
-        rows = [vec_scale(ms[i], fan.rays[i]) for i in cone]
-        total += abs(det(rows))
-    return total
+    return sum(_cone_rank(pair.fan, cone, ms) for cone in pair.fan.max_cones)
 
 
 def case_a_components(r1, s1):
@@ -202,12 +220,22 @@ def _checked_entry(kind, ray, center, before, after, psi=None, components=None):
     return LedgerEntry(kind, ray, center, before, after, psi, components)
 
 
-def _pipeline_steps(X):
-    """(kind, ray, pair after the step, psi, components) for every step of
-    the pipeline, in ledger order."""
+def _pipeline_steps(X, rank):
+    """(kind, ray, pair after the step, its stack rank, psi, components)
+    for every step of the pipeline, in ledger order.  An extraction replaces
+    only the cones around its new ray, which has multiplicity 1, so its
+    rank is updated from the cones it removed and added; the few other
+    steps recount stack_rank."""
     work = X
-    for st, work in _extraction_pairs(X):
-        yield "extraction", st.ray, work, st.psi_value, None
+    ms = _standard_multiplicities(X)
+    cones = set(X.fan.max_cones)
+    for st, nxt in _extraction_pairs(X):
+        ms.append(1)
+        after = set(nxt.fan.max_cones)
+        rank += sum(_cone_rank(nxt.fan, c, ms) for c in after - cones)
+        rank -= sum(_cone_rank(work.fan, c, ms) for c in cones - after)
+        work, cones = nxt, after
+        yield "extraction", st.ray, work, rank, st.psi_value, None
     for i in range(len(work.fan.rays)):
         if work.coeffs[i] == 0:
             continue
@@ -215,7 +243,7 @@ def _pipeline_steps(X):
         ray = work.fan.rays[i]
         coeffs = work.coeffs[:i] + (Fraction(0),) + work.coeffs[i + 1:]
         work = make_pair(work.fan, coeffs, work.lattice)
-        yield "coefficient_drop", ray, work, None, case_a_components(m, 1)
+        yield "coefficient_drop", ray, work, stack_rank(work), None, case_a_components(m, 1)
     for st, work in _mmp_pairs(work, X.fan.rays):
         if st.kind == "flip":
             # the flip locus: primitive sum of the circuit's negative rays
@@ -223,7 +251,7 @@ def _pipeline_steps(X):
             ray = primitive(tuple(map(sum, zip(*neg))))
         else:
             ray = st.removed_ray
-        yield st.kind, ray, work, None, None
+        yield st.kind, ray, work, stack_rank(work), None, None
 
 
 def mckay_pipeline(G):
@@ -237,8 +265,7 @@ def mckay_pipeline(G):
         raise EngineInvariantError("stack rank of the quotient misses the group order")
     ledger = []
     final, rank_y = X, rank_x
-    for kind, ray, final, psi, components in _pipeline_steps(X):
-        after = stack_rank(final)
+    for kind, ray, final, after, psi, components in _pipeline_steps(X, rank_x):
         ledger.append(
             _checked_entry(kind, ray, _center(X, ray), rank_y, after, psi, components)
         )
@@ -268,22 +295,22 @@ def hj_resolution(r, a):
     continued fraction r/a = b_1 - 1/(b_2 - ...).  The rays u_i run along
     the Newton polygon boundary from (0, 1) through (1/r)(1, a) to (1, 0)
     by u_{i+1} = b_i u_i - u_{i-1}, with b_i = ceil(n/d) while (n, d)
-    steps from (r, a) to (d, b_i d - n) until d = 0."""
+    steps from (r, a) to (d, b_i d - n) until d = 0.  The recurrence is
+    linear, so it runs on integer lattice coordinates from the first two."""
     if not (isinstance(r, int) and isinstance(a, int)):
         raise InvalidInputError("need integer parameters")
     if not (0 < a < r) or gcd(r, a) != 1:
         raise InvalidInputError("need 0 < a < r with gcd(r, a) = 1")
     B = group_lattice(make_group(2, [(r, (1, a))]))
-    boundary = [(Fraction(0), Fraction(1)), (Fraction(1, r), Fraction(a, r))]
+    rays = _lattice_coords(B, [(0, r), (1, a)], r)
     chain = []
     n, d = r, a
     while d:
         b = -(-n // d)
         chain.append(-b)
         n, d = d, b * d - n
-        (x0, y0), (x1, y1) = boundary[-2:]
-        boundary.append((b * x1 - x0, b * y1 - y0))
-    rays = [tuple(int(x) for x in B.coords(p)) for p in boundary]
+        (x0, y0), (x1, y1) = rays[-2:]
+        rays.append((b * x1 - x0, b * y1 - y0))
     cones = [(i, i + 1) for i in range(len(rays) - 1)]
     fan = make_fan(rays, cones, validate="full")
     return fan, tuple(chain)

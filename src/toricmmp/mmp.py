@@ -6,9 +6,14 @@ pencil of height functions, the relative MMP over an affine base, and
 terminalization by repeated discrepancy-one-or-less extractions.  All
 scheduling ties are broken by a symbolic infinitesimal perturbation or by
 explicit lexicographic rules, so every run is deterministic.
+
+Terminalization keeps one local state across its steps instead of
+rebuilding and rescanning the fan: a star subdivision touches only the
+cones around its new ray, and only those are checked and scored.
 """
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .circuits import _relations, classify, defect, wall_relation
@@ -23,6 +28,7 @@ from .errors import (
 from .fan import (
     _boundary_facets,
     _facet_map,
+    _Subdivision,
     fans_equal,
     in_support,
     make_fan,
@@ -32,10 +38,12 @@ from .fan import (
 from .lattice import dot, mat_rank, primitive
 from .linprog import lp_maximize
 from .pairs import (
+    ToricPair,
+    _cone_witness,
     _same_rays_and_coeffs,
+    _scaled_psi,
     k_equivalent,
     make_pair,
-    min_discrepancy_witness,
     psi_heights,
 )
 
@@ -482,19 +490,38 @@ def terminalize(pair):
 
 
 def _extraction_pairs(pair):
-    """The steps of terminalize, each yielded with the pair it leaves."""
-    cur = pair
+    """The steps of terminalize, each yielded with the pair it leaves.
+
+    One local state lives across the steps: the fan under star subdivision
+    (fan._Subdivision, which walks to the star of each new ray and checks
+    only the facets a step touched) and a heap of per-cone witness minima,
+    in which a cone's entry goes stale when the cone is subdivided.  A new
+    ray has coefficient zero, so psi and its scale never change on old
+    rays, and a step scores only the cones it creates."""
+    sub = _Subdivision(pair.fan)
+    scaled, L = _scaled_psi(pair)
+    heap = []
+
+    def score(cones):
+        for cone in cones:
+            wit = _cone_witness(sub, cone, scaled, L)
+            if wit is not None:
+                heappush(heap, wit + (cone,))
+
+    score(pair.fan.max_cones)
+    coeffs = pair.coeffs
     budget = 10 * len(pair.fan.rays) ** 2
     while True:
-        wit = min_discrepancy_witness(cur)
-        if wit is None or wit[0] > 1:
+        while heap and heap[0][2] not in sub.cones:
+            heappop(heap)
+        if not heap or heap[0][0] > 1:
             return
         if budget == 0:
             raise BudgetExceededError("extraction budget exhausted")
         budget -= 1
-        val, pt = wit
+        val, pt, cone = heap[0]
         w = primitive(pt)
-        cur = make_pair(
-            star_subdivision(cur.fan, w), cur.coeffs + (Fraction(0),), cur.lattice
-        )
-        yield ExtractionStep(ray=w, psi_value=val), cur
+        scaled.append(L)
+        score(sub.subdivide(cone, w))
+        coeffs += (Fraction(0),)
+        yield ExtractionStep(ray=w, psi_value=val), ToricPair(sub.fan(), coeffs, pair.lattice)

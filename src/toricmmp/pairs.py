@@ -81,25 +81,33 @@ def min_discrepancy_witness(pair):
     barycentrics num / m, m * (psi_a + psi_b) * L at a pair sum.  Only each
     cone's least (key, point) becomes a Fraction.
     """
+    scaled, L = _scaled_psi(pair)
+    wits = (_cone_witness(pair.fan, cone, scaled, L) for cone in pair.fan.max_cones)
+    return min((w for w in wits if w is not None), default=None)
+
+
+def _scaled_psi(pair):
+    """(scaled, L): L the lcm of the psi denominators and scaled[i] the
+    integer psi_i * L."""
     psi = psi_heights(pair)
     L = lcm(*(h.denominator for h in psi))
-    scaled = [h.numerator * (L // h.denominator) for h in psi]
-    fan = pair.fan
-    best = None
-    for cone in fan.max_cones:
-        m, pts = _box_points_in_coords(fan.ray_matrix(cone))
-        P = [scaled[i] for i in cone]
-        keys = [(sum(map(mul, num, P)), p) for p, num in pts]
-        for a, b in combinations(cone, 2):
-            w = vec_add(fan.rays[a], fan.rays[b])
-            if gcd(*w) == 1:
-                keys.append((m * (scaled[a] + scaled[b]), w))
-        if keys:
-            key, point = min(keys)
-            cand = (Fraction(key, m * L), point)
-            if best is None or cand < best:
-                best = cand
-    return best
+    return [h.numerator * (L // h.denominator) for h in psi], L
+
+
+def _cone_witness(fan, cone, scaled, L):
+    """The least (psi value, point) over the nonzero box points of one
+    cone and the primitive sums of two of its rays, or None."""
+    m, pts = _box_points_in_coords(fan.ray_matrix(cone))
+    P = [scaled[i] for i in cone]
+    keys = [(sum(map(mul, num, P)), p) for p, num in pts]
+    for a, b in combinations(cone, 2):
+        w = vec_add(fan.rays[a], fan.rays[b])
+        if gcd(*w) == 1:
+            keys.append((m * (scaled[a] + scaled[b]), w))
+    if not keys:
+        return None
+    key, point = min(keys)
+    return Fraction(key, m * L), point
 
 
 def is_terminal(pair):
@@ -127,15 +135,21 @@ def cell_extreme_rays(fan_x, cone_x, fan_y, cone_y):
     More than MAX_CELL_SUBSETS facet subsets raise InvalidInputError before
     any enumeration."""
     n = fan_x.dim
-    funcs = tuple(dict.fromkeys(
-        primitive(_facet_functional(fan, cone, k))
-        for fan, cone in ((fan_x, cone_x), (fan_y, cone_y)) for k in range(n)
-    ))
+    ux = [_facet_functional(fan_x, cone_x, k) for k in range(n)]
+    uy = [_facet_functional(fan_y, cone_y, k) for k in range(n)]
+    funcs = tuple(dict.fromkeys(primitive(u) for u in ux + uy))
     count = comb(len(funcs), n - 1)
     if count > MAX_CELL_SUBSETS:
         raise InvalidInputError(
             f"cell walk over {count} facet subsets exceeds the limit {MAX_CELL_SUBSETS}"
         )
+    # a facet functional of one cone that is <= 0 on every ray of the other
+    # confines the intersection to its hyperplane
+    rx, ry = fan_x.ray_matrix(cone_x), fan_y.ray_matrix(cone_y)
+    if any(all(dot(u, r) <= 0 for r in ry) for u in ux) or any(
+        all(dot(u, r) <= 0 for r in rx) for u in uy
+    ):
+        return ()
     found = {}
     for sub in combinations(funcs, n - 1):
         v = cofactor_kernel(sub)
@@ -167,8 +181,10 @@ def _same_rays_and_coeffs(pair_x, pair_y):
     if kx != ky:
         raise InvalidInputError("supports differ")
     if kx == "cone-supported":
-        ok = all(in_support(fy, r) for r in fx.rays) and all(
-            in_support(fx, r) for r in fy.rays
+        # a fan's own ray is in its support: test only the other fan's rays
+        ox, oy = set(fx.rays), set(fy.rays)
+        ok = all(in_support(fy, r) for r in fx.rays if r not in oy) and all(
+            in_support(fx, r) for r in fy.rays if r not in ox
         )
         if not ok:
             raise InvalidInputError("supports differ")

@@ -9,6 +9,9 @@ from toricmmp import fan as fan_module
 from toricmmp.errors import InvalidInputError
 from toricmmp.fan import (
     Fan,
+    _Subdivision,
+    _facet_map,
+    _walk_star,
     fans_equal,
     in_support,
     is_complete,
@@ -346,6 +349,17 @@ def test_star_subdivision_errors():
         star_subdivision(ORTHANT2, (-1, 1))  # outside support
 
 
+# complete, and of kind "other": two opposite orthants meeting at the origin
+P3 = make_fan(
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+    [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+)
+OPPOSITE3 = make_fan(
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
+    [(0, 1, 2), (3, 4, 5)],
+)
+
+
 def test_star_subdivision_preserves_support_random():
     rng = random.Random(2718)
     for fan in [ORTHANT3, ATIYAH_X]:
@@ -362,6 +376,40 @@ def test_star_subdivision_preserves_support_random():
                 for j in range(fan.dim)
             )
             assert in_support(f, p)
+    # points inside cones, on walls and on boundary facets: the public
+    # subdivision, a fast-validated rebuild of its cones, and the local
+    # state of the extraction loop all give the same fan, cone order and
+    # support kind
+    kinds = Counter()
+    for fan in [ORTHANT3, ATIYAH_X, P3, OPPOSITE3]:
+        for _ in range(25):
+            cone = fan.max_cones[rng.randrange(len(fan.max_cones))]
+            coeffs = [rng.randint(0, 2) for _ in cone]
+            if sum(map(bool, coeffs)) < 2:
+                continue  # zero or a ray multiple
+            w = primitive(tuple(
+                sum(c * fan.rays[i][j] for c, i in zip(coeffs, cone))
+                for j in range(fan.dim)
+            ))
+            f = star_subdivision(fan, w)
+            assert f == make_fan(f.rays, f.max_cones, validate="fast")
+            sub = _Subdivision(fan)
+            sub.subdivide(cone, w)
+            assert sub.fan() == f
+            kinds[f.support_kind] += 1
+    assert set(kinds) == {"complete", "cone-supported", "other"}, kinds
+    # two 4-cones meeting only in the face (e1, e2): a valid fan of kind
+    # "other" whose star at e1 + e2 is not reached by walking across facets
+    pinched = make_fan(
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, 0), (0, 0, 0, -1)],
+        [(0, 1, 2, 3), (0, 1, 4, 5)],
+    )
+    facets = {f: [pinched.max_cones[i] for i in cs] for f, cs in _facet_map(pinched).items()}
+    assert _walk_star(facets, (0, 1, 2, 3), {0, 1}) == {(0, 1, 2, 3)}
+    sub = _Subdivision(pinched)
+    sub.subdivide((0, 1, 2, 3), (1, 1, 0, 0))
+    assert sub.fan() == star_subdivision(pinched, (1, 1, 0, 0))
+    assert len(sub.fan().max_cones) == 4
 
 
 def test_fans_equal_permutation_invariance():

@@ -2,13 +2,23 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 
+from toricmmp import fan as fan_module
+from toricmmp import mmp as mmp_module
 from toricmmp.errors import InvalidInputError
-from toricmmp.fan import fans_equal
-from toricmmp.lattice import det, mat_rank
+from toricmmp.fan import (
+    _facet_map,
+    _scan_star,
+    _walk_star,
+    fans_equal,
+    make_fan,
+    star_subdivision,
+)
+from toricmmp.lattice import det, mat_rank, primitive
 from toricmmp.mckay import (
     MAX_GROUP_DIM,
     boundary_divisor_pair,
@@ -22,6 +32,8 @@ from toricmmp.mckay import (
     quotient_pair,
     stack_rank,
 )
+from toricmmp.mmp import _extraction_pairs, terminalize
+from toricmmp.pairs import min_discrepancy_witness
 
 F = Fraction
 
@@ -361,3 +373,90 @@ def test_group_lattice_contains_integers():
         for i in range(n):
             e = tuple(int(i == j) for j in range(n))
             assert B.contains(e)
+
+
+def test_lattice_coords_match_fraction_coords():
+    # quotient_pair's axis rays and hj_resolution's rays in integer lattice
+    # coordinates, against LatticeBasis.coords in Fraction arithmetic
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.choice([2, 3, 4])
+        gens = []
+        for _ in range(rng.choice([1, 2])):
+            r = rng.randrange(1, 13)
+            gens.append((r, tuple(rng.randrange(r) for _ in range(n))))
+        G = make_group(n, gens)
+        B = group_lattice(G)
+        axes = [B.coords(tuple(int(i == j) for j in range(n))) for i in range(n)]
+        assert quotient_pair(G).fan.rays == tuple(primitive(x) for x in axes)
+    for r in range(2, 31):
+        for a in range(1, r):
+            if gcd(r, a) != 1:
+                continue
+            B = group_lattice(make_group(2, [(r, (1, a))]))
+            boundary = [(F(0), F(1)), (F(1, r), F(a, r))]
+            fan, chain = hj_resolution(r, a)
+            for b in chain:
+                (x0, y0), (x1, y1) = boundary[-2:]
+                boundary.append((-b * x1 - x0, -b * y1 - y0))
+            assert fan.rays == tuple(tuple(int(x) for x in B.coords(p)) for p in boundary)
+
+
+def _stack_rank_oracle(pair):
+    # from scratch: |det| of the scaled rows m_i v_i, m_i = 1 / (1 - d_i)
+    ms = [int(1 / (1 - d)) for d in pair.coeffs]
+    return sum(
+        abs(det([[ms[i] * x for x in pair.fan.rays[i]] for i in cone]))
+        for cone in pair.fan.max_cones
+    )
+
+
+def test_extraction_loop_matches_from_scratch_rebuild():
+    """At every step of the incremental extraction loop: the fan equals a
+    fast-validated rebuild and the public star subdivision (cone order and
+    support kind included), the witness equals min_discrepancy_witness,
+    the walked star equals the barycentric scan from each of its cones, and
+    the pipeline's incremental stack rank equals a from-scratch count."""
+    groups = {}
+    for r in range(2, 9):
+        for ws in product(range(r), repeat=3):
+            G = make_group(3, [(r, ws)])
+            groups.setdefault(group_lattice(G).rows, G)
+    groups = list(groups.values()) + [make_group(3, [(101, (1, 17, 83))])]
+    steps = 0
+    for G in groups:
+        X = prev = quotient_pair(G)
+        pairs = []
+        for st, cur in _extraction_pairs(X):
+            fan = cur.fan
+            assert fan == make_fan(fan.rays, fan.max_cones, validate="fast")
+            assert fan == star_subdivision(prev.fan, st.ray)
+            assert cur.coeffs == prev.coeffs + (0,) and cur.lattice == X.lattice
+            assert (st.psi_value, st.ray) == min_discrepancy_witness(prev)
+            split = _scan_star(prev.fan, st.ray)
+            facets = {
+                f: [prev.fan.max_cones[i] for i in cs]
+                for f, cs in _facet_map(prev.fan).items()
+            }
+            for cone, face in split:
+                assert _walk_star(facets, cone, face) == {c for c, _ in split}
+            pairs.append(cur)
+            prev = cur
+        steps += len(pairs)
+        ranks = [e.rank_after for e in mckay_pipeline(G).ledger if e.kind == "extraction"]
+        assert ranks == [_stack_rank_oracle(p) for p in pairs]
+    assert len(groups) > 300 and steps > 500, (len(groups), steps)
+
+
+def test_terminalize_builds_no_fan_from_scratch(monkeypatch):
+    X = quotient_pair(make_group(3, [(101, (1, 17, 83))]))
+    calls = []
+    for module in (fan_module, mmp_module):
+        def counted(*args, _make_fan=module.make_fan, **kwargs):
+            calls.append(args)
+            return _make_fan(*args, **kwargs)
+
+        monkeypatch.setattr(module, "make_fan", counted)
+    _, steps = terminalize(X)
+    assert len(steps) == 50
+    assert calls == []

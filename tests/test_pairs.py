@@ -2,14 +2,17 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from corpus import flop_case
+from toricmmp import pairs as pairs_module
 from toricmmp.errors import InvalidInputError
-from toricmmp.fan import in_support, make_fan, star_subdivision
-from toricmmp.lattice import det, primitive
+from toricmmp.fan import _facet_functional, in_support, make_fan, star_subdivision
+from toricmmp.lattice import cofactor_kernel, det, dot, mat_rank, primitive
 from toricmmp.mckay import group_lattice, make_group, quotient_pair
 from toricmmp.mmp import _extraction_pairs
 from toricmmp.pairs import (
@@ -292,6 +295,60 @@ def test_cell_extreme_rays_overlap():
     # lower-dimensional intersection reports empty
     fan3 = make_fan([(1, -1), (-1, -1)], [(0, 1)], validate="fast")
     assert cell_extreme_rays(ORTHANT2, (0, 1), fan3, (0, 1)) == ()
+
+
+def unfiltered_cell_extreme_rays(fan_x, cone_x, fan_y, cone_y):
+    """cell_extreme_rays without its pre-filter: the walk over every
+    (n-1)-subset of the two cones' facet functionals."""
+    n = fan_x.dim
+    funcs = tuple(dict.fromkeys(
+        primitive(_facet_functional(fan, cone, k))
+        for fan, cone in ((fan_x, cone_x), (fan_y, cone_y)) for k in range(n)
+    ))
+    found = set()
+    for sub in combinations(funcs, n - 1):
+        v = cofactor_kernel(sub)
+        signs = [dot(v, f) for f in funcs]
+        if any(v) and all(s >= 0 for s in signs):
+            found.add(primitive(v))
+        elif any(v) and all(s <= 0 for s in signs):
+            found.add(primitive([-x for x in v]))
+    if len(found) < n or mat_rank(list(found)) < n:
+        return ()
+    return tuple(sorted(found))
+
+
+def test_cell_extreme_rays_prefilter_matches_unfiltered_walk(monkeypatch):
+    walks = []
+    real_kernel = pairs_module.cofactor_kernel
+
+    def counted(rows):
+        walks.append(rows)
+        return real_kernel(rows)
+
+    monkeypatch.setattr(pairs_module, "cofactor_kernel", counted)
+    cases = []
+    for seed in range(6):
+        px, py, _ = flop_case(seed)
+        cases += [(px.fan, cx, py.fan, cy)
+                  for cx in px.fan.max_cones for cy in py.fan.max_cones]
+    rng = random.Random(4242)
+    while len(cases) < 800:
+        dim = rng.choice([2, 3, 4])
+        fans = []
+        while len(fans) < 2:
+            rays = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(dim)]
+            if det(rays) != 0:
+                rays = [primitive(r) for r in rays]
+                fans.append(make_fan(rays, [tuple(range(dim))], validate="fast"))
+        cases.append((fans[0], tuple(range(dim)), fans[1], tuple(range(dim))))
+    verdicts = Counter()
+    for fx, cx, fy, cy in cases:
+        walks.clear()
+        got = cell_extreme_rays(fx, cx, fy, cy)
+        assert got == unfiltered_cell_extreme_rays(fx, cx, fy, cy)
+        verdicts["nonempty" if got else "walked" if walks else "filtered"] += 1
+    assert all(verdicts[v] >= 20 for v in ("nonempty", "walked", "filtered")), verdicts
 
 
 # ------------------------------------------------------------- k_compare
