@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError
@@ -357,43 +358,38 @@ def _walk_star(facets, cone, face):
 def star_subdivision(fan, w):
     """Insert primitive(w) as a new ray; every maximal cone containing it is
     replaced by the joins of w with its facets not containing w."""
-    wp = primitive(w)
-    if wp in fan.rays:
-        raise InvalidInputError(f"{wp} is already a ray")
-    split = _scan_star(fan, wp)
-    if not split:
-        raise InvalidInputError(f"{wp} is outside the fan support")
-    w_idx = len(fan.rays)
-    gone = {cone for cone, _ in split}
-    new_cones = [c for c in fan.max_cones if c not in gone]
-    for cone, face in split:
-        new_cones += _joins(cone, face, w_idx)
-    return make_fan(fan.rays + (wp,), new_cones, validate="fast")
+    sub = _Subdivision(fan)
+    sub.subdivide(primitive(w))
+    return sub.fan()
 
 
 class _Subdivision:
-    """A fan under repeated star subdivision, held as local state so that a
-    step costs the cones around its new ray, not the whole fan: the facet
-    map, and the cone order as dict order (kept cones stay in place, new
-    ones are appended, as in star_subdivision).
+    """A fan under repeated star subdivision, held as local state: the facet
+    map, and the maximal cones with their insertion numbers, whose order is
+    the cone order (kept cones stay in place, new ones are appended).
 
-    A step walks from a cone holding the new ray to its star, and applies
-    make_fan's fast checks to exactly the facets it touched: new cones are
-    simplicial, a facet lies in at most two cones with their apexes on
-    opposite sides, and a new boundary facet keeps the support kind (there
-    is none in a complete fan, and it is >= 0 on every ray in a
+    A step finds the star of its new ray, replaces it by the joins, and
+    applies make_fan's fast checks to exactly the facets it touched: new
+    cones are simplicial, a facet lies in at most two cones with their
+    apexes on opposite sides, and a new boundary facet keeps the support
+    kind (there is none in a complete fan, and it is >= 0 on every ray in a
     cone-supported one).  A star subdivision at a point of the support
     keeps the kind and the wall-graph connectivity of a valid fan, so no
-    other facet needs a look.  The walk reaches the whole star where the
-    link of a face is connected, as in complete and cone-supported fans; a
-    fan of kind "other" may be pinched along a face, so there the star is
-    the barycentric scan.
+    other facet needs a look.  Given a cone holding the new ray, the star
+    is walked from it across the facets that contain the face carrying the
+    ray, so finding, replacing and checking it cost the cones around the
+    ray; fan() copies the cone tuple.  The walk reaches the whole star
+    where the link of a face is connected, as in complete and
+    cone-supported fans; a fan of kind "other" may be pinched along a
+    face, so there, and without a cone, the star is the barycentric scan
+    of every cone.
     """
 
     def __init__(self, fan):
         self.dim, self.kind = fan.dim, fan.support_kind
         self.rays = list(fan.rays)
-        self.cones = dict.fromkeys(fan.max_cones)
+        self.order = count()
+        self.max_cones = dict(zip(fan.max_cones, self.order))
         self.facets = {
             f: [fan.max_cones[i] for i in cs] for f, cs in _facet_map(fan).items()
         }
@@ -402,24 +398,27 @@ class _Subdivision:
         return tuple(self.rays[i] for i in cone)
 
     def fan(self):
-        return Fan(self.dim, tuple(self.rays), tuple(self.cones), self.kind)
+        return Fan(self.dim, tuple(self.rays), tuple(self.max_cones), self.kind)
 
-    def subdivide(self, cone, w):
-        """Insert the primitive point w of cone as a new ray, as
-        star_subdivision does; returns the cones it creates."""
+    def subdivide(self, w, cone=None):
+        """Insert the primitive vector w as a new ray, as star_subdivision
+        does, walking the star from cone if one holding w is given; returns
+        (the cones it removes, the cones it creates)."""
         if w in self.rays:
             raise InvalidInputError(f"{w} is already a ray")
-        if self.kind == "other":
-            star = _scan_star(self.fan(), w)
+        if cone is None or self.kind == "other":
+            star = _scan_star(self, w)
+            if not star:
+                raise InvalidInputError(f"{w} is outside the fan support")
         else:
             face = _face(cone, _barycentric(self, cone, w))
             walked = _walk_star(self.facets, cone, face)
-            star = [(c, face) for c in self.cones if c in walked]
+            star = [(c, face) for c in sorted(walked, key=self.max_cones.__getitem__)]
         w_idx = len(self.rays)
         self.rays.append(w)
         change = {}
         for c, _ in star:
-            del self.cones[c]
+            del self.max_cones[c]
             for k in range(self.dim):
                 f = c[:k] + c[k + 1:]
                 self.facets[f].remove(c)
@@ -428,7 +427,7 @@ class _Subdivision:
         for c in new:
             if adjugate(self.ray_matrix(c))[1] == 0:
                 raise InvalidInputError(f"cone {c} is not simplicial")
-            self.cones[c] = None
+            self.max_cones[c] = next(self.order)
             for k in range(self.dim):
                 f = c[:k] + c[k + 1:]
                 self.facets.setdefault(f, []).append(c)
@@ -443,7 +442,7 @@ class _Subdivision:
                 del self.facets[f]
             elif delta and not self._keeps_kind(f, cs[0]):
                 raise EngineInvariantError("star subdivision changed the support kind")
-        return new
+        return [c for c, _ in star], new
 
     def _keeps_kind(self, facet, cone):
         """May facet, newly on the boundary in cone, lie on the boundary?"""

@@ -7,7 +7,7 @@ terminalizes, drops the quasi-reflection boundary, runs the relative MMP,
 and records one ledger entry per step with the exact stack-rank change.
 Each entry is built from the pair the engine itself stepped to; no step
 is replayed, and an extraction's rank is updated from the cones it
-replaced alone.  The ranks telescope: the order of the acting group equals
+removed and created alone.  The ranks telescope: the order of the acting group equals
 the rank of the final model plus the total rank spent along the way.
 """
 
@@ -228,13 +228,10 @@ def _pipeline_steps(X, rank):
     steps recount stack_rank."""
     work = X
     ms = _standard_multiplicities(X)
-    cones = set(X.fan.max_cones)
-    for st, nxt in _extraction_pairs(X):
+    for st, work, gone, new in _extraction_pairs(X):
         ms.append(1)
-        after = set(nxt.fan.max_cones)
-        rank += sum(_cone_rank(nxt.fan, c, ms) for c in after - cones)
-        rank -= sum(_cone_rank(work.fan, c, ms) for c in cones - after)
-        work, cones = nxt, after
+        rank += sum(_cone_rank(work.fan, c, ms) for c in new)
+        rank -= sum(_cone_rank(work.fan, c, ms) for c in gone)
         yield "extraction", st.ray, work, rank, st.psi_value, None
     for i in range(len(work.fan.rays)):
         if work.coeffs[i] == 0:

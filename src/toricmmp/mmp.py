@@ -403,9 +403,9 @@ def _sweep(pair_x, pair_y, ample_x, ample_y):
 
 
 def _collect(pair, stepped):
-    """(last pair, steps) from a generator of (step, pair after step)."""
+    """(last pair, steps) from a generator of (step, pair after step, ...)."""
     steps = []
-    for step, pair in stepped:
+    for step, pair, *_ in stepped:
         steps.append(step)
     return pair, tuple(steps)
 
@@ -490,14 +490,17 @@ def terminalize(pair):
 
 
 def _extraction_pairs(pair):
-    """The steps of terminalize, each yielded with the pair it leaves.
+    """The steps of terminalize, each yielded with the pair it leaves and
+    the cones it removed and created.
 
     One local state lives across the steps: the fan under star subdivision
-    (fan._Subdivision, which walks to the star of each new ray and checks
-    only the facets a step touched) and a heap of per-cone witness minima,
-    in which a cone's entry goes stale when the cone is subdivided.  A new
-    ray has coefficient zero, so psi and its scale never change on old
-    rays, and a step scores only the cones it creates."""
+    (fan._Subdivision, which walks to the star of each new ray from the
+    witness cone and checks only the facets a step touched) and a heap of
+    per-cone witness minima, in which a cone's entry goes stale when the
+    cone is subdivided.  A new ray has coefficient zero, so psi and its
+    scale never change on old rays, and a step scores only the cones it
+    creates.  Building the yielded pair copies the cone tuple, the one
+    part of a step that grows with the fan."""
     sub = _Subdivision(pair.fan)
     scaled, L = _scaled_psi(pair)
     heap = []
@@ -512,7 +515,7 @@ def _extraction_pairs(pair):
     coeffs = pair.coeffs
     budget = 10 * len(pair.fan.rays) ** 2
     while True:
-        while heap and heap[0][2] not in sub.cones:
+        while heap and heap[0][2] not in sub.max_cones:
             heappop(heap)
         if not heap or heap[0][0] > 1:
             return
@@ -522,6 +525,8 @@ def _extraction_pairs(pair):
         val, pt, cone = heap[0]
         w = primitive(pt)
         scaled.append(L)
-        score(sub.subdivide(cone, w))
+        gone, new = sub.subdivide(w, cone)
+        score(new)
         coeffs += (Fraction(0),)
-        yield ExtractionStep(ray=w, psi_value=val), ToricPair(sub.fan(), coeffs, pair.lattice)
+        step = ExtractionStep(ray=w, psi_value=val)
+        yield step, ToricPair(sub.fan(), coeffs, pair.lattice), gone, new

@@ -377,9 +377,9 @@ def test_star_subdivision_preserves_support_random():
             )
             assert in_support(f, p)
     # points inside cones, on walls and on boundary facets: the public
-    # subdivision, a fast-validated rebuild of its cones, and the local
-    # state of the extraction loop all give the same fan, cone order and
-    # support kind
+    # subdivision (a barycentric scan), a fast-validated rebuild of its
+    # cones, and the star walked from one cone as in the extraction loop
+    # all give the same fan, cone order and support kind
     kinds = Counter()
     for fan in [ORTHANT3, ATIYAH_X, P3, OPPOSITE3]:
         for _ in range(25):
@@ -394,7 +394,7 @@ def test_star_subdivision_preserves_support_random():
             f = star_subdivision(fan, w)
             assert f == make_fan(f.rays, f.max_cones, validate="fast")
             sub = _Subdivision(fan)
-            sub.subdivide(cone, w)
+            sub.subdivide(w, cone)
             assert sub.fan() == f
             kinds[f.support_kind] += 1
     assert set(kinds) == {"complete", "cone-supported", "other"}, kinds
@@ -407,9 +407,10 @@ def test_star_subdivision_preserves_support_random():
     facets = {f: [pinched.max_cones[i] for i in cs] for f, cs in _facet_map(pinched).items()}
     assert _walk_star(facets, (0, 1, 2, 3), {0, 1}) == {(0, 1, 2, 3)}
     sub = _Subdivision(pinched)
-    sub.subdivide((0, 1, 2, 3), (1, 1, 0, 0))
+    sub.subdivide((1, 1, 0, 0), (0, 1, 2, 3))
+    joins = [(1, 2, 3, 6), (0, 2, 3, 6), (1, 4, 5, 6), (0, 4, 5, 6)]
+    assert sub.fan() == make_fan(pinched.rays + ((1, 1, 0, 0),), joins, validate="fast")
     assert sub.fan() == star_subdivision(pinched, (1, 1, 0, 0))
-    assert len(sub.fan().max_cones) == 4
 
 
 def test_fans_equal_permutation_invariance():

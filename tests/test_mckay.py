@@ -427,7 +427,7 @@ def test_extraction_loop_matches_from_scratch_rebuild():
     for G in groups:
         X = prev = quotient_pair(G)
         pairs = []
-        for st, cur in _extraction_pairs(X):
+        for st, cur, gone, new in _extraction_pairs(X):
             fan = cur.fan
             assert fan == make_fan(fan.rays, fan.max_cones, validate="fast")
             assert fan == star_subdivision(prev.fan, st.ray)
@@ -440,6 +440,8 @@ def test_extraction_loop_matches_from_scratch_rebuild():
             }
             for cone, face in split:
                 assert _walk_star(facets, cone, face) == {c for c, _ in split}
+            assert gone == [c for c, _ in split]
+            assert set(prev.fan.max_cones) - set(gone) | set(new) == set(fan.max_cones)
             pairs.append(cur)
             prev = cur
         steps += len(pairs)

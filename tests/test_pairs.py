@@ -211,7 +211,7 @@ def test_witness_matches_fraction_oracle():
             if key not in seen:
                 seen.add(key)
                 X = quotient_pair(G)
-                pairs += [X] + [p for _, p in _extraction_pairs(X)]
+                pairs += [X] + [p for _, p, _, _ in _extraction_pairs(X)]
     pairs += [
         quotient_pair(make_group(3, [(25, (1, 10, 22))])),
         quotient_pair(make_group(3, [(8, (3, 6, 1)), (5, (0, 0, 1))])),
