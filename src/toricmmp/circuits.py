@@ -51,9 +51,14 @@ def _circuit_coeffs(vectors, apex_positions):
 
 def wall_relation(fan, wall):
     """The normalized circuit relation across a wall of the fan."""
-    circuit = tuple(sorted(wall.shared + (wall.apex_a, wall.apex_b)))
-    vectors = tuple(fan.rays[i] for i in circuit)
-    positions = (circuit.index(wall.apex_a), circuit.index(wall.apex_b))
+    return _relation(fan.rays, wall.shared, wall.apex_a, wall.apex_b)
+
+
+def _relation(rays, shared, apex_a, apex_b):
+    """wall_relation of the wall with these shared rays and apexes."""
+    circuit = tuple(sorted(shared + (apex_a, apex_b)))
+    vectors = tuple(rays[i] for i in circuit)
+    positions = (circuit.index(apex_a), circuit.index(apex_b))
     coeffs = _circuit_coeffs(vectors, positions)
     return WallRelation(
         ray_indices=circuit,

@@ -364,25 +364,35 @@ def star_subdivision(fan, w):
 
 
 class _Subdivision:
-    """A fan under repeated star subdivision, held as local state: the facet
-    map, and the maximal cones with their insertion numbers, whose order is
-    the cone order (kept cones stay in place, new ones are appended).
+    """A fan under repeated star subdivisions and bistellar flips, held as
+    local state: the facet map, and the maximal cones with their insertion
+    numbers, whose order is the cone order (kept cones stay in place, new
+    ones are appended).
 
-    A step finds the star of its new ray, replaces it by the joins, and
-    applies make_fan's fast checks to exactly the facets it touched: new
-    cones are simplicial, a facet lies in at most two cones with their
-    apexes on opposite sides, and a new boundary facet keeps the support
-    kind (there is none in a complete fan, and it is >= 0 on every ray in a
-    cone-supported one).  A star subdivision at a point of the support
-    keeps the kind and the wall-graph connectivity of a valid fan, so no
-    other facet needs a look.  Given a cone holding the new ray, the star
-    is walked from it across the facets that contain the face carrying the
+    A step replaces some cones by others and applies make_fan's fast checks
+    to exactly the facets it touched: new cones are simplicial and new, a
+    facet lies in at most two cones with their apexes on opposite sides,
+    and a new boundary facet keeps the support kind (there is none in a
+    complete fan, and it is >= 0 on every ray in a cone-supported one).
+    Both steps keep the support of a valid fan and replace a connected set
+    of cones by a connected one; an outer facet a flip changes becomes a
+    new boundary facet, which the kind check covers.  So the kind and the
+    wall-graph connectivity hold without a look at any other facet.
+
+    subdivide inserts a ray.  Given a cone holding it, the star is walked
+    from that cone across the facets that contain the face carrying the
     ray, so finding, replacing and checking it cost the cones around the
-    ray; fan() copies the cone tuple.  The walk reaches the whole star
-    where the link of a face is connected, as in complete and
-    cone-supported fans; a fan of kind "other" may be pinched along a
-    face, so there, and without a cone, the star is the barycentric scan
-    of every cone.
+    ray.  The walk reaches the whole star where the link of a face is
+    connected, as in complete and cone-supported fans; a fan of kind
+    "other" may be pinched along a face, so there, and without a cone, the
+    star is the barycentric scan of every cone.
+
+    flip replaces the plus cones of a circuit by its minus cones, so it
+    costs the cones of the circuit.  Its kind check is what rejects a flip
+    of one wall of a circuit with a zero coefficient whose other walls keep
+    the old triangulation: that opens boundary facets inside the support.
+
+    fan() copies the cone tuple.
     """
 
     def __init__(self, fan):
@@ -416,15 +426,47 @@ class _Subdivision:
             star = [(c, face) for c in sorted(walked, key=self.max_cones.__getitem__)]
         w_idx = len(self.rays)
         self.rays.append(w)
+        gone = [c for c, _ in star]
+        new = [j for c, face in star for j in _joins(c, face, w_idx)]
+        self._replace(gone, new, "star subdivision")
+        return gone, new
+
+    def flip(self, rel, partial=False):
+        """The bistellar flip of the circuit relation rel (a wall relation
+        of this fan, from circuits): its plus cones, the circuit minus one
+        positive-coefficient ray, are replaced by its minus cones; returns
+        (the cones it removes, the cones it creates), or None when some plus
+        cone is missing (the circuit is not isolated).
+
+        A circuit with a zero coefficient whose nonzero rays span further
+        walls does not flip across one wall alone: those walls keep the old
+        triangulation, and the flip opens boundary facets inside the
+        support.  That raises EngineInvariantError, unless partial is set:
+        then the state becomes of kind "other", as make_fan classifies it.
+        """
+        circ = rel.ray_indices
+        plus = [tuple(i for i in circ if i != j) for j in rel.s_plus]
+        if any(c not in self.max_cones for c in plus):
+            return None
+        minus = [tuple(i for i in circ if i != j) for j in rel.s_minus]
+        self._replace(plus, minus, None if partial else "flip")
+        return plus, minus
+
+    def _replace(self, gone, new, what):
+        """Remove the cones gone, append the cones new, and apply make_fan's
+        fast checks to the facets that changed.  A new boundary facet that
+        the support kind forbids raises, naming the step what, or with no
+        name makes the kind "other"."""
         change = {}
-        for c, _ in star:
+        for c in gone:
             del self.max_cones[c]
             for k in range(self.dim):
                 f = c[:k] + c[k + 1:]
                 self.facets[f].remove(c)
                 change[f] = change.get(f, 0) - 1
-        new = [j for c, face in star for j in _joins(c, face, w_idx)]
         for c in new:
+            if c in self.max_cones:
+                raise InvalidInputError("duplicate maximal cones")
             if adjugate(self.ray_matrix(c))[1] == 0:
                 raise InvalidInputError(f"cone {c} is not simplicial")
             self.max_cones[c] = next(self.order)
@@ -441,8 +483,9 @@ class _Subdivision:
             elif not cs:
                 del self.facets[f]
             elif delta and not self._keeps_kind(f, cs[0]):
-                raise EngineInvariantError("star subdivision changed the support kind")
-        return [c for c, _ in star], new
+                if what:
+                    raise EngineInvariantError(f"{what} changed the support kind")
+                self.kind = "other"
 
     def _keeps_kind(self, facet, cone):
         """May facet, newly on the boundary in cone, lie on the boundary?"""

@@ -315,16 +315,22 @@ class LatticeBasis:
     def from_rows(cls, rows):
         """Canonical basis of the lattice generated by the given rational rows."""
         rows = [tuple(Fraction(x) for x in row) for row in rows]
+        den = lcm(*(x.denominator for row in rows for x in row))
+        return cls._from_numerators([[int(x * den) for x in row] for row in rows], den)
+
+    @classmethod
+    def _from_numerators(cls, rows, den):
+        """from_rows of the rows num / den, given as integer numerators num
+        over any common positive denominator den: the Hermite form of a
+        scaled lattice is the scaled Hermite form, so the rows are the same."""
         if not rows:
             raise InvalidInputError("no generators given")
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise InvalidInputError("generators of mixed dimension")
-        den = lcm(*(x.denominator for row in rows for x in row))
         # one reversed Hermite pass: its nonzero rows, reversed back, are
         # the unique lower-triangular Hermite form of the lattice
-        scaled = _reverse_both([[int(x * den) for x in row] for row in rows])
-        ech = [row for row in _hnf_upper(scaled)[0] if any(row)]
+        ech = [row for row in _hnf_upper(_reverse_both(rows))[0] if any(row)]
         if len(ech) != n:
             raise InvalidInputError("generators do not span a full-rank lattice")
         low = _reverse_both(ech)

@@ -78,11 +78,12 @@ def make_group(n, gens):
 
 
 def group_lattice(G):
-    """The overlattice Z^n + sum Z (1/r)(w_1..w_n), as a canonical basis."""
-    rows = [tuple(row) for row in mat_identity(G.n)]
-    for r, ws in G.gens:
-        rows.append(tuple(Fraction(w, r) for w in ws))
-    return LatticeBasis.from_rows(rows)
+    """The overlattice Z^n + sum Z (1/r)(w_1..w_n), as a canonical basis,
+    reduced from integer numerators over the lcm of the orders."""
+    den = lcm(*(r for r, _ in G.gens))
+    rows = [[den * x for x in row] for row in mat_identity(G.n)]
+    rows += [[w * (den // r) for w in ws] for r, ws in G.gens]
+    return LatticeBasis._from_numerators(rows, den)
 
 
 def _lattice_order(B):

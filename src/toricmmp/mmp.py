@@ -7,16 +7,20 @@ terminalization by repeated discrepancy-one-or-less extractions.  All
 scheduling ties are broken by a symbolic infinitesimal perturbation or by
 explicit lexicographic rules, so every run is deterministic.
 
-Terminalization keeps one local state across its steps instead of
-rebuilding and rescanning the fan: a star subdivision touches only the
-cones around its new ray, and only those are checked and scored.
+Terminalization and the flop sweep each keep one local state across
+their steps (fan._Subdivision) instead of rebuilding and rescanning the
+fan: a star subdivision touches only the cones around its new ray, a flip
+only the cones of its circuit, and only those are checked and scored.
+Every flip, in every engine, is one step of that state; none rebuilds the
+fan with make_fan.
 """
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import lcm
 from typing import NamedTuple
 
-from .circuits import _relations, classify, defect, wall_relation
+from .circuits import _relation, _relations, classify, defect, wall_relation
 from .errors import (
     BudgetExceededError,
     EngineInvariantError,
@@ -44,7 +48,6 @@ from .pairs import (
     _scaled_psi,
     k_equivalent,
     make_pair,
-    psi_heights,
 )
 
 
@@ -81,9 +84,14 @@ def ample_heights(fan):
 
     In standard form over y = (h + 1, t) >= 0: one row t - defect_w(y - 1)
     <= 0 per wall, in walls() order, then the caps y_i <= 2 and t <= 1."""
-    n_rays = len(fan.rays)
+    return _ample_heights(len(fan.rays), (rel for _, rel in _relations(fan)))
+
+
+def _ample_heights(n_rays, rels):
+    """ample_heights of a fan with n_rays rays and these wall relations,
+    in walls() order."""
     A, b = [], []
-    for _, rel in _relations(fan):
+    for rel in rels:
         row = [0] * (n_rays + 1)
         for i, a in zip(rel.ray_indices, rel.coeffs):
             row[i] = -a
@@ -100,13 +108,15 @@ def ample_heights(fan):
     return tuple(v - 1 for v in y[:n_rays])
 
 
-def _checked_convex_heights(fan, given, label):
+def _checked_convex_heights(n_rays, rels, given, label):
+    """The given heights, checked strictly convex across the wall relations
+    rels (in walls() order), or ample heights when none are given."""
     if given is None:
-        return ample_heights(fan)
+        return _ample_heights(n_rays, rels)
     hs = tuple(Fraction(h) for h in given)
-    if len(hs) != len(fan.rays):
+    if len(hs) != n_rays:
         raise InvalidInputError(f"{label}: one height per ray required")
-    if any(defect(rel, hs) <= 0 for _, rel in _relations(fan)):
+    if any(defect(rel, hs) <= 0 for rel in rels):
         raise InvalidInputError(f"{label}: heights are not strictly convex")
     return hs
 
@@ -114,28 +124,31 @@ def _checked_convex_heights(fan, given, label):
 # -------------------------------------------------------------- surgeries
 
 
-def _flipped(fan, rel):
+def _flipped(fan, rel, partial=False):
     """Fan after the bistellar move across rel, or None when some plus-side
-    cone of the circuit is missing (circuit not isolated)."""
-    circ = set(rel.ray_indices)
-    plus = {tuple(sorted(circ - {i})) for i in rel.s_plus}
-    if not plus <= set(fan.max_cones):
-        return None
-    minus = [tuple(sorted(circ - {j})) for j in rel.s_minus]
-    cones = [c for c in fan.max_cones if c not in plus] + minus
-    return make_fan(fan.rays, cones, validate="fast")
+    cone of the circuit is missing (circuit not isolated): one flip step of
+    fan._Subdivision, which checks only the facets the flip touched."""
+    sub = _Subdivision(fan)
+    return None if sub.flip(rel, partial) is None else sub.fan()
 
 
 def bistellar_flip(fan, wall):
     """Replace the plus-side cones of the wall circuit by the minus side.
 
     The wall must be of flipping type and its circuit isolated: every cone
-    spanned by the circuit minus one plus-ray is present in the fan.
+    spanned by the circuit minus one plus-ray is present in the fan.  The
+    flip must also keep the support kind: one wall of a circuit with a zero
+    coefficient whose nonzero rays span further walls does not flip alone,
+    since those walls keep the old triangulation.  That raises
+    InvalidInputError, as make_fan(validate="full") rejects the result.
     """
     rel = wall_relation(fan, wall)
     if classify(rel).kind != "flipping":
         raise InvalidInputError("wall is not of flipping type")
-    out = _flipped(fan, rel)
+    try:
+        out = _flipped(fan, rel)
+    except EngineInvariantError:
+        raise InvalidInputError("the flip across this wall changes the support kind") from None
     if out is None:
         raise InvalidInputError("wall circuit is not isolated")
     return out
@@ -213,7 +226,9 @@ def _negative_walls(fan, hmap):
 def _flips_to_convexity(fan, hmap, budget, focus):
     """Flip away negative-defect walls, most negative first.  With a focus
     ray only circuits through it are touched; stalled walls are left for
-    the global pass."""
+    the global pass.  Flips go wall by wall, so the two walls of a circuit
+    with a zero coefficient flip one after the other, and the fan between
+    them is of kind "other" (a partial flip)."""
     while True:
         cands = _negative_walls(fan, hmap)
         if focus is not None:
@@ -233,7 +248,7 @@ def _flips_to_convexity(fan, hmap, budget, focus):
                 raise InvalidInputError(
                     "fiber-type wall: heights have no lower hull over this support"
                 )
-            nxt = _flipped(fan, rel)
+            nxt = _flipped(fan, rel, partial=True)
             if nxt is None:
                 continue
             if budget == 0:
@@ -310,62 +325,117 @@ def flop_decompose(pair_x, pair_y, ample_x=None, ample_y=None):
     if not _same_rays_and_coeffs(pair_x, pair_y):
         raise NotKEquivalentError("pairs are not K-equivalent")
     try:
-        return _sweep(pair_x, pair_y, ample_x, ample_y)
+        return tuple(step for step, _, _ in _sweep(pair_x, pair_y, ample_x, ample_y))
     except ToricMmpError:
         if not k_equivalent(pair_x, pair_y):
             raise NotKEquivalentError("pairs are not K-equivalent") from None
         raise
 
 
+def _facet_relation(sub, facet):
+    """The wall relation across an interior facet of the local state sub."""
+    ca, cb = sub.facets[facet]
+    apex_a = next(i for i in ca if i not in facet)
+    apex_b = next(i for i in cb if i not in facet)
+    return _relation(sub.rays, facet, apex_a, apex_b)
+
+
+def _crosses(d1, coeffs):
+    """Is the perturbed target defect, d1 plus coefficient a_i on eps^(i+1),
+    negative?  Its sign is that of d1, or when d1 is 0 that of the first
+    nonzero coefficient (the coefficients follow ascending ray index)."""
+    return d1 < 0 or d1 == 0 and next(a for a in coeffs if a) < 0
+
+
+def _earlier(e, f):
+    """-1, 0 or 1 as the crossing time d0/q of event e is before, at or
+    after that of event f: exact cross-multiplication, constant terms
+    first, then the eps coefficients in order."""
+    a, b = e[0] * f[1], f[0] * e[1]
+    if a == b:
+        a, b = [e[0] * x for x in f[2]], [f[0] * x for x in e[2]]
+    return (a > b) - (a < b)
+
+
 def _sweep(pair_x, pair_y, ample_x, ample_y):
-    """flop_decompose's steps, with no K-equivalence check of its own."""
+    """The steps of flop_decompose, with no K-equivalence check of its own,
+    each yielded as (step, sub, walls) with the local state it leaves.
+
+    The state lives for the whole sweep: the fan under flips (sub, a
+    fan._Subdivision) and walls, which maps every interior facet to
+    [relation, event].  A flip changes the walls around one circuit only,
+    so only the facets of the cones it removed or created are rescored.
+
+    Events are integers.  h0 and h1 share one integer scale D, so a wall's
+    defects are d0 at t = 0 and d1 at t = 1.  The target heights carry a
+    symbolic tie-breaker eps^(i+1) on ray i, so the target defect is d1
+    plus the relation coefficient a_i on eps^(i+1); it is negative, and the
+    wall crosses, when d1 < 0, or d1 = 0 and the first nonzero coefficient
+    is negative.  A crossing wall's event is (d0, q, eps) with q = d0 - d1
+    and eps[i] = -a_i, its crossing time d0/q(eps); times compare by
+    cross-multiplication, lexicographically in eps (_earlier).  The next
+    event is the least by (crossing time, facet), and facet order is
+    walls() order.
+
+    Each circuit fires at most once.  Its perturbed defect is affine in t
+    and generic, so it is positive before its crossing time and negative
+    after it; once it has fired, no later fan of the sweep, which is
+    strictly convex for the current heights, has a wall with that relation.
+    So the events number at most the circuits among the rays, and the set
+    of fired (circuit rays, coefficients) is the sweep's bound: a repeat is
+    an invariant break, not an exhausted budget."""
     fx, fy = pair_x.fan, pair_y.fan
     n_rays = len(fx.rays)
-    h0 = _checked_convex_heights(fx, ample_x, "ampleX")
-    h1_y = _checked_convex_heights(fy, ample_y, "ampleY")
+    sub = _Subdivision(fx)
+    walls = {
+        f: [_facet_relation(sub, f), None]
+        for f in sorted(sub.facets) if len(sub.facets[f]) == 2
+    }
+    h0 = _checked_convex_heights(n_rays, (w[0] for w in walls.values()), ample_x, "ampleX")
+    h1_y = _checked_convex_heights(
+        len(fy.rays), (rel for _, rel in _relations(fy)), ample_y, "ampleY"
+    )
     pos_y = {v: i for i, v in enumerate(fy.rays)}
     h1 = tuple(h1_y[pos_y[v]] for v in fx.rays)
-    # The target heights carry a symbolic tie-breaker eps^(i+1) on ray i, so
-    # a defect is the list of its eps-power coefficients, constant term
-    # first, and compares with another by list order: lexicographic sign.
-    zero = [0] * (n_rays + 1)
-    psi = psi_heights(pair_x)
+    D = lcm(*(h.denominator for h in h0 + h1))
+    H0 = [h.numerator * (D // h.denominator) for h in h0]
+    H1 = [h.numerator * (D // h.denominator) for h in h1]
+    scaled, L = _scaled_psi(pair_x)
 
-    def cross(e, f):  # f's q scaled by e's d0: compares crossing times d0/q
-        return [e[0] * x for x in f[1]]
+    def event(rel):
+        d1 = defect(rel, H1)
+        if not _crosses(d1, rel.coeffs):
+            return None
+        d0 = defect(rel, H0)
+        if d0 <= 0:
+            raise EngineInvariantError("wall defect nonpositive before its event")
+        eps = [0] * n_rays
+        for i, a in zip(rel.ray_indices, rel.coeffs):
+            eps[i] = -a
+        return d0, d0 - d1, eps
 
-    cur = fx
-    steps = []
-    budget = 10 * n_rays * n_rays
+    for w in walls.values():
+        w[1] = event(w[0])
+    fired = set()
     while True:
-        events = []
-        for w, rel in _relations(cur):
-            d1 = [defect(rel, h1)] + [0] * n_rays
-            for i, a in zip(rel.ray_indices, rel.coeffs):
-                d1[i + 1] = a
-            if d1 >= zero:
-                continue  # never crosses zero before the target
-            d0 = Fraction(defect(rel, h0))
-            if d0 <= 0:
-                raise EngineInvariantError("wall defect nonpositive before its event")
-            q = [d0 - d1[0]] + [-x for x in d1[1:]]  # d0 - d1
-            events.append((d0, q, w, rel))
-        if not events:
+        best, tied = None, []
+        for f, (rel, ev) in walls.items():
+            if ev is None:
+                continue
+            c = -1 if best is None else _earlier(ev, best[2])
+            if c < 0:
+                best, tied = (f, rel, ev), [rel]
+            elif c == 0:
+                tied.append(rel)
+                if f < best[0]:
+                    best = (f, rel, ev)
+        if best is None:
             break
-        # crossing time d0/q: minimize by exact cross-multiplication
-        best = events[0]
-        for ev in events[1:]:
-            if cross(ev, best) < cross(best, ev):
-                best = ev
-        tied = [ev for ev in events if cross(ev, best) == cross(best, ev)]
-        signatures = {
-            (tuple(cur.rays[i] for i in ev[3].ray_indices), ev[3].coeffs)
-            for ev in tied
-        }
+        signatures = {(tuple(sub.rays[i] for i in r.ray_indices), r.coeffs) for r in tied}
         if len(signatures) > 1:
             raise EngineInvariantError("simultaneous events on distinct circuits")
-        d0, q, w, rel = best
-        k_defect = Fraction(defect(rel, psi))
+        facet, rel, (d0, q, _) = best
+        k_defect = Fraction(defect(rel, scaled), L)
         if k_defect != 0:
             raise EngineInvariantError(
                 f"event wall has discrepancy defect {k_defect}, expected 0"
@@ -375,28 +445,33 @@ def _sweep(pair_x, pair_y, ample_x, ample_y):
                 "event wall is not of flipping type: "
                 "inputs are not isomorphic in codimension one"
             )
-        nxt = _flipped(cur, rel)
-        if nxt is None:
+        changed = sub.flip(rel)
+        if changed is None:
             raise EngineInvariantError("event circuit is not isolated")
-        if budget == 0:
-            raise BudgetExceededError("flop step budget exhausted")
-        budget -= 1
-        event_time = d0 / q[0]
+        signature = signatures.pop()
+        if signature in fired:
+            raise EngineInvariantError("circuit fired twice in one sweep")
+        fired.add(signature)
+        event_time = Fraction(d0, q)
         if not 0 < event_time < 1:
             raise EngineInvariantError(f"event time {event_time} outside (0,1)")
-        steps.append(
-            FlopStep(
-                wall=tuple(cur.rays[i] for i in w.shared),
-                circuit=tuple(cur.rays[i] for i in rel.ray_indices),
-                coeffs=rel.coeffs,
-                event_time=event_time,
-                k_defect_check=k_defect,
-            )
+        step = FlopStep(
+            wall=tuple(sub.rays[i] for i in facet),
+            circuit=signature[0],
+            coeffs=rel.coeffs,
+            event_time=event_time,
+            k_defect_check=k_defect,
         )
-        cur = nxt
-    if not fans_equal(cur, fy):
+        touched = {c[:k] + c[k + 1:] for cones in changed for c in cones for k in range(sub.dim)}
+        for f in sorted(touched):
+            if len(sub.facets.get(f, ())) == 2:
+                r = _facet_relation(sub, f)
+                walls[f] = [r, event(r)]
+            else:
+                walls.pop(f, None)
+        yield step, sub, walls
+    if not fans_equal(sub.fan(), fy):
         raise EngineInvariantError("sweep exhausted before reaching the target fan")
-    return tuple(steps)
 
 
 # ------------------------------------------------------------ relative MMP
@@ -436,10 +511,10 @@ def _mmp_pairs(pair, base):
     cur = pair
     budget = 10 * len(fan.rays) ** 2
     while True:
-        psi = psi_heights(cur)
+        scaled, L = _scaled_psi(cur)  # defects d / L, scored as integers d
         cands = []
         for w, rel in _relations(cur.fan):
-            d = defect(rel, psi)
+            d = defect(rel, scaled)
             if d > 0:
                 apexes = tuple(sorted((cur.fan.rays[w.apex_a], cur.fan.rays[w.apex_b])))
                 cands.append((-d, apexes, w, rel))
@@ -474,7 +549,7 @@ def _mmp_pairs(pair, base):
             "flip" if removed is None else "divisorial",
             tuple(cur.fan.rays[i] for i in w.shared),
             tuple(cur.fan.rays[i] for i in rel.ray_indices),
-            rel.coeffs, -neg_d, removed, center,
+            rel.coeffs, Fraction(-neg_d, L), removed, center,
         )
         cur = make_pair(new_fan, coeffs, cur.lattice)
         yield step, cur

@@ -18,7 +18,7 @@ from toricmmp.fan import (
     make_fan,
     star_subdivision,
 )
-from toricmmp.lattice import det, mat_rank, primitive
+from toricmmp.lattice import LatticeBasis, det, mat_rank, primitive
 from toricmmp.mckay import (
     MAX_GROUP_DIM,
     boundary_divisor_pair,
@@ -373,6 +373,24 @@ def test_group_lattice_contains_integers():
         for i in range(n):
             e = tuple(int(i == j) for j in range(n))
             assert B.contains(e)
+
+
+def test_group_lattice_matches_fraction_rows():
+    # the integer path of group_lattice against LatticeBasis.from_rows on the
+    # Fraction generators (1/r)(w), with orders sharing and not sharing factors
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.choice([1, 2, 3, 4, 5])
+        gens = []
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            r = rng.choice([1, 2, 3, 4, 6, 7, 9, 12, 30, 101])
+            gens.append((r, tuple(rng.randrange(-r, 2 * r) for _ in range(n))))
+        G = make_group(n, gens)
+        rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        rows += [tuple(F(w, r) for w in ws) for r, ws in G.gens]
+        B = group_lattice(G)
+        assert B == LatticeBasis.from_rows(rows)
+        assert all(type(x) is F for row in B.rows for x in row)
 
 
 def test_lattice_coords_match_fraction_coords():

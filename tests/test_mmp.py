@@ -11,17 +11,20 @@ import pytest
 
 from corpus import flop_case, replay
 
-from toricmmp.circuits import classify, defect, wall_relation
+from toricmmp.circuits import _relations, classify, defect, wall_relation
 from toricmmp.errors import (
     EngineInvariantError,
     InvalidInputError,
     NonProjectiveError,
     NotKEquivalentError,
 )
-from toricmmp.fan import fans_equal, make_fan, walls
+from toricmmp import mmp as mmp_module
+from toricmmp.fan import _facet_map, _Subdivision, fans_equal, make_fan, walls
 from toricmmp.jsonio import dumps
 from toricmmp.lattice import det, mat_inv, primitive
 from toricmmp.mmp import (
+    _crosses,
+    _sweep,
     ample_heights,
     bistellar_flip,
     divisorial_contract,
@@ -153,6 +156,28 @@ def test_bistellar_flip_requires_isolated_circuit():
     assert classify(wall_relation(part, w)).kind == "flipping"
     with pytest.raises(InvalidInputError):
         bistellar_flip(part, w)
+
+
+def _boundary_facets(fan):
+    fm = _facet_map(fan)
+    return {frozenset(fan.rays[i] for i in f) for f, cs in fm.items() if len(cs) == 1}
+
+
+def test_bistellar_flip_retriangulates_the_boundary():
+    # corpus seed 7, first event: a circuit with a zero coefficient whose
+    # nonzero rays span a boundary face of the support, so the flip
+    # retriangulates that face; the boundary facets change, the support
+    # kind does not, and the result is a fan
+    px, py, _ = flop_case(7)
+    step = flop_decompose(px, py)[0]
+    assert 0 in step.coeffs
+    fan = px.fan
+    w = next(w for w in walls(fan) if {fan.rays[i] for i in w.shared} == set(step.wall))
+    out = bistellar_flip(fan, w)
+    assert _boundary_facets(out) != _boundary_facets(fan)
+    assert out.support_kind == fan.support_kind == "cone-supported"
+    full = make_fan(out.rays, out.max_cones, validate="full")
+    assert full.support_kind == "cone-supported"
 
 
 # ---------------------------------------------------------- contractions
@@ -328,6 +353,17 @@ TIED_X = [[0, 1, 2, 4], [0, 1, 4, 5], [0, 2, 3, 4], [0, 3, 4, 5]]
 TIED_Y = [[0, 1, 2, 3], [0, 1, 3, 5], [1, 2, 3, 5], [1, 2, 4, 5]]
 
 
+@pytest.mark.parametrize("shared", [(0, 2, 4), (0, 4, 5)])
+def test_bistellar_flip_rejects_one_wall_of_a_wider_circuit(shared):
+    # flipping one of the two walls alone would leave the other one on the
+    # old triangulation: cones that overlap, which full validation rejects
+    fan = make_fan(TIED_RAYS, TIED_X)
+    w = next(w for w in walls(fan) if w.shared == shared)
+    assert classify(wall_relation(fan, w)).kind == "flipping"
+    with pytest.raises(InvalidInputError, match="support kind"):
+        bistellar_flip(fan, w)
+
+
 @pytest.mark.xfail(
     strict=True, raises=EngineInvariantError,
     reason="one circuit seen from two walls is taken for simultaneous events",
@@ -424,6 +460,65 @@ def test_flop_decompose_matches_cell_walk_on_bumped_corpus():
             with pytest.raises(NotKEquivalentError, match="pairs are not K-equivalent"):
                 flop_decompose(px, py)
     assert 0 < sum(verdicts) < len(verdicts)  # both verdicts are exercised
+
+
+# sha256 over dumps(flop_decompose(...)) of corpus seeds 0-79, one line per
+# seed, recorded from the sweep that rebuilt the fan and rescanned every
+# wall at each event: the sweep on one local state takes the same steps
+FLOP_CORPUS_SHA256 = "dae1da6b38a1f1eaf6c51a5b5df45d299cfae059142104529246e9b20986810f"
+
+
+def test_flop_decompose_corpus_outputs_pinned():
+    h = hashlib.sha256()
+    for seed in range(80):
+        px, py, _ = flop_case(seed)
+        h.update((dumps(flop_decompose(px, py)) + "\n").encode())
+    assert h.hexdigest() == FLOP_CORPUS_SHA256
+
+
+def test_sweep_state_matches_rebuilt_fan(monkeypatch):
+    # after every event the state's facet -> relation map is the relation
+    # scan of the fully validated fan; no flip of the sweep rebuilds a fan
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep rebuilt a fan")
+
+    cases = [flop_case(seed)[:2] for seed in range(80)]
+    monkeypatch.setattr(mmp_module, "make_fan", forbidden)
+    events = 0
+    for seed, (px, py) in enumerate(cases):
+        for _, sub, walls_ in _sweep(px, py, None, None):
+            fan = make_fan(sub.rays, list(sub.max_cones), validate="full")
+            assert {f: w[0] for f, w in walls_.items()} == {
+                w.shared: rel for w, rel in _relations(fan)
+            }, seed
+            events += 1
+    assert events > 80
+
+
+def test_crossing_test_matches_the_perturbed_defect_vector():
+    # the target defect as the list of its eps-power coefficients, constant
+    # term first, negative in list order iff the wall crosses
+    rng = random.Random(41)
+    for _ in range(2000):
+        n_rays = rng.randrange(5, 9)
+        circuit = sorted(rng.sample(range(n_rays), rng.choice([4, 5])))
+        coeffs = [rng.choice([-2, -1, 0, 0, 1, 2]) for _ in circuit]
+        if not any(coeffs):
+            continue
+        d1 = rng.choice([-3, 0, 0, 0, 2])
+        vector = [d1] + [0] * n_rays
+        for i, a in zip(circuit, coeffs):
+            vector[i + 1] = a
+        assert _crosses(d1, coeffs) == (vector < [0] * (n_rays + 1))
+
+
+def test_sweep_refuses_a_circuit_firing_twice(monkeypatch):
+    # a flip that changes nothing leaves the fired circuit as the next event
+    monkeypatch.setattr(_Subdivision, "flip", lambda self, rel, partial=False: ((), ()))
+    px = make_pair(ATIYAH_X, [0, 0, 0, 0])
+    py = make_pair(ATIYAH_Y, [0, 0, 0, 0])
+    with pytest.raises(EngineInvariantError, match="fired twice"):
+        tuple(_sweep(px, py, None, None))
 
 
 def test_successful_sweeps_never_run_the_cell_walk(monkeypatch):
