@@ -2,18 +2,18 @@
 
 Across a wall the n+1 rays of the two adjacent simplicial cones satisfy a
 unique primitive integer relation sum a_i v_i = 0, normalized so both apex
-coefficients are positive.  The sign of sum a_i h(v_i) for a height
-function h is the sign of the intersection number of the corresponding
-divisor with the wall curve, which is all the MMP ever consumes.
+coefficients are positive, and read off one cone's cached adjugate.  The
+sign of sum a_i h(v_i) for a height function h is the sign of the
+intersection number of the corresponding divisor with the wall curve,
+which is all the MMP ever consumes.
 """
 
-from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError
 from .fan import walls
-from .lattice import cofactor_kernel
+from .lattice import adjugate, vec_mat
 
 
 class WallRelation(NamedTuple):
@@ -29,37 +29,27 @@ class ContractionType(NamedTuple):
     ray: int | None      # the contracted ray for divisorial walls
 
 
-@lru_cache(maxsize=1 << 13)
-def _circuit_coeffs(vectors, apex_positions):
-    """Primitive kernel coefficients of the (n+1) x n matrix of circuit rays,
-    signed so the apex positions carry positive entries.  The signed maximal
-    minors are the cofactor kernel of the transposed matrix."""
-    raw = cofactor_kernel(tuple(zip(*vectors)))
-    g = gcd(*raw)
-    if g == 0:
-        raise InvalidInputError("degenerate wall: circuit rays do not span")
-    coeffs = tuple(x // g for x in raw)
-    pa, pb = apex_positions
-    if coeffs[pa] == 0 or coeffs[pb] == 0:
-        raise EngineInvariantError("apex ray with zero circuit coefficient")
-    if coeffs[pa] < 0:
-        coeffs = tuple(-x for x in coeffs)
-    if coeffs[pb] <= 0:
-        raise EngineInvariantError("apex coefficients of opposite sign")
-    return coeffs
-
-
 def wall_relation(fan, wall):
     """The normalized circuit relation across a wall of the fan."""
     return _relation(fan.rays, wall.shared, wall.apex_a, wall.apex_b)
 
 
 def _relation(rays, shared, apex_a, apex_b):
-    """wall_relation of the wall with these shared rays and apexes."""
-    circuit = tuple(sorted(shared + (apex_a, apex_b)))
-    vectors = tuple(rays[i] for i in circuit)
-    positions = (circuit.index(apex_a), circuit.index(apex_b))
-    coeffs = _circuit_coeffs(vectors, positions)
+    """wall_relation of the wall with these shared rays and apexes: with
+    C.adj = d.I for cone a = shared + apex_a, num = apex_b.adj gives the
+    relation sum num_i v_i - d apex_b = 0 over cone a's rays v_i."""
+    cone_a = tuple(sorted(shared + (apex_a,)))
+    adj, d = adjugate(tuple(rays[i] for i in cone_a))
+    if adj is None:
+        raise InvalidInputError("degenerate wall: the rays of cone a do not span")
+    raw = dict(zip(cone_a + (apex_b,), vec_mat(rays[apex_b], adj) + (-d,)))
+    if raw[apex_a] == 0:
+        raise EngineInvariantError("apex ray with zero circuit coefficient")
+    g = gcd(*raw.values()) if raw[apex_a] > 0 else -gcd(*raw.values())
+    if raw[apex_b] // g <= 0:
+        raise EngineInvariantError("apex coefficients of opposite sign")
+    circuit = tuple(sorted(raw))
+    coeffs = tuple(raw[i] // g for i in circuit)
     return WallRelation(
         ray_indices=circuit,
         coeffs=coeffs,

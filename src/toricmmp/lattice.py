@@ -1,9 +1,10 @@
 """Exact lattice linear algebra.
 
 One integer cone kernel, the cached `adjugate`, serves every solve over a
-simplicial cone as integer numerators over its determinant.  Around it:
-normal forms (Hermite, Smith), primitive vectors, canonical lattice bases,
-cone multiplicities and box-point enumeration.  Everything runs on Python
+simplicial cone as integer numerators over its determinant, box points
+included.  Around it: normal forms (Hermite, and Smith for invariant
+factors, McKay boundary divisors and the public API), primitive vectors,
+canonical lattice bases and cone multiplicities.  Everything runs on Python
 ints and fractions.Fraction; there is no floating point in this package.
 
 Vectors are tuples, matrices are sequences of row tuples, and lattices act
@@ -398,29 +399,45 @@ class BoxPoint(NamedTuple):
 MAX_MULTIPLICITY = 10 ** 6   # box-point enumeration is linear in it
 
 
+def _span_mod(gens, m):
+    """The subgroup of order m of (Z/m)^n spanned by gens, zero first, grown
+    one coset of each g at a time: jg plus the group so far, 0 < j < k, for
+    k the order of g modulo that group, a divisor of its order in (Z/m)^n."""
+    group = [(0,) * len(gens[0])]
+    for g in gens:
+        if len(group) == m:
+            break
+        seen, o = set(group), m // gcd(m, *g)
+        k = next(k for k in range(1, o + 1)
+                 if o % k == 0 and tuple(k * x % m for x in g) in seen)
+        steps = list(zip(*([j * x % m for j in range(1, k)] for x in g)))
+        group += steps + [tuple((a + b) % m for a, b in zip(x, s))
+                          for x in group[1:] for s in steps]
+    return group
+
+
 @lru_cache(maxsize=1 << 13)
-def _box_points_in_coords(C):
-    """(m, ((point, num), ...)): m = |det C| and every nonzero lattice point
-    of the half-open parallelepiped of the rows of C with its integer
-    barycentric numerators num over m (point = num.C / m), sorted by num.
-    With U.C.V = D the Smith form, C^-1 = V.D^-1.U, so num runs over the sums
-    sum w_i (m/D_i) U_i, 0 <= w_i < D_i, mod m.  A multiplicity above
+def _box_numerators(C):
+    """(m, nums): m = |det C| and the integer barycentric numerators over m
+    of the m - 1 nonzero lattice points of the half-open parallelepiped of
+    the rows of C (point = num.C / m), in no particular order.  With
+    C.adj = d.I, a lattice point p has num = +-p.adj mod m, so nums is the
+    span of the adjugate rows mod m (a subgroup, so the sign of d does not
+    matter), of order [Z^n : Z^n.C] = m.  A multiplicity above
     MAX_MULTIPLICITY raises InvalidInputError before any enumeration."""
-    m = abs(adjugate(C)[1])
+    adj, d = adjugate(C)
+    m = abs(d)
     if m > MAX_MULTIPLICITY:
         raise InvalidInputError(
             f"cone multiplicity {m} exceeds the box-point limit {MAX_MULTIPLICITY}"
         )
-    D, U, _ = smith_normal_form(C)
-    nums = [(0,) * len(C)]
-    for i, row in enumerate(U):
-        g = vec_scale(m // D[i][i], row)
-        nums = [
-            tuple((a + k * b) % m for a, b in zip(num, g))
-            for num in nums for k in range(D[i][i])
-        ]
-    nums.sort()
-    return m, tuple((tuple(x // m for x in vec_mat(num, C)), num) for num in nums[1:])
+    return m, tuple(_span_mod([tuple(x % m for x in row) for row in adj], m)[1:])
+
+
+def _box_points_in_coords(C):
+    """(m, ((point = num.C / m, num), ...)) over _box_numerators, by num."""
+    m, nums = _box_numerators(C)
+    return m, tuple((tuple(x // m for x in vec_mat(num, C)), num) for num in sorted(nums))
 
 
 def box_points(rays, lattice):

@@ -501,8 +501,8 @@ def _mmp_pairs(pair, base):
     base = tuple(primitive(b) for b in base)
     if len(set(base)) != len(base):
         raise InvalidInputError("duplicate base generator")
-    for b in base:
-        if not in_support(fan, b):
+    for b in base:  # a fan's own ray is in its support
+        if b not in fan.rays and not in_support(fan, b):
             raise InvalidInputError("base cone exceeds the fan support")
     for r in fan.rays:
         if not point_in_cone(r, base):

@@ -17,12 +17,13 @@ from .errors import InvalidInputError
 from .fan import Fan, _facet_functional, _solve, in_support, locate
 from .lattice import (
     LatticeBasis,
-    _box_points_in_coords,
+    _box_numerators,
     cofactor_kernel,
     dot,
     mat_rank,
     primitive,
     vec_add,
+    vec_mat,
 )
 
 
@@ -96,10 +97,15 @@ def _scaled_psi(pair):
 
 def _cone_witness(fan, cone, scaled, L):
     """The least (psi value, point) over the nonzero box points of one
-    cone and the primitive sums of two of its rays, or None."""
-    m, pts = _box_points_in_coords(fan.ray_matrix(cone))
+    cone and the primitive sums of two of its rays, or None.  Only the box
+    numerators of least score sum(num_i * P_i) become points."""
+    C = fan.ray_matrix(cone)
+    m, nums = _box_numerators(C)
     P = [scaled[i] for i in cone]
-    keys = [(sum(map(mul, num, P)), p) for p, num in pts]
+    scores = [sum(map(mul, num, P)) for num in nums]
+    low = min(scores, default=None)
+    keys = [(low, tuple(x // m for x in vec_mat(num, C)))
+            for num, s in zip(nums, scores) if s == low]
     for a, b in combinations(cone, 2):
         w = vec_add(fan.rays[a], fan.rays[b])
         if gcd(*w) == 1:

@@ -2,12 +2,52 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from toricmmp.circuits import classify, defect, wall_relation
+from corpus import flop_case
+from toricmmp.circuits import WallRelation, _relation, classify, defect, wall_relation
+from toricmmp.errors import EngineInvariantError, InvalidInputError
 from toricmmp.fan import make_fan, walls
-from toricmmp.lattice import vec_scale
+from toricmmp.lattice import cofactor_kernel, det, vec_scale
+
+
+def oracle_circuit_coeffs(vectors, apex_positions):
+    """The relation by the cofactor kernel: primitive signed maximal minors
+    of the (n+1) x n matrix of circuit rays, apex positions positive."""
+    raw = cofactor_kernel(tuple(zip(*vectors)))
+    g = gcd(*raw)
+    if g == 0:
+        raise InvalidInputError("degenerate wall: circuit rays do not span")
+    coeffs = tuple(x // g for x in raw)
+    pa, pb = apex_positions
+    if coeffs[pa] == 0 or coeffs[pb] == 0:
+        raise EngineInvariantError("apex ray with zero circuit coefficient")
+    if coeffs[pa] < 0:
+        coeffs = tuple(-x for x in coeffs)
+    if coeffs[pb] <= 0:
+        raise EngineInvariantError("apex coefficients of opposite sign")
+    return coeffs
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (EngineInvariantError, InvalidInputError) as e:
+        return type(e), str(e)
+
+
+def relation_and_oracle(rays, shared, apex_a, apex_b):
+    """The coefficients, or (error class, message), of _relation and of the
+    oracle on the same wall."""
+    circuit = tuple(sorted(shared + (apex_a, apex_b)))
+    positions = (circuit.index(apex_a), circuit.index(apex_b))
+    got = outcome(_relation, rays, shared, apex_a, apex_b)
+    if isinstance(got, WallRelation):
+        assert got.ray_indices == circuit
+        got = got.coeffs
+    return got, outcome(oracle_circuit_coeffs, tuple(rays[i] for i in circuit), positions)
 
 P1XA1 = make_fan(
     [(1, 0), (-1, 0), (0, 1)],
@@ -107,3 +147,42 @@ def test_apex_coefficients_positive():
             rel = wall_relation(fan, w)
             pos = dict(zip(rel.ray_indices, rel.coeffs))
             assert pos[w.apex_a] > 0 and pos[w.apex_b] > 0
+
+
+def test_relation_matches_cofactor_kernel_on_random_circuits():
+    # apex_b is a planted combination of cone a's rays: zero coefficients,
+    # apexes on one side (opposite-sign error) and a zero apex_a
+    # coefficient (zero-apex error) all occur
+    rng = random.Random(1403)
+    kinds = set()
+    checked = 0
+    while checked < 400:
+        n = rng.choice([2, 3, 4])
+        cone = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n)]
+        if det(cone) == 0:
+            continue
+        c = [rng.choice([-2, -1, 0, 0, 1, 3]) for _ in range(n)]
+        far = tuple(sum(ci * v[j] for ci, v in zip(c, cone)) for j in range(n))
+        if not any(far):
+            continue
+        checked += 1
+        rays = cone + [far]
+        order = list(range(n + 1))
+        rng.shuffle(order)
+        rays = [rays[order.index(i)] for i in range(n + 1)]
+        shared = tuple(sorted(order[:n - 1]))
+        got, want = relation_and_oracle(rays, shared, order[n - 1], order[n])
+        assert got == want
+        kinds.add(want[0] if isinstance(want[0], type) else 0 in want)
+    assert kinds == {True, False, EngineInvariantError}
+
+
+def test_relation_matches_cofactor_kernel_on_flop_corpus():
+    zeros = 0
+    for seed in range(50):
+        for pair in flop_case(seed)[:2]:
+            for w in walls(pair.fan):
+                got, want = relation_and_oracle(pair.fan.rays, w.shared, w.apex_a, w.apex_b)
+                assert got == want
+                zeros += 0 in got
+    assert zeros > 0

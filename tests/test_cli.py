@@ -259,10 +259,11 @@ def test_huge_multiplicity_exits_one_before_enumerating(capsys, tmp_path, monkey
         "cones": [[0, 1, 2]],
     })
 
-    def no_enumeration(_):
+    def no_enumeration(*_):
         raise AssertionError("box-point enumeration started")
 
-    monkeypatch.setattr("toricmmp.lattice.smith_normal_form", no_enumeration)
+    # the numerator enumeration of _box_numerators, which only it calls
+    monkeypatch.setattr("toricmmp.lattice._span_mod", no_enumeration)
     for command in ("check", "terminalize"):
         code, out, err = run(capsys, command, path)
         assert code == 1 and out == "" and err.startswith("error:")

@@ -9,6 +9,7 @@ from toricmmp.errors import InvalidInputError
 from toricmmp.lattice import (
     BoxPoint,
     LatticeBasis,
+    _box_numerators,
     _box_points_in_coords,
     adjugate,
     box_points,
@@ -21,6 +22,7 @@ from toricmmp.lattice import (
     mat_rank,
     primitive,
     smith_normal_form,
+    vec_mat,
 )
 
 
@@ -504,3 +506,23 @@ def test_box_points_match_fraction_oracle():
                 for p, t in oracle_box_points_in_coords(C)
             ]
             assert box_points([(1, 0), (0, 1)], lat) == expected
+
+
+def test_box_numerators_are_the_box():
+    # m - 1 distinct nonzero numerators in [0, m)^n, each num.C / m a
+    # lattice point: exactly the nonzero box points, whose count is m - 1
+    rng = random.Random(1409)
+    cases = [((2, 0, 0), (0, 2, 0), (0, 0, 4)), ((6, 0), (0, 6)), ((1, 2), (3, 4))]
+    while len(cases) < 60:
+        n = rng.choice([2, 3, 4])
+        C = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+        if 0 < abs(oracle_det([list(row) for row in C])) <= 1000:
+            cases.append(C)
+    for C in cases:
+        m, nums = _box_numerators(C)
+        assert m == abs(oracle_det([list(row) for row in C]))
+        assert len(nums) == len(set(nums)) == m - 1
+        assert all(any(num) and all(0 <= x < m for x in num) for num in nums)
+        assert all(x % m == 0 for num in nums for x in vec_mat(num, C))
+    for C in (((1, 0), (0, 1)), ((2, 1), (1, 1)), ((1, 2, 3), (0, 1, 4), (0, 0, -1))):
+        assert _box_numerators(C) == (1, ())

@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 
 from corpus import flop_case
+from test_lattice import oracle_box_points_in_coords
 from toricmmp import pairs as pairs_module
 from toricmmp.errors import InvalidInputError
 from toricmmp.fan import _facet_functional, in_support, make_fan, star_subdivision
@@ -392,3 +393,34 @@ def test_is_nef_flat_across_subdivision():
     assert is_nef(sub, [0, 1, 1])
     assert not is_nef(sub, [0, 1, 2])
     assert is_nef(sub, [0, 1, Fraction(1, 2)])
+
+
+def test_cone_witness_matches_materialized_box_points():
+    # _cone_witness scores numerators and builds only the least-scored
+    # points; the reference builds every sorted box point and every
+    # primitive pair sum, and takes the least (psi value, point)
+    rng = random.Random(1414)
+    checked = 0
+    while checked < 60:
+        n = rng.choice([2, 3, 4])
+        rays = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+        d = det(rays)
+        if d == 0 or abs(d) > 1000 or any(primitive(r) != r for r in rays) \
+                or len(set(rays)) < n:
+            continue
+        checked += 1
+        fan = make_fan(rays, [tuple(range(n))], validate="fast")
+        cone = fan.max_cones[0]
+        bound = rng.choice([0, 2, 40])  # small bounds force ties, 0 ties all
+        scaled = [rng.randint(-bound, bound) for _ in range(n)]
+        L = rng.randint(1, 6)
+        C = fan.ray_matrix(cone)
+        cands = [
+            (sum(t * scaled[i] for t, i in zip(bary, cone)) / L, p)
+            for p, bary in oracle_box_points_in_coords(C)
+        ]
+        for a, b in combinations(cone, 2):
+            w = tuple(x + y for x, y in zip(fan.rays[a], fan.rays[b]))
+            if math.gcd(*w) == 1:
+                cands.append((Fraction(scaled[a] + scaled[b], L), w))
+        assert pairs_module._cone_witness(fan, cone, scaled, L) == min(cands, default=None)
