@@ -6,13 +6,16 @@ coefficients are positive, and read off one cone's cached adjugate.  The
 sign of sum a_i h(v_i) for a height function h is the sign of the
 intersection number of the corresponding divisor with the wall curve,
 which is all the MMP ever consumes.
+
+The walls are the interior facets of a fan's local state (fan._Subdivision,
+where every surgery happens); _relations reads them off that state, so an
+engine that steps it never rebuilds the fan to find them.
 """
 
 from math import gcd
 from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError
-from .fan import walls
 from .lattice import adjugate, vec_mat
 
 
@@ -59,10 +62,21 @@ def _relation(rays, shared, apex_a, apex_b):
     )
 
 
-def _relations(fan):
-    """(wall, its relation) for every wall of the fan, in walls() order.
-    Lazy, so a caller that stops early computes no further relations."""
-    return ((w, wall_relation(fan, w)) for w in walls(fan))
+def _facet_relation(sub, facet):
+    """The wall relation across an interior facet of the state sub."""
+    ca, cb = sub.facets[facet]
+    apex_a = next(i for i in ca if i not in facet)
+    apex_b = next(i for i in cb if i not in facet)
+    return _relation(sub.rays, facet, apex_a, apex_b)
+
+
+def _relations(sub):
+    """(facet, its relation) for every interior facet of the state sub (a
+    fan._Subdivision), in sorted facet order, which is walls() order.  Lazy,
+    so a caller that stops early computes no further relations."""
+    return (
+        (f, _facet_relation(sub, f)) for f in sorted(sub.facets) if len(sub.facets[f]) == 2
+    )
 
 
 def defect(relation, heights):

@@ -2,15 +2,16 @@
 
 A Fan stores primitive integer rays (in coordinates of whatever lattice the
 caller fixed) and its maximal cones as sorted ray-index tuples.  Everything
-downstream assumes validity, so construction checks eagerly: `fast` covers
-the cheap invariants that internal surgeries can break (used where the input
-fan was already validated and the surgery is proven shape-preserving), and
-`full` adds the test that any two cones meet in a common face.  For complete
-and cone-supported fans that test is one degree-one point check; fans of
-support kind "other" keep the pairwise LP test.  Exact LP also decides
-membership in a cone over non-simplicial generators.  Both LPs are posed
-in the standard form of `linprog.lp_maximize` with the origin feasible,
-so the solver never needs a phase-one search, which can cycle.
+downstream assumes validity, so construction checks eagerly.  Every change
+to a fan is a step of one local state, _Subdivision: star subdivision,
+bistellar flip and divisorial contraction, each checking only the facets
+it touched.  make_fan's `fast` level is those checks applied once to all
+cones; `full` adds the test that any two cones meet in a common face.  For
+complete and cone-supported fans that test is one degree-one point check;
+fans of support kind "other" keep the pairwise LP test.  Exact LP also
+decides membership in a cone over non-simplicial generators.  Both LPs are
+posed in the standard form of `linprog.lp_maximize` with the origin
+feasible, so the solver never needs a phase-one search, which can cycle.
 """
 
 from __future__ import annotations
@@ -72,34 +73,35 @@ def _facet_functional(fan, cone, k):
 
 
 def _facet_map(fan):
-    """Every facet of a maximal cone, mapped to the cones containing it."""
+    """Every facet of a maximal cone, mapped to the cones containing it, in
+    cone order."""
     fm = defaultdict(list)
-    for ci, cone in enumerate(fan.max_cones):
+    for cone in fan.max_cones:
         for k in range(fan.dim):
-            fm[cone[:k] + cone[k + 1:]].append(ci)
+            fm[cone[:k] + cone[k + 1:]].append(cone)
     return dict(fm)
 
 
-def _boundary_facets(fan, fm):
-    """(facet, inward functional) for every facet of the facet map fm that
-    lies in a single cone; the functional is positive on that cone's apex."""
-    for facet, cs in fm.items():
+def _boundary_facets(sub):
+    """(facet, inward functional) for every facet of the state sub (a
+    _Subdivision) that lies in a single cone; the functional is positive on
+    that cone's apex."""
+    for facet, cs in sub.facets.items():
         if len(cs) == 1:
-            cone = fan.max_cones[cs[0]]
-            k = next(k for k in range(fan.dim) if cone[k] not in facet)
-            yield facet, _facet_functional(fan, cone, k)
+            k = next(k for k in range(sub.dim) if cs[0][k] not in facet)
+            yield facet, _facet_functional(sub, cs[0], k)
 
 
 def walls(fan):
     """Every interior facet, reported once, with its two cones and apexes."""
+    index = {c: i for i, c in enumerate(fan.max_cones)}
     out = []
     for facet, cs in _facet_map(fan).items():
         if len(cs) == 2:
             a, b = cs
-            shared = set(facet)
-            apex_a = next(i for i in fan.max_cones[a] if i not in shared)
-            apex_b = next(i for i in fan.max_cones[b] if i not in shared)
-            out.append(Wall(facet, a, b, apex_a, apex_b))
+            apex_a = next(i for i in a if i not in facet)
+            apex_b = next(i for i in b if i not in facet)
+            out.append(Wall(facet, index[a], index[b], apex_a, apex_b))
     out.sort(key=lambda w: (w.shared, w.cone_a, w.cone_b))
     return tuple(out)
 
@@ -183,41 +185,12 @@ def _check_pairwise_faces(fan):
                 )
 
 
-def _check_apexes(fan, facet, ca, cb):
-    """Raise unless the cones ca and cb, which share facet, have their
-    apexes on opposite sides of it."""
-    k = next(k for k in range(fan.dim) if ca[k] not in facet)
-    u = _facet_functional(fan, ca, k)
-    apex_b = next(i for i in cb if i not in facet)
-    if dot(u, fan.rays[apex_b]) >= 0:
-        raise InvalidInputError(
-            f"cones {ca} and {cb} lie on the same side of their shared facet {facet}"
-        )
-
-
-def _wall_graph_connected(n_cones, fm):
-    if n_cones <= 1:
-        return True
-    adj = defaultdict(set)
-    for cs in fm.values():
-        if len(cs) == 2:
-            adj[cs[0]].add(cs[1])
-            adj[cs[1]].add(cs[0])
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n_cones
-
-
 def make_fan(rays, max_cones, *, validate="full"):
     """Build a Fan after validating it.
 
-    validate: "fast" checks simplicial cones, facet incidence <= 2, apexes
-    on opposite sides of each wall, every ray used, primitive distinct rays.
+    validate: "fast" checks primitive distinct rays and every ray used,
+    then adds every cone to an empty _Subdivision in one step, whose checks
+    are the rest; the support kind is read off that state's facets.
     "full" adds the test that any two cones meet in a common face: the
     degree-one point check for complete and cone-supported fans, the
     pairwise LP test for fans of support kind "other".
@@ -252,35 +225,17 @@ def make_fan(rays, max_cones, *, validate="full"):
         cones.append(c)
     if not cones:
         raise InvalidInputError("fan needs at least one maximal cone")
-    if len(set(cones)) != len(cones):
-        raise InvalidInputError("duplicate maximal cones")
     cones = tuple(cones)
 
-    used = set()
-    for c in cones:
-        used.update(c)
-    if used != set(range(len(rays))):
+    if {i for c in cones for i in c} != set(range(len(rays))):
         raise InvalidInputError("fan has unused rays")
 
-    for c in cones:
-        if adjugate(tuple(rays[i] for i in c))[1] == 0:
-            raise InvalidInputError(f"cone {c} is not simplicial")
-
-    # provisional fan for functional helpers; support kind fixed below
-    provisional = Fan(n, rays, cones, "other")
-    fm = _facet_map(provisional)
-    for facet, cs in fm.items():
-        if len(cs) > 2:
-            raise InvalidInputError(f"facet {facet} shared by more than two cones")
-
-    for facet, cs in fm.items():
-        if len(cs) == 2:
-            _check_apexes(provisional, facet, cones[cs[0]], cones[cs[1]])
-
-    if all(len(cs) == 2 for cs in fm.values()):
+    sub = _Subdivision(Fan(n, rays, (), "other"))
+    sub._replace((), cones, None)
+    if all(len(cs) == 2 for cs in sub.facets.values()):
         kind = "complete"
-    elif _wall_graph_connected(len(cones), fm) and all(
-        dot(u, r) >= 0 for _, u in _boundary_facets(provisional, fm) for r in rays
+    elif len(_walk_star(sub.facets, cones[0], ())) == len(cones) and all(
+        dot(u, r) >= 0 for _, u in _boundary_facets(sub) for r in rays
     ):
         kind = "cone-supported"
     else:
@@ -342,7 +297,8 @@ def _scan_star(fan, w):
 def _walk_star(facets, cone, face):
     """The cones containing the given face of cone, found by walking from
     cone across the facets that contain the face; facets maps each facet to
-    the cones containing it."""
+    the cones containing it.  For the empty face, the cones connected to
+    cone across facets."""
     star, todo = {cone}, [cone]
     while todo:
         c = todo.pop()
@@ -364,20 +320,23 @@ def star_subdivision(fan, w):
 
 
 class _Subdivision:
-    """A fan under repeated star subdivisions and bistellar flips, held as
-    local state: the facet map, and the maximal cones with their insertion
-    numbers, whose order is the cone order (kept cones stay in place, new
-    ones are appended).
+    """A fan as local state under its three surgeries: star subdivision,
+    bistellar flip and divisorial contraction.  The state is the rays, the
+    facet map, and the maximal cones with their insertion numbers, whose
+    order is the cone order (kept cones stay in place, new ones are
+    appended).  Its interior facets are the walls (circuits._relations).
 
-    A step replaces some cones by others and applies make_fan's fast checks
-    to exactly the facets it touched: new cones are simplicial and new, a
+    A step replaces some cones by others and applies the fast checks to
+    exactly the facets it touched: new cones are simplicial and new, a
     facet lies in at most two cones with their apexes on opposite sides,
     and a new boundary facet keeps the support kind (there is none in a
     complete fan, and it is >= 0 on every ray in a cone-supported one).
-    Both steps keep the support of a valid fan and replace a connected set
+    Each step keeps the support of a valid fan and replaces a connected set
     of cones by a connected one; an outer facet a flip changes becomes a
     new boundary facet, which the kind check covers.  So the kind and the
     wall-graph connectivity hold without a look at any other facet.
+    make_fan's fast checks are these checks, run once on an empty state
+    that receives every cone.
 
     subdivide inserts a ray.  Given a cone holding it, the star is walked
     from that cone across the facets that contain the face carrying the
@@ -392,6 +351,9 @@ class _Subdivision:
     of one wall of a circuit with a zero coefficient whose other walls keep
     the old triangulation: that opens boundary facets inside the support.
 
+    contract replaces the star of a ray by one cone and removes the ray,
+    re-indexing the rays after it.
+
     fan() copies the cone tuple.
     """
 
@@ -400,9 +362,7 @@ class _Subdivision:
         self.rays = list(fan.rays)
         self.order = count()
         self.max_cones = dict(zip(fan.max_cones, self.order))
-        self.facets = {
-            f: [fan.max_cones[i] for i in cs] for f, cs in _facet_map(fan).items()
-        }
+        self.facets = _facet_map(fan)
 
     def ray_matrix(self, cone):
         return tuple(self.rays[i] for i in cone)
@@ -452,11 +412,31 @@ class _Subdivision:
         self._replace(plus, minus, None if partial else "flip")
         return plus, minus
 
+    def contract(self, rel, j):
+        """Remove ray j, the one negative ray of the divisorial circuit
+        relation rel: its star, which must be exactly the plus cones of the
+        circuit, is replaced by the cone of the circuit minus j.  Returns
+        the removed ray, or None when the star does not match.  The later
+        rays shift down one index, so the step costs the whole fan."""
+        circ = rel.ray_indices
+        plus = {tuple(i for i in circ if i != p) for p in rel.s_plus}
+        star = [c for c in self.max_cones if j in c]
+        if set(star) != plus:
+            return None
+        self._replace(star, [tuple(i for i in circ if i != j)], "contraction")
+
+        def shift(c):
+            return tuple(i - (i > j) for i in c)
+
+        self.max_cones = {shift(c): o for c, o in self.max_cones.items()}
+        self.facets = {shift(f): [shift(c) for c in cs] for f, cs in self.facets.items()}
+        return self.rays.pop(j)
+
     def _replace(self, gone, new, what):
-        """Remove the cones gone, append the cones new, and apply make_fan's
-        fast checks to the facets that changed.  A new boundary facet that
-        the support kind forbids raises, naming the step what, or with no
-        name makes the kind "other"."""
+        """Remove the cones gone, append the cones new, and apply the fast
+        checks to the facets that changed.  A new boundary facet that the
+        support kind forbids raises, naming the step what, or with no name
+        makes the kind "other"."""
         change = {}
         for c in gone:
             del self.max_cones[c]
@@ -478,8 +458,14 @@ class _Subdivision:
             cs = self.facets[f]
             if len(cs) > 2:
                 raise InvalidInputError(f"facet {f} shared by more than two cones")
-            if len(cs) == 2:
-                _check_apexes(self, f, *cs)
+            if len(cs) == 2:  # apexes on opposite sides
+                ca, cb = cs
+                k = next(k for k in range(self.dim) if ca[k] not in f)
+                apex_b = next(i for i in cb if i not in f)
+                if dot(_facet_functional(self, ca, k), self.rays[apex_b]) >= 0:
+                    raise InvalidInputError(
+                        f"cones {ca} and {cb} lie on the same side of their shared facet {f}"
+                    )
             elif not cs:
                 del self.facets[f]
             elif delta and not self._keeps_kind(f, cs[0]):
@@ -510,7 +496,7 @@ def fans_equal(f1, f2):
 
 def boundary_functionals(fan):
     """Inward functionals of the boundary facets (deduplicated)."""
-    fns = (primitive(u) for _, u in _boundary_facets(fan, _facet_map(fan)))
+    fns = (primitive(u) for _, u in _boundary_facets(_Subdivision(fan)))
     return tuple(dict.fromkeys(fns))
 
 

@@ -7,12 +7,12 @@ terminalization by repeated discrepancy-one-or-less extractions.  All
 scheduling ties are broken by a symbolic infinitesimal perturbation or by
 explicit lexicographic rules, so every run is deterministic.
 
-Terminalization and the flop sweep each keep one local state across
-their steps (fan._Subdivision) instead of rebuilding and rescanning the
-fan: a star subdivision touches only the cones around its new ray, a flip
-only the cones of its circuit, and only those are checked and scored.
-Every flip, in every engine, is one step of that state; none rebuilds the
-fan with make_fan.
+Every surgery is a step of one local fan state (fan._Subdivision): star
+subdivision, bistellar flip and divisorial contraction.  Each engine loop
+keeps one state across its steps and reads the walls off it
+(circuits._relations) instead of rebuilding the fan; only regular
+triangulation calls make_fan, for its seed cone, a ray placed outside the
+support, and its result.
 """
 
 from fractions import Fraction
@@ -20,7 +20,7 @@ from heapq import heappop, heappush
 from math import lcm
 from typing import NamedTuple
 
-from .circuits import _relation, _relations, classify, defect, wall_relation
+from .circuits import _facet_relation, _relations, classify, defect, wall_relation
 from .errors import (
     BudgetExceededError,
     EngineInvariantError,
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .fan import (
     _boundary_facets,
-    _facet_map,
     _Subdivision,
     fans_equal,
     in_support,
@@ -47,7 +46,6 @@ from .pairs import (
     _same_rays_and_coeffs,
     _scaled_psi,
     k_equivalent,
-    make_pair,
 )
 
 
@@ -84,7 +82,7 @@ def ample_heights(fan):
 
     In standard form over y = (h + 1, t) >= 0: one row t - defect_w(y - 1)
     <= 0 per wall, in walls() order, then the caps y_i <= 2 and t <= 1."""
-    return _ample_heights(len(fan.rays), (rel for _, rel in _relations(fan)))
+    return _ample_heights(len(fan.rays), (rel for _, rel in _relations(_Subdivision(fan))))
 
 
 def _ample_heights(n_rays, rels):
@@ -124,14 +122,6 @@ def _checked_convex_heights(n_rays, rels, given, label):
 # -------------------------------------------------------------- surgeries
 
 
-def _flipped(fan, rel, partial=False):
-    """Fan after the bistellar move across rel, or None when some plus-side
-    cone of the circuit is missing (circuit not isolated): one flip step of
-    fan._Subdivision, which checks only the facets the flip touched."""
-    sub = _Subdivision(fan)
-    return None if sub.flip(rel, partial) is None else sub.fan()
-
-
 def bistellar_flip(fan, wall):
     """Replace the plus-side cones of the wall circuit by the minus side.
 
@@ -145,35 +135,20 @@ def bistellar_flip(fan, wall):
     rel = wall_relation(fan, wall)
     if classify(rel).kind != "flipping":
         raise InvalidInputError("wall is not of flipping type")
+    sub = _Subdivision(fan)
     try:
-        out = _flipped(fan, rel)
+        flipped = sub.flip(rel)
     except EngineInvariantError:
         raise InvalidInputError("the flip across this wall changes the support kind") from None
-    if out is None:
+    if flipped is None:
         raise InvalidInputError("wall circuit is not isolated")
-    return out
+    return sub.fan()
 
 
-def _contracted(fan, rel, j):
-    """(fan, removed ray, center rays) after removing ray j of a divisorial
-    circuit, or None when the star of j is not exactly the plus side of the
-    circuit.  The center rays span the face the removed divisor maps onto."""
-    circ = set(rel.ray_indices)
-    star = {c for c in fan.max_cones if j in c}
-    plus = {tuple(sorted(circ - {i})) for i in rel.s_plus}
-    if star != plus:
-        return None
-
-    def shift(i):
-        return i if i < j else i - 1
-
-    cones = [
-        tuple(sorted(shift(i) for i in c)) for c in fan.max_cones if j not in c
-    ]
-    cones.append(tuple(sorted(shift(i) for i in circ - {j})))
-    rays = fan.rays[:j] + fan.rays[j + 1:]
-    center = tuple(fan.rays[i] for i in sorted(rel.s_plus + rel.s_zero))
-    return make_fan(rays, cones, validate="fast"), fan.rays[j], center
+def _center(fan, rel):
+    """The rays spanning the face that the divisor of a divisorial circuit
+    maps onto: its positive and zero-coefficient rays."""
+    return tuple(fan.rays[i] for i in sorted(rel.s_plus + rel.s_zero))
 
 
 def divisorial_contract(fan, wall):
@@ -186,10 +161,11 @@ def divisorial_contract(fan, wall):
     kind = classify(rel)
     if kind.kind != "divisorial":
         raise InvalidInputError("wall is not of divisorial type")
-    out = _contracted(fan, rel, kind.ray)
-    if out is None:
+    sub = _Subdivision(fan)
+    removed = sub.contract(rel, kind.ray)
+    if removed is None:
         raise InvalidInputError("star of the contracted ray does not match the circuit")
-    return out
+    return sub.fan(), removed, _center(fan, rel)
 
 
 # ------------------------------------------------- regular triangulation
@@ -203,7 +179,7 @@ def _insert_ray(fan, r):
     new_idx = len(fan.rays)
     added = [
         tuple(sorted(facet + (new_idx,)))
-        for facet, u in _boundary_facets(fan, _facet_map(fan))
+        for facet, u in _boundary_facets(_Subdivision(fan))
         if dot(u, r) < 0
     ]
     if not added:
@@ -211,54 +187,58 @@ def _insert_ray(fan, r):
     return make_fan(fan.rays + (r,), list(fan.max_cones) + added, validate="fast")
 
 
-def _negative_walls(fan, hmap):
-    hs = tuple(hmap[v] for v in fan.rays)
+def _negative_walls(sub, hmap):
+    hs = tuple(hmap[v] for v in sub.rays)
     out = []
-    for w, rel in _relations(fan):
+    for f, rel in _relations(sub):
         d = defect(rel, hs)
         if d < 0:
-            key = tuple(sorted(fan.rays[i] for i in w.shared))
+            key = tuple(sorted(sub.rays[i] for i in f))
             out.append((d, key, rel))
     out.sort(key=lambda e: (e[0], e[1]))
     return out
 
 
 def _flips_to_convexity(fan, hmap, budget, focus):
-    """Flip away negative-defect walls, most negative first.  With a focus
-    ray only circuits through it are touched; stalled walls are left for
-    the global pass.  Flips go wall by wall, so the two walls of a circuit
-    with a zero coefficient flip one after the other, and the fan between
-    them is of kind "other" (a partial flip)."""
+    """Flip away negative-defect walls, most negative first, as steps of
+    one local state.  With a focus ray only circuits through it are
+    touched; stalled walls are left for the global pass.  Flips go wall by
+    wall, so the two walls of a circuit with a zero coefficient flip one
+    after the other, and the fan between them is of kind "other" (a partial
+    flip).  budget is the flips left of regular_triangulation's limit."""
+    sub = _Subdivision(fan)
     while True:
-        cands = _negative_walls(fan, hmap)
+        cands = _negative_walls(sub, hmap)
         if focus is not None:
             cands = [
                 e for e in cands
-                if focus in tuple(fan.rays[i] for i in e[2].ray_indices)
+                if focus in tuple(sub.rays[i] for i in e[2].ray_indices)
             ]
         if not cands:
-            return fan, budget
+            return sub.fan(), budget
         for _, _, rel in cands:
             kind = classify(rel)
             if kind.kind == "divisorial":
                 raise InvalidInputError(
-                    f"ray {fan.rays[kind.ray]} is not on the lower hull"
+                    f"ray {sub.rays[kind.ray]} is not on the lower hull"
                 )
             if kind.kind == "fiber":
                 raise InvalidInputError(
                     "fiber-type wall: heights have no lower hull over this support"
                 )
-            nxt = _flipped(fan, rel, partial=True)
-            if nxt is None:
+            if sub.flip(rel, partial=True) is None:
                 continue
             if budget == 0:
-                raise BudgetExceededError("flip budget exhausted")
+                n = len(hmap)
+                raise BudgetExceededError(
+                    f"regular triangulation stopped at its stated limit of "
+                    f"10*n^2 = {10 * n ** 2} flips for n = {n} rays"
+                )
             budget -= 1
-            fan = nxt
             break
         else:
             if focus is not None:
-                return fan, budget
+                return sub.fan(), budget
             raise EngineInvariantError("negative wall stuck with non-isolated circuit")
 
 
@@ -290,7 +270,7 @@ def regular_triangulation(rays, heights):
         raise InvalidInputError("rays do not span the ambient space")
 
     hmap = dict(zip(rays, hs))
-    budget = 10 * len(rays) ** 2
+    budget = 10 * len(rays) ** 2  # a stated limit, not a proved bound
     fan = make_fan([rays[i] for i in seed], [tuple(range(dim))], validate="fast")
     for i in (k for k in range(len(rays)) if k not in seed):
         fan = _insert_ray(fan, rays[i])
@@ -298,7 +278,7 @@ def regular_triangulation(rays, heights):
     fan, budget = _flips_to_convexity(fan, hmap, budget, focus=None)
 
     final_hs = tuple(hmap[v] for v in fan.rays)
-    if any(defect(rel, final_hs) == 0 for _, rel in _relations(fan)):
+    if any(defect(rel, final_hs) == 0 for _, rel in _relations(_Subdivision(fan))):
         raise InvalidInputError("heights are not generic: flat wall at convergence")
     pos = {v: k for k, v in enumerate(rays)}
     cones = [tuple(sorted(pos[fan.rays[i]] for i in c)) for c in fan.max_cones]
@@ -330,14 +310,6 @@ def flop_decompose(pair_x, pair_y, ample_x=None, ample_y=None):
         if not k_equivalent(pair_x, pair_y):
             raise NotKEquivalentError("pairs are not K-equivalent") from None
         raise
-
-
-def _facet_relation(sub, facet):
-    """The wall relation across an interior facet of the local state sub."""
-    ca, cb = sub.facets[facet]
-    apex_a = next(i for i in ca if i not in facet)
-    apex_b = next(i for i in cb if i not in facet)
-    return _relation(sub.rays, facet, apex_a, apex_b)
 
 
 def _crosses(d1, coeffs):
@@ -387,13 +359,10 @@ def _sweep(pair_x, pair_y, ample_x, ample_y):
     fx, fy = pair_x.fan, pair_y.fan
     n_rays = len(fx.rays)
     sub = _Subdivision(fx)
-    walls = {
-        f: [_facet_relation(sub, f), None]
-        for f in sorted(sub.facets) if len(sub.facets[f]) == 2
-    }
+    walls = {f: [rel, None] for f, rel in _relations(sub)}
     h0 = _checked_convex_heights(n_rays, (w[0] for w in walls.values()), ample_x, "ampleX")
     h1_y = _checked_convex_heights(
-        len(fy.rays), (rel for _, rel in _relations(fy)), ample_y, "ampleY"
+        len(fy.rays), (rel for _, rel in _relations(_Subdivision(fy))), ample_y, "ampleY"
     )
     pos_y = {v: i for i, v in enumerate(fy.rays)}
     h1 = tuple(h1_y[pos_y[v]] for v in fx.rays)
@@ -494,7 +463,12 @@ def relative_mmp(pair, base):
 
 
 def _mmp_pairs(pair, base):
-    """The steps of relative_mmp, each yielded with the pair it leaves."""
+    """The steps of relative_mmp, each yielded with the pair it leaves.
+
+    One local state lives across the steps: the fan under flips and
+    contractions (fan._Subdivision) and the integer psi heights over one
+    scale L, which a contraction keeps, since d / L reduces.  Each step
+    rescans the state's walls; the MMP takes few steps."""
     fan = pair.fan
     if fan.support_kind != "cone-supported":
         raise InvalidInputError("relative MMP needs a fan supported on a strictly convex cone")
@@ -508,51 +482,53 @@ def _mmp_pairs(pair, base):
         if not point_in_cone(r, base):
             raise InvalidInputError("fan support exceeds the base cone")
 
-    cur = pair
-    budget = 10 * len(fan.rays) ** 2
+    sub = _Subdivision(fan)
+    scaled, L = _scaled_psi(pair)  # defects d / L, scored as integers d
+    coeffs = pair.coeffs
+    budget = 10 * len(fan.rays) ** 2  # a stated limit, not a proved bound
     while True:
-        scaled, L = _scaled_psi(cur)  # defects d / L, scored as integers d
         cands = []
-        for w, rel in _relations(cur.fan):
+        for f, rel in _relations(sub):
             d = defect(rel, scaled)
             if d > 0:
-                apexes = tuple(sorted((cur.fan.rays[w.apex_a], cur.fan.rays[w.apex_b])))
-                cands.append((-d, apexes, w, rel))
+                apexes = tuple(sorted(sub.rays[i] for i in rel.ray_indices if i not in f))
+                cands.append((-d, apexes, f, rel))
         if not cands:
-            break
+            return
         cands.sort(key=lambda e: (e[0], e[1]))
         if budget == 0:
-            raise BudgetExceededError("step budget exhausted")
+            raise BudgetExceededError(
+                f"relative MMP stopped at its stated limit of 10*n^2 = "
+                f"{10 * len(fan.rays) ** 2} steps for n = {len(fan.rays)} rays"
+            )
         budget -= 1
-        for neg_d, _, w, rel in cands:
+        for neg_d, _, f, rel in cands:
             kind = classify(rel)
             if kind.kind == "fiber":
                 raise InvalidInputError(
                     "fiber-type wall with positive defect: "
                     "the pair is not birational over this base"
                 )
-            if kind.kind == "divisorial":
-                out = _contracted(cur.fan, rel, kind.ray)
-                if out is None:
-                    continue
-                new_fan, removed, center = out
-                coeffs = cur.coeffs[:kind.ray] + cur.coeffs[kind.ray + 1:]
+            wall = tuple(sub.rays[i] for i in f)
+            circuit = tuple(sub.rays[i] for i in rel.ray_indices)
+            if kind.kind == "flipping":
+                removed = center = None
+                if sub.flip(rel) is not None:
+                    break
             else:
-                new_fan, removed, center = _flipped(cur.fan, rel), None, None
-                if new_fan is None:
-                    continue
-                coeffs = cur.coeffs
-            break
+                center = _center(sub, rel)
+                removed = sub.contract(rel, kind.ray)
+                if removed is not None:
+                    del scaled[kind.ray]
+                    coeffs = coeffs[:kind.ray] + coeffs[kind.ray + 1:]
+                    break
         else:
             raise EngineInvariantError("no executable wall among positive defects")
         step = MmpStep(
-            "flip" if removed is None else "divisorial",
-            tuple(cur.fan.rays[i] for i in w.shared),
-            tuple(cur.fan.rays[i] for i in rel.ray_indices),
+            "flip" if removed is None else "divisorial", wall, circuit,
             rel.coeffs, Fraction(-neg_d, L), removed, center,
         )
-        cur = make_pair(new_fan, coeffs, cur.lattice)
-        yield step, cur
+        yield step, ToricPair(sub.fan(), coeffs, pair.lattice)
 
 
 # ---------------------------------------------------------- terminalize

@@ -14,7 +14,7 @@ from operator import mul
 
 from .circuits import _relations, defect
 from .errors import InvalidInputError
-from .fan import Fan, _facet_functional, _solve, in_support, locate
+from .fan import Fan, _facet_functional, _solve, _Subdivision, in_support, locate
 from .lattice import (
     LatticeBasis,
     _box_numerators,
@@ -256,4 +256,4 @@ def is_nef(fan, heights):
     hs = tuple(Fraction(h) for h in heights)
     if len(hs) != len(fan.rays):
         raise InvalidInputError("one height per ray required")
-    return all(defect(rel, hs) >= 0 for _, rel in _relations(fan))
+    return all(defect(rel, hs) >= 0 for _, rel in _relations(_Subdivision(fan)))

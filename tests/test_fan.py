@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from toricmmp import fan as fan_module
+from toricmmp.circuits import classify, wall_relation
 from toricmmp.errors import InvalidInputError
 from toricmmp.fan import (
     Fan,
@@ -83,22 +84,24 @@ def test_support_kind_values():
 
 
 def test_make_fan_rejects_bad_input():
-    with pytest.raises(InvalidInputError):
-        make_fan([(2, 0), (0, 1)], [(0, 1)])  # non-primitive ray
-    with pytest.raises(InvalidInputError):
-        make_fan([(1, 0), (1, 0), (0, 1)], [(0, 2)])  # duplicate ray
-    with pytest.raises(InvalidInputError):
-        make_fan([(1, 0), (0, 1), (1, 1)], [(0, 1)])  # unused ray
-    with pytest.raises(InvalidInputError):
+    # one defect per input, each named by its own message; the last four
+    # are the checks of a _Subdivision step
+    with pytest.raises(InvalidInputError, match="is not primitive"):
+        make_fan([(2, 0), (0, 1)], [(0, 1)])
+    with pytest.raises(InvalidInputError, match="duplicate rays"):
+        make_fan([(1, 0), (1, 0), (0, 1)], [(0, 2)])
+    with pytest.raises(InvalidInputError, match="unused rays"):
+        make_fan([(1, 0), (0, 1), (1, 1)], [(0, 1)])
+    with pytest.raises(InvalidInputError, match="duplicate maximal cones"):
+        make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (1, 0)])
+    with pytest.raises(InvalidInputError, match=r"cone \(0, 1\) is not simplicial"):
         make_fan([(1, 0), (-1, 0)], [(0, 1)])  # dependent cone rays
-    with pytest.raises(InvalidInputError):
-        # facet at ray 1 shared by three cones
+    with pytest.raises(InvalidInputError, match=r"facet \(1,\) shared by more than two cones"):
         make_fan(
             [(1, 0), (0, 1), (-1, 0), (-1, -1)],
             [(0, 1), (1, 2), (1, 3)],
         )
-    with pytest.raises(InvalidInputError):
-        # apexes on the same side of the shared facet
+    with pytest.raises(InvalidInputError, match=r"same side of their shared facet \(1,\)"):
         make_fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2)])
 
 
@@ -404,13 +407,76 @@ def test_star_subdivision_preserves_support_random():
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, 0), (0, 0, 0, -1)],
         [(0, 1, 2, 3), (0, 1, 4, 5)],
     )
-    facets = {f: [pinched.max_cones[i] for i in cs] for f, cs in _facet_map(pinched).items()}
-    assert _walk_star(facets, (0, 1, 2, 3), {0, 1}) == {(0, 1, 2, 3)}
+    assert _walk_star(_facet_map(pinched), (0, 1, 2, 3), {0, 1}) == {(0, 1, 2, 3)}
     sub = _Subdivision(pinched)
     sub.subdivide((1, 1, 0, 0), (0, 1, 2, 3))
     joins = [(1, 2, 3, 6), (0, 2, 3, 6), (1, 4, 5, 6), (0, 4, 5, 6)]
     assert sub.fan() == make_fan(pinched.rays + ((1, 1, 0, 0),), joins, validate="fast")
     assert sub.fan() == star_subdivision(pinched, (1, 1, 0, 0))
+
+
+def _contracted_oracle(fan, rel, j):
+    """(fan, removed ray) after removing ray j of a divisorial circuit, the
+    shifted cones rebuilt by make_fan, or None when the star of j is not
+    exactly the plus side of the circuit."""
+    circ = set(rel.ray_indices)
+    star = {c for c in fan.max_cones if j in c}
+    if star != {tuple(sorted(circ - {i})) for i in rel.s_plus}:
+        return None
+
+    def shift(i):
+        return i if i < j else i - 1
+
+    cones = [tuple(sorted(shift(i) for i in c)) for c in fan.max_cones if j not in c]
+    cones.append(tuple(sorted(shift(i) for i in circ - {j})))
+    return make_fan(fan.rays[:j] + fan.rays[j + 1:], cones, validate="fast"), fan.rays[j]
+
+
+def test_contract_matches_the_rebuilt_fan():
+    # star-subdivide random simplicial cones (and P3, which is complete) at
+    # points inside cones, on walls and on boundary facets, then contract
+    # every divisorial wall: the state step gives the rebuilt fan in rays,
+    # cone order and support kind, and both refuse a star that is not the
+    # circuit's plus side
+    rng = random.Random(1517)
+    outcomes = Counter()
+    for trial in range(120):
+        dim = 2 + trial % 3
+        if trial % 10 == 9:
+            fan = P3
+        else:
+            rays = [(0,) * dim]
+            while det(rays) == 0:
+                rays = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim)]
+            rays = [primitive(r) for r in rays]
+            fan = make_fan(rays, [tuple(range(dim))], validate="fast")
+        for _ in range(rng.randint(1, 3)):
+            cone = rng.choice(fan.max_cones)
+            coeffs = [rng.randint(0, 2) for _ in cone]
+            if sum(map(bool, coeffs)) < 2:
+                continue  # zero or a ray multiple
+            w = primitive(tuple(
+                sum(c * fan.rays[i][k] for c, i in zip(coeffs, cone))
+                for k in range(fan.dim)
+            ))
+            if w not in fan.rays:
+                fan = star_subdivision(fan, w)
+        for w in walls(fan):
+            rel = wall_relation(fan, w)
+            kind = classify(rel)
+            if kind.kind != "divisorial":
+                continue
+            sub = _Subdivision(fan)
+            removed = sub.contract(rel, kind.ray)
+            expected = _contracted_oracle(fan, rel, kind.ray)
+            if expected is None:
+                assert removed is None and sub.fan() == fan
+            else:
+                assert (sub.fan(), removed) == expected
+                assert sub.facets == _facet_map(sub.fan())
+            outcomes[expected is None, fan.support_kind] += 1
+    assert {k for k, _ in outcomes} == {True, False}, outcomes
+    assert {kind for _, kind in outcomes} == {"complete", "cone-supported"}, outcomes
 
 
 def test_fans_equal_permutation_invariance():

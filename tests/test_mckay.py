@@ -452,10 +452,7 @@ def test_extraction_loop_matches_from_scratch_rebuild():
             assert cur.coeffs == prev.coeffs + (0,) and cur.lattice == X.lattice
             assert (st.psi_value, st.ray) == min_discrepancy_witness(prev)
             split = _scan_star(prev.fan, st.ray)
-            facets = {
-                f: [prev.fan.max_cones[i] for i in cs]
-                for f, cs in _facet_map(prev.fan).items()
-            }
+            facets = _facet_map(prev.fan)
             for cone, face in split:
                 assert _walk_star(facets, cone, face) == {c for c, _ in split}
             assert gone == [c for c, _ in split]

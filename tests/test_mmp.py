@@ -4,15 +4,17 @@ flop sweep, relative MMP, terminalization."""
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from corpus import flop_case, replay
 
-from toricmmp.circuits import _relations, classify, defect, wall_relation
+from toricmmp.circuits import classify, defect, wall_relation
 from toricmmp.errors import (
+    BudgetExceededError,
     EngineInvariantError,
     InvalidInputError,
     NonProjectiveError,
@@ -22,8 +24,10 @@ from toricmmp import mmp as mmp_module
 from toricmmp.fan import _facet_map, _Subdivision, fans_equal, make_fan, walls
 from toricmmp.jsonio import dumps
 from toricmmp.lattice import det, mat_inv, primitive
+from toricmmp.mckay import group_lattice, make_group, quotient_pair
 from toricmmp.mmp import (
     _crosses,
+    _mmp_pairs,
     _sweep,
     ample_heights,
     bistellar_flip,
@@ -489,7 +493,7 @@ def test_sweep_state_matches_rebuilt_fan(monkeypatch):
         for _, sub, walls_ in _sweep(px, py, None, None):
             fan = make_fan(sub.rays, list(sub.max_cones), validate="full")
             assert {f: w[0] for f, w in walls_.items()} == {
-                w.shared: rel for w, rel in _relations(fan)
+                w.shared: wall_relation(fan, w) for w in walls(fan)
             }, seed
             events += 1
     assert events > 80
@@ -585,6 +589,104 @@ def test_relative_mmp_validates_base():
     complete = make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(InvalidInputError):
         relative_mmp(make_pair(complete, [0, 0, 0]), [(1, 0), (0, 1)])
+
+
+def _cyclic_mmp_inputs():
+    """(pair, base) that mckay_pipeline hands to the relative MMP for every
+    distinct cyclic 3-fold group with r <= 12: the terminalization with
+    every coefficient dropped to zero, over the quotient cone."""
+    groups = {}
+    for r in range(1, 13):
+        for ws in product(range(r), repeat=3):
+            G = make_group(3, [(r, ws)])
+            groups.setdefault(group_lattice(G).rows, G)
+    out = []
+    for G in groups.values():
+        X = quotient_pair(G)
+        Y, _ = terminalize(X)
+        out.append((make_pair(Y.fan, [0] * len(Y.fan.rays), Y.lattice), X.fan.rays))
+    return out
+
+
+def _square_mmp_inputs(seed, count):
+    """(pair, base) over cones on lattice squares at height 1, triangulated
+    near the heights x^2 + y^2, with random coefficients; their MMPs mix
+    flips and contractions."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        side = rng.choice([2, 3, 4])
+        base = [(0, 0, 1), (side, 0, 1), (side, side, 1), (0, side, 1)]
+        pts = set(base)
+        target = rng.randint(5, min(12, (side + 1) ** 2))
+        while len(pts) < target:
+            pts.add((rng.randint(0, side), rng.randint(0, side), 1))
+        rays = sorted(pts)
+        heights = [x * x + y * y + Fraction(rng.randint(-20, 20), 97) for x, y, _ in rays]
+        try:
+            fan = regular_triangulation(rays, heights)
+        except InvalidInputError:
+            continue  # flat wall: the perturbed heights are not generic
+        coeffs = [rng.choice([0, 0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]) for _ in rays]
+        out.append((make_pair(fan, coeffs), base))
+    return out
+
+
+def test_mmp_state_matches_validated_fans(monkeypatch):
+    # the relative MMP keeps one fan state across flips and contractions:
+    # no step rebuilds a fan or re-validates a pair, and each yielded fan is
+    # the fully validated fan of its rays and cones, in cone order and
+    # support kind.  Each step's defect is that of its wall under the psi
+    # of the pair before it, and the last pair has no positive defect.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the MMP rebuilt a fan or a pair")
+
+    def psi_defects(pair):
+        psi = psi_heights(pair)
+        return {
+            frozenset(pair.fan.rays[i] for i in w.shared): defect(wall_relation(pair.fan, w), psi)
+            for w in walls(pair.fan)
+        }
+
+    inputs = _cyclic_mmp_inputs() + _square_mmp_inputs(7, 150)
+    monkeypatch.setattr(mmp_module, "make_fan", forbidden)
+    monkeypatch.setattr(mmp_module, "make_pair", forbidden, raising=False)
+    kinds, stuck = Counter(), 0
+    for pair, base in inputs:
+        prev = pair
+        try:
+            for step, cur in _mmp_pairs(pair, base):
+                fan = cur.fan
+                assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
+                assert cur.lattice == pair.lattice
+                assert step.defect == psi_defects(prev)[frozenset(step.wall)] > 0
+                if step.kind == "divisorial":
+                    j = prev.fan.rays.index(step.removed_ray)
+                    assert cur.coeffs == prev.coeffs[:j] + prev.coeffs[j + 1:]
+                else:
+                    assert cur.coeffs == prev.coeffs
+                kinds[step.kind] += 1
+                prev = cur
+            assert all(d <= 0 for d in psi_defects(prev).values())
+        except EngineInvariantError as e:
+            # a contraction whose target cone is not simplicial, such as the
+            # centre ray of a square: no simplicial step exists
+            assert str(e) == "no executable wall among positive defects"
+            stuck += 1
+    assert kinds["divisorial"] > 100 and kinds["flip"] > 100, kinds
+    assert stuck < 50
+
+
+def test_mmp_and_flip_limits_name_their_value(monkeypatch):
+    # a flip that changes nothing leaves the same wall negative, so each
+    # loop runs to its stated 10*n^2 limit
+    monkeypatch.setattr(_Subdivision, "flip", lambda self, rel, partial=False: ((), ()))
+    rays = [(0, 0, 1), (1, 0, 1), (3, 3, 2), (0, 1, 1)]
+    p = make_pair(make_fan(rays, [(0, 1, 2), (0, 2, 3)]), [0] * 4)
+    with pytest.raises(BudgetExceededError, match=r"limit of 10\*n\^2 = 160 steps for n = 4 rays"):
+        relative_mmp(p, rays)
+    with pytest.raises(BudgetExceededError, match=r"limit of 10\*n\^2 = 160 flips for n = 4 rays"):
+        regular_triangulation([(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)], [1, 0, 1, 0])
 
 
 # ------------------------------------------------------------ terminalize
