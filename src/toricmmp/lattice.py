@@ -416,7 +416,11 @@ def _span_mod(gens, m):
     return group
 
 
-@lru_cache(maxsize=1 << 13)
+# an entry keeps all m - 1 numerators: only cones up to this multiplicity
+# are cached, so the 8,192 entries hold fewer than 2^25 numerators
+MAX_CACHED_MULTIPLICITY = 2 ** 12
+
+
 def _box_numerators(C):
     """(m, nums): m = |det C| and the integer barycentric numerators over m
     of the m - 1 nonzero lattice points of the half-open parallelepiped of
@@ -424,7 +428,14 @@ def _box_numerators(C):
     C.adj = d.I, a lattice point p has num = +-p.adj mod m, so nums is the
     span of the adjugate rows mod m (a subgroup, so the sign of d does not
     matter), of order [Z^n : Z^n.C] = m.  A multiplicity above
-    MAX_MULTIPLICITY raises InvalidInputError before any enumeration."""
+    MAX_MULTIPLICITY raises InvalidInputError before any enumeration; one
+    above MAX_CACHED_MULTIPLICITY is enumerated again on every call."""
+    if abs(adjugate(C)[1]) <= MAX_CACHED_MULTIPLICITY:
+        return _cached_box_numerators(C)
+    return _enumerate_box_numerators(C)
+
+
+def _enumerate_box_numerators(C):
     adj, d = adjugate(C)
     m = abs(d)
     if m > MAX_MULTIPLICITY:
@@ -432,6 +443,9 @@ def _box_numerators(C):
             f"cone multiplicity {m} exceeds the box-point limit {MAX_MULTIPLICITY}"
         )
     return m, tuple(_span_mod([tuple(x % m for x in row) for row in adj], m)[1:])
+
+
+_cached_box_numerators = lru_cache(maxsize=1 << 13)(_enumerate_box_numerators)
 
 
 def _box_points_in_coords(C):

@@ -30,6 +30,8 @@ class LpUnbounded(Exception):
 
 def _scaled(row):
     """The row times the positive lcm of its denominators, and that lcm."""
+    if set(map(type, row)) == {int}:
+        return row, 1
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row], den
 
@@ -54,9 +56,13 @@ def _pivot(T, r, k, D, X, Y, seen, last):
     Tr = T[r] = [s * y for y in T[r]]
     p = Tr[k]
     for i, Ti in enumerate(T):
-        if i != r and ((f := Ti[k]) or p != D):
+        if i == r:
+            continue
+        if f := Ti[k]:
             T[i] = [(x * p - f * y) // D for x, y in zip(Ti, Tr)]
             T[i][k] = -s * f
+        elif p != D:
+            T[i] = [x * p // D for x in Ti]
     Tr[k] = s * D
     X[k], Y[r] = Y[r], X[k]
     return p

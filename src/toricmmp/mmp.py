@@ -299,8 +299,11 @@ def flop_decompose(pair_x, pair_y, ample_x=None, ample_y=None):
 
     A sweep that reaches Y certifies K-equivalence: rays and coefficients
     agree, and each event circuit has psi-defect 0, so psi is linear on its
-    cones and the flip keeps it.  Only a failed sweep runs the cell walk
-    k_equivalent: False raises NotKEquivalentError, True the sweep's error.
+    cones and the flip keeps it.  Only a failed sweep asks k_equivalent:
+    False raises NotKEquivalentError, True the sweep's error.  When psi's
+    ray values are those of one linear form (zero boundary at height one,
+    say), k_equivalent answers from that form; only a psi that bends pays
+    for its cell walk.
     """
     if not _same_rays_and_coeffs(pair_x, pair_y):
         raise NotKEquivalentError("pairs are not K-equivalent")
@@ -409,6 +412,13 @@ def _sweep(pair_x, pair_y, ample_x, ample_y):
             raise EngineInvariantError(
                 f"event wall has discrepancy defect {k_defect}, expected 0"
             )
+        # unreachable on valid input.  No divisorial event: a ray's gap to
+        # the lower hull of the other rays is concave in t (that hull is a
+        # min of affine functions) and positive at both strictly convex
+        # ends, so every ray stays a lower-hull vertex along the pencil.
+        # No fiber event: a fiber circuit sum a_i v_i = 0 with no a_i < 0
+        # lies in no one cone, so its defect is positive at both strictly
+        # convex ends, and, affine in t, never crosses
         if classify(rel).kind != "flipping":
             raise EngineInvariantError(
                 "event wall is not of flipping type: "

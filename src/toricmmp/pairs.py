@@ -18,6 +18,7 @@ from .fan import Fan, _facet_functional, _solve, _Subdivision, in_support, locat
 from .lattice import (
     LatticeBasis,
     _box_numerators,
+    adjugate,
     cofactor_kernel,
     dot,
     mat_rank,
@@ -197,15 +198,34 @@ def _same_rays_and_coeffs(pair_x, pair_y):
     return dict(zip(fx.rays, pair_x.coeffs)) == dict(zip(fy.rays, pair_y.coeffs))
 
 
+def _psi_is_linear(pair):
+    """Is psi one linear form on the pair's support?  The form of its first
+    cone is p.W / (d L), with C.adj = d.I for the cone's ray matrix C, L the
+    lcm of the psi denominators and W = adj.(psi L on the cone); every ray
+    is tested against it in integers."""
+    fan = pair.fan
+    scaled, L = _scaled_psi(pair)
+    cone = fan.max_cones[0]
+    adj, d = adjugate(fan.ray_matrix(cone))
+    P = [scaled[i] for i in cone]
+    W = [sum(map(mul, row, P)) for row in adj]
+    return all(dot(r, W) == s * d for r, s in zip(fan.rays, scaled))
+
+
 def k_equivalent(pair_x, pair_y):
     """Do the pairs share rays, coefficients, and log discrepancy function?
 
-    Ray-set or coefficient mismatches return False; psi agreement is then
-    decided exactly at the extreme rays of all full-dimensional pairwise
+    Ray-set or coefficient mismatches return False.  When psi's values at
+    the rays are those of one linear form, both psi are the PL
+    interpolations of those values over a common support, so both equal
+    that form and the answer is True without a cell walk.  A psi that bends
+    is decided exactly at the extreme rays of all full-dimensional pairwise
     cone intersections.
     """
     if not _same_rays_and_coeffs(pair_x, pair_y):
         return False
+    if _psi_is_linear(pair_x):
+        return True
     fx, fy = pair_x.fan, pair_y.fan
     psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
     for cx in fx.max_cones:
@@ -225,17 +245,23 @@ def k_compare(pair_x, pair_y):
     Returns "equal", "X_ge_Y", "Y_ge_X", or "incomparable".  Higher log
     canonical divisor means lower psi: psi_X <= psi_Y everywhere with a
     strict point reports X_ge_Y.
+
+    When both psi are linear, psi_X - psi_Y is one linear form, and its
+    value at any support point is a nonnegative combination of its values
+    at X's rays: the ray loops alone see every sign, so the cell loop is
+    skipped.
     """
     _same_rays_and_coeffs(pair_x, pair_y)  # for its footing and support checks
     fx, fy = pair_x.fan, pair_y.fan
     psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
     lt = gt = False
-    for cx in fx.max_cones:
-        for cy in fy.max_cones:
-            for e in cell_extreme_rays(fx, cx, fy, cy):
-                a = _linear_eval(fx, cx, psix, e)
-                b = _linear_eval(fy, cy, psiy, e)
-                lt, gt = lt or a < b, gt or a > b
+    if not (_psi_is_linear(pair_x) and _psi_is_linear(pair_y)):
+        for cx in fx.max_cones:
+            for cy in fy.max_cones:
+                for e in cell_extreme_rays(fx, cx, fy, cy):
+                    a = _linear_eval(fx, cx, psix, e)
+                    b = _linear_eval(fy, cy, psiy, e)
+                    lt, gt = lt or a < b, gt or a > b
     for i, r in enumerate(fx.rays):
         a, b = psix[i], pl_eval(fy, psiy, r)
         lt, gt = lt or a < b, gt or a > b

@@ -7,10 +7,12 @@ import pytest
 
 from toricmmp.errors import InvalidInputError
 from toricmmp.lattice import (
+    MAX_CACHED_MULTIPLICITY,
     BoxPoint,
     LatticeBasis,
     _box_numerators,
     _box_points_in_coords,
+    _cached_box_numerators,
     adjugate,
     box_points,
     cone_multiplicity,
@@ -526,3 +528,25 @@ def test_box_numerators_are_the_box():
         assert all(x % m == 0 for num in nums for x in vec_mat(num, C))
     for C in (((1, 0), (0, 1)), ((2, 1), (1, 1)), ((1, 2, 3), (0, 1, 4), (0, 0, -1))):
         assert _box_numerators(C) == (1, ())
+
+
+def test_box_numerators_cache_holds_small_cones_only():
+    # rows e1, e2, (a, b, m): the box point with last barycentric k / m has
+    # numerators (-k a mod m, -k b mod m, k)
+    def rows(a, b, m):
+        return ((1, 0, 0), (0, 1, 0), (a, b, m))
+
+    def expected(a, b, m):
+        return sorted(((-k * a) % m, (-k * b) % m, k) for k in range(1, m))
+
+    def lookups():  # (hits, misses): they count every cache access
+        return _cached_box_numerators.cache_info()[:2]
+
+    before = lookups()
+    for a, b in ((1, 2), (3, 7), (11, 13)):
+        m, nums = _box_numerators(rows(a, b, 10 ** 5))
+        assert m == 10 ** 5 and sorted(nums) == expected(a, b, m)
+    assert lookups() == before
+    m = MAX_CACHED_MULTIPLICITY
+    assert sorted(_box_numerators(rows(5, 7, m))[1]) == expected(5, 7, m)
+    assert sum(lookups()) == sum(before) + 1

@@ -7,6 +7,7 @@ import pytest
 
 from corpus import flop_case
 
+import toricmmp.linprog as linprog_module
 import toricmmp.mmp as mmp
 from toricmmp.errors import BudgetExceededError
 from toricmmp.linprog import LpInfeasible, LpUnbounded, lp_maximize
@@ -46,6 +47,23 @@ def test_exact_rational_data():
     opt, y = lp_maximize([Fraction(1, 3)], [[Fraction(2, 7)]], [Fraction(3, 5)])
     assert opt == Fraction(1, 3) * Fraction(21, 10)
     assert y == (Fraction(21, 10),)
+
+
+def test_mixed_rows_and_rescaled_zero_column(monkeypatch):
+    # a Fraction row among integer rows; a pivot with p != D rescales the
+    # rows that have 0 in the pivot column
+    rescaled, real_pivot = [], linprog_module._pivot
+
+    def spy(T, r, k, D, *rest):
+        if abs(T[r][k]) != D:
+            rescaled.extend(i for i, Ti in enumerate(T) if i != r and Ti[k] == 0)
+        return real_pivot(T, r, k, D, *rest)
+
+    monkeypatch.setattr(linprog_module, "_pivot", spy)
+    c, A, b = [2, 2], [[2, Fraction(2, 3)], [0, 4], [0, 2]], [Fraction(1, 2), 1, 3]
+    assert lp_maximize(c, A, b) == (Fraction(5, 6), (Fraction(1, 6), Fraction(1, 4)))
+    assert rescaled
+    assert lp_maximize(c, A, b) == _sympy_maximize(c, A, b)
 
 
 # Two LPs on which sympy's phase one cycles forever: its rule is

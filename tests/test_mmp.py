@@ -21,6 +21,7 @@ from toricmmp.errors import (
     NotKEquivalentError,
 )
 from toricmmp import mmp as mmp_module
+from toricmmp import pairs as pairs_module
 from toricmmp.fan import _facet_map, _Subdivision, fans_equal, make_fan, walls
 from toricmmp.jsonio import dumps
 from toricmmp.lattice import det, mat_inv, primitive
@@ -377,6 +378,20 @@ def test_flop_decompose_one_circuit_two_walls():
     py = make_pair(make_fan(TIED_RAYS, TIED_Y), [0] * 6)
     steps = flop_decompose(px, py)
     assert fans_equal(replay(px, steps)[-1].fan, py.fan)
+
+
+def test_tied_pair_k_equivalence_needs_no_cell_walk(monkeypatch):
+    # zero boundary at height one: psi is one linear form, so the fallback
+    # answers without the cell walk and re-raises the sweep's error
+    def no_walk(*_):
+        raise AssertionError("the cell walk ran")
+
+    monkeypatch.setattr(pairs_module, "cell_extreme_rays", no_walk)
+    px = make_pair(make_fan(TIED_RAYS, TIED_X), [0] * 6)
+    py = make_pair(make_fan(TIED_RAYS, TIED_Y), [0] * 6)
+    assert k_equivalent(px, py)
+    with pytest.raises(EngineInvariantError, match="simultaneous events on distinct circuits"):
+        flop_decompose(px, py)
 
 
 def test_flop_decompose_atiyah():

@@ -10,6 +10,7 @@ import pytest
 
 from corpus import flop_case
 from test_lattice import oracle_box_points_in_coords
+from test_mmp import _bumped_corpus_case
 from toricmmp import pairs as pairs_module
 from toricmmp.errors import InvalidInputError
 from toricmmp.fan import _facet_functional, in_support, make_fan, star_subdivision
@@ -375,6 +376,42 @@ def test_k_compare_atiyah_equal():
     px = make_pair(ATIYAH_X, [0, 0, 0, 0])
     py = make_pair(ATIYAH_Y, [0, 0, 0, 0])
     assert k_compare(px, py) == "equal"
+
+
+# ------------------------------------------------ linear-psi certificate
+
+
+def _certificate_cases():
+    """Pairs on a common support: corpus seeds 0-79, the bumped corpus,
+    mixed plain/bumped pairs, a linear psi off the height (the square cone
+    with coefficients (0, 1/2, 1/2, 0)) and orthant against blow-up."""
+    cases = []
+    for seed in range(80):
+        px, py, _ = flop_case(seed)
+        bx, by = _bumped_corpus_case(seed)
+        cases += [(px, py), (bx, by)] + [(px, by)] * (seed < 20)
+    sloped = [0, Fraction(1, 2), Fraction(1, 2), 0]
+    cases.append((make_pair(ATIYAH_X, sloped), make_pair(ATIYAH_Y, sloped)))
+    half = Fraction(1, 2)
+    cases.append((make_pair(ORTHANT2, [half, half]), make_pair(BLOWUP2, [half, half, 0])))
+    return cases
+
+
+def test_linear_psi_certificate_matches_cell_walk(monkeypatch):
+    # k_equivalent and k_compare with the certificate, then with it forced
+    # off so that every verdict comes from the cell walk
+    cases = _certificate_cases()
+    linear = [pairs_module._psi_is_linear(px) and pairs_module._psi_is_linear(py)
+              for px, py in cases]
+    same = [k_equivalent(px, py) for px, py in cases]
+    order = [k_compare(px, py) for px, py in cases]
+    monkeypatch.setattr(pairs_module, "_psi_is_linear", lambda pair: False)
+    assert [k_equivalent(px, py) for px, py in cases] == same
+    assert [k_compare(px, py) for px, py in cases] == order
+    assert linear[-2] and same[-2] and order[-1] == "equal"
+    # the shortcut fires on some pairs but not all, and every verdict occurs
+    assert 0 < sum(linear) < len(cases) and 0 < sum(same) < len(cases)
+    assert {"equal", "X_ge_Y", "Y_ge_X", "incomparable"} <= set(order)
 
 
 # ------------------------------------------------------------------- nef
