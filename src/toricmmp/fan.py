@@ -3,14 +3,14 @@
 A Fan stores primitive integer rays (in coordinates of whatever lattice the
 caller fixed) and its maximal cones as sorted ray-index tuples.  Everything
 downstream assumes validity, so construction checks eagerly.  Every change
-to a fan is a step of one local state, _Subdivision: star subdivision,
-bistellar flip and divisorial contraction, each checking only the facets
-it touched.  make_fan's `fast` level is those checks applied once to all
-cones; `full` adds the test that any two cones meet in a common face.  For
-complete and cone-supported fans that test is one degree-one point check;
-fans of support kind "other" keep the pairwise LP test.  Exact LP also
-decides membership in a cone over non-simplicial generators.  Both LPs are
-posed in the standard form of `linprog.lp_maximize` with the origin
+to a fan is a step of one local state, _Subdivision: star subdivision or a
+circuit step (flip or divisorial contraction), each checking only the
+facets it touched.  make_fan's `fast` level is those checks applied once to
+all cones; `full` adds the test that any two cones meet in a common face.
+For complete and cone-supported fans that test is one degree-one point
+check; fans of support kind "other" keep the pairwise LP test.  Exact LP
+also decides membership in a cone over non-simplicial generators.  Both LPs
+are posed in the standard form of `linprog.lp_maximize` with the origin
 feasible, so the solver never needs a phase-one search, which can cycle.
 """
 
@@ -231,7 +231,7 @@ def make_fan(rays, max_cones, *, validate="full"):
         raise InvalidInputError("fan has unused rays")
 
     sub = _Subdivision(Fan(n, rays, (), "other"))
-    sub._replace((), cones, None)
+    sub._replace((), cones, "make_fan")
     if all(len(cs) == 2 for cs in sub.facets.values()):
         kind = "complete"
     elif len(_walk_star(sub.facets, cones[0], ())) == len(cones) and all(
@@ -320,11 +320,11 @@ def star_subdivision(fan, w):
 
 
 class _Subdivision:
-    """A fan as local state under its three surgeries: star subdivision,
-    bistellar flip and divisorial contraction.  The state is the rays, the
-    facet map, and the maximal cones with their insertion numbers, whose
-    order is the cone order (kept cones stay in place, new ones are
-    appended).  Its interior facets are the walls (circuits._relations).
+    """A fan as local state under its surgeries: star subdivision and the
+    circuit step (flip or contraction).  The state is the rays, the facet
+    map, and the maximal cones with their insertion numbers, whose order is
+    the cone order (kept cones stay in place, new ones are appended).  Its
+    interior facets are the walls (circuits._relations).
 
     A step replaces some cones by others and applies the fast checks to
     exactly the facets it touched: new cones are simplicial and new, a
@@ -346,13 +346,10 @@ class _Subdivision:
     "other" may be pinched along a face, so there, and without a cone, the
     star is the barycentric scan of every cone.
 
-    flip replaces the plus cones of a circuit by its minus cones, so it
-    costs the cones of the circuit.  Its kind check is what rejects a flip
-    of one wall of a circuit with a zero coefficient whose other walls keep
-    the old triangulation: that opens boundary facets inside the support.
-
-    contract replaces the star of a ray by one cone and removes the ray,
-    re-indexing the rays after it.
+    flip and contract are one step, Reid's circuit modification of a wall
+    relation (M. Reid, "Decomposition of toric morphisms", 1983): T+ * L is
+    replaced by T- * L (_circuit), at the cost of the cones around the
+    circuit.  contract then removes the ray, re-indexing the rays after it.
 
     fan() copies the cone tuple.
     """
@@ -391,39 +388,51 @@ class _Subdivision:
         self._replace(gone, new, "star subdivision")
         return gone, new
 
-    def flip(self, rel, partial=False):
-        """The bistellar flip of the circuit relation rel (a wall relation
-        of this fan, from circuits): its plus cones, the circuit minus one
-        positive-coefficient ray, are replaced by its minus cones; returns
-        (the cones it removes, the cones it creates), or None when some plus
-        cone is missing (the circuit is not isolated).
-
-        A circuit with a zero coefficient whose nonzero rays span further
-        walls does not flip across one wall alone: those walls keep the old
-        triangulation, and the flip opens boundary facets inside the
-        support.  That raises EngineInvariantError, unless partial is set:
-        then the state becomes of kind "other", as make_fan classifies it.
-        """
-        circ = rel.ray_indices
-        plus = [tuple(i for i in circ if i != j) for j in rel.s_plus]
+    def _circuit(self, rel):
+        """(T+ * L, T- * L) for the circuit relation rel, or None when a cone
+        of T+ * L is missing.  T+ and T- are the circuit's nonzero rays minus
+        one positive or negative ray; L is the link of the first T+ simplex,
+        walked from its plus cone (the circuit minus that ray).  In a complete
+        or cone-supported fan every T+ simplex then has link L: the support
+        looks the same along the relative interior of the circuit's cone, so
+        each simplex's cones in T+ * L fill it around that simplex."""
+        nz = set(rel.s_plus + rel.s_minus)
+        cone = tuple(i for i in rel.ray_indices if i != rel.s_plus[0])
+        if cone not in self.max_cones:
+            return None
+        star = _walk_star(self.facets, cone, nz.intersection(cone))
+        joins = sorted(tuple(sorted(nz.union(c))) for c in star)
+        plus, minus = (
+            [tuple(i for i in u if i != k) for k in side for u in joins]
+            for side in (rel.s_plus, rel.s_minus)
+        )
         if any(c not in self.max_cones for c in plus):
             return None
-        minus = [tuple(i for i in circ if i != j) for j in rel.s_minus]
-        self._replace(plus, minus, None if partial else "flip")
         return plus, minus
 
+    def flip(self, rel):
+        """The step of the wall relation rel (a flipping circuit, from
+        circuits): (the cones it removes, the cones it creates), or None
+        when _circuit is None.  Every wall of the circuit flips at once."""
+        step = self._circuit(rel)
+        if step is not None:
+            self._replace(*step, "flip")
+        return step
+
     def contract(self, rel, j):
-        """Remove ray j, the one negative ray of the divisorial circuit
-        relation rel: its star, which must be exactly the plus cones of the
-        circuit, is replaced by the cone of the circuit minus j.  Returns
-        the removed ray, or None when the star does not match.  The later
-        rays shift down one index, so the step costs the whole fan."""
-        circ = rel.ray_indices
-        plus = {tuple(i for i in circ if i != p) for p in rel.s_plus}
-        star = [c for c in self.max_cones if j in c]
-        if set(star) != plus:
+        """Remove ray j, the one negative ray of the divisorial relation rel,
+        by the same step when the star of j is exactly T+ * L; returns the ray
+        or None.  The star is walked from a plus cone, or scanned in a fan of
+        kind "other", which may be pinched at the ray.  Later rays shift down
+        one index, so the step costs the fan."""
+        step = self._circuit(rel)
+        if step is None:
             return None
-        self._replace(star, [tuple(i for i in circ if i != j)], "contraction")
+        star = ({c for c in self.max_cones if j in c} if self.kind == "other"
+                else _walk_star(self.facets, step[0][0], (j,)))
+        if star != set(step[0]):
+            return None
+        self._replace(*step, "contraction")
 
         def shift(c):
             return tuple(i - (i > j) for i in c)
@@ -434,9 +443,8 @@ class _Subdivision:
 
     def _replace(self, gone, new, what):
         """Remove the cones gone, append the cones new, and apply the fast
-        checks to the facets that changed.  A new boundary facet that the
-        support kind forbids raises, naming the step what, or with no name
-        makes the kind "other"."""
+        checks to the facets that changed; a new boundary facet that the
+        support kind forbids raises EngineInvariantError naming the step."""
         change = {}
         for c in gone:
             del self.max_cones[c]
@@ -469,9 +477,7 @@ class _Subdivision:
             elif not cs:
                 del self.facets[f]
             elif delta and not self._keeps_kind(f, cs[0]):
-                if what:
-                    raise EngineInvariantError(f"{what} changed the support kind")
-                self.kind = "other"
+                raise EngineInvariantError(f"{what} changed the support kind")
 
     def _keeps_kind(self, facet, cone):
         """May facet, newly on the boundary in cone, lie on the boundary?"""

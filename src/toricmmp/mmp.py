@@ -8,11 +8,11 @@ scheduling ties are broken by a symbolic infinitesimal perturbation or by
 explicit lexicographic rules, so every run is deterministic.
 
 Every surgery is a step of one local fan state (fan._Subdivision): star
-subdivision, bistellar flip and divisorial contraction.  Each engine loop
-keeps one state across its steps and reads the walls off it
-(circuits._relations) instead of rebuilding the fan; only regular
-triangulation calls make_fan, for its seed cone, a ray placed outside the
-support, and its result.
+subdivision, or Reid's circuit step T+ * L -> T- * L, a flip or a
+divisorial contraction.  Each engine loop keeps one state across its steps
+and reads the walls off it (circuits._relations) instead of rebuilding the
+fan; only regular triangulation calls make_fan, for its seed cone, a ray
+placed outside the support, and its result.
 """
 
 from fractions import Fraction
@@ -64,7 +64,7 @@ class MmpStep(NamedTuple):
     coeffs: tuple
     defect: Fraction         # discrepancy defect that triggered the step
     removed_ray: tuple | None
-    center: tuple | None     # ray vectors spanning the contraction center
+    center: tuple | None     # the circuit's positive rays: the divisor's image
 
 
 class ExtractionStep(NamedTuple):
@@ -126,36 +126,30 @@ def bistellar_flip(fan, wall):
     """Replace the plus-side cones of the wall circuit by the minus side.
 
     The wall must be of flipping type and its circuit isolated: every cone
-    spanned by the circuit minus one plus-ray is present in the fan.  The
-    flip must also keep the support kind: one wall of a circuit with a zero
-    coefficient whose nonzero rays span further walls does not flip alone,
-    since those walls keep the old triangulation.  That raises
-    InvalidInputError, as make_fan(validate="full") rejects the result.
+    spanned by the circuit minus one plus-ray is present in the fan.  This
+    is a one-wall step: when the circuit's nonzero rays span further walls
+    (their link is wider than the wall's own zero rays), flipping this wall
+    alone would leave those walls on the old triangulation, and that raises
+    InvalidInputError.  The engine's own loops flip the whole link.
     """
     rel = wall_relation(fan, wall)
     if classify(rel).kind != "flipping":
         raise InvalidInputError("wall is not of flipping type")
     sub = _Subdivision(fan)
-    try:
-        flipped = sub.flip(rel)
-    except EngineInvariantError:
-        raise InvalidInputError("the flip across this wall changes the support kind") from None
+    flipped = sub.flip(rel)
     if flipped is None:
         raise InvalidInputError("wall circuit is not isolated")
+    if len(flipped[0]) > len(rel.s_plus):
+        raise InvalidInputError("the flip across this wall changes the support kind")
     return sub.fan()
-
-
-def _center(fan, rel):
-    """The rays spanning the face that the divisor of a divisorial circuit
-    maps onto: its positive and zero-coefficient rays."""
-    return tuple(fan.rays[i] for i in sorted(rel.s_plus + rel.s_zero))
 
 
 def divisorial_contract(fan, wall):
     """Contract the unique negative ray of a divisorial wall circuit.
 
-    Returns (fan, removed_ray, center_rays) where center_rays spans the
-    face the removed divisor maps onto.
+    Returns (fan, removed_ray, center_rays): the circuit's positive rays
+    span the face the removed divisor maps onto, as the removed ray lies in
+    the relative interior of their cone.
     """
     rel = wall_relation(fan, wall)
     kind = classify(rel)
@@ -165,7 +159,7 @@ def divisorial_contract(fan, wall):
     removed = sub.contract(rel, kind.ray)
     if removed is None:
         raise InvalidInputError("star of the contracted ray does not match the circuit")
-    return sub.fan(), removed, _center(fan, rel)
+    return sub.fan(), removed, tuple(fan.rays[i] for i in rel.s_plus)
 
 
 # ------------------------------------------------- regular triangulation
@@ -202,10 +196,10 @@ def _negative_walls(sub, hmap):
 def _flips_to_convexity(fan, hmap, budget, focus):
     """Flip away negative-defect walls, most negative first, as steps of
     one local state.  With a focus ray only circuits through it are
-    touched; stalled walls are left for the global pass.  Flips go wall by
-    wall, so the two walls of a circuit with a zero coefficient flip one
-    after the other, and the fan between them is of kind "other" (a partial
-    flip).  budget is the flips left of regular_triangulation's limit."""
+    touched; stalled walls are left for the global pass.  A circuit's walls
+    share its defect and flip together (fan._Subdivision.flip), so every
+    state is a fan.  budget is the flips left of regular_triangulation's
+    limit."""
     sub = _Subdivision(fan)
     while True:
         cands = _negative_walls(sub, hmap)
@@ -226,7 +220,7 @@ def _flips_to_convexity(fan, hmap, budget, focus):
                 raise InvalidInputError(
                     "fiber-type wall: heights have no lower hull over this support"
                 )
-            if sub.flip(rel, partial=True) is None:
+            if sub.flip(rel) is None:
                 continue
             if budget == 0:
                 n = len(hmap)
@@ -526,7 +520,7 @@ def _mmp_pairs(pair, base):
                 if sub.flip(rel) is not None:
                     break
             else:
-                center = _center(sub, rel)
+                center = tuple(sub.rays[i] for i in rel.s_plus)
                 removed = sub.contract(rel, kind.ray)
                 if removed is not None:
                     del scaled[kind.ray]

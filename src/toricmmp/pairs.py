@@ -212,6 +212,20 @@ def _psi_is_linear(pair):
     return all(dot(r, W) == s * d for r, s in zip(fan.rays, scaled))
 
 
+def _cell_values(pair_x, pair_y):
+    """(psi_X, psi_Y) at the extreme rays of every full-dimensional
+    intersection of a cone of X with a cone of Y, skipping identical cones:
+    their cell is the cone itself, whose rays the callers compare."""
+    fx, fy = pair_x.fan, pair_y.fan
+    psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
+    for cx in fx.max_cones:
+        rx = set(fx.ray_matrix(cx))
+        for cy in fy.max_cones:
+            if rx != set(fy.ray_matrix(cy)):
+                for e in cell_extreme_rays(fx, cx, fy, cy):
+                    yield _linear_eval(fx, cx, psix, e), _linear_eval(fy, cy, psiy, e)
+
+
 def k_equivalent(pair_x, pair_y):
     """Do the pairs share rays, coefficients, and log discrepancy function?
 
@@ -220,23 +234,13 @@ def k_equivalent(pair_x, pair_y):
     interpolations of those values over a common support, so both equal
     that form and the answer is True without a cell walk.  A psi that bends
     is decided exactly at the extreme rays of all full-dimensional pairwise
-    cone intersections.
+    cone intersections; identical cones carry identical heights.
     """
     if not _same_rays_and_coeffs(pair_x, pair_y):
         return False
     if _psi_is_linear(pair_x):
         return True
-    fx, fy = pair_x.fan, pair_y.fan
-    psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
-    for cx in fx.max_cones:
-        rx = set(fx.ray_matrix(cx))
-        for cy in fy.max_cones:
-            if rx == set(fy.ray_matrix(cy)):
-                continue  # identical cones carry identical heights
-            for e in cell_extreme_rays(fx, cx, fy, cy):
-                if _linear_eval(fx, cx, psix, e) != _linear_eval(fy, cy, psiy, e):
-                    return False
-    return True
+    return all(a == b for a, b in _cell_values(pair_x, pair_y))
 
 
 def k_compare(pair_x, pair_y):
@@ -249,19 +253,15 @@ def k_compare(pair_x, pair_y):
     When both psi are linear, psi_X - psi_Y is one linear form, and its
     value at any support point is a nonnegative combination of its values
     at X's rays: the ray loops alone see every sign, so the cell loop is
-    skipped.
+    skipped.  For the same reason _cell_values skips identical cones.
     """
     _same_rays_and_coeffs(pair_x, pair_y)  # for its footing and support checks
     fx, fy = pair_x.fan, pair_y.fan
     psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
     lt = gt = False
     if not (_psi_is_linear(pair_x) and _psi_is_linear(pair_y)):
-        for cx in fx.max_cones:
-            for cy in fy.max_cones:
-                for e in cell_extreme_rays(fx, cx, fy, cy):
-                    a = _linear_eval(fx, cx, psix, e)
-                    b = _linear_eval(fy, cy, psiy, e)
-                    lt, gt = lt or a < b, gt or a > b
+        for a, b in _cell_values(pair_x, pair_y):
+            lt, gt = lt or a < b, gt or a > b
     for i, r in enumerate(fx.rays):
         a, b = psix[i], pl_eval(fy, psiy, r)
         lt, gt = lt or a < b, gt or a > b

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -97,6 +98,20 @@ def test_mmp_contracts_interior_ray(capsys, tmp_path):
     assert code == 0 and out2 == out
     code, _, err = run(capsys, "mmp", path, "--max-steps", "0")
     assert code == 1 and "max-steps" in err
+
+
+def test_mmp_contracts_the_centre_of_a_square(capsys, tmp_path):
+    # the centre ray's star is four cones around it: one link contraction
+    rays = [(0, 0, 1), (2, 0, 1), (2, 2, 1), (0, 2, 1), (1, 1, 1)]
+    fan = make_fan(rays, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)])
+    pair = make_pair(fan, [0, 0, 0, 0, Fraction(1, 2)])
+    path = write(tmp_path / "square.json", pair_to_json(pair))
+    code, out, _ = run(capsys, "mmp", path)
+    assert code == 0
+    assert out.splitlines() == [
+        "contract ray [1, 1, 1]",
+        "minimal model: 4 rays, 2 cones",
+    ]
 
 
 def test_mckay_single(capsys, sixth_group_file):

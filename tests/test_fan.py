@@ -416,30 +416,39 @@ def test_star_subdivision_preserves_support_random():
 
 
 def _contracted_oracle(fan, rel, j):
-    """(fan, removed ray) after removing ray j of a divisorial circuit, the
-    shifted cones rebuilt by make_fan, or None when the star of j is not
-    exactly the plus side of the circuit."""
-    circ = set(rel.ray_indices)
-    star = {c for c in fan.max_cones if j in c}
-    if star != {tuple(sorted(circ - {i})) for i in rel.s_plus}:
+    """(fan, removed ray) after removing ray j of a divisorial circuit, or
+    None when the star of j is not T+ * L: T+ are the circuit's nonzero rays
+    minus one positive ray, and L, the link of the first T+ simplex, is read
+    off a scan of every cone.  T+ * L is replaced by T- * L, the nonzero
+    rays minus j joined with L, and the shifted cones are rebuilt by
+    make_fan with full validation."""
+    nz = [i for i in rel.ray_indices if i not in rel.s_zero]
+    first = [i for i in nz if i != rel.s_plus[0]]
+    link = sorted(
+        tuple(i for i in c if i not in first) for c in fan.max_cones if set(first) <= set(c)
+    )
+    plus = {tuple(sorted({i for i in nz if i != p} | set(l))) for p in rel.s_plus for l in link}
+    if {c for c in fan.max_cones if j in c} != plus:
         return None
 
     def shift(i):
         return i if i < j else i - 1
 
-    cones = [tuple(sorted(shift(i) for i in c)) for c in fan.max_cones if j not in c]
-    cones.append(tuple(sorted(shift(i) for i in circ - {j})))
-    return make_fan(fan.rays[:j] + fan.rays[j + 1:], cones, validate="fast"), fan.rays[j]
+    cones = [c for c in fan.max_cones if j not in c]
+    cones += [tuple(sorted([i for i in nz if i != j] + list(l))) for l in link]
+    cones = [tuple(sorted(shift(i) for i in c)) for c in cones]
+    return make_fan(fan.rays[:j] + fan.rays[j + 1:], cones, validate="full"), fan.rays[j]
 
 
 def test_contract_matches_the_rebuilt_fan():
     # star-subdivide random simplicial cones (and P3, which is complete) at
     # points inside cones, on walls and on boundary facets, then contract
     # every divisorial wall: the state step gives the rebuilt fan in rays,
-    # cone order and support kind, and both refuse a star that is not the
-    # circuit's plus side
+    # cone order and support kind, and both refuse a star that is not
+    # T+ * L.  Some contractions have a link wider than the wall's own zero
+    # rays (a subdivided wall or boundary facet)
     rng = random.Random(1517)
-    outcomes = Counter()
+    outcomes, wide = Counter(), 0
     for trial in range(120):
         dim = 2 + trial % 3
         if trial % 10 == 9:
@@ -474,9 +483,25 @@ def test_contract_matches_the_rebuilt_fan():
             else:
                 assert (sub.fan(), removed) == expected
                 assert sub.facets == _facet_map(sub.fan())
+                wide += len(fan.max_cones) - len(expected[0].max_cones) > len(rel.s_plus) - 1
             outcomes[expected is None, fan.support_kind] += 1
     assert {k for k, _ in outcomes} == {True, False}, outcomes
     assert {kind for _, kind in outcomes} == {"complete", "cone-supported"}, outcomes
+    assert wide > 0
+
+
+def test_contract_scans_the_star_of_a_pinched_ray():
+    # group 1 is the orthant blown up along e1 + e2; group 2 meets it only
+    # in that ray, so the fan is of kind "other" and walking the ray's star
+    # across facets misses group 2: the contraction must refuse
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, -1), (2, 1, -1)]
+    fan = make_fan(rays, [(0, 2, 3), (1, 2, 3), (3, 4, 5)])
+    assert fan.support_kind == "other"
+    w = next(w for w in walls(fan) if w.shared == (2, 3))
+    rel = wall_relation(fan, w)
+    assert classify(rel).ray == 3
+    sub = _Subdivision(fan)
+    assert sub.contract(rel, 3) is None and sub.fan() == fan
 
 
 def test_fans_equal_permutation_invariance():

@@ -1,6 +1,7 @@
 """Quotient pairs, the rank ledger pipeline, and dimension-two chains."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -8,10 +9,13 @@ from math import gcd
 import pytest
 
 from toricmmp import fan as fan_module
+from toricmmp import mckay as mckay_module
 from toricmmp import mmp as mmp_module
+from toricmmp.circuits import _relations, defect
 from toricmmp.errors import InvalidInputError
 from toricmmp.fan import (
     _facet_map,
+    _Subdivision,
     _scan_star,
     _walk_star,
     fans_equal,
@@ -33,7 +37,7 @@ from toricmmp.mckay import (
     stack_rank,
 )
 from toricmmp.mmp import _extraction_pairs, terminalize
-from toricmmp.pairs import min_discrepancy_witness
+from toricmmp.pairs import min_discrepancy_witness, psi_heights
 
 F = Fraction
 
@@ -245,6 +249,50 @@ def test_pipeline_flip_ledgers():
         ("divisorial", (-6, -5, 7), (0, 1, 2), 9, 8, None, None),
     )
     assert (rep.order, rep.rank_resolution) == (40, 8)
+
+
+def _four_fold_groups(seed, count):
+    """count seeded cyclic 4-fold groups with r in 10..40, then count with
+    two generators of orders 2..6."""
+    rng = random.Random(seed)
+    gens = []
+    for lo, hi, k in ((10, 40, 1), (2, 6, 2)):
+        for _ in range(count):
+            rs = [rng.randint(lo, hi) for _ in range(k)]
+            gens.append([(r, tuple(rng.randrange(r) for _ in range(4))) for r in rs])
+    return [make_group(4, g) for g in gens]
+
+
+def test_pipeline_four_fold_slice(monkeypatch):
+    # every fan the MMP yields and every resolution is a valid fan, the MMP
+    # ends with no positive psi-defect wall, and its steps include flips
+    # and link contractions (a divisorial star wider than the circuit's own
+    # plus cones), which the two named groups need
+    groups = [
+        make_group(4, [(22, (4, 9, 16, 4))]),
+        make_group(4, [(4, (0, 3, 2, 1)), (6, (2, 4, 5, 4))]),
+    ] + _four_fold_groups(1, 150)
+    steps, mmp_pairs = Counter(), mckay_module._mmp_pairs
+
+    def checked(pair, base):
+        prev = pair
+        for st, cur in mmp_pairs(pair, base):
+            fan = cur.fan
+            assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
+            gone = set(map(frozenset, map(prev.fan.ray_matrix, prev.fan.max_cones)))
+            gone -= set(map(frozenset, map(fan.ray_matrix, fan.max_cones)))
+            steps[st.kind, len(gone) > sum(a > 0 for a in st.coeffs)] += 1
+            prev = cur
+            yield st, cur
+        psi = psi_heights(prev)
+        assert all(defect(rel, psi) <= 0 for _, rel in _relations(_Subdivision(prev.fan)))
+
+    monkeypatch.setattr(mckay_module, "_mmp_pairs", checked)
+    for G in groups:
+        rep = mckay_pipeline(G)
+        fan = rep.resolution.fan
+        assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
+    assert steps["divisorial", True] >= 2 and steps["flip", False] >= 1, steps
 
 
 def test_pipeline_sl_is_crepant_sampled():

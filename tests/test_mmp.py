@@ -10,6 +10,7 @@ from itertools import combinations, product
 
 import pytest
 
+import corpus
 from corpus import flop_case, replay
 
 from toricmmp.circuits import classify, defect, wall_relation
@@ -288,6 +289,37 @@ def test_regular_triangulation_matches_hull_oracle():
             assert set(fan.max_cones) == set(cells)
 
 
+def test_regular_triangulation_link_flips_match_hull_oracle(monkeypatch):
+    # the corpus triangulations of these seeds flip circuits with a zero
+    # coefficient, whose walls flip together as one link step: each
+    # triangulation is still the lower hull, and no flip changes the kind
+    calls, widths = [], Counter()
+    real_triangulation, real_flip = corpus.regular_triangulation, _Subdivision.flip
+
+    def recording(rays, heights):
+        calls.append((rays, heights))
+        return real_triangulation(rays, heights)
+
+    def counting(self, rel):
+        step = real_flip(self, rel)
+        if step is not None:
+            widths[len(step[0]) > len(rel.s_plus)] += 1
+        return step
+
+    monkeypatch.setattr(corpus, "regular_triangulation", recording)
+    for seed in (12, 23, 34, 38, 40):
+        flop_case(seed)
+    monkeypatch.setattr(_Subdivision, "flip", counting)
+    for rays, heights in calls:
+        cells, flat = oracle_lower_hull(rays, heights)
+        if flat or {i for c in cells for i in c} != set(range(len(rays))):
+            with pytest.raises(InvalidInputError):
+                regular_triangulation(rays, heights)
+        else:
+            assert set(regular_triangulation(rays, heights).max_cones) == set(cells)
+    assert widths[True] > 0, widths
+
+
 # ------------------------------------------------------- symbolic epsilon
 
 # flop_decompose(*flop_case(seed)[:2]) in canonical JSON, recorded when the
@@ -533,7 +565,7 @@ def test_crossing_test_matches_the_perturbed_defect_vector():
 
 def test_sweep_refuses_a_circuit_firing_twice(monkeypatch):
     # a flip that changes nothing leaves the fired circuit as the next event
-    monkeypatch.setattr(_Subdivision, "flip", lambda self, rel, partial=False: ((), ()))
+    monkeypatch.setattr(_Subdivision, "flip", lambda self, rel: ((), ()))
     px = make_pair(ATIYAH_X, [0, 0, 0, 0])
     py = make_pair(ATIYAH_Y, [0, 0, 0, 0])
     with pytest.raises(EngineInvariantError, match="fired twice"):
@@ -589,6 +621,28 @@ def test_relative_mmp_flip_then_stops():
     # the other triangulation is already minimal
     out2, steps2 = relative_mmp(out, rays)
     assert steps2 == ()
+
+
+def test_divisorial_contract_center_is_the_positive_face():
+    # the orthant blown up along (1, 1, 0): the divisor maps onto the line
+    # V(cone(e1, e2)), not onto the point of the circuit's zero ray e3 too
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
+    fan = make_fan(rays, [(0, 2, 3), (1, 2, 3)])
+    out, removed, center = divisorial_contract(fan, walls(fan)[0])
+    assert removed == (1, 1, 0) and center == ((1, 0, 0), (0, 1, 0))
+    assert fans_equal(out, make_fan(rays[:3], [(0, 1, 2)]))
+    _, steps = relative_mmp(make_pair(fan, [0] * 4), rays[:3])
+    assert [(s.kind, s.center) for s in steps] == [("divisorial", center)]
+
+
+def test_relative_mmp_contracts_the_centre_of_a_square():
+    # the centre ray's star is all four cones, T+ * L with L the two other
+    # corners: one link contraction leaves the cone on the square
+    rays = [(0, 0, 1), (2, 0, 1), (2, 2, 1), (0, 2, 1), (1, 1, 1)]
+    fan = make_fan(rays, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)])
+    out, steps = relative_mmp(make_pair(fan, [0, 0, 0, 0, Fraction(1, 2)]), rays[:4])
+    assert [(s.kind, s.removed_ray) for s in steps] == [("divisorial", (1, 1, 1))]
+    assert out.fan == make_fan(rays[:4], [(0, 1, 2), (0, 2, 3)], validate="full")
 
 
 def test_relative_mmp_flop_wall_not_executed():
@@ -666,36 +720,29 @@ def test_mmp_state_matches_validated_fans(monkeypatch):
     inputs = _cyclic_mmp_inputs() + _square_mmp_inputs(7, 150)
     monkeypatch.setattr(mmp_module, "make_fan", forbidden)
     monkeypatch.setattr(mmp_module, "make_pair", forbidden, raising=False)
-    kinds, stuck = Counter(), 0
+    kinds = Counter()
     for pair, base in inputs:
         prev = pair
-        try:
-            for step, cur in _mmp_pairs(pair, base):
-                fan = cur.fan
-                assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
-                assert cur.lattice == pair.lattice
-                assert step.defect == psi_defects(prev)[frozenset(step.wall)] > 0
-                if step.kind == "divisorial":
-                    j = prev.fan.rays.index(step.removed_ray)
-                    assert cur.coeffs == prev.coeffs[:j] + prev.coeffs[j + 1:]
-                else:
-                    assert cur.coeffs == prev.coeffs
-                kinds[step.kind] += 1
-                prev = cur
-            assert all(d <= 0 for d in psi_defects(prev).values())
-        except EngineInvariantError as e:
-            # a contraction whose target cone is not simplicial, such as the
-            # centre ray of a square: no simplicial step exists
-            assert str(e) == "no executable wall among positive defects"
-            stuck += 1
+        for step, cur in _mmp_pairs(pair, base):
+            fan = cur.fan
+            assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
+            assert cur.lattice == pair.lattice
+            assert step.defect == psi_defects(prev)[frozenset(step.wall)] > 0
+            if step.kind == "divisorial":
+                j = prev.fan.rays.index(step.removed_ray)
+                assert cur.coeffs == prev.coeffs[:j] + prev.coeffs[j + 1:]
+            else:
+                assert cur.coeffs == prev.coeffs
+            kinds[step.kind] += 1
+            prev = cur
+        assert all(d <= 0 for d in psi_defects(prev).values())
     assert kinds["divisorial"] > 100 and kinds["flip"] > 100, kinds
-    assert stuck < 50
 
 
 def test_mmp_and_flip_limits_name_their_value(monkeypatch):
     # a flip that changes nothing leaves the same wall negative, so each
     # loop runs to its stated 10*n^2 limit
-    monkeypatch.setattr(_Subdivision, "flip", lambda self, rel, partial=False: ((), ()))
+    monkeypatch.setattr(_Subdivision, "flip", lambda self, rel: ((), ()))
     rays = [(0, 0, 1), (1, 0, 1), (3, 3, 2), (0, 1, 1)]
     p = make_pair(make_fan(rays, [(0, 1, 2), (0, 2, 3)]), [0] * 4)
     with pytest.raises(BudgetExceededError, match=r"limit of 10\*n\^2 = 160 steps for n = 4 rays"):

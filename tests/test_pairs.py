@@ -414,6 +414,41 @@ def test_linear_psi_certificate_matches_cell_walk(monkeypatch):
     assert {"equal", "X_ge_Y", "Y_ge_X", "incomparable"} <= set(order)
 
 
+def _unskipped_k_compare(pair_x, pair_y):
+    """k_compare with the cell loop over every cone pair, identical ones
+    included."""
+    fx, fy = pair_x.fan, pair_y.fan
+    psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
+    values = [
+        (pairs_module._linear_eval(fx, cx, psix, e), pairs_module._linear_eval(fy, cy, psiy, e))
+        for cx in fx.max_cones for cy in fy.max_cones
+        for e in pairs_module.cell_extreme_rays(fx, cx, fy, cy)
+    ]
+    values += [(psix[i], pl_eval(fy, psiy, r)) for i, r in enumerate(fx.rays)]
+    values += [(pl_eval(fx, psix, r), psiy[i]) for i, r in enumerate(fy.rays)]
+    lt, gt = any(a < b for a, b in values), any(a > b for a, b in values)
+    return {(True, True): "incomparable", (True, False): "X_ge_Y",
+            (False, True): "Y_ge_X", (False, False): "equal"}[lt, gt]
+
+
+def test_k_compare_skipping_identical_cones_matches_the_unskipped_loop(monkeypatch):
+    # with the certificate forced off, k_compare walks only the cells of
+    # distinct cone pairs and gives the unskipped loop's verdict
+    cases = _certificate_cases()
+    expected = [_unskipped_k_compare(px, py) for px, py in cases]
+    walk, walked = pairs_module.cell_extreme_rays, Counter()
+
+    def distinct_only(fx, cx, fy, cy):
+        assert set(fx.ray_matrix(cx)) != set(fy.ray_matrix(cy))
+        walked["cells"] += 1
+        return walk(fx, cx, fy, cy)
+
+    monkeypatch.setattr(pairs_module, "_psi_is_linear", lambda pair: False)
+    monkeypatch.setattr(pairs_module, "cell_extreme_rays", distinct_only)
+    assert [k_compare(px, py) for px, py in cases] == expected
+    assert walked["cells"] > 0
+
+
 # ------------------------------------------------------------------- nef
 
 

@@ -1,15 +1,19 @@
 """Guards on the engine's shape: the benchmark tracer names engine functions
 by (module, function), and every name must still exist, or tracing and the
-smoke run break; every cache has a bound."""
+smoke run break; every cache has a bound; the engine still generates the
+benchmark's flop inputs, whose digest the golden file records."""
 
 import importlib
 import importlib.util
+import json
 import pkgutil
+import sys
 from pathlib import Path
 
 import toricmmp
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def test_tracer_tables_name_existing_functions():
@@ -34,3 +38,14 @@ def test_every_lru_cache_is_bounded():
                 caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
     assert caches
     assert [name for name, size in caches.items() if size is None] == []
+
+
+def test_flop_universe_matches_its_golden_digest(monkeypatch):
+    # the flop inputs are built by regular_triangulation and bistellar_flip;
+    # a change to either that moves the universe fails here, not in a bench
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+    golden = json.loads((BENCH / "golden" / "flop.json").read_text())
+    text = toricmmp.dumps(workloads._flop_universe())
+    assert workloads.digest(text) == golden["inputs"]
