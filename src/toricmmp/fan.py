@@ -349,7 +349,8 @@ class _Subdivision:
     flip and contract are one step, Reid's circuit modification of a wall
     relation (M. Reid, "Decomposition of toric morphisms", 1983): T+ * L is
     replaced by T- * L (_circuit), at the cost of the cones around the
-    circuit.  contract then removes the ray, re-indexing the rays after it.
+    circuit.  contract first checks by a scan of every cone that the star of
+    the ray is T+ * L, then removes the ray, re-indexing the rays after it.
 
     fan() copies the cone tuple.
     """
@@ -422,15 +423,12 @@ class _Subdivision:
     def contract(self, rel, j):
         """Remove ray j, the one negative ray of the divisorial relation rel,
         by the same step when the star of j is exactly T+ * L; returns the ray
-        or None.  The star is walked from a plus cone, or scanned in a fan of
-        kind "other", which may be pinched at the ray.  Later rays shift down
-        one index, so the step costs the fan."""
+        or None.  Later rays shift down one index, so the step costs the fan,
+        and the star is found by a scan of every cone."""
         step = self._circuit(rel)
         if step is None:
             return None
-        star = ({c for c in self.max_cones if j in c} if self.kind == "other"
-                else _walk_star(self.facets, step[0][0], (j,)))
-        if star != set(step[0]):
+        if {c for c in self.max_cones if j in c} != set(step[0]):
             return None
         self._replace(*step, "contraction")
 

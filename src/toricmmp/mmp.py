@@ -144,13 +144,15 @@ def bistellar_flip(fan, wall):
     return sub.fan()
 
 
-def divisorial_contract(fan, wall):
-    """Contract the unique negative ray of a divisorial wall circuit.
+def _center(fan, rel):
+    """The rays of the face a divisorial circuit's divisor maps onto: its
+    positive rays, whose cone holds the removed ray in its relative interior."""
+    return tuple(fan.rays[i] for i in rel.s_plus)
 
-    Returns (fan, removed_ray, center_rays): the circuit's positive rays
-    span the face the removed divisor maps onto, as the removed ray lies in
-    the relative interior of their cone.
-    """
+
+def divisorial_contract(fan, wall):
+    """Contract the unique negative ray of a divisorial wall circuit;
+    returns (fan, removed_ray, center_rays), the last from _center."""
     rel = wall_relation(fan, wall)
     kind = classify(rel)
     if kind.kind != "divisorial":
@@ -159,7 +161,7 @@ def divisorial_contract(fan, wall):
     removed = sub.contract(rel, kind.ray)
     if removed is None:
         raise InvalidInputError("star of the contracted ray does not match the circuit")
-    return sub.fan(), removed, tuple(fan.rays[i] for i in rel.s_plus)
+    return sub.fan(), removed, _center(fan, rel)
 
 
 # ------------------------------------------------- regular triangulation
@@ -520,7 +522,7 @@ def _mmp_pairs(pair, base):
                 if sub.flip(rel) is not None:
                     break
             else:
-                center = tuple(sub.rays[i] for i in rel.s_plus)
+                center = _center(sub, rel)
                 removed = sub.contract(rel, kind.ray)
                 if removed is not None:
                     del scaled[kind.ray]
