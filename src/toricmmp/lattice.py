@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError
@@ -36,8 +37,7 @@ def vec_scale(c, v):
 
 def vec_mat(x, M):
     """Row vector times matrix: returns x.M as a tuple."""
-    cols = len(M[0])
-    return tuple(sum(x[i] * M[i][j] for i in range(len(M))) for j in range(cols))
+    return tuple(sum(map(mul, x, col)) for col in zip(*M))
 
 
 def mat_mul(A, B):

@@ -10,9 +10,10 @@ explicit lexicographic rules, so every run is deterministic.
 Every surgery is a step of one local fan state (fan._Subdivision): star
 subdivision, or Reid's circuit step T+ * L -> T- * L, a flip or a
 divisorial contraction.  Each engine loop keeps one state across its steps
-and reads the walls off it (circuits._relations) instead of rebuilding the
-fan; only regular triangulation calls make_fan, for its seed cone, a ray
-placed outside the support, and its result.
+and reads the walls off it (circuits._relations; the flop sweep keeps one
+relation per pair of cones) instead of rebuilding the fan; only regular
+triangulation calls make_fan, for its seed cone, a ray placed outside the
+support, and its result.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ from heapq import heappop, heappush
 from math import lcm
 from typing import NamedTuple
 
-from .circuits import _facet_relation, _relations, classify, defect, wall_relation
+from .circuits import _relation, _relations, classify, defect, wall_relation
 from .errors import (
     BudgetExceededError,
     EngineInvariantError,
@@ -31,6 +32,7 @@ from .errors import (
 )
 from .fan import (
     _boundary_facets,
+    _facet_map,
     _Subdivision,
     fans_equal,
     in_support,
@@ -82,41 +84,43 @@ def ample_heights(fan):
 
     In standard form over y = (h + 1, t) >= 0: one row t - defect_w(y - 1)
     <= 0 per wall, in walls() order, then the caps y_i <= 2 and t <= 1."""
-    return _ample_heights(len(fan.rays), (rel for _, rel in _relations(_Subdivision(fan))))
+    rels = ((rel.ray_indices, rel.coeffs) for _, rel in _relations(_Subdivision(fan)))
+    H, D = _ample_heights(len(fan.rays), rels)
+    return tuple(Fraction(h, D) for h in H)
 
 
-def _ample_heights(n_rays, rels):
-    """ample_heights of a fan with n_rays rays and these wall relations,
-    in walls() order."""
+def _ample_heights(n_rays, rels, given=None, label=None):
+    """Heights strictly convex across the walls rels, (ray indices,
+    coefficients) pairs in walls() order, as integers H over one
+    denominator D > 0: the given heights, checked, or when none are given
+    the vertex of ample_heights' LP.  label names the heights in errors."""
+    rels = list(rels)
+    if given is not None:
+        hs = [Fraction(h) for h in given]
+        if len(hs) != n_rays:
+            raise InvalidInputError(f"{label}: one height per ray required")
+        D = lcm(*(h.denominator for h in hs))
+        H = [h.numerator * (D // h.denominator) for h in hs]
+        if any(sum(a * H[i] for i, a in zip(*rel)) <= 0 for rel in rels):
+            raise InvalidInputError(f"{label}: heights are not strictly convex")
+        return H, D
+    if not rels:
+        return [0] * n_rays, 1
     A, b = [], []
-    for rel in rels:
+    for indices, coeffs in rels:
         row = [0] * (n_rays + 1)
-        for i, a in zip(rel.ray_indices, rel.coeffs):
+        for i, a in zip(indices, coeffs):
             row[i] = -a
         row[n_rays] = 1
         A.append(row)
-        b.append(-sum(rel.coeffs))
-    if not A:
-        return (Fraction(0),) * n_rays
-    A += [[int(i == k) for i in range(n_rays + 1)] for k in range(n_rays + 1)]
+        b.append(-sum(coeffs))
+    A += [[0] * k + [1] + [0] * (n_rays - k) for k in range(n_rays + 1)]
     b += [2] * n_rays + [1]
     opt, y = lp_maximize([0] * n_rays + [1], A, b)
     if opt <= 0:
         raise NonProjectiveError("no strictly convex height function exists")
-    return tuple(v - 1 for v in y[:n_rays])
-
-
-def _checked_convex_heights(n_rays, rels, given, label):
-    """The given heights, checked strictly convex across the wall relations
-    rels (in walls() order), or ample heights when none are given."""
-    if given is None:
-        return _ample_heights(n_rays, rels)
-    hs = tuple(Fraction(h) for h in given)
-    if len(hs) != n_rays:
-        raise InvalidInputError(f"{label}: one height per ray required")
-    if any(defect(rel, hs) <= 0 for rel in rels):
-        raise InvalidInputError(f"{label}: heights are not strictly convex")
-    return hs
+    D = lcm(*(v.denominator for v in y[:n_rays]))  # h = y - 1
+    return [v.numerator * (D // v.denominator) - D for v in y[:n_rays]], D
 
 
 # -------------------------------------------------------------- surgeries
@@ -337,7 +341,14 @@ def _sweep(pair_x, pair_y, ample_x, ample_y):
     [relation, event].  A flip changes the walls around one circuit only,
     so only the facets of the cones it removed or created are rescored.
 
-    Events are integers.  h0 and h1 share one integer scale D, so a wall's
+    One relation table, keyed by a wall's two cones in X's ray indices,
+    serves X's walls, Y's walls and every rescored facet, so each wall's
+    relation is computed once.  Y's walls map into X's indices through the
+    ray vectors; Y's heights are still posed in Y's own ray and walls()
+    order, since the LP's vertex follows its row and column order.
+
+    Events are integers.  _ample_heights hands over h0 and h1 as integers,
+    given or computed alike; over their common denominator D a wall's
     defects are d0 at t = 0 and d1 at t = 1.  The target heights carry a
     symbolic tie-breaker eps^(i+1) on ray i, so the target defect is d1
     plus the relation coefficient a_i on eps^(i+1); it is negative, and the
@@ -358,16 +369,36 @@ def _sweep(pair_x, pair_y, ample_x, ample_y):
     fx, fy = pair_x.fan, pair_y.fan
     n_rays = len(fx.rays)
     sub = _Subdivision(fx)
-    walls = {f: [rel, None] for f, rel in _relations(sub)}
-    h0 = _checked_convex_heights(n_rays, (w[0] for w in walls.values()), ample_x, "ampleX")
-    h1_y = _checked_convex_heights(
-        len(fy.rays), (rel for _, rel in _relations(_Subdivision(fy))), ample_y, "ampleY"
+    table = {}
+
+    def relation(facet, cones):
+        """The relation across the wall of two cones, in X's ray indices,
+        computed once per sweep."""
+        key = tuple(sorted(cones))
+        if (rel := table.get(key)) is None:
+            a, b = (next(i for i in c if i not in facet) for c in key)
+            rel = table[key] = _relation(fx.rays, facet, a, b)
+        return rel
+
+    walls = {f: [relation(f, cs), None] for f, cs in sorted(sub.facets.items()) if len(cs) == 2}
+    H0, D0 = _ample_heights(
+        n_rays, [(w[0].ray_indices, w[0].coeffs) for w in walls.values()], ample_x, "ampleX"
     )
-    pos_y = {v: i for i, v in enumerate(fy.rays)}
-    h1 = tuple(h1_y[pos_y[v]] for v in fx.rays)
-    D = lcm(*(h.denominator for h in h0 + h1))
-    H0 = [h.numerator * (D // h.denominator) for h in h0]
-    H1 = [h.numerator * (D // h.denominator) for h in h1]
+    pos = {v: i for i, v in enumerate(fx.rays)}
+    to_x = [pos[v] for v in fy.rays]
+    to_y = sorted(range(n_rays), key=to_x.__getitem__)
+    permuted, y_rels = fy.rays != fx.rays, []
+    for f, cs in sorted(_facet_map(fy).items()):
+        if len(cs) == 2:
+            if permuted:  # into X's ray indices
+                f, *cs = (tuple(sorted(to_x[i] for i in c)) for c in (f, *cs))
+            rel = relation(f, cs)
+            idx = [to_y[i] for i in rel.ray_indices] if permuted else rel.ray_indices
+            y_rels.append((idx, rel.coeffs))
+    H1_y, D1 = _ample_heights(n_rays, y_rels, ample_y, "ampleY")
+    D = lcm(D0, D1)
+    H0 = [h * (D // D0) for h in H0]
+    H1 = [H1_y[j] * (D // D1) for j in to_y]
     scaled, L = _scaled_psi(pair_x)
 
     def event(rel):
@@ -439,8 +470,8 @@ def _sweep(pair_x, pair_y, ample_x, ample_y):
         )
         touched = {c[:k] + c[k + 1:] for cones in changed for c in cones for k in range(sub.dim)}
         for f in sorted(touched):
-            if len(sub.facets.get(f, ())) == 2:
-                r = _facet_relation(sub, f)
+            if len(cs := sub.facets.get(f, ())) == 2:
+                r = relation(f, cs)
                 walls[f] = [r, event(r)]
             else:
                 walls.pop(f, None)

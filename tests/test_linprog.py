@@ -49,20 +49,42 @@ def test_exact_rational_data():
     assert y == (Fraction(21, 10),)
 
 
-def test_mixed_rows_and_rescaled_zero_column(monkeypatch):
-    # a Fraction row among integer rows; a pivot with p != D rescales the
-    # rows that have 0 in the pivot column
-    rescaled, real_pivot = [], linprog_module._pivot
+def _exchange(rows, r, k):
+    """The simplex exchange step about rows[r][k] on an exact tableau."""
+    a, top = rows[r][k], rows[r]
+    out = [[x - row[k] * y / a for x, y in zip(row, top)] for row in rows]
+    for i, row in enumerate(rows):
+        out[i][k] = -row[k] / a
+    out[r] = [y / a for y in top]
+    out[r][k] = 1 / a
+    return out
 
-    def spy(T, r, k, D, *rest):
-        if abs(T[r][k]) != D:
-            rescaled.extend(i for i, Ti in enumerate(T) if i != r and Ti[k] == 0)
-        return real_pivot(T, r, k, D, *rest)
+
+def test_mixed_rows_and_rescaled_zero_column(monkeypatch):
+    # a Fraction row among integer rows.  A pivot with p != D leaves the
+    # rows with 0 in the pivot column at their old denominator: each pivot
+    # must still be the exchange step on the exact tableau, and a row left
+    # that way must later be pivoted on or rewritten
+    stale, used, real_pivot = set(), set(), linprog_module._pivot
+
+    def exact(T, dens):
+        return [[Fraction(x, d) for x in row] for row, d in zip(T, dens)]
+
+    def spy(T, dens, r, k, D, X, Y):
+        want = _exchange(exact(T, dens), r, k)
+        touched = {r} | {i for i, row in enumerate(T) if row[k]}
+        used.update(stale & touched)
+        p = real_pivot(T, dens, r, k, D, X, Y)
+        assert exact(T, dens) == want
+        stale.difference_update(touched)
+        if p != D:
+            stale.update(set(range(len(T))) - touched)
+        return p
 
     monkeypatch.setattr(linprog_module, "_pivot", spy)
     c, A, b = [2, 2], [[2, Fraction(2, 3)], [0, 4], [0, 2]], [Fraction(1, 2), 1, 3]
     assert lp_maximize(c, A, b) == (Fraction(5, 6), (Fraction(1, 6), Fraction(1, 4)))
-    assert rescaled
+    assert used
     assert lp_maximize(c, A, b) == _sympy_maximize(c, A, b)
 
 
@@ -184,3 +206,28 @@ def test_matches_sympy_on_random_fraction_lps():
     counts = _agree(_random_lps(
         rng, 300, lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5))))
     assert all(counts[k] >= 20 for k in ("optimal", "LpInfeasible", "LpUnbounded"))
+
+
+def test_matches_sympy_on_degenerate_feasible_lps(monkeypatch):
+    # b >= 0 with most b_i = 0, as in ample_heights: the origin is a
+    # degenerate feasible basis, phase one makes no pivot and no cycle
+    # ledger is kept; half the LPs get caps y_j <= u_j, so most are bounded
+    pytest.importorskip("sympy")
+
+    def no_ledger(*_):
+        raise AssertionError("a cycle ledger was kept from a feasible basis")
+
+    monkeypatch.setattr(linprog_module, "_visit", no_ledger)
+    rng = random.Random(13)
+    lps = []
+    for _ in range(600):
+        m, n = rng.randint(2, 7), rng.randint(1, 5)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        b = [0 if rng.random() < 0.75 else rng.randint(1, 3) for _ in range(m)]
+        if rng.random() < 0.5:
+            A += [[int(i == j) for i in range(n)] for j in range(n)]
+            b += [rng.randint(1, 3) for _ in range(n)]
+        lps.append(([rng.randint(-2, 3) for _ in range(n)], A, b))
+    counts = _agree(lps)
+    assert counts["optimal"] >= 400 and counts["LpUnbounded"] >= 50, counts
+    assert set(counts) == {"optimal", "LpUnbounded"}

@@ -315,6 +315,35 @@ def test_pipeline_sl_is_crepant_sampled():
     assert seen >= 10
 
 
+def _age_one_count(r, weights):
+    """#{g in (1/r)(weights) : age g = sum frac(j w_i / r) = 1}, over the
+    distinct group elements g = j w mod r."""
+    elements = {tuple(j * w % r for w in weights) for j in range(1, r)}
+    return sum(1 for g in elements if sum(Fraction(x, r) for x in g) == 1)
+
+
+def test_sl_extractions_match_ito_reid_age_one_count():
+    # Ito-Reid: the crepant divisors of C^3/G, one extraction each, are the
+    # age-one elements of G.  Every distinct cyclic SL 3-fold group with
+    # r <= 12 (118 of them, one per overlattice), then five large ones
+    groups = {}
+    for r in range(2, 13):
+        for ws in product(range(r), repeat=3):
+            if sum(ws) % r == 0:
+                G = make_group(3, [(r, ws)])
+                groups.setdefault(group_lattice(G).rows, G)
+    groups = list(groups.values())
+    assert len(groups) == 118
+    groups += [make_group(3, [(r, (1, k, r - 1 - k))])
+               for r, k in ((101, 5), (131, 7), (151, 20), (179, 33), (181, 2))]
+    for G in groups:
+        (r, ws), = G.gens
+        rep = mckay_pipeline(G)
+        assert rep.sl
+        extractions = [e for e in rep.ledger if e.kind == "extraction"]
+        assert len(extractions) == _age_one_count(r, ws), G
+
+
 # --------------------------------------------------------------- boundary
 
 

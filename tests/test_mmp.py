@@ -21,6 +21,7 @@ from toricmmp.errors import (
     NonProjectiveError,
     NotKEquivalentError,
 )
+from toricmmp import circuits as circuits_module
 from toricmmp import mmp as mmp_module
 from toricmmp import pairs as pairs_module
 from toricmmp.fan import _facet_map, _Subdivision, fans_equal, make_fan, walls
@@ -525,6 +526,65 @@ def test_flop_decompose_corpus_outputs_pinned():
         px, py, _ = flop_case(seed)
         h.update((dumps(flop_decompose(px, py)) + "\n").encode())
     assert h.hexdigest() == FLOP_CORPUS_SHA256
+
+
+def test_given_heights_equal_computed_heights():
+    # given and computed heights reach the sweep by one integer path
+    for seed in list(range(80)) + sorted(TIE_SPLIT_STEPS):
+        px, py, _ = flop_case(seed)
+        given = flop_decompose(
+            px, py, ample_x=ample_heights(px.fan), ample_y=ample_heights(py.fan)
+        )
+        assert given == flop_decompose(px, py), seed
+
+
+def test_sweep_computes_each_wall_relation_once(monkeypatch):
+    # X's walls, Y's walls and every rescored facet share one relation per
+    # pair of cones, named here by the ray vectors of both cones
+    calls, real = [], circuits_module._relation
+
+    def counting(rays, shared, apex_a, apex_b):
+        calls.append(frozenset(frozenset(rays[i] for i in shared + (apex,))
+                               for apex in (apex_a, apex_b)))
+        return real(rays, shared, apex_a, apex_b)
+
+    monkeypatch.setattr(circuits_module, "_relation", counting)
+    monkeypatch.setattr(mmp_module, "_relation", counting, raising=False)
+    for seed in range(80):
+        px, py, _ = flop_case(seed)
+        calls.clear()
+        flop_decompose(px, py)
+        assert calls and len(calls) == len(set(calls)), seed
+
+
+def _shuffled_rays(pair, rng):
+    """The same pair with its rays in a seeded random order."""
+    fan = pair.fan
+    order = list(range(len(fan.rays)))
+    rng.shuffle(order)
+    new = {old: k for k, old in enumerate(order)}
+    cones = [tuple(sorted(new[i] for i in c)) for c in fan.max_cones]
+    shuffled = make_fan([fan.rays[i] for i in order], cones, validate="fast")
+    return make_pair(shuffled, [pair.coeffs[i] for i in order], pair.lattice)
+
+
+# sha256 over dumps(flop_decompose(x, y')) of corpus seeds 0-79, y' the
+# target pair with its rays shuffled (random.Random(seed)), one line per
+# seed; recorded when Y's relations were computed in Y's own ray indices.
+# Y's LP follows Y's ray order, so seed 30 differs from the unshuffled run
+FLOP_SHUFFLED_Y_SHA256 = "2108905b3667ad4b95b920dcc20a48038e89943f0f88a8aa9a640f1d406a7d69"
+
+
+def test_flop_decompose_with_shuffled_target_rays_pinned():
+    h, moved = hashlib.sha256(), []
+    for seed in range(80):
+        px, py, _ = flop_case(seed)
+        text = dumps(flop_decompose(px, _shuffled_rays(py, random.Random(seed))))
+        if text != dumps(flop_decompose(px, py)):
+            moved.append(seed)
+        h.update((text + "\n").encode())
+    assert moved == [30]
+    assert h.hexdigest() == FLOP_SHUFFLED_Y_SHA256
 
 
 def test_sweep_state_matches_rebuilt_fan(monkeypatch):

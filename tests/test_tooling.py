@@ -1,6 +1,7 @@
 """Guards on the engine's shape: the benchmark tracer names engine functions
-by (module, function), and every name must still exist, or tracing and the
-smoke run break; every cache has a bound; the engine still generates the
+by (module, function), and every name must still exist and the flop sweep
+must still call the LP by its name, or tracing, its metrics and the smoke
+run break; every cache has a bound; the engine still generates the
 benchmark's flop inputs, whose digest the golden file records."""
 
 import importlib
@@ -10,7 +11,10 @@ import pkgutil
 import sys
 from pathlib import Path
 
+from corpus import flop_case
+
 import toricmmp
+import toricmmp.mmp as mmp
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
@@ -49,3 +53,14 @@ def test_flop_universe_matches_its_golden_digest(monkeypatch):
     golden = json.loads((BENCH / "golden" / "flop.json").read_text())
     text = toricmmp.dumps(workloads._flop_universe())
     assert workloads.digest(text) == golden["inputs"]
+
+
+def test_flop_decompose_calls_the_traced_lp_name(monkeypatch):
+    # the tracer spans linprog.lp_maximize by rebinding the names that hold
+    # it; a sweep that reached the LP some other way would leave the
+    # linprog.lp_maximize.* metrics reading 0
+    px, py, _ = flop_case(0)
+    calls, real = [], mmp.lp_maximize
+    monkeypatch.setattr(mmp, "lp_maximize", lambda *a: calls.append(a) or real(*a))
+    assert toricmmp.flop_decompose(px, py)
+    assert len(calls) == 2
