@@ -84,12 +84,12 @@ def _facet_map(fan):
 
 def _boundary_facets(sub):
     """(facet, inward functional) for every facet of the state sub (a
-    _Subdivision) that lies in a single cone; the functional is positive on
-    that cone's apex."""
-    for facet, cs in sub.facets.items():
-        if len(cs) == 1:
-            k = next(k for k in range(sub.dim) if cs[0][k] not in facet)
-            yield facet, _facet_functional(sub, cs[0], k)
+    _Subdivision) that lies in a single cone, in cone order; the functional
+    is positive on that cone's apex."""
+    for cone in sub.max_cones:
+        for k in range(sub.dim):
+            if len(sub.facets[facet := cone[:k] + cone[k + 1:]]) == 1:
+                yield facet, _facet_functional(sub, cone, k)
 
 
 def walls(fan):
@@ -331,9 +331,10 @@ class _Subdivision:
     facet lies in at most two cones with their apexes on opposite sides,
     and a new boundary facet keeps the support kind (there is none in a
     complete fan, and it is >= 0 on every ray in a cone-supported one).
-    Each step keeps the support of a valid fan and replaces a connected set
-    of cones by a connected one; an outer facet a flip changes becomes a
-    new boundary facet, which the kind check covers.  So the kind and the
+    Each step replaces a connected set of cones by a connected one and,
+    but for placing outside the support (below), keeps the support of a
+    valid fan; an outer facet a flip changes becomes a new boundary facet,
+    which the kind check covers.  So the kind and the
     wall-graph connectivity hold without a look at any other facet.
     make_fan's fast checks are these checks, run once on an empty state
     that receives every cone.
@@ -344,7 +345,12 @@ class _Subdivision:
     ray.  The walk reaches the whole star where the link of a face is
     connected, as in complete and cone-supported fans; a fan of kind
     "other" may be pinched along a face, so there, and without a cone, the
-    star is the barycentric scan of every cone.
+    star is the barycentric scan of every cone.  place, the placing step of
+    regular triangulation, makes that scan and joins the same way; with no
+    cone holding the ray, it joins the ray to the boundary facets that see
+    it instead.  That is the one step that changes the support: it grows a
+    convex support to its hull with the ray, which the kind check covers,
+    and a cone-supported state whose boundary it closes becomes complete.
 
     flip and contract are one step, Reid's circuit modification of a wall
     relation (M. Reid, "Decomposition of toric morphisms", 1983): T+ * L is
@@ -372,8 +378,6 @@ class _Subdivision:
         """Insert the primitive vector w as a new ray, as star_subdivision
         does, walking the star from cone if one holding w is given; returns
         (the cones it removes, the cones it creates)."""
-        if w in self.rays:
-            raise InvalidInputError(f"{w} is already a ray")
         if cone is None or self.kind == "other":
             star = _scan_star(self, w)
             if not star:
@@ -382,11 +386,37 @@ class _Subdivision:
             face = _face(cone, _barycentric(self, cone, w))
             walked = _walk_star(self.facets, cone, face)
             star = [(c, face) for c in sorted(walked, key=self.max_cones.__getitem__)]
+        return self._join(w, star)
+
+    def place(self, w):
+        """Insert the primitive vector w as a new ray wherever it lies, as
+        placing builds a triangulation: one scan of the cones tells a star
+        subdivision inside the support from the joins of w to the boundary
+        facets that see it outside.  Returns (the cones it removes, the
+        cones it creates)."""
+        star = _scan_star(self, w)
+        if star:
+            return self._join(w, star)
+        seen = [f for f, u in _boundary_facets(self) if dot(u, w) < 0]
+        if not seen:
+            raise EngineInvariantError("outside ray sees no boundary facet")
+        step = self._join(w, (), seen)
+        if all(len(cs) == 2 for cs in self.facets.values()):  # the joins closed the boundary
+            self.kind = "complete"
+        return step
+
+    def _join(self, w, star, seen=()):
+        """Append the ray w, replace each star cone by the joins of w with
+        its facets missing a ray of the face carrying w, and join w to each
+        facet seen."""
+        if w in self.rays:
+            raise InvalidInputError(f"{w} is already a ray")
         w_idx = len(self.rays)
         self.rays.append(w)
         gone = [c for c, _ in star]
         new = [j for c, face in star for j in _joins(c, face, w_idx)]
-        self._replace(gone, new, "star subdivision")
+        new += [tuple(sorted(f + (w_idx,))) for f in seen]
+        self._replace(gone, new, "star subdivision" if star else "placing")
         return gone, new
 
     def _circuit(self, rel):

@@ -237,11 +237,10 @@ def _pipeline_steps(X, rank):
     for i in range(len(work.fan.rays)):
         if work.coeffs[i] == 0:
             continue
-        m = _standard_multiplicities(work)[i]
         ray = work.fan.rays[i]
         coeffs = work.coeffs[:i] + (Fraction(0),) + work.coeffs[i + 1:]
         work = make_pair(work.fan, coeffs, work.lattice)
-        yield "coefficient_drop", ray, work, stack_rank(work), None, case_a_components(m, 1)
+        yield "coefficient_drop", ray, work, stack_rank(work), None, case_a_components(ms[i], 1)
     for st, work in _mmp_pairs(work, X.fan.rays):
         if st.kind == "flip":
             # the flip locus: primitive sum of the circuit's negative rays

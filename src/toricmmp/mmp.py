@@ -7,13 +7,13 @@ terminalization by repeated discrepancy-one-or-less extractions.  All
 scheduling ties are broken by a symbolic infinitesimal perturbation or by
 explicit lexicographic rules, so every run is deterministic.
 
-Every surgery is a step of one local fan state (fan._Subdivision): star
-subdivision, or Reid's circuit step T+ * L -> T- * L, a flip or a
-divisorial contraction.  Each engine loop keeps one state across its steps
-and reads the walls off it (circuits._relations; the flop sweep keeps one
-relation per pair of cones) instead of rebuilding the fan; only regular
-triangulation calls make_fan, for its seed cone, a ray placed outside the
-support, and its result.
+Every surgery is a step of one local fan state (fan._Subdivision): placing
+a ray (star subdivision inside the support, joins to the boundary facets
+that see it outside), or Reid's circuit step T+ * L -> T- * L, a flip or a
+divisorial contraction.  Every engine loop keeps one state across its
+steps and reads the walls off it (circuits._relations; the flop sweep
+keeps one relation per pair of cones) instead of rebuilding the fan; the
+only make_fan calls build regular triangulation's seed cone and result.
 """
 
 from fractions import Fraction
@@ -30,17 +30,8 @@ from .errors import (
     NotKEquivalentError,
     ToricMmpError,
 )
-from .fan import (
-    _boundary_facets,
-    _facet_map,
-    _Subdivision,
-    fans_equal,
-    in_support,
-    make_fan,
-    point_in_cone,
-    star_subdivision,
-)
-from .lattice import dot, mat_rank, primitive
+from .fan import _facet_map, _Subdivision, fans_equal, in_support, make_fan, point_in_cone
+from .lattice import mat_rank, primitive
 from .linprog import lp_maximize
 from .pairs import (
     ToricPair,
@@ -171,51 +162,27 @@ def divisorial_contract(fan, wall):
 # ------------------------------------------------- regular triangulation
 
 
-def _insert_ray(fan, r):
-    """Place one ray: star subdivision inside the support, joins to all
-    visible boundary facets outside it."""
-    if in_support(fan, r):
-        return star_subdivision(fan, r)
-    new_idx = len(fan.rays)
-    added = [
-        tuple(sorted(facet + (new_idx,)))
-        for facet, u in _boundary_facets(_Subdivision(fan))
-        if dot(u, r) < 0
-    ]
-    if not added:
-        raise EngineInvariantError("outside ray sees no boundary facet")
-    return make_fan(fan.rays + (r,), list(fan.max_cones) + added, validate="fast")
+def _flips_to_convexity(sub, hmap, budget):
+    """Flip away the negative-defect walls of the state sub, most negative
+    first, until every wall is convex for the integer heights hmap; returns
+    the flips left of budget, regular_triangulation's limit.  A circuit's
+    walls share its defect and flip together (fan._Subdivision.flip).
 
-
-def _negative_walls(sub, hmap):
-    hs = tuple(hmap[v] for v in sub.rays)
-    out = []
-    for f, rel in _relations(sub):
-        d = defect(rel, hs)
-        if d < 0:
-            key = tuple(sorted(sub.rays[i] for i in f))
-            out.append((d, key, rel))
-    out.sort(key=lambda e: (e[0], e[1]))
-    return out
-
-
-def _flips_to_convexity(fan, hmap, budget, focus):
-    """Flip away negative-defect walls, most negative first, as steps of
-    one local state.  With a focus ray only circuits through it are
-    touched; stalled walls are left for the global pass.  A circuit's walls
-    share its defect and flip together (fan._Subdivision.flip), so every
-    state is a fan.  budget is the flips left of regular_triangulation's
-    limit."""
-    sub = _Subdivision(fan)
+    One pass per placement suffices (Edelsbrunner and Shah, "Incremental
+    topological flipping works for regular triangulations", 1996): a wall
+    whose circuit misses the placed ray was a wall of the regular
+    triangulation before it, and flipping the walls whose circuit holds
+    the ray reaches the regular triangulation with it.  So a negative wall
+    that no flip executes is an invariant break."""
     while True:
-        cands = _negative_walls(sub, hmap)
-        if focus is not None:
-            cands = [
-                e for e in cands
-                if focus in tuple(sub.rays[i] for i in e[2].ray_indices)
-            ]
+        hs = tuple(hmap[v] for v in sub.rays)
+        cands = sorted(
+            (d, tuple(sorted(sub.rays[i] for i in f)), rel)
+            for f, rel in _relations(sub)
+            if (d := defect(rel, hs)) < 0
+        )
         if not cands:
-            return sub.fan(), budget
+            return budget
         for _, _, rel in cands:
             kind = classify(rel)
             if kind.kind == "divisorial":
@@ -237,14 +204,15 @@ def _flips_to_convexity(fan, hmap, budget, focus):
             budget -= 1
             break
         else:
-            if focus is not None:
-                return sub.fan(), budget
             raise EngineInvariantError("negative wall stuck with non-isolated circuit")
 
 
 def regular_triangulation(rays, heights):
     """Triangulate the cone over the rays along the lower hull of the
-    lifted heights, by incremental placing and flips to convexity."""
+    lifted heights, by placing the rays one by one, each followed by flips
+    to convexity.  One fan state (fan._Subdivision) takes every placement
+    and flip from the seed cone to the result, the only fans make_fan
+    builds; the heights are integers over the lcm of their denominators."""
     rays = tuple(tuple(x) for x in rays)
     if not rays:
         raise InvalidInputError("no rays given")
@@ -269,19 +237,19 @@ def regular_triangulation(rays, heights):
     if len(seed) < dim:
         raise InvalidInputError("rays do not span the ambient space")
 
-    hmap = dict(zip(rays, hs))
+    D = lcm(*(h.denominator for h in hs))
+    hmap = {r: h.numerator * (D // h.denominator) for r, h in zip(rays, hs)}
     budget = 10 * len(rays) ** 2  # a stated limit, not a proved bound
-    fan = make_fan([rays[i] for i in seed], [tuple(range(dim))], validate="fast")
+    sub = _Subdivision(make_fan([rays[i] for i in seed], [tuple(range(dim))], validate="fast"))
     for i in (k for k in range(len(rays)) if k not in seed):
-        fan = _insert_ray(fan, rays[i])
-        fan, budget = _flips_to_convexity(fan, hmap, budget, focus=rays[i])
-    fan, budget = _flips_to_convexity(fan, hmap, budget, focus=None)
+        sub.place(rays[i])
+        budget = _flips_to_convexity(sub, hmap, budget)
 
-    final_hs = tuple(hmap[v] for v in fan.rays)
-    if any(defect(rel, final_hs) == 0 for _, rel in _relations(_Subdivision(fan))):
+    final_hs = tuple(hmap[v] for v in sub.rays)
+    if any(defect(rel, final_hs) == 0 for _, rel in _relations(sub)):
         raise InvalidInputError("heights are not generic: flat wall at convergence")
     pos = {v: k for k, v in enumerate(rays)}
-    cones = [tuple(sorted(pos[fan.rays[i]] for i in c)) for c in fan.max_cones]
+    cones = [tuple(sorted(pos[sub.rays[i]] for i in c)) for c in sub.max_cones]
     return make_fan(rays, cones, validate="fast")
 
 

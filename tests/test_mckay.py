@@ -251,27 +251,30 @@ def test_pipeline_flip_ledgers():
     assert (rep.order, rep.rank_resolution) == (40, 8)
 
 
-def _four_fold_groups(seed, count):
-    """count seeded cyclic 4-fold groups with r in 10..40, then count with
-    two generators of orders 2..6."""
+def _seeded_groups(seed, count, n, orders):
+    """count seeded groups acting on C^n for each (lo, hi, k) in orders:
+    k generators, each of an order in lo..hi with random weights."""
     rng = random.Random(seed)
     gens = []
-    for lo, hi, k in ((10, 40, 1), (2, 6, 2)):
+    for lo, hi, k in orders:
         for _ in range(count):
             rs = [rng.randint(lo, hi) for _ in range(k)]
-            gens.append([(r, tuple(rng.randrange(r) for _ in range(4))) for r in rs])
-    return [make_group(4, g) for g in gens]
+            gens.append([(r, tuple(rng.randrange(r) for _ in range(n))) for r in rs])
+    return [make_group(n, g) for g in gens]
 
 
 def test_pipeline_four_fold_slice(monkeypatch):
     # every fan the MMP yields and every resolution is a valid fan, the MMP
     # ends with no positive psi-defect wall, and its steps include flips
     # and link contractions (a divisorial star wider than the circuit's own
-    # plus cones), which the two named groups need
+    # plus cones), which the two named groups need.  The slice holds 4-folds
+    # (cyclic with r in 10..40, and two generators of orders 2..6), cyclic
+    # 5-folds with r in 4..15, and two-generator 3-folds of orders 2..6
     groups = [
         make_group(4, [(22, (4, 9, 16, 4))]),
         make_group(4, [(4, (0, 3, 2, 1)), (6, (2, 4, 5, 4))]),
-    ] + _four_fold_groups(1, 150)
+    ] + _seeded_groups(1, 150, 4, ((10, 40, 1), (2, 6, 2)))
+    groups += _seeded_groups(2, 100, 5, ((4, 15, 1),)) + _seeded_groups(3, 100, 3, ((2, 6, 2),))
     steps, mmp_pairs = Counter(), mckay_module._mmp_pairs
 
     def checked(pair, base):

@@ -20,13 +20,14 @@ from toricmmp.errors import (
     InvalidInputError,
     NonProjectiveError,
     NotKEquivalentError,
+    ToricMmpError,
 )
 from toricmmp import circuits as circuits_module
 from toricmmp import mmp as mmp_module
 from toricmmp import pairs as pairs_module
-from toricmmp.fan import _facet_map, _Subdivision, fans_equal, make_fan, walls
+from toricmmp.fan import _facet_map, _Subdivision, fans_equal, make_fan, point_in_cone, walls
 from toricmmp.jsonio import dumps
-from toricmmp.lattice import det, mat_inv, primitive
+from toricmmp.lattice import det, mat_inv, mat_rank, primitive
 from toricmmp.mckay import group_lattice, make_group, quotient_pair
 from toricmmp.mmp import (
     _crosses,
@@ -262,8 +263,45 @@ def test_regular_triangulation_insertion_order_independent():
         assert fans_equal(permuted, base)
 
 
+def _triangulation_inputs(seed, count):
+    """count seeded (rays, heights) whose rays span, in dimensions 2-4:
+    height-one point sets, or general primitive integer rays, whose support
+    may be complete or hold a line.  Most heights are 4|v|^2 plus a small
+    jitter, which keeps most rays on the lower hull; the rest are random."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.choice([2, 3, 4])
+        general = rng.random() < 0.5
+        n = rng.randint(dim + general, dim + 4 + 2 * general)
+        pts = set()
+        while len(pts) < n:
+            if general:
+                v = tuple(rng.randint(-2, 2) for _ in range(dim))
+                if any(v):
+                    pts.add(primitive(v))
+            else:
+                span = 7 if dim == 2 else 3 if dim == 3 else 2
+                pts.add(tuple(rng.randint(0, span) for _ in range(dim - 1)) + (1,))
+        rays = sorted(pts)
+        if mat_rank(rays) < dim:
+            continue
+        convex = rng.random() < 0.7
+        heights = [
+            4 * sum(x * x for x in r) + Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            if convex else Fraction(rng.randint(-30, 30), rng.randint(1, 5))
+            for r in rays
+        ]
+        out.append((rays, heights))
+    return out
+
+
 def test_regular_triangulation_matches_hull_oracle():
+    # height-one point sets, then general integer rays, whose triangulations
+    # include complete fans and supports that hold a line: the cells are the
+    # lower hull's, and the support kind is that of the validated fan
     rng = random.Random(20260816)
+    cases = []
     for trial in range(60):
         dim = rng.choice([2, 2, 3, 3])
         count = rng.randint(dim, 8 if dim == 3 else 6)
@@ -274,7 +312,9 @@ def test_regular_triangulation_matches_hull_oracle():
             else:
                 pts.add((rng.randint(0, 3), rng.randint(0, 3), 1))
         rays = sorted(pts)
-        heights = [Fraction(rng.randint(-60, 60), rng.randint(1, 7)) for _ in rays]
+        cases.append((rays, [Fraction(rng.randint(-60, 60), rng.randint(1, 7)) for _ in rays]))
+    kinds = Counter()
+    for rays, heights in cases + _triangulation_inputs(20260816, 300):
         cells, flat = oracle_lower_hull(rays, heights)
         used = set()
         for c in cells:
@@ -288,6 +328,73 @@ def test_regular_triangulation_matches_hull_oracle():
         else:
             fan = regular_triangulation(rays, heights)
             assert set(fan.max_cones) == set(cells)
+            assert fan.support_kind == make_fan(rays, cells, validate="full").support_kind
+            if fan.support_kind == "cone-supported":  # does the support hold a line?
+                line = any(point_in_cone(tuple(-x for x in r), rays) for r in rays)
+                kinds["line" if line else "pointed"] += 1
+            else:
+                kinds[fan.support_kind] += 1
+    assert min(kinds["complete"], kinds["line"], kinds["pointed"]) > 5, kinds
+
+
+# sha256 over regular_triangulation on _triangulation_inputs(1, 500), one
+# line per input: repr((rays, max_cones, support_kind)), or repr((error
+# class, message)).  Recorded while each placed ray still rebuilt the fan
+# and a global flip pass followed the per-ray passes: triangulating on one
+# fan state keeps the cone order and the error texts, which the hull-oracle
+# tests compare only as sets.
+TRIANGULATION_SHA256 = "011ef08a6644c9a0da5a4e7e58bd37a15af11af42c31058187460b66a55777bd"
+
+
+def test_regular_triangulation_outputs_pinned():
+    h = hashlib.sha256()
+    for rays, heights in _triangulation_inputs(1, 500):
+        try:
+            fan = regular_triangulation(rays, heights)
+            out = (fan.rays, fan.max_cones, fan.support_kind)
+        except ToricMmpError as e:
+            out = (type(e).__name__, str(e))
+        h.update((repr(out) + "\n").encode())
+    assert h.hexdigest() == TRIANGULATION_SHA256
+
+
+def test_regular_triangulation_builds_one_fan_state(monkeypatch):
+    # placing a ray, inside the support or outside it, is a step of the one
+    # state that the flips step too: make_fan is called for the seed cone
+    # and the result only, and one state lives from one to the other
+    calls, made, states = [], [], []
+    real_triangulation = corpus.regular_triangulation
+
+    def recording(rays, heights):
+        calls.append((rays, heights))
+        return real_triangulation(rays, heights)
+
+    def counted_make_fan(*args, **kwargs):
+        made.append(args)
+        return make_fan(*args, **kwargs)
+
+    class CountedState(_Subdivision):
+        def __init__(self, fan):
+            states.append(fan)
+            super().__init__(fan)
+
+    monkeypatch.setattr(corpus, "regular_triangulation", recording)
+    for seed in range(20):
+        flop_case(seed)
+    monkeypatch.setattr(mmp_module, "make_fan", counted_make_fan)
+    monkeypatch.setattr(mmp_module, "_Subdivision", CountedState)
+    outside = 0
+    for rays, heights in calls:
+        del made[:], states[:]
+        try:
+            regular_triangulation(rays, heights)
+        except InvalidInputError:
+            continue
+        assert (len(made), len(states)) == (2, 1)
+        # the last ray is placed last; outside the others' cone, it is
+        # joined to the boundary facets that see it
+        outside += not point_in_cone(rays[-1], rays[:-1])
+    assert outside > 10, outside
 
 
 def test_regular_triangulation_link_flips_match_hull_oracle(monkeypatch):
