@@ -35,7 +35,7 @@ class Fan:
     support_kind: str           # "complete" | "cone-supported" | "other"
 
     def ray_matrix(self, cone):
-        return tuple(self.rays[i] for i in cone)
+        return tuple(map(self.rays.__getitem__, cone))
 
 
 class Wall(NamedTuple):
@@ -369,7 +369,7 @@ class _Subdivision:
         self.facets = _facet_map(fan)
 
     def ray_matrix(self, cone):
-        return tuple(self.rays[i] for i in cone)
+        return tuple(map(self.rays.__getitem__, cone))
 
     def fan(self):
         return Fan(self.dim, tuple(self.rays), tuple(self.max_cones), self.kind)
@@ -498,7 +498,10 @@ class _Subdivision:
                 ca, cb = cs
                 k = next(k for k in range(self.dim) if ca[k] not in f)
                 apex_b = next(i for i in cb if i not in f)
-                if dot(_facet_functional(self, ca, k), self.rays[apex_b]) >= 0:
+                # column k of ca's adjugate, over the sign of d, is the
+                # functional of _facet_functional: read its side of apex_b
+                adj, d = adjugate(self.ray_matrix(ca))
+                if d * sum(row[k] * x for row, x in zip(adj, self.rays[apex_b])) >= 0:
                     raise InvalidInputError(
                         f"cones {ca} and {cb} lie on the same side of their shared facet {f}"
                     )

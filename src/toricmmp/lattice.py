@@ -2,10 +2,13 @@
 
 One integer cone kernel, the cached `adjugate`, serves every solve over a
 simplicial cone as integer numerators over its determinant, box points
-included.  Around it: normal forms (Hermite, and Smith for invariant
-factors, McKay boundary divisors and the public API), primitive vectors,
-canonical lattice bases and cone multiplicities.  Everything runs on Python
-ints and fractions.Fraction; there is no floating point in this package.
+included.  Its 2 x 2 and 3 x 3 cones, every cone of a surface resolution
+or of a McKay quotient 3-fold, take closed cofactor forms; other sizes
+take fraction-free Gauss-Jordan.  Around it: normal forms (Hermite, and
+Smith for invariant factors, McKay boundary divisors and the public API),
+primitive vectors, canonical lattice bases and cone multiplicities.
+Everything runs on Python ints and fractions.Fraction; there is no
+floating point in this package.
 
 Vectors are tuples, matrices are sequences of row tuples, and lattices act
 by row vectors: the lattice spanned by a basis B is {x.B : x integer row}.
@@ -24,7 +27,7 @@ from .errors import InvalidInputError
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u, v):
@@ -55,9 +58,30 @@ def mat_identity(n):
 @lru_cache(maxsize=1 << 14)
 def adjugate(M):
     """(adj, d) for a square integer matrix of row tuples: d = det M and the
-    integer adj with M.adj = d.I, or (None, 0) when d = 0.  Fraction-free
-    Gauss-Jordan on [M | I]: every division by the previous pivot is exact,
-    and the last pivot is d up to the sign of the row swaps."""
+    integer adj with M.adj = d.I, or (None, 0) when d = 0.  A 2 x 2 or 3 x 3
+    matrix takes the closed cofactor form, adj[i][j] the signed minor of M
+    without row j and column i; other sizes take _eliminate."""
+    n = len(M)
+    if n == 2:
+        (a, b), (c, d) = M
+        adj = ((d, -b), (-c, a))
+    elif n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = M
+        adj = (
+            (e * i - f * h, c * h - b * i, b * f - c * e),
+            (f * g - d * i, a * i - c * g, c * d - a * f),
+            (d * h - e * g, b * g - a * h, a * e - b * d),
+        )
+    else:
+        return _eliminate(M)
+    det = sum(map(mul, M[0], next(zip(*adj))))
+    return (adj, det) if det else (None, 0)
+
+
+def _eliminate(M):
+    """adjugate by fraction-free Gauss-Jordan on [M | I]: every division by
+    the previous pivot is exact, and the last pivot is d up to the sign of
+    the row swaps."""
     n = len(M)
     A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
     sign, prev = 1, 1
@@ -134,10 +158,14 @@ def primitive(v):
     """Shortest integer vector on the ray of v (direction preserved).
 
     Accepts int or Fraction coordinates (both have a denominator, 1 for an
-    int, so integer vectors never become Fractions); rejects the zero vector.
+    int, so integer vectors never become Fractions; an all-int vector skips
+    the scaling); rejects the zero vector.
     """
-    den = lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
+    if all(type(x) is int for x in v):
+        ints = v
+    else:
+        den = lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
     g = gcd(*ints)
     if g == 0:
         raise InvalidInputError("zero vector has no primitive representative")

@@ -11,9 +11,10 @@ Every surgery is a step of one local fan state (fan._Subdivision): placing
 a ray (star subdivision inside the support, joins to the boundary facets
 that see it outside), or Reid's circuit step T+ * L -> T- * L, a flip or a
 divisorial contraction.  Every engine loop keeps one state across its
-steps and reads the walls off it (circuits._relations; the flop sweep
-keeps one relation per pair of cones) instead of rebuilding the fan; the
-only make_fan calls build regular triangulation's seed cone and result.
+steps and reads the walls off it (circuits._relations; regular
+triangulation and the flop sweep keep a wall table and rescore only the
+facets each step touched) instead of rebuilding the fan; the only make_fan
+calls build regular triangulation's seed cone and result.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from heapq import heappop, heappush
 from math import lcm
 from typing import NamedTuple
 
-from .circuits import _relation, _relations, classify, defect, wall_relation
+from .circuits import _facet_relation, _relation, _relations, classify, defect, wall_relation
 from .errors import (
     BudgetExceededError,
     EngineInvariantError,
@@ -162,11 +163,20 @@ def divisorial_contract(fan, wall):
 # ------------------------------------------------- regular triangulation
 
 
-def _flips_to_convexity(sub, hmap, budget):
+def _facets_of(step, dim):
+    """The facets of the cones a _Subdivision step removed or created, in
+    sorted order: the only facets whose walls the step changed."""
+    return sorted({c[:k] + c[k + 1:] for cones in step for c in cones for k in range(dim)})
+
+
+def _flips_to_convexity(sub, hmap, walls, step, budget):
     """Flip away the negative-defect walls of the state sub, most negative
     first, until every wall is convex for the integer heights hmap; returns
     the flips left of budget, regular_triangulation's limit.  A circuit's
     walls share its defect and flip together (fan._Subdivision.flip).
+    walls maps every interior facet to (relation, defect) and lives across
+    one triangulation: only the facets of step, the placement just made,
+    and of each flip are rescored.
 
     One pass per placement suffices (Edelsbrunner and Shah, "Incremental
     topological flipping works for regular triangulations", 1996): a wall
@@ -174,12 +184,17 @@ def _flips_to_convexity(sub, hmap, budget):
     triangulation before it, and flipping the walls whose circuit holds
     the ray reaches the regular triangulation with it.  So a negative wall
     that no flip executes is an invariant break."""
+    hs = tuple(hmap[v] for v in sub.rays)
     while True:
-        hs = tuple(hmap[v] for v in sub.rays)
+        for f in _facets_of(step, sub.dim):
+            if len(sub.facets.get(f, ())) == 2:
+                rel = _facet_relation(sub, f)
+                walls[f] = rel, defect(rel, hs)
+            else:
+                walls.pop(f, None)
         cands = sorted(
             (d, tuple(sorted(sub.rays[i] for i in f)), rel)
-            for f, rel in _relations(sub)
-            if (d := defect(rel, hs)) < 0
+            for f, (rel, d) in walls.items() if d < 0
         )
         if not cands:
             return budget
@@ -193,7 +208,7 @@ def _flips_to_convexity(sub, hmap, budget):
                 raise InvalidInputError(
                     "fiber-type wall: heights have no lower hull over this support"
                 )
-            if sub.flip(rel) is None:
+            if (step := sub.flip(rel)) is None:
                 continue
             if budget == 0:
                 n = len(hmap)
@@ -241,12 +256,11 @@ def regular_triangulation(rays, heights):
     hmap = {r: h.numerator * (D // h.denominator) for r, h in zip(rays, hs)}
     budget = 10 * len(rays) ** 2  # a stated limit, not a proved bound
     sub = _Subdivision(make_fan([rays[i] for i in seed], [tuple(range(dim))], validate="fast"))
+    walls = {}  # the seed cone has no interior facet
     for i in (k for k in range(len(rays)) if k not in seed):
-        sub.place(rays[i])
-        budget = _flips_to_convexity(sub, hmap, budget)
+        budget = _flips_to_convexity(sub, hmap, walls, sub.place(rays[i]), budget)
 
-    final_hs = tuple(hmap[v] for v in sub.rays)
-    if any(defect(rel, final_hs) == 0 for _, rel in _relations(sub)):
+    if any(d == 0 for _, d in walls.values()):
         raise InvalidInputError("heights are not generic: flat wall at convergence")
     pos = {v: k for k, v in enumerate(rays)}
     cones = [tuple(sorted(pos[sub.rays[i]] for i in c)) for c in sub.max_cones]
@@ -436,8 +450,7 @@ def _sweep(pair_x, pair_y, ample_x, ample_y):
             event_time=event_time,
             k_defect_check=k_defect,
         )
-        touched = {c[:k] + c[k + 1:] for cones in changed for c in cones for k in range(sub.dim)}
-        for f in sorted(touched):
+        for f in _facets_of(changed, sub.dim):
             if len(cs := sub.facets.get(f, ())) == 2:
                 r = relation(f, cs)
                 walls[f] = [r, event(r)]

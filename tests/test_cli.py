@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from toricmmp.cli import main
 from toricmmp.fan import make_fan
 from toricmmp.jsonio import dumps, fan_to_json, group_to_json, pair_to_json
-from toricmmp.mckay import make_group, quotient_pair
+from toricmmp.mckay import MAX_HJ_CHAIN, make_group, quotient_pair
 from toricmmp.pairs import MAX_CELL_SUBSETS, make_pair
 
 
@@ -221,6 +221,19 @@ def test_hj_lines(capsys):
     assert json.loads(out)["chain"] == [-3, -2]
     code, _, err = run(capsys, "hj", "4", "2")
     assert code == 1 and "error:" in err
+
+
+def test_hj_chain_limit_exits_one_at_once(capsys, monkeypatch):
+    # (1/r)(1, r - 1) has r - 1 curves: far past the limit, the command
+    # names the limit and builds no fan
+    def no_fan(*_):
+        raise AssertionError("a fan was built")
+
+    monkeypatch.setattr("toricmmp.mckay.make_fan", no_fan)
+    code, out, err = run(capsys, "hj", "2000001", "2000000")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"limit of {MAX_HJ_CHAIN} curves" in err
+    assert "Traceback" not in err
 
 
 def test_rank_command(capsys, tmp_path, sixth_group_file):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -13,6 +14,7 @@ from toricmmp.lattice import (
     _box_numerators,
     _box_points_in_coords,
     _cached_box_numerators,
+    _eliminate,
     adjugate,
     box_points,
     cone_multiplicity,
@@ -300,6 +302,29 @@ def test_primitive_matches_fraction_oracle():
         assert all(type(x) is int for x in p)
 
 
+def test_primitive_of_ints_equals_primitive_of_fractions():
+    # the all-int path of primitive against the same vector as Fractions,
+    # with negative coordinates, common factors and entries up to 10^15
+    rng = random.Random(1212)
+    negative = scaled = 0
+    for _ in range(600):
+        bound = rng.choice((5, 10 ** 6, 10 ** 15))
+        u = tuple(rng.randint(-bound, bound) for _ in range(rng.choice([1, 2, 3, 4])))
+        if not any(u):
+            continue
+        v = tuple(rng.randint(1, 12) * x for x in u)
+        negative += any(x < 0 for x in v)
+        scaled += gcd(*v) > 1
+        p = primitive(v)
+        assert p == primitive(tuple(Fraction(x) for x in v)) == oracle_primitive(v)
+        assert all(type(x) is int for x in p)
+    assert negative > 300 and scaled > 300
+    for v in ((0,), (0, 0, 0), ()):
+        for w in (v, tuple(Fraction(x) for x in v)):
+            with pytest.raises(InvalidInputError, match="zero vector"):
+                primitive(w)
+
+
 def test_primitive_zero_rejected():
     with pytest.raises(InvalidInputError):
         primitive((0, 0, 0))
@@ -467,6 +492,45 @@ def test_adjugate_matches_cofactor_oracle():
         else:
             assert [list(row) for row in adj] == oracle_adjugate([list(row) for row in M])
     assert singular >= 20
+
+
+def _kernel_cases(rng, n, count):
+    """count seeded n x n integer matrices of ranks n down to 1 in turn, with
+    entries from a few units up to 10^15: a rank-k matrix has k random rows,
+    the rest small integer combinations of them, in shuffled order."""
+    cases = []
+    for t in range(count):
+        rank = n - t % n
+        bound = rng.choice((3, 100, 10 ** 6, 10 ** 15))
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(rank)]
+        while len(rows) < n:
+            cs = [rng.randint(-3, 3) for _ in range(rank)]
+            rows.append([sum(c * row[j] for c, row in zip(cs, rows[:rank])) for j in range(n)])
+        rng.shuffle(rows)
+        cases.append(tuple(tuple(row) for row in rows))
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_adjugate_matches_elimination(n):
+    # the closed cofactor forms of adjugate for n = 2, 3 against the generic
+    # fraction-free elimination and the Laplace oracle, cache bypassed
+    cases = _kernel_cases(random.Random(4000 + n), n, 300) + [((0,) * n,) * n]
+    assert max(abs(x) for M in cases for row in M for x in row) > 10 ** 14
+    ranks = Counter()
+    for M in cases:
+        adj, d = adjugate.__wrapped__(M)
+        assert (adj, d) == _eliminate(M) == adjugate(M)
+        rows = [list(row) for row in M]
+        assert d == oracle_det(rows)
+        ranks[mat_rank(M)] += 1
+        if d == 0:
+            assert adj is None
+            continue
+        assert [list(row) for row in adj] == oracle_adjugate(rows)
+        assert mat_mul(M, adj) == tuple(
+            tuple(d * int(i == j) for j in range(n)) for i in range(n))
+    assert all(ranks[k] >= 90 for k in range(1, n + 1)) and ranks[0] >= 1
 
 
 def test_mat_inv_on_rational_bases():

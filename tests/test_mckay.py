@@ -25,6 +25,7 @@ from toricmmp.fan import (
 from toricmmp.lattice import LatticeBasis, det, mat_rank, primitive
 from toricmmp.mckay import (
     MAX_GROUP_DIM,
+    MAX_HJ_CHAIN,
     boundary_divisor_pair,
     case_a_components,
     group_lattice,
@@ -441,6 +442,23 @@ def test_hj_fans_are_smooth_and_match_pipeline():
 def test_hj_validation():
     for r, a in [(4, 2), (3, 0), (3, 3), (2, 3)]:
         with pytest.raises(InvalidInputError):
+            hj_resolution(r, a)
+
+
+def test_hj_chain_limit(monkeypatch):
+    # (1/r)(1, r - 1) has the chain (-2, ..., -2) of r - 1 curves: the limit
+    # itself passes, one more raises before any ray or fan is built
+    r = MAX_HJ_CHAIN + 1
+    fan, chain = hj_resolution(r, r - 1)
+    assert chain == (-2,) * MAX_HJ_CHAIN and len(fan.max_cones) == MAX_HJ_CHAIN + 1
+
+    def built(*_):
+        raise AssertionError("rays or a fan were built")
+
+    monkeypatch.setattr(mckay_module, "group_lattice", built)
+    monkeypatch.setattr(mckay_module, "make_fan", built)
+    for r, a in ((r + 1, r), (2 * 10 ** 6 + 1, 2 * 10 ** 6), (10 ** 100 + 1, 10 ** 100)):
+        with pytest.raises(InvalidInputError, match=f"limit of {MAX_HJ_CHAIN} curves"):
             hj_resolution(r, a)
 
 

@@ -13,7 +13,7 @@ import pytest
 import corpus
 from corpus import flop_case, replay
 
-from toricmmp.circuits import classify, defect, wall_relation
+from toricmmp.circuits import _relations, classify, defect, wall_relation
 from toricmmp.errors import (
     BudgetExceededError,
     EngineInvariantError,
@@ -356,6 +356,38 @@ def test_regular_triangulation_outputs_pinned():
             out = (type(e).__name__, str(e))
         h.update((repr(out) + "\n").encode())
     assert h.hexdigest() == TRIANGULATION_SHA256
+
+
+def test_regular_triangulation_rescores_only_touched_walls(monkeypatch):
+    # the wall table of one triangulation is refreshed on the facets each
+    # placement and flip touched: at every return of _flips_to_convexity it
+    # equals every wall's relation and defect recomputed from the state,
+    # with far fewer relations computed than the 19,723 of a full rescan
+    # per pass (10,977 of which held the ray just placed)
+    computed, real_relation = [0], circuits_module._relation
+    real_flips = mmp_module._flips_to_convexity
+
+    def counted_relation(*args):
+        computed[0] += 1
+        return real_relation(*args)
+
+    def checked_flips(sub, hmap, walls, step, budget):
+        budget = real_flips(sub, hmap, walls, step, budget)
+        before, hs = computed[0], [hmap[v] for v in sub.rays]
+        assert walls == {f: (rel, defect(rel, hs)) for f, rel in _relations(sub)}
+        computed[0] = before
+        return budget
+
+    monkeypatch.setattr(circuits_module, "_relation", counted_relation)
+    monkeypatch.setattr(mmp_module, "_flips_to_convexity", checked_flips)
+    done = 0
+    for rays, heights in _triangulation_inputs(1, 500):
+        try:
+            regular_triangulation(rays, heights)
+            done += 1
+        except ToricMmpError:
+            pass
+    assert done > 300 and computed[0] < 10_977, (done, computed[0])
 
 
 def test_regular_triangulation_builds_one_fan_state(monkeypatch):

@@ -2,7 +2,8 @@
 by (module, function), and every name must still exist and the flop sweep
 must still call the LP by its name, or tracing, its metrics and the smoke
 run break; every cache has a bound; the engine still generates the
-benchmark's flop inputs, whose digest the golden file records."""
+benchmark's flop inputs, whose digest the golden file records; small cones
+still take the closed-form kernels."""
 
 import importlib
 import importlib.util
@@ -14,6 +15,7 @@ from pathlib import Path
 from corpus import flop_case
 
 import toricmmp
+import toricmmp.lattice as lattice
 import toricmmp.mmp as mmp
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -64,3 +66,21 @@ def test_flop_decompose_calls_the_traced_lp_name(monkeypatch):
     monkeypatch.setattr(mmp, "lp_maximize", lambda *a: calls.append(a) or real(*a))
     assert toricmmp.flop_decompose(px, py)
     assert len(calls) == 2
+
+
+def test_small_cones_take_the_closed_form_kernels(monkeypatch):
+    # every cone of a McKay quotient 3-fold and of a surface resolution is
+    # 3 x 3 or 2 x 2, whose adjugate has a closed form; a refactor that
+    # routed them back to the generic elimination would cost the quotient
+    # and surface workloads about 15% without failing any output check
+    calls, real = [], lattice._eliminate
+    monkeypatch.setattr(lattice, "_eliminate", lambda M: calls.append(M) or real(M))
+    lattice.adjugate.cache_clear()
+    report = toricmmp.mckay_pipeline(toricmmp.make_group(3, [(7, (1, 2, 4))]))
+    assert report.rank_resolution == report.order == 7
+    fan, chain = toricmmp.hj_resolution(7, 3)
+    assert chain == (-3, -2, -2)
+    assert calls == []
+    # the spy sees the sizes that do take the elimination
+    lattice.adjugate(((2, 0, 0, 1), (0, 3, 0, 0), (0, 0, 5, 0), (0, 0, 0, 7)))
+    assert len(calls) == 1
