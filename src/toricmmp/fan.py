@@ -20,6 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import gcd
 from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError
@@ -159,8 +160,9 @@ def _check_degree_one(fan):
     """
     first = fan.max_cones[0]
     p = tuple(map(sum, zip(*fan.ray_matrix(first))))
-    for cone in fan.max_cones[1:]:
-        if _barycentric(fan, cone, p) is not None:
+    for cone in fan.max_cones[1:]:  # p's barycentric numerators, times d
+        adj, d = adjugate(fan.ray_matrix(cone))
+        if all(d * dot(p, col) >= 0 for col in zip(*adj)):
             raise InvalidInputError(
                 f"cones {first} and {cone} do not intersect in a common face"
             )
@@ -208,10 +210,8 @@ def make_fan(rays, max_cones, *, validate="full"):
             raise InvalidInputError("rays of mixed dimension")
         if any(not isinstance(x, int) for x in r):
             raise InvalidInputError("ray coordinates must be integers")
-        if not any(r):
-            raise InvalidInputError("zero ray")
-        if primitive(r) != r:
-            raise InvalidInputError(f"ray {r} is not primitive")
+        if (g := gcd(*r)) != 1:
+            raise InvalidInputError(f"ray {r} is not primitive" if g else "zero ray")
     if len(set(rays)) != len(rays):
         raise InvalidInputError("duplicate rays")
 

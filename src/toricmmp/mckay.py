@@ -56,7 +56,8 @@ class McKayReport(NamedTuple):
 
 
 # group_lattice Hermite-reduces an n x n identity, cubic in n: `toricmmp rank`
-# on {"n": 32, "gens": []} takes 1.25 s (0.9 s of it start-up), at n = 160 25 s
+# on {"n": 32, "gens": []} takes 0.78 s, 20 ms of it past start-up; at n = 160
+# the rank takes 1.3 s in-process
 MAX_GROUP_DIM = 32
 
 
@@ -102,21 +103,19 @@ def is_sl(G):
     return all(sum(ws) % r == 0 for r, ws in G.gens)
 
 
-def _lattice_coords(B, points, den=1):
-    """Integer coordinates x, x.B = p / den, of lattice points of B given by
-    integer vectors p over a common den.  Read from the integer adjugate of
-    B's rows scaled to integers: B = S / s and S.adj = d.I give
-    x = p.adj * s / (d * den), with no Fraction per point."""
+def _lattice_coords(B, points):
+    """Integer coordinates x, x.B = p, of integer points p of B.  Read from
+    the integer adjugate of B's rows scaled to integers: B = S / s and
+    S.adj = d.I give x = p.adj * s / d, with no Fraction per point."""
     s = lcm(*(x.denominator for row in B.rows for x in row))
     S = tuple(tuple(x.numerator * (s // x.denominator) for x in row) for row in B.rows)
     adj, d = adjugate(S)
-    q = d * den
     out = []
     for p in points:
         num = vec_mat(p, adj)
-        if any(v * s % q for v in num):
-            raise EngineInvariantError(f"point {tuple(p)}/{den} escaped its own overlattice")
-        out.append(tuple(v * s // q for v in num))
+        if any(v * s % d for v in num):
+            raise EngineInvariantError(f"point {tuple(p)} escaped its own overlattice")
+        out.append(tuple(v * s // d for v in num))
     return out
 
 
@@ -287,8 +286,9 @@ def mckay_pipeline(G):
 
 
 # the chain has r - 1 curves for a = r - 1, and building and validating
-# its fan grows with them: `toricmmp hj 10001 10000` takes 0.7 s in all,
-# while `hj 200001 200000` took about 14 s and 217 MB without this limit
+# its fan grows with them: `toricmmp hj 10001 10000` takes 0.7-0.95 s,
+# 0.17-0.25 s of it in hj_resolution and most of the rest start-up, while
+# `hj 200001 200000` took about 14 s and 217 MB without this limit
 MAX_HJ_CHAIN = 10_000
 
 
@@ -300,8 +300,11 @@ def hj_resolution(r, a):
     by u_{i+1} = b_i u_i - u_{i-1}, with b_i = ceil(n/d) while (n, d)
     steps from (r, a) to (d, b_i d - n) until d = 0.  The recurrence is
     linear, so it runs on integer lattice coordinates from the first two.
-    A chain longer than MAX_HJ_CHAIN raises InvalidInputError before any
-    ray is built."""
+    With a' = pow(a, -1, r), reduced into [0, r), the canonical (Hermite)
+    basis that group_lattice gives Z^2 + Z (1/r)(1, a) is (1, 0), (a'/r, 1/r),
+    and in it (0, 1) and (1/r)(1, a) have coordinates (-a', r) and
+    ((1 - a a')/r, a).  A chain longer than MAX_HJ_CHAIN raises
+    InvalidInputError before any ray is built."""
     if not (isinstance(r, int) and isinstance(a, int)):
         raise InvalidInputError("need integer parameters")
     if not (0 < a < r) or gcd(r, a) != 1:
@@ -317,8 +320,8 @@ def hj_resolution(r, a):
                 f"{MAX_HJ_CHAIN} curves"
             )
         n, d = d, b * d - n
-    B = group_lattice(make_group(2, [(r, (1, a))]))
-    rays = _lattice_coords(B, [(0, r), (1, a)], r)
+    ai = pow(a, -1, r)
+    rays = [(-ai, r), ((1 - a * ai) // r, a)]
     for b in bs:
         (x0, y0), (x1, y1) = rays[-2:]
         rays.append((b * x1 - x0, b * y1 - y0))

@@ -86,8 +86,34 @@ def test_support_kind_values():
 def test_make_fan_rejects_bad_input():
     # one defect per input, each named by its own message; the last four
     # are the checks of a _Subdivision step
+    with pytest.raises(InvalidInputError, match="fan needs at least one ray"):
+        make_fan([], [])
+    with pytest.raises(InvalidInputError, match="rays of mixed dimension"):
+        make_fan([(1, 0), (0, 1, 0)], [(0, 1)])
+    for bad in (Fraction(1, 2), Fraction(1), "1", 1.0):
+        with pytest.raises(InvalidInputError, match="ray coordinates must be integers"):
+            make_fan([(1, 0), (0, bad)], [(0, 1)])
+    with pytest.raises(InvalidInputError, match="zero ray"):
+        make_fan([(1, 0), (0, 0)], [(0, 1)])
     with pytest.raises(InvalidInputError, match="is not primitive"):
         make_fan([(2, 0), (0, 1)], [(0, 1)])
+    with pytest.raises(InvalidInputError, match=r"ray \(-2, 0\) is not primitive"):
+        make_fan([(1, 0), (-2, 0), (0, 1)], [(0, 2), (1, 2)])
+    # rays are checked in order, each for dimension, type, then gcd
+    with pytest.raises(InvalidInputError, match="zero ray"):
+        make_fan([(0, 0), (2, 0)], [(0, 1)])
+    with pytest.raises(InvalidInputError, match=r"ray \(2, 0\) is not primitive"):
+        make_fan([(2, 0), (0, 0)], [(0, 1)])
+    with pytest.raises(InvalidInputError, match="rays of mixed dimension"):
+        make_fan([(1, 0), (Fraction(2), 0, 0)], [(0, 1)])
+    for cone in ((0,), (0, 0), (0, 1, 2)):
+        with pytest.raises(InvalidInputError, match="maximal cones must have dim distinct rays"):
+            make_fan([(1, 0), (0, 1), (-1, -1)], [cone])
+    for cone in ((0, 3), (-1, 0)):
+        with pytest.raises(InvalidInputError, match="cone ray index out of range"):
+            make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), cone])
+    with pytest.raises(InvalidInputError, match="fan needs at least one maximal cone"):
+        make_fan([(1, 0), (0, 1)], [])
     with pytest.raises(InvalidInputError, match="duplicate rays"):
         make_fan([(1, 0), (1, 0), (0, 1)], [(0, 2)])
     with pytest.raises(InvalidInputError, match="unused rays"):

@@ -22,7 +22,7 @@ from toricmmp.fan import (
     make_fan,
     star_subdivision,
 )
-from toricmmp.lattice import LatticeBasis, det, mat_rank, primitive
+from toricmmp.lattice import LatticeBasis, det, mat_rank, primitive, vec_mat
 from toricmmp.mckay import (
     MAX_GROUP_DIM,
     MAX_HJ_CHAIN,
@@ -447,15 +447,14 @@ def test_hj_validation():
 
 def test_hj_chain_limit(monkeypatch):
     # (1/r)(1, r - 1) has the chain (-2, ..., -2) of r - 1 curves: the limit
-    # itself passes, one more raises before any ray or fan is built
+    # itself passes, one more raises before any fan is built
     r = MAX_HJ_CHAIN + 1
     fan, chain = hj_resolution(r, r - 1)
     assert chain == (-2,) * MAX_HJ_CHAIN and len(fan.max_cones) == MAX_HJ_CHAIN + 1
 
     def built(*_):
-        raise AssertionError("rays or a fan were built")
+        raise AssertionError("a fan was built")
 
-    monkeypatch.setattr(mckay_module, "group_lattice", built)
     monkeypatch.setattr(mckay_module, "make_fan", built)
     for r, a in ((r + 1, r), (2 * 10 ** 6 + 1, 2 * 10 ** 6), (10 ** 100 + 1, 10 ** 100)):
         with pytest.raises(InvalidInputError, match=f"limit of {MAX_HJ_CHAIN} curves"):
@@ -491,7 +490,7 @@ def test_group_lattice_matches_fraction_rows():
         assert all(type(x) is F for row in B.rows for x in row)
 
 
-def test_lattice_coords_match_fraction_coords():
+def test_lattice_coords_match_fraction_coords(monkeypatch):
     # quotient_pair's axis rays and hj_resolution's rays in integer lattice
     # coordinates, against LatticeBasis.coords in Fraction arithmetic
     rng = random.Random(12)
@@ -505,17 +504,33 @@ def test_lattice_coords_match_fraction_coords():
         B = group_lattice(G)
         axes = [B.coords(tuple(int(i == j) for j in range(n))) for i in range(n)]
         assert quotient_pair(G).fan.rays == tuple(primitive(x) for x in axes)
-    for r in range(2, 31):
-        for a in range(1, r):
-            if gcd(r, a) != 1:
-                continue
-            B = group_lattice(make_group(2, [(r, (1, a))]))
-            boundary = [(F(0), F(1)), (F(1, r), F(a, r))]
-            fan, chain = hj_resolution(r, a)
-            for b in chain:
-                (x0, y0), (x1, y1) = boundary[-2:]
-                boundary.append((-b * x1 - x0, -b * y1 - y0))
-            assert fan.rays == tuple(tuple(int(x) for x in B.coords(p)) for p in boundary)
+    # hj_resolution's closed-form seed rays, and the chain they start, against
+    # the Hermite basis of group_lattice, which hj_resolution no longer calls:
+    # every coprime (r, a) with r <= 100, then a seeded sample up to 10^4
+    pairs = [(r, a) for r in range(2, 101) for a in range(1, r) if gcd(r, a) == 1]
+    rng, small = random.Random(21), len(pairs)
+    while len(pairs) < small + 200:
+        r = rng.randrange(101, 10 ** 4 + 1)
+        a = rng.randrange(1, r)
+        if gcd(r, a) == 1:
+            pairs.append((r, a))
+    bases = [group_lattice(make_group(2, [(r, (1, a))])) for r, a in pairs]
+
+    def hermite(*_):
+        raise AssertionError("hj_resolution Hermite-reduced a group lattice")
+
+    monkeypatch.setattr(mckay_module, "group_lattice", hermite)
+    for (r, a), B in zip(pairs, bases):
+        fan, chain = hj_resolution(r, a)
+        assert fan.rays[:2] == tuple(tuple(B.coords(p)) for p in [(0, 1), (F(1, r), F(a, r))])
+        # the whole chain in integers: x.(r B) = r p at the boundary points p,
+        # where r B is integral as its value at the two seed rays shows
+        rB = [[int(v * r) for v in row] for row in B.rows]
+        boundary = [(0, r), (1, a)]
+        for b in chain:
+            (x0, y0), (x1, y1) = boundary[-2:]
+            boundary.append((-b * x1 - x0, -b * y1 - y0))
+        assert [vec_mat(x, rB) for x in fan.rays] == boundary
 
 
 def _stack_rank_oracle(pair):
