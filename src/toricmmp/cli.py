@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import BudgetExceededError, EngineInvariantError, InvalidInputError
+from .errors import EngineInvariantError, InvalidInputError
 from .fan import support_cone_rays
 from .jsonio import dumps, group_from_json, pair_from_json, to_jsonable
 from .mckay import case_a_components, hj_resolution, mckay_pipeline, quotient_pair, stack_rank
@@ -68,13 +68,6 @@ def _emit(args, payload, lines):
     return 0
 
 
-def _cap_steps(steps, args):
-    if args.max_steps is not None and len(steps) > args.max_steps:
-        raise BudgetExceededError(
-            f"{len(steps)} steps exceed --max-steps {args.max_steps}"
-        )
-
-
 # ------------------------------------------------------------- commands
 
 
@@ -94,7 +87,6 @@ def _cmd_check(args):
 def _cmd_terminalize(args):
     pair = _load_pair(args.pair)
     out, steps = terminalize(pair)
-    _cap_steps(steps, args)
     lines = [
         f"extract {_vec(s.ray)} at log discrepancy {s.psi_value}" for s in steps
     ]
@@ -107,7 +99,6 @@ def _cmd_terminalize(args):
 def _cmd_mmp(args):
     pair = _load_pair(args.pair)
     out, steps = relative_mmp(pair, _base_rays(pair, args.base))
-    _cap_steps(steps, args)
     lines = []
     for s in steps:
         if s.kind == "divisorial":
@@ -169,7 +160,6 @@ def _cmd_flop_decompose(args):
     px = _load_pair(args.x)
     py = _load_pair(args.y)
     steps = flop_decompose(px, py)
-    _cap_steps(steps, args)
     lines = [
         "flop circuit " + " ".join(_vec(v) for v in s.circuit)
         + f" at time {s.event_time}"
@@ -233,12 +223,10 @@ def _parser():
 
     sp = add("terminalize", _cmd_terminalize, "extract all low-discrepancy valuations")
     sp.add_argument("pair")
-    sp.add_argument("--max-steps", type=int, default=None)
 
     sp = add("mmp", _cmd_mmp, "run the relative minimal model program")
     sp.add_argument("pair")
     sp.add_argument("--base", choices=["support", "orthant"], default="support")
-    sp.add_argument("--max-steps", type=int, default=None)
 
     sp = add("mckay", _cmd_mckay, "quotient pipeline with its rank ledger")
     sp.add_argument("group", nargs="?", default=None, help="group JSON file")
@@ -249,7 +237,6 @@ def _parser():
              "decompose a K-equivalence into flops")
     sp.add_argument("x", help="source pair JSON file")
     sp.add_argument("y", help="target pair JSON file")
-    sp.add_argument("--max-steps", type=int, default=None)
 
     sp = add("hj", _cmd_hj, "continued-fraction resolution of (1/r)(1,a)")
     sp.add_argument("r", type=int)

@@ -6,12 +6,13 @@ downstream assumes validity, so construction checks eagerly.  Every change
 to a fan is a step of one local state, _Subdivision: star subdivision or a
 circuit step (flip or divisorial contraction), each checking only the
 facets it touched.  make_fan's `fast` level is those checks applied once to
-all cones; `full` adds the test that any two cones meet in a common face.
-For complete and cone-supported fans that test is one degree-one point
-check; fans of support kind "other" keep the pairwise LP test.  Exact LP
-also decides membership in a cone over non-simplicial generators.  Both LPs
-are posed in the standard form of `linprog.lp_maximize` with the origin
-feasible, so the solver never needs a phase-one search, which can cycle.
+all cones; `full` adds the test that any two cones meet in a common face,
+one degree-one point check.  A fan's support is all of N_R (kind
+"complete") or a convex cone (kind "cone-supported"); make_fan rejects any
+other support.  Exact LP decides membership in a cone over non-simplicial
+generators, posed in the standard form of `linprog.lp_maximize` with the
+origin feasible, so the solver never needs a phase-one search, which can
+cycle.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class Fan:
     dim: int
     rays: tuple                 # tuple of primitive integer vectors, distinct
     max_cones: tuple            # tuple of sorted index tuples, each of size dim
-    support_kind: str           # "complete" | "cone-supported" | "other"
+    support_kind: str           # "complete" | "cone-supported"
 
     def ray_matrix(self, cone):
         return tuple(map(self.rays.__getitem__, cone))
@@ -107,45 +108,6 @@ def walls(fan):
     return tuple(out)
 
 
-def is_complete(fan):
-    return all(len(cs) == 2 for cs in _facet_map(fan).values())
-
-
-def _certificate(fan, ca, cb, shared):
-    """Cheap soundness certificate that cones ca, cb meet in cone(shared):
-    the form -sum of ca's dual functionals off the shared set must be
-    strictly positive on cb's non-shared rays."""
-    cone_a = fan.max_cones[ca]
-    fs = [_facet_functional(fan, cone_a, k) for k in range(fan.dim)
-          if cone_a[k] not in shared]
-    u = tuple(-sum(c) for c in zip(*fs))
-    return all(
-        dot(u, fan.rays[j]) > 0 for j in fan.max_cones[cb] if j not in shared
-    )
-
-
-def _lp_face_check(fan, ca, cb, shared):
-    """Exact decision: do cones ca and cb intersect exactly in the common
-    face spanned by their shared rays?  Searches for a separating form u
-    with u = 0 on shared rays, u <= -s on ca's others, u >= s on cb's
-    others; valid iff max s > 0.  In standard form u = u+ - u- with u+, u-
-    in [0, 1]^n and s >= 0: every right-hand side is 0 or 1, so the origin
-    is a feasible start."""
-    n = fan.dim
-
-    def row(j, sign, t):  # sign * u.ray_j + t * s <= 0 over (u+, u-, s)
-        r = tuple(sign * x for x in fan.rays[j])
-        return r + tuple(-x for x in r) + (t,)
-
-    rows = [row(j, 1, 1) for j in fan.max_cones[ca] if j not in shared]
-    rows += [row(j, -1, 1) for j in fan.max_cones[cb] if j not in shared]
-    rows += [row(j, sign, 0) for j in shared for sign in (1, -1)]
-    b = [0] * len(rows) + [1] * (2 * n)
-    rows += [tuple(int(i == k) for i in range(2 * n + 1)) for k in range(2 * n)]
-    opt, _ = lp_maximize([0] * (2 * n) + [1], rows, b)
-    return opt > 0
-
-
 def _check_degree_one(fan):
     """Common-face test for complete and cone-supported fans.
 
@@ -168,34 +130,15 @@ def _check_degree_one(fan):
             )
 
 
-def _check_pairwise_faces(fan):
-    m = len(fan.max_cones)
-    for ca in range(m):
-        sa = set(fan.max_cones[ca])
-        for cb in range(ca + 1, m):
-            shared = sa.intersection(fan.max_cones[cb])
-            if len(shared) == fan.dim - 1:
-                continue  # shared facet: the apex side check already ran
-            if _certificate(fan, ca, cb, shared):
-                continue
-            if _certificate(fan, cb, ca, shared):
-                continue
-            if not _lp_face_check(fan, ca, cb, shared):
-                raise InvalidInputError(
-                    f"cones {fan.max_cones[ca]} and {fan.max_cones[cb]} "
-                    "do not intersect in a common face"
-                )
-
-
 def make_fan(rays, max_cones, *, validate="full"):
     """Build a Fan after validating it.
 
     validate: "fast" checks primitive distinct rays and every ray used,
     then adds every cone to an empty _Subdivision in one step, whose checks
     are the rest; the support kind is read off that state's facets.
-    "full" adds the test that any two cones meet in a common face: the
-    degree-one point check for complete and cone-supported fans, the
-    pairwise LP test for fans of support kind "other".
+    A support that is neither all of N_R nor a convex cone is rejected.
+    "full" adds the test that any two cones meet in a common face, the
+    degree-one point check.
     """
     if validate not in ("full", "fast"):
         raise InvalidInputError(f"unknown validation level {validate!r}")
@@ -230,7 +173,7 @@ def make_fan(rays, max_cones, *, validate="full"):
     if {i for c in cones for i in c} != set(range(len(rays))):
         raise InvalidInputError("fan has unused rays")
 
-    sub = _Subdivision(Fan(n, rays, (), "other"))
+    sub = _Subdivision(Fan(n, rays, (), None))
     sub._replace((), cones, "make_fan")
     if all(len(cs) == 2 for cs in sub.facets.values()):
         kind = "complete"
@@ -239,14 +182,11 @@ def make_fan(rays, max_cones, *, validate="full"):
     ):
         kind = "cone-supported"
     else:
-        kind = "other"
+        raise InvalidInputError("fan support is neither complete nor a convex cone")
 
     fan = Fan(n, rays, cones, kind)
     if validate == "full":
-        if kind == "other":
-            _check_pairwise_faces(fan)
-        else:
-            _check_degree_one(fan)
+        _check_degree_one(fan)
     return fan
 
 
@@ -337,14 +277,13 @@ class _Subdivision:
     which the kind check covers.  So the kind and the
     wall-graph connectivity hold without a look at any other facet.
     make_fan's fast checks are these checks, run once on an empty state
-    that receives every cone.
+    that receives every cone; its kind is None, which takes any boundary.
 
     subdivide inserts a ray.  Given a cone holding it, the star is walked
     from that cone across the facets that contain the face carrying the
     ray, so finding, replacing and checking it cost the cones around the
-    ray.  The walk reaches the whole star where the link of a face is
-    connected, as in complete and cone-supported fans; a fan of kind
-    "other" may be pinched along a face, so there, and without a cone, the
+    ray.  The walk reaches the whole star because the link of a face is
+    connected in a complete or cone-supported fan; without a cone, the
     star is the barycentric scan of every cone.  place, the placing step of
     regular triangulation, makes that scan and joins the same way; with no
     cone holding the ray, it joins the ray to the boundary facets that see
@@ -355,8 +294,8 @@ class _Subdivision:
     flip and contract are one step, Reid's circuit modification of a wall
     relation (M. Reid, "Decomposition of toric morphisms", 1983): T+ * L is
     replaced by T- * L (_circuit), at the cost of the cones around the
-    circuit.  contract first checks by a scan of every cone that the star of
-    the ray is T+ * L, then removes the ray, re-indexing the rays after it.
+    circuit.  contract first checks, by the same walk, that the star of the
+    ray is T+ * L, then removes the ray, re-indexing the rays after it.
 
     fan() copies the cone tuple.
     """
@@ -378,7 +317,7 @@ class _Subdivision:
         """Insert the primitive vector w as a new ray, as star_subdivision
         does, walking the star from cone if one holding w is given; returns
         (the cones it removes, the cones it creates)."""
-        if cone is None or self.kind == "other":
+        if cone is None:
             star = _scan_star(self, w)
             if not star:
                 raise InvalidInputError(f"{w} is outside the fan support")
@@ -452,13 +391,13 @@ class _Subdivision:
 
     def contract(self, rel, j):
         """Remove ray j, the one negative ray of the divisorial relation rel,
-        by the same step when the star of j is exactly T+ * L; returns the ray
-        or None.  Later rays shift down one index, so the step costs the fan,
-        and the star is found by a scan of every cone."""
+        by the same step when the star of j, walked from a cone of T+ * L,
+        is exactly T+ * L; returns the ray or None.  Later rays shift down
+        one index, so the step costs the fan."""
         step = self._circuit(rel)
         if step is None:
             return None
-        if {c for c in self.max_cones if j in c} != set(step[0]):
+        if _walk_star(self.facets, step[0][0], {j}) != set(step[0]):
             return None
         self._replace(*step, "contraction")
 
@@ -513,7 +452,7 @@ class _Subdivision:
     def _keeps_kind(self, facet, cone):
         """May facet, newly on the boundary in cone, lie on the boundary?"""
         if self.kind != "cone-supported":
-            return self.kind == "other"
+            return self.kind is None
         k = next(k for k in range(self.dim) if cone[k] not in facet)
         u = _facet_functional(self, cone, k)
         return all(dot(u, r) >= 0 for r in self.rays)

@@ -1,5 +1,5 @@
 """Exact LP in standard form: maximize c.y subject to A y <= b and y >= 0,
-for ample heights, face checks and cone membership; Fractions out.
+for ample heights and cone membership; Fractions out.
 
 A fraction-free port of sympy 1.14's `_simplex` pivot rule, so it returns
 sympy's vertex: phase one pivots on the first row with b_i < 0 and stops on

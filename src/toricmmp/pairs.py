@@ -183,8 +183,6 @@ def _same_rays_and_coeffs(pair_x, pair_y):
     if fx.dim != fy.dim:
         raise InvalidInputError("pairs have different dimensions")
     kx, ky = fx.support_kind, fy.support_kind
-    if "other" in (kx, ky):
-        raise InvalidInputError("fan support is neither complete nor a cone")
     if kx != ky:
         raise InvalidInputError("supports differ")
     if kx == "cone-supported":

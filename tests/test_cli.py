@@ -96,8 +96,10 @@ def test_mmp_contracts_interior_ray(capsys, tmp_path):
     ]
     code, out2, _ = run(capsys, "mmp", path, "--base", "orthant")
     assert code == 0 and out2 == out
-    code, _, err = run(capsys, "mmp", path, "--max-steps", "0")
-    assert code == 1 and "max-steps" in err
+    # no step cap is an option: the engine loops bound their own steps
+    with pytest.raises(SystemExit) as exc:
+        main(["mmp", path, "--max-steps", "0"])
+    assert exc.value.code == 1
 
 
 def test_mmp_contracts_the_centre_of_a_square(capsys, tmp_path):
@@ -234,6 +236,27 @@ def test_hj_chain_limit_exits_one_at_once(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("error:") and f"limit of {MAX_HJ_CHAIN} curves" in err
     assert "Traceback" not in err
+
+
+QUADRANT_RAYS = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+
+
+# supports that are neither complete nor a convex cone
+@pytest.mark.parametrize("fan", [
+    {"dim": 2, "rays": QUADRANT_RAYS, "cones": [[0, 1], [2, 3]]},
+    {"dim": 2, "rays": QUADRANT_RAYS, "cones": [[0, 1], [1, 2], [2, 3]]},
+    {"dim": 2, "rays": [[1, 0], [0, 1], [2, 1], [1, 2]], "cones": [[0, 1], [2, 3]]},
+    {"dim": 4,
+     "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, -1, 0],
+              [0, 0, 0, -1]],
+     "cones": [[0, 1, 2, 3], [0, 1, 4, 5]]},
+], ids=["two-quadrants", "L-shape", "nested", "pinched-four-fold"])
+def test_hostile_support_exits_one(capsys, tmp_path, fan):
+    path = write(tmp_path / "fan.json", fan)
+    for command in ("check", "terminalize", "mmp", "rank"):
+        code, out, err = run(capsys, command, path)
+        assert code == 1 and out == "", command
+        assert err == "error: fan support is neither complete nor a convex cone\n"
 
 
 def test_rank_command(capsys, tmp_path, sixth_group_file):

@@ -15,7 +15,6 @@ from toricmmp.fan import (
     _walk_star,
     fans_equal,
     in_support,
-    is_complete,
     locate,
     make_fan,
     point_in_cone,
@@ -47,12 +46,12 @@ ATIYAH_Y = make_fan(ATIYAH_RAYS, [(0, 1, 3), (1, 2, 3)])
 
 def test_walls_projective_plane():
     assert len(walls(P2)) == 3
-    assert is_complete(P2)
+    assert P2.support_kind == "complete"
 
 
 def test_walls_single_orthant():
     assert walls(ORTHANT2) == ()
-    assert not is_complete(ORTHANT2)
+    assert ORTHANT2.support_kind != "complete"
 
 
 def test_walls_blowup_apexes():
@@ -65,22 +64,24 @@ def test_walls_blowup_apexes():
 
 def test_projective_line_complete():
     line = make_fan([(1,), (-1,)], [(0,), (1,)])
-    assert is_complete(line)
+    assert line.support_kind == "complete"
     assert len(walls(line)) == 1
+
+
+NOT_CONVEX = "neither complete nor a convex cone"
 
 
 def test_support_kind_values():
     assert P2.support_kind == "complete"
     assert ORTHANT2.support_kind == "cone-supported"
     assert BLOWUP2.support_kind == "cone-supported"
-    two_quadrants = make_fan(
-        [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (2, 3)], validate="fast"
-    )
-    assert two_quadrants.support_kind == "other"
-    ell = make_fan(
-        [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3)]
-    )
-    assert ell.support_kind == "other"
+    # two quadrants meeting at the origin, and an L-shape of three: neither
+    # support is complete or convex, so both levels reject them
+    quadrants = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for cones in ([(0, 1), (2, 3)], [(0, 1), (1, 2), (2, 3)]):
+        for level in ("fast", "full"):
+            with pytest.raises(InvalidInputError, match=NOT_CONVEX):
+                make_fan(quadrants, cones, validate=level)
 
 
 def test_make_fan_rejects_bad_input():
@@ -136,13 +137,22 @@ def test_make_fan_rejects_unknown_level_first():
         make_fan([(2, 0), (0, 1)], [(0, 1)], validate="ful")
 
 
+# cone (0, 1, 2) lies inside cone (0, 3, 4)
+NESTED_RAYS = [(-1, 2, -1), (-1, -3, -3), (0, -2, 1), (-1, -3, 3), (2, 0, -3)]
+
+
 def test_full_validation_catches_nested_cones():
-    rays = [(1, 0), (0, 1), (2, 1), (1, 2)]
-    cones = [(0, 1), (2, 3)]  # second cone sits inside the first
-    fast = make_fan(rays, cones, validate="fast")  # fast checks cannot see it
-    assert fast.support_kind == "other"  # so "full" takes the pairwise LP test
-    with pytest.raises(InvalidInputError):
-        make_fan(rays, cones, validate="full")
+    # the second cone sits inside the first, in the plane and in space,
+    # where the two share a ray; no facet joins them, so the fast level
+    # already rejects the support
+    nested = [
+        ([(1, 0), (0, 1), (2, 1), (1, 2)], [(0, 1), (2, 3)]),
+        (NESTED_RAYS, [(0, 1, 2), (0, 3, 4)]),
+    ]
+    for rays, cones in nested:
+        for level in ("fast", "full"):
+            with pytest.raises(InvalidInputError, match=NOT_CONVEX):
+                make_fan(rays, cones, validate=level)
 
 
 # primitive rays at 0, 80, 160, ..., 640 degrees: consecutive pairs span
@@ -181,7 +191,8 @@ def _fan_on_used_rays(rays, cones):
 def _grown_fan(rng, dim):
     """A random fan over small integer rays: starting from one simplicial
     cone, each step adds a cone across a facet that lies in one cone so
-    far, while the fast checks still pass."""
+    far, while the fast checks still pass on a state of kind None, which
+    takes any boundary.  None when make_fan rejects the support."""
     simplices = []
     while not simplices:
         rays = sorted({
@@ -204,26 +215,31 @@ def _grown_fan(rng, dim):
         rng.shuffle(cands)
         for s in cands:
             try:
-                _fan_on_used_rays(rays, cones + [s])
+                _Subdivision(Fan(dim, tuple(rays), (), None))._replace((), cones + [s], "growth")
             except InvalidInputError:
                 continue
             cones.append(s)
             break
-    return _fan_on_used_rays(rays, cones)
+    try:
+        return _fan_on_used_rays(rays, cones)
+    except InvalidInputError:
+        return None
 
 
-def test_degree_one_check_matches_lp_oracle():
+def test_degree_one_check_matches_intersection_oracle():
     rng = random.Random(3)
     seen = set()
     for _ in range(120):
         fan = _grown_fan(rng, rng.choice([2, 3, 4]))
-        if fan.support_kind == "other":
+        if fan is None:
             continue
-        try:
-            fan_module._check_pairwise_faces(fan)
-            valid = True
-        except InvalidInputError:
-            valid = False
+        valid = all(
+            oracle_meet_in_shared_face(
+                fan.ray_matrix(a), fan.ray_matrix(b),
+                [fan.rays[i] for i in set(a).intersection(b)],
+            )
+            for a, b in combinations(fan.max_cones, 2)
+        )
         try:
             make_fan(fan.rays, fan.max_cones, validate="full")
             accepted = True
@@ -254,44 +270,7 @@ def oracle_meet_in_shared_face(cone_a, cone_b, shared):
     return True
 
 
-# cone (0, 1, 2) lies inside cone (0, 3, 4); posed with u = y - 1 and y in
-# [0, 2]^n, this face check has negative right-hand sides, and sympy's
-# phase-one search cycles on it forever
-NESTED_RAYS = [(-1, 2, -1), (-1, -3, -3), (0, -2, 1), (-1, -3, 3), (2, 0, -3)]
-
-
-def test_lp_face_check_matches_intersection_oracle():
-    assert not fan_module._lp_face_check(
-        Fan(3, tuple(NESTED_RAYS), ((0, 1, 2), (0, 3, 4)), "other"), 0, 1, {0}
-    )
-    with pytest.raises(InvalidInputError, match="common face"):
-        make_fan(NESTED_RAYS, [(0, 1, 2), (0, 3, 4)])
-    rng = random.Random(1618)
-    verdicts = Counter()
-    for _ in range(150):
-        n = rng.randint(2, 4)
-        k = rng.randint(0, n - 1)
-        vecs = set()
-        while len(vecs) < 2 * n - k:
-            v = tuple(rng.randint(-3, 3) for _ in range(n))
-            if any(v):
-                vecs.add(primitive(v))
-        rays = sorted(vecs)
-        cone_a, cone_b = tuple(range(n)), tuple(range(k)) + tuple(range(n, 2 * n - k))
-        if any(det([rays[i] for i in c]) == 0 for c in (cone_a, cone_b)):
-            continue
-        fan = Fan(n, tuple(rays), (cone_a, cone_b), "other")
-        verdict = fan_module._lp_face_check(fan, 0, 1, set(range(k)))
-        expected = oracle_meet_in_shared_face(
-            [rays[i] for i in cone_a], [rays[i] for i in cone_b], rays[:k]
-        )
-        assert verdict == expected, (rays, k)
-        verdicts[n, verdict] += 1
-    assert all(verdicts[n, v] >= 5 for n in (2, 3, 4) for v in (True, False)), verdicts
-
-
-# a flop-corpus pair whose fan has cone pairs that share no facet and
-# have no cheap separating certificate
+# a flop-corpus pair whose fan has cone pairs that share no facet
 PAIR_3D = {
     "dim": 3,
     "rays": [[0, 2, 1], [0, 3, 1], [1, 0, 1], [3, 0, 1], [3, 1, 1], [3, 2, 1],
@@ -378,14 +357,9 @@ def test_star_subdivision_errors():
         star_subdivision(ORTHANT2, (-1, 1))  # outside support
 
 
-# complete, and of kind "other": two opposite orthants meeting at the origin
 P3 = make_fan(
     [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
     [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
-)
-OPPOSITE3 = make_fan(
-    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
-    [(0, 1, 2), (3, 4, 5)],
 )
 
 
@@ -410,7 +384,7 @@ def test_star_subdivision_preserves_support_random():
     # cones, and the star walked from one cone as in the extraction loop
     # all give the same fan, cone order and support kind
     kinds = Counter()
-    for fan in [ORTHANT3, ATIYAH_X, P3, OPPOSITE3]:
+    for fan in [ORTHANT3, ATIYAH_X, P3]:
         for _ in range(25):
             cone = fan.max_cones[rng.randrange(len(fan.max_cones))]
             coeffs = [rng.randint(0, 2) for _ in cone]
@@ -426,19 +400,7 @@ def test_star_subdivision_preserves_support_random():
             sub.subdivide(w, cone)
             assert sub.fan() == f
             kinds[f.support_kind] += 1
-    assert set(kinds) == {"complete", "cone-supported", "other"}, kinds
-    # two 4-cones meeting only in the face (e1, e2): a valid fan of kind
-    # "other" whose star at e1 + e2 is not reached by walking across facets
-    pinched = make_fan(
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, 0), (0, 0, 0, -1)],
-        [(0, 1, 2, 3), (0, 1, 4, 5)],
-    )
-    assert _walk_star(_facet_map(pinched), (0, 1, 2, 3), {0, 1}) == {(0, 1, 2, 3)}
-    sub = _Subdivision(pinched)
-    sub.subdivide((1, 1, 0, 0), (0, 1, 2, 3))
-    joins = [(1, 2, 3, 6), (0, 2, 3, 6), (1, 4, 5, 6), (0, 4, 5, 6)]
-    assert sub.fan() == make_fan(pinched.rays + ((1, 1, 0, 0),), joins, validate="fast")
-    assert sub.fan() == star_subdivision(pinched, (1, 1, 0, 0))
+    assert set(kinds) == {"complete", "cone-supported"}, kinds
 
 
 def _contracted_oracle(fan, rel, j):
@@ -516,18 +478,40 @@ def test_contract_matches_the_rebuilt_fan():
     assert wide > 0
 
 
-def test_contract_scans_the_star_of_a_pinched_ray():
-    # group 1 is the orthant blown up along e1 + e2; group 2 meets it only
-    # in that ray, so the fan is of kind "other" and walking the ray's star
-    # across facets misses group 2: the contraction must refuse
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, -1), (2, 1, -1)]
-    fan = make_fan(rays, [(0, 2, 3), (1, 2, 3), (3, 4, 5)])
-    assert fan.support_kind == "other"
-    w = next(w for w in walls(fan) if w.shared == (2, 3))
-    rel = wall_relation(fan, w)
-    assert classify(rel).ray == 3
-    sub = _Subdivision(fan)
-    assert sub.contract(rel, 3) is None and sub.fan() == fan
+# fans pinched along a face: walking across facets from one cone misses
+# the cones on the far side of the pinch, so no step of a fan state could
+# find a star by that walk, and make_fan rejects the support
+PINCHED = {
+    # two opposite orthants meeting at the origin
+    "opposite-orthants": (
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
+        [(0, 1, 2), (3, 4, 5)],
+        (),
+    ),
+    # two 4-cones meeting only in the face (e1, e2)
+    "four-fold": (
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, 0),
+         (0, 0, 0, -1)],
+        [(0, 1, 2, 3), (0, 1, 4, 5)],
+        (0, 1),
+    ),
+    # the orthant blown up along e1 + e2, and a cone meeting it in that ray
+    "blown-up-orthant": (
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, -1), (2, 1, -1)],
+        [(0, 2, 3), (1, 2, 3), (3, 4, 5)],
+        (3,),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINCHED)
+def test_make_fan_rejects_pinched_fans(name):
+    rays, cones, face = PINCHED[name]
+    walked = _walk_star(_facet_map(Fan(len(rays[0]), rays, cones, None)), cones[0], face)
+    assert walked < {c for c in cones if set(face) <= set(c)}
+    for level in ("fast", "full"):
+        with pytest.raises(InvalidInputError, match=NOT_CONVEX):
+            make_fan(rays, cones, validate=level)
 
 
 def test_fans_equal_permutation_invariance():

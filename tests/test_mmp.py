@@ -159,11 +159,20 @@ def test_bistellar_flip_4d_circuit():
 
 
 def test_bistellar_flip_requires_isolated_circuit():
-    part = make_fan(CIRC4_RAYS, CIRC4_PLUS[:2], validate="fast")
-    w = walls(part)[0]
-    assert classify(wall_relation(part, w)).kind == "flipping"
-    with pytest.raises(InvalidInputError):
-        bistellar_flip(part, w)
+    from toricmmp.fan import star_subdivision
+
+    # subdividing the third plus cone at its ray sum keeps a wall of the
+    # 5-ray circuit, but not that cone of its T+ * L
+    fp = make_fan(CIRC4_RAYS, CIRC4_PLUS)
+    fan = star_subdivision(fp, tuple(map(sum, zip(*fp.ray_matrix(CIRC4_PLUS[2])))))
+    assert fan.support_kind == "cone-supported" and len(fan.max_cones) == 6
+    w = next(
+        w for w in walls(fan)
+        if classify(rel := wall_relation(fan, w)).kind == "flipping"
+        and len(rel.s_plus + rel.s_minus) == 5
+    )
+    with pytest.raises(InvalidInputError, match="wall circuit is not isolated"):
+        bistellar_flip(fan, w)
 
 
 def _boundary_facets(fan):
