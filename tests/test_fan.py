@@ -32,6 +32,7 @@ from toricmmp.lattice import (
     primitive,
     vec_mat,
 )
+from toricmmp.linprog import lp_maximize
 from toricmmp.mckay import hj_resolution
 
 P2 = make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
@@ -226,7 +227,29 @@ def _grown_fan(rng, dim):
         return None
 
 
-def test_degree_one_check_matches_intersection_oracle():
+def lp_face_check(rays, cone_a, cone_b, shared):
+    """Do cones cone_a and cone_b meet exactly in the face spanned by the
+    shared ray indices?  Searches for a separating form u with u = 0 on
+    shared rays, u <= -s on cone_a's others, u >= s on cone_b's others;
+    they do iff max s > 0.  In standard form u = u+ - u- with u+, u- in
+    [0, 1]^n and s >= 0: every right-hand side is 0 or 1, so the origin is
+    a feasible start."""
+    n = len(rays[0])
+
+    def row(j, sign, t):  # sign * u.ray_j + t * s <= 0 over (u+, u-, s)
+        r = tuple(sign * x for x in rays[j])
+        return r + tuple(-x for x in r) + (t,)
+
+    rows = [row(j, 1, 1) for j in cone_a if j not in shared]
+    rows += [row(j, -1, 1) for j in cone_b if j not in shared]
+    rows += [row(j, sign, 0) for j in shared for sign in (1, -1)]
+    b = [0] * len(rows) + [1] * (2 * n)
+    rows += [tuple(int(i == k) for i in range(2 * n + 1)) for k in range(2 * n)]
+    opt, _ = lp_maximize([0] * (2 * n) + [1], rows, b)
+    return opt > 0
+
+
+def test_degree_one_check_matches_lp_oracle():
     rng = random.Random(3)
     seen = set()
     for _ in range(120):
@@ -234,10 +257,7 @@ def test_degree_one_check_matches_intersection_oracle():
         if fan is None:
             continue
         valid = all(
-            oracle_meet_in_shared_face(
-                fan.ray_matrix(a), fan.ray_matrix(b),
-                [fan.rays[i] for i in set(a).intersection(b)],
-            )
+            lp_face_check(fan.rays, a, b, set(a).intersection(b))
             for a, b in combinations(fan.max_cones, 2)
         )
         try:
@@ -268,6 +288,33 @@ def oracle_meet_in_shared_face(cone_a, cone_b, shared):
             if any(w) and all(dot(f, w) >= 0 for f in fs) and primitive(w) not in shared:
                 return False
     return True
+
+
+def test_lp_face_check_matches_intersection_oracle():
+    # posed with u = y - 1 and y in [0, 2]^n, this face check has negative
+    # right-hand sides, and sympy's phase-one search cycles on it forever
+    assert not lp_face_check(NESTED_RAYS, (0, 1, 2), (0, 3, 4), {0})
+    rng = random.Random(1618)
+    verdicts = Counter()
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        k = rng.randint(0, n - 1)
+        vecs = set()
+        while len(vecs) < 2 * n - k:
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            if any(v):
+                vecs.add(primitive(v))
+        rays = sorted(vecs)
+        cone_a, cone_b = tuple(range(n)), tuple(range(k)) + tuple(range(n, 2 * n - k))
+        if any(det([rays[i] for i in c]) == 0 for c in (cone_a, cone_b)):
+            continue
+        verdict = lp_face_check(rays, cone_a, cone_b, set(range(k)))
+        expected = oracle_meet_in_shared_face(
+            [rays[i] for i in cone_a], [rays[i] for i in cone_b], rays[:k]
+        )
+        assert verdict == expected, (rays, k)
+        verdicts[n, verdict] += 1
+    assert all(verdicts[n, v] >= 5 for n in (2, 3, 4) for v in (True, False)), verdicts
 
 
 # a flop-corpus pair whose fan has cone pairs that share no facet
