@@ -10,9 +10,8 @@ all cones; `full` adds the test that any two cones meet in a common face,
 one degree-one point check.  A fan's support is all of N_R (kind
 "complete") or a convex cone (kind "cone-supported"); make_fan rejects any
 other support.  Exact LP decides membership in a cone over non-simplicial
-generators, posed in the standard form of `linprog.lp_maximize` with the
-origin feasible, so the solver never needs a phase-one search, which can
-cycle.
+generators, posed in the standard form of `linprog.lp_maximize`, which
+starts at the origin and so needs right-hand sides >= 0; these are 0 or 1.
 """
 
 from __future__ import annotations

@@ -71,11 +71,15 @@ class ExtractionStep(NamedTuple):
 
 def ample_heights(fan):
     """Heights strictly convex across every wall, found by maximizing the
-    worst wall defect t over heights h in [-1, 1] and t in [0, 1].  Raises
-    NonProjectiveError when only flat-or-worse height functions exist.
+    worst wall defect t in [0, 1].  Raises NonProjectiveError when only
+    flat-or-worse height functions exist.
 
-    In standard form over y = (h + 1, t) >= 0: one row t - defect_w(y - 1)
-    <= 0 per wall, in walls() order, then the caps y_i <= 2 and t <= 1."""
+    In standard form over y = (h + w, t, w) >= 0, with a homogenizing w in
+    [0, 1] of objective weight 1: one row t - d(y) + d(1) w <= 0 per wall,
+    d its defect, in walls() order, then the caps y_i <= 2, t <= 1 and w <=
+    1.  Every right-hand side is 0 or positive, so the origin is feasible.
+    A box optimum t* > 0 over h in [-1, 1] makes (h + 1, t*, 1) feasible,
+    and then t + w >= t* + 1 at the optimum forces t > 0."""
     rels = ((rel.ray_indices, rel.coeffs) for _, rel in _relations(_Subdivision(fan)))
     H, D = _ample_heights(len(fan.rays), rels)
     return tuple(Fraction(h, D) for h in H)
@@ -98,21 +102,21 @@ def _ample_heights(n_rays, rels, given=None, label=None):
         return H, D
     if not rels:
         return [0] * n_rays, 1
-    A, b = [], []
+    A = []  # the LP of ample_heights' docstring
     for indices, coeffs in rels:
-        row = [0] * (n_rays + 1)
+        row = [0] * (n_rays + 2)
         for i, a in zip(indices, coeffs):
             row[i] = -a
-        row[n_rays] = 1
+        row[n_rays], row[-1] = 1, sum(coeffs)
         A.append(row)
-        b.append(-sum(coeffs))
-    A += [[0] * k + [1] + [0] * (n_rays - k) for k in range(n_rays + 1)]
-    b += [2] * n_rays + [1]
-    opt, y = lp_maximize([0] * n_rays + [1], A, b)
-    if opt <= 0:
+    A += [[0] * k + [1] + [0] * (n_rays + 1 - k) for k in range(n_rays + 2)]
+    b = [0] * len(rels) + [2] * n_rays + [1, 1]
+    _, y = lp_maximize([0] * n_rays + [1, 1], A, b)
+    if y[n_rays] <= 0:
         raise NonProjectiveError("no strictly convex height function exists")
-    D = lcm(*(v.denominator for v in y[:n_rays]))  # h = y - 1
-    return [v.numerator * (D // v.denominator) - D for v in y[:n_rays]], D
+    D = lcm(y[-1].denominator, *(v.denominator for v in y[:n_rays]))
+    W = y[-1].numerator * (D // y[-1].denominator)
+    return [v.numerator * (D // v.denominator) - W for v in y[:n_rays]], D
 
 
 # -------------------------------------------------------------- surgeries

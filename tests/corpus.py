@@ -6,14 +6,15 @@ generic), triangulates, and then applies one to six random regular
 flips.  Both fans carry zero boundary, so every wall is crepant and the
 two pairs are K-equivalent by construction.
 
-Also holds the replay oracle: step records re-applied by public surgery.
+Also holds the replay oracle: step records re-applied by public surgery,
+and STAR_P3, a fixed fan off height one.
 """
 
 import random
 
 from toricmmp.circuits import classify, wall_relation
 from toricmmp.errors import InvalidInputError, NonProjectiveError
-from toricmmp.fan import star_subdivision, walls
+from toricmmp.fan import make_fan, star_subdivision, walls
 from toricmmp.mmp import (
     ExtractionStep,
     ample_heights,
@@ -22,6 +23,16 @@ from toricmmp.mmp import (
     regular_triangulation,
 )
 from toricmmp.pairs import make_pair
+
+# five star subdivisions of the complete fan of P^3: a projective fan whose
+# ample_heights LP, posed over h in [-1, 1] with negative right-hand sides,
+# once stopped a phase-one pivot rule at a point with y < 0
+STAR_P3 = make_fan(
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 0, 3), (3, -3, 1), (-3, -2, -2),
+     (-1, -3, 3), (-3, 1, 0)],
+    [(0, 1, 3), (1, 2, 4), (0, 1, 4), (0, 4, 5), (0, 3, 5), (2, 3, 6), (1, 3, 6), (2, 4, 7),
+     (2, 3, 7), (4, 5, 7), (3, 5, 7), (2, 6, 8), (1, 6, 8), (1, 2, 8)],
+)
 
 
 def _height_one_points(rng, dim):

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from corpus import STAR_P3
+
 from toricmmp.cli import main
 from toricmmp.fan import make_fan
 from toricmmp.jsonio import dumps, fan_to_json, group_to_json, pair_to_json
@@ -203,6 +205,12 @@ def test_flop_decompose_atiyah(capsys, tmp_path):
     data = json.loads(out)
     assert len(data["steps"]) == 1
     assert sorted(data["steps"][0]["coeffs"]) == [-1, -1, 1, 1]
+
+
+def test_flop_decompose_fan_off_height_one(capsys, tmp_path):
+    path = write(tmp_path / "p3.json", pair_to_json(make_pair(STAR_P3, [0] * 9)))
+    code, out, err = run(capsys, "flop-decompose", path, path)
+    assert (code, out.splitlines()[-1], err) == (0, "flops: 0", "")
 
 
 def test_flop_decompose_rejects_non_equivalent(capsys, tmp_path):

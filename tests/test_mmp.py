@@ -98,9 +98,20 @@ PENTAGON = [(0, 0, 1), (1, 0, 1), (2, 1, 1), (1, 2, 1), (0, 1, 1)]
 # --------------------------------------------------------- ample heights
 
 
+# star subdivisions of the fan of P^3 on whose ample_heights LP over h in
+# [-1, 1] sympy's phase-one rule cycles
+CYCLED_P3 = make_fan(
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (3, -1, -2), (3, -2, -2), (-2, -1, -3),
+     (-2, -2, 1)],
+    [(0, 1, 2), (0, 1, 4), (0, 2, 5), (3, 4, 5), (0, 4, 5), (3, 4, 6), (1, 4, 6), (1, 3, 6),
+     (1, 3, 7), (1, 2, 7), (3, 5, 7), (2, 5, 7)],
+)
+
+
 def test_ample_heights_strictly_convex():
     for fan in (BLOWUP2, ATIYAH_X, make_fan([(1, 0), (0, 1), (-1, -1)],
-                                            [(0, 1), (1, 2), (0, 2)])):
+                                            [(0, 1), (1, 2), (0, 2)]),
+                corpus.STAR_P3, CYCLED_P3):
         h = ample_heights(fan)
         for w in walls(fan):
             assert defect(wall_relation(fan, w), h) > 0
