@@ -5,10 +5,15 @@ by cyclic generators (1/r)(w_1..w_n).  The quotient is the orthant cone in
 the overlattice N generated by the weight vectors; the pipeline
 terminalizes, drops the quasi-reflection boundary, runs the relative MMP,
 and records one ledger entry per step with the exact stack-rank change.
-Each entry is built from the pair the engine itself stepped to; no step
-is replayed, and an extraction's rank is updated from the cones it
-removed and created alone.  The ranks telescope: the order of the acting group equals
-the rank of the final model plus the total rank spent along the way.
+One fan state (fan._Subdivision) goes from the quotient cone to the
+resolution: the extraction and MMP loops step it and yield their steps,
+and the resolution's pair is built once, at the end.  No step is
+replayed.  An extraction's rank is updated from the cones it removed and
+created, a coefficient drop's from the cones around its ray, and an MMP
+step's is the |det| sum over the state's cones, every m_i being 1 by
+then.  The ranks telescope: the order of the acting group equals the
+rank of the final model plus the total rank spent along the way, and a
+fresh count of the resolution's stack rank checks the ledger's last rank.
 """
 
 from fractions import Fraction
@@ -16,7 +21,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError
-from .fan import _solve, make_fan
+from .fan import _solve, _Subdivision, make_fan
 from .lattice import (
     LatticeBasis,
     adjugate,
@@ -25,8 +30,8 @@ from .lattice import (
     smith_normal_form,
     vec_mat,
 )
-from .mmp import _extraction_pairs, _mmp_pairs
-from .pairs import make_pair
+from .mmp import _extraction_steps, _mmp_steps
+from .pairs import ToricPair, _scaled_psi, make_pair
 
 
 class GroupData(NamedTuple):
@@ -164,11 +169,21 @@ def stack_rank(pair):
     return sum(_cone_rank(pair.fan, cone, ms) for cone in pair.fan.max_cones)
 
 
+# the output lists r1 - s1 residues, so its cost is linear in r1:
+# case_a_components(10**6, 1) takes 0.77 s and 39 MB (tracemalloc peak),
+# and `toricmmp case-a 1000000 1` 0.8 s and 165 MB, printing 6.9 MB; a
+# group file with r = 10^7 printed 89 MB at 1.2 GB peak RSS without this limit
+MAX_CASE_A_ORDER = 10**6
+
+
 def case_a_components(r1, s1):
     """Residues 1..r1-1 surviving the floor-multiple sieve of s1; there
-    are exactly r1 - s1 of them."""
+    are exactly r1 - s1 of them.  r1 above MAX_CASE_A_ORDER raises
+    InvalidInputError before any residue is listed."""
     if not (isinstance(r1, int) and isinstance(s1, int) and 1 <= s1 <= r1):
         raise InvalidInputError("need integers 1 <= s1 <= r1")
+    if r1 > MAX_CASE_A_ORDER:
+        raise InvalidInputError(f"order {r1} exceeds the case-A limit of {MAX_CASE_A_ORDER}")
     excluded = {(k * r1) // s1 for k in range(1, s1)}
     return tuple(l for l in range(1, r1) if l not in excluded)
 
@@ -220,65 +235,64 @@ def _checked_entry(kind, ray, center, before, after, psi=None, components=None):
     return LedgerEntry(kind, ray, center, before, after, psi, components)
 
 
-def _pipeline_steps(X, rank):
-    """(kind, ray, pair after the step, its stack rank, psi, components)
-    for every step of the pipeline, in ledger order.  An extraction replaces
-    only the cones around its new ray, which has multiplicity 1, so its
-    rank is updated from the cones it removed and added; the few other
-    steps recount stack_rank."""
-    work = X
-    ms = _standard_multiplicities(X)
-    for st, work, gone, new in _extraction_pairs(X):
-        ms.append(1)
-        rank += sum(_cone_rank(work.fan, c, ms) for c in new)
-        rank -= sum(_cone_rank(work.fan, c, ms) for c in gone)
-        yield "extraction", st.ray, work, rank, st.psi_value, None
-    for i in range(len(work.fan.rays)):
-        if work.coeffs[i] == 0:
-            continue
-        ray = work.fan.rays[i]
-        coeffs = work.coeffs[:i] + (Fraction(0),) + work.coeffs[i + 1:]
-        work = make_pair(work.fan, coeffs, work.lattice)
-        yield "coefficient_drop", ray, work, stack_rank(work), None, case_a_components(ms[i], 1)
-    for st, work in _mmp_pairs(work, X.fan.rays):
+def _star_rank(sub, i, ms):
+    """Stack rank of the cones around ray i, the only ones whose
+    multiplicity a change of m_i changes."""
+    return sum(_cone_rank(sub, c, ms) for c in sub.max_cones if i in c)
+
+
+def mckay_pipeline(G):
+    """Terminalize the quotient, drop the quasi-reflection boundary, run
+    the relative MMP over the quotient cone, and account for every unit of
+    group order in the ledger, checked against a fresh count of the
+    resolution's stack rank."""
+    X = quotient_pair(G)
+    order = _lattice_order(X.lattice)
+    rank_x = stack_rank(X)
+    if rank_x != order:
+        raise EngineInvariantError("stack rank of the quotient misses the group order")
+    ledger, rank = [], rank_x
+    sub, ms = _Subdivision(X.fan), _standard_multiplicities(X)
+
+    def record(kind, ray, after, psi=None, components=None):
+        nonlocal rank
+        ledger.append(_checked_entry(kind, ray, _center(X, ray), rank, after, psi, components))
+        rank = after
+
+    for st, gone, new in _extraction_steps(sub, *_scaled_psi(X)):
+        ms.append(1)  # an extracted ray has coefficient zero
+        after = rank + sum(_cone_rank(sub, c, ms) for c in new)
+        after -= sum(_cone_rank(sub, c, ms) for c in gone)
+        record("extraction", st.ray, after, st.psi_value)
+    for i, m in enumerate(ms):
+        if m > 1:
+            before = _star_rank(sub, i, ms)
+            ms[i] = 1
+            after = rank - before + _star_rank(sub, i, ms)
+            record("coefficient_drop", sub.rays[i], after, components=case_a_components(m, 1))
+    # every m is 1 from here on, so psi is 1 on every ray and a rank is |det|
+    coeffs, scaled = [Fraction(0)] * len(ms), [1] * len(ms)
+    for st in _mmp_steps(sub, coeffs, scaled, 1, X.fan.rays):
         if st.kind == "flip":
             # the flip locus: primitive sum of the circuit's negative rays
             neg = [v for v, a in zip(st.circuit, st.coeffs) if a < 0]
             ray = primitive(tuple(map(sum, zip(*neg))))
         else:
             ray = st.removed_ray
-        yield st.kind, ray, work, stack_rank(work), None, None
+        record(st.kind, ray, sum(abs(adjugate(sub.ray_matrix(c))[1]) for c in sub.max_cones))
 
-
-def mckay_pipeline(G):
-    """Terminalize the quotient, drop the quasi-reflection boundary, run
-    the relative MMP over the quotient cone, and account for every unit of
-    group order in the ledger."""
-    X = quotient_pair(G)
-    order = _lattice_order(X.lattice)
-    rank_x = stack_rank(X)
-    if rank_x != order:
-        raise EngineInvariantError("stack rank of the quotient misses the group order")
-    ledger = []
-    final, rank_y = X, rank_x
-    for kind, ray, final, after, psi, components in _pipeline_steps(X, rank_x):
-        ledger.append(
-            _checked_entry(kind, ray, _center(X, ray), rank_y, after, psi, components)
-        )
-        rank_y = after
-
-    spent = sum(e.rank_before - e.rank_after for e in ledger)
-    if rank_y + spent != order:
-        raise EngineInvariantError("rank ledger does not telescope to the group order")
+    resolution = ToricPair(sub.fan(), tuple(coeffs), X.lattice)
+    if stack_rank(resolution) != rank:
+        raise EngineInvariantError("rank ledger misses the stack rank of the resolution")
     return McKayReport(
         group=G,
         order=order,
         sl=is_sl(G),
         quotient=X,
-        resolution=final,
+        resolution=resolution,
         ledger=tuple(ledger),
         rank_quotient=rank_x,
-        rank_resolution=rank_y,
+        rank_resolution=rank,
     )
 
 

@@ -14,7 +14,9 @@ divisorial contraction.  Every engine loop keeps one state across its
 steps and reads the walls off it (circuits._relations; regular
 triangulation and the flop sweep keep a wall table and rescore only the
 facets each step touched) instead of rebuilding the fan; the only make_fan
-calls build regular triangulation's seed cone and result.
+calls build regular triangulation's seed cone and result.  The extraction
+and MMP loops step a state their caller owns and yield steps, so the
+McKay pipeline carries one state through both.
 """
 
 from fractions import Fraction
@@ -85,21 +87,11 @@ def ample_heights(fan):
     return tuple(Fraction(h, D) for h in H)
 
 
-def _ample_heights(n_rays, rels, given=None, label=None):
+def _ample_heights(n_rays, rels):
     """Heights strictly convex across the walls rels, (ray indices,
     coefficients) pairs in walls() order, as integers H over one
-    denominator D > 0: the given heights, checked, or when none are given
-    the vertex of ample_heights' LP.  label names the heights in errors."""
+    denominator D > 0: the vertex of ample_heights' LP."""
     rels = list(rels)
-    if given is not None:
-        hs = [Fraction(h) for h in given]
-        if len(hs) != n_rays:
-            raise InvalidInputError(f"{label}: one height per ray required")
-        D = lcm(*(h.denominator for h in hs))
-        H = [h.numerator * (D // h.denominator) for h in hs]
-        if any(sum(a * H[i] for i, a in zip(*rel)) <= 0 for rel in rels):
-            raise InvalidInputError(f"{label}: heights are not strictly convex")
-        return H, D
     if not rels:
         return [0] * n_rays, 1
     A = []  # the LP of ample_heights' docstring
@@ -274,7 +266,7 @@ def regular_triangulation(rays, heights):
 # ---------------------------------------------------------- flop sweeper
 
 
-def flop_decompose(pair_x, pair_y, ample_x=None, ample_y=None):
+def flop_decompose(pair_x, pair_y):
     """Decompose a K-equivalence into the flop sequence swept out by the
     pencil between ample height functions of the two fans.
 
@@ -294,7 +286,7 @@ def flop_decompose(pair_x, pair_y, ample_x=None, ample_y=None):
     if not _same_rays_and_coeffs(pair_x, pair_y):
         raise NotKEquivalentError("pairs are not K-equivalent")
     try:
-        return tuple(step for step, _, _ in _sweep(pair_x, pair_y, ample_x, ample_y))
+        return tuple(step for step, _, _ in _sweep(pair_x, pair_y))
     except ToricMmpError:
         if not k_equivalent(pair_x, pair_y):
             raise NotKEquivalentError("pairs are not K-equivalent") from None
@@ -318,7 +310,7 @@ def _earlier(e, f):
     return (a > b) - (a < b)
 
 
-def _sweep(pair_x, pair_y, ample_x, ample_y):
+def _sweep(pair_x, pair_y):
     """The steps of flop_decompose, with no K-equivalence check of its own,
     each yielded as (step, sub, walls) with the local state it leaves.
 
@@ -333,10 +325,10 @@ def _sweep(pair_x, pair_y, ample_x, ample_y):
     ray vectors; Y's heights are still posed in Y's own ray and walls()
     order, since the LP's vertex follows its row and column order.
 
-    Events are integers.  _ample_heights hands over h0 and h1 as integers,
-    given or computed alike; over their common denominator D a wall's
-    defects are d0 at t = 0 and d1 at t = 1.  The target heights carry a
-    symbolic tie-breaker eps^(i+1) on ray i, so the target defect is d1
+    Events are integers.  _ample_heights hands over h0 and h1 as integers;
+    over their common denominator D a wall's defects are d0 at t = 0 and
+    d1 at t = 1.  The target heights carry a symbolic tie-breaker
+    eps^(i+1) on ray i, so the target defect is d1
     plus the relation coefficient a_i on eps^(i+1); it is negative, and the
     wall crosses, when d1 < 0, or d1 = 0 and the first nonzero coefficient
     is negative.  A crossing wall's event is (d0, q, eps) with q = d0 - d1
@@ -367,9 +359,7 @@ def _sweep(pair_x, pair_y, ample_x, ample_y):
         return rel
 
     walls = {f: [relation(f, cs), None] for f, cs in sorted(sub.facets.items()) if len(cs) == 2}
-    H0, D0 = _ample_heights(
-        n_rays, [(w[0].ray_indices, w[0].coeffs) for w in walls.values()], ample_x, "ampleX"
-    )
+    H0, D0 = _ample_heights(n_rays, [(w[0].ray_indices, w[0].coeffs) for w in walls.values()])
     pos = {v: i for i, v in enumerate(fx.rays)}
     to_x = [pos[v] for v in fy.rays]
     to_y = sorted(range(n_rays), key=to_x.__getitem__)
@@ -381,7 +371,7 @@ def _sweep(pair_x, pair_y, ample_x, ample_y):
             rel = relation(f, cs)
             idx = [to_y[i] for i in rel.ray_indices] if permuted else rel.ray_indices
             y_rels.append((idx, rel.coeffs))
-    H1_y, D1 = _ample_heights(n_rays, y_rels, ample_y, "ampleY")
+    H1_y, D1 = _ample_heights(n_rays, y_rels)
     D = lcm(D0, D1)
     H0 = [h * (D // D0) for h in H0]
     H1 = [H1_y[j] * (D // D1) for j in to_y]
@@ -468,46 +458,37 @@ def _sweep(pair_x, pair_y, ample_x, ample_y):
 # ------------------------------------------------------------ relative MMP
 
 
-def _collect(pair, stepped):
-    """(last pair, steps) from a generator of (step, pair after step, ...)."""
-    steps = []
-    for step, pair, *_ in stepped:
-        steps.append(step)
-    return pair, tuple(steps)
-
-
 def relative_mmp(pair, base):
     """Run the (K+B)-MMP of a pair whose fan triangulates the cone over
     base.  Executes the positive-discrepancy-defect wall of largest defect
     each round (ties by smallest apex ray pair, skipping non-extremal
     walls) until K+B is nef over the base.  Returns (pair, steps)."""
-    return _collect(pair, _mmp_pairs(pair, base))
+    sub, coeffs = _Subdivision(pair.fan), list(pair.coeffs)
+    steps = tuple(_mmp_steps(sub, coeffs, *_scaled_psi(pair), base))
+    return (ToricPair(sub.fan(), tuple(coeffs), pair.lattice) if steps else pair), steps
 
 
-def _mmp_pairs(pair, base):
-    """The steps of relative_mmp, each yielded with the pair it leaves.
-
-    One local state lives across the steps: the fan under flips and
-    contractions (fan._Subdivision) and the integer psi heights over one
-    scale L, which a contraction keeps, since d / L reduces.  Each step
-    rescans the state's walls; the MMP takes few steps."""
-    fan = pair.fan
-    if fan.support_kind != "cone-supported":
+def _mmp_steps(sub, coeffs, scaled, L, base):
+    """The steps of relative_mmp, run on a state the caller owns and
+    changed in place: the fan under flips and contractions (sub, a
+    fan._Subdivision), the coefficient list and the integer psi heights
+    scaled over one scale L, which a contraction keeps, since d / L
+    reduces.  A contraction deletes its ray's entries from coeffs and
+    scaled.  Each step rescans the state's walls; the MMP takes few steps."""
+    if sub.kind != "cone-supported":
         raise InvalidInputError("relative MMP needs a fan supported on a strictly convex cone")
     base = tuple(primitive(b) for b in base)
     if len(set(base)) != len(base):
         raise InvalidInputError("duplicate base generator")
     for b in base:  # a fan's own ray is in its support
-        if b not in fan.rays and not in_support(fan, b):
+        if b not in sub.rays and not in_support(sub, b):
             raise InvalidInputError("base cone exceeds the fan support")
-    for r in fan.rays:
+    for r in sub.rays:
         if not point_in_cone(r, base):
             raise InvalidInputError("fan support exceeds the base cone")
 
-    sub = _Subdivision(fan)
-    scaled, L = _scaled_psi(pair)  # defects d / L, scored as integers d
-    coeffs = pair.coeffs
-    budget = 10 * len(fan.rays) ** 2  # a stated limit, not a proved bound
+    n = len(sub.rays)
+    budget = 10 * n ** 2  # a stated limit, not a proved bound
     while True:
         cands = []
         for f, rel in _relations(sub):
@@ -521,7 +502,7 @@ def _mmp_pairs(pair, base):
         if budget == 0:
             raise BudgetExceededError(
                 f"relative MMP stopped at its stated limit of 10*n^2 = "
-                f"{10 * len(fan.rays) ** 2} steps for n = {len(fan.rays)} rays"
+                f"{10 * n ** 2} steps for n = {n} rays"
             )
         budget -= 1
         for neg_d, _, f, rel in cands:
@@ -541,16 +522,14 @@ def _mmp_pairs(pair, base):
                 center = _center(sub, rel)
                 removed = sub.contract(rel, kind.ray)
                 if removed is not None:
-                    del scaled[kind.ray]
-                    coeffs = coeffs[:kind.ray] + coeffs[kind.ray + 1:]
+                    del scaled[kind.ray], coeffs[kind.ray]
                     break
         else:
             raise EngineInvariantError("no executable wall among positive defects")
-        step = MmpStep(
+        yield MmpStep(
             "flip" if removed is None else "divisorial", wall, circuit,
             rel.coeffs, Fraction(-neg_d, L), removed, center,
         )
-        yield step, ToricPair(sub.fan(), coeffs, pair.lattice)
 
 
 # ---------------------------------------------------------- terminalize
@@ -559,23 +538,26 @@ def _mmp_pairs(pair, base):
 def terminalize(pair):
     """Extract every valuation of log discrepancy at most one, worst
     first, assigning the new rays coefficient zero.  Returns (pair, steps)."""
-    return _collect(pair, _extraction_pairs(pair))
-
-
-def _extraction_pairs(pair):
-    """The steps of terminalize, each yielded with the pair it leaves and
-    the cones it removed and created.
-
-    One local state lives across the steps: the fan under star subdivision
-    (fan._Subdivision, which walks to the star of each new ray from the
-    witness cone and checks only the facets a step touched) and a heap of
-    per-cone witness minima, in which a cone's entry goes stale when the
-    cone is subdivided.  A new ray has coefficient zero, so psi and its
-    scale never change on old rays, and a step scores only the cones it
-    creates.  Building the yielded pair copies the cone tuple, the one
-    part of a step that grows with the fan."""
     sub = _Subdivision(pair.fan)
-    scaled, L = _scaled_psi(pair)
+    steps = tuple(st for st, _, _ in _extraction_steps(sub, *_scaled_psi(pair)))
+    if not steps:
+        return pair, steps
+    coeffs = pair.coeffs + (Fraction(0),) * len(steps)
+    return ToricPair(sub.fan(), coeffs, pair.lattice), steps
+
+
+def _extraction_steps(sub, scaled, L):
+    """The steps of terminalize, run on a state the caller owns and
+    changed in place, each yielded with the cones it removed and created.
+
+    The state is the fan under star subdivision (sub, a fan._Subdivision,
+    which walks to the star of each new ray from the witness cone and
+    checks only the facets a step touched) and the integer psi heights
+    scaled over one scale L.  A new ray has coefficient zero, so it
+    appends psi 1, that is L, to scaled; psi and its scale never change on
+    old rays.  A heap of per-cone witness minima, in which a cone's entry
+    goes stale when the cone is subdivided, lives across the steps, so a
+    step scores only the cones it creates."""
     heap = []
 
     def score(cones):
@@ -584,9 +566,8 @@ def _extraction_pairs(pair):
             if wit is not None:
                 heappush(heap, wit + (cone,))
 
-    score(pair.fan.max_cones)
-    coeffs = pair.coeffs
-    budget = 10 * len(pair.fan.rays) ** 2
+    score(sub.max_cones)
+    budget = 10 * len(sub.rays) ** 2
     while True:
         while heap and heap[0][2] not in sub.max_cones:
             heappop(heap)
@@ -600,6 +581,4 @@ def _extraction_pairs(pair):
         scaled.append(L)
         gone, new = sub.subdivide(w, cone)
         score(new)
-        coeffs += (Fraction(0),)
-        step = ExtractionStep(ray=w, psi_value=val)
-        yield step, ToricPair(sub.fan(), coeffs, pair.lattice), gone, new
+        yield ExtractionStep(ray=w, psi_value=val), gone, new

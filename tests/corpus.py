@@ -6,23 +6,28 @@ generic), triangulates, and then applies one to six random regular
 flips.  Both fans carry zero boundary, so every wall is crepant and the
 two pairs are K-equivalent by construction.
 
-Also holds the replay oracle: step records re-applied by public surgery,
-and STAR_P3, a fixed fan off height one.
+Also holds the replay oracle: step records re-applied by public surgery;
+extraction_pairs and mmp_pairs, which read the pair off the engine's own
+state after each step of terminalize and relative_mmp; and STAR_P3, a
+fixed fan off height one.
 """
 
 import random
+from fractions import Fraction
 
 from toricmmp.circuits import classify, wall_relation
 from toricmmp.errors import InvalidInputError, NonProjectiveError
-from toricmmp.fan import make_fan, star_subdivision, walls
+from toricmmp.fan import _Subdivision, make_fan, star_subdivision, walls
 from toricmmp.mmp import (
     ExtractionStep,
+    _extraction_steps,
+    _mmp_steps,
     ample_heights,
     bistellar_flip,
     divisorial_contract,
     regular_triangulation,
 )
-from toricmmp.pairs import make_pair
+from toricmmp.pairs import _scaled_psi, make_pair
 
 # five star subdivisions of the complete fan of P^3: a projective fan whose
 # ample_heights LP, posed over h in [-1, 1] with negative right-hand sides,
@@ -123,3 +128,22 @@ def replay(pair, steps):
         pair = make_pair(fan, coeffs, pair.lattice)
         out.append(pair)
     return out
+
+
+def extraction_pairs(pair):
+    """(step, pair after it, cones removed, cones created) for each step of
+    terminalize, the pair read off the state: its fan and, from the scaled
+    psi heights, its coefficients."""
+    sub = _Subdivision(pair.fan)
+    scaled, L = _scaled_psi(pair)
+    for st, gone, new in _extraction_steps(sub, scaled, L):
+        coeffs = [1 - Fraction(s, L) for s in scaled]
+        yield st, make_pair(sub.fan(), coeffs, pair.lattice), gone, new
+
+
+def mmp_pairs(pair, base):
+    """(step, pair after it) for each step of relative_mmp, the pair read
+    off the state: its fan and its coefficient list."""
+    sub, coeffs = _Subdivision(pair.fan), list(pair.coeffs)
+    for st in _mmp_steps(sub, coeffs, *_scaled_psi(pair), base):
+        yield st, make_pair(sub.fan(), coeffs, pair.lattice)

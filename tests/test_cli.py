@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from corpus import STAR_P3
 from toricmmp.cli import main
 from toricmmp.fan import make_fan
 from toricmmp.jsonio import dumps, fan_to_json, group_to_json, pair_to_json
-from toricmmp.mckay import MAX_HJ_CHAIN, make_group, quotient_pair
+from toricmmp.mckay import MAX_CASE_A_ORDER, MAX_HJ_CHAIN, make_group, quotient_pair
 from toricmmp.pairs import MAX_CELL_SUBSETS, make_pair
 
 
@@ -284,6 +285,20 @@ def test_case_a_command(capsys):
     assert json.loads(out) == {"components": [], "count": 0}
     code, _, err = run(capsys, "case-a", "3", "5")
     assert code == 1
+
+
+def test_case_a_limit_exits_one_at_once(capsys, tmp_path):
+    # 49 bytes of JSON for a quasi-reflection of order 10^7, whose
+    # coefficient drop would list 10^7 - 1 residues
+    path = tmp_path / "reflection.json"
+    path.write_text('{"n":3,"gens":[{"r":10000000,"weights":[1,0,0]}]}')
+    assert path.stat().st_size == 49
+    for argv in (("case-a", "10000000", "1"), ("mckay", str(path))):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert f"limit of {MAX_CASE_A_ORDER}" in err and err.count("\n") == 1
 
 
 def test_engine_invariant_exit_code(capsys, sixth_group_file, monkeypatch):

@@ -8,11 +8,13 @@ from math import gcd
 
 import pytest
 
+from corpus import extraction_pairs
+
 from toricmmp import fan as fan_module
 from toricmmp import mckay as mckay_module
 from toricmmp import mmp as mmp_module
 from toricmmp.circuits import _relations, defect
-from toricmmp.errors import InvalidInputError
+from toricmmp.errors import EngineInvariantError, InvalidInputError
 from toricmmp.fan import (
     _facet_map,
     _Subdivision,
@@ -24,6 +26,7 @@ from toricmmp.fan import (
 )
 from toricmmp.lattice import LatticeBasis, det, mat_rank, primitive, vec_mat
 from toricmmp.mckay import (
+    MAX_CASE_A_ORDER,
     MAX_GROUP_DIM,
     MAX_HJ_CHAIN,
     boundary_divisor_pair,
@@ -37,8 +40,8 @@ from toricmmp.mckay import (
     quotient_pair,
     stack_rank,
 )
-from toricmmp.mmp import _extraction_pairs, terminalize
-from toricmmp.pairs import min_discrepancy_witness, psi_heights
+from toricmmp.mmp import terminalize
+from toricmmp.pairs import min_discrepancy_witness
 
 F = Fraction
 
@@ -132,6 +135,8 @@ def test_case_a_components_validation():
         case_a_components(3, 0)
     with pytest.raises(InvalidInputError):
         case_a_components(3, 4)
+    with pytest.raises(InvalidInputError, match=f"limit of {MAX_CASE_A_ORDER}"):
+        case_a_components(MAX_CASE_A_ORDER + 1, MAX_CASE_A_ORDER)
 
 
 # --------------------------------------------------------------- pipeline
@@ -252,6 +257,22 @@ def test_pipeline_flip_ledgers():
     assert (rep.order, rep.rank_resolution) == (40, 8)
 
 
+def test_pipeline_recount_catches_a_wrong_rank_update(monkeypatch):
+    # (1/6)(0, 1, 4) takes no MMP step, so its ledger's last rank is the
+    # running count: a drop that counts one more unit around its ray before
+    # the drop than there is leaves the ledger one below the resolution
+    G = make_group(3, [(6, (0, 1, 4))])
+    assert [(e.kind, e.rank_before, e.rank_after) for e in mckay_pipeline(G).ledger] == [
+        ("extraction", 6, 4), ("extraction", 4, 4), ("coefficient_drop", 4, 3),
+    ]
+    star_rank = mckay_module._star_rank
+    monkeypatch.setattr(
+        mckay_module, "_star_rank", lambda sub, i, ms: star_rank(sub, i, ms) + (ms[i] > 1)
+    )
+    with pytest.raises(EngineInvariantError, match="misses the stack rank of the resolution"):
+        mckay_pipeline(G)
+
+
 def _seeded_groups(seed, count, n, orders):
     """count seeded groups acting on C^n for each (lo, hi, k) in orders:
     k generators, each of an order in lo..hi with random weights."""
@@ -276,22 +297,22 @@ def test_pipeline_four_fold_slice(monkeypatch):
         make_group(4, [(4, (0, 3, 2, 1)), (6, (2, 4, 5, 4))]),
     ] + _seeded_groups(1, 150, 4, ((10, 40, 1), (2, 6, 2)))
     groups += _seeded_groups(2, 100, 5, ((4, 15, 1),)) + _seeded_groups(3, 100, 3, ((2, 6, 2),))
-    steps, mmp_pairs = Counter(), mckay_module._mmp_pairs
+    steps, mmp_steps = Counter(), mckay_module._mmp_steps
 
-    def checked(pair, base):
-        prev = pair
-        for st, cur in mmp_pairs(pair, base):
-            fan = cur.fan
+    def checked(sub, coeffs, scaled, L, base):
+        prev = sub.fan()
+        for st in mmp_steps(sub, coeffs, scaled, L, base):
+            fan = sub.fan()
             assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
-            gone = set(map(frozenset, map(prev.fan.ray_matrix, prev.fan.max_cones)))
+            gone = set(map(frozenset, map(prev.ray_matrix, prev.max_cones)))
             gone -= set(map(frozenset, map(fan.ray_matrix, fan.max_cones)))
             steps[st.kind, len(gone) > sum(a > 0 for a in st.coeffs)] += 1
-            prev = cur
-            yield st, cur
-        psi = psi_heights(prev)
-        assert all(defect(rel, psi) <= 0 for _, rel in _relations(_Subdivision(prev.fan)))
+            prev = fan
+            yield st
+        psi = [1 - c for c in coeffs]
+        assert all(defect(rel, psi) <= 0 for _, rel in _relations(_Subdivision(prev)))
 
-    monkeypatch.setattr(mckay_module, "_mmp_pairs", checked)
+    monkeypatch.setattr(mckay_module, "_mmp_steps", checked)
     for G in groups:
         rep = mckay_pipeline(G)
         fan = rep.resolution.fan
@@ -558,7 +579,7 @@ def test_extraction_loop_matches_from_scratch_rebuild():
     for G in groups:
         X = prev = quotient_pair(G)
         pairs = []
-        for st, cur, gone, new in _extraction_pairs(X):
+        for st, cur, gone, new in extraction_pairs(X):
             fan = cur.fan
             assert fan == make_fan(fan.rays, fan.max_cones, validate="fast")
             assert fan == star_subdivision(prev.fan, st.ray)

@@ -11,7 +11,7 @@ from itertools import combinations, product
 import pytest
 
 import corpus
-from corpus import flop_case, replay
+from corpus import flop_case, mmp_pairs, replay
 
 from toricmmp.circuits import _relations, classify, defect, wall_relation
 from toricmmp.errors import (
@@ -31,7 +31,6 @@ from toricmmp.lattice import det, mat_inv, mat_rank, primitive
 from toricmmp.mckay import group_lattice, make_group, quotient_pair
 from toricmmp.mmp import (
     _crosses,
-    _mmp_pairs,
     _sweep,
     ample_heights,
     bistellar_flip,
@@ -633,18 +632,6 @@ def test_flop_decompose_rejects_non_k_equivalent():
         flop_decompose(make_pair(fx, [0] * 4), make_pair(fy, [0] * 4))
 
 
-def test_flop_decompose_validates_given_heights():
-    px = make_pair(ATIYAH_X, [0, 0, 0, 0])
-    py = make_pair(ATIYAH_Y, [0, 0, 0, 0])
-    flat = [0, 0, 0, 0]
-    with pytest.raises(InvalidInputError, match="strictly convex"):
-        flop_decompose(px, py, ample_x=flat)
-    good_x = ample_heights(ATIYAH_X)
-    good_y = ample_heights(ATIYAH_Y)
-    steps = flop_decompose(px, py, ample_x=good_x, ample_y=good_y)
-    assert len(steps) == 1
-
-
 def _bumped_corpus_case(seed):
     """flop_case(seed) with one seeded ray's coefficient raised to 1/4, 1/2
     or 3/4 on both sides: equal rays and coefficients, but psi stays linear
@@ -685,16 +672,6 @@ def test_flop_decompose_corpus_outputs_pinned():
         px, py, _ = flop_case(seed)
         h.update((dumps(flop_decompose(px, py)) + "\n").encode())
     assert h.hexdigest() == FLOP_CORPUS_SHA256
-
-
-def test_given_heights_equal_computed_heights():
-    # given and computed heights reach the sweep by one integer path
-    for seed in list(range(80)) + sorted(TIE_SPLIT_STEPS):
-        px, py, _ = flop_case(seed)
-        given = flop_decompose(
-            px, py, ample_x=ample_heights(px.fan), ample_y=ample_heights(py.fan)
-        )
-        assert given == flop_decompose(px, py), seed
 
 
 def test_sweep_computes_each_wall_relation_once(monkeypatch):
@@ -756,7 +733,7 @@ def test_sweep_state_matches_rebuilt_fan(monkeypatch):
     monkeypatch.setattr(mmp_module, "make_fan", forbidden)
     events = 0
     for seed, (px, py) in enumerate(cases):
-        for _, sub, walls_ in _sweep(px, py, None, None):
+        for _, sub, walls_ in _sweep(px, py):
             fan = make_fan(sub.rays, list(sub.max_cones), validate="full")
             assert {f: w[0] for f, w in walls_.items()} == {
                 w.shared: wall_relation(fan, w) for w in walls(fan)
@@ -788,7 +765,7 @@ def test_sweep_refuses_a_circuit_firing_twice(monkeypatch):
     px = make_pair(ATIYAH_X, [0, 0, 0, 0])
     py = make_pair(ATIYAH_Y, [0, 0, 0, 0])
     with pytest.raises(EngineInvariantError, match="fired twice"):
-        tuple(_sweep(px, py, None, None))
+        tuple(_sweep(px, py))
 
 
 def test_successful_sweeps_never_run_the_cell_walk(monkeypatch):
@@ -942,7 +919,7 @@ def test_mmp_state_matches_validated_fans(monkeypatch):
     kinds = Counter()
     for pair, base in inputs:
         prev = pair
-        for step, cur in _mmp_pairs(pair, base):
+        for step, cur in mmp_pairs(pair, base):
             fan = cur.fan
             assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
             assert cur.lattice == pair.lattice

@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
-from corpus import flop_case
+from corpus import extraction_pairs, flop_case
 from test_lattice import oracle_box_points_in_coords
 from test_mmp import _bumped_corpus_case
 from toricmmp import pairs as pairs_module
@@ -16,7 +16,6 @@ from toricmmp.errors import InvalidInputError
 from toricmmp.fan import _facet_functional, in_support, make_fan, star_subdivision
 from toricmmp.lattice import cofactor_kernel, det, dot, mat_rank, primitive
 from toricmmp.mckay import group_lattice, make_group, quotient_pair
-from toricmmp.mmp import _extraction_pairs
 from toricmmp.pairs import (
     cell_extreme_rays,
     is_canonical,
@@ -213,7 +212,7 @@ def test_witness_matches_fraction_oracle():
             if key not in seen:
                 seen.add(key)
                 X = quotient_pair(G)
-                pairs += [X] + [p for _, p, _, _ in _extraction_pairs(X)]
+                pairs += [X] + [p for _, p, _, _ in extraction_pairs(X)]
     pairs += [
         quotient_pair(make_group(3, [(25, (1, 10, 22))])),
         quotient_pair(make_group(3, [(8, (3, 6, 1)), (5, (0, 0, 1))])),

@@ -3,7 +3,8 @@ by (module, function), and every name must still exist and the flop sweep
 must still call the LP by its name, or tracing, its metrics and the smoke
 run break; every cache has a bound; the engine still generates the
 benchmark's flop inputs, whose digest the golden file records; small cones
-still take the closed-form kernels."""
+still take the closed-form kernels; the McKay pipeline carries one fan state
+and counts the stack rank only at its two ends."""
 
 import importlib
 import importlib.util
@@ -15,7 +16,9 @@ from pathlib import Path
 from corpus import flop_case
 
 import toricmmp
+import toricmmp.fan as fan
 import toricmmp.lattice as lattice
+import toricmmp.mckay as mckay
 import toricmmp.mmp as mmp
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -84,3 +87,19 @@ def test_small_cones_take_the_closed_form_kernels(monkeypatch):
     # the spy sees the sizes that do take the elimination
     lattice.adjugate(((2, 0, 0, 1), (0, 3, 0, 0), (0, 0, 5, 0), (0, 0, 0, 7)))
     assert len(calls) == 1
+
+
+def test_mckay_pipeline_carries_one_fan_state(monkeypatch):
+    # one fan state goes from the quotient cone to the resolution, and the
+    # stack rank is counted from scratch on the quotient and the resolution
+    # only; a pipeline that went back to a pair per step would pass every
+    # output check
+    states, ranks = [], []
+    init, stack_rank = fan._Subdivision.__init__, mckay.stack_rank
+    monkeypatch.setattr(fan._Subdivision, "__init__", lambda s, f: states.append(f) or init(s, f))
+    monkeypatch.setattr(mckay, "stack_rank", lambda p: ranks.append(p) or stack_rank(p))
+    report = toricmmp.mckay_pipeline(toricmmp.make_group(3, [(101, (1, 17, 83))]))
+    assert len(report.ledger) == 50
+    # quotient_pair's make_fan, then the pipeline's own state
+    assert [f.max_cones for f in states] == [(), report.quotient.fan.max_cones]
+    assert ranks == [report.quotient, report.resolution]
