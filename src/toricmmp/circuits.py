@@ -7,9 +7,10 @@ sign of sum a_i h(v_i) for a height function h is the sign of the
 intersection number of the corresponding divisor with the wall curve,
 which is all the MMP ever consumes.
 
-The walls are the interior facets of a fan's local state (fan._Subdivision,
-where every surgery happens); _relations reads them off that state, so an
-engine that steps it never rebuilds the fan to find them.
+This module is the relation algebra only.  Which walls a fan has, and the
+relation across each, computed once per pair of cones, are answered by its
+local state (fan._Subdivision.relation and .relations), where every
+surgery happens.
 """
 
 from math import gcd
@@ -59,23 +60,6 @@ def _relation(rays, shared, apex_a, apex_b):
         s_plus=tuple(i for i, a in zip(circuit, coeffs) if a > 0),
         s_zero=tuple(i for i, a in zip(circuit, coeffs) if a == 0),
         s_minus=tuple(i for i, a in zip(circuit, coeffs) if a < 0),
-    )
-
-
-def _facet_relation(sub, facet):
-    """The wall relation across an interior facet of the state sub."""
-    ca, cb = sub.facets[facet]
-    apex_a = next(i for i in ca if i not in facet)
-    apex_b = next(i for i in cb if i not in facet)
-    return _relation(sub.rays, facet, apex_a, apex_b)
-
-
-def _relations(sub):
-    """(facet, its relation) for every interior facet of the state sub (a
-    fan._Subdivision), in sorted facet order, which is walls() order.  Lazy,
-    so a caller that stops early computes no further relations."""
-    return (
-        (f, _facet_relation(sub, f)) for f in sorted(sub.facets) if len(sub.facets[f]) == 2
     )
 
 

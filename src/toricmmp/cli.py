@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from .errors import EngineInvariantError, InvalidInputError
-from .fan import support_cone_rays
 from .jsonio import dumps, group_from_json, pair_from_json, to_jsonable
 from .mckay import case_a_components, hj_resolution, mckay_pipeline, quotient_pair, stack_rank
 from .mmp import flop_decompose, relative_mmp, terminalize
@@ -46,13 +45,6 @@ def _load_group(path):
     if not isinstance(data, dict) or "gens" not in data:
         raise InvalidInputError(f"{path}: expected a group file")
     return group_from_json(data)
-
-
-def _base_rays(pair, which):
-    if which == "orthant":
-        n = pair.fan.dim
-        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return support_cone_rays(pair.fan)
 
 
 def _vec(v):
@@ -98,7 +90,7 @@ def _cmd_terminalize(args):
 
 def _cmd_mmp(args):
     pair = _load_pair(args.pair)
-    out, steps = relative_mmp(pair, _base_rays(pair, args.base))
+    out, steps = relative_mmp(pair)
     lines = []
     for s in steps:
         if s.kind == "divisorial":
@@ -224,9 +216,8 @@ def _parser():
     sp = add("terminalize", _cmd_terminalize, "extract all low-discrepancy valuations")
     sp.add_argument("pair")
 
-    sp = add("mmp", _cmd_mmp, "run the relative minimal model program")
+    sp = add("mmp", _cmd_mmp, "run the relative minimal model program over the support cone")
     sp.add_argument("pair")
-    sp.add_argument("--base", choices=["support", "orthant"], default="support")
 
     sp = add("mckay", _cmd_mckay, "quotient pipeline with its rank ledger")
     sp.add_argument("group", nargs="?", default=None, help="group JSON file")

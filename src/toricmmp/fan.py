@@ -5,13 +5,17 @@ caller fixed) and its maximal cones as sorted ray-index tuples.  Everything
 downstream assumes validity, so construction checks eagerly.  Every change
 to a fan is a step of one local state, _Subdivision: star subdivision or a
 circuit step (flip or divisorial contraction), each checking only the
-facets it touched.  make_fan's `fast` level is those checks applied once to
-all cones; `full` adds the test that any two cones meet in a common face,
-one degree-one point check.  A fan's support is all of N_R (kind
-"complete") or a convex cone (kind "cone-supported"); make_fan rejects any
-other support.  Exact LP decides membership in a cone over non-simplicial
-generators, posed in the standard form of `linprog.lp_maximize`, which
-starts at the origin and so needs right-hand sides >= 0; these are 0 or 1.
+facets it touched.  The state also answers the wall and star questions:
+each wall's relation, computed once per pair of cones, and the star of a
+point, walked from the first cone that holds it.  make_fan's `fast` level
+is those checks applied once to all cones; `full` adds the test that any
+two cones meet in a common face, one degree-one point check.  A fan's
+support is all of N_R (kind "complete") or a convex cone (kind
+"cone-supported"); make_fan rejects any other support.  Exact LP decides
+membership in a cone over non-simplicial generators (point_in_cone, which
+no engine loop calls), posed in the standard form of `linprog.lp_maximize`,
+which starts at the origin and so needs right-hand sides >= 0; these are
+0 or 1.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from itertools import count
 from math import gcd
 from typing import NamedTuple
 
+from .circuits import _relation
 from .errors import EngineInvariantError, InvalidInputError
 from .lattice import adjugate, dot, mat_rank, primitive, vec_mat
 from .linprog import lp_maximize
@@ -57,12 +62,11 @@ def _solve(rows, p):
     return (num, d) if d > 0 else (tuple(-x for x in num), -d)
 
 
-def _barycentric(fan, cone, p):
-    """Numerators num with p = sum (num_i / m) ray_i over the cone, m > 0,
-    or None if any is negative (p outside the cone)."""
-    num, _ = _solve(fan.ray_matrix(cone), p)
-    if all(x >= 0 for x in num):
-        return num
+def _holding(fan, p):
+    """The first maximal cone, in cone order, that holds p, or None."""
+    for cone in fan.max_cones:
+        if all(x >= 0 for x in _solve(fan.ray_matrix(cone), p)[0]):
+            return cone
     return None
 
 
@@ -195,42 +199,14 @@ def locate(fan, p):
     p = tuple(Fraction(x) for x in p)
     if len(p) != fan.dim:
         raise InvalidInputError("point dimension mismatch")
-    for ci, cone in enumerate(fan.max_cones):
-        num, m = _solve(fan.ray_matrix(cone), p)
-        if all(x >= 0 for x in num):
-            return ci, tuple(x / m for x in num)
-    raise InvalidInputError(f"point {p} outside the fan support")
+    if (cone := _holding(fan, p)) is None:
+        raise InvalidInputError(f"point {p} outside the fan support")
+    num, m = _solve(fan.ray_matrix(cone), p)
+    return fan.max_cones.index(cone), tuple(x / m for x in num)
 
 
 def in_support(fan, p):
-    return any(_barycentric(fan, c, p) is not None for c in fan.max_cones)
-
-
-def _face(cone, lam):
-    """Ray indices of the face of cone whose relative interior holds the
-    point with barycentric numerators lam."""
-    return {i for i, x in zip(cone, lam) if x > 0}
-
-
-def _joins(cone, face, w_idx):
-    """The cones replacing cone when ray w_idx enters the relative interior
-    of its face: the joins of w with the facets of cone missing a ray of
-    that face."""
-    return [
-        tuple(sorted(cone[:k] + cone[k + 1:] + (w_idx,)))
-        for k, i in enumerate(cone) if i in face
-    ]
-
-
-def _scan_star(fan, w):
-    """(cone, face carrying w) for every maximal cone containing w, in
-    cone order."""
-    out = []
-    for cone in fan.max_cones:
-        lam = _barycentric(fan, cone, w)
-        if lam is not None:
-            out.append((cone, _face(cone, lam)))
-    return out
+    return _holding(fan, p) is not None
 
 
 def _walk_star(facets, cone, face):
@@ -263,7 +239,10 @@ class _Subdivision:
     circuit step (flip or contraction).  The state is the rays, the facet
     map, and the maximal cones with their insertion numbers, whose order is
     the cone order (kept cones stay in place, new ones are appended).  Its
-    interior facets are the walls (circuits._relations).
+    interior facets are the walls; relation computes each wall's relation
+    once per pair of cones, kept while the ray indices hold.  touched holds
+    the facets of the cones the last step removed or created, the only
+    facets whose walls it changed.
 
     A step replaces some cones by others and applies the fast checks to
     exactly the facets it touched: new cones are simplicial and new, a
@@ -278,17 +257,17 @@ class _Subdivision:
     make_fan's fast checks are these checks, run once on an empty state
     that receives every cone; its kind is None, which takes any boundary.
 
-    subdivide inserts a ray.  Given a cone holding it, the star is walked
-    from that cone across the facets that contain the face carrying the
-    ray, so finding, replacing and checking it cost the cones around the
-    ray.  The walk reaches the whole star because the link of a face is
-    connected in a complete or cone-supported fan; without a cone, the
-    star is the barycentric scan of every cone.  place, the placing step of
-    regular triangulation, makes that scan and joins the same way; with no
-    cone holding the ray, it joins the ray to the boundary facets that see
-    it instead.  That is the one step that changes the support: it grows a
-    convex support to its hull with the ray, which the kind check covers,
-    and a cone-supported state whose boundary it closes becomes complete.
+    subdivide inserts a ray.  Its star is walked from a cone holding it
+    (given, or the first: _holding) across the facets that contain the face
+    carrying the ray, the same face in every cone around it, so replacing
+    and checking the star cost the cones around the ray.  The walk reaches
+    the whole star because the link of a face is connected in a complete
+    or cone-supported fan.  place, the placing step of regular
+    triangulation, subdivides the same way; with no cone holding the ray,
+    it joins the ray to the boundary facets that see it instead.
+    That is the one step that changes the support: it grows a convex
+    support to its hull with the ray, which the kind check covers, and a
+    cone-supported state whose boundary it closes becomes complete.
 
     flip and contract are one step, Reid's circuit modification of a wall
     relation (M. Reid, "Decomposition of toric morphisms", 1983): T+ * L is
@@ -305,6 +284,7 @@ class _Subdivision:
         self.order = count()
         self.max_cones = dict(zip(fan.max_cones, self.order))
         self.facets = _facet_map(fan)
+        self.rels, self.touched = {}, ()
 
     def ray_matrix(self, cone):
         return tuple(map(self.rays.__getitem__, cone))
@@ -312,49 +292,60 @@ class _Subdivision:
     def fan(self):
         return Fan(self.dim, tuple(self.rays), tuple(self.max_cones), self.kind)
 
+    def relation(self, facet, cones=None):
+        """The relation across facet between its two cones, or between the
+        given cones, another fan's in the state's ray indices; kept per
+        sorted cone pair, since either cone may serve as circuits' cone a."""
+        key = tuple(sorted(self.facets[facet] if cones is None else cones))
+        if (rel := self.rels.get(key)) is None:
+            a, b = (next(i for i in c if i not in facet) for c in key)
+            rel = self.rels[key] = _relation(self.rays, facet, a, b)
+        return rel
+
+    def relations(self):
+        """(facet, its relation) for every wall, lazily, in walls() order."""
+        return ((f, self.relation(f)) for f in sorted(self.facets) if len(self.facets[f]) == 2)
+
     def subdivide(self, w, cone=None):
         """Insert the primitive vector w as a new ray, as star_subdivision
-        does, walking the star from cone if one holding w is given; returns
-        (the cones it removes, the cones it creates)."""
-        if cone is None:
-            star = _scan_star(self, w)
-            if not star:
-                raise InvalidInputError(f"{w} is outside the fan support")
-        else:
-            face = _face(cone, _barycentric(self, cone, w))
-            walked = _walk_star(self.facets, cone, face)
-            star = [(c, face) for c in sorted(walked, key=self.max_cones.__getitem__)]
-        return self._join(w, star)
+        does, walking the star from cone, which holds w, or else from the
+        first that does; returns (the cones it removes, the cones it
+        creates)."""
+        if cone is None and (cone := _holding(self, w)) is None:
+            raise InvalidInputError(f"{w} is outside the fan support")
+        return self._join(w, cone)
 
     def place(self, w):
         """Insert the primitive vector w as a new ray wherever it lies, as
-        placing builds a triangulation: one scan of the cones tells a star
-        subdivision inside the support from the joins of w to the boundary
-        facets that see it outside.  Returns (the cones it removes, the
-        cones it creates)."""
-        star = _scan_star(self, w)
-        if star:
-            return self._join(w, star)
+        placing builds a triangulation: a star subdivision inside the
+        support, else the joins of w to the boundary facets that see it.
+        Returns (the cones it removes, the cones it creates)."""
+        if (cone := _holding(self, w)) is not None:
+            return self._join(w, cone)
         seen = [f for f, u in _boundary_facets(self) if dot(u, w) < 0]
         if not seen:
             raise EngineInvariantError("outside ray sees no boundary facet")
-        step = self._join(w, (), seen)
+        step = self._join(w, None, seen)
         if all(len(cs) == 2 for cs in self.facets.values()):  # the joins closed the boundary
             self.kind = "complete"
         return step
 
-    def _join(self, w, star, seen=()):
-        """Append the ray w, replace each star cone by the joins of w with
-        its facets missing a ray of the face carrying w, and join w to each
-        facet seen."""
+    def _join(self, w, cone, seen=()):
+        """Append the ray w, replace each cone of its star, walked from cone
+        (none when cone is None), by the joins of w with its facets missing
+        a ray of the face whose relative interior holds w, and join w to
+        each facet seen."""
         if w in self.rays:
             raise InvalidInputError(f"{w} is already a ray")
-        w_idx = len(self.rays)
+        w_idx, gone, new = len(self.rays), [], []
+        if cone is not None:
+            face = {i for i, x in zip(cone, _solve(self.ray_matrix(cone), w)[0]) if x > 0}
+            gone = sorted(_walk_star(self.facets, cone, face), key=self.max_cones.__getitem__)
+            new = [tuple(sorted(c[:k] + c[k + 1:] + (w_idx,)))
+                   for c in gone for k, i in enumerate(c) if i in face]
         self.rays.append(w)
-        gone = [c for c, _ in star]
-        new = [j for c, face in star for j in _joins(c, face, w_idx)]
         new += [tuple(sorted(f + (w_idx,))) for f in seen]
-        self._replace(gone, new, "star subdivision" if star else "placing")
+        self._replace(gone, new, "star subdivision" if gone else "placing")
         return gone, new
 
     def _circuit(self, rel):
@@ -391,8 +382,9 @@ class _Subdivision:
     def contract(self, rel, j):
         """Remove ray j, the one negative ray of the divisorial relation rel,
         by the same step when the star of j, walked from a cone of T+ * L,
-        is exactly T+ * L; returns the ray or None.  Later rays shift down
-        one index, so the step costs the fan."""
+        is exactly T+ * L; returns the step as flip does, in the ray indices
+        before it, or None.  Later rays shift down one index, so the step
+        costs the fan, and the relations are cleared."""
         step = self._circuit(rel)
         if step is None:
             return None
@@ -405,12 +397,14 @@ class _Subdivision:
 
         self.max_cones = {shift(c): o for c, o in self.max_cones.items()}
         self.facets = {shift(f): [shift(c) for c in cs] for f, cs in self.facets.items()}
-        return self.rays.pop(j)
+        self.touched, self.rels = [shift(f) for f in self.touched if j not in f], {}
+        del self.rays[j]
+        return step
 
     def _replace(self, gone, new, what):
         """Remove the cones gone, append the cones new, and apply the fast
-        checks to the facets that changed; a new boundary facet that the
-        support kind forbids raises EngineInvariantError naming the step."""
+        checks to the facets that changed (touched); a new boundary facet
+        that the support kind forbids raises EngineInvariantError."""
         change = {}
         for c in gone:
             del self.max_cones[c]
@@ -428,6 +422,7 @@ class _Subdivision:
                 f = c[:k] + c[k + 1:]
                 self.facets.setdefault(f, []).append(c)
                 change[f] = change.get(f, 0) + 1
+        self.touched = change
         for f, delta in change.items():
             cs = self.facets[f]
             if len(cs) > 2:

@@ -445,8 +445,10 @@ def _span_mod(gens, m):
 
 
 # an entry keeps all m - 1 numerators: only cones up to this multiplicity
-# are cached, so the 8,192 entries hold fewer than 2^25 numerators
-MAX_CACHED_MULTIPLICITY = 2 ** 12
+# are cached, so the 8,192 entries hold at most 145 MB in dimension 3 and
+# 16 MB more per dimension (tracemalloc, every entry of multiplicity 256);
+# every cache hit of the benchmark's quotient workload is on such a cone
+MAX_CACHED_MULTIPLICITY = 2 ** 8
 
 
 def _box_numerators(C):

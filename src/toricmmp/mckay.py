@@ -8,12 +8,12 @@ and records one ledger entry per step with the exact stack-rank change.
 One fan state (fan._Subdivision) goes from the quotient cone to the
 resolution: the extraction and MMP loops step it and yield their steps,
 and the resolution's pair is built once, at the end.  No step is
-replayed.  An extraction's rank is updated from the cones it removed and
-created, a coefficient drop's from the cones around its ray, and an MMP
-step's is the |det| sum over the state's cones, every m_i being 1 by
-then.  The ranks telescope: the order of the acting group equals the
-rank of the final model plus the total rank spent along the way, and a
-fresh count of the resolution's stack rank checks the ledger's last rank.
+replayed.  An extraction's, flip's or contraction's rank is updated from
+the cones it removed and created, and a coefficient drop's from the cones
+around its ray.  The ranks telescope: the order of the acting group
+equals the rank of the final model plus the total rank spent along the
+way, and a fresh count of the resolution's stack rank checks every
+step's update at once.
 """
 
 from fractions import Fraction
@@ -243,7 +243,8 @@ def _star_rank(sub, i, ms):
 
 def mckay_pipeline(G):
     """Terminalize the quotient, drop the quasi-reflection boundary, run
-    the relative MMP over the quotient cone, and account for every unit of
+    the relative MMP over the quotient cone (the support, which
+    terminalization keeps), and account for every unit of
     group order in the ledger, checked against a fresh count of the
     resolution's stack rank."""
     X = quotient_pair(G)
@@ -272,14 +273,15 @@ def mckay_pipeline(G):
             record("coefficient_drop", sub.rays[i], after, components=case_a_components(m, 1))
     # every m is 1 from here on, so psi is 1 on every ray and a rank is |det|
     coeffs, scaled = [Fraction(0)] * len(ms), [1] * len(ms)
-    for st in _mmp_steps(sub, coeffs, scaled, 1, X.fan.rays):
+    for st, gone, new in _mmp_steps(sub, coeffs, scaled, 1):
         if st.kind == "flip":
             # the flip locus: primitive sum of the circuit's negative rays
             neg = [v for v, a in zip(st.circuit, st.coeffs) if a < 0]
             ray = primitive(tuple(map(sum, zip(*neg))))
         else:
             ray = st.removed_ray
-        record(st.kind, ray, sum(abs(adjugate(sub.ray_matrix(c))[1]) for c in sub.max_cones))
+        after = rank + sum(abs(adjugate(C)[1]) for C in new)
+        record(st.kind, ray, after - sum(abs(adjugate(C)[1]) for C in gone))
 
     resolution = ToricPair(sub.fan(), tuple(coeffs), X.lattice)
     if stack_rank(resolution) != rank:

@@ -11,12 +11,15 @@ Every surgery is a step of one local fan state (fan._Subdivision): placing
 a ray (star subdivision inside the support, joins to the boundary facets
 that see it outside), or Reid's circuit step T+ * L -> T- * L, a flip or a
 divisorial contraction.  Every engine loop keeps one state across its
-steps and reads the walls off it (circuits._relations; regular
-triangulation and the flop sweep keep a wall table and rescore only the
-facets each step touched) instead of rebuilding the fan; the only make_fan
-calls build regular triangulation's seed cone and result.  The extraction
-and MMP loops step a state their caller owns and yield steps, so the
-McKay pipeline carries one state through both.
+steps and reads the walls off it (fan._Subdivision.relations, each wall's
+relation computed once per cone pair; regular triangulation and the flop
+sweep keep a wall table and rescore only the facets each step touched)
+instead of rebuilding the fan; the only make_fan calls build regular
+triangulation's seed cone and result.  The extraction and MMP loops step
+a state their caller owns and yield steps with the cones they removed and
+created, so the McKay pipeline carries one state through both.  The
+relative MMP runs over the support cone of its state: the only base over
+which X -> U_base is proper.
 """
 
 from fractions import Fraction
@@ -24,7 +27,7 @@ from heapq import heappop, heappush
 from math import lcm
 from typing import NamedTuple
 
-from .circuits import _facet_relation, _relation, _relations, classify, defect, wall_relation
+from .circuits import classify, defect, wall_relation
 from .errors import (
     BudgetExceededError,
     EngineInvariantError,
@@ -33,8 +36,8 @@ from .errors import (
     NotKEquivalentError,
     ToricMmpError,
 )
-from .fan import _facet_map, _Subdivision, fans_equal, in_support, make_fan, point_in_cone
-from .lattice import mat_rank, primitive
+from .fan import _facet_map, _Subdivision, fans_equal, make_fan
+from .lattice import MAX_MULTIPLICITY, adjugate, mat_rank, primitive
 from .linprog import lp_maximize
 from .pairs import (
     ToricPair,
@@ -82,7 +85,7 @@ def ample_heights(fan):
     1.  Every right-hand side is 0 or positive, so the origin is feasible.
     A box optimum t* > 0 over h in [-1, 1] makes (h + 1, t*, 1) feasible,
     and then t + w >= t* + 1 at the optimum forces t > 0."""
-    rels = ((rel.ray_indices, rel.coeffs) for _, rel in _relations(_Subdivision(fan)))
+    rels = ((rel.ray_indices, rel.coeffs) for _, rel in _Subdivision(fan).relations())
     H, D = _ample_heights(len(fan.rays), rels)
     return tuple(Fraction(h, D) for h in H)
 
@@ -150,29 +153,22 @@ def divisorial_contract(fan, wall):
     if kind.kind != "divisorial":
         raise InvalidInputError("wall is not of divisorial type")
     sub = _Subdivision(fan)
-    removed = sub.contract(rel, kind.ray)
-    if removed is None:
+    if sub.contract(rel, kind.ray) is None:
         raise InvalidInputError("star of the contracted ray does not match the circuit")
-    return sub.fan(), removed, _center(fan, rel)
+    return sub.fan(), fan.rays[kind.ray], _center(fan, rel)
 
 
 # ------------------------------------------------- regular triangulation
 
 
-def _facets_of(step, dim):
-    """The facets of the cones a _Subdivision step removed or created, in
-    sorted order: the only facets whose walls the step changed."""
-    return sorted({c[:k] + c[k + 1:] for cones in step for c in cones for k in range(dim)})
-
-
-def _flips_to_convexity(sub, hmap, walls, step, budget):
+def _flips_to_convexity(sub, hmap, walls, budget):
     """Flip away the negative-defect walls of the state sub, most negative
     first, until every wall is convex for the integer heights hmap; returns
     the flips left of budget, regular_triangulation's limit.  A circuit's
     walls share its defect and flip together (fan._Subdivision.flip).
     walls maps every interior facet to (relation, defect) and lives across
-    one triangulation: only the facets of step, the placement just made,
-    and of each flip are rescored.
+    one triangulation: only the facets the placement just made and each
+    flip touched (sub.touched) are rescored.
 
     One pass per placement suffices (Edelsbrunner and Shah, "Incremental
     topological flipping works for regular triangulations", 1996): a wall
@@ -182,9 +178,9 @@ def _flips_to_convexity(sub, hmap, walls, step, budget):
     that no flip executes is an invariant break."""
     hs = tuple(hmap[v] for v in sub.rays)
     while True:
-        for f in _facets_of(step, sub.dim):
+        for f in sorted(sub.touched):
             if len(sub.facets.get(f, ())) == 2:
-                rel = _facet_relation(sub, f)
+                rel = sub.relation(f)
                 walls[f] = rel, defect(rel, hs)
             else:
                 walls.pop(f, None)
@@ -204,7 +200,7 @@ def _flips_to_convexity(sub, hmap, walls, step, budget):
                 raise InvalidInputError(
                     "fiber-type wall: heights have no lower hull over this support"
                 )
-            if (step := sub.flip(rel)) is None:
+            if sub.flip(rel) is None:
                 continue
             if budget == 0:
                 n = len(hmap)
@@ -254,7 +250,8 @@ def regular_triangulation(rays, heights):
     sub = _Subdivision(make_fan([rays[i] for i in seed], [tuple(range(dim))], validate="fast"))
     walls = {}  # the seed cone has no interior facet
     for i in (k for k in range(len(rays)) if k not in seed):
-        budget = _flips_to_convexity(sub, hmap, walls, sub.place(rays[i]), budget)
+        sub.place(rays[i])
+        budget = _flips_to_convexity(sub, hmap, walls, budget)
 
     if any(d == 0 for _, d in walls.values()):
         raise InvalidInputError("heights are not generic: flat wall at convergence")
@@ -317,10 +314,10 @@ def _sweep(pair_x, pair_y):
     The state lives for the whole sweep: the fan under flips (sub, a
     fan._Subdivision) and walls, which maps every interior facet to
     [relation, event].  A flip changes the walls around one circuit only,
-    so only the facets of the cones it removed or created are rescored.
+    so only the facets it touched are rescored.
 
-    One relation table, keyed by a wall's two cones in X's ray indices,
-    serves X's walls, Y's walls and every rescored facet, so each wall's
+    The state's relations, kept per pair of cones in X's ray indices,
+    serve X's walls, Y's walls and every rescored facet, so each wall's
     relation is computed once.  Y's walls map into X's indices through the
     ray vectors; Y's heights are still posed in Y's own ray and walls()
     order, since the LP's vertex follows its row and column order.
@@ -347,18 +344,7 @@ def _sweep(pair_x, pair_y):
     fx, fy = pair_x.fan, pair_y.fan
     n_rays = len(fx.rays)
     sub = _Subdivision(fx)
-    table = {}
-
-    def relation(facet, cones):
-        """The relation across the wall of two cones, in X's ray indices,
-        computed once per sweep."""
-        key = tuple(sorted(cones))
-        if (rel := table.get(key)) is None:
-            a, b = (next(i for i in c if i not in facet) for c in key)
-            rel = table[key] = _relation(fx.rays, facet, a, b)
-        return rel
-
-    walls = {f: [relation(f, cs), None] for f, cs in sorted(sub.facets.items()) if len(cs) == 2}
+    walls = {f: [rel, None] for f, rel in sub.relations()}
     H0, D0 = _ample_heights(n_rays, [(w[0].ray_indices, w[0].coeffs) for w in walls.values()])
     pos = {v: i for i, v in enumerate(fx.rays)}
     to_x = [pos[v] for v in fy.rays]
@@ -368,7 +354,7 @@ def _sweep(pair_x, pair_y):
         if len(cs) == 2:
             if permuted:  # into X's ray indices
                 f, *cs = (tuple(sorted(to_x[i] for i in c)) for c in (f, *cs))
-            rel = relation(f, cs)
+            rel = sub.relation(f, cs)
             idx = [to_y[i] for i in rel.ray_indices] if permuted else rel.ray_indices
             y_rels.append((idx, rel.coeffs))
     H1_y, D1 = _ample_heights(n_rays, y_rels)
@@ -427,8 +413,7 @@ def _sweep(pair_x, pair_y):
                 "event wall is not of flipping type: "
                 "inputs are not isomorphic in codimension one"
             )
-        changed = sub.flip(rel)
-        if changed is None:
+        if sub.flip(rel) is None:
             raise EngineInvariantError("event circuit is not isolated")
         signature = signatures.pop()
         if signature in fired:
@@ -444,9 +429,9 @@ def _sweep(pair_x, pair_y):
             event_time=event_time,
             k_defect_check=k_defect,
         )
-        for f in _facets_of(changed, sub.dim):
-            if len(cs := sub.facets.get(f, ())) == 2:
-                r = relation(f, cs)
+        for f in sorted(sub.touched):
+            if len(sub.facets.get(f, ())) == 2:
+                r = sub.relation(f)
                 walls[f] = [r, event(r)]
             else:
                 walls.pop(f, None)
@@ -458,40 +443,34 @@ def _sweep(pair_x, pair_y):
 # ------------------------------------------------------------ relative MMP
 
 
-def relative_mmp(pair, base):
-    """Run the (K+B)-MMP of a pair whose fan triangulates the cone over
-    base.  Executes the positive-discrepancy-defect wall of largest defect
-    each round (ties by smallest apex ray pair, skipping non-extremal
-    walls) until K+B is nef over the base.  Returns (pair, steps)."""
+def relative_mmp(pair):
+    """Run the (K+B)-MMP of a pair over the affine base of its support
+    cone, the only base over which its fan is proper.  Executes the
+    positive-discrepancy-defect wall of largest defect each round (ties by
+    smallest apex ray pair, skipping non-extremal walls) until K+B is nef
+    over the base.  Returns (pair, steps)."""
     sub, coeffs = _Subdivision(pair.fan), list(pair.coeffs)
-    steps = tuple(_mmp_steps(sub, coeffs, *_scaled_psi(pair), base))
+    steps = tuple(st for st, _, _ in _mmp_steps(sub, coeffs, *_scaled_psi(pair)))
     return (ToricPair(sub.fan(), tuple(coeffs), pair.lattice) if steps else pair), steps
 
 
-def _mmp_steps(sub, coeffs, scaled, L, base):
+def _mmp_steps(sub, coeffs, scaled, L):
     """The steps of relative_mmp, run on a state the caller owns and
-    changed in place: the fan under flips and contractions (sub, a
+    changed in place, each yielded with the cones it removed and created
+    as tuples of ray vectors, which a contraction's shift of ray indices
+    keeps.  The state is the fan under flips and contractions (sub, a
     fan._Subdivision), the coefficient list and the integer psi heights
     scaled over one scale L, which a contraction keeps, since d / L
     reduces.  A contraction deletes its ray's entries from coeffs and
-    scaled.  Each step rescans the state's walls; the MMP takes few steps."""
+    scaled.  Each step reads every wall's relation off the state, which
+    recomputes only those the last step changed."""
     if sub.kind != "cone-supported":
         raise InvalidInputError("relative MMP needs a fan supported on a strictly convex cone")
-    base = tuple(primitive(b) for b in base)
-    if len(set(base)) != len(base):
-        raise InvalidInputError("duplicate base generator")
-    for b in base:  # a fan's own ray is in its support
-        if b not in sub.rays and not in_support(sub, b):
-            raise InvalidInputError("base cone exceeds the fan support")
-    for r in sub.rays:
-        if not point_in_cone(r, base):
-            raise InvalidInputError("fan support exceeds the base cone")
-
     n = len(sub.rays)
     budget = 10 * n ** 2  # a stated limit, not a proved bound
     while True:
         cands = []
-        for f, rel in _relations(sub):
+        for f, rel in sub.relations():
             d = defect(rel, scaled)
             if d > 0:
                 apexes = tuple(sorted(sub.rays[i] for i in rel.ray_indices if i not in f))
@@ -505,6 +484,7 @@ def _mmp_steps(sub, coeffs, scaled, L, base):
                 f"{10 * n ** 2} steps for n = {n} rays"
             )
         budget -= 1
+        rays = tuple(sub.rays)  # before a contraction shifts them
         for neg_d, _, f, rel in cands:
             kind = classify(rel)
             if kind.kind == "fiber":
@@ -512,24 +492,24 @@ def _mmp_steps(sub, coeffs, scaled, L, base):
                     "fiber-type wall with positive defect: "
                     "the pair is not birational over this base"
                 )
-            wall = tuple(sub.rays[i] for i in f)
-            circuit = tuple(sub.rays[i] for i in rel.ray_indices)
             if kind.kind == "flipping":
                 removed = center = None
-                if sub.flip(rel) is not None:
+                if (step := sub.flip(rel)) is not None:
                     break
             else:
                 center = _center(sub, rel)
-                removed = sub.contract(rel, kind.ray)
-                if removed is not None:
+                if (step := sub.contract(rel, kind.ray)) is not None:
+                    removed = rays[kind.ray]
                     del scaled[kind.ray], coeffs[kind.ray]
                     break
         else:
             raise EngineInvariantError("no executable wall among positive defects")
+        wall, circuit = (tuple(map(rays.__getitem__, c)) for c in (f, rel.ray_indices))
+        gone, new = ([tuple(map(rays.__getitem__, c)) for c in cs] for cs in step)
         yield MmpStep(
             "flip" if removed is None else "divisorial", wall, circuit,
             rel.coeffs, Fraction(-neg_d, L), removed, center,
-        )
+        ), gone, new
 
 
 # ---------------------------------------------------------- terminalize
@@ -546,6 +526,13 @@ def terminalize(pair):
     return ToricPair(sub.fan(), coeffs, pair.lattice), steps
 
 
+# box points, sum (m - 1) over the cones the extraction loop scores, cached
+# or not: the cone of (1/999983)(1,2,999980) alone took 3.9 s, so a run in
+# the limit enumerates for about 1 s.  The worst bench group, (1/211)(1,50,
+# 160), scores 2,286, and SL groups (1/r)(a,b,-a-b) sampled to r = 181 9,555
+MAX_EXTRACTION_BOX_POINTS = 2 ** 18
+
+
 def _extraction_steps(sub, scaled, L):
     """The steps of terminalize, run on a state the caller owns and
     changed in place, each yielded with the cones it removed and created.
@@ -557,11 +544,21 @@ def _extraction_steps(sub, scaled, L):
     appends psi 1, that is L, to scaled; psi and its scale never change on
     old rays.  A heap of per-cone witness minima, in which a cone's entry
     goes stale when the cone is subdivided, lives across the steps, so a
-    step scores only the cones it creates."""
-    heap = []
+    step scores only the cones it creates.  Past MAX_EXTRACTION_BOX_POINTS
+    it raises InvalidInputError before the enumeration (a cone past
+    MAX_MULTIPLICITY gets that limit's)."""
+    heap, points = [], 0
 
     def score(cones):
+        nonlocal points
         for cone in cones:
+            m = abs(adjugate(sub.ray_matrix(cone))[1])
+            points += m - 1
+            if points > MAX_EXTRACTION_BOX_POINTS and m <= MAX_MULTIPLICITY:
+                raise InvalidInputError(
+                    f"terminalization exceeds the extraction limit of "
+                    f"{MAX_EXTRACTION_BOX_POINTS} box points"
+                )
             wit = _cone_witness(sub, cone, scaled, L)
             if wit is not None:
                 heappush(heap, wit + (cone,))

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from operator import mul
 
-from .circuits import _relations, defect
+from .circuits import defect
 from .errors import InvalidInputError
 from .fan import Fan, _facet_functional, _solve, _Subdivision, in_support, locate
 from .lattice import (
@@ -280,4 +280,4 @@ def is_nef(fan, heights):
     hs = tuple(Fraction(h) for h in heights)
     if len(hs) != len(fan.rays):
         raise InvalidInputError("one height per ray required")
-    return all(defect(rel, hs) >= 0 for _, rel in _relations(_Subdivision(fan)))
+    return all(defect(rel, hs) >= 0 for _, rel in _Subdivision(fan).relations())

@@ -141,9 +141,9 @@ def extraction_pairs(pair):
         yield st, make_pair(sub.fan(), coeffs, pair.lattice), gone, new
 
 
-def mmp_pairs(pair, base):
+def mmp_pairs(pair):
     """(step, pair after it) for each step of relative_mmp, the pair read
     off the state: its fan and its coefficient list."""
     sub, coeffs = _Subdivision(pair.fan), list(pair.coeffs)
-    for st in _mmp_steps(sub, coeffs, *_scaled_psi(pair), base):
+    for st, _, _ in _mmp_steps(sub, coeffs, *_scaled_psi(pair)):
         yield st, make_pair(sub.fan(), coeffs, pair.lattice)

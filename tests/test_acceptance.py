@@ -348,7 +348,7 @@ def test_criterion_9_engine_pairs_replay():
                     work = make_pair(work.fan, coeffs, work.lattice)
                     pairs.append(work)
                     drops += 1
-            final, msteps = relative_mmp(work, X.fan.rays)
+            final, msteps = relative_mmp(work)
             mpairs = replay(work, msteps)
             assert dumps(mpairs[-1]) == dumps(final) == dumps(rep.resolution)
             pairs += mpairs[1:]

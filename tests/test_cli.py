@@ -2,6 +2,7 @@
 
 import copy
 import json
+import signal
 import time
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from corpus import STAR_P3
 from toricmmp.cli import main
 from toricmmp.fan import make_fan
 from toricmmp.jsonio import dumps, fan_to_json, group_to_json, pair_to_json
+from toricmmp.lattice import MAX_MULTIPLICITY
 from toricmmp.mckay import MAX_CASE_A_ORDER, MAX_HJ_CHAIN, make_group, quotient_pair
+from toricmmp.mmp import MAX_EXTRACTION_BOX_POINTS
 from toricmmp.pairs import MAX_CELL_SUBSETS, make_pair
 
 
@@ -97,12 +100,12 @@ def test_mmp_contracts_interior_ray(capsys, tmp_path):
         "contract ray [1, 1]",
         "minimal model: 2 rays, 1 cones",
     ]
-    code, out2, _ = run(capsys, "mmp", path, "--base", "orthant")
-    assert code == 0 and out2 == out
-    # no step cap is an option: the engine loops bound their own steps
-    with pytest.raises(SystemExit) as exc:
-        main(["mmp", path, "--max-steps", "0"])
-    assert exc.value.code == 1
+    # no step cap and no base is an option: the engine loops bound their
+    # own steps, and the base is the fan's support cone
+    for option in (["--max-steps", "0"], ["--base", "orthant"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["mmp", path, *option])
+        assert exc.value.code == 1
 
 
 def test_mmp_contracts_the_centre_of_a_square(capsys, tmp_path):
@@ -299,6 +302,36 @@ def test_case_a_limit_exits_one_at_once(capsys, tmp_path):
         assert time.perf_counter() - start < 1
         assert code == 1 and out == "" and err.startswith("error:")
         assert f"limit of {MAX_CASE_A_ORDER}" in err and err.count("\n") == 1
+
+
+def test_extraction_limit_exits_one_at_once(capsys, tmp_path):
+    # 52 bytes of JSON whose terminalization would enumerate about 10^6 box
+    # points per step, and a group of order 99,991 whose quotient cone fits
+    # the limit but whose first extraction's cones do not; without the
+    # limit the first ran for more than 100 s, the second 27.6 s
+    def hang(signum, frame):
+        raise TimeoutError("the extraction limit did not stop the run")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    try:
+        # a cone past MAX_MULTIPLICITY keeps that limit's message
+        for r, limit in ((999983, f"limit of {MAX_EXTRACTION_BOX_POINTS}"),
+                         (99991, f"limit of {MAX_EXTRACTION_BOX_POINTS}"),
+                         (1000003, f"box-point limit {MAX_MULTIPLICITY}")):
+            path = tmp_path / f"g{r}.json"
+            path.write_text(f'{{"n":3,"gens":[{{"r":{r},"weights":[1,2,{r - 3}]}}]}}')
+            signal.alarm(10)
+            start = time.perf_counter()
+            code, out, err = run(capsys, "mckay", str(path))
+            elapsed = time.perf_counter() - start
+            signal.alarm(0)
+            assert code == 1 and out == "" and err.startswith("error:")
+            assert limit in err and err.count("\n") == 1
+            assert elapsed < 2, (r, elapsed)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (tmp_path / "g999983.json").stat().st_size == 52
 
 
 def test_engine_invariant_exit_code(capsys, sixth_group_file, monkeypatch):

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import atan2
 
 import pytest
 
@@ -227,6 +228,38 @@ def _grown_fan(rng, dim):
         return None
 
 
+def _multiple_cover(rng, dim):
+    """A fan that passes the fast checks but covers its support twice: the
+    cones over consecutive rays of a planar loop that winds twice around
+    the origin (two random angular sweeps, every turn counterclockwise by
+    less than a half-turn), joined for each later axis e_k to both of
+    +-e_k (complete) or to +e_k alone (cone-supported), then grown by up to
+    two star subdivisions at the sum of two rays of a cone."""
+    while True:
+        pts = list({
+            primitive(v) for v in ((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(12))
+            if any(v)
+        })
+        rng.shuffle(pts)
+        half = len(pts) // 2
+        loop = [v for part in (pts[:half], pts[half:])
+                for v in sorted(part, key=lambda v: atan2(v[1], v[0]))]
+        if all(det((loop[i - 1], loop[i])) > 0 for i in range(len(loop))):
+            break
+    rays = [v + (0,) * (dim - 2) for v in loop]
+    cones = [(i - 1 if i else len(loop) - 1, i) for i in range(len(loop))]
+    for k in range(2, dim):
+        axes = [tuple(s * (j == k) for j in range(dim)) for s in rng.choice([(1,), (1, -1)])]
+        cones = [c + (len(rays) + a,) for c in cones for a in range(len(axes))]
+        rays += axes
+    fan = make_fan(rays, cones, validate="fast")
+    for _ in range(rng.randint(0, 2)):
+        w = primitive(tuple(map(sum, zip(*fan.ray_matrix(rng.choice(fan.max_cones)[:2])))))
+        if w not in fan.rays:
+            fan = star_subdivision(fan, w)
+    return fan
+
+
 def lp_face_check(rays, cone_a, cone_b, shared):
     """Do cones cone_a and cone_b meet exactly in the face spanned by the
     shared ray indices?  Searches for a separating form u with u = 0 on
@@ -251,9 +284,10 @@ def lp_face_check(rays, cone_a, cone_b, shared):
 
 def test_degree_one_check_matches_lp_oracle():
     rng = random.Random(3)
-    seen = set()
-    for _ in range(120):
-        fan = _grown_fan(rng, rng.choice([2, 3, 4]))
+    seen, verdicts = set(), Counter()
+    fans = (_grown_fan(rng, rng.choice([2, 3, 4])) for _ in range(120))
+    covers = (_multiple_cover(rng, dim) for dim in (3, 4) for _ in range(5))
+    for fan in (*fans, *covers):
         if fan is None:
             continue
         valid = all(
@@ -267,10 +301,13 @@ def test_degree_one_check_matches_lp_oracle():
             accepted = False
         assert accepted == valid, (fan.rays, fan.max_cones)
         seen.add((fan.dim, fan.support_kind, valid))
-    # the sample covers every dimension, both kinds and both verdicts
+        verdicts[fan.dim, valid] += 1
+    # the sample covers every dimension, both kinds and both verdicts, and
+    # the full level's rejection is checked in every dimension
     assert {s[0] for s in seen} == {2, 3, 4}
     assert {s[1] for s in seen} == {"complete", "cone-supported"}
     assert {s[2] for s in seen} == {True, False}
+    assert all(verdicts[d, v] >= 3 for d in (2, 3, 4) for v in (True, False)), verdicts
 
 
 def oracle_meet_in_shared_face(cone_a, cone_b, shared):
@@ -511,12 +548,14 @@ def test_contract_matches_the_rebuilt_fan():
             if kind.kind != "divisorial":
                 continue
             sub = _Subdivision(fan)
-            removed = sub.contract(rel, kind.ray)
+            step = sub.contract(rel, kind.ray)
             expected = _contracted_oracle(fan, rel, kind.ray)
             if expected is None:
-                assert removed is None and sub.fan() == fan
+                assert step is None and sub.fan() == fan
             else:
-                assert (sub.fan(), removed) == expected
+                # the step removed the star of the ray, in the old indices
+                assert (sub.fan(), fan.rays[kind.ray]) == expected
+                assert sorted(step[0]) == sorted(c for c in fan.max_cones if kind.ray in c)
                 assert sub.facets == _facet_map(sub.fan())
                 wide += len(fan.max_cones) - len(expected[0].max_cones) > len(rel.s_plus) - 1
             outcomes[expected is None, fan.support_kind] += 1

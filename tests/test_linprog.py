@@ -8,7 +8,6 @@ from corpus import flop_case
 
 import toricmmp.linprog as linprog_module
 import toricmmp.mmp as mmp
-from toricmmp.circuits import _relations
 from toricmmp.errors import InvalidInputError, NonProjectiveError
 from toricmmp.fan import _Subdivision, make_fan, star_subdivision
 from toricmmp.lattice import primitive
@@ -229,7 +228,7 @@ def _box_lp(fan):
     per wall, d its defect; b < 0 wherever a relation sums to > 0."""
     n = len(fan.rays)
     A, b = [], []
-    for _, rel in _relations(_Subdivision(fan)):
+    for _, rel in _Subdivision(fan).relations():
         row = [0] * (n + 1)
         for i, a in zip(rel.ray_indices, rel.coeffs):
             row[i] = -a
@@ -252,7 +251,7 @@ def _off_height_one_fans(rng, count):
             fan = _stars(rng, ORTHANT, 0, 3)
         else:
             fan = _jittered_pinwheel(rng)
-        rels = [(rel.ray_indices, rel.coeffs) for _, rel in _relations(_Subdivision(fan))]
+        rels = [(rel.ray_indices, rel.coeffs) for _, rel in _Subdivision(fan).relations()]
         if any(sum(coeffs) for _, coeffs in rels):
             made += 1
             yield fan, rels

@@ -13,12 +13,12 @@ from corpus import extraction_pairs
 from toricmmp import fan as fan_module
 from toricmmp import mckay as mckay_module
 from toricmmp import mmp as mmp_module
-from toricmmp.circuits import _relations, defect
+from toricmmp.circuits import defect
 from toricmmp.errors import EngineInvariantError, InvalidInputError
 from toricmmp.fan import (
     _facet_map,
+    _solve,
     _Subdivision,
-    _scan_star,
     _walk_star,
     fans_equal,
     make_fan,
@@ -258,19 +258,26 @@ def test_pipeline_flip_ledgers():
 
 
 def test_pipeline_recount_catches_a_wrong_rank_update(monkeypatch):
-    # (1/6)(0, 1, 4) takes no MMP step, so its ledger's last rank is the
-    # running count: a drop that counts one more unit around its ray before
-    # the drop than there is leaves the ledger one below the resolution
+    # a drop that counts one more unit around its ray before the drop than
+    # there is leaves the ledger one below the resolution.  (1/6)(0, 1, 4)
+    # takes no MMP step; on (1/8)(3,6,1) + (1/5)(0,0,1) the drop is
+    # followed by a flip and a contraction, which are priced by the cones
+    # they change and so carry the error to the recount
     G = make_group(3, [(6, (0, 1, 4))])
+    H = make_group(3, [(8, (3, 6, 1)), (5, (0, 0, 1))])
     assert [(e.kind, e.rank_before, e.rank_after) for e in mckay_pipeline(G).ledger] == [
         ("extraction", 6, 4), ("extraction", 4, 4), ("coefficient_drop", 4, 3),
+    ]
+    assert [e.kind for e in mckay_pipeline(H).ledger][2:] == [
+        "coefficient_drop", "flip", "divisorial",
     ]
     star_rank = mckay_module._star_rank
     monkeypatch.setattr(
         mckay_module, "_star_rank", lambda sub, i, ms: star_rank(sub, i, ms) + (ms[i] > 1)
     )
-    with pytest.raises(EngineInvariantError, match="misses the stack rank of the resolution"):
-        mckay_pipeline(G)
+    for group in (G, H):
+        with pytest.raises(EngineInvariantError, match="misses the stack rank of the resolution"):
+            mckay_pipeline(group)
 
 
 def _seeded_groups(seed, count, n, orders):
@@ -299,18 +306,22 @@ def test_pipeline_four_fold_slice(monkeypatch):
     groups += _seeded_groups(2, 100, 5, ((4, 15, 1),)) + _seeded_groups(3, 100, 3, ((2, 6, 2),))
     steps, mmp_steps = Counter(), mckay_module._mmp_steps
 
-    def checked(sub, coeffs, scaled, L, base):
+    def checked(sub, coeffs, scaled, L):
         prev = sub.fan()
-        for st in mmp_steps(sub, coeffs, scaled, L, base):
+        for st, removed, created in mmp_steps(sub, coeffs, scaled, L):
             fan = sub.fan()
             assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
-            gone = set(map(frozenset, map(prev.ray_matrix, prev.max_cones)))
-            gone -= set(map(frozenset, map(fan.ray_matrix, fan.max_cones)))
+            before = set(map(frozenset, map(prev.ray_matrix, prev.max_cones)))
+            after = set(map(frozenset, map(fan.ray_matrix, fan.max_cones)))
+            gone = before - after
+            # the yielded cones, as ray vectors, are the step's own
+            assert set(map(frozenset, removed)) == gone
+            assert set(map(frozenset, created)) == after - before
             steps[st.kind, len(gone) > sum(a > 0 for a in st.coeffs)] += 1
             prev = fan
-            yield st
+            yield st, removed, created
         psi = [1 - c for c in coeffs]
-        assert all(defect(rel, psi) <= 0 for _, rel in _relations(_Subdivision(prev)))
+        assert all(defect(rel, psi) <= 0 for _, rel in _Subdivision(prev).relations())
 
     monkeypatch.setattr(mckay_module, "_mmp_steps", checked)
     for G in groups:
@@ -554,6 +565,18 @@ def test_lattice_coords_match_fraction_coords(monkeypatch):
         assert [vec_mat(x, rB) for x in fan.rays] == boundary
 
 
+def _scan_star(fan, w):
+    """(cone, face carrying w) for every maximal cone containing w, in
+    cone order: the barycentric scan of every cone, the oracle for the
+    star that _Subdivision walks."""
+    out = []
+    for cone in fan.max_cones:
+        num, _ = _solve(fan.ray_matrix(cone), w)
+        if all(x >= 0 for x in num):
+            out.append((cone, {i for i, x in zip(cone, num) if x > 0}))
+    return out
+
+
 def _stack_rank_oracle(pair):
     # from scratch: |det| of the scaled rows m_i v_i, m_i = 1 / (1 - d_i)
     ms = [int(1 / (1 - d)) for d in pair.coeffs]
@@ -567,8 +590,8 @@ def test_extraction_loop_matches_from_scratch_rebuild():
     """At every step of the incremental extraction loop: the fan equals a
     fast-validated rebuild and the public star subdivision (cone order and
     support kind included), the witness equals min_discrepancy_witness,
-    the walked star equals the barycentric scan from each of its cones, and
-    the pipeline's incremental stack rank equals a from-scratch count."""
+    the walked star equals the barycentric scan from each of its cones, the
+    face carrying the new ray is the same in every one, and the pipeline's incremental stack rank equals a from-scratch count."""
     groups = {}
     for r in range(2, 9):
         for ws in product(range(r), repeat=3):
@@ -586,6 +609,7 @@ def test_extraction_loop_matches_from_scratch_rebuild():
             assert cur.coeffs == prev.coeffs + (0,) and cur.lattice == X.lattice
             assert (st.psi_value, st.ray) == min_discrepancy_witness(prev)
             split = _scan_star(prev.fan, st.ray)
+            assert len({frozenset(face) for _, face in split}) == 1  # one face around w
             facets = _facet_map(prev.fan)
             for cone, face in split:
                 assert _walk_star(facets, cone, face) == {c for c, _ in split}

@@ -13,7 +13,7 @@ import pytest
 import corpus
 from corpus import flop_case, mmp_pairs, replay
 
-from toricmmp.circuits import _relations, classify, defect, wall_relation
+from toricmmp.circuits import classify, defect, wall_relation
 from toricmmp.errors import (
     BudgetExceededError,
     EngineInvariantError,
@@ -22,7 +22,7 @@ from toricmmp.errors import (
     NotKEquivalentError,
     ToricMmpError,
 )
-from toricmmp import circuits as circuits_module
+from toricmmp import fan as fan_module
 from toricmmp import mmp as mmp_module
 from toricmmp import pairs as pairs_module
 from toricmmp.fan import _facet_map, _Subdivision, fans_equal, make_fan, point_in_cone, walls
@@ -383,21 +383,22 @@ def test_regular_triangulation_rescores_only_touched_walls(monkeypatch):
     # equals every wall's relation and defect recomputed from the state,
     # with far fewer relations computed than the 19,723 of a full rescan
     # per pass (10,977 of which held the ray just placed)
-    computed, real_relation = [0], circuits_module._relation
+    computed, real_relation = [0], fan_module._relation
     real_flips = mmp_module._flips_to_convexity
 
     def counted_relation(*args):
         computed[0] += 1
         return real_relation(*args)
 
-    def checked_flips(sub, hmap, walls, step, budget):
-        budget = real_flips(sub, hmap, walls, step, budget)
+    def checked_flips(sub, hmap, walls, budget):
+        budget = real_flips(sub, hmap, walls, budget)
         before, hs = computed[0], [hmap[v] for v in sub.rays]
-        assert walls == {f: (rel, defect(rel, hs)) for f, rel in _relations(sub)}
+        fresh = _Subdivision(sub.fan()).relations()  # a new state, no kept relation
+        assert walls == {f: (rel, defect(rel, hs)) for f, rel in fresh}
         computed[0] = before
         return budget
 
-    monkeypatch.setattr(circuits_module, "_relation", counted_relation)
+    monkeypatch.setattr(fan_module, "_relation", counted_relation)
     monkeypatch.setattr(mmp_module, "_flips_to_convexity", checked_flips)
     done = 0
     for rays, heights in _triangulation_inputs(1, 500):
@@ -677,15 +678,14 @@ def test_flop_decompose_corpus_outputs_pinned():
 def test_sweep_computes_each_wall_relation_once(monkeypatch):
     # X's walls, Y's walls and every rescored facet share one relation per
     # pair of cones, named here by the ray vectors of both cones
-    calls, real = [], circuits_module._relation
+    calls, real = [], fan_module._relation
 
     def counting(rays, shared, apex_a, apex_b):
         calls.append(frozenset(frozenset(rays[i] for i in shared + (apex,))
                                for apex in (apex_a, apex_b)))
         return real(rays, shared, apex_a, apex_b)
 
-    monkeypatch.setattr(circuits_module, "_relation", counting)
-    monkeypatch.setattr(mmp_module, "_relation", counting, raising=False)
+    monkeypatch.setattr(fan_module, "_relation", counting)
     for seed in range(80):
         px, py, _ = flop_case(seed)
         calls.clear()
@@ -791,14 +791,14 @@ def test_successful_sweeps_never_run_the_cell_walk(monkeypatch):
 
 def test_relative_mmp_already_minimal():
     p = make_pair(ORTHANT2, [0, 0])
-    out, steps = relative_mmp(p, [(1, 0), (0, 1)])
+    out, steps = relative_mmp(p)
     assert steps == ()
     assert out.fan is ORTHANT2
 
 
 def test_relative_mmp_contracts_blowup():
     p = make_pair(BLOWUP2, [0, 0, 0])
-    out, steps = relative_mmp(p, [(1, 0), (0, 1)])
+    out, steps = relative_mmp(p)
     assert fans_equal(out.fan, ORTHANT2)
     assert len(steps) == 1
     assert steps[0].kind == "divisorial"
@@ -811,11 +811,11 @@ def test_relative_mmp_flip_then_stops():
     rays = [(0, 0, 1), (1, 0, 1), (3, 3, 2), (0, 1, 1)]
     fx = make_fan(rays, [(0, 1, 2), (0, 2, 3)])
     p = make_pair(fx, [0] * 4)
-    out, steps = relative_mmp(p, rays)
+    out, steps = relative_mmp(p)
     assert [s.kind for s in steps] == ["flip"]
     assert fans_equal(out.fan, make_fan(rays, [(0, 1, 3), (1, 2, 3)]))
     # the other triangulation is already minimal
-    out2, steps2 = relative_mmp(out, rays)
+    out2, steps2 = relative_mmp(out)
     assert steps2 == ()
 
 
@@ -827,7 +827,7 @@ def test_divisorial_contract_center_is_the_positive_face():
     out, removed, center = divisorial_contract(fan, walls(fan)[0])
     assert removed == (1, 1, 0) and center == ((1, 0, 0), (0, 1, 0))
     assert fans_equal(out, make_fan(rays[:3], [(0, 1, 2)]))
-    _, steps = relative_mmp(make_pair(fan, [0] * 4), rays[:3])
+    _, steps = relative_mmp(make_pair(fan, [0] * 4))
     assert [(s.kind, s.center) for s in steps] == [("divisorial", center)]
 
 
@@ -836,28 +836,26 @@ def test_relative_mmp_contracts_the_centre_of_a_square():
     # corners: one link contraction leaves the cone on the square
     rays = [(0, 0, 1), (2, 0, 1), (2, 2, 1), (0, 2, 1), (1, 1, 1)]
     fan = make_fan(rays, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)])
-    out, steps = relative_mmp(make_pair(fan, [0, 0, 0, 0, Fraction(1, 2)]), rays[:4])
+    out, steps = relative_mmp(make_pair(fan, [0, 0, 0, 0, Fraction(1, 2)]))
     assert [(s.kind, s.removed_ray) for s in steps] == [("divisorial", (1, 1, 1))]
     assert out.fan == make_fan(rays[:4], [(0, 1, 2), (0, 2, 3)], validate="full")
 
 
 def test_relative_mmp_flop_wall_not_executed():
     px = make_pair(ATIYAH_X, [0, 0, 0, 0])
-    out, steps = relative_mmp(px, ATIYAH_RAYS)
+    out, steps = relative_mmp(px)
     assert steps == ()
 
 
 def test_relative_mmp_validates_base():
-    p = make_pair(BLOWUP2, [0, 0, 0])
-    with pytest.raises(InvalidInputError):
-        relative_mmp(p, [(1, 0), (1, 1)])  # support exceeds this base
+    # the base is the support cone, so a complete fan has none
     complete = make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(InvalidInputError):
-        relative_mmp(make_pair(complete, [0, 0, 0]), [(1, 0), (0, 1)])
+    with pytest.raises(InvalidInputError, match="strictly convex cone"):
+        relative_mmp(make_pair(complete, [0, 0, 0]))
 
 
 def _cyclic_mmp_inputs():
-    """(pair, base) that mckay_pipeline hands to the relative MMP for every
+    """The pairs that mckay_pipeline hands to the relative MMP for every
     distinct cyclic 3-fold group with r <= 12: the terminalization with
     every coefficient dropped to zero, over the quotient cone."""
     groups = {}
@@ -869,20 +867,20 @@ def _cyclic_mmp_inputs():
     for G in groups.values():
         X = quotient_pair(G)
         Y, _ = terminalize(X)
-        out.append((make_pair(Y.fan, [0] * len(Y.fan.rays), Y.lattice), X.fan.rays))
+        out.append(make_pair(Y.fan, [0] * len(Y.fan.rays), Y.lattice))
     return out
 
 
 def _square_mmp_inputs(seed, count):
-    """(pair, base) over cones on lattice squares at height 1, triangulated
+    """Pairs over cones on lattice squares at height 1, triangulated
     near the heights x^2 + y^2, with random coefficients; their MMPs mix
     flips and contractions."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         side = rng.choice([2, 3, 4])
-        base = [(0, 0, 1), (side, 0, 1), (side, side, 1), (0, side, 1)]
-        pts = set(base)
+        corners = [(0, 0, 1), (side, 0, 1), (side, side, 1), (0, side, 1)]
+        pts = set(corners)
         target = rng.randint(5, min(12, (side + 1) ** 2))
         while len(pts) < target:
             pts.add((rng.randint(0, side), rng.randint(0, side), 1))
@@ -893,7 +891,7 @@ def _square_mmp_inputs(seed, count):
         except InvalidInputError:
             continue  # flat wall: the perturbed heights are not generic
         coeffs = [rng.choice([0, 0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]) for _ in rays]
-        out.append((make_pair(fan, coeffs), base))
+        out.append(make_pair(fan, coeffs))
     return out
 
 
@@ -917,9 +915,9 @@ def test_mmp_state_matches_validated_fans(monkeypatch):
     monkeypatch.setattr(mmp_module, "make_fan", forbidden)
     monkeypatch.setattr(mmp_module, "make_pair", forbidden, raising=False)
     kinds = Counter()
-    for pair, base in inputs:
+    for pair in inputs:
         prev = pair
-        for step, cur in mmp_pairs(pair, base):
+        for step, cur in mmp_pairs(pair):
             fan = cur.fan
             assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
             assert cur.lattice == pair.lattice
@@ -942,7 +940,7 @@ def test_mmp_and_flip_limits_name_their_value(monkeypatch):
     rays = [(0, 0, 1), (1, 0, 1), (3, 3, 2), (0, 1, 1)]
     p = make_pair(make_fan(rays, [(0, 1, 2), (0, 2, 3)]), [0] * 4)
     with pytest.raises(BudgetExceededError, match=r"limit of 10\*n\^2 = 160 steps for n = 4 rays"):
-        relative_mmp(p, rays)
+        relative_mmp(p)
     with pytest.raises(BudgetExceededError, match=r"limit of 10\*n\^2 = 160 flips for n = 4 rays"):
         regular_triangulation([(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)], [1, 0, 1, 0])
 

@@ -4,13 +4,16 @@ must still call the LP by its name, or tracing, its metrics and the smoke
 run break; every cache has a bound; the engine still generates the
 benchmark's flop inputs, whose digest the golden file records; small cones
 still take the closed-form kernels; the McKay pipeline carries one fan state
-and counts the stack rank only at its two ends."""
+and counts the stack rank only at its two ends; a fan state computes each
+cone pair's wall relation once."""
 
 import importlib
 import importlib.util
 import json
 import pkgutil
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 from corpus import flop_case
@@ -103,3 +106,40 @@ def test_mckay_pipeline_carries_one_fan_state(monkeypatch):
     # quotient_pair's make_fan, then the pipeline's own state
     assert [f.max_cones for f in states] == [(), report.quotient.fan.max_cones]
     assert ranks == [report.quotient, report.resolution]
+
+
+def test_a_fan_state_computes_each_wall_relation_once(monkeypatch):
+    # the state keeps one relation per cone pair while its ray indices
+    # hold: the sweep's walls of X and of Y and every rescored facet, the
+    # flip passes of a regular triangulation and the relative MMP's rescan
+    # of every wall each round all read it.  The square pair's MMP takes
+    # two flips over three rounds of eight walls; a rescan that recomputed
+    # its relations would pass every output check
+    calls, states, real = Counter(), [], fan._relation
+
+    def counting(rays, shared, apex_a, apex_b):
+        states.append(rays)  # a state's ray list, kept alive so its id is its own
+        cones = (frozenset(rays[i] for i in shared + (apex,)) for apex in (apex_a, apex_b))
+        calls[id(rays), frozenset(cones)] += 1
+        return real(rays, shared, apex_a, apex_b)
+
+    px, py, _ = flop_case(0)
+    monkeypatch.setattr(fan, "_relation", counting)
+    flip_rays = [(0, 0, 1), (1, 0, 1), (3, 3, 2), (0, 1, 1)]
+    square = [(x, y, 1) for x in range(3) for y in range(3)]
+    square_cones = [(1, 2, 4), (0, 3, 4), (0, 1, 4), (2, 4, 5), (3, 4, 6), (4, 6, 7),
+                    (4, 7, 8), (4, 5, 8)]
+    runs = [
+        lambda: toricmmp.flop_decompose(px, py),
+        lambda: toricmmp.regular_triangulation(
+            square, [x * x + y * y + Fraction(x * y * y + 1, 97) for x, y, _ in square]),
+        lambda: toricmmp.relative_mmp(toricmmp.make_pair(
+            toricmmp.make_fan(flip_rays, [(0, 1, 2), (0, 2, 3)]), [0] * 4)),
+        lambda: toricmmp.relative_mmp(toricmmp.make_pair(
+            toricmmp.make_fan(square, square_cones), [0, 0, Fraction(1, 3)] + [0] * 5
+            + [Fraction(2, 3)])),
+    ]
+    for run in runs:
+        calls.clear()
+        run()
+        assert calls and max(calls.values()) == 1, calls.most_common(1)
