@@ -15,7 +15,7 @@ support is all of N_R (kind "complete") or a convex cone (kind
 membership in a cone over non-simplicial generators (point_in_cone, which
 no engine loop calls), posed in the standard form of `linprog.lp_maximize`,
 which starts at the origin and so needs right-hand sides >= 0; these are
-0 or 1.
+0, and the unit caps are bounds.
 """
 
 from __future__ import annotations
@@ -489,14 +489,13 @@ def point_in_cone(p, gens):
     An invertible square set is solved by its adjugate.  Otherwise, by
     Farkas, p is in the cone iff no form u that is >= 0 on every generator
     is negative on p: the LP minimizes u.p over u = u+ - u- with u+, u- in
-    [0, 1]^n, and every right-hand side is 0 or 1, so the origin is a
-    feasible start."""
+    [0, 1]^n, the unit caps as bounds, and every right-hand side is 0, so
+    the origin is a feasible start."""
     n = len(p)
     if len(gens) == n:
         adj, d = adjugate(tuple(tuple(g) for g in gens))
         if d:
             return all(x * d >= 0 for x in vec_mat(p, adj))
     A = [tuple(-x for x in g) + tuple(g) for g in gens]
-    A += [tuple(int(i == k) for i in range(2 * n)) for k in range(2 * n)]
-    opt, _ = lp_maximize([-x for x in p] + list(p), A, [0] * len(gens) + [1] * (2 * n))
+    opt, _ = lp_maximize([-x for x in p] + list(p), A, [0] * len(gens), [1] * (2 * n))
     return opt == 0

@@ -444,10 +444,12 @@ def _span_mod(gens, m):
     return group
 
 
-# an entry keeps all m - 1 numerators: only cones up to this multiplicity
-# are cached, so the 8,192 entries hold at most 145 MB in dimension 3 and
-# 16 MB more per dimension (tracemalloc, every entry of multiplicity 256);
-# every cache hit of the benchmark's quotient workload is on such a cone
+# an entry keeps the m - 1 numerators of dim integers each: only cones up
+# to this multiplicity with no more integers than a dimension-3 cone of it
+# are cached, so 8,192 entries hold at most about 152 MB in any dimension
+# (tracemalloc, full caches: 136, 152, 127 and 89 MB in dimensions 2, 3, 4
+# and 8); every cache hit of the benchmark's quotient workload is on such
+# a cone
 MAX_CACHED_MULTIPLICITY = 2 ** 8
 
 
@@ -459,8 +461,10 @@ def _box_numerators(C):
     span of the adjugate rows mod m (a subgroup, so the sign of d does not
     matter), of order [Z^n : Z^n.C] = m.  A multiplicity above
     MAX_MULTIPLICITY raises InvalidInputError before any enumeration; one
-    above MAX_CACHED_MULTIPLICITY is enumerated again on every call."""
-    if abs(adjugate(C)[1]) <= MAX_CACHED_MULTIPLICITY:
+    above MAX_CACHED_MULTIPLICITY, or with (m - 1) dim above
+    3 (MAX_CACHED_MULTIPLICITY - 1), is enumerated again on every call."""
+    m = abs(adjugate(C)[1])
+    if m <= MAX_CACHED_MULTIPLICITY and (m - 1) * len(C) <= 3 * (MAX_CACHED_MULTIPLICITY - 1):
         return _cached_box_numerators(C)
     return _enumerate_box_numerators(C)
 

@@ -1,5 +1,6 @@
-"""Exact LP in standard form: maximize c.y subject to A y <= b and y >= 0,
-with b >= 0, for ample heights and cone membership; Fractions out.
+"""Exact LP in standard form: maximize c.y subject to A y <= b, y >= 0 and
+integer caps y_j <= u_j, with b >= 0, for ample heights and cone
+membership; Fractions out.
 
 Every LP starts feasible at the origin, so one phase suffices: Bland's rule
 from the slack basis, which cannot cycle (Bland 1977).  Columns enter by
@@ -14,6 +15,22 @@ entry in its column; the others stand unchanged over their older D.  Signs
 and ratios within a row do not depend on its denominator, so a stale row is
 brought up to the current D (x * D // D_i, exact since Bareiss entries are
 minors) only when it becomes the pivot row.
+
+Caps are bounds, not rows (Dantzig 1955), yet each step is the one the LP
+with a row y_j + s_j = u_j per cap would take: labels run x, then wall
+slacks, then cap slacks s_j in column order.  Of x_j and s_j, one is a
+column or the basic of a wall row; the other stays implicit, its row u_j
+minus the first's.  The ratio test adds each implicit row with a positive
+entry in the entering column k, under the implicit variable's label: ratio
+u_j for k's own cap, and (u_j D_r - b_r) / -T_rk when the basic of row r,
+right-hand side b_r over denominator D_r, is capped and T_rk < 0.  An
+entering column that reaches its cap is complemented in place (negated, the
+right-hand side less u_j times it), with no pivot.  A capped basic that
+reaches its cap has its row complemented (negated, right-hand side u_j D_r
+minus its own, the label swapped), then the row is pivoted as usual.  Both
+are integer column operations on the scaled system (u_j is an int) that
+leave each D the determinant of its basis up to sign, so every entry stays
+a signed minor and every // stays exact.
 """
 
 from fractions import Fraction
@@ -34,18 +51,6 @@ def _scaled(row):
         return row, 1
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row], den
-
-
-def _leaving(T, rows, k, Y):
-    """The row of least ratio T[i][-1] / T[i][k], each T[i][k] > 0, ties to
-    the least label.  A row's entries share one positive denominator, so its
-    ratio is exact."""
-    best = None
-    for i in rows:
-        num, den = T[i][-1], T[i][k]
-        if best is None or (a := num * bden) < (z := bnum * den) or a == z and Y[i] < Y[best]:
-            best, bnum, bden = i, num, den
-    return best
 
 
 def _pivot(T, dens, r, k, D, X, Y):
@@ -70,24 +75,56 @@ def _pivot(T, dens, r, k, D, X, Y):
     return p
 
 
-def lp_maximize(c, A, b):
-    """Maximize c.y subject to A y <= b and y >= 0; returns (optimum, y).
-    Raises ValueError when some b_i < 0, LpUnbounded when c.y has no
-    maximum."""
+def lp_maximize(c, A, b, upper=None):
+    """Maximize c.y subject to A y <= b, y >= 0 and y_j <= upper[j] for each
+    upper[j] not None; returns (optimum, y).  Raises ValueError when some b_i
+    < 0 or upper is not one None or int >= 0 per column, LpUnbounded when c.y
+    has no maximum."""
     if any(bi < 0 for bi in b):
         raise ValueError("lp_maximize needs b >= 0, so that the origin is feasible")
     m, n = len(A), len(c)
+    if upper is not None and (len(upper) != n or any(
+            u is not None and (type(u) is not int or u < 0) for u in upper)):
+        raise ValueError("lp_maximize needs one cap per column, each None or an int >= 0")
     obj, scale = _scaled([-x for x in c] + [0])
     T = [_scaled(list(row) + [bi])[0] for row, bi in zip(A, b)] + [obj]
     X, Y = list(range(n)), list(range(n, n + m))  # x_j is j, slack i is n + i
+    caps = {}  # label: (cap, label of its complement); cap slacks from n + m
+    for s, j in enumerate((j for j in range(n) if upper and upper[j] is not None), n + m):
+        caps[j], caps[s] = (upper[j], s), (upper[j], j)
     dens, D = [1] * (m + 1), 1
     while cols := [j for j in range(n) if T[m][j] < 0]:
-        j = min(cols, key=X.__getitem__)
-        rows = [i for i in range(m) if T[i][j] > 0]
-        if not rows:
+        k = min(cols, key=X.__getitem__)
+        best = (caps[X[k]][0], 1, caps[X[k]][1], None) if X[k] in caps else None
+        for i in range(m):
+            if (f := T[i][k]) > 0:
+                cand = (T[i][-1], f, Y[i], i)
+            elif f < 0 and Y[i] in caps:
+                u, label = caps[Y[i]]
+                cand = (u * dens[i] - T[i][-1], -f, label, i)
+            else:
+                continue
+            if best is None or (a := cand[0] * best[1]) < (z := best[0] * cand[1]) \
+                    or a == z and cand[2] < best[2]:
+                best = cand
+        if best is None:
             raise LpUnbounded("LP unbounded")
-        D = _pivot(T, dens, _leaving(T, rows, j, Y), j, D, X, Y)
-    basic = {label: i for i, label in enumerate(Y)}
-    y = tuple(Fraction(T[i][-1], dens[i]) if (i := basic.get(j)) is not None else Fraction(0)
-              for j in range(n))
-    return Fraction(T[m][-1], dens[m] * scale), y
+        _, _, label, r = best
+        if r is None:  # x_k reaches its cap: complement column k in place
+            u = caps[X[k]][0]
+            for Ti in T:
+                if f := Ti[k]:
+                    Ti[-1] -= f * u
+                    Ti[k] = -f
+            X[k] = label
+            continue
+        if label != Y[r]:  # row r's basic reaches its cap: complement the row
+            T[r] = [-x for x in T[r]]
+            T[r][-1] += caps[label][0] * dens[r]
+            Y[r] = label
+        D = _pivot(T, dens, r, k, D, X, Y)
+    value = {label: Fraction(T[i][-1], dens[i]) for i, label in enumerate(Y)}
+    for j in range(n):
+        if j in caps and j not in value and j not in X:  # x_j is u_j minus its cap slack
+            value[j] = Fraction(caps[j][0]) - value.get(caps[j][1], 0)
+    return Fraction(T[m][-1], dens[m] * scale), tuple(value.get(j, Fraction(0)) for j in range(n))

@@ -81,8 +81,9 @@ def ample_heights(fan):
 
     In standard form over y = (h + w, t, w) >= 0, with a homogenizing w in
     [0, 1] of objective weight 1: one row t - d(y) + d(1) w <= 0 per wall,
-    d its defect, in walls() order, then the caps y_i <= 2, t <= 1 and w <=
-    1.  Every right-hand side is 0 or positive, so the origin is feasible.
+    d its defect, in walls() order, and the caps y_i <= 2, t <= 1 and w <=
+    1 as the LP's bounds, not rows.  Every right-hand side is 0, so the
+    origin is feasible.
     A box optimum t* > 0 over h in [-1, 1] makes (h + 1, t*, 1) feasible,
     and then t + w >= t* + 1 at the optimum forces t > 0."""
     rels = ((rel.ray_indices, rel.coeffs) for _, rel in _Subdivision(fan).relations())
@@ -104,9 +105,7 @@ def _ample_heights(n_rays, rels):
             row[i] = -a
         row[n_rays], row[-1] = 1, sum(coeffs)
         A.append(row)
-    A += [[0] * k + [1] + [0] * (n_rays + 1 - k) for k in range(n_rays + 2)]
-    b = [0] * len(rels) + [2] * n_rays + [1, 1]
-    _, y = lp_maximize([0] * n_rays + [1, 1], A, b)
+    _, y = lp_maximize([0] * n_rays + [1, 1], A, [0] * len(A), [2] * n_rays + [1, 1])
     if y[n_rays] <= 0:
         raise NonProjectiveError("no strictly convex height function exists")
     D = lcm(y[-1].denominator, *(v.denominator for v in y[:n_rays]))

@@ -265,8 +265,8 @@ def lp_face_check(rays, cone_a, cone_b, shared):
     shared ray indices?  Searches for a separating form u with u = 0 on
     shared rays, u <= -s on cone_a's others, u >= s on cone_b's others;
     they do iff max s > 0.  In standard form u = u+ - u- with u+, u- in
-    [0, 1]^n and s >= 0: every right-hand side is 0 or 1, so the origin is
-    a feasible start."""
+    [0, 1]^n (bounds of the LP) and s >= 0: every right-hand side is 0, so
+    the origin is a feasible start."""
     n = len(rays[0])
 
     def row(j, sign, t):  # sign * u.ray_j + t * s <= 0 over (u+, u-, s)
@@ -276,9 +276,7 @@ def lp_face_check(rays, cone_a, cone_b, shared):
     rows = [row(j, 1, 1) for j in cone_a if j not in shared]
     rows += [row(j, -1, 1) for j in cone_b if j not in shared]
     rows += [row(j, sign, 0) for j in shared for sign in (1, -1)]
-    b = [0] * len(rows) + [1] * (2 * n)
-    rows += [tuple(int(i == k) for i in range(2 * n + 1)) for k in range(2 * n)]
-    opt, _ = lp_maximize([0] * (2 * n) + [1], rows, b)
+    opt, _ = lp_maximize([0] * (2 * n) + [1], rows, [0] * len(rows), [1] * (2 * n) + [None])
     return opt > 0
 
 

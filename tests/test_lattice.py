@@ -595,22 +595,30 @@ def test_box_numerators_are_the_box():
 
 
 def test_box_numerators_cache_holds_small_cones_only():
-    # rows e1, e2, (a, b, m): the box point with last barycentric k / m has
-    # numerators (-k a mod m, -k b mod m, k)
-    def rows(a, b, m):
-        return ((1, 0, 0), (0, 1, 0), (a, b, m))
+    # rows e_1, ..., e_{d-1}, (a, m): the box point with last barycentric
+    # k / m has numerators (-k a mod m, k)
+    def rows(a, m):
+        d = len(a) + 1
+        return tuple(tuple(int(i == j) for j in range(d)) for i in range(d - 1)) + (a + (m,),)
 
-    def expected(a, b, m):
-        return sorted(((-k * a) % m, (-k * b) % m, k) for k in range(1, m))
+    def expected(a, m):
+        return sorted(tuple((-k * x) % m for x in a) + (k,) for k in range(1, m))
 
     def lookups():  # (hits, misses): they count every cache access
         return _cached_box_numerators.cache_info()[:2]
 
     before = lookups()
-    for a, b in ((1, 2), (3, 7), (11, 13)):
-        m, nums = _box_numerators(rows(a, b, 10 ** 5))
-        assert m == 10 ** 5 and sorted(nums) == expected(a, b, m)
+    for a in ((1, 2), (3, 7), (11, 13)):
+        m, nums = _box_numerators(rows(a, 10 ** 5))
+        assert m == 10 ** 5 and sorted(nums) == expected(a, m)
+    # a dimension-8 cone of multiplicity 256 keeps 255 numerators of 8
+    # integers each, more than a dimension-3 cone at the cap: not cached
+    a8 = (1, 2, 3, 5, 7, 11, 13)
+    for m in (2 ** 8, 97):
+        assert sorted(_box_numerators(rows(a8, m))[1]) == expected(a8, m)
     assert lookups() == before
     m = MAX_CACHED_MULTIPLICITY
-    assert sorted(_box_numerators(rows(5, 7, m))[1]) == expected(5, 7, m)
-    assert sum(lookups()) == sum(before) + 1
+    assert sorted(_box_numerators(rows((5, 7), m))[1]) == expected((5, 7), m)
+    # 95 * 8 <= 255 * 3 < 96 * 8: dimension 8 caches up to multiplicity 96
+    assert sorted(_box_numerators(rows(a8, 96))[1]) == expected(a8, 96)
+    assert sum(lookups()) == sum(before) + 2

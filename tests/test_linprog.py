@@ -22,11 +22,13 @@ def test_free_variables_chebyshev():
 
 
 def test_box_bounds():
-    # x in [-1, 1] as y0 = x + 1 <= 2, and y1 <= 2: caps are plain rows
-    opt, y = lp_maximize([1, 1], [[1, 0], [0, 1]], [2, 2])
-    assert opt == 4
-    assert y == (2, 2)
-    assert all(isinstance(v, Fraction) for v in (opt,) + y)
+    # x in [-1, 1] as y0 = x + 1 <= 2, and y1 <= 2: caps as plain rows, or
+    # as bounds on an LP with no rows at all
+    for lp in (([1, 1], [[1, 0], [0, 1]], [2, 2]), ([1, 1], [], [], [2, 2])):
+        opt, y = lp_maximize(*lp)
+        assert opt == 4
+        assert y == (2, 2)
+        assert all(isinstance(v, Fraction) for v in (opt,) + y)
 
 
 def test_negative_right_hand_side_raises():
@@ -90,6 +92,96 @@ def test_mixed_rows_and_rescaled_zero_column(monkeypatch):
     assert lp_maximize(c, A, b) == _sympy_maximize(c, A, b)
 
 
+def _with_cap_rows(c, A, b, upper):
+    """The LP with each cap y_j <= upper[j] posed as a row e_j.y <= upper[j]."""
+    caps = [j for j, u in enumerate(upper) if u is not None]
+    return (c, list(A) + [[int(i == j) for i in range(len(c))] for j in caps],
+            list(b) + [upper[j] for j in caps])
+
+
+def _exact_tableau(c, A, b, upper, X, Y):
+    """From scratch: the tableau of the LP with cap rows (lp_maximize's row
+    scaling, cap slacks labelled after the wall slacks) at the basis that
+    leaves the labels X nonbasic.  The rows of Y's basics, then the
+    objective, each over the columns X and the right-hand side."""
+    n, (c, A, b) = len(c), _with_cap_rows(c, A, b, upper)
+    size = n + len(A)
+    eqs = [linprog_module._scaled(list(row) + [bi])[0] for row, bi in zip(A, b)]
+    eqs = [row[:-1] + [int(i == l) for l in range(len(A))] + row[-1:] for i, row in enumerate(eqs)]
+    basic = list(Y) + [l for l in range(size) if l not in X and l not in Y]
+    M = [[Fraction(e[l]) for l in basic + list(X)] + [Fraction(e[-1])] for e in eqs]
+    for j in range(len(basic)):  # Gauss-Jordan on the basic columns
+        r = next(i for i in range(j, len(M)) if M[i][j])
+        top = [x / M[r][j] for x in M[r]]
+        M[r], M[j] = M[j], top
+        M = [row if i == j else [x - row[j] * y for x, y in zip(row, M[j])]
+             for i, row in enumerate(M)]
+    obj, _ = linprog_module._scaled([-x for x in c] + [0])
+    cost = dict(enumerate(obj[:-1]))
+    objrow = [Fraction(cost.get(l, 0)) for l in X] + [Fraction(0)]
+    for l, row in zip(basic, M):
+        objrow = [o - cost.get(l, 0) * x for o, x in zip(objrow, row[len(basic):])]
+    return [row[len(basic):] for row in M[:len(Y)]] + [objrow]
+
+
+def test_capped_steps_keep_the_exact_tableau(monkeypatch):
+    # caps kept as bounds: an entering column that reaches its cap is
+    # complemented in place and a basic that reaches its cap has its row
+    # complemented before the pivot; every tableau, before and after each
+    # pivot, is the exact one of the LP with cap rows at the same basis
+    c, A, b, upper = [1, 1, 1], [[-2, -2, -1], [Fraction(1, 3), Fraction(-3, 2), Fraction(2, 3)],
+                                [3, -2, -2]], [0, 1, 3], [2, 1, None]
+    labels, steps, real_pivot = [], Counter(), linprog_module._pivot
+
+    def check(T, dens, X, Y):
+        exact = [[Fraction(x, d) for x in row] for row, d in zip(T, dens)]
+        assert exact == _exact_tableau(c, A, b, upper, X, Y)
+
+    def spy(T, dens, r, k, D, X, Y):
+        if labels:  # what changed since the last pivot is a complement
+            steps["column"] += labels[-1][0] != X
+            steps["row"] += labels[-1][1] != Y
+        check(T, dens, X, Y)
+        p = real_pivot(T, dens, r, k, D, X, Y)
+        check(T, dens, X, Y)
+        labels.append((list(X), list(Y)))
+        return p
+
+    monkeypatch.setattr(linprog_module, "_pivot", spy)
+    want = (Fraction(23, 4), (Fraction(2), Fraction(1), Fraction(11, 4)))
+    assert lp_maximize(c, A, b, upper) == want
+    assert steps == {"column": 1, "row": 1} and len(labels) == 3
+    monkeypatch.undo()
+    assert lp_maximize(*_with_cap_rows(c, A, b, upper)) == want
+
+
+def test_caps_as_bounds_match_caps_as_rows():
+    # the same (optimum, vertex) or LpUnbounded as the LP with one row per
+    # cap, over integer and Fraction rows and mostly-zero b
+    rng = random.Random(26)
+    counts = Counter()
+    for _ in range(1500):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+        entry = (lambda: rng.randint(-3, 3)) if rng.random() < 0.5 else \
+            (lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+        A = [[entry() for _ in range(n)] for _ in range(m)]
+        b = [0 if rng.random() < 0.75 else abs(entry()) for _ in range(m)]
+        c = [entry() for _ in range(n)]
+        upper = [rng.choice([None, 0, 1, 2, 3, 5]) for _ in range(n)]
+        kind, got = _outcome(lambda *lp: lp_maximize(*lp, upper=upper), c, A, b)
+        assert (kind, got) == _outcome(lp_maximize, *_with_cap_rows(c, A, b, upper)), (c, A, b, upper)
+        if kind == "optimal":
+            assert all(type(v) is Fraction for v in (got[0], *got[1]))
+        counts[kind] += 1
+    assert counts["optimal"] >= 1200 and counts["LpUnbounded"] >= 50, counts
+
+
+@pytest.mark.parametrize("upper", [[1], [1, 2, 3], [-1, 1], [1, Fraction(1, 2)], [1.0, 1], [True, 1]])
+def test_caps_must_be_one_nonnegative_int_or_none_per_column(upper):
+    with pytest.raises(ValueError, match="one cap per column"):
+        lp_maximize([1, 1], [[1, 1]], [1], upper)
+
+
 # ------------------------------------------------- differential against sympy
 
 
@@ -144,9 +236,9 @@ def test_matches_sympy_on_ample_heights_corpus(monkeypatch):
     pytest.importorskip("sympy")
     lps = []
 
-    def recording(c, A, b):
-        lps.append((c, A, b))
-        return lp_maximize(c, A, b)
+    def recording(c, A, b, upper):
+        lps.append((c, A, b, upper))
+        return lp_maximize(c, A, b, upper)
 
     cases = [flop_case(seed)[:2] for seed in range(100)]
     monkeypatch.setattr(mmp, "lp_maximize", recording)
@@ -154,7 +246,13 @@ def test_matches_sympy_on_ample_heights_corpus(monkeypatch):
         mmp.ample_heights(px.fan)
         mmp.ample_heights(py.fan)
     assert len(lps) == 200
-    assert _agree(lps) == {"optimal": 200}
+    # sympy has no bounds: it gets the caps as rows
+    counts = Counter()
+    for c, A, b, upper in lps:
+        kind, mine = _outcome(lambda *lp: lp_maximize(*lp, upper), c, A, b)
+        assert _outcome(_sympy_maximize, *_with_cap_rows(c, A, b, upper)) == (kind, mine)
+        counts[kind] += 1
+    assert counts == {"optimal": 200}
 
 
 def test_matches_sympy_on_random_integer_lps():

@@ -3,9 +3,10 @@ by (module, function), and every name must still exist and the flop sweep
 must still call the LP by its name, or tracing, its metrics and the smoke
 run break; every cache has a bound; the engine still generates the
 benchmark's flop inputs, whose digest the golden file records; small cones
-still take the closed-form kernels; the McKay pipeline carries one fan state
-and counts the stack rank only at its two ends; a fan state computes each
-cone pair's wall relation once."""
+still take the closed-form kernels; ample_heights poses its caps as LP
+bounds; the McKay pipeline carries one fan state and counts the stack rank
+only at its two ends; a fan state computes each cone pair's wall relation
+once."""
 
 import importlib
 import importlib.util
@@ -72,6 +73,19 @@ def test_flop_decompose_calls_the_traced_lp_name(monkeypatch):
     monkeypatch.setattr(mmp, "lp_maximize", lambda *a: calls.append(a) or real(*a))
     assert toricmmp.flop_decompose(px, py)
     assert len(calls) == 2
+
+
+def test_ample_heights_poses_its_caps_as_bounds(monkeypatch):
+    # one LP row per wall, and the caps y_i <= 2, t <= 1, w <= 1 as bounds;
+    # a refactor back to cap rows would cost the flop workload about 20%
+    # without failing any output check
+    px, _, _ = flop_case(0)
+    calls, real = [], mmp.lp_maximize
+    monkeypatch.setattr(mmp, "lp_maximize", lambda *a: calls.append(a) or real(*a))
+    mmp.ample_heights(px.fan)
+    n, [(c, A, b, upper)] = len(px.fan.rays), calls
+    assert len(A) == len(b) == len(fan.walls(px.fan)) > 0
+    assert upper == [2] * n + [1, 1]
 
 
 def test_small_cones_take_the_closed_form_kernels(monkeypatch):
