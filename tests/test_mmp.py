@@ -933,6 +933,23 @@ def test_mmp_state_matches_validated_fans(monkeypatch):
     assert kinds["divisorial"] > 100 and kinds["flip"] > 100, kinds
 
 
+# sha256 over dumps((pair, steps)) of relative_mmp on _cyclic_mmp_inputs()
+# + _square_mmp_inputs(7, 150), one line per input (1,321 inputs, 374
+# contractions, 322 flips); recorded while a contraction re-indexed the
+# rays after it and every round rescanned every wall
+RELATIVE_MMP_SHA256 = "0a9f5c81dbad8dea430cc67314d9272e052fa1df3887c395a6f12f84524dbfb5"
+
+
+def test_relative_mmp_outputs_pinned():
+    h, kinds = hashlib.sha256(), Counter()
+    for pair in _cyclic_mmp_inputs() + _square_mmp_inputs(7, 150):
+        out, steps = relative_mmp(pair)
+        kinds.update(s.kind for s in steps)
+        h.update((dumps((out, steps)) + "\n").encode())
+    assert kinds["divisorial"] >= 100 and kinds["flip"] >= 100, kinds
+    assert h.hexdigest() == RELATIVE_MMP_SHA256
+
+
 def test_mmp_and_flip_limits_name_their_value(monkeypatch):
     # a flip that changes nothing leaves the same wall negative, so each
     # loop runs to its stated 10*n^2 limit
