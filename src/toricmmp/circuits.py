@@ -8,9 +8,10 @@ intersection number of the corresponding divisor with the wall curve,
 which is all the MMP ever consumes.
 
 This module is the relation algebra only.  Which walls a fan has, and the
-relation across each, computed once per pair of cones, are answered by its
-local state (fan._Subdivision.relation and .relations), where every
-surgery happens.
+relation across each, computed once per pair of cones and kept while both
+live, are answered by its local state (fan._Subdivision.relation,
+.relations and the scored table of .score_walls), where every surgery
+happens.
 """
 
 from math import gcd

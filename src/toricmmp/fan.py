@@ -5,11 +5,14 @@ caller fixed) and its maximal cones as sorted ray-index tuples.  Everything
 downstream assumes validity, so construction checks eagerly.  Every change
 to a fan is a step of one local state, _Subdivision: star subdivision or a
 circuit step (flip or divisorial contraction), each checking only the
-facets it touched.  The state also answers the wall and star questions:
-each wall's relation, computed once per pair of cones, and the star of a
-point, walked from the first cone that holds it.  make_fan's `fast` level
-is those checks applied once to all cones; `full` adds the test that any
-two cones meet in a common face, one degree-one point check.  A fan's
+facets it touched.  Its ray ids are stable: a contraction leaves a
+tombstone.  The state also answers the wall and star questions: each
+wall's relation, kept while its two cones live, each wall's score for the
+engine loop that turned scoring on, rescored on the facets a step
+touched, and the star of a point, walked from the first cone that holds
+it.  make_fan's `fast` level is those checks applied once to all cones;
+`full` adds the test that any two cones meet in a common face, one
+degree-one point check.  A fan's
 support is all of N_R (kind "complete") or a convex cone (kind
 "cone-supported"); make_fan rejects any other support.  Exact LP decides
 membership in a cone over non-simplicial generators (point_in_cone, which
@@ -29,7 +32,7 @@ from typing import NamedTuple
 
 from .circuits import _relation
 from .errors import EngineInvariantError, InvalidInputError
-from .lattice import adjugate, dot, mat_rank, primitive, vec_mat
+from .lattice import adjugate, dot, primitive, vec_mat
 from .linprog import lp_maximize
 
 
@@ -236,13 +239,15 @@ def star_subdivision(fan, w):
 
 class _Subdivision:
     """A fan as local state under its surgeries: star subdivision and the
-    circuit step (flip or contraction).  The state is the rays, the facet
-    map, and the maximal cones with their insertion numbers, whose order is
-    the cone order (kept cones stay in place, new ones are appended).  Its
-    interior facets are the walls; relation computes each wall's relation
-    once per pair of cones, kept while the ray indices hold.  touched holds
-    the facets of the cones the last step removed or created, the only
-    facets whose walls it changed.
+    circuit step (flip or contraction).  The state is the rays, by stable
+    id (a contracted ray leaves None), the facet map, and the maximal cones
+    with their insertion numbers, whose order is the cone order (kept cones
+    stay in place, new ones are appended).  Its interior facets are the
+    walls; relation computes each wall's relation once per pair of cones,
+    kept until a step removes one of them (so rels holds one per wall, but
+    for another fan's pairs).  score_walls keeps walls, each wall with its
+    relation and a score, which each step renews on the facets of the
+    cones it removed or created, the only facets whose walls it changed.
 
     A step replaces some cones by others and applies the fast checks to
     exactly the facets it touched: new cones are simplicial and new, a
@@ -272,10 +277,10 @@ class _Subdivision:
     flip and contract are one step, Reid's circuit modification of a wall
     relation (M. Reid, "Decomposition of toric morphisms", 1983): T+ * L is
     replaced by T- * L (_circuit), at the cost of the cones around the
-    circuit.  contract first checks, by the same walk, that the star of the
-    ray is T+ * L, then removes the ray, re-indexing the rays after it.
+    circuit; contract also retires the removed ray's id.
 
-    fan() copies the cone tuple.
+    fan() compacts the ray ids past the tombstones, a map that keeps their
+    order, so every sorted cone, cone order and tie rule reads the same.
     """
 
     def __init__(self, fan):
@@ -284,13 +289,18 @@ class _Subdivision:
         self.order = count()
         self.max_cones = dict(zip(fan.max_cones, self.order))
         self.facets = _facet_map(fan)
-        self.rels, self.touched = {}, ()
+        self.rels, self.score, self.walls = {}, None, {}
 
     def ray_matrix(self, cone):
         return tuple(map(self.rays.__getitem__, cone))
 
     def fan(self):
-        return Fan(self.dim, tuple(self.rays), tuple(self.max_cones), self.kind)
+        rays, cones = tuple(self.rays), tuple(self.max_cones)
+        if None in rays:  # compact the ids past the tombstones
+            ids = {i: k for k, i in enumerate(i for i, r in enumerate(rays) if r is not None)}
+            rays = tuple(r for r in rays if r is not None)
+            cones = tuple(tuple(ids[i] for i in c) for c in cones)
+        return Fan(self.dim, rays, cones, self.kind)
 
     def relation(self, facet, cones=None):
         """The relation across facet between its two cones, or between the
@@ -305,6 +315,14 @@ class _Subdivision:
     def relations(self):
         """(facet, its relation) for every wall, lazily, in walls() order."""
         return ((f, self.relation(f)) for f in sorted(self.facets) if len(self.facets[f]) == 2)
+
+    def score_walls(self, score, relations=None):
+        """Keep walls, each wall's facet mapped to (relation, score(facet,
+        relation)): every wall now, in walls() order (relations, when the
+        caller already holds the list of relations()), and from then on the
+        facets each step touches, in facet order."""
+        self.score = score
+        self.walls = {f: (rel, score(f, rel)) for f, rel in relations or self.relations()}
 
     def subdivide(self, w, cone=None):
         """Insert the primitive vector w as a new ray, as star_subdivision
@@ -381,36 +399,32 @@ class _Subdivision:
 
     def contract(self, rel, j):
         """Remove ray j, the one negative ray of the divisorial relation rel,
-        by the same step when the star of j, walked from a cone of T+ * L,
-        is exactly T+ * L; returns the step as flip does, in the ray indices
-        before it, or None.  Later rays shift down one index, so the step
-        costs the fan, and the relations are cleared."""
+        by the same step; returns it as flip does, or None.  Every cone of
+        T+ * L holds j, and their union is a neighbourhood of j in the
+        support (j lies inside the cone of the plus rays, which T+ * L
+        covers with its link), so no other cone holds j: the step removes
+        the whole star of j.  Ray j's id becomes a tombstone, None in rays,
+        and no other id moves."""
         step = self._circuit(rel)
-        if step is None:
-            return None
-        if _walk_star(self.facets, step[0][0], {j}) != set(step[0]):
-            return None
-        self._replace(*step, "contraction")
-
-        def shift(c):
-            return tuple(i - (i > j) for i in c)
-
-        self.max_cones = {shift(c): o for c, o in self.max_cones.items()}
-        self.facets = {shift(f): [shift(c) for c in cs] for f, cs in self.facets.items()}
-        self.touched, self.rels = [shift(f) for f in self.touched if j not in f], {}
-        del self.rays[j]
+        if step is not None:
+            self._replace(*step, "contraction")
+            self.rays[j] = None
         return step
 
     def _replace(self, gone, new, what):
-        """Remove the cones gone, append the cones new, and apply the fast
-        checks to the facets that changed (touched); a new boundary facet
-        that the support kind forbids raises EngineInvariantError."""
+        """Remove the cones gone, append the cones new, apply the fast
+        checks to the facets that changed and, when walls are scored,
+        rescore them; a new boundary facet that the support kind forbids
+        raises EngineInvariantError.  A removed cone takes the relations of
+        its walls with it."""
         change = {}
         for c in gone:
             del self.max_cones[c]
             for k in range(self.dim):
                 f = c[:k] + c[k + 1:]
-                self.facets[f].remove(c)
+                if len(cs := self.facets[f]) == 2 and self.rels:
+                    self.rels.pop(tuple(sorted(cs)), None)
+                cs.remove(c)
                 change[f] = change.get(f, 0) - 1
         for c in new:
             if c in self.max_cones:
@@ -422,7 +436,6 @@ class _Subdivision:
                 f = c[:k] + c[k + 1:]
                 self.facets.setdefault(f, []).append(c)
                 change[f] = change.get(f, 0) + 1
-        self.touched = change
         for f, delta in change.items():
             cs = self.facets[f]
             if len(cs) > 2:
@@ -442,6 +455,14 @@ class _Subdivision:
                 del self.facets[f]
             elif delta and not self._keeps_kind(f, cs[0]):
                 raise EngineInvariantError(f"{what} changed the support kind")
+        if self.score is None:
+            return
+        for f in sorted(change):
+            if len(self.facets.get(f, ())) == 2:
+                rel = self.relation(f)
+                self.walls[f] = rel, self.score(f, rel)
+            else:
+                self.walls.pop(f, None)
 
     def _keeps_kind(self, facet, cone):
         """May facet, newly on the boundary in cone, lie on the boundary?"""
@@ -449,7 +470,7 @@ class _Subdivision:
             return self.kind is None
         k = next(k for k in range(self.dim) if cone[k] not in facet)
         u = _facet_functional(self, cone, k)
-        return all(dot(u, r) >= 0 for r in self.rays)
+        return all(dot(u, r) >= 0 for r in self.rays if r is not None)
 
 
 def fans_equal(f1, f2):
@@ -462,25 +483,6 @@ def fans_equal(f1, f2):
     to2 = {i: f2.rays.index(r) for i, r in enumerate(f1.rays)}
     cones1 = {tuple(sorted(to2[i] for i in c)) for c in f1.max_cones}
     return cones1 == set(f2.max_cones)
-
-
-def boundary_functionals(fan):
-    """Inward functionals of the boundary facets (deduplicated)."""
-    fns = (primitive(u) for _, u in _boundary_facets(_Subdivision(fan)))
-    return tuple(dict.fromkeys(fns))
-
-
-def support_cone_rays(fan):
-    """Extreme rays of the support cone of a cone-supported fan."""
-    if fan.support_kind != "cone-supported":
-        raise InvalidInputError("fan support is not a strictly convex cone")
-    fns = boundary_functionals(fan)
-    out = []
-    for ray in fan.rays:
-        vanishing = [u for u in fns if dot(u, ray) == 0]
-        if mat_rank(vanishing) == fan.dim - 1:
-            out.append(ray)
-    return tuple(out)
 
 
 def point_in_cone(p, gens):

@@ -272,8 +272,7 @@ def mckay_pipeline(G):
             after = rank - before + _star_rank(sub, i, ms)
             record("coefficient_drop", sub.rays[i], after, components=case_a_components(m, 1))
     # every m is 1 from here on, so psi is 1 on every ray and a rank is |det|
-    coeffs, scaled = [Fraction(0)] * len(ms), [1] * len(ms)
-    for st, gone, new in _mmp_steps(sub, coeffs, scaled, 1):
+    for st, gone, new in _mmp_steps(sub, [1] * len(ms), 1):
         if st.kind == "flip":
             # the flip locus: primitive sum of the circuit's negative rays
             neg = [v for v, a in zip(st.circuit, st.coeffs) if a < 0]
@@ -283,7 +282,7 @@ def mckay_pipeline(G):
         after = rank + sum(abs(adjugate(C)[1]) for C in new)
         record(st.kind, ray, after - sum(abs(adjugate(C)[1]) for C in gone))
 
-    resolution = ToricPair(sub.fan(), tuple(coeffs), X.lattice)
+    resolution = ToricPair(fan := sub.fan(), (Fraction(0),) * len(fan.rays), X.lattice)
     if stack_rank(resolution) != rank:
         raise EngineInvariantError("rank ledger misses the stack rank of the resolution")
     return McKayReport(

@@ -11,15 +11,15 @@ Every surgery is a step of one local fan state (fan._Subdivision): placing
 a ray (star subdivision inside the support, joins to the boundary facets
 that see it outside), or Reid's circuit step T+ * L -> T- * L, a flip or a
 divisorial contraction.  Every engine loop keeps one state across its
-steps and reads the walls off it (fan._Subdivision.relations, each wall's
-relation computed once per cone pair; regular triangulation and the flop
-sweep keep a wall table and rescore only the facets each step touched)
-instead of rebuilding the fan; the only make_fan calls build regular
-triangulation's seed cone and result.  The extraction and MMP loops step
-a state their caller owns and yield steps with the cones they removed and
-created, so the McKay pipeline carries one state through both.  The
-relative MMP runs over the support cone of its state: the only base over
-which X -> U_base is proper.
+steps instead of rebuilding the fan.  The flop sweep, regular
+triangulation and the MMP read its scored wall table (each wall's
+relation, computed once per cone pair, and score, rescored on the facets
+each step touched) with only their own selection rules; the only
+make_fan calls build regular triangulation's seed cone and result.  The
+extraction and MMP loops step a state their caller owns and yield steps
+with the cones they removed and created, so the McKay pipeline carries
+one state through both.  The relative MMP runs over the support cone of
+its state: the only base over which X -> U_base is proper.
 """
 
 from fractions import Fraction
@@ -138,15 +138,11 @@ def bistellar_flip(fan, wall):
     return sub.fan()
 
 
-def _center(fan, rel):
-    """The rays of the face a divisorial circuit's divisor maps onto: its
-    positive rays, whose cone holds the removed ray in its relative interior."""
-    return tuple(fan.rays[i] for i in rel.s_plus)
-
-
 def divisorial_contract(fan, wall):
     """Contract the unique negative ray of a divisorial wall circuit;
-    returns (fan, removed_ray, center_rays), the last from _center."""
+    returns (fan, removed_ray, center_rays), the last the circuit's
+    positive rays, which span the face the divisor maps onto, with the
+    removed ray in its relative interior."""
     rel = wall_relation(fan, wall)
     kind = classify(rel)
     if kind.kind != "divisorial":
@@ -154,20 +150,19 @@ def divisorial_contract(fan, wall):
     sub = _Subdivision(fan)
     if sub.contract(rel, kind.ray) is None:
         raise InvalidInputError("star of the contracted ray does not match the circuit")
-    return sub.fan(), fan.rays[kind.ray], _center(fan, rel)
+    return sub.fan(), fan.rays[kind.ray], tuple(fan.rays[i] for i in rel.s_plus)
 
 
 # ------------------------------------------------- regular triangulation
 
 
-def _flips_to_convexity(sub, hmap, walls, budget):
+def _flips_to_convexity(sub, budget, n):
     """Flip away the negative-defect walls of the state sub, most negative
-    first, until every wall is convex for the integer heights hmap; returns
-    the flips left of budget, regular_triangulation's limit.  A circuit's
-    walls share its defect and flip together (fan._Subdivision.flip).
-    walls maps every interior facet to (relation, defect) and lives across
-    one triangulation: only the facets the placement just made and each
-    flip touched (sub.touched) are rescored.
+    first, until every wall is convex; returns the flips left of budget,
+    regular_triangulation's limit of 10 n^2 for n rays.  The state scores
+    each wall by its defect under the heights of regular_triangulation.  A
+    circuit's walls share its defect and flip together
+    (fan._Subdivision.flip).
 
     One pass per placement suffices (Edelsbrunner and Shah, "Incremental
     topological flipping works for regular triangulations", 1996): a wall
@@ -175,17 +170,10 @@ def _flips_to_convexity(sub, hmap, walls, budget):
     triangulation before it, and flipping the walls whose circuit holds
     the ray reaches the regular triangulation with it.  So a negative wall
     that no flip executes is an invariant break."""
-    hs = tuple(hmap[v] for v in sub.rays)
     while True:
-        for f in sorted(sub.touched):
-            if len(sub.facets.get(f, ())) == 2:
-                rel = sub.relation(f)
-                walls[f] = rel, defect(rel, hs)
-            else:
-                walls.pop(f, None)
         cands = sorted(
             (d, tuple(sorted(sub.rays[i] for i in f)), rel)
-            for f, (rel, d) in walls.items() if d < 0
+            for f, (rel, d) in sub.walls.items() if d < 0
         )
         if not cands:
             return budget
@@ -202,7 +190,6 @@ def _flips_to_convexity(sub, hmap, walls, budget):
             if sub.flip(rel) is None:
                 continue
             if budget == 0:
-                n = len(hmap)
                 raise BudgetExceededError(
                     f"regular triangulation stopped at its stated limit of "
                     f"10*n^2 = {10 * n ** 2} flips for n = {n} rays"
@@ -243,19 +230,19 @@ def regular_triangulation(rays, heights):
     if len(seed) < dim:
         raise InvalidInputError("rays do not span the ambient space")
 
-    D = lcm(*(h.denominator for h in hs))
-    hmap = {r: h.numerator * (D // h.denominator) for r, h in zip(rays, hs)}
-    budget = 10 * len(rays) ** 2  # a stated limit, not a proved bound
+    D, n = lcm(*(h.denominator for h in hs)), len(rays)
+    order = seed + [k for k in range(n) if k not in seed]  # the rays by state id
+    H = [hs[k].numerator * (D // hs[k].denominator) for k in order]
+    budget = 10 * n ** 2  # a stated limit, not a proved bound
     sub = _Subdivision(make_fan([rays[i] for i in seed], [tuple(range(dim))], validate="fast"))
-    walls = {}  # the seed cone has no interior facet
-    for i in (k for k in range(len(rays)) if k not in seed):
-        sub.place(rays[i])
-        budget = _flips_to_convexity(sub, hmap, walls, budget)
+    sub.score_walls(lambda f, rel: defect(rel, H))
+    for k in order[dim:]:
+        sub.place(rays[k])
+        budget = _flips_to_convexity(sub, budget, n)
 
-    if any(d == 0 for _, d in walls.values()):
+    if any(d == 0 for _, d in sub.walls.values()):
         raise InvalidInputError("heights are not generic: flat wall at convergence")
-    pos = {v: k for k, v in enumerate(rays)}
-    cones = [tuple(sorted(pos[sub.rays[i]] for i in c)) for c in sub.max_cones]
+    cones = [tuple(sorted(order[i] for i in c)) for c in sub.max_cones]
     return make_fan(rays, cones, validate="fast")
 
 
@@ -282,7 +269,7 @@ def flop_decompose(pair_x, pair_y):
     if not _same_rays_and_coeffs(pair_x, pair_y):
         raise NotKEquivalentError("pairs are not K-equivalent")
     try:
-        return tuple(step for step, _, _ in _sweep(pair_x, pair_y))
+        return tuple(step for step, _ in _sweep(pair_x, pair_y))
     except ToricMmpError:
         if not k_equivalent(pair_x, pair_y):
             raise NotKEquivalentError("pairs are not K-equivalent") from None
@@ -308,12 +295,11 @@ def _earlier(e, f):
 
 def _sweep(pair_x, pair_y):
     """The steps of flop_decompose, with no K-equivalence check of its own,
-    each yielded as (step, sub, walls) with the local state it leaves.
+    each yielded as (step, sub) with the local state it leaves.
 
     The state lives for the whole sweep: the fan under flips (sub, a
-    fan._Subdivision) and walls, which maps every interior facet to
-    [relation, event].  A flip changes the walls around one circuit only,
-    so only the facets it touched are rescored.
+    fan._Subdivision) scores each wall by its event, and a flip rescores
+    only the facets it touched, around one circuit.
 
     The state's relations, kept per pair of cones in X's ray indices,
     serve X's walls, Y's walls and every rescored facet, so each wall's
@@ -343,8 +329,8 @@ def _sweep(pair_x, pair_y):
     fx, fy = pair_x.fan, pair_y.fan
     n_rays = len(fx.rays)
     sub = _Subdivision(fx)
-    walls = {f: [rel, None] for f, rel in sub.relations()}
-    H0, D0 = _ample_heights(n_rays, [(w[0].ray_indices, w[0].coeffs) for w in walls.values()])
+    x_rels = list(sub.relations())
+    H0, D0 = _ample_heights(n_rays, [(rel.ray_indices, rel.coeffs) for _, rel in x_rels])
     pos = {v: i for i, v in enumerate(fx.rays)}
     to_x = [pos[v] for v in fy.rays]
     to_y = sorted(range(n_rays), key=to_x.__getitem__)
@@ -362,7 +348,7 @@ def _sweep(pair_x, pair_y):
     H1 = [H1_y[j] * (D // D1) for j in to_y]
     scaled, L = _scaled_psi(pair_x)
 
-    def event(rel):
+    def event(f, rel):
         d1 = defect(rel, H1)
         if not _crosses(d1, rel.coeffs):
             return None
@@ -374,12 +360,11 @@ def _sweep(pair_x, pair_y):
             eps[i] = -a
         return d0, d0 - d1, eps
 
-    for w in walls.values():
-        w[1] = event(w[0])
+    sub.score_walls(event, x_rels)
     fired = set()
     while True:
         best, tied = None, []
-        for f, (rel, ev) in walls.items():
+        for f, (rel, ev) in sub.walls.items():
             if ev is None:
                 continue
             c = -1 if best is None else _earlier(ev, best[2])
@@ -421,20 +406,13 @@ def _sweep(pair_x, pair_y):
         event_time = Fraction(d0, q)
         if not 0 < event_time < 1:
             raise EngineInvariantError(f"event time {event_time} outside (0,1)")
-        step = FlopStep(
+        yield FlopStep(
             wall=tuple(sub.rays[i] for i in facet),
             circuit=signature[0],
             coeffs=rel.coeffs,
             event_time=event_time,
             k_defect_check=k_defect,
-        )
-        for f in sorted(sub.touched):
-            if len(sub.facets.get(f, ())) == 2:
-                r = sub.relation(f)
-                walls[f] = [r, event(r)]
-            else:
-                walls.pop(f, None)
-        yield step, sub, walls
+        ), sub
     if not fans_equal(sub.fan(), fy):
         raise EngineInvariantError("sweep exhausted before reaching the target fan")
 
@@ -448,43 +426,56 @@ def relative_mmp(pair):
     positive-discrepancy-defect wall of largest defect each round (ties by
     smallest apex ray pair, skipping non-extremal walls) until K+B is nef
     over the base.  Returns (pair, steps)."""
-    sub, coeffs = _Subdivision(pair.fan), list(pair.coeffs)
-    steps = tuple(st for st, _, _ in _mmp_steps(sub, coeffs, *_scaled_psi(pair)))
-    return (ToricPair(sub.fan(), tuple(coeffs), pair.lattice) if steps else pair), steps
+    sub, coeff = _Subdivision(pair.fan), dict(zip(pair.fan.rays, pair.coeffs))
+    steps = tuple(st for st, _, _ in _mmp_steps(sub, *_scaled_psi(pair)))
+    if not steps:
+        return pair, steps
+    fan = sub.fan()
+    return ToricPair(fan, tuple(map(coeff.get, fan.rays)), pair.lattice), steps
 
 
-def _mmp_steps(sub, coeffs, scaled, L):
+def _mmp_steps(sub, scaled, L):
     """The steps of relative_mmp, run on a state the caller owns and
     changed in place, each yielded with the cones it removed and created
-    as tuples of ray vectors, which a contraction's shift of ray indices
-    keeps.  The state is the fan under flips and contractions (sub, a
-    fan._Subdivision), the coefficient list and the integer psi heights
-    scaled over one scale L, which a contraction keeps, since d / L
-    reduces.  A contraction deletes its ray's entries from coeffs and
-    scaled.  Each step reads every wall's relation off the state, which
-    recomputes only those the last step changed."""
+    as tuples of ray vectors.  The state is the fan under flips and
+    contractions (sub, a fan._Subdivision) and the integer psi heights
+    scaled over one scale L, in the state's ray ids, which no contraction
+    moves.  Each scoring of a wall of positive defect d pushes its
+    candidate key (-d, apex vectors, facet) on a heap, where an entry
+    whose wall has changed since is dropped.  stuck holds the walls whose
+    circuit step the state refused: that step reads only the cones that
+    hold the circuit's negative rays, so it is not tried again until a
+    step removes or creates a cone that holds them."""
     if sub.kind != "cone-supported":
         raise InvalidInputError("relative MMP needs a fan supported on a strictly convex cone")
     n = len(sub.rays)
     budget = 10 * n ** 2  # a stated limit, not a proved bound
+    heap, stuck = [], {}
+
+    def score(f, rel):
+        if (d := defect(rel, scaled)) <= 0:
+            return None
+        apexes = tuple(sorted(sub.rays[i] for i in rel.ray_indices if i not in f))
+        heappush(heap, key := (-d, apexes, f, rel))
+        return key
+
+    sub.score_walls(score)
     while True:
-        cands = []
-        for f, rel in sub.relations():
-            d = defect(rel, scaled)
-            if d > 0:
-                apexes = tuple(sorted(sub.rays[i] for i in rel.ray_indices if i not in f))
-                cands.append((-d, apexes, f, rel))
-        if not cands:
-            return
-        cands.sort(key=lambda e: (e[0], e[1]))
-        if budget == 0:
-            raise BudgetExceededError(
-                f"relative MMP stopped at its stated limit of 10*n^2 = "
-                f"{10 * n ** 2} steps for n = {n} rays"
-            )
-        budget -= 1
-        rays = tuple(sub.rays)  # before a contraction shifts them
-        for neg_d, _, f, rel in cands:
+        tried = []
+        while heap:
+            neg_d, _, f, rel = entry = heappop(heap)
+            if sub.walls.get(f, (None,))[0] is not rel:
+                continue  # the wall changed after this scoring
+            if not tried:
+                if budget == 0:
+                    raise BudgetExceededError(
+                        f"relative MMP stopped at its stated limit of 10*n^2 = "
+                        f"{10 * n ** 2} steps for n = {n} rays"
+                    )
+                budget -= 1
+            tried.append(entry)
+            if stuck.get(f) is rel:
+                continue
             kind = classify(rel)
             if kind.kind == "fiber":
                 raise InvalidInputError(
@@ -496,17 +487,25 @@ def _mmp_steps(sub, coeffs, scaled, L):
                 if (step := sub.flip(rel)) is not None:
                     break
             else:
-                center = _center(sub, rel)
+                center, removed = tuple(sub.rays[i] for i in rel.s_plus), sub.rays[kind.ray]
                 if (step := sub.contract(rel, kind.ray)) is not None:
-                    removed = rays[kind.ray]
-                    del scaled[kind.ray], coeffs[kind.ray]
                     break
+            stuck[f] = rel
         else:
-            raise EngineInvariantError("no executable wall among positive defects")
-        wall, circuit = (tuple(map(rays.__getitem__, c)) for c in (f, rel.ray_indices))
-        gone, new = ([tuple(map(rays.__getitem__, c)) for c in cs] for cs in step)
+            if tried:
+                raise EngineInvariantError("no executable wall among positive defects")
+            return
+        for entry in tried:  # those whose wall lives are candidates again
+            heappush(heap, entry)
+        moved = set().union(*step[0], *step[1])
+        stuck = {g: r for g, r in stuck.items() if not moved.issuperset(r.s_minus)}
+
+        def vectors(c):  # the contracted ray's id now holds a tombstone
+            return tuple(sub.rays[i] or removed for i in c)
+
+        gone, new = ([vectors(c) for c in cs] for cs in step)
         yield MmpStep(
-            "flip" if removed is None else "divisorial", wall, circuit,
+            "flip" if removed is None else "divisorial", vectors(f), vectors(rel.ray_indices),
             rel.coeffs, Fraction(-neg_d, L), removed, center,
         ), gone, new
 

@@ -8,16 +8,19 @@ two pairs are K-equivalent by construction.
 
 Also holds the replay oracle: step records re-applied by public surgery;
 extraction_pairs and mmp_pairs, which read the pair off the engine's own
-state after each step of terminalize and relative_mmp; and STAR_P3, a
-fixed fan off height one.
+state after each step of terminalize and relative_mmp; the relative-MMP
+inputs (cyclic_mmp_inputs, square_mmp_inputs, and mmp_probe_pair, seeded
+inputs of a given size); and STAR_P3, a fixed fan off height one.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from toricmmp.circuits import classify, wall_relation
 from toricmmp.errors import InvalidInputError, NonProjectiveError
 from toricmmp.fan import _Subdivision, make_fan, star_subdivision, walls
+from toricmmp.mckay import group_lattice, make_group, quotient_pair
 from toricmmp.mmp import (
     ExtractionStep,
     _extraction_steps,
@@ -26,6 +29,7 @@ from toricmmp.mmp import (
     bistellar_flip,
     divisorial_contract,
     regular_triangulation,
+    terminalize,
 )
 from toricmmp.pairs import _scaled_psi, make_pair
 
@@ -142,8 +146,69 @@ def extraction_pairs(pair):
 
 
 def mmp_pairs(pair):
-    """(step, pair after it) for each step of relative_mmp, the pair read
-    off the state: its fan and its coefficient list."""
-    sub, coeffs = _Subdivision(pair.fan), list(pair.coeffs)
-    for st, _, _ in _mmp_steps(sub, coeffs, *_scaled_psi(pair)):
-        yield st, make_pair(sub.fan(), coeffs, pair.lattice)
+    """(step, pair after it, state) for each step of relative_mmp, the pair
+    read off the state: its fan, and each ray's coefficient in pair."""
+    sub, coeff = _Subdivision(pair.fan), dict(zip(pair.fan.rays, pair.coeffs))
+    for st, _, _ in _mmp_steps(sub, *_scaled_psi(pair)):
+        fan = sub.fan()
+        yield st, make_pair(fan, [coeff[v] for v in fan.rays], pair.lattice), sub
+
+
+def mmp_probe_pair(seed, n):
+    """The pair over the regular triangulation of n random height-one
+    points in dimension 3, heights near a paraboloid, with coefficients
+    drawn from {0, 1/4, 1/2, 3/4}; None when the heights leave a flat wall.
+    Deterministic in (seed, n)."""
+    rng = random.Random(1009 * seed + n)
+    side = 2 * int(n ** 0.5) + 1
+    pts = set()
+    while len(pts) < n:
+        pts.add((rng.randrange(side), rng.randrange(side), 1))
+    rays = sorted(pts)
+    heights = [x * x + y * y + Fraction(rng.randint(-20, 20), 97) for x, y, _ in rays]
+    try:
+        fan = regular_triangulation(rays, heights)
+    except InvalidInputError:
+        return None
+    return make_pair(fan, [Fraction(rng.randrange(4), 4) for _ in rays])
+
+
+def cyclic_mmp_inputs():
+    """The pairs that mckay_pipeline hands to the relative MMP for every
+    distinct cyclic 3-fold group with r <= 12: the terminalization with
+    every coefficient dropped to zero, over the quotient cone."""
+    groups = {}
+    for r in range(1, 13):
+        for ws in product(range(r), repeat=3):
+            G = make_group(3, [(r, ws)])
+            groups.setdefault(group_lattice(G).rows, G)
+    out = []
+    for G in groups.values():
+        X = quotient_pair(G)
+        Y, _ = terminalize(X)
+        out.append(make_pair(Y.fan, [0] * len(Y.fan.rays), Y.lattice))
+    return out
+
+
+def square_mmp_inputs(seed, count):
+    """Pairs over cones on lattice squares at height 1, triangulated
+    near the heights x^2 + y^2, with random coefficients; their MMPs mix
+    flips and contractions."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        side = rng.choice([2, 3, 4])
+        corners = [(0, 0, 1), (side, 0, 1), (side, side, 1), (0, side, 1)]
+        pts = set(corners)
+        target = rng.randint(5, min(12, (side + 1) ** 2))
+        while len(pts) < target:
+            pts.add((rng.randint(0, side), rng.randint(0, side), 1))
+        rays = sorted(pts)
+        heights = [x * x + y * y + Fraction(rng.randint(-20, 20), 97) for x, y, _ in rays]
+        try:
+            fan = regular_triangulation(rays, heights)
+        except InvalidInputError:
+            continue  # flat wall: the perturbed heights are not generic
+        coeffs = [rng.choice([0, 0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]) for _ in rays]
+        out.append(make_pair(fan, coeffs))
+    return out

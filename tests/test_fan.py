@@ -20,7 +20,6 @@ from toricmmp.fan import (
     make_fan,
     point_in_cone,
     star_subdivision,
-    support_cone_rays,
     walls,
 )
 from toricmmp.jsonio import pair_from_json
@@ -551,10 +550,12 @@ def test_contract_matches_the_rebuilt_fan():
             if expected is None:
                 assert step is None and sub.fan() == fan
             else:
-                # the step removed the star of the ray, in the old indices
+                # the step removed the star of the ray, and the state keeps
+                # every other ray id, with a tombstone at the ray's own
                 assert (sub.fan(), fan.rays[kind.ray]) == expected
                 assert sorted(step[0]) == sorted(c for c in fan.max_cones if kind.ray in c)
-                assert sub.facets == _facet_map(sub.fan())
+                assert sub.rays == [None if i == kind.ray else r for i, r in enumerate(fan.rays)]
+                assert sub.facets == _facet_map(sub)
                 wide += len(fan.max_cones) - len(expected[0].max_cones) > len(rel.s_plus) - 1
             outcomes[expected is None, fan.support_kind] += 1
     assert {k for k, _ in outcomes} == {True, False}, outcomes
@@ -608,15 +609,6 @@ def test_fans_equal_detects_differences():
     assert not fans_equal(ORTHANT2, star_subdivision(ORTHANT2, (1, 1)))
     assert not fans_equal(ATIYAH_X, ATIYAH_Y)
     assert fans_equal(ATIYAH_X, ATIYAH_X)
-
-
-def test_support_cone_rays():
-    assert set(support_cone_rays(ORTHANT3)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    sub = star_subdivision(ORTHANT2, (1, 1))
-    assert set(support_cone_rays(sub)) == {(1, 0), (0, 1)}
-    assert set(support_cone_rays(ATIYAH_X)) == set(ATIYAH_RAYS)
-    with pytest.raises(InvalidInputError):
-        support_cone_rays(P2)
 
 
 def test_point_in_cone():

@@ -306,9 +306,9 @@ def test_pipeline_four_fold_slice(monkeypatch):
     groups += _seeded_groups(2, 100, 5, ((4, 15, 1),)) + _seeded_groups(3, 100, 3, ((2, 6, 2),))
     steps, mmp_steps = Counter(), mckay_module._mmp_steps
 
-    def checked(sub, coeffs, scaled, L):
+    def checked(sub, scaled, L):
         prev = sub.fan()
-        for st, removed, created in mmp_steps(sub, coeffs, scaled, L):
+        for st, removed, created in mmp_steps(sub, scaled, L):
             fan = sub.fan()
             assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
             before = set(map(frozenset, map(prev.ray_matrix, prev.max_cones)))
@@ -320,7 +320,7 @@ def test_pipeline_four_fold_slice(monkeypatch):
             steps[st.kind, len(gone) > sum(a > 0 for a in st.coeffs)] += 1
             prev = fan
             yield st, removed, created
-        psi = [1 - c for c in coeffs]
+        psi = [1] * len(prev.rays)  # the MMP's coefficients are all 0
         assert all(defect(rel, psi) <= 0 for _, rel in _Subdivision(prev).relations())
 
     monkeypatch.setattr(mckay_module, "_mmp_steps", checked)

@@ -6,12 +6,13 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
+from math import lcm
 
 import pytest
 
 import corpus
-from corpus import flop_case, mmp_pairs, replay
+from corpus import cyclic_mmp_inputs, flop_case, mmp_pairs, replay, square_mmp_inputs
 
 from toricmmp.circuits import classify, defect, wall_relation
 from toricmmp.errors import (
@@ -28,7 +29,6 @@ from toricmmp import pairs as pairs_module
 from toricmmp.fan import _facet_map, _Subdivision, fans_equal, make_fan, point_in_cone, walls
 from toricmmp.jsonio import dumps
 from toricmmp.lattice import det, mat_inv, mat_rank, primitive
-from toricmmp.mckay import group_lattice, make_group, quotient_pair
 from toricmmp.mmp import (
     _crosses,
     _sweep,
@@ -378,23 +378,24 @@ def test_regular_triangulation_outputs_pinned():
 
 
 def test_regular_triangulation_rescores_only_touched_walls(monkeypatch):
-    # the wall table of one triangulation is refreshed on the facets each
-    # placement and flip touched: at every return of _flips_to_convexity it
-    # equals every wall's relation and defect recomputed from the state,
-    # with far fewer relations computed than the 19,723 of a full rescan
-    # per pass (10,977 of which held the ray just placed)
+    # the state's wall table of one triangulation is refreshed on the
+    # facets each placement and flip touched: at every return of
+    # _flips_to_convexity it equals every wall's relation and defect, over
+    # the heights' common denominator, recomputed from the state, with far
+    # fewer relations computed than the 19,723 of a full rescan per pass
+    # (10,977 of which held the ray just placed)
     computed, real_relation = [0], fan_module._relation
-    real_flips = mmp_module._flips_to_convexity
+    real_flips, lifted = mmp_module._flips_to_convexity, {}
 
     def counted_relation(*args):
         computed[0] += 1
         return real_relation(*args)
 
-    def checked_flips(sub, hmap, walls, budget):
-        budget = real_flips(sub, hmap, walls, budget)
-        before, hs = computed[0], [hmap[v] for v in sub.rays]
+    def checked_flips(sub, budget, n):
+        budget = real_flips(sub, budget, n)
+        before, hs = computed[0], [lifted[v] for v in sub.rays]
         fresh = _Subdivision(sub.fan()).relations()  # a new state, no kept relation
-        assert walls == {f: (rel, defect(rel, hs)) for f, rel in fresh}
+        assert sub.walls == {f: (rel, defect(rel, hs)) for f, rel in fresh}
         computed[0] = before
         return budget
 
@@ -402,6 +403,8 @@ def test_regular_triangulation_rescores_only_touched_walls(monkeypatch):
     monkeypatch.setattr(mmp_module, "_flips_to_convexity", checked_flips)
     done = 0
     for rays, heights in _triangulation_inputs(1, 500):
+        D = lcm(*(Fraction(h).denominator for h in heights))
+        lifted = {r: Fraction(h) * D for r, h in zip(rays, heights)}
         try:
             regular_triangulation(rays, heights)
             done += 1
@@ -733,9 +736,9 @@ def test_sweep_state_matches_rebuilt_fan(monkeypatch):
     monkeypatch.setattr(mmp_module, "make_fan", forbidden)
     events = 0
     for seed, (px, py) in enumerate(cases):
-        for _, sub, walls_ in _sweep(px, py):
+        for _, sub in _sweep(px, py):
             fan = make_fan(sub.rays, list(sub.max_cones), validate="full")
-            assert {f: w[0] for f, w in walls_.items()} == {
+            assert {f: rel for f, (rel, _) in sub.walls.items()} == {
                 w.shared: wall_relation(fan, w) for w in walls(fan)
             }, seed
             events += 1
@@ -854,47 +857,6 @@ def test_relative_mmp_validates_base():
         relative_mmp(make_pair(complete, [0, 0, 0]))
 
 
-def _cyclic_mmp_inputs():
-    """The pairs that mckay_pipeline hands to the relative MMP for every
-    distinct cyclic 3-fold group with r <= 12: the terminalization with
-    every coefficient dropped to zero, over the quotient cone."""
-    groups = {}
-    for r in range(1, 13):
-        for ws in product(range(r), repeat=3):
-            G = make_group(3, [(r, ws)])
-            groups.setdefault(group_lattice(G).rows, G)
-    out = []
-    for G in groups.values():
-        X = quotient_pair(G)
-        Y, _ = terminalize(X)
-        out.append(make_pair(Y.fan, [0] * len(Y.fan.rays), Y.lattice))
-    return out
-
-
-def _square_mmp_inputs(seed, count):
-    """Pairs over cones on lattice squares at height 1, triangulated
-    near the heights x^2 + y^2, with random coefficients; their MMPs mix
-    flips and contractions."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        side = rng.choice([2, 3, 4])
-        corners = [(0, 0, 1), (side, 0, 1), (side, side, 1), (0, side, 1)]
-        pts = set(corners)
-        target = rng.randint(5, min(12, (side + 1) ** 2))
-        while len(pts) < target:
-            pts.add((rng.randint(0, side), rng.randint(0, side), 1))
-        rays = sorted(pts)
-        heights = [x * x + y * y + Fraction(rng.randint(-20, 20), 97) for x, y, _ in rays]
-        try:
-            fan = regular_triangulation(rays, heights)
-        except InvalidInputError:
-            continue  # flat wall: the perturbed heights are not generic
-        coeffs = [rng.choice([0, 0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]) for _ in rays]
-        out.append(make_pair(fan, coeffs))
-    return out
-
-
 def test_mmp_state_matches_validated_fans(monkeypatch):
     # the relative MMP keeps one fan state across flips and contractions:
     # no step rebuilds a fan or re-validates a pair, and each yielded fan is
@@ -911,13 +873,13 @@ def test_mmp_state_matches_validated_fans(monkeypatch):
             for w in walls(pair.fan)
         }
 
-    inputs = _cyclic_mmp_inputs() + _square_mmp_inputs(7, 150)
+    inputs = cyclic_mmp_inputs() + square_mmp_inputs(7, 150)
     monkeypatch.setattr(mmp_module, "make_fan", forbidden)
     monkeypatch.setattr(mmp_module, "make_pair", forbidden, raising=False)
     kinds = Counter()
     for pair in inputs:
         prev = pair
-        for step, cur in mmp_pairs(pair):
+        for step, cur, _ in mmp_pairs(pair):
             fan = cur.fan
             assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
             assert cur.lattice == pair.lattice
@@ -933,8 +895,48 @@ def test_mmp_state_matches_validated_fans(monkeypatch):
     assert kinds["divisorial"] > 100 and kinds["flip"] > 100, kinds
 
 
-# sha256 over dumps((pair, steps)) of relative_mmp on _cyclic_mmp_inputs()
-# + _square_mmp_inputs(7, 150), one line per input (1,321 inputs, 374
+def _rescanned_mmp(pair):
+    """(kind, wall vectors, defect) of each step of relative_mmp, chosen
+    the slow way: every round builds a fresh state of the pair, rescans
+    every wall's psi-defect and tries the positive ones in the MMP's
+    candidate order, (-defect, apex vectors, facet)."""
+    out = []
+    while True:
+        sub, psi = _Subdivision(pair.fan), psi_heights(pair)
+        cands = sorted(
+            (-d, tuple(sorted(pair.fan.rays[i] for i in rel.ray_indices if i not in f)), f, rel)
+            for f, rel in sub.relations() if (d := defect(rel, psi)) > 0
+        )
+        if not cands:
+            return out
+        for neg_d, _, f, rel in cands:
+            kind = classify(rel)
+            if kind.kind == "flipping" and sub.flip(rel) is not None:
+                break
+            if kind.kind == "divisorial" and sub.contract(rel, kind.ray) is not None:
+                break
+        out.append((kind.kind, tuple(pair.fan.rays[i] for i in f), -neg_d))
+        fan, coeff = sub.fan(), dict(zip(pair.fan.rays, pair.coeffs))
+        pair = make_pair(fan, [coeff[v] for v in fan.rays], pair.lattice)
+
+
+def test_relative_mmp_matches_a_full_rescan_per_round():
+    # the MMP's heap of candidate keys and its memory of refused circuit
+    # steps pick, every round, the wall that a fresh state's full rescan
+    # picks; at 40 points a round skips 3.5 refused walls on average
+    kinds = Counter()
+    for seed in range(4):
+        if (pair := corpus.mmp_probe_pair(seed, 40)) is None:
+            continue  # a flat wall
+        _, steps = relative_mmp(pair)
+        assert [("flipping" if s.kind == "flip" else s.kind, s.wall, s.defect)
+                for s in steps] == _rescanned_mmp(pair), seed
+        kinds.update(s.kind for s in steps)
+    assert kinds["flip"] > 50 and kinds["divisorial"] > 50, kinds
+
+
+# sha256 over dumps((pair, steps)) of relative_mmp on cyclic_mmp_inputs()
+# + square_mmp_inputs(7, 150), one line per input (1,321 inputs, 374
 # contractions, 322 flips); recorded while a contraction re-indexed the
 # rays after it and every round rescanned every wall
 RELATIVE_MMP_SHA256 = "0a9f5c81dbad8dea430cc67314d9272e052fa1df3887c395a6f12f84524dbfb5"
@@ -942,7 +944,7 @@ RELATIVE_MMP_SHA256 = "0a9f5c81dbad8dea430cc67314d9272e052fa1df3887c395a6f12f845
 
 def test_relative_mmp_outputs_pinned():
     h, kinds = hashlib.sha256(), Counter()
-    for pair in _cyclic_mmp_inputs() + _square_mmp_inputs(7, 150):
+    for pair in cyclic_mmp_inputs() + square_mmp_inputs(7, 150):
         out, steps = relative_mmp(pair)
         kinds.update(s.kind for s in steps)
         h.update((dumps((out, steps)) + "\n").encode())

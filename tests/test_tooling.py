@@ -6,18 +6,19 @@ benchmark's flop inputs, whose digest the golden file records; small cones
 still take the closed-form kernels; ample_heights poses its caps as LP
 bounds; the McKay pipeline carries one fan state and counts the stack rank
 only at its two ends; a fan state computes each cone pair's wall relation
-once."""
+once and keeps at most one per current wall."""
 
 import importlib
 import importlib.util
 import json
 import pkgutil
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from corpus import flop_case
+from corpus import cyclic_mmp_inputs, flop_case, mmp_pairs, mmp_probe_pair, square_mmp_inputs
 
 import toricmmp
 import toricmmp.fan as fan
@@ -123,12 +124,16 @@ def test_mckay_pipeline_carries_one_fan_state(monkeypatch):
 
 
 def test_a_fan_state_computes_each_wall_relation_once(monkeypatch):
-    # the state keeps one relation per cone pair while its ray indices
-    # hold: the sweep's walls of X and of Y and every rescored facet, the
-    # flip passes of a regular triangulation and the relative MMP's rescan
-    # of every wall each round all read it.  The square pair's MMP takes
-    # two flips over three rounds of eight walls; a rescan that recomputed
-    # its relations would pass every output check
+    # the state keeps one relation per cone pair while both cones live,
+    # and a contraction moves no ray id: the sweep's walls of X and of Y
+    # and every rescored facet, the flip passes of a regular triangulation
+    # and the relative MMP's rounds, across flips and contractions, all
+    # read it.  The square pair's MMP takes two flips over three rounds of
+    # eight walls, the square-centre pair one link contraction, the McKay
+    # pipeline on (1/101)(1,17,83) 50 extractions and no MMP step, on
+    # (1/10)(1,6,8) two contractions, and the probe pair 37 flips and 22
+    # contractions; a rescan that recomputed its relations, or a
+    # contraction that dropped them, would pass every output check
     calls, states, real = Counter(), [], fan._relation
 
     def counting(rays, shared, apex_a, apex_b):
@@ -143,6 +148,7 @@ def test_a_fan_state_computes_each_wall_relation_once(monkeypatch):
     square = [(x, y, 1) for x in range(3) for y in range(3)]
     square_cones = [(1, 2, 4), (0, 3, 4), (0, 1, 4), (2, 4, 5), (3, 4, 6), (4, 6, 7),
                     (4, 7, 8), (4, 5, 8)]
+    centre = [(0, 0, 1), (2, 0, 1), (2, 2, 1), (0, 2, 1), (1, 1, 1)]
     runs = [
         lambda: toricmmp.flop_decompose(px, py),
         lambda: toricmmp.regular_triangulation(
@@ -152,8 +158,44 @@ def test_a_fan_state_computes_each_wall_relation_once(monkeypatch):
         lambda: toricmmp.relative_mmp(toricmmp.make_pair(
             toricmmp.make_fan(square, square_cones), [0, 0, Fraction(1, 3)] + [0] * 5
             + [Fraction(2, 3)])),
+        lambda: toricmmp.relative_mmp(toricmmp.make_pair(
+            toricmmp.make_fan(centre, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]),
+            [0, 0, 0, 0, Fraction(1, 2)])),
+        lambda: toricmmp.mckay_pipeline(toricmmp.make_group(3, [(101, (1, 17, 83))])),
+        lambda: toricmmp.mckay_pipeline(toricmmp.make_group(3, [(10, (1, 6, 8))])),
+        lambda: toricmmp.relative_mmp(mmp_probe_pair(0, 40)),
     ]
     for run in runs:
         calls.clear()
         run()
         assert calls and max(calls.values()) == 1, calls.most_common(1)
+
+
+def test_a_fan_state_keeps_one_relation_per_current_wall(monkeypatch):
+    # a removed cone takes its walls' relations with it, so after a regular
+    # triangulation and after every step of the relative MMP the state
+    # holds at most one relation per wall it has now; a state that kept
+    # every pair that was ever a wall held 644 relations for the 153 walls
+    # of this 60-point triangulation
+    rng = random.Random(60)
+    pts = set()
+    while len(pts) < 60:
+        pts.add((rng.randrange(16), rng.randrange(16), 1))
+    rays = sorted(pts)
+    heights = [x * x + y * y + Fraction(rng.randint(-20, 20), 97) for x, y, _ in rays]
+    states, place = [], fan._Subdivision.place
+
+    def recording(sub, w):
+        states.append(sub)
+        return place(sub, w)
+
+    monkeypatch.setattr(fan._Subdivision, "place", recording)
+    toricmmp.regular_triangulation(rays, heights)
+    sub = states[-1]
+    assert 0 < len(sub.rels) <= len(sub.walls) > 100
+    steps = 0
+    for pair in cyclic_mmp_inputs() + square_mmp_inputs(7, 150):
+        for _, _, sub in mmp_pairs(pair):
+            assert len(sub.rels) <= len(sub.walls)
+            steps += 1
+    assert steps > 600
