@@ -289,7 +289,7 @@ class _Subdivision:
         self.order = count()
         self.max_cones = dict(zip(fan.max_cones, self.order))
         self.facets = _facet_map(fan)
-        self.rels, self.score, self.walls = {}, None, {}
+        self.rels, self.refused, self.score, self.walls = {}, set(), None, {}
 
     def ray_matrix(self, cone):
         return tuple(map(self.rays.__getitem__, cone))
@@ -316,13 +316,12 @@ class _Subdivision:
         """(facet, its relation) for every wall, lazily, in walls() order."""
         return ((f, self.relation(f)) for f in sorted(self.facets) if len(self.facets[f]) == 2)
 
-    def score_walls(self, score, relations=None):
+    def score_walls(self, score):
         """Keep walls, each wall's facet mapped to (relation, score(facet,
-        relation)): every wall now, in walls() order (relations, when the
-        caller already holds the list of relations()), and from then on the
+        relation)): every wall now, in walls() order, and from then on the
         facets each step touches, in facet order."""
         self.score = score
-        self.walls = {f: (rel, score(f, rel)) for f, rel in relations or self.relations()}
+        self.walls = {f: (rel, score(f, rel)) for f, rel in self.relations()}
 
     def subdivide(self, w, cone=None):
         """Insert the primitive vector w as a new ray, as star_subdivision
@@ -373,10 +372,12 @@ class _Subdivision:
         walked from its plus cone (the circuit minus that ray).  In a complete
         or cone-supported fan every T+ simplex then has link L: the support
         looks the same along the relative interior of the circuit's cone, so
-        each simplex's cones in T+ * L fill it around that simplex."""
+        each simplex's cones in T+ * L fill it around that simplex.  Every
+        cone read holds s_minus, so a refused rel stays refused until
+        _replace sees a step whose removed and created cones hold s_minus."""
         nz = set(rel.s_plus + rel.s_minus)
         cone = tuple(i for i in rel.ray_indices if i != rel.s_plus[0])
-        if cone not in self.max_cones:
+        if cone not in self.max_cones or rel in self.refused:
             return None
         star = _walk_star(self.facets, cone, nz.intersection(cone))
         joins = sorted(tuple(sorted(nz.union(c))) for c in star)
@@ -385,6 +386,7 @@ class _Subdivision:
             for side in (rel.s_plus, rel.s_minus)
         )
         if any(c not in self.max_cones for c in plus):
+            self.refused.add(rel)
             return None
         return plus, minus
 
@@ -455,6 +457,9 @@ class _Subdivision:
                 del self.facets[f]
             elif delta and not self._keeps_kind(f, cs[0]):
                 raise EngineInvariantError(f"{what} changed the support kind")
+        if self.refused:
+            moved = set().union(*gone, *new)
+            self.refused = {r for r in self.refused if not moved.issuperset(r.s_minus)}
         if self.score is None:
             return
         for f in sorted(change):

@@ -329,8 +329,7 @@ def _sweep(pair_x, pair_y):
     fx, fy = pair_x.fan, pair_y.fan
     n_rays = len(fx.rays)
     sub = _Subdivision(fx)
-    x_rels = list(sub.relations())
-    H0, D0 = _ample_heights(n_rays, [(rel.ray_indices, rel.coeffs) for _, rel in x_rels])
+    H0, D0 = _ample_heights(n_rays, ((rel.ray_indices, rel.coeffs) for _, rel in sub.relations()))
     pos = {v: i for i, v in enumerate(fx.rays)}
     to_x = [pos[v] for v in fy.rays]
     to_y = sorted(range(n_rays), key=to_x.__getitem__)
@@ -360,7 +359,7 @@ def _sweep(pair_x, pair_y):
             eps[i] = -a
         return d0, d0 - d1, eps
 
-    sub.score_walls(event, x_rels)
+    sub.score_walls(event)
     fired = set()
     while True:
         best, tied = None, []
@@ -442,15 +441,14 @@ def _mmp_steps(sub, scaled, L):
     scaled over one scale L, in the state's ray ids, which no contraction
     moves.  Each scoring of a wall of positive defect d pushes its
     candidate key (-d, apex vectors, facet) on a heap, where an entry
-    whose wall has changed since is dropped.  stuck holds the walls whose
-    circuit step the state refused: that step reads only the cones that
-    hold the circuit's negative rays, so it is not tried again until a
-    step removes or creates a cone that holds them."""
+    whose wall has changed since is dropped.  A wall whose circuit step
+    the state refused costs a heap entry until a step moves the cones
+    around its negative rays (fan._Subdivision._circuit)."""
     if sub.kind != "cone-supported":
         raise InvalidInputError("relative MMP needs a fan supported on a strictly convex cone")
     n = len(sub.rays)
     budget = 10 * n ** 2  # a stated limit, not a proved bound
-    heap, stuck = [], {}
+    heap = []
 
     def score(f, rel):
         if (d := defect(rel, scaled)) <= 0:
@@ -474,8 +472,6 @@ def _mmp_steps(sub, scaled, L):
                     )
                 budget -= 1
             tried.append(entry)
-            if stuck.get(f) is rel:
-                continue
             kind = classify(rel)
             if kind.kind == "fiber":
                 raise InvalidInputError(
@@ -490,15 +486,12 @@ def _mmp_steps(sub, scaled, L):
                 center, removed = tuple(sub.rays[i] for i in rel.s_plus), sub.rays[kind.ray]
                 if (step := sub.contract(rel, kind.ray)) is not None:
                     break
-            stuck[f] = rel
         else:
             if tried:
                 raise EngineInvariantError("no executable wall among positive defects")
             return
         for entry in tried:  # those whose wall lives are candidates again
             heappush(heap, entry)
-        moved = set().union(*step[0], *step[1])
-        stuck = {g: r for g, r in stuck.items() if not moved.issuperset(r.s_minus)}
 
         def vectors(c):  # the contracted ray's id now holds a tombstone
             return tuple(sub.rays[i] or removed for i in c)

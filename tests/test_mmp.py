@@ -863,6 +863,8 @@ def test_mmp_state_matches_validated_fans(monkeypatch):
     # the fully validated fan of its rays and cones, in cone order and
     # support kind.  Each step's defect is that of its wall under the psi
     # of the pair before it, and the last pair has no positive defect.
+    # After every step the state keeps at most one relation per current
+    # wall, and only current walls' relations as refused circuit steps.
     def forbidden(*args, **kwargs):
         raise AssertionError("the MMP rebuilt a fan or a pair")
 
@@ -879,7 +881,9 @@ def test_mmp_state_matches_validated_fans(monkeypatch):
     kinds = Counter()
     for pair in inputs:
         prev = pair
-        for step, cur, _ in mmp_pairs(pair):
+        for step, cur, sub in mmp_pairs(pair):
+            assert len(sub.rels) <= len(sub.walls)
+            assert sub.refused <= {rel for rel, _ in sub.walls.values()}
             fan = cur.fan
             assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
             assert cur.lattice == pair.lattice
@@ -921,9 +925,9 @@ def _rescanned_mmp(pair):
 
 
 def test_relative_mmp_matches_a_full_rescan_per_round():
-    # the MMP's heap of candidate keys and its memory of refused circuit
-    # steps pick, every round, the wall that a fresh state's full rescan
-    # picks; at 40 points a round skips 3.5 refused walls on average
+    # the MMP's heap of candidate keys and the state's memory of refused
+    # circuit steps pick, every round, the wall that a fresh state's full
+    # rescan picks; at 40 points a round skips 3.5 refused walls on average
     kinds = Counter()
     for seed in range(4):
         if (pair := corpus.mmp_probe_pair(seed, 40)) is None:
