@@ -4,21 +4,21 @@ A Fan stores primitive integer rays (in coordinates of whatever lattice the
 caller fixed) and its maximal cones as sorted ray-index tuples.  Everything
 downstream assumes validity, so construction checks eagerly.  Every change
 to a fan is a step of one local state, _Subdivision: star subdivision or a
-circuit step (flip or divisorial contraction), each checking only the
-facets it touched.  Its ray ids are stable: a contraction leaves a
-tombstone.  The state also answers the wall and star questions: each
-wall's relation, kept while its two cones live, each wall's score for the
-engine loop that turned scoring on, rescored on the facets a step
-touched, and the star of a point, walked from the first cone that holds
-it.  make_fan's `fast` level is those checks applied once to all cones;
-`full` adds the test that any two cones meet in a common face, one
-degree-one point check.  A fan's
-support is all of N_R (kind "complete") or a convex cone (kind
+circuit step (flip or divisorial contraction), each checking only the facets
+it touched.  Its ray ids are stable: a contraction leaves a tombstone.  It
+keeps each cone's adjugate and its boundary facets' inward functionals, and
+answers the wall and star questions: each wall's relation, kept while its
+two cones live, each wall's score for the engine loop that turned scoring
+on, rescored on the facets a step touched, and the star of a point, walked
+from the first cone holding it.  make_fan's `fast` level is those checks
+applied once to all cones, the kind read off the kept boundary; `full` adds
+the test that any two cones meet in a common face, a degree-one point check.
+A fan's support is all of N_R (kind "complete") or a convex cone (kind
 "cone-supported"); make_fan rejects any other support.  Exact LP decides
-membership in a cone over non-simplicial generators (point_in_cone, which
-no engine loop calls), posed in the standard form of `linprog.lp_maximize`,
-which starts at the origin and so needs right-hand sides >= 0; these are
-0, and the unit caps are bounds.
+membership in a cone over non-simplicial generators (point_in_cone, which no
+engine loop calls), posed in the standard form of `linprog.lp_maximize`,
+which starts at the origin and so needs right-hand sides >= 0; these are 0,
+and the unit caps are bounds.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -73,11 +73,10 @@ def _holding(fan, p):
     return None
 
 
-def _facet_functional(fan, cone, k):
-    """Integer linear form vanishing on cone minus ray k, positive on ray k:
-    column k of the cone's adjugate."""
-    adj, d = adjugate(fan.ray_matrix(cone))
-    return tuple(row[k] if d > 0 else -row[k] for row in adj)
+def _inward(kernel, k):
+    """Integer linear form vanishing on a cone minus its ray k, positive on
+    ray k: column k of the cone's adjugate, kernel = (adj, d), over sign d."""
+    return tuple(row[k] if kernel[1] > 0 else -row[k] for row in kernel[0])
 
 
 def _facet_map(fan):
@@ -88,16 +87,6 @@ def _facet_map(fan):
         for k in range(fan.dim):
             fm[cone[:k] + cone[k + 1:]].append(cone)
     return dict(fm)
-
-
-def _boundary_facets(sub):
-    """(facet, inward functional) for every facet of the state sub (a
-    _Subdivision) that lies in a single cone, in cone order; the functional
-    is positive on that cone's apex."""
-    for cone in sub.max_cones:
-        for k in range(sub.dim):
-            if len(sub.facets[facet := cone[:k] + cone[k + 1:]]) == 1:
-                yield facet, _facet_functional(sub, cone, k)
 
 
 def walls(fan):
@@ -114,8 +103,8 @@ def walls(fan):
     return tuple(out)
 
 
-def _check_degree_one(fan):
-    """Common-face test for complete and cone-supported fans.
+def _check_degree_one(sub):
+    """Common-face test for the complete or cone-supported state sub.
 
     The fast checks make the cones an oriented pseudomanifold whose map into
     the support preserves orientation on each cone (every facet lies in at
@@ -126,14 +115,12 @@ def _check_degree_one(fan):
     other closed cone contains p in a valid fan, and some other one does
     when d >= 2.
     """
-    first = fan.max_cones[0]
-    p = tuple(map(sum, zip(*fan.ray_matrix(first))))
-    for cone in fan.max_cones[1:]:  # p's barycentric numerators, times d
-        adj, d = adjugate(fan.ray_matrix(cone))
+    first, *rest = sub.max_cones
+    p = tuple(map(sum, zip(*sub.ray_matrix(first))))
+    for cone in rest:  # p's barycentric numerators, times d
+        adj, d = sub.kernels[cone]
         if all(d * dot(p, col) >= 0 for col in zip(*adj)):
-            raise InvalidInputError(
-                f"cones {first} and {cone} do not intersect in a common face"
-            )
+            raise InvalidInputError(f"cones {first} and {cone} do not intersect in a common face")
 
 
 def make_fan(rays, max_cones, *, validate="full"):
@@ -141,14 +128,14 @@ def make_fan(rays, max_cones, *, validate="full"):
 
     validate: "fast" checks primitive distinct rays and every ray used,
     then adds every cone to an empty _Subdivision in one step, whose checks
-    are the rest; the support kind is read off that state's facets.
+    are the rest; the support kind is read off that state's boundary.
     A support that is neither all of N_R nor a convex cone is rejected.
     "full" adds the test that any two cones meet in a common face, the
     degree-one point check.
     """
     if validate not in ("full", "fast"):
         raise InvalidInputError(f"unknown validation level {validate!r}")
-    rays = tuple(tuple(x for x in r) for r in rays)
+    rays = tuple(map(tuple, rays))
     if not rays:
         raise InvalidInputError("fan needs at least one ray")
     n = len(rays[0])
@@ -157,7 +144,7 @@ def make_fan(rays, max_cones, *, validate="full"):
     for r in rays:
         if len(r) != n:
             raise InvalidInputError("rays of mixed dimension")
-        if any(not isinstance(x, int) for x in r):
+        if not all(map(isinstance, r, repeat(int))):
             raise InvalidInputError("ray coordinates must be integers")
         if (g := gcd(*r)) != 1:
             raise InvalidInputError(f"ray {r} is not primitive" if g else "zero ray")
@@ -169,31 +156,28 @@ def make_fan(rays, max_cones, *, validate="full"):
         c = tuple(sorted(c))
         if len(c) != n or len(set(c)) != n:
             raise InvalidInputError("maximal cones must have dim distinct rays")
-        if any(not (0 <= i < len(rays)) for i in c):
+        if c[0] < 0 or c[-1] >= len(rays):  # c is sorted
             raise InvalidInputError("cone ray index out of range")
         cones.append(c)
     if not cones:
         raise InvalidInputError("fan needs at least one maximal cone")
-    cones = tuple(cones)
 
-    if {i for c in cones for i in c} != set(range(len(rays))):
+    if set().union(*cones) != set(range(len(rays))):
         raise InvalidInputError("fan has unused rays")
 
     sub = _Subdivision(Fan(n, rays, (), None))
     sub._replace((), cones, "make_fan")
-    if all(len(cs) == 2 for cs in sub.facets.values()):
+    if not sub.boundary:
         kind = "complete"
     elif len(_walk_star(sub.facets, cones[0], ())) == len(cones) and all(
-        dot(u, r) >= 0 for _, u in _boundary_facets(sub) for r in rays
+        dot(u, r) >= 0 for u in sub.boundary.values() for r in rays
     ):
         kind = "cone-supported"
     else:
         raise InvalidInputError("fan support is neither complete nor a convex cone")
-
-    fan = Fan(n, rays, cones, kind)
     if validate == "full":
-        _check_degree_one(fan)
-    return fan
+        _check_degree_one(sub)
+    return Fan(n, rays, tuple(cones), kind)
 
 
 def locate(fan, p):
@@ -239,28 +223,32 @@ def star_subdivision(fan, w):
 
 class _Subdivision:
     """A fan as local state under its surgeries: star subdivision and the
-    circuit step (flip or contraction).  The state is the rays, by stable
-    id (a contracted ray leaves None), the facet map, and the maximal cones
-    with their insertion numbers, whose order is the cone order (kept cones
-    stay in place, new ones are appended).  Its interior facets are the
-    walls; relation computes each wall's relation once per pair of cones,
-    kept until a step removes one of them (so rels holds one per wall, but
-    for another fan's pairs).  score_walls keeps walls, each wall with its
-    relation and a score, which each step renews on the facets of the
-    cones it removed or created, the only facets whose walls it changed.
+    circuit step (flip or contraction).  The state is the rays, by stable id
+    (a contracted ray leaves None), the facet map, and the maximal cones with
+    their insertion numbers, whose order is the cone order (kept cones stay in
+    place, new ones are appended).  kernels keeps each cone's adjugate (adj,
+    d), set by the step that creates the cone and dropped with it (an input
+    cone's on first read), and boundary each facet in a single cone with its
+    inward functional (_inward), renewed on the facets each step touched.  The
+    interior facets are the walls; relation computes each wall's relation once
+    per pair of cones, kept until a step removes one of them (so rels holds
+    one per wall, but for another fan's pairs).  score_walls keeps walls, each
+    wall with its relation and a score, which each step renews on the facets
+    of the cones it removed or created, the only facets whose walls it
+    changed.
 
     A step replaces some cones by others and applies the fast checks to
-    exactly the facets it touched: new cones are simplicial and new, a
-    facet lies in at most two cones with their apexes on opposite sides,
-    and a new boundary facet keeps the support kind (there is none in a
-    complete fan, and it is >= 0 on every ray in a cone-supported one).
-    Each step replaces a connected set of cones by a connected one and,
-    but for placing outside the support (below), keeps the support of a
-    valid fan; an outer facet a flip changes becomes a new boundary facet,
-    which the kind check covers.  So the kind and the
+    exactly the facets it touched: new cones are simplicial and new, a facet
+    lies in at most two cones with their apexes on opposite sides (read off
+    the two kept determinants), and a new boundary facet keeps the support
+    kind (there is none in a complete fan, and its functional is >= 0 on every
+    ray in a cone-supported one).  Each step replaces a connected set of cones
+    by a connected one and, but for placing outside the support (below), keeps
+    the support of a valid fan; an outer facet a flip changes becomes a new
+    boundary facet, which the kind check covers.  So the kind and the
     wall-graph connectivity hold without a look at any other facet.
-    make_fan's fast checks are these checks, run once on an empty state
-    that receives every cone; its kind is None, which takes any boundary.
+    make_fan's fast checks are these checks, run once on an empty state that
+    receives every cone; its kind is None, which takes any boundary.
 
     subdivide inserts a ray.  Its star is walked from a cone holding it
     (given, or the first: _holding) across the facets that contain the face
@@ -269,7 +257,7 @@ class _Subdivision:
     the whole star because the link of a face is connected in a complete
     or cone-supported fan.  place, the placing step of regular
     triangulation, subdivides the same way; with no cone holding the ray,
-    it joins the ray to the boundary facets that see it instead.
+    it joins the ray to the kept boundary facets that see it instead.
     That is the one step that changes the support: it grows a convex
     support to its hull with the ray, which the kind check covers, and a
     cone-supported state whose boundary it closes becomes complete.
@@ -289,10 +277,27 @@ class _Subdivision:
         self.order = count()
         self.max_cones = dict(zip(fan.max_cones, self.order))
         self.facets = _facet_map(fan)
-        self.rels, self.refused, self.score, self.walls = {}, set(), None, {}
+        self.rels, self.refused, self.score, self.walls, self.kernels = {}, set(), None, {}, {}
+        self._boundary = None if fan.max_cones else {}
 
-    def ray_matrix(self, cone):
-        return tuple(map(self.rays.__getitem__, cone))
+    @property
+    def boundary(self):
+        """The kept boundary; an input fan's is built on first read."""
+        if self._boundary is None:
+            self._boundary = {f: self._functional(cs[0], f)
+                              for f, cs in self.facets.items() if len(cs) == 1}
+        return self._boundary
+
+    ray_matrix = Fan.ray_matrix
+
+    def kernel(self, cone):
+        """(adj, d) of a current cone's ray matrix, kept while it lives."""
+        if (kernel := self.kernels.get(cone)) is None:
+            kernel = self.kernels[cone] = adjugate(self.ray_matrix(cone))
+        return kernel
+
+    def _functional(self, cone, facet):  # inward, of a facet of cone
+        return _inward(self.kernel(cone), cone.index(sum(cone) - sum(facet)))
 
     def fan(self):
         rays, cones = tuple(self.rays), tuple(self.max_cones)
@@ -339,11 +344,13 @@ class _Subdivision:
         Returns (the cones it removes, the cones it creates)."""
         if (cone := _holding(self, w)) is not None:
             return self._join(w, cone)
-        seen = [f for f, u in _boundary_facets(self) if dot(u, w) < 0]
+        # in cone order, a cone's facets by the place of the ray they miss
+        seen = sorted((f for f, u in self.boundary.items() if dot(u, w) < 0),
+                      key=lambda f: (self.max_cones[self.facets[f][0]], [-i for i in f]))
         if not seen:
             raise EngineInvariantError("outside ray sees no boundary facet")
         step = self._join(w, None, seen)
-        if all(len(cs) == 2 for cs in self.facets.values()):  # the joins closed the boundary
+        if not self.boundary:  # the joins closed it
             self.kind = "complete"
         return step
 
@@ -356,7 +363,8 @@ class _Subdivision:
             raise InvalidInputError(f"{w} is already a ray")
         w_idx, gone, new = len(self.rays), [], []
         if cone is not None:
-            face = {i for i, x in zip(cone, _solve(self.ray_matrix(cone), w)[0]) if x > 0}
+            adj, d = self.kernel(cone)
+            face = {i for i, x in zip(cone, vec_mat(w, adj)) if x * d > 0}
             gone = sorted(_walk_star(self.facets, cone, face), key=self.max_cones.__getitem__)
             new = [tuple(sorted(c[:k] + c[k + 1:] + (w_idx,)))
                    for c in gone for k, i in enumerate(c) if i in face]
@@ -422,6 +430,7 @@ class _Subdivision:
         change = {}
         for c in gone:
             del self.max_cones[c]
+            self.kernels.pop(c, None)  # an input cone's only once read
             for k in range(self.dim):
                 f = c[:k] + c[k + 1:]
                 if len(cs := self.facets[f]) == 2 and self.rels:
@@ -431,8 +440,9 @@ class _Subdivision:
         for c in new:
             if c in self.max_cones:
                 raise InvalidInputError("duplicate maximal cones")
-            if adjugate(self.ray_matrix(c))[1] == 0:
+            if (kernel := adjugate(self.ray_matrix(c)))[1] == 0:
                 raise InvalidInputError(f"cone {c} is not simplicial")
+            self.kernels[c] = kernel
             self.max_cones[c] = next(self.order)
             for k in range(self.dim):
                 f = c[:k] + c[k + 1:]
@@ -440,22 +450,25 @@ class _Subdivision:
                 change[f] = change.get(f, 0) + 1
         for f, delta in change.items():
             cs = self.facets[f]
+            if self._boundary is not None:
+                if len(cs) == 1:
+                    self._boundary[f] = self._functional(cs[0], f)
+                else:
+                    self._boundary.pop(f, None)
             if len(cs) > 2:
                 raise InvalidInputError(f"facet {f} shared by more than two cones")
-            if len(cs) == 2:  # apexes on opposite sides
+            if len(cs) == 2:
+                # apexes on opposite sides: (-1)^(ka+kb) det cb is det ca with
+                # cb's apex in place of ca's (an apex is its cone's sum minus f's)
                 ca, cb = cs
-                k = next(k for k in range(self.dim) if ca[k] not in f)
-                apex_b = next(i for i in cb if i not in f)
-                # column k of ca's adjugate, over the sign of d, is the
-                # functional of _facet_functional: read its side of apex_b
-                adj, d = adjugate(self.ray_matrix(ca))
-                if d * sum(row[k] * x for row, x in zip(adj, self.rays[apex_b])) >= 0:
+                ka, kb = ca.index(sum(ca) - sum(f)), cb.index(sum(cb) - sum(f))
+                if self.kernel(ca)[1] * self.kernel(cb)[1] * (-1) ** (ka + kb) >= 0:
                     raise InvalidInputError(
                         f"cones {ca} and {cb} lie on the same side of their shared facet {f}"
                     )
             elif not cs:
                 del self.facets[f]
-            elif delta and not self._keeps_kind(f, cs[0]):
+            elif delta and not self._keeps_kind(f):
                 raise EngineInvariantError(f"{what} changed the support kind")
         if self.refused:
             moved = set().union(*gone, *new)
@@ -469,13 +482,10 @@ class _Subdivision:
             else:
                 self.walls.pop(f, None)
 
-    def _keeps_kind(self, facet, cone):
-        """May facet, newly on the boundary in cone, lie on the boundary?"""
-        if self.kind != "cone-supported":
-            return self.kind is None
-        k = next(k for k in range(self.dim) if cone[k] not in facet)
-        u = _facet_functional(self, cone, k)
-        return all(dot(u, r) >= 0 for r in self.rays if r is not None)
+    def _keeps_kind(self, facet):
+        """May facet, newly in a single cone, lie on the boundary?"""
+        return self.kind is None or self.kind == "cone-supported" and all(
+            dot(self.boundary[facet], r) >= 0 for r in self.rays if r is not None)
 
 
 def fans_equal(f1, f2):

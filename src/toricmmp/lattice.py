@@ -136,7 +136,7 @@ def det(M):
 
 def mat_rank(rows):
     """Rank of an integer matrix: the nonzero rows of its echelon form."""
-    return sum(1 for row in _hnf_upper(rows)[0] if any(row)) if rows else 0
+    return sum(1 for row in _hnf_upper(rows) if any(row)) if rows else 0
 
 
 def cofactor_kernel(rows):
@@ -185,11 +185,10 @@ def _check_int_matrix(M):
 
 
 def _hnf_upper(rows):
-    """Row-style Hermite form: U.M = H, H in row echelon form with positive
+    """Row-style Hermite form of the rows: row echelon form with positive
     pivots and entries above each pivot reduced into [0, pivot)."""
     H = [list(r) for r in rows]
     m, n = len(H), len(H[0])
-    U = mat_identity(m)
     r = 0
     for c in range(n):
         if r == m:
@@ -201,14 +200,12 @@ def _hnf_upper(rows):
             i0 = min(nz, key=lambda i: abs(H[i][c]))
             if i0 != r:
                 H[r], H[i0] = H[i0], H[r]
-                U[r], U[i0] = U[i0], U[r]
             clean = True
             for i in range(r + 1, m):
                 if H[i][c] != 0:
                     q = H[i][c] // H[r][c]
                     if q:
                         H[i] = [a - q * b for a, b in zip(H[i], H[r])]
-                        U[i] = [a - q * b for a, b in zip(U[i], U[r])]
                     if H[i][c] != 0:
                         clean = False
             if clean:
@@ -216,14 +213,12 @@ def _hnf_upper(rows):
         if r < m and H[r][c] != 0:
             if H[r][c] < 0:
                 H[r] = [-x for x in H[r]]
-                U[r] = [-x for x in U[r]]
             for i in range(r):
                 q = H[i][c] // H[r][c]
                 if q:
                     H[i] = [a - q * b for a, b in zip(H[i], H[r])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
             r += 1
-    return H, U
+    return H
 
 
 def _reverse_both(M):
@@ -238,12 +233,12 @@ def hermite_normal_form(M):
     entries below each diagonal pivot reduced modulo it.
     """
     _check_int_matrix(M)
-    H1, U1 = _hnf_upper(_reverse_both(M))
-    if any(all(x == 0 for x in row) for row in H1):
+    m = len(M)
+    # [M | I] -> [H | U], pivots in M by full row rank; reversed, [U | H]
+    UH = _reverse_both(_hnf_upper([r + e for r, e in zip(_reverse_both(M), mat_identity(m))]))
+    if any(not any(row[m:]) for row in UH):
         raise InvalidInputError("rank-deficient input to hermite_normal_form")
-    H = tuple(tuple(reversed(row)) for row in reversed(H1))
-    U = tuple(tuple(reversed(row)) for row in reversed(U1))
-    return H, U
+    return tuple(tuple(row[m:]) for row in UH), tuple(tuple(row[:m]) for row in UH)
 
 
 def smith_normal_form(M):
@@ -359,7 +354,7 @@ class LatticeBasis:
             raise InvalidInputError("generators of mixed dimension")
         # one reversed Hermite pass: its nonzero rows, reversed back, are
         # the unique lower-triangular Hermite form of the lattice
-        ech = [row for row in _hnf_upper(_reverse_both(rows))[0] if any(row)]
+        ech = [row for row in _hnf_upper(_reverse_both(rows)) if any(row)]
         if len(ech) != n:
             raise InvalidInputError("generators do not span a full-rank lattice")
         low = _reverse_both(ech)

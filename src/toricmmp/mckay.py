@@ -17,7 +17,7 @@ step's update at once.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError
@@ -153,20 +153,16 @@ def _standard_multiplicities(pair):
     return ms
 
 
-def _cone_rank(fan, cone, ms):
-    """Multiplicity of one cone in the stack lattice: |det| of its rays,
-    read from the cached adjugate, times the m_i of its rays."""
-    rank = abs(adjugate(fan.ray_matrix(cone))[1])
-    for i in cone:
-        rank *= ms[i]
-    return rank
+def _cone_rank(d, cone, ms):
+    """Multiplicity of a cone in the stack lattice: |d|, its determinant, times its m_i."""
+    return abs(d) * prod(ms[i] for i in cone)
 
 
 def stack_rank(pair):
     """Sum of maximal-cone multiplicities in the stack lattice spanned by
     m_i * v_i; equals the group order for a quotient pair."""
     ms = _standard_multiplicities(pair)
-    return sum(_cone_rank(pair.fan, cone, ms) for cone in pair.fan.max_cones)
+    return sum(_cone_rank(adjugate(pair.fan.ray_matrix(c))[1], c, ms) for c in pair.fan.max_cones)
 
 
 # the output lists r1 - s1 residues, so its cost is linear in r1:
@@ -237,8 +233,8 @@ def _checked_entry(kind, ray, center, before, after, psi=None, components=None):
 
 def _star_rank(sub, i, ms):
     """Stack rank of the cones around ray i, the only ones whose
-    multiplicity a change of m_i changes."""
-    return sum(_cone_rank(sub, c, ms) for c in sub.max_cones if i in c)
+    multiplicity a change of m_i changes, from their kept determinants."""
+    return sum(_cone_rank(sub.kernel(c)[1], c, ms) for c in sub.max_cones if i in c)
 
 
 def mckay_pipeline(G):
@@ -262,8 +258,8 @@ def mckay_pipeline(G):
 
     for st, gone, new in _extraction_steps(sub, *_scaled_psi(X)):
         ms.append(1)  # an extracted ray has coefficient zero
-        after = rank + sum(_cone_rank(sub, c, ms) for c in new)
-        after -= sum(_cone_rank(sub, c, ms) for c in gone)
+        after = rank + sum(_cone_rank(sub.kernel(c)[1], c, ms) for c in new)
+        after -= sum(_cone_rank(adjugate(sub.ray_matrix(c))[1], c, ms) for c in gone)
         record("extraction", st.ray, after, st.psi_value)
     for i, m in enumerate(ms):
         if m > 1:
@@ -301,8 +297,8 @@ def mckay_pipeline(G):
 
 
 # the chain has r - 1 curves for a = r - 1, and building and validating
-# its fan grows with them: `toricmmp hj 10001 10000` takes 0.7-0.95 s,
-# 0.17-0.25 s of it in hj_resolution and most of the rest start-up, while
+# its fan grows with them: `toricmmp hj 10001 10000` takes 0.6-0.9 s,
+# 0.10-0.15 s of it in hj_resolution and most of the rest start-up, while
 # `hj 200001 200000` took about 14 s and 217 MB without this limit
 MAX_HJ_CHAIN = 10_000
 
@@ -341,5 +337,4 @@ def hj_resolution(r, a):
         (x0, y0), (x1, y1) = rays[-2:]
         rays.append((b * x1 - x0, b * y1 - y0))
     cones = [(i, i + 1) for i in range(len(rays) - 1)]
-    fan = make_fan(rays, cones, validate="full")
-    return fan, tuple(-b for b in bs)
+    return make_fan(rays, cones, validate="full"), tuple(-b for b in bs)

@@ -37,7 +37,7 @@ from .errors import (
     ToricMmpError,
 )
 from .fan import _facet_map, _Subdivision, fans_equal, make_fan
-from .lattice import MAX_MULTIPLICITY, adjugate, mat_rank, primitive
+from .lattice import MAX_MULTIPLICITY, mat_rank, primitive
 from .linprog import lp_maximize
 from .pairs import (
     ToricPair,
@@ -448,12 +448,12 @@ def _mmp_steps(sub, scaled, L):
         raise InvalidInputError("relative MMP needs a fan supported on a strictly convex cone")
     n = len(sub.rays)
     budget = 10 * n ** 2  # a stated limit, not a proved bound
-    heap = []
+    rays, heap = sub.rays, []
 
-    def score(f, rel):
+    def score(f, rel):  # kept as sub.score, so it reads rays, not sub: no cycle
         if (d := defect(rel, scaled)) <= 0:
             return None
-        apexes = tuple(sorted(sub.rays[i] for i in rel.ray_indices if i not in f))
+        apexes = tuple(sorted(rays[i] for i in rel.ray_indices if i not in f))
         heappush(heap, key := (-d, apexes, f, rel))
         return key
 
@@ -543,7 +543,7 @@ def _extraction_steps(sub, scaled, L):
     def score(cones):
         nonlocal points
         for cone in cones:
-            m = abs(adjugate(sub.ray_matrix(cone))[1])
+            m = abs(sub.kernel(cone)[1])
             points += m - 1
             if points > MAX_EXTRACTION_BOX_POINTS and m <= MAX_MULTIPLICITY:
                 raise InvalidInputError(

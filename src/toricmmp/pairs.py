@@ -14,7 +14,7 @@ from operator import mul
 
 from .circuits import defect
 from .errors import InvalidInputError
-from .fan import Fan, _facet_functional, _solve, _Subdivision, in_support, locate
+from .fan import Fan, _inward, _solve, _Subdivision, in_support, locate
 from .lattice import (
     LatticeBasis,
     _box_numerators,
@@ -142,8 +142,8 @@ def cell_extreme_rays(fan_x, cone_x, fan_y, cone_y):
     More than MAX_CELL_SUBSETS facet subsets raise InvalidInputError before
     any enumeration."""
     n = fan_x.dim
-    ux = [_facet_functional(fan_x, cone_x, k) for k in range(n)]
-    uy = [_facet_functional(fan_y, cone_y, k) for k in range(n)]
+    ux = [_inward(adjugate(fan_x.ray_matrix(cone_x)), k) for k in range(n)]
+    uy = [_inward(adjugate(fan_y.ray_matrix(cone_y)), k) for k in range(n)]
     funcs = tuple(dict.fromkeys(primitive(u) for u in ux + uy))
     count = comb(len(funcs), n - 1)
     if count > MAX_CELL_SUBSETS:

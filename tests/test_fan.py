@@ -85,6 +85,25 @@ def test_support_kind_values():
                 make_fan(quadrants, cones, validate=level)
 
 
+def test_a_chain_winding_past_one_turn_is_rejected_by_an_inner_ray():
+    # an open chain of plane cones winding from (1, 0) by quarter turns to
+    # (0, -1), on to (1, 1), an eighth of a turn past the first full one,
+    # and to (-1, 1), at 1.375 turns: connected, every wall's apexes on
+    # opposite sides, and the two boundary functionals, (0, 1) and (1, 1),
+    # are >= 0 on both boundary rays; only the inner ray (0, -1) is
+    # negative on (0, 1), so the kind test has to dot every boundary
+    # functional with every ray
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1)]
+    cones = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    sub = _Subdivision(Fan(2, tuple(rays), (), None))
+    sub._replace((), cones, "make_fan")
+    assert sorted(sub.boundary.values()) == [(0, 1), (1, 1)]
+    assert all(dot(u, r) >= 0 for u in sub.boundary.values() for r in (rays[0], rays[5]))
+    for level in ("fast", "full"):
+        with pytest.raises(InvalidInputError, match=NOT_CONVEX):
+            make_fan(rays, cones, validate=level)
+
+
 def test_make_fan_rejects_bad_input():
     # one defect per input, each named by its own message; the last four
     # are the checks of a _Subdivision step

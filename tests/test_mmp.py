@@ -1,9 +1,11 @@
 """Engine tests: triangulation vs exhaustive hull oracle, flip surgery,
 flop sweep, relative MMP, terminalization."""
 
+import gc
 import hashlib
 import json
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -26,11 +28,23 @@ from toricmmp.errors import (
 from toricmmp import fan as fan_module
 from toricmmp import mmp as mmp_module
 from toricmmp import pairs as pairs_module
-from toricmmp.fan import _facet_map, _Subdivision, fans_equal, make_fan, point_in_cone, walls
+from toricmmp.fan import (
+    _facet_map,
+    _holding,
+    _inward,
+    _Subdivision,
+    fans_equal,
+    make_fan,
+    point_in_cone,
+    walls,
+)
 from toricmmp.jsonio import dumps
-from toricmmp.lattice import det, mat_inv, mat_rank, primitive
+from toricmmp.lattice import adjugate, det, dot, mat_inv, mat_rank, primitive
+from toricmmp.mckay import make_group, mckay_pipeline, quotient_pair
 from toricmmp.mmp import (
     _crosses,
+    _extraction_steps,
+    _mmp_steps,
     _sweep,
     ample_heights,
     bistellar_flip,
@@ -40,7 +54,7 @@ from toricmmp.mmp import (
     relative_mmp,
     terminalize,
 )
-from toricmmp.pairs import is_terminal, k_equivalent, make_pair, psi_heights
+from toricmmp.pairs import _scaled_psi, is_terminal, k_equivalent, make_pair, psi_heights
 
 # ---------------------------------------------------------------- oracles
 
@@ -483,6 +497,108 @@ def test_regular_triangulation_link_flips_match_hull_oracle(monkeypatch):
     assert widths[True] > 0, widths
 
 
+# ------------------------------------------------------ kept fan state
+
+
+def _fresh_boundary(sub):
+    """(facet, inward functional) for every facet of the state in a single
+    cone, in cone order and, in a cone, by the position of the ray it
+    misses, each from a fresh adjugate: the scan of all cones that the
+    state's kept boundary replaced."""
+    for cone in sub.max_cones:
+        for k in range(sub.dim):
+            if len(sub.facets[facet := cone[:k] + cone[k + 1:]]) == 1:
+                yield facet, _inward(adjugate.__wrapped__(sub.ray_matrix(cone)), k)
+
+
+def _assert_kept_state(sub):
+    """The state keeps adjugates of current cones only, each that of a fresh
+    elimination, and the boundary of a fresh scan."""
+    assert set(sub.kernels) <= set(sub.max_cones)
+    for cone, kernel in sub.kernels.items():
+        assert kernel == adjugate.__wrapped__(sub.ray_matrix(cone)), cone
+    assert sub.boundary == dict(_fresh_boundary(sub))
+
+
+def test_triangulation_state_matches_a_fresh_recomputation(monkeypatch):
+    # after every placement and flip of regular_triangulation the kept
+    # adjugates and boundary are a fresh recomputation's, and a ray placed
+    # outside the support is joined to the facets that see it in the
+    # fresh scan's order, which sets the order of the new cones
+    real_place, real_flip = _Subdivision.place, _Subdivision.flip
+    count = Counter()
+
+    def checked_place(self, w):
+        outside = _holding(self, w) is None
+        seen = [f for f, u in _fresh_boundary(self) if dot(u, w) < 0]
+        gone, new = real_place(self, w)
+        if outside:
+            w_idx = self.rays.index(w)
+            assert new == [tuple(sorted(f + (w_idx,))) for f in seen]
+            count["outside"] += 1
+        _assert_kept_state(self)
+        count["place"] += 1
+        return gone, new
+
+    def checked_flip(self, rel):
+        step = real_flip(self, rel)
+        _assert_kept_state(self)
+        count["flip"] += step is not None
+        return step
+
+    monkeypatch.setattr(_Subdivision, "place", checked_place)
+    monkeypatch.setattr(_Subdivision, "flip", checked_flip)
+    for rays, heights in _triangulation_inputs(3, 120):
+        try:
+            regular_triangulation(rays, heights)
+        except ToricMmpError:
+            pass
+    assert count["outside"] > 100 and count["flip"] > 100, count
+
+
+def test_extraction_state_matches_a_fresh_recomputation():
+    # every extraction of a slice of the quotient workload's groups keeps
+    # the adjugates and boundary of a fresh recomputation
+    steps = 0
+    for r in range(2, 14):
+        for ws in ((1, 1, r - 2), (1, 2, r - 3), (1, 3, 5), (2, 3, 7)):
+            X = quotient_pair(make_group(3, [(r, ws)]))
+            sub = _Subdivision(X.fan)
+            _assert_kept_state(sub)
+            for _ in _extraction_steps(sub, *_scaled_psi(X)):
+                _assert_kept_state(sub)
+                steps += 1
+    assert steps > 100, steps
+
+
+def test_the_mmp_loop_leaves_no_cycle_through_its_state():
+    # the MMP keeps its wall score on the state; a score that read the
+    # state would make a reference cycle, and every relative_mmp and
+    # mckay_pipeline would leave its state to the cyclic collector
+    G = make_group(3, [(7, (1, 2, 5))])
+    Y, _ = terminalize(quotient_pair(G))
+    pairs = [make_pair(Y.fan, [0] * len(Y.fan.rays), Y.lattice)] + square_mmp_inputs(7, 3)
+
+    def live():
+        return sum(isinstance(o, _Subdivision) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        for pair in pairs:
+            sub = _Subdivision(pair.fan)
+            state = weakref.ref(sub)
+            list(_mmp_steps(sub, *_scaled_psi(pair)))
+            del sub
+            assert state() is None
+        before = live()
+        mckay_pipeline(G)
+        assert any(relative_mmp(pair)[1] for pair in pairs)
+        assert live() == before
+    finally:
+        gc.enable()
+
+
 # ------------------------------------------------------- symbolic epsilon
 
 # flop_decompose(*flop_case(seed)[:2]) in canonical JSON, recorded when the
@@ -864,7 +980,8 @@ def test_mmp_state_matches_validated_fans(monkeypatch):
     # support kind.  Each step's defect is that of its wall under the psi
     # of the pair before it, and the last pair has no positive defect.
     # After every step the state keeps at most one relation per current
-    # wall, and only current walls' relations as refused circuit steps.
+    # wall, only current walls' relations as refused circuit steps, and
+    # the adjugates and boundary of a fresh recomputation.
     def forbidden(*args, **kwargs):
         raise AssertionError("the MMP rebuilt a fan or a pair")
 
@@ -884,6 +1001,7 @@ def test_mmp_state_matches_validated_fans(monkeypatch):
         for step, cur, sub in mmp_pairs(pair):
             assert len(sub.rels) <= len(sub.walls)
             assert sub.refused <= {rel for rel, _ in sub.walls.values()}
+            _assert_kept_state(sub)
             fan = cur.fan
             assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
             assert cur.lattice == pair.lattice

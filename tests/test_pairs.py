@@ -13,8 +13,8 @@ from test_lattice import oracle_box_points_in_coords
 from test_mmp import _bumped_corpus_case
 from toricmmp import pairs as pairs_module
 from toricmmp.errors import InvalidInputError
-from toricmmp.fan import _facet_functional, in_support, make_fan, star_subdivision
-from toricmmp.lattice import cofactor_kernel, det, dot, mat_rank, primitive
+from toricmmp.fan import _inward, in_support, make_fan, star_subdivision
+from toricmmp.lattice import adjugate, cofactor_kernel, det, dot, mat_rank, primitive
 from toricmmp.mckay import group_lattice, make_group, quotient_pair
 from toricmmp.pairs import (
     cell_extreme_rays,
@@ -303,7 +303,7 @@ def unfiltered_cell_extreme_rays(fan_x, cone_x, fan_y, cone_y):
     (n-1)-subset of the two cones' facet functionals."""
     n = fan_x.dim
     funcs = tuple(dict.fromkeys(
-        primitive(_facet_functional(fan, cone, k))
+        primitive(_inward(adjugate(fan.ray_matrix(cone)), k))
         for fan, cone in ((fan_x, cone_x), (fan_y, cone_y)) for k in range(n)
     ))
     found = set()
