@@ -8,11 +8,12 @@ circuit step (flip or divisorial contraction), each checking only the facets
 it touched.  Its ray ids are stable: a contraction leaves a tombstone.  It
 keeps each cone's adjugate and its boundary facets' inward functionals, and
 answers the wall and star questions: each wall's relation, kept while its
-two cones live, each wall's score for the engine loop that turned scoring
-on, rescored on the facets a step touched, and the star of a point, walked
-from the first cone holding it.  make_fan's `fast` level is those checks
-applied once to all cones, the kind read off the kept boundary; `full` adds
-the test that any two cones meet in a common face, a degree-one point check.
+two cones live, each wall's key for the engine loop that turned scoring
+on, rescored on the facets a step touched, the one queue from which that
+loop pops its next wall, and the star of a point, walked from the first
+cone holding it.  make_fan's `fast` level is those checks applied once to
+all cones, the kind read off the kept boundary; `full` adds the test that
+any two cones meet in a common face, a degree-one point check.
 A fan's support is all of N_R (kind "complete") or a convex cone (kind
 "cone-supported"); make_fan rejects any other support.  Exact LP decides
 membership in a cone over non-simplicial generators (point_in_cone, which no
@@ -26,7 +27,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat
+from heapq import heappop, heappush
+from itertools import count
 from math import gcd
 from typing import NamedTuple
 
@@ -144,7 +146,7 @@ def make_fan(rays, max_cones, *, validate="full"):
     for r in rays:
         if len(r) != n:
             raise InvalidInputError("rays of mixed dimension")
-        if not all(map(isinstance, r, repeat(int))):
+        if tuple(map(type, r)) != (int,) * n:  # no bool, float or Fraction
             raise InvalidInputError("ray coordinates must be integers")
         if (g := gcd(*r)) != 1:
             raise InvalidInputError(f"ray {r} is not primitive" if g else "zero ray")
@@ -233,9 +235,9 @@ class _Subdivision:
     interior facets are the walls; relation computes each wall's relation once
     per pair of cones, kept until a step removes one of them (so rels holds
     one per wall, but for another fan's pairs).  score_walls keeps walls, each
-    wall with its relation and a score, which each step renews on the facets
+    wall with its relation and a key, which each step renews on the facets
     of the cones it removed or created, the only facets whose walls it
-    changed.
+    changed; queue holds an entry per scoring whose key is not None, for pop.
 
     A step replaces some cones by others and applies the fast checks to
     exactly the facets it touched: new cones are simplicial and new, a facet
@@ -278,6 +280,7 @@ class _Subdivision:
         self.max_cones = dict(zip(fan.max_cones, self.order))
         self.facets = _facet_map(fan)
         self.rels, self.refused, self.score, self.walls, self.kernels = {}, set(), None, {}, {}
+        self.queue, self.tried = [], []
         self._boundary = None if fan.max_cones else {}
 
     @property
@@ -322,11 +325,31 @@ class _Subdivision:
         return ((f, self.relation(f)) for f in sorted(self.facets) if len(self.facets[f]) == 2)
 
     def score_walls(self, score):
-        """Keep walls, each wall's facet mapped to (relation, score(facet,
-        relation)): every wall now, in walls() order, and from then on the
-        facets each step touches, in facet order."""
-        self.score = score
-        self.walls = {f: (rel, score(f, rel)) for f, rel in self.relations()}
+        """Keep walls, each wall's facet mapped to (relation, its key
+        score(facet, relation)): every wall now, in walls() order, and from
+        then on the facets each step touches, in facet order; a key that is
+        not None also queues (key, facet, relation) for pop."""
+        self.score, self.walls, self.queue, self.tried = score, {}, [], []
+        for f, rel in self.relations():
+            self._score(f, rel)
+
+    def _score(self, f, rel):
+        self.walls[f] = rel, (key := self.score(f, rel))
+        if key is not None:
+            heappush(self.queue, (key, f, rel))
+
+    def pop(self):
+        """The queued (key, facet, relation) least by (key, facet) whose
+        wall is unchanged since that scoring, or None; stale entries are
+        dropped.  It is held in tried until the next step, which queues it
+        again if that step left its wall unchanged, so a wall whose step
+        was refused stays a candidate."""
+        while self.queue:
+            entry = heappop(self.queue)
+            if self.walls.get(entry[1], (None,))[0] is entry[2]:
+                self.tried.append(entry)
+                return entry
+        return None
 
     def subdivide(self, w, cone=None):
         """Insert the primitive vector w as a new ray, as star_subdivision
@@ -477,10 +500,13 @@ class _Subdivision:
             return
         for f in sorted(change):
             if len(self.facets.get(f, ())) == 2:
-                rel = self.relation(f)
-                self.walls[f] = rel, self.score(f, rel)
+                self._score(f, self.relation(f))
             else:
                 self.walls.pop(f, None)
+        for entry in self.tried:  # a wall this step changed was rescored above
+            if entry[1] not in change:
+                heappush(self.queue, entry)
+        self.tried.clear()
 
     def _keeps_kind(self, facet):
         """May facet, newly in a single cone, lie on the boundary?"""

@@ -34,21 +34,9 @@ def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
-
-
 def vec_mat(x, M):
     """Row vector times matrix: returns x.M as a tuple."""
     return tuple(sum(map(mul, x, col)) for col in zip(*M))
-
-
-def mat_mul(A, B):
-    cols = len(B[0])
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(cols))
-        for i in range(len(A))
-    )
 
 
 def mat_identity(n):
@@ -302,12 +290,6 @@ def smith_normal_form(M):
     return D, tuple(tuple(r) for r in U), tuple(tuple(r) for r in V)
 
 
-def invariant_factors(M):
-    D, _, _ = smith_normal_form(M)
-    k = min(len(D), len(D[0]))
-    return tuple(D[i][i] for i in range(k) if D[i][i] != 0)
-
-
 @dataclass(frozen=True)
 class LatticeBasis:
     """A full-rank lattice in Q^n, stored as its canonical basis matrix.
@@ -383,9 +365,6 @@ class LatticeBasis:
 
     def ambient(self, x):
         return vec_mat(x, self.rows)
-
-    def contains(self, v):
-        return all(c.denominator == 1 for c in self.coords(v))
 
 
 def _lattice_coord_matrix(rays, lattice, caller):

@@ -67,16 +67,19 @@ MAX_GROUP_DIM = 32
 
 
 def make_group(n, gens):
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # exactly int, as orders and weights: no bool
         raise InvalidInputError("group dimension must be a positive integer")
     if n > MAX_GROUP_DIM:
         raise InvalidInputError(f"group dimension {n} exceeds the limit {MAX_GROUP_DIM}")
     out = []
     for g in gens:
         r, weights = g
-        if not isinstance(r, int) or r < 1:
+        if type(r) is not int or r < 1:
             raise InvalidInputError("generator order must be a positive integer")
-        ws = tuple(int(w) % r for w in weights)
+        ws = tuple(weights)
+        if any(type(w) is not int for w in ws):
+            raise InvalidInputError("generator weights must be integers")
+        ws = tuple(w % r for w in ws)
         if len(ws) != n:
             raise InvalidInputError("one weight per coordinate required")
         out.append((r, ws))

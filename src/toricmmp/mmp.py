@@ -12,10 +12,10 @@ a ray (star subdivision inside the support, joins to the boundary facets
 that see it outside), or Reid's circuit step T+ * L -> T- * L, a flip or a
 divisorial contraction.  Every engine loop keeps one state across its
 steps instead of rebuilding the fan.  The flop sweep, regular
-triangulation and the MMP read its scored wall table (each wall's
-relation, computed once per cone pair, and score, rescored on the facets
-each step touched) with only their own selection rules; the only
-make_fan calls build regular triangulation's seed cone and result.  The
+triangulation and the MMP give it only a key per wall and pop their next
+wall from its one candidate queue (each wall's relation is computed once
+per cone pair, and its key renewed on the facets each step touched); the
+only make_fan calls build regular triangulation's seed cone and result.  The
 extraction and MMP loops step a state their caller owns and yield steps
 with the cones they removed and created, so the McKay pipeline carries
 one state through both.  The relative MMP runs over the support cone of
@@ -23,6 +23,7 @@ its state: the only base over which X -> U_base is proper.
 """
 
 from fractions import Fraction
+from functools import cmp_to_key
 from heapq import heappop, heappush
 from math import lcm
 from typing import NamedTuple
@@ -159,10 +160,10 @@ def divisorial_contract(fan, wall):
 def _flips_to_convexity(sub, budget, n):
     """Flip away the negative-defect walls of the state sub, most negative
     first, until every wall is convex; returns the flips left of budget,
-    regular_triangulation's limit of 10 n^2 for n rays.  The state scores
-    each wall by its defect under the heights of regular_triangulation.  A
-    circuit's walls share its defect and flip together
-    (fan._Subdivision.flip).
+    regular_triangulation's limit of 10 n^2 for n rays.  The state keys a
+    negative wall by its defect under regular_triangulation's heights and
+    sorted facet vectors.  A circuit's walls share its defect and flip
+    together (fan._Subdivision.flip).
 
     One pass per placement suffices (Edelsbrunner and Shah, "Incremental
     topological flipping works for regular triangulations", 1996): a wall
@@ -170,34 +171,25 @@ def _flips_to_convexity(sub, budget, n):
     triangulation before it, and flipping the walls whose circuit holds
     the ray reaches the regular triangulation with it.  So a negative wall
     that no flip executes is an invariant break."""
-    while True:
-        cands = sorted(
-            (d, tuple(sorted(sub.rays[i] for i in f)), rel)
-            for f, (rel, d) in sub.walls.items() if d < 0
-        )
-        if not cands:
-            return budget
-        for _, _, rel in cands:
-            kind = classify(rel)
-            if kind.kind == "divisorial":
-                raise InvalidInputError(
-                    f"ray {sub.rays[kind.ray]} is not on the lower hull"
-                )
-            if kind.kind == "fiber":
-                raise InvalidInputError(
-                    "fiber-type wall: heights have no lower hull over this support"
-                )
-            if sub.flip(rel) is None:
-                continue
-            if budget == 0:
-                raise BudgetExceededError(
-                    f"regular triangulation stopped at its stated limit of "
-                    f"10*n^2 = {10 * n ** 2} flips for n = {n} rays"
-                )
-            budget -= 1
-            break
-        else:
-            raise EngineInvariantError("negative wall stuck with non-isolated circuit")
+    for _, _, rel in iter(sub.pop, None):
+        kind = classify(rel)
+        if kind.kind == "divisorial":
+            raise InvalidInputError(f"ray {sub.rays[kind.ray]} is not on the lower hull")
+        if kind.kind == "fiber":
+            raise InvalidInputError(
+                "fiber-type wall: heights have no lower hull over this support"
+            )
+        if sub.flip(rel) is None:
+            continue
+        if budget == 0:
+            raise BudgetExceededError(
+                f"regular triangulation stopped at its stated limit of "
+                f"10*n^2 = {10 * n ** 2} flips for n = {n} rays"
+            )
+        budget -= 1
+    if sub.tried:
+        raise EngineInvariantError("negative wall stuck with non-isolated circuit")
+    return budget
 
 
 def regular_triangulation(rays, heights):
@@ -213,11 +205,14 @@ def regular_triangulation(rays, heights):
     if len(set(rays)) != len(rays):
         raise InvalidInputError("duplicate ray")
     for r in rays:
-        if len(r) != dim or any(not isinstance(x, int) for x in r):
+        if tuple(map(type, r)) != (int,) * dim:  # exactly int: no bool or float
             raise InvalidInputError("rays must be integer vectors of equal length")
         if primitive(r) != r:
             raise InvalidInputError(f"ray {r} is not primitive")
-    hs = tuple(Fraction(h) for h in heights)
+    heights = tuple(heights)
+    if any(isinstance(h, (bool, float)) for h in heights):
+        raise InvalidInputError("heights must be exact rationals, not bool or float")
+    hs = tuple(map(Fraction, heights))
     if len(hs) != len(rays):
         raise InvalidInputError("one height per ray required")
 
@@ -235,12 +230,14 @@ def regular_triangulation(rays, heights):
     H = [hs[k].numerator * (D // hs[k].denominator) for k in order]
     budget = 10 * n ** 2  # a stated limit, not a proved bound
     sub = _Subdivision(make_fan([rays[i] for i in seed], [tuple(range(dim))], validate="fast"))
-    sub.score_walls(lambda f, rel: defect(rel, H))
+    vectors = sub.rays  # read by sub.score, which so holds no reference to sub
+    sub.score_walls(lambda f, rel: (d, tuple(sorted(vectors[i] for i in f)))
+                    if (d := defect(rel, H)) < 0 else None)
     for k in order[dim:]:
         sub.place(rays[k])
         budget = _flips_to_convexity(sub, budget, n)
 
-    if any(d == 0 for _, d in sub.walls.values()):
+    if any(defect(rel, H) == 0 for rel, _ in sub.walls.values()):
         raise InvalidInputError("heights are not generic: flat wall at convergence")
     cones = [tuple(sorted(order[i] for i in c)) for c in sub.max_cones]
     return make_fan(rays, cones, validate="fast")
@@ -293,6 +290,9 @@ def _earlier(e, f):
     return (a > b) - (a < b)
 
 
+_by_time = cmp_to_key(_earlier)
+
+
 def _sweep(pair_x, pair_y):
     """The steps of flop_decompose, with no K-equivalence check of its own,
     each yielded as (step, sub) with the local state it leaves.
@@ -315,9 +315,10 @@ def _sweep(pair_x, pair_y):
     wall crosses, when d1 < 0, or d1 = 0 and the first nonzero coefficient
     is negative.  A crossing wall's event is (d0, q, eps) with q = d0 - d1
     and eps[i] = -a_i, its crossing time d0/q(eps); times compare by
-    cross-multiplication, lexicographically in eps (_earlier).  The next
-    event is the least by (crossing time, facet), and facet order is
-    walls() order.
+    cross-multiplication, lexicographically in eps (_earlier), the key of
+    the state's queue.  So the next event is the least by (crossing time,
+    facet), facet order being walls() order, and the walls popped next
+    with an equal key are tied with it.
 
     Each circuit fires at most once.  Its perturbed defect is affine in t
     and generic, so it is positive before its crossing time and negative
@@ -357,28 +358,18 @@ def _sweep(pair_x, pair_y):
         eps = [0] * n_rays
         for i, a in zip(rel.ray_indices, rel.coeffs):
             eps[i] = -a
-        return d0, d0 - d1, eps
+        return _by_time((d0, d0 - d1, eps))
 
     sub.score_walls(event)
     fired = set()
-    while True:
-        best, tied = None, []
-        for f, (rel, ev) in sub.walls.items():
-            if ev is None:
-                continue
-            c = -1 if best is None else _earlier(ev, best[2])
-            if c < 0:
-                best, tied = (f, rel, ev), [rel]
-            elif c == 0:
-                tied.append(rel)
-                if f < best[0]:
-                    best = (f, rel, ev)
-        if best is None:
-            break
+    for key, facet, rel in iter(sub.pop, None):
+        tied = [rel]
+        while (entry := sub.pop()) is not None and entry[0] == key:
+            tied.append(entry[2])
         signatures = {(tuple(sub.rays[i] for i in r.ray_indices), r.coeffs) for r in tied}
         if len(signatures) > 1:
             raise EngineInvariantError("simultaneous events on distinct circuits")
-        facet, rel, (d0, q, _) = best
+        d0, q, _ = key.obj
         k_defect = Fraction(defect(rel, scaled), L)
         if k_defect != 0:
             raise EngineInvariantError(
@@ -439,59 +430,41 @@ def _mmp_steps(sub, scaled, L):
     as tuples of ray vectors.  The state is the fan under flips and
     contractions (sub, a fan._Subdivision) and the integer psi heights
     scaled over one scale L, in the state's ray ids, which no contraction
-    moves.  Each scoring of a wall of positive defect d pushes its
-    candidate key (-d, apex vectors, facet) on a heap, where an entry
-    whose wall has changed since is dropped.  A wall whose circuit step
-    the state refused costs a heap entry until a step moves the cones
-    around its negative rays (fan._Subdivision._circuit)."""
+    moves.  The state keys a wall of positive defect d by (-d, apex
+    vectors).  A wall whose circuit step the state refused is popped
+    again after each step until a step moves the cones around its
+    negative rays (fan._Subdivision._circuit).  The budget counts steps."""
     if sub.kind != "cone-supported":
         raise InvalidInputError("relative MMP needs a fan supported on a strictly convex cone")
     n = len(sub.rays)
     budget = 10 * n ** 2  # a stated limit, not a proved bound
-    rays, heap = sub.rays, []
+    rays = sub.rays
 
     def score(f, rel):  # kept as sub.score, so it reads rays, not sub: no cycle
         if (d := defect(rel, scaled)) <= 0:
             return None
-        apexes = tuple(sorted(rays[i] for i in rel.ray_indices if i not in f))
-        heappush(heap, key := (-d, apexes, f, rel))
-        return key
+        return -d, tuple(sorted(rays[i] for i in rel.ray_indices if i not in f))
 
     sub.score_walls(score)
-    while True:
-        tried = []
-        while heap:
-            neg_d, _, f, rel = entry = heappop(heap)
-            if sub.walls.get(f, (None,))[0] is not rel:
-                continue  # the wall changed after this scoring
-            if not tried:
-                if budget == 0:
-                    raise BudgetExceededError(
-                        f"relative MMP stopped at its stated limit of 10*n^2 = "
-                        f"{10 * n ** 2} steps for n = {n} rays"
-                    )
-                budget -= 1
-            tried.append(entry)
-            kind = classify(rel)
-            if kind.kind == "fiber":
-                raise InvalidInputError(
-                    "fiber-type wall with positive defect: "
-                    "the pair is not birational over this base"
-                )
-            if kind.kind == "flipping":
-                removed = center = None
-                if (step := sub.flip(rel)) is not None:
-                    break
-            else:
-                center, removed = tuple(sub.rays[i] for i in rel.s_plus), sub.rays[kind.ray]
-                if (step := sub.contract(rel, kind.ray)) is not None:
-                    break
+    for (neg_d, _), f, rel in iter(sub.pop, None):
+        if budget == 0:
+            raise BudgetExceededError(
+                f"relative MMP stopped at its stated limit of 10*n^2 = "
+                f"{10 * n ** 2} steps for n = {n} rays"
+            )
+        kind = classify(rel)
+        if kind.kind == "fiber":
+            raise InvalidInputError(
+                "fiber-type wall with positive defect: "
+                "the pair is not birational over this base"
+            )
+        if kind.kind == "flipping":
+            removed = center = None
         else:
-            if tried:
-                raise EngineInvariantError("no executable wall among positive defects")
-            return
-        for entry in tried:  # those whose wall lives are candidates again
-            heappush(heap, entry)
+            center, removed = tuple(sub.rays[i] for i in rel.s_plus), sub.rays[kind.ray]
+        if (step := sub.flip(rel) if removed is None else sub.contract(rel, kind.ray)) is None:
+            continue
+        budget -= 1
 
         def vectors(c):  # the contracted ray's id now holds a tombstone
             return tuple(sub.rays[i] or removed for i in c)
@@ -501,6 +474,8 @@ def _mmp_steps(sub, scaled, L):
             "flip" if removed is None else "divisorial", vectors(f), vectors(rel.ray_indices),
             rel.coeffs, Fraction(-neg_d, L), removed, center,
         ), gone, new
+    if sub.tried:
+        raise EngineInvariantError("no executable wall among positive defects")
 
 
 # ---------------------------------------------------------- terminalize

@@ -40,7 +40,10 @@ def make_pair(fan, coeffs, lattice=None):
         lattice = LatticeBasis.standard(fan.dim)
     if lattice.dim != fan.dim:
         raise InvalidInputError("lattice dimension does not match the fan")
-    cs = tuple(Fraction(c) for c in coeffs)
+    cs = tuple(coeffs)
+    if any(isinstance(c, (bool, float)) for c in cs):
+        raise InvalidInputError("boundary coefficients must be exact rationals, not bool or float")
+    cs = tuple(map(Fraction, cs))
     if len(cs) != len(fan.rays):
         raise InvalidInputError("one boundary coefficient per ray required")
     for c in cs:

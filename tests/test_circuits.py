@@ -10,7 +10,7 @@ from corpus import flop_case
 from toricmmp.circuits import WallRelation, _relation, classify, defect, wall_relation
 from toricmmp.errors import EngineInvariantError, InvalidInputError
 from toricmmp.fan import make_fan, walls
-from toricmmp.lattice import cofactor_kernel, det, vec_scale
+from toricmmp.lattice import cofactor_kernel, det
 
 
 def oracle_circuit_coeffs(vectors, apex_positions):
@@ -136,7 +136,7 @@ def test_defect_is_linear_in_heights():
         h1 = [Fraction(rng.randint(-8, 8)) for _ in range(3)]
         h2 = [Fraction(rng.randint(-8, 8)) for _ in range(3)]
         c = Fraction(rng.randint(1, 5), rng.randint(1, 5))
-        assert defect(rel, vec_scale(c, h1)) == c * defect(rel, h1)
+        assert defect(rel, [c * h for h in h1]) == c * defect(rel, h1)
         both = [a + b for a, b in zip(h1, h2)]
         assert defect(rel, both) == defect(rel, h1) + defect(rel, h2)
 

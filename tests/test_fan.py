@@ -111,9 +111,13 @@ def test_make_fan_rejects_bad_input():
         make_fan([], [])
     with pytest.raises(InvalidInputError, match="rays of mixed dimension"):
         make_fan([(1, 0), (0, 1, 0)], [(0, 1)])
-    for bad in (Fraction(1, 2), Fraction(1), "1", 1.0):
+    for bad in (Fraction(1, 2), Fraction(1), "1", 1.0, True):
         with pytest.raises(InvalidInputError, match="ray coordinates must be integers"):
             make_fan([(1, 0), (0, bad)], [(0, 1)])
+    # True == 1 and 1.0 == 1, but dumps would write them as true and 1.0
+    for bad in (True, 1.0):
+        with pytest.raises(InvalidInputError, match="ray coordinates must be integers"):
+            make_fan([(bad, 0), (0, 1)], [(0, 1)])
     with pytest.raises(InvalidInputError, match="zero ray"):
         make_fan([(1, 0), (0, 0)], [(0, 1)])
     with pytest.raises(InvalidInputError, match="is not primitive"):

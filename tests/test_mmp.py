@@ -284,6 +284,16 @@ def test_regular_triangulation_flat_is_nongeneric():
         regular_triangulation([(1, 0), (0, 1), (1, 1)], [0, 0, 0])
 
 
+def test_regular_triangulation_rejects_inexact_numbers():
+    square = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
+    for bad in ((True, 1, 1), (1, 1.0, 1), (1, 1)):
+        with pytest.raises(InvalidInputError, match="integer vectors of equal length"):
+            regular_triangulation(square[:2] + [bad, square[3]], [0, 0, 1, 0])
+    for bad in (1.0, 0.5, True):
+        with pytest.raises(InvalidInputError, match="heights must be exact rationals"):
+            regular_triangulation(square, [0, 0, bad, 0])
+
+
 def test_regular_triangulation_insertion_order_independent():
     rays = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
     hs = [Fraction(1, 7), 0, Fraction(1, 5), Fraction(1, 2)]
@@ -394,10 +404,11 @@ def test_regular_triangulation_outputs_pinned():
 def test_regular_triangulation_rescores_only_touched_walls(monkeypatch):
     # the state's wall table of one triangulation is refreshed on the
     # facets each placement and flip touched: at every return of
-    # _flips_to_convexity it equals every wall's relation and defect, over
-    # the heights' common denominator, recomputed from the state, with far
-    # fewer relations computed than the 19,723 of a full rescan per pass
-    # (10,977 of which held the ray just placed)
+    # _flips_to_convexity it equals every wall's relation and key, the
+    # defect over the heights' common denominator with the sorted facet
+    # vectors when negative and else None, recomputed from the state, with
+    # far fewer relations computed than the 19,723 of a full rescan per
+    # pass (10,977 of which held the ray just placed)
     computed, real_relation = [0], fan_module._relation
     real_flips, lifted = mmp_module._flips_to_convexity, {}
 
@@ -405,11 +416,15 @@ def test_regular_triangulation_rescores_only_touched_walls(monkeypatch):
         computed[0] += 1
         return real_relation(*args)
 
+    def key(f, rel, hs, vectors):
+        d = defect(rel, hs)
+        return (d, tuple(sorted(vectors[i] for i in f))) if d < 0 else None
+
     def checked_flips(sub, budget, n):
         budget = real_flips(sub, budget, n)
         before, hs = computed[0], [lifted[v] for v in sub.rays]
         fresh = _Subdivision(sub.fan()).relations()  # a new state, no kept relation
-        assert sub.walls == {f: (rel, defect(rel, hs)) for f, rel in fresh}
+        assert sub.walls == {f: (rel, key(f, rel, hs, sub.rays)) for f, rel in fresh}
         computed[0] = before
         return budget
 
@@ -878,9 +893,17 @@ def test_crossing_test_matches_the_perturbed_defect_vector():
         assert _crosses(d1, coeffs) == (vector < [0] * (n_rays + 1))
 
 
+def _empty_step(sub, rel):
+    # a stand-in for _Subdivision.flip: a step that removes and creates no
+    # cone, so the walls popped since the last step are queued again
+    sub._replace((), (), "flip")
+    return (), ()
+
+
 def test_sweep_refuses_a_circuit_firing_twice(monkeypatch):
-    # a flip that changes nothing leaves the fired circuit as the next event
-    monkeypatch.setattr(_Subdivision, "flip", lambda self, rel: ((), ()))
+    # a flip that changes nothing, a step of no cones, leaves the fired
+    # circuit as the next event
+    monkeypatch.setattr(_Subdivision, "flip", _empty_step)
     px = make_pair(ATIYAH_X, [0, 0, 0, 0])
     py = make_pair(ATIYAH_Y, [0, 0, 0, 0])
     with pytest.raises(EngineInvariantError, match="fired twice"):
@@ -1043,7 +1066,7 @@ def _rescanned_mmp(pair):
 
 
 def test_relative_mmp_matches_a_full_rescan_per_round():
-    # the MMP's heap of candidate keys and the state's memory of refused
+    # the state's candidate queue and its memory of refused
     # circuit steps pick, every round, the wall that a fresh state's full
     # rescan picks; at 40 points a round skips 3.5 refused walls on average
     kinds = Counter()
@@ -1055,6 +1078,59 @@ def test_relative_mmp_matches_a_full_rescan_per_round():
                 for s in steps] == _rescanned_mmp(pair), seed
         kinds.update(s.kind for s in steps)
     assert kinds["flip"] > 50 and kinds["divisorial"] > 50, kinds
+
+
+def test_the_candidate_queue_pops_the_least_unpopped_wall(monkeypatch):
+    # every pop of the fan state's candidate queue returns the least (key,
+    # facet) among the scored walls not popped since the state's last step,
+    # found by a full rescan of the wall table, in each of the three loops
+    # that pop: seeded triangulations, the 80 flop_case sweeps and 40-point
+    # relative-MMP probes.  Each loop pops again, after a step, some wall
+    # it popped before it, so the step must have queued it again
+    real_pop, real_replace = _Subdivision.pop, _Subdivision._replace
+    since_step, ever = weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary()
+    pops, again = Counter(), Counter()
+
+    def replace(self, *args):
+        since_step.pop(self, None)
+        return real_replace(self, *args)
+
+    def checked_pop(self):
+        skip = since_step.setdefault(self, set())
+        least = min(((key, f) for f, (_, key) in self.walls.items()
+                     if key is not None and f not in skip), default=None)
+        entry = real_pop(self)
+        if entry is None:
+            assert least is None, least
+            return entry
+        key, f, rel = entry
+        assert (key, f) == least and self.walls[f] == (rel, key)
+        skip.add(f)
+        seen = ever.setdefault(self, set())
+        again[loop] += (f, rel) in seen
+        seen.add((f, rel))
+        pops[loop] += 1
+        return entry
+
+    cases = [flop_case(seed)[:2] for seed in range(80)]
+    probes = [corpus.mmp_probe_pair(seed, 40) for seed in range(4)]
+    monkeypatch.setattr(_Subdivision, "pop", checked_pop)
+    monkeypatch.setattr(_Subdivision, "_replace", replace)
+    loop = "triangulation"
+    for rays, heights in _triangulation_inputs(3, 200):
+        try:
+            regular_triangulation(rays, heights)
+        except ToricMmpError:
+            pass
+    loop = "sweep"
+    for px, py in cases:
+        flop_decompose(px, py)
+    loop = "mmp"
+    for pair in probes:
+        if pair is not None:  # None: a flat wall
+            relative_mmp(pair)
+    assert min(pops.values()) > 100 and len(pops) == 3, pops
+    assert min(again.values()) > 0 and len(again) == 3, again
 
 
 # sha256 over dumps((pair, steps)) of relative_mmp on cyclic_mmp_inputs()
@@ -1075,9 +1151,9 @@ def test_relative_mmp_outputs_pinned():
 
 
 def test_mmp_and_flip_limits_name_their_value(monkeypatch):
-    # a flip that changes nothing leaves the same wall negative, so each
-    # loop runs to its stated 10*n^2 limit
-    monkeypatch.setattr(_Subdivision, "flip", lambda self, rel: ((), ()))
+    # a flip that changes nothing, a step of no cones, leaves the same wall
+    # negative, so each loop runs to its stated 10*n^2 limit
+    monkeypatch.setattr(_Subdivision, "flip", _empty_step)
     rays = [(0, 0, 1), (1, 0, 1), (3, 3, 2), (0, 1, 1)]
     p = make_pair(make_fan(rays, [(0, 1, 2), (0, 2, 3)]), [0] * 4)
     with pytest.raises(BudgetExceededError, match=r"limit of 10\*n\^2 = 160 steps for n = 4 rays"):

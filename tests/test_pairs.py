@@ -136,6 +136,10 @@ def test_make_pair_validation():
         make_pair(ORTHANT2, [0, 1])  # coefficient 1 excluded
     with pytest.raises(InvalidInputError):
         make_pair(ORTHANT2, [0, Fraction(-1, 2)])
+    # a float is not the rational it prints as (0.1 is 3602879701896397/2^55)
+    for bad in (0.1, 0.0, False):
+        with pytest.raises(InvalidInputError, match="exact rationals, not bool or float"):
+            make_pair(ORTHANT2, [bad, 0])
     p = make_pair(ORTHANT2, [0, Fraction(1, 2)])
     assert psi_heights(p) == (1, Fraction(1, 2))
 
