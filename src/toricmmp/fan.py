@@ -182,12 +182,20 @@ def make_fan(rays, max_cones, *, validate="full"):
     return Fan(n, rays, tuple(cones), kind)
 
 
+def _exact_point(fan, p):
+    """p as a tuple of the fan's dimension, with no bool or float in it."""
+    p = tuple(p)
+    if any(isinstance(x, (bool, float)) for x in p):
+        raise InvalidInputError("point coordinates must be exact rationals, not bool or float")
+    if len(p) != fan.dim:
+        raise InvalidInputError("point dimension mismatch")
+    return p
+
+
 def locate(fan, p):
     """(cone index, barycentric coordinates) of the first maximal cone
     containing p.  Raises if p is outside the support."""
-    p = tuple(Fraction(x) for x in p)
-    if len(p) != fan.dim:
-        raise InvalidInputError("point dimension mismatch")
+    p = tuple(map(Fraction, _exact_point(fan, p)))
     if (cone := _holding(fan, p)) is None:
         raise InvalidInputError(f"point {p} outside the fan support")
     num, m = _solve(fan.ray_matrix(cone), p)
@@ -195,7 +203,7 @@ def locate(fan, p):
 
 
 def in_support(fan, p):
-    return _holding(fan, p) is not None
+    return _holding(fan, _exact_point(fan, p)) is not None
 
 
 def _walk_star(facets, cone, face):

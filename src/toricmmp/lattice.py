@@ -213,6 +213,22 @@ def _reverse_both(M):
     return [list(reversed(row)) for row in reversed(M)]
 
 
+def _hermite_lower(rows):
+    """The unique lower-triangular Hermite form H of the lattice of the
+    integer rows, as row tuples: the nonzero rows of one reversed Hermite
+    pass, reversed back.  Hermite forms commute with scaling, so H / den is
+    the canonical basis of the rows / den for any den > 0."""
+    if not rows:
+        raise InvalidInputError("no generators given")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise InvalidInputError("generators of mixed dimension")
+    ech = [row for row in _hnf_upper(_reverse_both(rows)) if any(row)]
+    if len(ech) != n:
+        raise InvalidInputError("generators do not span a full-rank lattice")
+    return tuple(map(tuple, _reverse_both(ech)))
+
+
 def hermite_normal_form(M):
     """Canonical lower-triangular Hermite form.
 
@@ -322,25 +338,8 @@ class LatticeBasis:
         """Canonical basis of the lattice generated by the given rational rows."""
         rows = [tuple(Fraction(x) for x in row) for row in rows]
         den = lcm(*(x.denominator for row in rows for x in row))
-        return cls._from_numerators([[int(x * den) for x in row] for row in rows], den)
-
-    @classmethod
-    def _from_numerators(cls, rows, den):
-        """from_rows of the rows num / den, given as integer numerators num
-        over any common positive denominator den: the Hermite form of a
-        scaled lattice is the scaled Hermite form, so the rows are the same."""
-        if not rows:
-            raise InvalidInputError("no generators given")
-        n = len(rows[0])
-        if any(len(r) != n for r in rows):
-            raise InvalidInputError("generators of mixed dimension")
-        # one reversed Hermite pass: its nonzero rows, reversed back, are
-        # the unique lower-triangular Hermite form of the lattice
-        ech = [row for row in _hnf_upper(_reverse_both(rows)) if any(row)]
-        if len(ech) != n:
-            raise InvalidInputError("generators do not span a full-rank lattice")
-        low = _reverse_both(ech)
-        return cls(tuple(tuple(Fraction(x, den) for x in row) for row in low))
+        H = _hermite_lower([[int(x * den) for x in row] for row in rows])
+        return cls(tuple(tuple(Fraction(x, den) for x in row) for row in H))
 
     @property
     def dim(self):

@@ -2,9 +2,12 @@
 
 A finite abelian subgroup of the torus acting on affine space is encoded
 by cyclic generators (1/r)(w_1..w_n).  The quotient is the orthant cone in
-the overlattice N generated by the weight vectors; the pipeline
-terminalizes, drops the quasi-reflection boundary, runs the relative MMP,
-and records one ledger entry per step with the exact stack-rank change.
+the overlattice N generated by the weight vectors.  Its set-up (the rays
+and m_i, the group order, the scaled psi and every ledger entry's centre)
+is read in integers off the Hermite form of the generators' integer
+numerators and its adjugate.  The pipeline terminalizes, drops the
+quasi-reflection boundary, runs the relative MMP, and records one ledger
+entry per step with the exact stack-rank change.
 One fan state (fan._Subdivision) goes from the quotient cone to the
 resolution: the extraction and MMP loops step it and yield their steps,
 and the resolution's pair is built once, at the end.  No step is
@@ -21,9 +24,10 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError
-from .fan import _solve, _Subdivision, make_fan
+from .fan import _Subdivision, make_fan
 from .lattice import (
     LatticeBasis,
+    _hermite_lower,
     adjugate,
     mat_identity,
     primitive,
@@ -31,7 +35,7 @@ from .lattice import (
     vec_mat,
 )
 from .mmp import _extraction_steps, _mmp_steps
-from .pairs import ToricPair, _scaled_psi, make_pair
+from .pairs import ToricPair, make_pair
 
 
 class GroupData(NamedTuple):
@@ -86,61 +90,59 @@ def make_group(n, gens):
     return GroupData(n, tuple(out))
 
 
-def group_lattice(G):
-    """The overlattice Z^n + sum Z (1/r)(w_1..w_n), as a canonical basis,
-    reduced from integer numerators over the lcm of the orders."""
+def _group_hermite(G):
+    """(H, den, B): den the lcm of the orders, H the integer lower Hermite
+    form of the generators' numerators over den, and B = H / den."""
     den = lcm(*(r for r, _ in G.gens))
     rows = [[den * x for x in row] for row in mat_identity(G.n)]
     rows += [[w * (den // r) for w in ws] for r, ws in G.gens]
-    return LatticeBasis._from_numerators(rows, den)
+    H = _hermite_lower(rows)
+    return H, den, LatticeBasis(tuple(tuple(Fraction(x, den) for x in row) for row in H))
 
 
-def _lattice_order(B):
-    """The index [B : Z^n] of an overlattice of Z^n."""
-    order = 1 / B.determinant
-    if order.denominator != 1:
+def group_lattice(G):
+    """The overlattice Z^n + sum Z (1/r)(w_1..w_n), as a canonical basis,
+    reduced from integer numerators over the lcm of the orders."""
+    return _group_hermite(G)[2]
+
+
+def _quotient(G):
+    """(quotient pair, order, [m_i], scaled psi, L, H), read in integers off
+    (H, den, B) = _group_hermite(G) and H.adj = d.I.  The index [B : Z^n]
+    is den^n / d, and e_i = x_i.B for x_i = den adj_i / d = m_i ray_i.  psi
+    is 1/m_i at ray i, psi_i L = L / m_i over L = lcm(m_i).  A lattice point
+    x is the ambient point x.H / den, in the orthant face of the axes
+    where x.H is positive: x.H carries the signs of x's barycentrics."""
+    H, den, B = _group_hermite(G)
+    adj, d = adjugate(H)
+    order, rest = divmod(den ** G.n, d)
+    if rest:
         raise EngineInvariantError("lattice index is not an integer")
-    return int(order)
+    rays, ms = [], []
+    for i, row in enumerate(adj):
+        g = gcd(*row)
+        if den * g % d:
+            raise EngineInvariantError(f"axis point {i} escaped its own overlattice")
+        rays.append(tuple(v // g for v in row))
+        ms.append(den * g // d)
+    fan = make_fan(rays, [tuple(range(G.n))], validate="full")
+    X, L = make_pair(fan, [Fraction(m - 1, m) for m in ms], B), lcm(*ms)
+    return X, order, ms, [L // m for m in ms], L, H
 
 
 def group_order(G):
-    return _lattice_order(group_lattice(G))
+    return _quotient(G)[1]
 
 
 def is_sl(G):
     return all(sum(ws) % r == 0 for r, ws in G.gens)
 
 
-def _lattice_coords(B, points):
-    """Integer coordinates x, x.B = p, of integer points p of B.  Read from
-    the integer adjugate of B's rows scaled to integers: B = S / s and
-    S.adj = d.I give x = p.adj * s / d, with no Fraction per point."""
-    s = lcm(*(x.denominator for row in B.rows for x in row))
-    S = tuple(tuple(x.numerator * (s // x.denominator) for x in row) for row in B.rows)
-    adj, d = adjugate(S)
-    out = []
-    for p in points:
-        num = vec_mat(p, adj)
-        if any(v * s % d for v in num):
-            raise EngineInvariantError(f"point {tuple(p)} escaped its own overlattice")
-        out.append(tuple(v * s // d for v in num))
-    return out
-
-
 def quotient_pair(G):
     """The quotient orthant as a pair: rays are the primitivized axis
     images e_i / m_i, each carrying coefficient 1 - 1/m_i, where m_i is
     the order of the quasi-reflection subgroup along axis i."""
-    B = group_lattice(G)
-    rays = []
-    mults = []
-    for x in _lattice_coords(B, mat_identity(G.n)):
-        m = gcd(*x)
-        rays.append(tuple(v // m for v in x))
-        mults.append(m)
-    fan = make_fan(rays, [tuple(range(G.n))], validate="full")
-    coeffs = [Fraction(m - 1, m) for m in mults]
-    return make_pair(fan, coeffs, B)
+    return _quotient(G)[0]
 
 
 def _standard_multiplicities(pair):
@@ -218,14 +220,6 @@ def boundary_divisor_pair(pair, ray_index):
 # ------------------------------------------------------------- pipeline
 
 
-def _center(quotient, x):
-    """Indices of the quotient rays spanning the smallest face containing x."""
-    lam, _ = _solve(quotient.fan.rays, x)
-    if any(l < 0 for l in lam):
-        raise EngineInvariantError("step locus escapes the quotient cone")
-    return tuple(i for i, l in enumerate(lam) if l > 0)
-
-
 def _checked_entry(kind, ray, center, before, after, psi=None, components=None):
     if after > before:
         raise EngineInvariantError(f"stack rank increased across a {kind} step")
@@ -246,20 +240,22 @@ def mckay_pipeline(G):
     terminalization keeps), and account for every unit of
     group order in the ledger, checked against a fresh count of the
     resolution's stack rank."""
-    X = quotient_pair(G)
-    order = _lattice_order(X.lattice)
+    X, order, ms, scaled, L, H = _quotient(G)
     rank_x = stack_rank(X)
     if rank_x != order:
         raise EngineInvariantError("stack rank of the quotient misses the group order")
-    ledger, rank = [], rank_x
-    sub, ms = _Subdivision(X.fan), _standard_multiplicities(X)
+    ledger, rank, sub = [], rank_x, _Subdivision(X.fan)
 
     def record(kind, ray, after, psi=None, components=None):
         nonlocal rank
-        ledger.append(_checked_entry(kind, ray, _center(X, ray), rank, after, psi, components))
+        num = vec_mat(ray, H)  # the ambient point, times den
+        if any(v < 0 for v in num):
+            raise EngineInvariantError("step locus escapes the quotient cone")
+        center = tuple(i for i, v in enumerate(num) if v > 0)
+        ledger.append(_checked_entry(kind, ray, center, rank, after, psi, components))
         rank = after
 
-    for st, gone, new in _extraction_steps(sub, *_scaled_psi(X)):
+    for st, gone, new in _extraction_steps(sub, scaled, L):
         ms.append(1)  # an extracted ray has coefficient zero
         after = rank + sum(_cone_rank(sub.kernel(c)[1], c, ms) for c in new)
         after -= sum(_cone_rank(adjugate(sub.ray_matrix(c))[1], c, ms) for c in gone)

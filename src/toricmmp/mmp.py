@@ -43,6 +43,7 @@ from .linprog import lp_maximize
 from .pairs import (
     ToricPair,
     _cone_witness,
+    _heights_linear,
     _same_rays_and_coeffs,
     _scaled_psi,
     k_equivalent,
@@ -433,9 +434,18 @@ def _mmp_steps(sub, scaled, L):
     moves.  The state keys a wall of positive defect d by (-d, apex
     vectors).  A wall whose circuit step the state refused is popped
     again after each step until a step moves the cones around its
-    negative rays (fan._Subdivision._circuit).  The budget counts steps."""
+    negative rays (fan._Subdivision._circuit).  The budget counts steps.
+    A psi that is one linear form (pairs._heights_linear, off the first
+    cone's kept kernel) returns at once: a wall relation sum a_i v_i = 0
+    has defect sum a_i psi(v_i) = psi(sum a_i v_i) = 0, so no wall scores.
+    So does the McKay pipeline's for G in SL(3), whose terminalization is
+    crepant (Ito and Reid, "The McKay correspondence for finite subgroups
+    of SL(3, C)", 1996)."""
     if sub.kind != "cone-supported":
         raise InvalidInputError("relative MMP needs a fan supported on a strictly convex cone")
+    cone = next(iter(sub.max_cones))
+    if _heights_linear(sub.rays, cone, sub.kernel(cone), scaled):
+        return
     n = len(sub.rays)
     budget = 10 * n ** 2  # a stated limit, not a proved bound
     rays = sub.rays

@@ -200,17 +200,19 @@ def _same_rays_and_coeffs(pair_x, pair_y):
 
 
 def _psi_is_linear(pair):
-    """Is psi one linear form on the pair's support?  The form of its first
-    cone is p.W / (d L), with C.adj = d.I for the cone's ray matrix C, L the
-    lcm of the psi denominators and W = adj.(psi L on the cone); every ray
-    is tested against it in integers."""
-    fan = pair.fan
-    scaled, L = _scaled_psi(pair)
-    cone = fan.max_cones[0]
-    adj, d = adjugate(fan.ray_matrix(cone))
+    """Is psi one linear form on the pair's support?"""
+    fan, cone = pair.fan, pair.fan.max_cones[0]
+    return _heights_linear(fan.rays, cone, adjugate(fan.ray_matrix(cone)), _scaled_psi(pair)[0])
+
+
+def _heights_linear(rays, cone, kernel, scaled):
+    """Are the integer heights scaled those of one linear form on the rays,
+    a tombstone None skipped?  The form of cone, with kernel = (adj, d) its
+    ray matrix's adjugate, is p.W / d for W = adj.(scaled on the cone)."""
+    adj, d = kernel
     P = [scaled[i] for i in cone]
     W = [sum(map(mul, row, P)) for row in adj]
-    return all(dot(r, W) == s * d for r, s in zip(fan.rays, scaled))
+    return all(r is None or dot(r, W) == s * d for r, s in zip(rays, scaled))
 
 
 def _cell_values(pair_x, pair_y):

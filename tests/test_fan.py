@@ -405,6 +405,21 @@ def test_locate_at_rays_and_interior():
         locate(ORTHANT3, (-1, 0, 0))
 
 
+def test_locate_and_in_support_reject_inexact_points():
+    # a float or bool coordinate raises as in the constructors; before,
+    # locate turned (0.1, True) into the barycentrics (3602879701896397 /
+    # 36028797018963968, 1) and in_support solved floats
+    for bad in ((0.1, True), (0.1, 0.2), (True, 0), (1, 0.0)):
+        for query in (locate, in_support):
+            with pytest.raises(InvalidInputError, match="exact rationals, not bool or float"):
+                query(ORTHANT2, bad)
+    for query in (locate, in_support):
+        with pytest.raises(InvalidInputError, match="point dimension mismatch"):
+            query(ORTHANT2, (1, 0, 0))
+    assert locate(ORTHANT2, (Fraction(1, 10), 1)) == (0, (Fraction(1, 10), 1))
+    assert in_support(ORTHANT2, (Fraction(1, 10), 1)) and not in_support(ORTHANT2, (-1, 0))
+
+
 def test_locate_random_reconstruction():
     rng = random.Random(314)
     for _ in range(30):

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -24,7 +24,7 @@ from toricmmp.fan import (
     make_fan,
     star_subdivision,
 )
-from toricmmp.lattice import LatticeBasis, det, mat_rank, primitive, vec_mat
+from toricmmp.lattice import LatticeBasis, adjugate, det, mat_identity, mat_rank, primitive, vec_mat
 from toricmmp.mckay import (
     MAX_CASE_A_ORDER,
     MAX_GROUP_DIM,
@@ -41,7 +41,7 @@ from toricmmp.mckay import (
     stack_rank,
 )
 from toricmmp.mmp import terminalize
-from toricmmp.pairs import min_discrepancy_witness
+from toricmmp.pairs import _scaled_psi, make_pair, min_discrepancy_witness
 
 F = Fraction
 
@@ -577,6 +577,75 @@ def test_lattice_coords_match_fraction_coords(monkeypatch):
             (x0, y0), (x1, y1) = boundary[-2:]
             boundary.append((-b * x1 - x0, -b * y1 - y0))
         assert [vec_mat(x, rB) for x in fan.rays] == boundary
+
+
+def _fraction_setup(G):
+    """The quotient set-up by the Fraction path: the basis of the Fraction
+    generators, each axis point's coordinates from the basis scaled to
+    integers, the order from its Fraction determinant, and m_i and the
+    scaled psi read back out of the pair's coefficients."""
+    rows = mat_identity(G.n) + [[F(w, r) for w in ws] for r, ws in G.gens]
+    B = LatticeBasis.from_rows(rows)
+    s = lcm(*(x.denominator for row in B.rows for x in row))
+    adj, d = adjugate(tuple(tuple(int(x * s) for x in row) for row in B.rows))
+    rays, mults = [], []
+    for p in mat_identity(G.n):
+        num = vec_mat(p, adj)
+        assert not any(v * s % d for v in num)
+        x = [v * s // d for v in num]
+        mults.append(gcd(*x))
+        rays.append(tuple(v // mults[-1] for v in x))
+    X = make_pair(make_fan(rays, [tuple(range(G.n))]), [F(m - 1, m) for m in mults], B)
+    order = 1 / B.determinant
+    assert order.denominator == 1
+    return X, int(order), mckay_module._standard_multiplicities(X), *_scaled_psi(X)
+
+
+def _distinct_cyclic_groups(n, top):
+    groups = {}
+    for r in range(1, top + 1):
+        for ws in product(range(r), repeat=n):
+            G = make_group(n, [(r, ws)])
+            groups.setdefault(group_lattice(G).rows, G)
+    return list(groups.values())
+
+
+def test_integer_setup_matches_the_fraction_path():
+    # _quotient reads the pair, order, m_i and scaled psi off one Hermite
+    # form; the Fraction path they replace is the oracle, on every distinct
+    # cyclic 3-fold group with r <= 12 (1,171) and 4-fold group with r <= 5
+    # (332), and on a seeded slice of two-generator groups
+    threefolds, fourfolds = _distinct_cyclic_groups(3, 12), _distinct_cyclic_groups(4, 5)
+    assert (len(threefolds), len(fourfolds)) == (1171, 332)
+    rng, two = random.Random(30), []
+    while len(two) < 300:
+        n = rng.choice([2, 3, 4])
+        gens = [(r, tuple(rng.randrange(r) for _ in range(n)))
+                for r in (rng.randrange(2, 13), rng.randrange(2, 13))]
+        two.append(make_group(n, gens))
+    for G in threefolds + fourfolds + two:
+        X, order, ms, scaled, L, H = mckay_module._quotient(G)
+        assert (X, order, ms, scaled, L) == _fraction_setup(G), G
+        assert make_fan(X.fan.rays, X.fan.max_cones, validate="full") == X.fan
+        assert (quotient_pair(G), group_order(G)) == (X, order)
+        # H / den is the basis, den the lcm of the orders
+        den = lcm(*(r for r, _ in G.gens))
+        assert tuple(tuple(F(x, den) for x in row) for row in H) == X.lattice.rows
+
+
+def test_ledger_centres_match_the_barycentric_solve():
+    # each ledger centre, read off the signs of x.H, against the support of
+    # the barycentrics of a solve in the quotient cone's rays
+    entries = 0
+    for G in _distinct_cyclic_groups(3, 12)[::4] + [make_group(3, [(101, (1, 17, 83))])]:
+        report = mckay_pipeline(G)
+        rays = report.quotient.fan.rays
+        for e in report.ledger:
+            lam, _ = _solve(rays, e.ray)
+            assert all(x >= 0 for x in lam)
+            assert e.center == tuple(i for i, x in enumerate(lam) if x > 0)
+            entries += 1
+    assert entries > 500, entries
 
 
 def _scan_star(fan, w):

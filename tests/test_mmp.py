@@ -1150,6 +1150,33 @@ def test_relative_mmp_outputs_pinned():
     assert h.hexdigest() == RELATIVE_MMP_SHA256
 
 
+def test_a_linear_psi_ends_the_mmp_with_the_steps_of_the_full_loop(monkeypatch):
+    # the early return for a linear psi against the loop that scores every
+    # wall: the 1,321 pinned inputs, 565 of whose psi are linear, and the
+    # pipeline's MMP input of each of the 870 SL groups (1/r)(1, k, r-1-k)
+    # with r <= 60 and k <= (r-1)/2 (k and r-1-k swap two axes), all linear
+    sl = []
+    for r in range(3, 61):
+        for k in range(1, (r - 1) // 2 + 1):
+            Y, _ = terminalize(quotient_pair(make_group(3, [(r, (1, k, r - 1 - k))])))
+            sl.append(make_pair(Y.fan, [0] * len(Y.fan.rays), Y.lattice))
+    pinned = cyclic_mmp_inputs() + square_mmp_inputs(7, 150)
+
+    def run(pair):
+        sub = _Subdivision(pair.fan)
+        steps = [(st, gone, new) for st, gone, new in _mmp_steps(sub, *_scaled_psi(pair))]
+        return steps, sub.fan()
+
+    fast = [run(pair) for pair in pinned + sl]
+    linear = [pairs_module._psi_is_linear(pair) for pair in pinned + sl]
+    monkeypatch.setattr(mmp_module, "_heights_linear", lambda *_: False)
+    assert [run(pair) for pair in pinned + sl] == fast
+    assert all(linear[len(pinned):]) and 100 < sum(linear[:len(pinned)]) < len(pinned), (
+        sum(linear[:len(pinned)]))
+    assert not any(steps for (steps, _), flat in zip(fast, linear) if flat)
+    assert sum(len(steps) for steps, _ in fast) > 500
+
+
 def test_mmp_and_flip_limits_name_their_value(monkeypatch):
     # a flip that changes nothing, a step of no cones, leaves the same wall
     # negative, so each loop runs to its stated 10*n^2 limit

@@ -154,6 +154,15 @@ def test_pl_eval_homogeneous():
         assert pl_eval(BLOWUP2, psi, (k * x[0], k * x[1])) == k * pl_eval(BLOWUP2, psi, x)
 
 
+def test_pl_eval_rejects_inexact_points():
+    # before, pl_eval of heights (1, 1) at (0.1, 0) returned
+    # 3602879701896397/36028797018963968
+    for bad in ((0.1, 0), (True, 0), (0, 1.0)):
+        with pytest.raises(InvalidInputError, match="exact rationals, not bool or float"):
+            pl_eval(ORTHANT2, (1, 1), bad)
+    assert pl_eval(ORTHANT2, (1, 1), (Fraction(1, 10), 0)) == Fraction(1, 10)
+
+
 def test_terminal_smooth_orthant():
     p = make_pair(ORTHANT2, [0, 0])
     assert is_terminal(p) and is_canonical(p)

@@ -4,8 +4,8 @@ must still call the LP by its name, or tracing, its metrics and the smoke
 run break; every cache has a bound; the engine still generates the
 benchmark's flop inputs, whose digest the golden file records; small cones
 still take the closed-form kernels; ample_heights poses its caps as LP
-bounds; the McKay pipeline carries one fan state and counts the stack rank
-only at its two ends; a fan state computes each cone pair's wall relation
+bounds; the McKay pipeline carries one fan state, counts the stack rank
+only at its two ends and reads its set-up once; a fan state computes each cone pair's wall relation
 once and keeps at most one per current wall."""
 
 import importlib
@@ -25,6 +25,7 @@ import toricmmp.fan as fan
 import toricmmp.lattice as lattice
 import toricmmp.mckay as mckay
 import toricmmp.mmp as mmp
+import toricmmp.pairs as pairs
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
@@ -123,6 +124,32 @@ def test_mckay_pipeline_carries_one_fan_state(monkeypatch):
     assert ranks == [report.quotient, report.resolution]
 
 
+def test_mckay_pipeline_reads_its_setup_once(monkeypatch):
+    # the m_i, the order and the scaled psi come from one integer Hermite
+    # form: a non-SL pipeline, here with a coefficient drop and MMP steps,
+    # never scales psi from coefficients and reads the m_i back out of
+    # them only in its two fresh stack-rank counts; a pipeline that
+    # re-derived its set-up would pass every output check
+    scaled, callers = [], []
+    real_scaled, real_ms = pairs._scaled_psi, mckay._standard_multiplicities
+
+    def ms(pair):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_ms(pair)
+
+    for info in pkgutil.iter_modules(toricmmp.__path__):  # every name bound to them
+        mod = importlib.import_module(f"toricmmp.{info.name}")
+        for name, obj in list(vars(mod).items()):
+            if obj is real_scaled:
+                monkeypatch.setattr(mod, name, lambda p: scaled.append(p) or real_scaled(p))
+            elif obj is real_ms:
+                monkeypatch.setattr(mod, name, ms)
+    report = toricmmp.mckay_pipeline(toricmmp.make_group(3, [(10, (1, 6, 8))]))
+    assert not report.sl
+    assert {"coefficient_drop", "divisorial"} <= {e.kind for e in report.ledger}
+    assert scaled == [] and callers == ["stack_rank", "stack_rank"]
+
+
 def test_a_fan_state_computes_each_wall_relation_once(monkeypatch):
     # the state keeps one relation per cone pair while both cones live,
     # and a contraction moves no ray id: the sweep's walls of X and of Y
@@ -130,10 +157,12 @@ def test_a_fan_state_computes_each_wall_relation_once(monkeypatch):
     # and the relative MMP's rounds, across flips and contractions, all
     # read it.  The square pair's MMP takes two flips over three rounds of
     # eight walls, the square-centre pair one link contraction, the McKay
-    # pipeline on (1/101)(1,17,83) 50 extractions and no MMP step, on
-    # (1/10)(1,6,8) two contractions, and the probe pair 37 flips and 22
-    # contractions; a rescan that recomputed its relations, or a
-    # contraction that dropped them, would pass every output check
+    # pipeline on (1/10)(1,6,8) two contractions, and the probe pair 37
+    # flips and 22 contractions; a rescan that recomputed its relations, or
+    # a contraction that dropped them, would pass every output check.  The
+    # McKay pipeline on (1/101)(1,17,83), in SL(3), takes 50 extractions
+    # and computes no relation at all: its psi is one linear form, so its
+    # relative MMP has no wall to score
     calls, states, real = Counter(), [], fan._relation
 
     def counting(rays, shared, apex_a, apex_b):
@@ -161,7 +190,6 @@ def test_a_fan_state_computes_each_wall_relation_once(monkeypatch):
         lambda: toricmmp.relative_mmp(toricmmp.make_pair(
             toricmmp.make_fan(centre, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]),
             [0, 0, 0, 0, Fraction(1, 2)])),
-        lambda: toricmmp.mckay_pipeline(toricmmp.make_group(3, [(101, (1, 17, 83))])),
         lambda: toricmmp.mckay_pipeline(toricmmp.make_group(3, [(10, (1, 6, 8))])),
         lambda: toricmmp.relative_mmp(mmp_probe_pair(0, 40)),
     ]
@@ -169,6 +197,10 @@ def test_a_fan_state_computes_each_wall_relation_once(monkeypatch):
         calls.clear()
         run()
         assert calls and max(calls.values()) == 1, calls.most_common(1)
+    calls.clear()
+    report = toricmmp.mckay_pipeline(toricmmp.make_group(3, [(101, (1, 17, 83))]))
+    assert len(report.ledger) == 50 and {e.kind for e in report.ledger} == {"extraction"}
+    assert not calls
 
 
 def test_a_fan_state_keeps_one_relation_per_current_wall(monkeypatch):
