@@ -17,7 +17,7 @@ happens.
 from math import gcd
 from typing import NamedTuple
 
-from .errors import EngineInvariantError, InvalidInputError
+from .errors import EngineInvariantError, InvalidInputError, _exact_rationals
 from .lattice import adjugate, vec_mat
 
 
@@ -67,6 +67,11 @@ def _relation(rays, shared, apex_a, apex_b):
 def defect(relation, heights):
     """Convexity defect sum a_i h(v_i); positive iff the height function is
     strictly convex across the wall.  heights is indexed by fan ray index."""
+    heights = _exact_rationals(heights, "heights must be exact rationals, not bool or float")
+    return _defect(relation, heights)
+
+
+def _defect(relation, heights):  # unchecked, for the engine loops' own heights
     return sum(a * heights[i] for i, a in zip(relation.ray_indices, relation.coeffs))
 
 

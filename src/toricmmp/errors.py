@@ -5,6 +5,8 @@ precondition) and violated internal invariants (an engine bug, or an input
 that slipped past validation).  The CLI maps them to exit codes 1 and 2.
 """
 
+from fractions import Fraction
+
 
 class ToricMmpError(Exception):
     """Base class for all package errors."""
@@ -28,3 +30,21 @@ class BudgetExceededError(InvalidInputError):
 
 class EngineInvariantError(ToricMmpError):
     """An internal invariant failed; indicates a bug, not bad input."""
+
+
+def _exact_ints(xs, message):
+    """xs as a tuple of ints, never bool; else InvalidInputError(message)."""
+    xs = tuple(xs)
+    for x in xs:
+        if type(x) is not int:
+            raise InvalidInputError(message)
+    return xs
+
+
+def _exact_rationals(xs, message):
+    """xs as a tuple of ints and Fractions, never bool; else InvalidInputError(message)."""
+    xs = tuple(xs)
+    for x in xs:
+        if type(x) is not int and type(x) is not Fraction:
+            raise InvalidInputError(message)
+    return xs

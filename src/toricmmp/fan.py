@@ -33,7 +33,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .circuits import _relation
-from .errors import EngineInvariantError, InvalidInputError
+from .errors import EngineInvariantError, InvalidInputError, _exact_ints, _exact_rationals
 from .lattice import adjugate, dot, primitive, vec_mat
 from .linprog import lp_maximize
 
@@ -146,8 +146,7 @@ def make_fan(rays, max_cones, *, validate="full"):
     for r in rays:
         if len(r) != n:
             raise InvalidInputError("rays of mixed dimension")
-        if tuple(map(type, r)) != (int,) * n:  # no bool, float or Fraction
-            raise InvalidInputError("ray coordinates must be integers")
+        _exact_ints(r, "ray coordinates must be integers")
         if (g := gcd(*r)) != 1:
             raise InvalidInputError(f"ray {r} is not primitive" if g else "zero ray")
     if len(set(rays)) != len(rays):
@@ -155,7 +154,7 @@ def make_fan(rays, max_cones, *, validate="full"):
 
     cones = []
     for c in max_cones:
-        c = tuple(sorted(c))
+        c = tuple(sorted(_exact_ints(c, "cone ray indices must be integers")))
         if len(c) != n or len(set(c)) != n:
             raise InvalidInputError("maximal cones must have dim distinct rays")
         if c[0] < 0 or c[-1] >= len(rays):  # c is sorted
@@ -183,10 +182,8 @@ def make_fan(rays, max_cones, *, validate="full"):
 
 
 def _exact_point(fan, p):
-    """p as a tuple of the fan's dimension, with no bool or float in it."""
-    p = tuple(p)
-    if any(isinstance(x, (bool, float)) for x in p):
-        raise InvalidInputError("point coordinates must be exact rationals, not bool or float")
+    """p as a tuple of exact rationals of the fan's dimension."""
+    p = _exact_rationals(p, "point coordinates must be exact rationals, not bool or float")
     if len(p) != fan.dim:
         raise InvalidInputError("point dimension mismatch")
     return p

@@ -11,7 +11,7 @@ same value always serializes to the same bytes.
 import json
 from fractions import Fraction
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _exact_ints
 from .fan import Fan, make_fan
 from .lattice import LatticeBasis
 from .mckay import GroupData, make_group
@@ -25,20 +25,16 @@ def int_to_json(x):
 
 
 def int_from_json(v):
-    if isinstance(v, bool):
-        raise InvalidInputError("expected an integer, got a boolean")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str):
-        s = v.strip()
-        body = s[1:] if s[:1] in "+-" else s
-        if body.isdecimal():
-            try:
-                return int(s)
-            except ValueError:  # more digits than int() converts
-                pass
-        raise InvalidInputError(f"not an integer: {v!r}")
-    raise InvalidInputError(f"expected an integer, got {type(v).__name__}")
+    if not isinstance(v, str):
+        return _exact_ints((v,), f"expected an integer, got {type(v).__name__}")[0]
+    s = v.strip()
+    body = s[1:] if s[:1] in "+-" else s
+    if body.isdecimal():
+        try:
+            return int(s)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InvalidInputError(f"not an integer: {v!r}")
 
 
 def rational_to_json(x):
@@ -49,19 +45,13 @@ def rational_to_json(x):
 
 
 def rational_from_json(v):
-    if isinstance(v, bool) or isinstance(v, float):
-        raise InvalidInputError("rationals must be integers or 'p/q' strings")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        num, sep, den = v.partition("/")
-        try:
-            if sep:
-                return Fraction(int_from_json(num), int_from_json(den))
-            return Fraction(int_from_json(num))
-        except (InvalidInputError, ZeroDivisionError):
-            raise InvalidInputError(f"not a rational: {v!r}") from None
-    raise InvalidInputError(f"expected a rational, got {type(v).__name__}")
+    if not isinstance(v, str):
+        return Fraction(_exact_ints((v,), "rationals must be integers or 'p/q' strings")[0])
+    num, sep, den = v.partition("/")
+    try:
+        return Fraction(int_from_json(num), int_from_json(den) if sep else 1)
+    except (InvalidInputError, ZeroDivisionError):
+        raise InvalidInputError(f"not a rational: {v!r}") from None
 
 
 def _require_keys(d, required, optional=()):
@@ -171,8 +161,6 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
-    if isinstance(obj, float):
-        raise InvalidInputError("floats are not representable exactly")
     raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
 
 

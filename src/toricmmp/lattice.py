@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _exact_ints, _exact_rationals
 
 
 def dot(u, v):
@@ -145,15 +145,13 @@ def cofactor_kernel(rows):
 def primitive(v):
     """Shortest integer vector on the ray of v (direction preserved).
 
-    Accepts int or Fraction coordinates (both have a denominator, 1 for an
-    int, so integer vectors never become Fractions; an all-int vector skips
-    the scaling); rejects the zero vector.
+    Accepts int or Fraction coordinates (both have a numerator and a
+    denominator, 1 for an int, so integer vectors never become Fractions);
+    rejects the zero vector.
     """
-    if all(type(x) is int for x in v):
-        ints = v
-    else:
-        den = lcm(*(x.denominator for x in v))
-        ints = [int(x * den) for x in v]
+    v = _exact_rationals(v, "vector coordinates must be exact rationals")
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints)
     if g == 0:
         raise InvalidInputError("zero vector has no primitive representative")
@@ -165,11 +163,8 @@ def _check_int_matrix(M):
         raise InvalidInputError("empty matrix")
     width = len(M[0])
     for row in M:
-        if len(row) != width:
+        if len(_exact_ints(row, "matrix entries must be integers")) != width:
             raise InvalidInputError("ragged matrix")
-        for x in row:
-            if not isinstance(x, int):
-                raise InvalidInputError("matrix entries must be integers")
 
 
 def _hnf_upper(rows):
@@ -321,14 +316,14 @@ class LatticeBasis:
         n = len(self.rows)
         # constructor accepts canonical rows only; use from_rows to canonicalize
         for i, row in enumerate(self.rows):
-            if len(row) != n:
+            if len(_exact_rationals(row, "basis entries must be exact rationals")) != n:
                 raise InvalidInputError("basis matrix must be square")
             if row[i] <= 0 or any(row[j] != 0 for j in range(i + 1, n)):
                 raise InvalidInputError("basis rows not in canonical form")
 
     @classmethod
     def standard(cls, dim):
-        if dim < 1:
+        if _exact_ints((dim,), "lattice dimension must be an integer")[0] < 1:
             raise InvalidInputError("lattice dimension must be >= 1")
         return cls(tuple(tuple(Fraction(int(i == j)) for j in range(dim))
                          for i in range(dim)))
@@ -336,7 +331,7 @@ class LatticeBasis:
     @classmethod
     def from_rows(cls, rows):
         """Canonical basis of the lattice generated by the given rational rows."""
-        rows = [tuple(Fraction(x) for x in row) for row in rows]
+        rows = [_exact_rationals(row, "basis entries must be exact rationals") for row in rows]
         den = lcm(*(x.denominator for row in rows for x in row))
         H = _hermite_lower([[int(x * den) for x in row] for row in rows])
         return cls(tuple(tuple(Fraction(x, den) for x in row) for row in H))
@@ -360,7 +355,7 @@ class LatticeBasis:
         """Coordinates x of ambient point v in this basis: x.rows = v."""
         if len(v) != self.dim:
             raise InvalidInputError("dimension mismatch")
-        return vec_mat(tuple(Fraction(x) for x in v), self.inverse)
+        return vec_mat(_exact_rationals(v, "coordinates must be exact rationals"), self.inverse)
 
     def ambient(self, x):
         return vec_mat(x, self.rows)

@@ -40,6 +40,8 @@ from math import lcm
 # sympy lines of `python -X importtime -c "import toricmmp"`.
 import sympy  # noqa: F401
 
+from .errors import InvalidInputError, _exact_ints
+
 
 class LpUnbounded(Exception):
     pass
@@ -78,14 +80,15 @@ def _pivot(T, dens, r, k, D, X, Y):
 def lp_maximize(c, A, b, upper=None):
     """Maximize c.y subject to A y <= b, y >= 0 and y_j <= upper[j] for each
     upper[j] not None; returns (optimum, y).  Raises ValueError when some b_i
-    < 0 or upper is not one None or int >= 0 per column, LpUnbounded when c.y
-    has no maximum."""
+    < 0, InvalidInputError when upper is not one None or int >= 0 per
+    column, LpUnbounded when c.y has no maximum."""
     if any(bi < 0 for bi in b):
         raise ValueError("lp_maximize needs b >= 0, so that the origin is feasible")
     m, n = len(A), len(c)
+    msg = "lp_maximize needs one cap per column, each None or an int >= 0"
     if upper is not None and (len(upper) != n or any(
-            u is not None and (type(u) is not int or u < 0) for u in upper)):
-        raise ValueError("lp_maximize needs one cap per column, each None or an int >= 0")
+            u < 0 for u in _exact_ints((u for u in upper if u is not None), msg))):
+        raise InvalidInputError(msg)
     obj, scale = _scaled([-x for x in c] + [0])
     T = [_scaled(list(row) + [bi])[0] for row, bi in zip(A, b)] + [obj]
     X, Y = list(range(n)), list(range(n, n + m))  # x_j is j, slack i is n + i

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .errors import EngineInvariantError, InvalidInputError
+from .errors import EngineInvariantError, InvalidInputError, _exact_ints
 from .fan import _Subdivision, make_fan
 from .lattice import (
     LatticeBasis,
@@ -71,19 +71,15 @@ MAX_GROUP_DIM = 32
 
 
 def make_group(n, gens):
-    if type(n) is not int or n < 1:  # exactly int, as orders and weights: no bool
-        raise InvalidInputError("group dimension must be a positive integer")
+    if _exact_ints((n,), msg := "group dimension must be a positive integer")[0] < 1:
+        raise InvalidInputError(msg)
     if n > MAX_GROUP_DIM:
         raise InvalidInputError(f"group dimension {n} exceeds the limit {MAX_GROUP_DIM}")
     out = []
-    for g in gens:
-        r, weights = g
-        if type(r) is not int or r < 1:
-            raise InvalidInputError("generator order must be a positive integer")
-        ws = tuple(weights)
-        if any(type(w) is not int for w in ws):
-            raise InvalidInputError("generator weights must be integers")
-        ws = tuple(w % r for w in ws)
+    for r, weights in gens:
+        if _exact_ints((r,), msg := "generator order must be a positive integer")[0] < 1:
+            raise InvalidInputError(msg)
+        ws = tuple(w % r for w in _exact_ints(weights, "generator weights must be integers"))
         if len(ws) != n:
             raise InvalidInputError("one weight per coordinate required")
         out.append((r, ws))
@@ -91,13 +87,17 @@ def make_group(n, gens):
 
 
 def _group_hermite(G):
-    """(H, den, B): den the lcm of the orders, H the integer lower Hermite
-    form of the generators' numerators over den, and B = H / den."""
+    """(H, den, B, order): den the lcm of the orders, H the integer lower
+    Hermite form of the generators' numerators over den, B = H / den, and
+    the index order = [B : Z^n], den^n over det H, the product of its diagonal."""
     den = lcm(*(r for r, _ in G.gens))
     rows = [[den * x for x in row] for row in mat_identity(G.n)]
     rows += [[w * (den // r) for w in ws] for r, ws in G.gens]
     H = _hermite_lower(rows)
-    return H, den, LatticeBasis(tuple(tuple(Fraction(x, den) for x in row) for row in H))
+    order, rest = divmod(den ** G.n, prod(H[i][i] for i in range(G.n)))
+    if rest:
+        raise EngineInvariantError("lattice index is not an integer")
+    return H, den, LatticeBasis(tuple(tuple(Fraction(x, den) for x in row) for row in H)), order
 
 
 def group_lattice(G):
@@ -108,16 +108,13 @@ def group_lattice(G):
 
 def _quotient(G):
     """(quotient pair, order, [m_i], scaled psi, L, H), read in integers off
-    (H, den, B) = _group_hermite(G) and H.adj = d.I.  The index [B : Z^n]
-    is den^n / d, and e_i = x_i.B for x_i = den adj_i / d = m_i ray_i.  psi
+    (H, den, B, order) = _group_hermite(G) and H.adj = d.I, d = det H:
+    e_i = x_i.B for x_i = den adj_i / d = m_i ray_i.  psi
     is 1/m_i at ray i, psi_i L = L / m_i over L = lcm(m_i).  A lattice point
     x is the ambient point x.H / den, in the orthant face of the axes
     where x.H is positive: x.H carries the signs of x's barycentrics."""
-    H, den, B = _group_hermite(G)
+    H, den, B, order = _group_hermite(G)
     adj, d = adjugate(H)
-    order, rest = divmod(den ** G.n, d)
-    if rest:
-        raise EngineInvariantError("lattice index is not an integer")
     rays, ms = [], []
     for i, row in enumerate(adj):
         g = gcd(*row)
@@ -131,7 +128,7 @@ def _quotient(G):
 
 
 def group_order(G):
-    return _quotient(G)[1]
+    return _group_hermite(G)[3]
 
 
 def is_sl(G):
@@ -181,8 +178,8 @@ def case_a_components(r1, s1):
     """Residues 1..r1-1 surviving the floor-multiple sieve of s1; there
     are exactly r1 - s1 of them.  r1 above MAX_CASE_A_ORDER raises
     InvalidInputError before any residue is listed."""
-    if not (isinstance(r1, int) and isinstance(s1, int) and 1 <= s1 <= r1):
-        raise InvalidInputError("need integers 1 <= s1 <= r1")
+    if not 1 <= _exact_ints((s1, r1), msg := "need integers 1 <= s1 <= r1")[0] <= r1:
+        raise InvalidInputError(msg)
     if r1 > MAX_CASE_A_ORDER:
         raise InvalidInputError(f"order {r1} exceeds the case-A limit of {MAX_CASE_A_ORDER}")
     excluded = {(k * r1) // s1 for k in range(1, s1)}
@@ -197,13 +194,12 @@ def boundary_divisor_pair(pair, ray_index):
     fan = pair.fan
     if len(fan.max_cones) != 1:
         raise InvalidInputError("expected a single-cone local model")
-    if not 0 <= ray_index < len(fan.rays):
+    if not 0 <= _exact_ints((ray_index,), "ray index must be an integer")[0] < len(fan.rays):
         raise InvalidInputError("ray index out of range")
     ms = _standard_multiplicities(pair)
     v = fan.rays[ray_index]
-    _, u, V = smith_normal_form((v,))
-    sign = u[0][0]
-    # v.V = sign * e_1; dropping the first coordinate of x.V realizes N/Zv
+    _, _, V = smith_normal_form((v,))
+    # v.V = +-e_1; dropping the first coordinate of x.V realizes N/Zv
     imgs = []
     coeffs = []
     for i in fan.max_cones[0]:
@@ -315,8 +311,7 @@ def hj_resolution(r, a):
     and in it (0, 1) and (1/r)(1, a) have coordinates (-a', r) and
     ((1 - a a')/r, a).  A chain longer than MAX_HJ_CHAIN raises
     InvalidInputError before any ray is built."""
-    if not (isinstance(r, int) and isinstance(a, int)):
-        raise InvalidInputError("need integer parameters")
+    r, a = _exact_ints((r, a), "need integer parameters")
     if not (0 < a < r) or gcd(r, a) != 1:
         raise InvalidInputError("need 0 < a < r with gcd(r, a) = 1")
     bs = []

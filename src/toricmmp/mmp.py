@@ -28,7 +28,7 @@ from heapq import heappop, heappush
 from math import lcm
 from typing import NamedTuple
 
-from .circuits import classify, defect, wall_relation
+from .circuits import _defect, classify, wall_relation
 from .errors import (
     BudgetExceededError,
     EngineInvariantError,
@@ -36,6 +36,8 @@ from .errors import (
     NonProjectiveError,
     NotKEquivalentError,
     ToricMmpError,
+    _exact_ints,
+    _exact_rationals,
 )
 from .fan import _facet_map, _Subdivision, fans_equal, make_fan
 from .lattice import MAX_MULTIPLICITY, mat_rank, primitive
@@ -206,14 +208,11 @@ def regular_triangulation(rays, heights):
     if len(set(rays)) != len(rays):
         raise InvalidInputError("duplicate ray")
     for r in rays:
-        if tuple(map(type, r)) != (int,) * dim:  # exactly int: no bool or float
-            raise InvalidInputError("rays must be integer vectors of equal length")
+        if len(_exact_ints(r, msg := "rays must be integer vectors of equal length")) != dim:
+            raise InvalidInputError(msg)
         if primitive(r) != r:
             raise InvalidInputError(f"ray {r} is not primitive")
-    heights = tuple(heights)
-    if any(isinstance(h, (bool, float)) for h in heights):
-        raise InvalidInputError("heights must be exact rationals, not bool or float")
-    hs = tuple(map(Fraction, heights))
+    hs = _exact_rationals(heights, "heights must be exact rationals, not bool or float")
     if len(hs) != len(rays):
         raise InvalidInputError("one height per ray required")
 
@@ -233,12 +232,12 @@ def regular_triangulation(rays, heights):
     sub = _Subdivision(make_fan([rays[i] for i in seed], [tuple(range(dim))], validate="fast"))
     vectors = sub.rays  # read by sub.score, which so holds no reference to sub
     sub.score_walls(lambda f, rel: (d, tuple(sorted(vectors[i] for i in f)))
-                    if (d := defect(rel, H)) < 0 else None)
+                    if (d := _defect(rel, H)) < 0 else None)
     for k in order[dim:]:
         sub.place(rays[k])
         budget = _flips_to_convexity(sub, budget, n)
 
-    if any(defect(rel, H) == 0 for rel, _ in sub.walls.values()):
+    if any(_defect(rel, H) == 0 for rel, _ in sub.walls.values()):
         raise InvalidInputError("heights are not generic: flat wall at convergence")
     cones = [tuple(sorted(order[i] for i in c)) for c in sub.max_cones]
     return make_fan(rays, cones, validate="fast")
@@ -350,10 +349,10 @@ def _sweep(pair_x, pair_y):
     scaled, L = _scaled_psi(pair_x)
 
     def event(f, rel):
-        d1 = defect(rel, H1)
+        d1 = _defect(rel, H1)
         if not _crosses(d1, rel.coeffs):
             return None
-        d0 = defect(rel, H0)
+        d0 = _defect(rel, H0)
         if d0 <= 0:
             raise EngineInvariantError("wall defect nonpositive before its event")
         eps = [0] * n_rays
@@ -371,7 +370,7 @@ def _sweep(pair_x, pair_y):
         if len(signatures) > 1:
             raise EngineInvariantError("simultaneous events on distinct circuits")
         d0, q, _ = key.obj
-        k_defect = Fraction(defect(rel, scaled), L)
+        k_defect = Fraction(_defect(rel, scaled), L)
         if k_defect != 0:
             raise EngineInvariantError(
                 f"event wall has discrepancy defect {k_defect}, expected 0"
@@ -451,7 +450,7 @@ def _mmp_steps(sub, scaled, L):
     rays = sub.rays
 
     def score(f, rel):  # kept as sub.score, so it reads rays, not sub: no cycle
-        if (d := defect(rel, scaled)) <= 0:
+        if (d := _defect(rel, scaled)) <= 0:
             return None
         return -d, tuple(sorted(rays[i] for i in rel.ray_indices if i not in f))
 

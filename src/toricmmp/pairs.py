@@ -12,8 +12,8 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from operator import mul
 
-from .circuits import defect
-from .errors import InvalidInputError
+from .circuits import _defect
+from .errors import InvalidInputError, _exact_rationals
 from .fan import Fan, _inward, _solve, _Subdivision, in_support, locate
 from .lattice import (
     LatticeBasis,
@@ -40,10 +40,8 @@ def make_pair(fan, coeffs, lattice=None):
         lattice = LatticeBasis.standard(fan.dim)
     if lattice.dim != fan.dim:
         raise InvalidInputError("lattice dimension does not match the fan")
-    cs = tuple(coeffs)
-    if any(isinstance(c, (bool, float)) for c in cs):
-        raise InvalidInputError("boundary coefficients must be exact rationals, not bool or float")
-    cs = tuple(map(Fraction, cs))
+    cs = tuple(map(Fraction, _exact_rationals(
+        coeffs, "boundary coefficients must be exact rationals, not bool or float")))
     if len(cs) != len(fan.rays):
         raise InvalidInputError("one boundary coefficient per ray required")
     for c in cs:
@@ -60,9 +58,9 @@ def psi_heights(pair):
 def pl_eval(fan, heights, point):
     """Evaluate the piecewise linear interpolation of ray heights at a
     support point."""
+    hs = _exact_rationals(heights, "heights must be exact rationals, not bool or float")
     ci, lam = locate(fan, point)
-    cone = fan.max_cones[ci]
-    return sum(l * Fraction(heights[i]) for l, i in zip(lam, cone))
+    return sum(l * Fraction(hs[i]) for l, i in zip(lam, fan.max_cones[ci]))
 
 
 def _linear_eval(fan, cone, heights, point):
@@ -282,7 +280,7 @@ def k_compare(pair_x, pair_y):
 
 def is_nef(fan, heights):
     """Nonnegative defect across every wall."""
-    hs = tuple(Fraction(h) for h in heights)
+    hs = _exact_rationals(heights, "heights must be exact rationals, not bool or float")
     if len(hs) != len(fan.rays):
         raise InvalidInputError("one height per ray required")
-    return all(defect(rel, hs) >= 0 for _, rel in _Subdivision(fan).relations())
+    return all(_defect(rel, hs) >= 0 for _, rel in _Subdivision(fan).relations())

@@ -178,7 +178,7 @@ def test_caps_as_bounds_match_caps_as_rows():
 
 @pytest.mark.parametrize("upper", [[1], [1, 2, 3], [-1, 1], [1, Fraction(1, 2)], [1.0, 1], [True, 1]])
 def test_caps_must_be_one_nonnegative_int_or_none_per_column(upper):
-    with pytest.raises(ValueError, match="one cap per column"):
+    with pytest.raises(InvalidInputError, match="one cap per column"):
         lp_maximize([1, 1], [[1, 1]], [1], upper)
 
 

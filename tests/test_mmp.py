@@ -284,14 +284,11 @@ def test_regular_triangulation_flat_is_nongeneric():
         regular_triangulation([(1, 0), (0, 1), (1, 1)], [0, 0, 0])
 
 
-def test_regular_triangulation_rejects_inexact_numbers():
+def test_regular_triangulation_rejects_ragged_rays():
+    # a short ray shares the message of an inexact one (tests/test_exactness.py)
     square = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
-    for bad in ((True, 1, 1), (1, 1.0, 1), (1, 1)):
-        with pytest.raises(InvalidInputError, match="integer vectors of equal length"):
-            regular_triangulation(square[:2] + [bad, square[3]], [0, 0, 1, 0])
-    for bad in (1.0, 0.5, True):
-        with pytest.raises(InvalidInputError, match="heights must be exact rationals"):
-            regular_triangulation(square, [0, 0, bad, 0])
+    with pytest.raises(InvalidInputError, match="integer vectors of equal length"):
+        regular_triangulation(square[:2] + [(1, 1), square[3]], [0, 0, 1, 0])
 
 
 def test_regular_triangulation_insertion_order_independent():

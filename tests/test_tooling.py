@@ -6,8 +6,10 @@ benchmark's flop inputs, whose digest the golden file records; small cones
 still take the closed-form kernels; ample_heights poses its caps as LP
 bounds; the McKay pipeline carries one fan state, counts the stack rank
 only at its two ends and reads its set-up once; a fan state computes each cone pair's wall relation
-once and keeps at most one per current wall."""
+once and keeps at most one per current wall; and only the gate module decides what an exact number
+is."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -29,6 +31,12 @@ import toricmmp.pairs as pairs
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
+SRC = Path(toricmmp.__file__).resolve().parent
+# type tests outside errors.py's two gates, each a dispatch that rejects no number
+TYPE_DISPATCH = {
+    ("jsonio", "to_jsonable"): "encodes by type: bool and str pass through as JSON values",
+    ("linprog", "_scaled"): "all-int fast path: any other row is scaled by its denominators",
+}
 
 
 def test_tracer_tables_name_existing_functions():
@@ -226,3 +234,36 @@ def test_a_fan_state_keeps_one_relation_per_current_wall(monkeypatch):
     toricmmp.regular_triangulation(rays, heights)
     sub = states[-1]
     assert 0 < len(sub.rels) <= len(sub.walls) > 100
+
+
+def _type_tests(tree):
+    """(where, line) of every isinstance(..., bool|float|int) and every
+    comparison of a type() with bool, float or int; where is the top-level
+    function, Class.method, or <module> for other statements."""
+    found = []
+    for top in tree.body:
+        units = [(f"{top.name}.{getattr(d, 'name', '<body>')}", d) for d in top.body] \
+            if isinstance(top, ast.ClassDef) else [(getattr(top, "name", "<module>"), top)]
+        for name, unit in units:
+            for node in ast.walk(unit):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                    names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                elif isinstance(node, ast.Compare):
+                    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                    names = names if "type" in names else set()
+                else:
+                    continue
+                if names & {"bool", "float", "int"}:
+                    found.append((name, node.lineno))
+    return found
+
+
+def test_only_the_gate_module_decides_what_an_exact_number_is():
+    # errors._exact_ints and errors._exact_rationals are the one exactness
+    # test; another isinstance(x, int) would let bool through again, and
+    # another isinstance(x, (bool, float)) str
+    probe = "def f(x):\n    return isinstance(x, (bool, float)) or type(x) is not int\n"
+    assert _type_tests(ast.parse(probe)) == [("f", 2), ("f", 2)]
+    found = {(path.stem, name) for path in sorted(SRC.glob("*.py")) if path.stem != "errors"
+             for name, _ in _type_tests(ast.parse(path.read_text()))}
+    assert found == set(TYPE_DISPATCH)
