@@ -35,8 +35,12 @@ class ContractionType(NamedTuple):
 
 
 def wall_relation(fan, wall):
-    """The normalized circuit relation across a wall of the fan."""
-    return _relation(fan.rays, wall.shared, wall.apex_a, wall.apex_b)
+    """The normalized circuit relation across a wall of the fan; any other Wall is bad input."""
+    shared, a, b = wall.shared, wall.apex_a, wall.apex_b
+    if a == b or a in shared or b in shared or any(
+            tuple(sorted(shared + (x,))) not in fan.max_cones for x in (a, b)):
+        raise InvalidInputError(f"{wall} is not a wall of the fan")
+    return _relation(fan.rays, shared, a, b)
 
 
 def _relation(rays, shared, apex_a, apex_b):

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .errors import EngineInvariantError, InvalidInputError
-from .jsonio import dumps, group_from_json, pair_from_json, to_jsonable
+from .jsonio import dumps, group_from_json, pair_from_json
 from .mckay import case_a_components, hj_resolution, mckay_pipeline, quotient_pair, stack_rank
 from .mmp import flop_decompose, relative_mmp, terminalize
 from .pairs import is_canonical, is_nef, is_terminal, psi_heights

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache, cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import InvalidInputError, _exact_ints, _exact_rationals
 

@@ -9,14 +9,16 @@ numerators and its adjugate.  The pipeline terminalizes, drops the
 quasi-reflection boundary, runs the relative MMP, and records one ledger
 entry per step with the exact stack-rank change.
 One fan state (fan._Subdivision) goes from the quotient cone to the
-resolution: the extraction and MMP loops step it and yield their steps,
-and the resolution's pair is built once, at the end.  No step is
-replayed.  An extraction's, flip's or contraction's rank is updated from
-the cones it removed and created, and a coefficient drop's from the cones
-around its ray.  The ranks telescope: the order of the acting group
-equals the rank of the final model plus the total rank spent along the
-way, and a fresh count of the resolution's stack rank checks every
-step's update at once.
+resolution: the extraction and MMP loops step it and yield the ids of
+the cones each step removed and created, and the resolution's pair is
+built once, at the end.  No step is replayed.  One rule prices every
+step off a table of each current cone's stack rank, filled from the
+state's kept determinant when a step creates the cone: the removed
+cones' entries leave and the created cones' enter (a coefficient drop
+re-creates the cones around its ray).  The ranks telescope: the order
+of the acting group equals the rank of the final model plus the total
+rank spent along the way, and a fresh count of the resolution's stack
+rank checks every step's update at once.
 """
 
 from fractions import Fraction
@@ -216,52 +218,46 @@ def boundary_divisor_pair(pair, ray_index):
 # ------------------------------------------------------------- pipeline
 
 
-def _checked_entry(kind, ray, center, before, after, psi=None, components=None):
-    if after > before:
-        raise EngineInvariantError(f"stack rank increased across a {kind} step")
-    if psi == 1 and before != after:
-        raise EngineInvariantError("crepant extraction changed the stack rank")
-    return LedgerEntry(kind, ray, center, before, after, psi, components)
-
-
-def _star_rank(sub, i, ms):
-    """Stack rank of the cones around ray i, the only ones whose
-    multiplicity a change of m_i changes, from their kept determinants."""
-    return sum(_cone_rank(sub.kernel(c)[1], c, ms) for c in sub.max_cones if i in c)
-
-
 def mckay_pipeline(G):
     """Terminalize the quotient, drop the quasi-reflection boundary, run
     the relative MMP over the quotient cone (the support, which
-    terminalization keeps), and account for every unit of
-    group order in the ledger, checked against a fresh count of the
-    resolution's stack rank."""
+    terminalization keeps), and account for every unit of group order in
+    the ledger, priced by the module's one rank rule from the quotient
+    cone's rank and checked against a fresh count of the resolution's
+    stack rank."""
     X, order, ms, scaled, L, H = _quotient(G)
     rank_x = stack_rank(X)
     if rank_x != order:
         raise EngineInvariantError("stack rank of the quotient misses the group order")
     ledger, rank, sub = [], rank_x, _Subdivision(X.fan)
+    ranks = dict.fromkeys(sub.max_cones, rank_x)  # the quotient's one cone
 
-    def record(kind, ray, after, psi=None, components=None):
+    def record(kind, ray, gone, new, psi=None, components=None):
         nonlocal rank
         num = vec_mat(ray, H)  # the ambient point, times den
         if any(v < 0 for v in num):
             raise EngineInvariantError("step locus escapes the quotient cone")
+        if any(c not in ranks for c in gone):
+            raise EngineInvariantError("a step removed a cone that the rank ledger lacks")
+        after = rank - sum(map(ranks.pop, gone))
+        ranks.update((c, _cone_rank(sub.kernel(c)[1], c, ms)) for c in new)
+        after += sum(ranks[c] for c in new)
+        if after > rank:
+            raise EngineInvariantError(f"stack rank increased across a {kind} step")
+        if psi == 1 and after != rank:
+            raise EngineInvariantError("crepant extraction changed the stack rank")
         center = tuple(i for i, v in enumerate(num) if v > 0)
-        ledger.append(_checked_entry(kind, ray, center, rank, after, psi, components))
+        ledger.append(LedgerEntry(kind, ray, center, rank, after, psi, components))
         rank = after
 
     for st, gone, new in _extraction_steps(sub, scaled, L):
         ms.append(1)  # an extracted ray has coefficient zero
-        after = rank + sum(_cone_rank(sub.kernel(c)[1], c, ms) for c in new)
-        after -= sum(_cone_rank(adjugate(sub.ray_matrix(c))[1], c, ms) for c in gone)
-        record("extraction", st.ray, after, st.psi_value)
+        record("extraction", st.ray, gone, new, st.psi_value)
     for i, m in enumerate(ms):
         if m > 1:
-            before = _star_rank(sub, i, ms)
-            ms[i] = 1
-            after = rank - before + _star_rank(sub, i, ms)
-            record("coefficient_drop", sub.rays[i], after, components=case_a_components(m, 1))
+            ms[i] = 1  # the star's entries, priced with m, leave; re-priced, they enter
+            star = [c for c in sub.max_cones if i in c]
+            record("coefficient_drop", sub.rays[i], star, star, components=case_a_components(m, 1))
     # every m is 1 from here on, so psi is 1 on every ray and a rank is |det|
     for st, gone, new in _mmp_steps(sub, [1] * len(ms), 1):
         if st.kind == "flip":
@@ -270,8 +266,7 @@ def mckay_pipeline(G):
             ray = primitive(tuple(map(sum, zip(*neg))))
         else:
             ray = st.removed_ray
-        after = rank + sum(abs(adjugate(C)[1]) for C in new)
-        record(st.kind, ray, after - sum(abs(adjugate(C)[1]) for C in gone))
+        record(st.kind, ray, gone, new)
 
     resolution = ToricPair(fan := sub.fan(), (Fraction(0),) * len(fan.rays), X.lattice)
     if stack_rank(resolution) != rank:

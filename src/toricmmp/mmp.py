@@ -426,14 +426,15 @@ def relative_mmp(pair):
 
 def _mmp_steps(sub, scaled, L):
     """The steps of relative_mmp, run on a state the caller owns and
-    changed in place, each yielded with the cones it removed and created
-    as tuples of ray vectors.  The state is the fan under flips and
-    contractions (sub, a fan._Subdivision) and the integer psi heights
-    scaled over one scale L, in the state's ray ids, which no contraction
-    moves.  The state keys a wall of positive defect d by (-d, apex
-    vectors).  A wall whose circuit step the state refused is popped
-    again after each step until a step moves the cones around its
-    negative rays (fan._Subdivision._circuit).  The budget counts steps.
+    changed in place, each yielded with the ids of the cones it removed
+    and created (a contraction's removed cones hold the contracted id).
+    The state is the fan under flips and contractions (sub, a
+    fan._Subdivision) and the integer psi heights scaled over one scale L,
+    in the state's ray ids, which no contraction moves.  The state keys a
+    wall of positive defect d by (-d, apex vectors).  A wall whose circuit
+    step the state refused is popped again after each step until a step
+    moves the cones around its negative rays (fan._Subdivision._circuit).
+    The budget counts steps.
     A psi that is one linear form (pairs._heights_linear, off the first
     cone's kept kernel) returns at once: a wall relation sum a_i v_i = 0
     has defect sum a_i psi(v_i) = psi(sum a_i v_i) = 0, so no wall scores.
@@ -471,18 +472,15 @@ def _mmp_steps(sub, scaled, L):
             removed = center = None
         else:
             center, removed = tuple(sub.rays[i] for i in rel.s_plus), sub.rays[kind.ray]
+        # read before a contraction tombstones the removed ray's id
+        wall, circuit = (tuple(sub.rays[i] for i in c) for c in (f, rel.ray_indices))
         if (step := sub.flip(rel) if removed is None else sub.contract(rel, kind.ray)) is None:
             continue
         budget -= 1
-
-        def vectors(c):  # the contracted ray's id now holds a tombstone
-            return tuple(sub.rays[i] or removed for i in c)
-
-        gone, new = ([vectors(c) for c in cs] for cs in step)
         yield MmpStep(
-            "flip" if removed is None else "divisorial", vectors(f), vectors(rel.ray_indices),
+            "flip" if removed is None else "divisorial", wall, circuit,
             rel.coeffs, Fraction(-neg_d, L), removed, center,
-        ), gone, new
+        ), *step
     if sub.tried:
         raise EngineInvariantError("no executable wall among positive defects")
 

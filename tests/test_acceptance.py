@@ -330,9 +330,13 @@ def test_criterion_9_engine_pairs_replay():
                 if key not in seen:
                     seen.add(key)
                     groups.append(G)
+        # the two 4-folds' MMPs contract across links, so a step's removed
+        # cones hold the id the contraction tombstones
         groups += [
             make_group(3, [(25, (1, 10, 22))]),
             make_group(3, [(8, (3, 6, 1)), (5, (0, 0, 1))]),
+            make_group(4, [(22, (4, 9, 16, 4))]),
+            make_group(4, [(4, (0, 3, 2, 1)), (6, (2, 4, 5, 4))]),
         ]
         kinds = set()
         for G in groups:

@@ -9,7 +9,7 @@ import pytest
 from corpus import flop_case
 from toricmmp.circuits import WallRelation, _relation, classify, defect, wall_relation
 from toricmmp.errors import EngineInvariantError, InvalidInputError
-from toricmmp.fan import make_fan, walls
+from toricmmp.fan import Wall, make_fan, walls
 from toricmmp.lattice import cofactor_kernel, det
 
 
@@ -186,3 +186,19 @@ def test_relation_matches_cofactor_kernel_on_flop_corpus():
                 assert got == want
                 zeros += 0 in got
     assert zeros > 0
+
+
+def test_wall_relation_rejects_a_wall_not_of_the_fan():
+    # the apexes must differ, lie off the shared rays and each complete
+    # them to a maximal cone; else the Wall names no wall of the fan, which
+    # is bad input, not an engine invariant break, and never an IndexError.
+    # True == 1, so (True,) shares ray 1 with apex_b
+    fan = make_fan([(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)])
+    for wall in (Wall((0,), 0, 1, 1, 2), Wall((True,), 0, 1, 0, 1), Wall((5,), 0, 1, 0, 2)):
+        with pytest.raises(InvalidInputError, match="is not a wall of the fan"):
+            wall_relation(fan, wall)
+    # the valid wall, (1, 0) - (1, 1) + (0, 1) = 0, is unchanged
+    (wall,) = walls(fan)
+    assert wall == Wall((1,), 0, 1, 0, 2)
+    assert wall_relation(fan, wall) == WallRelation((0, 1, 2), (1, -1, 1), (0, 2), (), (1,))
+    assert wall_relation(fan, wall) == _relation(fan.rays, (1,), 0, 2)

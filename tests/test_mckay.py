@@ -258,11 +258,14 @@ def test_pipeline_flip_ledgers():
 
 
 def test_pipeline_recount_catches_a_wrong_rank_update(monkeypatch):
-    # a drop that counts one more unit around its ray before the drop than
-    # there is leaves the ledger one below the resolution.  (1/6)(0, 1, 4)
-    # takes no MMP step; on (1/8)(3,6,1) + (1/5)(0,0,1) the drop is
-    # followed by a flip and a contraction, which are priced by the cones
-    # they change and so carry the error to the recount
+    # every step is priced by the cones it reports, so a step that
+    # misreports them leaves the ledger off.  Reporting one created cone
+    # twice counts its rank twice; (1/6)(0, 1, 4) takes no MMP step, and
+    # on (1/8)(3,6,1) + (1/5)(0,0,1) the error rides through a drop, a
+    # flip and a contraction, each priced by the cones it changes, to the
+    # recount.  Leaving a created cone out of the report keeps it out of
+    # the rank table, so the later step that removes it is an engine
+    # invariant break, never a bare KeyError
     G = make_group(3, [(6, (0, 1, 4))])
     H = make_group(3, [(8, (3, 6, 1)), (5, (0, 0, 1))])
     assert [(e.kind, e.rank_before, e.rank_after) for e in mckay_pipeline(G).ledger] == [
@@ -271,13 +274,21 @@ def test_pipeline_recount_catches_a_wrong_rank_update(monkeypatch):
     assert [e.kind for e in mckay_pipeline(H).ledger][2:] == [
         "coefficient_drop", "flip", "divisorial",
     ]
-    star_rank = mckay_module._star_rank
-    monkeypatch.setattr(
-        mckay_module, "_star_rank", lambda sub, i, ms: star_rank(sub, i, ms) + (ms[i] > 1)
-    )
-    for group in (G, H):
-        with pytest.raises(EngineInvariantError, match="misses the stack rank of the resolution"):
-            mckay_pipeline(group)
+    extraction_steps = mckay_module._extraction_steps
+    for misreport, message in (
+        (lambda new: new + new[:1], "misses the stack rank of the resolution"),
+        (lambda new: new[1:], "a step removed a cone that the rank ledger lacks"),
+    ):
+        def misreported(sub, scaled, L):
+            steps = extraction_steps(sub, scaled, L)
+            st, gone, new = next(steps)
+            yield st, gone, misreport(list(new))
+            yield from steps
+
+        monkeypatch.setattr(mckay_module, "_extraction_steps", misreported)
+        for group in (G, H):
+            with pytest.raises(EngineInvariantError, match=message):
+                mckay_pipeline(group)
 
 
 def _seeded_groups(seed, count, n, orders):
@@ -314,9 +325,13 @@ def test_pipeline_four_fold_slice(monkeypatch):
             before = set(map(frozenset, map(prev.ray_matrix, prev.max_cones)))
             after = set(map(frozenset, map(fan.ray_matrix, fan.max_cones)))
             gone = before - after
-            # the yielded cones, as ray vectors, are the step's own
-            assert set(map(frozenset, removed)) == gone
-            assert set(map(frozenset, created)) == after - before
+
+            def vectors(cones):  # a contracted ray's id holds a tombstone
+                return {frozenset(sub.rays[i] or st.removed_ray for i in c) for c in cones}
+
+            # the yielded cone ids, read as ray vectors, are the step's own
+            assert vectors(removed) == gone
+            assert vectors(created) == after - before
             steps[st.kind, len(gone) > sum(a > 0 for a in st.coeffs)] += 1
             prev = fan
             yield st, removed, created

@@ -6,8 +6,8 @@ benchmark's flop inputs, whose digest the golden file records; small cones
 still take the closed-form kernels; ample_heights poses its caps as LP
 bounds; the McKay pipeline carries one fan state, counts the stack rank
 only at its two ends and reads its set-up once; a fan state computes each cone pair's wall relation
-once and keeps at most one per current wall; and only the gate module decides what an exact number
-is."""
+once and keeps at most one per current wall; only the gate module decides what an exact number
+is; and no engine module imports a name it never reads."""
 
 import ast
 import importlib
@@ -267,3 +267,29 @@ def test_only_the_gate_module_decides_what_an_exact_number_is():
     found = {(path.stem, name) for path in sorted(SRC.glob("*.py")) if path.stem != "errors"
              for name, _ in _type_tests(ast.parse(path.read_text()))}
     assert found == set(TYPE_DISPATCH)
+
+
+def _unused_imports(source):
+    """(name, line) of every name the module source imports and never
+    reads, but for `from __future__` and import lines marked # noqa: F401."""
+    tree, lines = ast.parse(source), source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or "# noqa: F401" in \
+                lines[node.lineno - 1] or getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((name, line) for name, line in imported.items() if name not in read)
+
+
+def test_every_import_is_read():
+    # a name imported and never read is dead weight, and in cli.py an
+    # import cost paid on every cold start; __init__.py re-exports
+    probe = ("from __future__ import annotations\nimport os.path\nimport sympy  # noqa: F401\n"
+             "from typing import NamedTuple, Sequence\nclass A(NamedTuple):\n    x: int\n")
+    assert _unused_imports(probe) == [("Sequence", 4), ("os", 2)]
+    found = {(path.stem, name) for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
+             for name, _ in _unused_imports(path.read_text())}
+    assert found == set()
