@@ -133,7 +133,8 @@ def make_fan(rays, max_cones, *, validate="full"):
     are the rest; the support kind is read off that state's boundary.
     A support that is neither all of N_R nor a convex cone is rejected.
     "full" adds the test that any two cones meet in a common face, the
-    degree-one point check.
+    degree-one point check.  One cone is valid, cone-supported, exactly
+    when its determinant is not 0: no state is built for it.
     """
     if validate not in ("full", "fast"):
         raise InvalidInputError(f"unknown validation level {validate!r}")
@@ -165,6 +166,10 @@ def make_fan(rays, max_cones, *, validate="full"):
 
     if set().union(*cones) != set(range(len(rays))):
         raise InvalidInputError("fan has unused rays")
+    if len(cones) == 1:  # its rays are all the rays, in order
+        if adjugate(rays)[1] == 0:
+            raise InvalidInputError(f"cone {cones[0]} is not simplicial")
+        return Fan(n, rays, tuple(cones), "cone-supported")
 
     sub = _Subdivision(Fan(n, rays, (), None))
     sub._replace((), cones, "make_fan")

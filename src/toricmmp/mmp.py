@@ -517,8 +517,11 @@ def _extraction_steps(sub, scaled, L):
     appends psi 1, that is L, to scaled; psi and its scale never change on
     old rays.  A heap of per-cone witness minima, in which a cone's entry
     goes stale when the cone is subdivided, lives across the steps, so a
-    step scores only the cones it creates.  Past MAX_EXTRACTION_BOX_POINTS
-    it raises InvalidInputError before the enumeration (a cone past
+    step scores only the cones it creates.  It stops at the first witness
+    above psi 1, so it scores no pair sum above L (_cone_witness's cap) and
+    no unimodular cone whose two least heights sum above L.  Past
+    MAX_EXTRACTION_BOX_POINTS, counted over every created cone, it raises
+    InvalidInputError before the enumeration (a cone past
     MAX_MULTIPLICITY gets that limit's)."""
     heap, points = [], 0
 
@@ -532,7 +535,9 @@ def _extraction_steps(sub, scaled, L):
                     f"terminalization exceeds the extraction limit of "
                     f"{MAX_EXTRACTION_BOX_POINTS} box points"
                 )
-            wit = _cone_witness(sub, cone, scaled, L)
+            if m == 1 and sum(sorted(scaled[i] for i in cone)[:2]) > L:
+                continue
+            wit = _cone_witness(sub, cone, scaled, L, L)
             if wit is not None:
                 heappush(heap, wit + (cone,))
 

@@ -3,17 +3,19 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 import pytest
 
-from corpus import extraction_pairs
+from corpus import extraction_pairs, flop_case
 
 from toricmmp import fan as fan_module
 from toricmmp import mckay as mckay_module
 from toricmmp import mmp as mmp_module
+from toricmmp import pairs as pairs_module
 from toricmmp.circuits import defect
+from toricmmp.jsonio import dumps
 from toricmmp.errors import EngineInvariantError, InvalidInputError
 from toricmmp.fan import (
     _facet_map,
@@ -24,7 +26,16 @@ from toricmmp.fan import (
     make_fan,
     star_subdivision,
 )
-from toricmmp.lattice import LatticeBasis, adjugate, det, mat_identity, mat_rank, primitive, vec_mat
+from toricmmp.lattice import (
+    LatticeBasis,
+    adjugate,
+    det,
+    mat_identity,
+    mat_rank,
+    primitive,
+    vec_add,
+    vec_mat,
+)
 from toricmmp.mckay import (
     MAX_CASE_A_ORDER,
     MAX_GROUP_DIM,
@@ -40,7 +51,7 @@ from toricmmp.mckay import (
     quotient_pair,
     stack_rank,
 )
-from toricmmp.mmp import terminalize
+from toricmmp.mmp import ExtractionStep, terminalize
 from toricmmp.pairs import _scaled_psi, make_pair, min_discrepancy_witness
 
 F = Fraction
@@ -303,18 +314,23 @@ def _seeded_groups(seed, count, n, orders):
     return [make_group(n, g) for g in gens]
 
 
-def test_pipeline_four_fold_slice(monkeypatch):
-    # every fan the MMP yields and every resolution is a valid fan, the MMP
-    # ends with no positive psi-defect wall, and its steps include flips
-    # and link contractions (a divisorial star wider than the circuit's own
-    # plus cones), which the two named groups need.  The slice holds 4-folds
-    # (cyclic with r in 10..40, and two generators of orders 2..6), cyclic
-    # 5-folds with r in 4..15, and two-generator 3-folds of orders 2..6
+def _four_fold_slice():
+    """4-folds (two named groups, cyclic with r in 10..40, and two
+    generators of orders 2..6), cyclic 5-folds with r in 4..15, and
+    two-generator 3-folds of orders 2..6."""
     groups = [
         make_group(4, [(22, (4, 9, 16, 4))]),
         make_group(4, [(4, (0, 3, 2, 1)), (6, (2, 4, 5, 4))]),
     ] + _seeded_groups(1, 150, 4, ((10, 40, 1), (2, 6, 2)))
-    groups += _seeded_groups(2, 100, 5, ((4, 15, 1),)) + _seeded_groups(3, 100, 3, ((2, 6, 2),))
+    return groups + _seeded_groups(2, 100, 5, ((4, 15, 1),)) + _seeded_groups(3, 100, 3, ((2, 6, 2),))
+
+
+def test_pipeline_four_fold_slice(monkeypatch):
+    # every fan the MMP yields and every resolution is a valid fan, the MMP
+    # ends with no positive psi-defect wall, and its steps include flips
+    # and link contractions (a divisorial star wider than the circuit's own
+    # plus cones), which the two named groups need, over _four_fold_slice
+    groups = _four_fold_slice()
     steps, mmp_steps = Counter(), mckay_module._mmp_steps
 
     def checked(sub, scaled, L):
@@ -502,10 +518,46 @@ def test_hj_chain_limit(monkeypatch):
     def built(*_):
         raise AssertionError("a fan was built")
 
-    monkeypatch.setattr(mckay_module, "make_fan", built)
+    monkeypatch.setattr(mckay_module, "Fan", built)
     for r, a in ((r + 1, r), (2 * 10 ** 6 + 1, 2 * 10 ** 6), (10 ** 100 + 1, 10 ** 100)):
         with pytest.raises(InvalidInputError, match=f"limit of {MAX_HJ_CHAIN} curves"):
             hj_resolution(r, a)
+
+
+def test_hj_certificate_matches_full_validation():
+    # the chain's fan is built on its O(s) certificate; make_fan's full
+    # validation of the same rays and cones is the oracle, for every coprime
+    # (r, a) with r <= 300 and for the 10,000-cone chain of (10001, 10000)
+    cases = [(r, a) for r in range(2, 301) for a in range(1, r) if gcd(r, a) == 1]
+    for r, a in cases + [(10001, 10000)]:
+        fan, _ = hj_resolution(r, a)
+        assert fan == make_fan(fan.rays, fan.max_cones, validate="full"), (r, a)
+    assert len(cases) == 27397
+
+
+def test_hj_certificate_rejects_what_full_validation_rejects(monkeypatch):
+    # chains of unimodular cones that all turn one way but are no fan fail
+    # the certificate as they fail make_fan: one that winds by more than a
+    # turn, each check but the last passing, and one whose three quarters
+    # of a turn make det(u_0, u_last) > 0.  So do three valid fans that the
+    # recurrence never builds: one turning the other way, one with a cone of
+    # determinant -2, and a half-plane, det(u_0, u_last) = 0
+    def cones(rays):
+        return [(i, i + 1) for i in range(len(rays) - 1)]
+
+    winding = [(0, 1), (1, 0), (0, -1), (-1, 0), (-1, 1), (-1, 2), (1, -1), (1, -2)]
+    three_quarters = [(0, 1), (1, 0), (0, -1), (-1, 0)]
+    for rays in (winding, three_quarters):
+        assert not mckay_module._chain_is_fan(rays), rays
+        with pytest.raises(InvalidInputError):
+            make_fan(rays, cones(rays), validate="full")
+    for rays in ([(1, 0), (0, 1), (-1, 1)], [(0, 1), (1, 1), (1, -1)], [(0, 1), (1, 0), (0, -1)]):
+        assert not mckay_module._chain_is_fan(rays), rays
+        make_fan(rays, cones(rays), validate="full")
+    assert mckay_module._chain_is_fan([(-1, 2), (0, 1), (1, 0)])  # the chain of (1/2)(1, 1)
+    monkeypatch.setattr(mckay_module, "_chain_is_fan", lambda rays: False)
+    with pytest.raises(EngineInvariantError, match="fails its fan certificate"):
+        hj_resolution(7, 3)
 
 
 def test_group_lattice_contains_integers():
@@ -719,3 +771,45 @@ def test_terminalize_builds_no_fan_from_scratch(monkeypatch):
     _, steps = terminalize(X)
     assert len(steps) == 50
     assert calls == []
+
+
+def test_extraction_cap_matches_the_uncapped_scorer(monkeypatch):
+    # the extraction loop scores only candidates at psi <= 1: no pair sum
+    # above L and no unimodular cone whose two least heights sum above L.
+    # The oracle scores every live cone in full with the uncapped
+    # _cone_witness before each step and takes the least (psi, point,
+    # cone).  Whole pipeline dumps and terminalize steps agree on every
+    # cyclic 3-fold group with r <= 13, the four-fold slice, SL groups of
+    # orders 101, 151 and 181, and flop-corpus fans whose coefficients are
+    # 1/2 or 3/4, where psi <= 1/2 lets pair sums win, at psi 1 and below
+    real, pair_sums = pairs_module._cone_witness, Counter()
+
+    def uncapped(sub, scaled, L):
+        while True:
+            wits = [w + (c,) for c in sub.max_cones if (w := real(sub, c, scaled, L)) is not None]
+            if not wits or min(wits)[0] > 1:
+                return
+            val, pt, cone = min(wits)
+            w = primitive(pt)
+            pair_sums[val == 1] += any(vec_add(sub.rays[a], sub.rays[b]) == w
+                                       for a, b in combinations(cone, 2))
+            scaled.append(L)
+            gone, new = sub.subdivide(w, cone)
+            yield ExtractionStep(ray=w, psi_value=val), gone, new
+
+    groups = _distinct_cyclic_groups(3, 13) + _four_fold_slice()
+    groups += [make_group(3, [(r, (1, k, r - 1 - k))]) for r, k in ((101, 17), (151, 1), (181, 1))]
+    rng, pairs = random.Random(33), []
+    for seed in range(60):
+        fan = flop_case(seed)[0].fan
+        pairs.append(make_pair(fan, [rng.choice([F(1, 2), F(3, 4)]) for _ in fan.rays]))
+
+    def outputs():
+        return [dumps(mckay_pipeline(G)) for G in groups] + [dumps(terminalize(p)) for p in pairs]
+
+    capped = outputs()
+    monkeypatch.setattr(mmp_module, "_extraction_steps", uncapped)
+    monkeypatch.setattr(mckay_module, "_extraction_steps", uncapped)
+    assert outputs() == capped
+    # pair sums were extracted, at psi 1 and below, so the cap was exercised
+    assert pair_sums[True] > 50 and pair_sums[False] > 50, pair_sums

@@ -5,7 +5,9 @@ run break; every cache has a bound; the engine still generates the
 benchmark's flop inputs, whose digest the golden file records; small cones
 still take the closed-form kernels; ample_heights poses its caps as LP
 bounds; the McKay pipeline carries one fan state, counts the stack rank
-only at its two ends and reads its set-up once; a fan state computes each cone pair's wall relation
+only at its two ends and reads its set-up once; surface chains and
+one-cone fans build no fan state, and the extraction loop scores no
+unimodular cone that cannot hold a candidate at psi <= 1; a fan state computes each cone pair's wall relation
 once and keeps at most one per current wall; only the gate module decides what an exact number
 is; and no engine module imports a name it never reads."""
 
@@ -127,9 +129,38 @@ def test_mckay_pipeline_carries_one_fan_state(monkeypatch):
     monkeypatch.setattr(mckay, "stack_rank", lambda p: ranks.append(p) or stack_rank(p))
     report = toricmmp.mckay_pipeline(toricmmp.make_group(3, [(101, (1, 17, 83))]))
     assert len(report.ledger) == 50
-    # quotient_pair's make_fan, then the pipeline's own state
-    assert [f.max_cones for f in states] == [(), report.quotient.fan.max_cones]
+    # the pipeline's own state only: the quotient's one-cone make_fan builds none
+    assert [f.max_cones for f in states] == [report.quotient.fan.max_cones]
     assert ranks == [report.quotient, report.resolution]
+
+
+def test_no_state_for_certified_fans_and_no_score_above_psi_one(monkeypatch):
+    # hj_resolution and a one-cone make_fan build no fan state: a chain is
+    # checked by its certificate, one cone by its determinant.  The
+    # extraction loop passes the cap L to _cone_witness and never scores a
+    # unimodular cone whose two least heights sum above L.  A return of
+    # either wasted work would pass every output check
+    states, scored = [], Counter()
+    init, witness = fan._Subdivision.__init__, mmp._cone_witness
+    monkeypatch.setattr(fan._Subdivision, "__init__", lambda s, f: states.append(f) or init(s, f))
+    toricmmp.hj_resolution(10001, 10000)
+    for validate in ("fast", "full"):
+        toricmmp.make_fan([(1, 0, 0), (1, 2, 0), (0, 0, 1)], [(0, 1, 2)], validate=validate)
+    G = toricmmp.make_group(3, [(10, (1, 6, 8))])
+    toricmmp.boundary_divisor_pair(toricmmp.quotient_pair(G), 0)
+    assert states == []
+
+    def spy(sub, cone, scaled, L, cap=None):
+        low = sum(sorted(scaled[i] for i in cone)[:2]) <= L
+        scored[abs(sub.kernel(cone)[1]) == 1, low, cap == L] += 1
+        return witness(sub, cone, scaled, L, cap)
+
+    monkeypatch.setattr(mmp, "_cone_witness", spy)
+    for G in (G, toricmmp.make_group(3, [(101, (1, 17, 83))]),
+              toricmmp.make_group(3, [(6, (0, 2, 3))])):
+        toricmmp.mckay_pipeline(G)
+    assert set(scored) <= {(True, True, True), (False, True, True), (False, False, True)}, scored
+    assert scored[True, True, True] and scored[False, False, True], scored
 
 
 def test_mckay_pipeline_reads_its_setup_once(monkeypatch):
