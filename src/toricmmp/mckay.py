@@ -287,10 +287,11 @@ def mckay_pipeline(G):
 # --------------------------------------------------- dimension-two chains
 
 
-# the chain has r - 1 curves for a = r - 1, and building and certifying
-# its fan is linear in them: `toricmmp hj 10001 10000` takes 0.38-0.39 s,
-# 7-11 ms of it in hj_resolution and the rest start-up; without this limit
-# hj_resolution(200001, 200000) takes 0.34 s at 108 MB peak RSS
+# the chain has r - 1 curves for a = r - 1 and r is unbounded, so this
+# limit bounds a call's memory and output: about 0.3 kB of RSS and 97 bytes
+# of `hj --json` per curve (hj_resolution(200001, 200000) adds 54 MB; 10,000
+# curves print 0.97 MB).  Time no longer sets the value: building and
+# certifying a 10,000-curve chain takes 7-11 ms
 MAX_HJ_CHAIN = 10_000
 
 

@@ -518,8 +518,8 @@ def _extraction_steps(sub, scaled, L):
     old rays.  A heap of per-cone witness minima, in which a cone's entry
     goes stale when the cone is subdivided, lives across the steps, so a
     step scores only the cones it creates.  It stops at the first witness
-    above psi 1, so it scores no pair sum above L (_cone_witness's cap) and
-    no unimodular cone whose two least heights sum above L.  Past
+    above psi 1, so it does not score a unimodular cone, whose only
+    candidates are pair sums, when its two least heights sum above L.  Past
     MAX_EXTRACTION_BOX_POINTS, counted over every created cone, it raises
     InvalidInputError before the enumeration (a cone past
     MAX_MULTIPLICITY gets that limit's)."""
@@ -537,7 +537,7 @@ def _extraction_steps(sub, scaled, L):
                 )
             if m == 1 and sum(sorted(scaled[i] for i in cone)[:2]) > L:
                 continue
-            wit = _cone_witness(sub, cone, scaled, L, L)
+            wit = _cone_witness(sub, cone, scaled, L)
             if wit is not None:
                 heappush(heap, wit + (cone,))
 

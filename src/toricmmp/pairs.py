@@ -97,11 +97,10 @@ def _scaled_psi(pair):
     return [h.numerator * (L // h.denominator) for h in psi], L
 
 
-def _cone_witness(fan, cone, scaled, L, cap=None):
+def _cone_witness(fan, cone, scaled, L):
     """The least (psi value, point) over the nonzero box points of one
     cone and the primitive sums of two of its rays, or None.  Only the box
-    numerators of least score sum(num_i * P_i) become points; a pair sum
-    with scaled[a] + scaled[b] above cap, if given, is skipped."""
+    numerators of least score sum(num_i * P_i) become points."""
     C = fan.ray_matrix(cone)
     m, nums = _box_numerators(C)
     P = [scaled[i] for i in cone]
@@ -110,8 +109,6 @@ def _cone_witness(fan, cone, scaled, L, cap=None):
     keys = [(low, tuple(x // m for x in vec_mat(num, C)))
             for num, s in zip(nums, scores) if s == low]
     for a, b in combinations(cone, 2):
-        if cap is not None and scaled[a] + scaled[b] > cap:
-            continue
         w = vec_add(fan.rays[a], fan.rays[b])
         if gcd(*w) == 1:
             keys.append((m * (scaled[a] + scaled[b]), w))

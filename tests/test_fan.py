@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import atan2, gcd
+from math import atan2
 
 import pytest
 
@@ -157,22 +157,11 @@ def test_make_fan_rejects_bad_input():
 
 def _generic_one_cone(rays, cone, validate):
     """make_fan's result for one cone along the generic path, the oracle
-    for its determinant shortcut: the ray and cone checks (the inputs
-    below share one dimension and have n distinct indices), the cone added
-    to an empty state, the kind rule of every fan and the degree-one check."""
-    rays = tuple(map(tuple, rays))
-    n = len(rays[0])
-    for r in rays:
-        if (g := gcd(*r)) != 1:
-            raise InvalidInputError(f"ray {r} is not primitive" if g else "zero ray")
-    if len(set(rays)) != len(rays):
-        raise InvalidInputError("duplicate rays")
-    c = tuple(sorted(cone))
-    if c[0] < 0 or c[-1] >= len(rays):
-        raise InvalidInputError("cone ray index out of range")
-    if set(c) != set(range(len(rays))):
-        raise InvalidInputError("fan has unused rays")
-    sub = _Subdivision(Fan(n, rays, (), None))
+    for its determinant shortcut, on input that passed the ray and cone
+    checks both paths share: the cone added to an empty state, the kind
+    rule of every fan and, for "full", the degree-one check."""
+    rays, c = tuple(rays), tuple(sorted(cone))
+    sub = _Subdivision(Fan(len(c), rays, (), None))
     sub._replace((), [c], "make_fan")
     if not sub.boundary:
         kind = "complete"
@@ -184,14 +173,14 @@ def _generic_one_cone(rays, cone, validate):
         raise InvalidInputError("fan support is neither complete nor a convex cone")
     if validate == "full":
         _check_degree_one(sub)
-    return Fan(n, rays, (c,), kind)
+    return Fan(len(c), rays, (c,), kind)
 
 
 def test_one_cone_make_fan_matches_the_generic_state():
     # a single cone is checked by its determinant alone; on seeded cones in
-    # dimensions 1-5, valid or singular, with duplicate, non-primitive or
-    # zero rays, an index out of range or an unused ray, the result or the
-    # error text equals the generic path's
+    # dimensions 1-5, valid or singular, with primitive distinct rays and
+    # under both validation levels, the result or the error text equals
+    # the generic path's
     rng, seen = random.Random(33), Counter()
 
     def outcome(build):
@@ -200,30 +189,23 @@ def test_one_cone_make_fan_matches_the_generic_state():
         except InvalidInputError as e:
             return str(e)
 
-    for _ in range(4000):
+    while sum(seen.values()) < 4000:
         n = rng.randint(1, 5)
-        rays = [primitive(v) if any(v) else v
-                for v in (tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))]
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+        if rng.random() < 0.4 and n > 1:  # singular
+            rays[-1] = tuple(map(sum, zip(*rays[:-1])))
+        if not all(map(any, rays)):
+            continue
+        rays = [primitive(v) for v in rays]
+        if len(set(rays)) < n:
+            continue
         cone = rng.sample(range(n), n)
-        flaw = rng.randrange(6)
-        if flaw == 1:  # singular, or a zero ray in dimension 1
-            rays[-1] = tuple(map(sum, zip(*rays[:-1]))) if n > 1 else (0,)
-        elif flaw == 2 and n > 1:
-            rays[-1] = rays[0]
-        elif flaw == 3:
-            rays[0] = tuple(2 * x for x in rays[0])
-        elif flaw == 4:
-            cone[-1] = rng.choice([-1, n])
-        elif flaw == 5:
-            rays.append(tuple(rng.randint(-3, 3) for _ in range(n)))
         validate = rng.choice(["fast", "full"])
         got = outcome(lambda: make_fan(rays, [cone], validate=validate))
         assert got == outcome(lambda: _generic_one_cone(rays, cone, validate)), (rays, cone)
         seen[got if isinstance(got, str) else got.support_kind] += 1
-    assert seen["cone-supported"] > 500
-    for text in ("is not simplicial", "duplicate rays", "is not primitive", "zero ray",
-                 "out of range", "unused rays"):
-        assert sum(k for t, k in seen.items() if text in t) > 50, (text, seen)
+    assert seen["cone-supported"] > 1000
+    assert sum(k for t, k in seen.items() if "is not simplicial" in t) > 1000, seen
 
 
 def test_make_fan_rejects_unknown_level_first():

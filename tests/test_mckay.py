@@ -773,26 +773,27 @@ def test_terminalize_builds_no_fan_from_scratch(monkeypatch):
     assert calls == []
 
 
-def test_extraction_cap_matches_the_uncapped_scorer(monkeypatch):
-    # the extraction loop scores only candidates at psi <= 1: no pair sum
-    # above L and no unimodular cone whose two least heights sum above L.
-    # The oracle scores every live cone in full with the uncapped
-    # _cone_witness before each step and takes the least (psi, point,
-    # cone).  Whole pipeline dumps and terminalize steps agree on every
-    # cyclic 3-fold group with r <= 13, the four-fold slice, SL groups of
-    # orders 101, 151 and 181, and flop-corpus fans whose coefficients are
-    # 1/2 or 3/4, where psi <= 1/2 lets pair sums win, at psi 1 and below
+def test_extraction_skip_matches_the_full_scorer(monkeypatch):
+    # the extraction loop scores no unimodular cone whose two least heights
+    # sum above L, as none of its candidates, pair sums only, is at psi <= 1.
+    # The oracle scores every live cone with _cone_witness before each step
+    # and takes the least (psi, point, cone).  Whole pipeline dumps and
+    # terminalize steps agree on every cyclic 3-fold group with r <= 13,
+    # the four-fold slice, SL groups of orders 101, 151 and 181, and
+    # flop-corpus fans whose coefficients are 1/2 or 3/4, where psi <= 1/2
+    # lets pair sums win, at psi 1 and below
     real, pair_sums = pairs_module._cone_witness, Counter()
 
-    def uncapped(sub, scaled, L):
+    def full(sub, scaled, L):
         while True:
             wits = [w + (c,) for c in sub.max_cones if (w := real(sub, c, scaled, L)) is not None]
             if not wits or min(wits)[0] > 1:
                 return
             val, pt, cone = min(wits)
             w = primitive(pt)
-            pair_sums[val == 1] += any(vec_add(sub.rays[a], sub.rays[b]) == w
-                                       for a, b in combinations(cone, 2))
+            if abs(sub.kernel(cone)[1]) == 1:
+                pair_sums[val == 1] += any(vec_add(sub.rays[a], sub.rays[b]) == w
+                                           for a, b in combinations(cone, 2))
             scaled.append(L)
             gone, new = sub.subdivide(w, cone)
             yield ExtractionStep(ray=w, psi_value=val), gone, new
@@ -807,9 +808,9 @@ def test_extraction_cap_matches_the_uncapped_scorer(monkeypatch):
     def outputs():
         return [dumps(mckay_pipeline(G)) for G in groups] + [dumps(terminalize(p)) for p in pairs]
 
-    capped = outputs()
-    monkeypatch.setattr(mmp_module, "_extraction_steps", uncapped)
-    monkeypatch.setattr(mckay_module, "_extraction_steps", uncapped)
-    assert outputs() == capped
-    # pair sums were extracted, at psi 1 and below, so the cap was exercised
+    skipping = outputs()
+    monkeypatch.setattr(mmp_module, "_extraction_steps", full)
+    monkeypatch.setattr(mckay_module, "_extraction_steps", full)
+    assert outputs() == skipping
+    # unimodular cones gave pair sums at psi 1, the skip's edge, and below
     assert pair_sums[True] > 50 and pair_sums[False] > 50, pair_sums

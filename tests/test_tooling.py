@@ -137,9 +137,9 @@ def test_mckay_pipeline_carries_one_fan_state(monkeypatch):
 def test_no_state_for_certified_fans_and_no_score_above_psi_one(monkeypatch):
     # hj_resolution and a one-cone make_fan build no fan state: a chain is
     # checked by its certificate, one cone by its determinant.  The
-    # extraction loop passes the cap L to _cone_witness and never scores a
-    # unimodular cone whose two least heights sum above L.  A return of
-    # either wasted work would pass every output check
+    # extraction loop never scores a unimodular cone whose two least
+    # heights sum above L.  A return of either wasted work would pass
+    # every output check
     states, scored = [], Counter()
     init, witness = fan._Subdivision.__init__, mmp._cone_witness
     monkeypatch.setattr(fan._Subdivision, "__init__", lambda s, f: states.append(f) or init(s, f))
@@ -150,17 +150,17 @@ def test_no_state_for_certified_fans_and_no_score_above_psi_one(monkeypatch):
     toricmmp.boundary_divisor_pair(toricmmp.quotient_pair(G), 0)
     assert states == []
 
-    def spy(sub, cone, scaled, L, cap=None):
+    def spy(sub, cone, scaled, L):
         low = sum(sorted(scaled[i] for i in cone)[:2]) <= L
-        scored[abs(sub.kernel(cone)[1]) == 1, low, cap == L] += 1
-        return witness(sub, cone, scaled, L, cap)
+        scored[abs(sub.kernel(cone)[1]) == 1, low] += 1
+        return witness(sub, cone, scaled, L)
 
     monkeypatch.setattr(mmp, "_cone_witness", spy)
     for G in (G, toricmmp.make_group(3, [(101, (1, 17, 83))]),
               toricmmp.make_group(3, [(6, (0, 2, 3))])):
         toricmmp.mckay_pipeline(G)
-    assert set(scored) <= {(True, True, True), (False, True, True), (False, False, True)}, scored
-    assert scored[True, True, True] and scored[False, False, True], scored
+    assert set(scored) <= {(True, True), (False, True), (False, False)}, scored
+    assert scored[True, True] and scored[False, False], scored
 
 
 def test_mckay_pipeline_reads_its_setup_once(monkeypatch):
