@@ -18,8 +18,7 @@ cones' entries leave and the created cones' enter (a coefficient drop
 re-creates the cones around its ray).  The ranks telescope: the order
 of the acting group equals the rank of the final model plus the total
 rank spent along the way, and a fresh count of the resolution's stack
-rank checks every step's update at once.  A surface chain (hj_resolution)
-is built on an O(s) certificate of its fan, not re-validated.
+rank checks every step's update at once.
 """
 
 from fractions import Fraction
@@ -27,7 +26,7 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError, _exact_ints
-from .fan import Fan, _Subdivision, make_fan
+from .fan import _Subdivision, make_fan
 from .lattice import (
     LatticeBasis,
     _hermite_lower,
@@ -287,11 +286,10 @@ def mckay_pipeline(G):
 # --------------------------------------------------- dimension-two chains
 
 
-# the chain has r - 1 curves for a = r - 1 and r is unbounded, so this
-# limit bounds a call's memory and output: about 0.3 kB of RSS and 97 bytes
-# of `hj --json` per curve (hj_resolution(200001, 200000) adds 54 MB; 10,000
-# curves print 0.97 MB).  Time no longer sets the value: building and
-# certifying a 10,000-curve chain takes 7-11 ms
+# the chain has r - 1 curves for a = r - 1, and building and validating
+# its fan grows with them: `toricmmp hj 10001 10000` takes 0.6-0.9 s,
+# 0.10-0.15 s of it in hj_resolution and most of the rest start-up, while
+# `hj 200001 200000` took about 14 s and 217 MB without this limit
 MAX_HJ_CHAIN = 10_000
 
 
@@ -307,8 +305,7 @@ def hj_resolution(r, a):
     basis that group_lattice gives Z^2 + Z (1/r)(1, a) is (1, 0), (a'/r, 1/r),
     and in it (0, 1) and (1/r)(1, a) have coordinates (-a', r) and
     ((1 - a a')/r, a).  A chain longer than MAX_HJ_CHAIN raises
-    InvalidInputError before any ray is built.  The Fan is certified by
-    _chain_is_fan (else EngineInvariantError), not validated by make_fan."""
+    InvalidInputError before any ray is built."""
     r, a = _exact_ints((r, a), "need integer parameters")
     if not (0 < a < r) or gcd(r, a) != 1:
         raise InvalidInputError("need 0 < a < r with gcd(r, a) = 1")
@@ -328,19 +325,5 @@ def hj_resolution(r, a):
     for b in bs:
         (x0, y0), (x1, y1) = rays[-2:]
         rays.append((b * x1 - x0, b * y1 - y0))
-    if not _chain_is_fan(rays):
-        raise EngineInvariantError(f"the chain of (1/{r})(1, {a}) fails its fan certificate")
-    cones = tuple((i, i + 1) for i in range(len(rays) - 1))
-    return Fan(2, tuple(rays), cones, "cone-supported"), tuple(-b for b in bs)
-
-
-def _chain_is_fan(rays):
-    """Certify that the plane cones (u_i, u_{i+1}) form a fan, in O(s):
-    det(u_i, u_{i+1}) = -1 makes each cone unimodular, each ray primitive and
-    all turn one way; with det(u_0, u_last) < 0 and every ray in the cone of
-    u_0 and u_last, the rays are distinct, cones meet in faces and the
-    support is convex, all that make_fan's full validation checks."""
-    (x0, y0), (xl, yl) = rays[0], rays[-1]
-    turns = (x * v - y * u for (x, y), (u, v) in zip(rays, rays[1:]))
-    inside = (x0 * y - y0 * x <= 0 and x * yl - y * xl <= 0 for x, y in rays)
-    return x0 * yl - y0 * xl < 0 and all(t == -1 for t in turns) and all(inside)
+    cones = [(i, i + 1) for i in range(len(rays) - 1)]
+    return make_fan(rays, cones, validate="full"), tuple(-b for b in bs)

@@ -5,9 +5,9 @@ run break; every cache has a bound; the engine still generates the
 benchmark's flop inputs, whose digest the golden file records; small cones
 still take the closed-form kernels; ample_heights poses its caps as LP
 bounds; the McKay pipeline carries one fan state, counts the stack rank
-only at its two ends and reads its set-up once; surface chains and
-one-cone fans build no fan state, and the extraction loop scores no
-unimodular cone that cannot hold a candidate at psi <= 1; a fan state computes each cone pair's wall relation
+only at its two ends and reads its set-up once; a one-cone fan builds no
+fan state, and the extraction loop scores no unimodular cone that cannot
+hold a candidate at psi <= 1; a fan state computes each cone pair's wall relation
 once and keeps at most one per current wall; only the gate module decides what an exact number
 is; and no engine module imports a name it never reads."""
 
@@ -134,16 +134,14 @@ def test_mckay_pipeline_carries_one_fan_state(monkeypatch):
     assert ranks == [report.quotient, report.resolution]
 
 
-def test_no_state_for_certified_fans_and_no_score_above_psi_one(monkeypatch):
-    # hj_resolution and a one-cone make_fan build no fan state: a chain is
-    # checked by its certificate, one cone by its determinant.  The
-    # extraction loop never scores a unimodular cone whose two least
-    # heights sum above L.  A return of either wasted work would pass
-    # every output check
+def test_no_state_for_one_cone_and_no_score_above_psi_one(monkeypatch):
+    # a one-cone make_fan builds no fan state: it is checked by its
+    # determinant.  The extraction loop never scores a unimodular cone whose
+    # two least heights sum above L.  A return of either wasted work would
+    # pass every output check
     states, scored = [], Counter()
     init, witness = fan._Subdivision.__init__, mmp._cone_witness
     monkeypatch.setattr(fan._Subdivision, "__init__", lambda s, f: states.append(f) or init(s, f))
-    toricmmp.hj_resolution(10001, 10000)
     for validate in ("fast", "full"):
         toricmmp.make_fan([(1, 0, 0), (1, 2, 0), (0, 0, 1)], [(0, 1, 2)], validate=validate)
     G = toricmmp.make_group(3, [(10, (1, 6, 8))])
