@@ -133,8 +133,7 @@ def make_fan(rays, max_cones, *, validate="full"):
     are the rest; the support kind is read off that state's boundary.
     A support that is neither all of N_R nor a convex cone is rejected.
     "full" adds the test that any two cones meet in a common face, the
-    degree-one point check.  One cone is valid, cone-supported, exactly
-    when its determinant is not 0: no state is built for it.
+    degree-one point check.
     """
     if validate not in ("full", "fast"):
         raise InvalidInputError(f"unknown validation level {validate!r}")
@@ -166,10 +165,6 @@ def make_fan(rays, max_cones, *, validate="full"):
 
     if set().union(*cones) != set(range(len(rays))):
         raise InvalidInputError("fan has unused rays")
-    if len(cones) == 1:  # its rays are all the rays, in order
-        if adjugate(rays)[1] == 0:
-            raise InvalidInputError(f"cone {cones[0]} is not simplicial")
-        return Fan(n, rays, tuple(cones), "cone-supported")
 
     sub = _Subdivision(Fan(n, rays, (), None))
     sub._replace((), cones, "make_fan")
@@ -257,13 +252,18 @@ class _Subdivision:
     ray in a cone-supported one).  Each step replaces a connected set of cones
     by a connected one and, but for placing outside the support (below), keeps
     the support of a valid fan; an outer facet a flip changes becomes a new
-    boundary facet, which the kind check covers.  So the kind and the
-    wall-graph connectivity hold without a look at any other facet.
+    boundary facet, which the kind check covers.  A star subdivision skips
+    the kind check: its ray lies in the cone it is walked from (_join checks
+    that its numerators there are >= 0), so each new boundary facet lies in
+    the hyperplane of the boundary facet it replaces, on the same side, and
+    the support is unchanged.  So the kind and the wall-graph connectivity
+    hold without a look at any other facet.
     make_fan's fast checks are these checks, run once on an empty state that
     receives every cone; its kind is None, which takes any boundary.
 
     subdivide inserts a ray.  Its star is walked from a cone holding it
-    (given, or the first: _holding) across the facets that contain the face
+    (given, or the first: _holding; a given cone that does not hold it is
+    an EngineInvariantError) across the facets that contain the face
     carrying the ray, the same face in every cone around it, so replacing
     and checking the star cost the cones around the ray.  The walk reaches
     the whole star because the link of a face is connected in a complete
@@ -397,7 +397,10 @@ class _Subdivision:
         w_idx, gone, new = len(self.rays), [], []
         if cone is not None:
             adj, d = self.kernel(cone)
-            face = {i for i, x in zip(cone, vec_mat(w, adj)) if x * d > 0}
+            num = [x * d for x in vec_mat(w, adj)]
+            if min(num) < 0:
+                raise EngineInvariantError(f"{w} is outside the cone {cone} it subdivides")
+            face = {i for i, x in zip(cone, num) if x > 0}
             gone = sorted(_walk_star(self.facets, cone, face), key=self.max_cones.__getitem__)
             new = [tuple(sorted(c[:k] + c[k + 1:] + (w_idx,)))
                    for c in gone for k, i in enumerate(c) if i in face]
@@ -501,7 +504,7 @@ class _Subdivision:
                     )
             elif not cs:
                 del self.facets[f]
-            elif delta and not self._keeps_kind(f):
+            elif delta and what != "star subdivision" and not self._keeps_kind(f):
                 raise EngineInvariantError(f"{what} changed the support kind")
         if self.refused:
             moved = set().union(*gone, *new)

@@ -43,8 +43,7 @@ def mat_identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-@lru_cache(maxsize=1 << 14)
-def adjugate(M):
+def _adjugate(M):
     """(adj, d) for a square integer matrix of row tuples: d = det M and the
     integer adj with M.adj = d.I, or (None, 0) when d = 0.  A 2 x 2 or 3 x 3
     matrix takes the closed cofactor form, adj[i][j] the signed minor of M
@@ -64,6 +63,9 @@ def adjugate(M):
         return _eliminate(M)
     det = sum(map(mul, M[0], next(zip(*adj))))
     return (adj, det) if det else (None, 0)
+
+
+adjugate = lru_cache(maxsize=1 << 14)(_adjugate)
 
 
 def _eliminate(M):
@@ -101,25 +103,9 @@ def mat_inv(M):
 
 
 def det(M):
-    """Exact determinant of an integer matrix, by Bareiss elimination."""
-    A = [list(row) for row in M]
-    n = len(A)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if piv is None:
-                return 0
-            A[k], A[piv] = A[piv], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+    """Exact determinant of a square integer matrix: adjugate's d, past its
+    cache, since the minors of a cell walk seldom repeat."""
+    return _adjugate(tuple(map(tuple, M)))[1]
 
 
 def mat_rank(rows):

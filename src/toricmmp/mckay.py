@@ -11,14 +11,15 @@ entry per step with the exact stack-rank change.
 One fan state (fan._Subdivision) goes from the quotient cone to the
 resolution: the extraction and MMP loops step it and yield the ids of
 the cones each step removed and created, and the resolution's pair is
-built once, at the end.  No step is replayed.  One rule prices every
-step off a table of each current cone's stack rank, filled from the
-state's kept determinant when a step creates the cone: the removed
-cones' entries leave and the created cones' enter (a coefficient drop
-re-creates the cones around its ray).  The ranks telescope: the order
-of the acting group equals the rank of the final model plus the total
-rank spent along the way, and a fresh count of the resolution's stack
-rank checks every step's update at once.
+built once, at the end.  No step is replayed.  One rule prices the
+quotient cone and every step off a table of each current cone's stack
+rank, filled from the state's kept determinant when the state first
+holds the cone: the removed cones' entries leave and the created cones'
+enter (a coefficient drop re-creates the cones around its ray).  The
+ranks telescope: the order of the acting group equals the rank of the
+final model plus the total rank spent along the way, the quotient
+cone's rank is checked against that order, and one fresh count, of the
+resolution's stack rank, checks every step's update at once.
 """
 
 from fractions import Fraction
@@ -26,7 +27,7 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import EngineInvariantError, InvalidInputError, _exact_ints
-from .fan import _Subdivision, make_fan
+from .fan import Fan, _Subdivision, make_fan
 from .lattice import (
     LatticeBasis,
     _hermite_lower,
@@ -114,7 +115,10 @@ def _quotient(G):
     e_i = x_i.B for x_i = den adj_i / d = m_i ray_i.  psi
     is 1/m_i at ray i, psi_i L = L / m_i over L = lcm(m_i).  A lattice point
     x is the ambient point x.H / den, in the orthant face of the axes
-    where x.H is positive: x.H carries the signs of x's barycentrics."""
+    where x.H is positive: x.H carries the signs of x's barycentrics.
+    The pair is built as read: its rays, the adjugate rows of the
+    nonsingular H over their gcds, are primitive, distinct and
+    independent, and each 1 - 1/m_i lies in [0, 1)."""
     H, den, B, order = _group_hermite(G)
     adj, d = adjugate(H)
     rays, ms = [], []
@@ -124,8 +128,8 @@ def _quotient(G):
             raise EngineInvariantError(f"axis point {i} escaped its own overlattice")
         rays.append(tuple(v // g for v in row))
         ms.append(den * g // d)
-    fan = make_fan(rays, [tuple(range(G.n))], validate="full")
-    X, L = make_pair(fan, [Fraction(m - 1, m) for m in ms], B), lcm(*ms)
+    fan = Fan(G.n, tuple(rays), (tuple(range(G.n)),), "cone-supported")
+    X, L = ToricPair(fan, tuple(Fraction(m - 1, m) for m in ms), B), lcm(*ms)
     return X, order, ms, [L // m for m in ms], L, H
 
 
@@ -222,15 +226,15 @@ def mckay_pipeline(G):
     """Terminalize the quotient, drop the quasi-reflection boundary, run
     the relative MMP over the quotient cone (the support, which
     terminalization keeps), and account for every unit of group order in
-    the ledger, priced by the module's one rank rule from the quotient
-    cone's rank and checked against a fresh count of the resolution's
-    stack rank."""
+    the ledger, priced by the module's one rank rule, which also prices
+    the quotient cone against the group order, and checked against one
+    fresh count, of the resolution's stack rank."""
     X, order, ms, scaled, L, H = _quotient(G)
-    rank_x = stack_rank(X)
-    if rank_x != order:
+    sub, (cone,) = _Subdivision(X.fan), X.fan.max_cones
+    rank_x = rank = _cone_rank(sub.kernel(cone)[1], cone, ms)
+    if rank_x != order:  # also when the cone is singular, of rank 0
         raise EngineInvariantError("stack rank of the quotient misses the group order")
-    ledger, rank, sub = [], rank_x, _Subdivision(X.fan)
-    ranks = dict.fromkeys(sub.max_cones, rank_x)  # the quotient's one cone
+    ledger, ranks = [], {cone: rank_x}
 
     def record(kind, ray, gone, new, psi=None, components=None):
         nonlocal rank

@@ -15,7 +15,7 @@ steps instead of rebuilding the fan.  The flop sweep, regular
 triangulation and the MMP give it only a key per wall and pop their next
 wall from its one candidate queue (each wall's relation is computed once
 per cone pair, and its key renewed on the facets each step touched); the
-only make_fan calls build regular triangulation's seed cone and result.  The
+only make_fan call builds regular triangulation's seed cone.  The
 extraction and MMP loops step a state their caller owns and yield steps
 with the cones they removed and created, so the McKay pipeline carries
 one state through both.  The relative MMP runs over the support cone of
@@ -39,7 +39,7 @@ from .errors import (
     _exact_ints,
     _exact_rationals,
 )
-from .fan import _facet_map, _Subdivision, fans_equal, make_fan
+from .fan import Fan, _facet_map, _Subdivision, fans_equal, make_fan
 from .lattice import MAX_MULTIPLICITY, mat_rank, primitive
 from .linprog import lp_maximize
 from .pairs import (
@@ -199,8 +199,10 @@ def regular_triangulation(rays, heights):
     """Triangulate the cone over the rays along the lower hull of the
     lifted heights, by placing the rays one by one, each followed by flips
     to convexity.  One fan state (fan._Subdivision) takes every placement
-    and flip from the seed cone to the result, the only fans make_fan
-    builds; the heights are integers over the lcm of their denominators."""
+    and flip from the seed cone, the only fan make_fan builds, to the
+    result, whose every step ran the fast checks: so the result is the
+    state's cones in its cone order, with its kind.  The heights are
+    integers over the lcm of their denominators."""
     rays = tuple(tuple(x) for x in rays)
     if not rays:
         raise InvalidInputError("no rays given")
@@ -239,8 +241,8 @@ def regular_triangulation(rays, heights):
 
     if any(_defect(rel, H) == 0 for rel, _ in sub.walls.values()):
         raise InvalidInputError("heights are not generic: flat wall at convergence")
-    cones = [tuple(sorted(order[i] for i in c)) for c in sub.max_cones]
-    return make_fan(rays, cones, validate="fast")
+    cones = tuple(tuple(sorted(order[i] for i in c)) for c in sub.max_cones)
+    return Fan(dim, rays, cones, sub.kind)
 
 
 # ---------------------------------------------------------- flop sweeper

@@ -11,7 +11,6 @@ from toricmmp.circuits import classify, wall_relation
 from toricmmp.errors import InvalidInputError
 from toricmmp.fan import (
     Fan,
-    _check_degree_one,
     _Subdivision,
     _facet_map,
     _walk_star,
@@ -153,59 +152,6 @@ def test_make_fan_rejects_bad_input():
         )
     with pytest.raises(InvalidInputError, match=r"same side of their shared facet \(1,\)"):
         make_fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2)])
-
-
-def _generic_one_cone(rays, cone, validate):
-    """make_fan's result for one cone along the generic path, the oracle
-    for its determinant shortcut, on input that passed the ray and cone
-    checks both paths share: the cone added to an empty state, the kind
-    rule of every fan and, for "full", the degree-one check."""
-    rays, c = tuple(rays), tuple(sorted(cone))
-    sub = _Subdivision(Fan(len(c), rays, (), None))
-    sub._replace((), [c], "make_fan")
-    if not sub.boundary:
-        kind = "complete"
-    elif len(_walk_star(sub.facets, c, ())) == 1 and all(
-        dot(u, r) >= 0 for u in sub.boundary.values() for r in rays
-    ):
-        kind = "cone-supported"
-    else:
-        raise InvalidInputError("fan support is neither complete nor a convex cone")
-    if validate == "full":
-        _check_degree_one(sub)
-    return Fan(len(c), rays, (c,), kind)
-
-
-def test_one_cone_make_fan_matches_the_generic_state():
-    # a single cone is checked by its determinant alone; on seeded cones in
-    # dimensions 1-5, valid or singular, with primitive distinct rays and
-    # under both validation levels, the result or the error text equals
-    # the generic path's
-    rng, seen = random.Random(33), Counter()
-
-    def outcome(build):
-        try:
-            return build()
-        except InvalidInputError as e:
-            return str(e)
-
-    while sum(seen.values()) < 4000:
-        n = rng.randint(1, 5)
-        rays = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
-        if rng.random() < 0.4 and n > 1:  # singular
-            rays[-1] = tuple(map(sum, zip(*rays[:-1])))
-        if not all(map(any, rays)):
-            continue
-        rays = [primitive(v) for v in rays]
-        if len(set(rays)) < n:
-            continue
-        cone = rng.sample(range(n), n)
-        validate = rng.choice(["fast", "full"])
-        got = outcome(lambda: make_fan(rays, [cone], validate=validate))
-        assert got == outcome(lambda: _generic_one_cone(rays, cone, validate)), (rays, cone)
-        seen[got if isinstance(got, str) else got.support_kind] += 1
-    assert seen["cone-supported"] > 1000
-    assert sum(k for t, k in seen.items() if "is not simplicial" in t) > 1000, seen
 
 
 def test_make_fan_rejects_unknown_level_first():

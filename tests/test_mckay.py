@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -300,6 +301,22 @@ def test_pipeline_recount_catches_a_wrong_rank_update(monkeypatch):
         for group in (G, H):
             with pytest.raises(EngineInvariantError, match=message):
                 mckay_pipeline(group)
+
+
+def test_pipeline_prices_the_quotient_cone_against_the_order(monkeypatch):
+    # the quotient cone is priced by the ledger's rule, |det| times its
+    # m_i, and checked against the group order; a cone off by a factor, or
+    # singular, of rank 0, is an engine invariant break
+    G = make_group(3, [(7, (1, 2, 4))])
+    quotient = mckay_module._quotient
+    for rays in (((2, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (1, 1, 0))):
+        def skewed(group, rays=rays):
+            X, *rest = quotient(group)
+            return replace(X, fan=replace(X.fan, rays=rays)), *rest
+
+        monkeypatch.setattr(mckay_module, "_quotient", skewed)
+        with pytest.raises(EngineInvariantError, match="stack rank of the quotient misses"):
+            mckay_pipeline(G)
 
 
 def _seeded_groups(seed, count, n, orders):
@@ -778,3 +795,69 @@ def test_extraction_skip_matches_the_full_scorer(monkeypatch):
     assert outputs() == skipping
     # unimodular cones gave pair sums at psi 1, the skip's edge, and below
     assert pair_sums[True] > 50 and pair_sums[False] > 50, pair_sums
+
+
+def test_quotient_pair_matches_its_constructors():
+    # _quotient builds its pair as it reads it; the public constructors
+    # with full validation, which it no longer calls, are the oracle, on
+    # every cyclic 3-fold group with r <= 12, every SL group
+    # (1/r)(1, k, r-1-k) with r in {101, 151, 181}, and the four-fold slice
+    groups = [make_group(3, [(r, ws)]) for r in range(1, 13) for ws in product(range(r), repeat=3)]
+    groups += [make_group(3, [(r, (1, k, r - 1 - k))]) for r in (101, 151, 181) for k in range(r)]
+    for G in groups + _four_fold_slice():
+        X = mckay_module._quotient(G)[0]
+        fan = make_fan(X.fan.rays, [tuple(range(G.n))], validate="full")
+        assert X == make_pair(fan, X.coeffs, group_lattice(G)), G
+        assert all(type(d) is F for d in X.coeffs)
+
+
+def test_star_subdivision_needs_no_kind_scan(monkeypatch):
+    # a star subdivision skips the scan of every ray against each new
+    # boundary facet, since its ray lies in the cone it is walked from;
+    # forced back on, the scan never raises, and the pipelines of the
+    # small groups and seeded star_subdivision calls give the same dumps
+    groups = _distinct_cyclic_groups(3, 12) + [make_group(3, [(101, (1, 17, 83))])]
+    rng, calls = random.Random(34), []
+    for seed in range(60):
+        fan = flop_case(seed)[0].fan
+        cone = rng.choice(fan.max_cones)
+        # a point of the cone, often on a face of it
+        lam = [rng.choice((0, 0, 1, 2)) for _ in cone]
+        w = tuple(map(sum, zip(*([a * x for x in fan.rays[i]] for a, i in zip(lam, cone)))))
+        if any(w) and primitive(w) not in fan.rays:
+            calls.append((fan, w))
+
+    def outputs():
+        return [dumps(mckay_pipeline(G)) for G in groups] + [
+            dumps(star_subdivision(fan, w)) for fan, w in calls]
+
+    skipping = outputs()
+    real_replace, real_keeps, scanned = _Subdivision._replace, _Subdivision._keeps_kind, []
+
+    def scanning(sub, gone, new, what):
+        if what != "star subdivision":
+            return real_replace(sub, gone, new, what)
+        sub._keeps_kind = lambda f: scanned.append(f) or real_keeps(sub, f)
+        real_replace(sub, gone, new, "scanned star subdivision")  # any other label scans
+        del sub._keeps_kind
+
+    monkeypatch.setattr(_Subdivision, "_replace", scanning)
+    assert outputs() == skipping
+    assert len(calls) > 30 and len(scanned) > 2000, (len(calls), len(scanned))
+
+
+def test_subdividing_from_a_cone_without_the_ray_is_an_engine_fault():
+    # the premise the skipped kind scan rests on: w's numerators in the
+    # cone it is walked from are >= 0, checked once per step
+    fan = make_fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+                   [(0, 1, 3), (1, 2, 3), (0, 2, 3)])
+    for cone in fan.max_cones:
+        for w in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
+            if not all(x >= 0 for x in _solve(fan.ray_matrix(cone), w)[0]):
+                with pytest.raises(EngineInvariantError, match="outside the cone"):
+                    _Subdivision(fan).subdivide(w, cone)
+            else:
+                assert _Subdivision(fan).subdivide(w, cone)[1]
+    X = quotient_pair(make_group(3, [(7, (1, 2, 4))]))
+    with pytest.raises(EngineInvariantError, match="outside the cone"):
+        _Subdivision(X.fan).subdivide((-1, 0, 0), X.fan.max_cones[0])

@@ -442,7 +442,8 @@ def test_regular_triangulation_rescores_only_touched_walls(monkeypatch):
 def test_regular_triangulation_builds_one_fan_state(monkeypatch):
     # placing a ray, inside the support or outside it, is a step of the one
     # state that the flips step too: make_fan is called for the seed cone
-    # and the result only, and one state lives from one to the other
+    # only, one state lives from it to the result, and the result is read
+    # off that state
     calls, made, states = [], [], []
     real_triangulation = corpus.regular_triangulation
 
@@ -471,11 +472,30 @@ def test_regular_triangulation_builds_one_fan_state(monkeypatch):
             regular_triangulation(rays, heights)
         except InvalidInputError:
             continue
-        assert (len(made), len(states)) == (2, 1)
+        assert (len(made), len(states)) == (1, 1)
         # the last ray is placed last; outside the others' cone, it is
         # joined to the boundary facets that see it
         outside += not point_in_cone(rays[-1], rays[:-1])
     assert outside > 10, outside
+
+
+def test_regular_triangulation_result_passes_full_validation():
+    # the result is read off the state whose every step ran the fast
+    # checks; make_fan with full validation, which it no longer calls, is
+    # the oracle for its rays, cone order and kind, on supports that the
+    # placements closed (complete), on cones, pointed or not, and on the
+    # 40-point triangulations of mmp_probe_pair
+    fans = []
+    for rays, heights in _triangulation_inputs(34, 300):
+        try:
+            fans.append(regular_triangulation(rays, heights))
+        except InvalidInputError:
+            pass
+    fans += [p.fan for p in map(corpus.mmp_probe_pair, range(10), [40] * 10) if p]
+    for fan in fans:
+        assert fan == make_fan(fan.rays, fan.max_cones, validate="full")
+    kinds = Counter(fan.support_kind for fan in fans)
+    assert min(kinds["complete"], kinds["cone-supported"]) > 25, kinds
 
 
 def test_regular_triangulation_link_flips_match_hull_oracle(monkeypatch):

@@ -5,11 +5,14 @@ run break; every cache has a bound; the engine still generates the
 benchmark's flop inputs, whose digest the golden file records; small cones
 still take the closed-form kernels; ample_heights poses its caps as LP
 bounds; the McKay pipeline carries one fan state, counts the stack rank
-only at its two ends and reads its set-up once; a one-cone fan builds no
-fan state, and the extraction loop scores no unimodular cone that cannot
-hold a candidate at psi <= 1; a fan state computes each cone pair's wall relation
-once and keeps at most one per current wall; only the gate module decides what an exact number
-is; and no engine module imports a name it never reads."""
+from scratch only on the resolution and reads its set-up once; it builds
+its quotient without the public constructors, its star subdivisions run
+no kind scan, and the extraction loop scores no unimodular cone that
+cannot hold a candidate at psi <= 1; only three named engine functions
+call make_fan or make_pair; a fan state computes each cone pair's wall
+relation once and keeps at most one per current wall; only the gate
+module decides what an exact number is; and no engine module imports a
+name it never reads."""
 
 import ast
 import importlib
@@ -38,6 +41,18 @@ SRC = Path(toricmmp.__file__).resolve().parent
 TYPE_DISPATCH = {
     ("jsonio", "to_jsonable"): "encodes by type: bool and str pass through as JSON values",
     ("linprog", "_scaled"): "all-int fast path: any other row is scaled by its denominators",
+}
+# the engine functions outside jsonio.py that call the public constructors,
+# with what they call and why; every other fan or pair is read off a state
+CONSTRUCTOR_CALLS = {
+    ("mckay", "boundary_divisor_pair"): (
+        ("make_fan", "make_pair"),
+        'its dimension-1 input must still reach "fan needs at least one ray"'),
+    ("mckay", "hj_resolution"): (
+        ("make_fan",),
+        "full validation of the chain waits on a steady surface workload (ROADMAP item 1)"),
+    ("mmp", "regular_triangulation"): (
+        ("make_fan",), "the seed cone, which every later step starts from"),
 }
 
 
@@ -120,33 +135,38 @@ def test_small_cones_take_the_closed_form_kernels(monkeypatch):
 
 def test_mckay_pipeline_carries_one_fan_state(monkeypatch):
     # one fan state goes from the quotient cone to the resolution, and the
-    # stack rank is counted from scratch on the quotient and the resolution
-    # only; a pipeline that went back to a pair per step would pass every
-    # output check
+    # stack rank is counted from scratch on the resolution only, the
+    # quotient cone being priced by the ledger's rule; a pipeline that went
+    # back to a pair per step would pass every output check
     states, ranks = [], []
     init, stack_rank = fan._Subdivision.__init__, mckay.stack_rank
     monkeypatch.setattr(fan._Subdivision, "__init__", lambda s, f: states.append(f) or init(s, f))
     monkeypatch.setattr(mckay, "stack_rank", lambda p: ranks.append(p) or stack_rank(p))
     report = toricmmp.mckay_pipeline(toricmmp.make_group(3, [(101, (1, 17, 83))]))
     assert len(report.ledger) == 50
-    # the pipeline's own state only: the quotient's one-cone make_fan builds none
     assert [f.max_cones for f in states] == [report.quotient.fan.max_cones]
-    assert ranks == [report.quotient, report.resolution]
+    assert ranks == [report.resolution]
 
 
 def test_no_state_for_one_cone_and_no_score_above_psi_one(monkeypatch):
-    # a one-cone make_fan builds no fan state: it is checked by its
-    # determinant.  The extraction loop never scores a unimodular cone whose
-    # two least heights sum above L.  A return of either wasted work would
-    # pass every output check
-    states, scored = [], Counter()
-    init, witness = fan._Subdivision.__init__, mmp._cone_witness
-    monkeypatch.setattr(fan._Subdivision, "__init__", lambda s, f: states.append(f) or init(s, f))
-    for validate in ("fast", "full"):
-        toricmmp.make_fan([(1, 0, 0), (1, 2, 0), (0, 0, 1)], [(0, 1, 2)], validate=validate)
-    G = toricmmp.make_group(3, [(10, (1, 6, 8))])
-    toricmmp.boundary_divisor_pair(toricmmp.quotient_pair(G), 0)
-    assert states == []
+    # the pipeline builds its one quotient cone without make_fan or
+    # make_pair, and its extraction loop runs no kind scan (a star
+    # subdivision keeps the support) and never scores a unimodular cone
+    # whose two least heights sum above L.  A return of any of this wasted
+    # work would pass every output check
+    built, scans, scored = [], [], Counter()
+    witness, keeps = mmp._cone_witness, fan._Subdivision._keeps_kind
+    for module in (fan, mckay, mmp, pairs):
+        for name in ("make_fan", "make_pair"):
+            if (real := getattr(module, name, None)) is not None:
+                monkeypatch.setattr(module, name,
+                                    lambda *a, _r=real, **k: built.append(a) or _r(*a, **k))
+
+    def scan(sub, facet):  # by the label of the step that asks
+        scans.append(sys._getframe(1).f_locals["what"])
+        return keeps(sub, facet)
+
+    monkeypatch.setattr(fan._Subdivision, "_keeps_kind", scan)
 
     def spy(sub, cone, scaled, L):
         low = sum(sorted(scaled[i] for i in cone)[:2]) <= L
@@ -154,9 +174,12 @@ def test_no_state_for_one_cone_and_no_score_above_psi_one(monkeypatch):
         return witness(sub, cone, scaled, L)
 
     monkeypatch.setattr(mmp, "_cone_witness", spy)
-    for G in (G, toricmmp.make_group(3, [(101, (1, 17, 83))]),
+    for G in (toricmmp.make_group(3, [(10, (1, 6, 8))]),
+              toricmmp.make_group(3, [(101, (1, 17, 83))]),
               toricmmp.make_group(3, [(6, (0, 2, 3))])):
         toricmmp.mckay_pipeline(G)
+    # (1/10)(1,6,8) scans one facet, on a contraction of its MMP
+    assert built == [] and scans == ["contraction"]
     assert set(scored) <= {(True, True), (False, True), (False, False)}, scored
     assert scored[True, True] and scored[False, False], scored
 
@@ -165,7 +188,7 @@ def test_mckay_pipeline_reads_its_setup_once(monkeypatch):
     # the m_i, the order and the scaled psi come from one integer Hermite
     # form: a non-SL pipeline, here with a coefficient drop and MMP steps,
     # never scales psi from coefficients and reads the m_i back out of
-    # them only in its two fresh stack-rank counts; a pipeline that
+    # them only in its one fresh stack-rank count; a pipeline that
     # re-derived its set-up would pass every output check
     scaled, callers = [], []
     real_scaled, real_ms = pairs._scaled_psi, mckay._standard_multiplicities
@@ -184,7 +207,7 @@ def test_mckay_pipeline_reads_its_setup_once(monkeypatch):
     report = toricmmp.mckay_pipeline(toricmmp.make_group(3, [(10, (1, 6, 8))]))
     assert not report.sl
     assert {"coefficient_drop", "divisorial"} <= {e.kind for e in report.ledger}
-    assert scaled == [] and callers == ["stack_rank", "stack_rank"]
+    assert scaled == [] and callers == ["stack_rank"]
 
 
 def test_a_fan_state_computes_each_wall_relation_once(monkeypatch):
@@ -322,3 +345,30 @@ def test_every_import_is_read():
     found = {(path.stem, name) for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
              for name, _ in _unused_imports(path.read_text())}
     assert found == set()
+
+
+def _constructor_calls(tree):
+    """(top-level function, name) of every call to make_fan or make_pair,
+    by name or attribute, in a module's tree."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("make_fan", "make_pair"):
+                    found.append((getattr(top, "name", "<module>"), name))
+    return found
+
+
+def test_only_named_engine_functions_call_the_public_constructors():
+    # every other fan or pair the engine derives is read off the state
+    # that built it; a return to re-validating one through make_fan or
+    # make_pair would pass every output check.  jsonio.py builds the fans
+    # and pairs of input files
+    probe = "def f(x):\n    return make_pair(fan.make_fan(x), ())\nY = make_fan(())\n"
+    assert sorted(_constructor_calls(ast.parse(probe))) == [
+        ("<module>", "make_fan"), ("f", "make_fan"), ("f", "make_pair")]
+    found = sorted((path.stem, top, name) for path in SRC.glob("*.py") if path.stem != "jsonio"
+                   for top, name in _constructor_calls(ast.parse(path.read_text())))
+    assert found == sorted((mod, top, name) for (mod, top), (names, _) in
+                           CONSTRUCTOR_CALLS.items() for name in names)
