@@ -9,7 +9,8 @@ it touched.  Its ray ids are stable: a contraction leaves a tombstone.  It
 keeps each cone's adjugate and its boundary facets' inward functionals, and
 answers the wall and star questions: each wall's relation, kept while its
 two cones live, each wall's key for the engine loop that turned scoring
-on, rescored on the facets a step touched, the one queue from which that
+on (the MMP's, only walls whose defect sign, read first, is positive),
+rescored on the facets a step touched, the one queue from which that
 loop pops its next wall, and the star of a point, walked from the first
 cone holding it.  make_fan's `fast` level is those checks applied once to
 all cones, the kind read off the kept boundary; `full` adds the test that
@@ -290,7 +291,7 @@ class _Subdivision:
         self.max_cones = dict(zip(fan.max_cones, self.order))
         self.facets = _facet_map(fan)
         self.rels, self.refused, self.score, self.walls, self.kernels = {}, set(), None, {}, {}
-        self.queue, self.tried = [], []
+        self.heights, self.queue, self.tried = None, [], []
         self._boundary = None if fan.max_cones else {}
 
     @property
@@ -334,19 +335,36 @@ class _Subdivision:
         """(facet, its relation) for every wall, lazily, in walls() order."""
         return ((f, self.relation(f)) for f in sorted(self.facets) if len(self.facets[f]) == 2)
 
-    def score_walls(self, score):
+    def score_walls(self, score, heights=None):
         """Keep walls, each wall's facet mapped to (relation, its key
         score(facet, relation)): every wall now, in walls() order, and from
         then on the facets each step touches, in facet order; a key that is
-        not None also queues (key, facet, relation) for pop."""
-        self.score, self.walls, self.queue, self.tried = score, {}, [], []
-        for f, rel in self.relations():
-            self._score(f, rel)
+        not None also queues (key, facet, relation) for pop.  Given integer
+        heights, walls keeps only the walls of positive defect under them,
+        each found by its sign (_positive) before any relation is built."""
+        self.score, self.heights, self.walls, self.queue, self.tried = score, heights, {}, [], []
+        for f in sorted(f for f, cs in self.facets.items() if len(cs) == 2):
+            self._score(f)
 
-    def _score(self, f, rel):
+    def _score(self, f):
+        if self.heights is not None and not self._positive(f):
+            self.walls.pop(f, None)
+            return
+        rel = self.relation(f)
         self.walls[f] = rel, (key := self.score(f, rel))
         if key is not None:
             heappush(self.queue, (key, f, rel))
+
+    def _positive(self, f):
+        """Is the wall's defect under the heights h positive?  For (adj, d)
+        its first cone's kept kernel and b the other apex, the relation is
+        (b.adj, -d) over a scale of sign -d, so its sign is that of (d h_b -
+        b.W) d, W = adj.h the cone's height form (pairs._heights_linear)."""
+        ca, cb = self.facets[f]
+        adj, d = self.kernel(ca)
+        h, b = self.heights, sum(cb) - sum(f)
+        P = [h[i] for i in ca]
+        return (d * h[b] - dot(self.rays[b], [dot(row, P) for row in adj])) * d > 0
 
     def pop(self):
         """The queued (key, facet, relation) least by (key, facet) whose
@@ -513,7 +531,7 @@ class _Subdivision:
             return
         for f in sorted(change):
             if len(self.facets.get(f, ())) == 2:
-                self._score(f, self.relation(f))
+                self._score(f)
             else:
                 self.walls.pop(f, None)
         for entry in self.tried:  # a wall this step changed was rescored above

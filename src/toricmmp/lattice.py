@@ -4,7 +4,8 @@ One integer cone kernel, the cached `adjugate`, serves every solve over a
 simplicial cone as integer numerators over its determinant, box points
 included.  Its 2 x 2 and 3 x 3 cones, every cone of a surface resolution
 or of a McKay quotient 3-fold, take closed cofactor forms; other sizes
-take fraction-free Gauss-Jordan.  Around it: normal forms (Hermite, and
+take fraction-free Gauss-Jordan.  Around it: normal forms (Hermite, by
+inserting rows into an echelon basis, one extended gcd per pivot met, and
 Smith for invariant factors, McKay boundary divisors and the public API),
 primitive vectors, canonical lattice bases and cone multiplicities.
 Everything runs on Python ints and fractions.Fraction; there is no
@@ -109,8 +110,8 @@ def det(M):
 
 
 def mat_rank(rows):
-    """Rank of an integer matrix: the nonzero rows of its echelon form."""
-    return sum(1 for row in _hnf_upper(rows) if any(row)) if rows else 0
+    """Rank of an integer matrix: the rows of its Hermite form."""
+    return len(_hermite(rows, len(rows[0]))) if rows else 0
 
 
 def cofactor_kernel(rows):
@@ -153,61 +154,57 @@ def _check_int_matrix(M):
             raise InvalidInputError("ragged matrix")
 
 
-def _hnf_upper(rows):
-    """Row-style Hermite form of the rows: row echelon form with positive
-    pivots and entries above each pivot reduced into [0, pivot)."""
-    H = [list(r) for r in rows]
-    m, n = len(H), len(H[0])
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        while True:
-            nz = [i for i in range(r, m) if H[i][c] != 0]
-            if not nz:
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) = x a + y b, for a > 0."""
+    x, y, u, v = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x, y, u, v = u, v, x - q * u, y - q * v
+    return (a, x, y) if a > 0 else (-a, -x, -y)
+
+
+def _hermite(rows, n):
+    """Lower Hermite form of the integer rows on their first n columns, as
+    lists, by inserting each row into an echelon basis kept by pivot: from
+    the last column down, one extended gcd per pivot met, (b, v) -> (x b +
+    y v, (b_j v - v_j b) / g), then a new pivot, made positive, or a zero
+    row dropped; last, entries at earlier pivots go into [0, pivot).  Other
+    columns ride along: [M | I] gives [H | U] with U.M = H."""
+    basis = {}
+    for v in rows:
+        for j in range(n - 1, -1, -1):
+            if not v[j]:
+                continue
+            if (b := basis.get(j)) is None:
+                basis[j] = list(v) if v[j] > 0 else [-x for x in v]
                 break
-            i0 = min(nz, key=lambda i: abs(H[i][c]))
-            if i0 != r:
-                H[r], H[i0] = H[i0], H[r]
-            clean = True
-            for i in range(r + 1, m):
-                if H[i][c] != 0:
-                    q = H[i][c] // H[r][c]
-                    if q:
-                        H[i] = [a - q * b for a, b in zip(H[i], H[r])]
-                    if H[i][c] != 0:
-                        clean = False
-            if clean:
-                break
-        if r < m and H[r][c] != 0:
-            if H[r][c] < 0:
-                H[r] = [-x for x in H[r]]
-            for i in range(r):
-                q = H[i][c] // H[r][c]
-                if q:
-                    H[i] = [a - q * b for a, b in zip(H[i], H[r])]
-            r += 1
+            g, x, y = _xgcd(b[j], v[j])
+            p, q = b[j] // g, v[j] // g
+            if y:  # else x = 1, and b stays
+                basis[j] = [x * t + y * s for s, t in zip(v, b)]
+            v = [p * s - q * t for s, t in zip(v, b)]
+    pivots = sorted(basis)
+    H = [basis[j] for j in pivots]
+    for i in range(len(H)):
+        for k in range(i - 1, -1, -1):
+            if q := H[i][pivots[k]] // H[k][pivots[k]]:
+                H[i] = [s - q * t for s, t in zip(H[i], H[k])]
     return H
-
-
-def _reverse_both(M):
-    return [list(reversed(row)) for row in reversed(M)]
 
 
 def _hermite_lower(rows):
     """The unique lower-triangular Hermite form H of the lattice of the
-    integer rows, as row tuples: the nonzero rows of one reversed Hermite
-    pass, reversed back.  Hermite forms commute with scaling, so H / den is
-    the canonical basis of the rows / den for any den > 0."""
+    integer rows, as row tuples, by _hermite's insertion.  Hermite forms
+    commute with scaling, so H / den is the canonical basis of the rows /
+    den for any den > 0."""
     if not rows:
         raise InvalidInputError("no generators given")
     n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise InvalidInputError("generators of mixed dimension")
-    ech = [row for row in _hnf_upper(_reverse_both(rows)) if any(row)]
-    if len(ech) != n:
+    if len(H := _hermite(rows, n)) != n:
         raise InvalidInputError("generators do not span a full-rank lattice")
-    return tuple(map(tuple, _reverse_both(ech)))
+    return tuple(map(tuple, H))
 
 
 def hermite_normal_form(M):
@@ -218,12 +215,10 @@ def hermite_normal_form(M):
     entries below each diagonal pivot reduced modulo it.
     """
     _check_int_matrix(M)
-    m = len(M)
-    # [M | I] -> [H | U], pivots in M by full row rank; reversed, [U | H]
-    UH = _reverse_both(_hnf_upper([r + e for r, e in zip(_reverse_both(M), mat_identity(m))]))
-    if any(not any(row[m:]) for row in UH):
+    HU = _hermite([list(r) + e for r, e in zip(M, mat_identity(len(M)))], n := len(M[0]))
+    if len(HU) < len(M):
         raise InvalidInputError("rank-deficient input to hermite_normal_form")
-    return tuple(tuple(row[m:]) for row in UH), tuple(tuple(row[:m]) for row in UH)
+    return tuple(tuple(row[:n]) for row in HU), tuple(tuple(row[n:]) for row in HU)
 
 
 def smith_normal_form(M):

@@ -41,9 +41,36 @@ from .mmp import _extraction_steps, _mmp_steps
 from .pairs import ToricPair, make_pair
 
 
-class GroupData(NamedTuple):
-    n: int
-    gens: tuple    # ((r, weights), ...) acting by x_i -> zeta_r^{w_i} x_i
+# group_lattice Hermite-reduces an n x n identity: `toricmmp rank` on
+# {"n": 32, "gens": []} takes 0.41-0.51 s, 13 ms of it past start-up; at
+# n = 160 the rank takes 27 ms in-process, 25 ms of it the Hermite form
+MAX_GROUP_DIM = 32
+
+
+class GroupData(NamedTuple("GroupData", [("n", int), ("gens", tuple)])):
+    """gens = ((r, weights), ...) acting by x_i -> zeta_r^{w_i} x_i; every group is
+    checked here (make_group is this constructor), each weight reduced mod r."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, n, gens):
+        if _exact_ints((n,), msg := "group dimension must be a positive integer")[0] < 1:
+            raise InvalidInputError(msg)
+        if n > MAX_GROUP_DIM:
+            raise InvalidInputError(f"group dimension {n} exceeds the limit {MAX_GROUP_DIM}")
+        out = []
+        for r, weights in gens:
+            if _exact_ints((r,), msg := "generator order must be a positive integer")[0] < 1:
+                raise InvalidInputError(msg)
+            ws = tuple(w % r for w in _exact_ints(weights, "generator weights must be integers"))
+            if len(ws) != n:
+                raise InvalidInputError("one weight per coordinate required")
+            out.append((r, ws))
+        return super().__new__(cls, n, tuple(out))
+
+
+make_group = GroupData
 
 
 class LedgerEntry(NamedTuple):
@@ -65,28 +92,6 @@ class McKayReport(NamedTuple):
     ledger: tuple
     rank_quotient: int
     rank_resolution: int
-
-
-# group_lattice Hermite-reduces an n x n identity, cubic in n: `toricmmp rank`
-# on {"n": 32, "gens": []} takes 0.78 s, 20 ms of it past start-up; at n = 160
-# the rank takes 1.3 s in-process
-MAX_GROUP_DIM = 32
-
-
-def make_group(n, gens):
-    if _exact_ints((n,), msg := "group dimension must be a positive integer")[0] < 1:
-        raise InvalidInputError(msg)
-    if n > MAX_GROUP_DIM:
-        raise InvalidInputError(f"group dimension {n} exceeds the limit {MAX_GROUP_DIM}")
-    out = []
-    for r, weights in gens:
-        if _exact_ints((r,), msg := "generator order must be a positive integer")[0] < 1:
-            raise InvalidInputError(msg)
-        ws = tuple(w % r for w in _exact_ints(weights, "generator weights must be integers"))
-        if len(ws) != n:
-            raise InvalidInputError("one weight per coordinate required")
-        out.append((r, ws))
-    return GroupData(n, tuple(out))
 
 
 def _group_hermite(G):

@@ -433,9 +433,11 @@ def _mmp_steps(sub, scaled, L):
     The state is the fan under flips and contractions (sub, a
     fan._Subdivision) and the integer psi heights scaled over one scale L,
     in the state's ray ids, which no contraction moves.  The state keys a
-    wall of positive defect d by (-d, apex vectors).  A wall whose circuit
-    step the state refused is popped again after each step until a step
-    moves the cones around its negative rays (fan._Subdivision._circuit).
+    wall of positive defect d by (-d, apex vectors); it reads each wall's
+    defect sign off the kept kernels first and builds no other wall's
+    relation.  A wall whose circuit step the state refused is popped again
+    after each step until a step moves the cones around its negative rays
+    (fan._Subdivision._circuit).
     The budget counts steps.
     A psi that is one linear form (pairs._heights_linear, off the first
     cone's kept kernel) returns at once: a wall relation sum a_i v_i = 0
@@ -453,11 +455,9 @@ def _mmp_steps(sub, scaled, L):
     rays = sub.rays
 
     def score(f, rel):  # kept as sub.score, so it reads rays, not sub: no cycle
-        if (d := _defect(rel, scaled)) <= 0:
-            return None
-        return -d, tuple(sorted(rays[i] for i in rel.ray_indices if i not in f))
+        return -_defect(rel, scaled), tuple(sorted(rays[i] for i in rel.ray_indices if i not in f))
 
-    sub.score_walls(score)
+    sub.score_walls(score, scaled)
     for (neg_d, _), f, rel in iter(sub.pop, None):
         if budget == 0:
             raise BudgetExceededError(

@@ -9,7 +9,7 @@ comparison all reduce to exact evaluations of psi.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm
 from operator import mul
 
 from .circuits import _defect
@@ -100,18 +100,20 @@ def _scaled_psi(pair):
 def _cone_witness(fan, cone, scaled, L):
     """The least (psi value, point) over the nonzero box points of one
     cone and the primitive sums of two of its rays, or None.  Only the box
-    numerators of least score sum(num_i * P_i) become points."""
+    numerators of least score sum(num_i * P_i) become points, and only the
+    pair sums whose key m (P_a + P_b) is at most that least score become
+    sums: a larger key loses to a box point."""
     C = fan.ray_matrix(cone)
     m, nums = _box_numerators(C)
     P = [scaled[i] for i in cone]
     scores = [sum(map(mul, num, P)) for num in nums]
-    low = min(scores, default=None)
+    low = min(scores, default=inf)
     keys = [(low, tuple(x // m for x in vec_mat(num, C)))
             for num, s in zip(nums, scores) if s == low]
     for a, b in combinations(cone, 2):
-        w = vec_add(fan.rays[a], fan.rays[b])
-        if gcd(*w) == 1:
-            keys.append((m * (scaled[a] + scaled[b]), w))
+        key = m * (scaled[a] + scaled[b])
+        if key <= low and gcd(*(w := vec_add(fan.rays[a], fan.rays[b]))) == 1:
+            keys.append((key, w))
     if not keys:
         return None
     key, point = min(keys)

@@ -6,7 +6,9 @@ InvalidInputError with the row's message.
 True == 1 and 1.0 == 1, yet dumps would write them as true and 1.0; 0.1 is
 3602879701896397/2^55; and Fraction parses "0.5".  A gate that let any of
 them through would compute with it.  Record types and exceptions are
-exempt: their numbers come from the package's own constructors.  An export
+exempt: their numbers come from the package's own constructors.  GroupData
+is not: it is the constructor, under make_group's name too, so a group
+built by hand is checked like a group file.  An export
 with neither a row nor an exemption fails the coverage test, so a new entry
 point cannot skip the gate."""
 
@@ -38,7 +40,7 @@ JSON_INT = "expected an integer, got|not an integer"
 EXEMPT = (
     "BudgetExceededError", "EngineInvariantError", "InvalidInputError",
     "NonProjectiveError", "NotKEquivalentError", "ToricMmpError",
-    "ExtractionStep", "Fan", "FlopStep", "GroupData", "LedgerEntry", "McKayReport",
+    "ExtractionStep", "Fan", "FlopStep", "LedgerEntry", "McKayReport",
     "MmpStep", "ToricPair", "Wall", "WallRelation",
 )
 
@@ -118,6 +120,12 @@ ROWS = [
         "generator order must be a positive integer", GROUP, "-r"),
     Row("make_group", lambda x: T.make_group(2, [(3, [1, x])]), 2,  # a list of weights is taken
         "generator weights must be integers", GROUP, "-weights"),
+    Row("GroupData", lambda x: T.GroupData(x, ((3, (1, 2)),)), 2,
+        "group dimension must be a positive integer", GROUP, "-n"),
+    Row("GroupData", lambda x: T.GroupData(2, ((x, (1, 2)),)), 3,
+        "generator order must be a positive integer", GROUP, "-r"),
+    Row("GroupData", lambda x: T.GroupData(2, ((3, (1, x)),)), 2,
+        "generator weights must be integers", GROUP, "-weights"),
     Row("case_a_components", lambda x: T.case_a_components(x, 2), 5,
         r"need integers 1 <= s1 <= r1", (1, 3, 4), "-r1"),
     Row("case_a_components", lambda x: T.case_a_components(5, x), 2,
@@ -160,6 +168,23 @@ def test_every_numeric_argument_is_gated(row):
     for bad in (bool(row.valid), float(row.valid), str(float(row.valid))):
         with pytest.raises(InvalidInputError, match=row.message):
             row.call(bad)
+
+
+@pytest.mark.parametrize("n, gens, message", [
+    (3, ((0, (1, 2, 2)),), "generator order must be a positive integer"),  # was ZeroDivisionError
+    (3, ((-5, (1, 2, 2)),), "generator order must be a positive integer"),  # was taken as 5
+    (2, ((3, (1.0, 2)),), "generator weights must be integers"),  # was TypeError
+    (2, ((3.0, (1, 2)),), "generator order must be a positive integer"),  # was TypeError
+    (2, ((3, (True, 2)),), "generator weights must be integers"),  # was computed
+])
+def test_a_group_built_by_hand_is_checked(n, gens, message):
+    # every group path reads a GroupData, and its constructor is make_group's
+    # check, so no pipeline sees a group that make_group would refuse, nor
+    # one that _replace made from a checked group
+    with pytest.raises(InvalidInputError, match=message):
+        T.mckay_pipeline(T.GroupData(n, gens))
+    with pytest.raises(InvalidInputError, match=message):
+        T.make_group(n, [(5, [0] * n)])._replace(gens=gens)
 
 
 def test_every_export_has_a_row_or_an_exemption():

@@ -15,6 +15,7 @@ from toricmmp.lattice import (
     _box_points_in_coords,
     _cached_box_numerators,
     _eliminate,
+    _hermite_lower,
     adjugate,
     box_points,
     cone_multiplicity,
@@ -139,6 +140,66 @@ def oracle_box_points_in_coords(C):
     return tuple(out)
 
 
+def oracle_hnf_upper(rows):
+    """The reversed pass that the insertion Hermite kernel replaced, as it
+    was: row echelon form with positive pivots and entries above each pivot
+    reduced into [0, pivot), by repeated division by the least entry."""
+    H = [list(r) for r in rows]
+    m, n = len(H), len(H[0])
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if H[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(H[i][c]))
+            if i0 != r:
+                H[r], H[i0] = H[i0], H[r]
+            clean = True
+            for i in range(r + 1, m):
+                if H[i][c] != 0:
+                    q = H[i][c] // H[r][c]
+                    if q:
+                        H[i] = [a - q * b for a, b in zip(H[i], H[r])]
+                    if H[i][c] != 0:
+                        clean = False
+            if clean:
+                break
+        if r < m and H[r][c] != 0:
+            if H[r][c] < 0:
+                H[r] = [-x for x in H[r]]
+            for i in range(r):
+                q = H[i][c] // H[r][c]
+                if q:
+                    H[i] = [a - q * b for a, b in zip(H[i], H[r])]
+            r += 1
+    return H
+
+
+def oracle_reverse_both(M):
+    return [list(reversed(row)) for row in reversed(M)]
+
+
+def oracle_hermite_lower(rows):
+    """The nonzero rows of the reversed pass on the reversed rows, reversed
+    back, or None when they do not span a full-rank lattice."""
+    ech = [row for row in oracle_hnf_upper(oracle_reverse_both(rows)) if any(row)]
+    return tuple(map(tuple, oracle_reverse_both(ech))) if len(ech) == len(rows[0]) else None
+
+
+def oracle_hermite_normal_form(M):
+    """(H, U) of the reversed pass on [M | I], or None when M is rank-deficient."""
+    m = len(M)
+    UH = oracle_reverse_both(oracle_hnf_upper(
+        [r + e for r, e in zip(oracle_reverse_both(M), [[int(i == j) for j in range(m)]
+                                                         for i in range(m)])]))
+    if any(not any(row[m:]) for row in UH):
+        return None
+    return tuple(tuple(row[m:]) for row in UH), tuple(tuple(row[:m]) for row in UH)
+
+
 def random_nonsingular(rng, n, bound=5, max_det=None):
     while True:
         M = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
@@ -197,6 +258,40 @@ def test_hnf_canonical_for_lattice():
     H3, _ = hermite_normal_form(M2)
     assert H2 == H3
     del H1
+
+
+def test_insertion_hermite_matches_the_reversed_pass():
+    # hermite_normal_form, mat_rank and _hermite_lower run on one insertion
+    # kernel; the reversed Hermite pass it replaced is the oracle, on seeded
+    # matrices of every shape up to 6 x 6, of full and deficient rank and
+    # with entries up to 40, so rows often fall to zero and pivots often
+    # need an extended gcd that does not divide
+    rng = random.Random(3535)
+    outcomes = Counter()
+    for _ in range(4000):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        bound = rng.choice([1, 6, 40])
+        base = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(rng.randint(1, m))]
+        M = [[sum(rng.randint(-1, 1) * b[j] for b in base) for j in range(n)] if rng.random() < 0.3
+             else [rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        want = oracle_hermite_normal_form(M)
+        if want is None:
+            with pytest.raises(InvalidInputError, match="rank-deficient"):
+                hermite_normal_form(M)
+        else:
+            assert hermite_normal_form(M) == want, M
+        rank = sum(1 for row in oracle_hnf_upper(M) if any(row))
+        assert mat_rank(M) == rank, M
+        lower = oracle_hermite_lower(M)
+        if lower is None:
+            with pytest.raises(InvalidInputError, match="full-rank"):
+                _hermite_lower(M)
+        else:
+            assert _hermite_lower(M) == lower, M
+        outcomes[want is not None, lower is not None, m == n] += 1
+    # square of full rank, wide of full row rank, tall of full column rank,
+    # and rank-deficient, square or not
+    assert len(outcomes) == 5 and min(outcomes.values()) > 50, outcomes
 
 
 # ---------------------------------------------------------------- SNF

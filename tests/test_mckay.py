@@ -10,6 +10,7 @@ from math import gcd, lcm
 import pytest
 
 from corpus import extraction_pairs, flop_case
+from test_lattice import oracle_hermite_lower
 
 from toricmmp import fan as fan_module
 from toricmmp import mckay as mckay_module
@@ -665,6 +666,22 @@ def test_integer_setup_matches_the_fraction_path():
         # H / den is the basis, den the lcm of the orders
         den = lcm(*(r for r, _ in G.gens))
         assert tuple(tuple(F(x, den) for x in row) for row in H) == X.lattice.rows
+
+
+def test_group_hermite_matches_the_reversed_pass():
+    # _group_hermite's insertion Hermite form of [den I; generators over
+    # den] against the reversed pass it replaced, on every distinct cyclic
+    # 3-fold group with r <= 12 (the quotient workload's 1,171) and on
+    # 3,000 seeded groups with n <= 6 and one to three generators
+    rng, groups = random.Random(35), _distinct_cyclic_groups(3, 12)
+    for _ in range(3000):
+        n, orders = rng.randint(1, 6), [rng.randint(1, 30) for _ in range(rng.randint(1, 3))]
+        groups.append(make_group(n, [(r, [rng.randrange(r) for _ in range(n)]) for r in orders]))
+    for G in groups:
+        den = lcm(*(r for r, _ in G.gens))
+        rows = [[den * x for x in row] for row in mat_identity(G.n)]
+        rows += [[w * (den // r) for w in ws] for r, ws in G.gens]
+        assert mckay_module._group_hermite(G)[0] == oracle_hermite_lower(rows), G
 
 
 def test_ledger_centres_match_the_barycentric_solve():

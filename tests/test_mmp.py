@@ -1013,6 +1013,39 @@ def test_relative_mmp_validates_base():
         relative_mmp(make_pair(complete, [0, 0, 0]))
 
 
+def test_defect_sign_matches_the_relation_defect():
+    # the MMP builds relations only for walls whose defect sign, read off
+    # the first cone's kept kernel (_Subdivision._positive), is positive;
+    # the sign of the defect of the wall's relation is the oracle.  Seeded
+    # flop-corpus fans in dimensions 3 and 4 and McKay resolutions, under
+    # random heights, a linear form's heights with one ray bumped, and
+    # psi, each wall read from either cone, so walls of zero defect and
+    # first cones of negative determinant both occur
+    rng, seen = random.Random(3535), Counter()
+    fans = [flop_case(seed)[0].fan for seed in range(40)]
+    fans += [mckay_pipeline(make_group(3, [(r, (1, a, -1 - a))])).resolution.fan
+             for r, a in ((7, 2), (10, 3), (12, 5), (13, 6))]
+    fans += [mckay_pipeline(make_group(3, [(10, (1, 6, 8))])).resolution.fan]
+    for fan in fans:
+        u = [rng.randint(-3, 3) for _ in range(fan.dim)]
+        bumped = [dot(u, r) for r in fan.rays]
+        bumped[rng.randrange(len(bumped))] += rng.choice([-1, 1])
+        for hs in ([rng.randint(-4, 4) for _ in fan.rays], bumped, [1] * len(fan.rays)):
+            sub = _Subdivision(fan)
+            sub.score_walls(lambda f, rel: None, hs)
+            positive = set()
+            for f, cs in list(sub.facets.items()):
+                if len(cs) == 2:
+                    d = defect(sub.relation(f), hs)
+                    positive.update([f] if d > 0 else [])
+                    for first in cs, cs[::-1]:
+                        sub.facets[f] = list(first)
+                        assert sub._positive(f) == (d > 0), (fan, hs, f)
+                        seen[(d > 0) - (d < 0), sub.kernel(first[0])[1] > 0] += 1
+            assert set(sub.walls) == positive
+    assert len(seen) == 6 and min(seen.values()) > 100, seen
+
+
 def test_mmp_state_matches_validated_fans(monkeypatch):
     # the relative MMP keeps one fan state across flips and contractions:
     # no step rebuilds a fan or re-validates a pair, and each yielded fan is

@@ -14,7 +14,7 @@ from test_mmp import _bumped_corpus_case
 from toricmmp import pairs as pairs_module
 from toricmmp.errors import InvalidInputError
 from toricmmp.fan import _inward, in_support, make_fan, star_subdivision
-from toricmmp.lattice import adjugate, cofactor_kernel, det, dot, mat_rank, primitive
+from toricmmp.lattice import adjugate, cofactor_kernel, det, dot, mat_rank, primitive, vec_mat
 from toricmmp.mckay import group_lattice, make_group, quotient_pair
 from toricmmp.pairs import (
     cell_extreme_rays,
@@ -466,12 +466,40 @@ def test_is_nef_flat_across_subdivision():
     assert is_nef(sub, [0, 1, Fraction(1, 2)])
 
 
+def _check_cone_witness(rays, scaled, L, ties):
+    """_cone_witness of the one-cone fan on rays against the least (psi
+    value, point) over every sorted box point and every primitive pair sum,
+    counting each pair sum in ties by how it compares with the least box
+    value and whether it is 0."""
+    n = len(rays)
+    fan = make_fan(rays, [tuple(range(n))], validate="fast")
+    cone = fan.max_cones[0]
+    cands = [
+        (sum(t * scaled[i] for t, i in zip(bary, cone)) / L, p)
+        for p, bary in oracle_box_points_in_coords(fan.ray_matrix(cone))
+    ]
+    low = min(cands, default=(None,))[0]
+    for a, b in combinations(cone, 2):
+        w = tuple(x + y for x, y in zip(fan.rays[a], fan.rays[b]))
+        if math.gcd(*w) == 1:
+            cands.append((v := Fraction(scaled[a] + scaled[b], L), w))
+            if low is not None:
+                ties["tie" if v == low else "win" if v < low else "lose", v != 0] += 1
+    assert pairs_module._cone_witness(fan, cone, scaled, L) == min(cands, default=None)
+
+
 def test_cone_witness_matches_materialized_box_points():
     # _cone_witness scores numerators and builds only the least-scored
-    # points; the reference builds every sorted box point and every
-    # primitive pair sum, and takes the least (psi value, point)
+    # points, and only the pair sums whose key is at most the least box
+    # score; the reference builds every sorted box point and every
+    # primitive pair sum, and takes the least (psi value, point).  Seeded
+    # cones give pair sums that win, lose and tie at 0.  A pair sum tying
+    # the box minimum above 0, where the points decide, is built: the cone
+    # on e1, e2 and (1, 1, m), moved by a seeded unimodular map, has box
+    # points (1, 1, k) of score (m - k)(P_1 + P_2) + k P_3, all equal to
+    # the key m (P_1 + P_2) of e1 + e2 when P_3 = P_1 + P_2
     rng = random.Random(1414)
-    checked = 0
+    checked, ties = 0, Counter()
     while checked < 60:
         n = rng.choice([2, 3, 4])
         rays = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
@@ -480,18 +508,18 @@ def test_cone_witness_matches_materialized_box_points():
                 or len(set(rays)) < n:
             continue
         checked += 1
-        fan = make_fan(rays, [tuple(range(n))], validate="fast")
-        cone = fan.max_cones[0]
         bound = rng.choice([0, 2, 40])  # small bounds force ties, 0 ties all
-        scaled = [rng.randint(-bound, bound) for _ in range(n)]
-        L = rng.randint(1, 6)
-        C = fan.ray_matrix(cone)
-        cands = [
-            (sum(t * scaled[i] for t, i in zip(bary, cone)) / L, p)
-            for p, bary in oracle_box_points_in_coords(C)
-        ]
-        for a, b in combinations(cone, 2):
-            w = tuple(x + y for x, y in zip(fan.rays[a], fan.rays[b]))
-            if math.gcd(*w) == 1:
-                cands.append((Fraction(scaled[a] + scaled[b], L), w))
-        assert pairs_module._cone_witness(fan, cone, scaled, L) == min(cands, default=None)
+        _check_cone_witness(rays, [rng.randint(-bound, bound) for _ in range(n)],
+                            rng.randint(1, 6), ties)
+    for _ in range(60):
+        U = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(6):
+            (i, j), c = rng.sample(range(3), 2), rng.choice([-2, -1, 1, 2])
+            U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+        p1, p2 = rng.choice([(1, 2), (-3, 1), (2, 2), (0, 5), (-1, -4)])
+        base = [((1, 0, 0), p1), ((0, 1, 0), p2), ((1, 1, rng.randint(2, 12)), p1 + p2)]
+        rng.shuffle(base)
+        _check_cone_witness([vec_mat(v, U) for v, _ in base], [p for _, p in base],
+                            rng.randint(1, 6), ties)
+    assert ties["tie", True] >= 60 and ties["tie", False] and ties["win", True] \
+        and ties["lose", True], ties

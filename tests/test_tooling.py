@@ -10,9 +10,11 @@ its quotient without the public constructors, its star subdivisions run
 no kind scan, and the extraction loop scores no unimodular cone that
 cannot hold a candidate at psi <= 1; only three named engine functions
 call make_fan or make_pair; a fan state computes each cone pair's wall
-relation once and keeps at most one per current wall; only the gate
-module decides what an exact number is; and no engine module imports a
-name it never reads."""
+relation once and keeps at most one per current wall; the McKay
+pipeline's MMP builds relations only for walls of positive defect, its
+group Hermite form is one insertion pass, and its witness search builds
+no pair sum that loses to a box point; only the gate module decides what
+an exact number is; and no engine module imports a name it never reads."""
 
 import ast
 import importlib
@@ -23,6 +25,9 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from math import inf
+from operator import mul
 from pathlib import Path
 
 from corpus import flop_case, mmp_probe_pair
@@ -286,6 +291,96 @@ def test_a_fan_state_keeps_one_relation_per_current_wall(monkeypatch):
     toricmmp.regular_triangulation(rays, heights)
     sub = states[-1]
     assert 0 < len(sub.rels) <= len(sub.walls) > 100
+
+
+def test_the_mckay_mmp_builds_relations_only_for_positive_walls(monkeypatch):
+    # after the coefficient drop psi is 1 on every ray, so a relation's
+    # defect is the sum of its coefficients; the pipeline's MMP reads each
+    # wall's defect sign off the kept kernels first and builds a relation
+    # only for a wall of positive defect, on (1/10)(1,6,8) and on a seeded
+    # slice of non-SL groups, most of whose walls are not positive.  A
+    # return to building every wall's relation would pass every output check
+    built, signs = [], Counter()
+    real_relation, real_positive = fan._relation, fan._Subdivision._positive
+
+    def relation(*args):
+        built.append(rel := real_relation(*args))
+        return rel
+
+    def positive(sub, f):
+        signs[p := real_positive(sub, f)] += 1
+        return p
+
+    monkeypatch.setattr(fan, "_relation", relation)
+    monkeypatch.setattr(fan._Subdivision, "_positive", positive)
+    rng, groups = random.Random(3535), [toricmmp.make_group(3, [(10, (1, 6, 8))])]
+    while len(groups) < 40:
+        r = rng.randint(2, 12)
+        G = toricmmp.make_group(3, [(r, [rng.randrange(r) for _ in range(3)])])
+        groups += [] if mckay.is_sl(G) else [G]
+    for G in groups:
+        toricmmp.mckay_pipeline(G)
+    assert built and all(sum(rel.coeffs) > 0 for rel in built)
+    assert signs[False] > signs[True] > 0, signs
+
+
+def test_the_group_hermite_form_is_one_insertion_pass(monkeypatch):
+    # _group_hermite hands its rows, den I and then the generators over den,
+    # to the insertion kernel once and as they are.  The reversed pass it
+    # replaced reversed the rows and columns, reduced upward and reversed
+    # back, at about 1.6 times the cost on the quotient workload's groups;
+    # a return to it would pass every output check
+    calls, real = [], lattice._hermite
+    monkeypatch.setattr(lattice, "_hermite",
+                        lambda rows, n: calls.append((rows, n)) or real(rows, n))
+    H = mckay._group_hermite(toricmmp.make_group(3, [(10, (1, 6, 8)), (4, (1, 3, 0))]))[0]
+    assert calls == [([[20, 0, 0], [0, 20, 0], [0, 0, 20], [2, 12, 16], [5, 15, 0]], 3)]
+    assert H == ((10, 0, 0), (5, 5, 0), (3, 3, 4))
+    read = {n.id for n in ast.walk(ast.parse(Path(lattice.__file__).read_text()))
+            if isinstance(n, ast.Name)}
+    assert "reversed" not in read
+
+
+def test_cone_witness_builds_no_pair_sum_that_loses(monkeypatch):
+    # _cone_witness turns two rays into a pair sum only when its key m
+    # (P_a + P_b) is at most the least box-point score, since a larger key
+    # loses to a box point: over the McKay pipelines of a seeded slice of
+    # the quotient workload's groups and the terminalizations of flop-corpus
+    # pairs with coefficients 1/2 and 3/4, where pair sums win, every sum
+    # it builds has such a key, and sums above it were there to skip.  A
+    # return of the losing sums would pass every output check
+    built, count = [], Counter()
+    real_witness, real_add = pairs._cone_witness, pairs.vec_add
+
+    def add(u, v):
+        built.append(w := real_add(u, v))
+        return w
+
+    def witness(sub, cone, scaled, L):
+        m, nums = lattice._box_numerators(sub.ray_matrix(cone))
+        P = [scaled[i] for i in cone]
+        low = min((sum(map(mul, num, P)) for num in nums), default=inf)
+        keys = {real_add(sub.rays[a], sub.rays[b]): m * (scaled[a] + scaled[b])
+                for a, b in combinations(cone, 2)}
+        start = len(built)
+        wit = real_witness(sub, cone, scaled, L)
+        assert all(keys[w] <= low for w in built[start:])
+        count["built"] += len(built) - start
+        count["above"] += sum(k > low for k in keys.values())
+        return wit
+
+    monkeypatch.setattr(pairs, "vec_add", add)
+    monkeypatch.setattr(mmp, "_cone_witness", witness)
+    rng = random.Random(35)
+    for _ in range(60):
+        r = rng.randint(2, 12)
+        G = toricmmp.make_group(3, [(r, [rng.randrange(r) for _ in range(3)])])
+        toricmmp.mckay_pipeline(G)
+    for seed in range(20):
+        fan = flop_case(seed)[0].fan
+        toricmmp.terminalize(toricmmp.make_pair(fan, [rng.choice([Fraction(1, 2), Fraction(3, 4)])
+                                                      for _ in fan.rays]))
+    assert count["built"] > 50 and count["above"] > 50, count
 
 
 def _type_tests(tree):
