@@ -14,6 +14,7 @@ live, are answered by its local state (fan._Subdivision.relation,
 happens.
 """
 
+from bisect import bisect
 from math import gcd
 from typing import NamedTuple
 
@@ -46,26 +47,28 @@ def wall_relation(fan, wall):
 def _relation(rays, shared, apex_a, apex_b):
     """wall_relation of the wall with these shared rays and apexes: with
     C.adj = d.I for cone a = shared + apex_a, num = apex_b.adj gives the
-    relation sum num_i v_i - d apex_b = 0 over cone a's rays v_i."""
+    relation sum num_i v_i - d apex_b = 0 over cone a's rays v_i, divided
+    by the gcd of all n+1 coefficients, signed so that apex_a's is
+    positive, and apex_b merged into cone a's sorted rays."""
     cone_a = tuple(sorted(shared + (apex_a,)))
     adj, d = adjugate(tuple(rays[i] for i in cone_a))
     if adj is None:
         raise InvalidInputError("degenerate wall: the rays of cone a do not span")
-    raw = dict(zip(cone_a + (apex_b,), vec_mat(rays[apex_b], adj) + (-d,)))
-    if raw[apex_a] == 0:
+    num = vec_mat(rays[apex_b], adj)
+    lead = num[cone_a.index(apex_a)]
+    if lead == 0:
         raise EngineInvariantError("apex ray with zero circuit coefficient")
-    g = gcd(*raw.values()) if raw[apex_a] > 0 else -gcd(*raw.values())
-    if raw[apex_b] // g <= 0:
+    g = gcd(d, *num) if lead > 0 else -gcd(d, *num)
+    if -d // g <= 0:
         raise EngineInvariantError("apex coefficients of opposite sign")
-    circuit = tuple(sorted(raw))
-    coeffs = tuple(raw[i] // g for i in circuit)
-    return WallRelation(
-        ray_indices=circuit,
-        coeffs=coeffs,
-        s_plus=tuple(i for i, a in zip(circuit, coeffs) if a > 0),
-        s_zero=tuple(i for i, a in zip(circuit, coeffs) if a == 0),
-        s_minus=tuple(i for i, a in zip(circuit, coeffs) if a < 0),
-    )
+    k = bisect(cone_a, apex_b)
+    circuit = cone_a[:k] + (apex_b,) + cone_a[k:]
+    coeffs = [x // g for x in num]
+    coeffs.insert(k, -d // g)
+    s_plus, s_zero, s_minus = [], [], []
+    for i, a in zip(circuit, coeffs):
+        (s_plus if a > 0 else s_minus if a < 0 else s_zero).append(i)
+    return WallRelation(circuit, tuple(coeffs), tuple(s_plus), tuple(s_zero), tuple(s_minus))
 
 
 def defect(relation, heights):

@@ -564,12 +564,14 @@ def point_in_cone(p, gens):
     Farkas, p is in the cone iff no form u that is >= 0 on every generator
     is negative on p: the LP minimizes u.p over u = u+ - u- with u+, u- in
     [0, 1]^n, the unit caps as bounds, and every right-hand side is 0, so
-    the origin is a feasible start."""
+    the origin is a feasible start and the optimum c.y / D of the vertex
+    (y, D) is >= 0: p is in the cone iff c.y = 0."""
     n = len(p)
     if len(gens) == n:
         adj, d = adjugate(tuple(tuple(g) for g in gens))
         if d:
             return all(x * d >= 0 for x in vec_mat(p, adj))
     A = [tuple(-x for x in g) + tuple(g) for g in gens]
-    opt, _ = lp_maximize([-x for x in p] + list(p), A, [0] * len(gens), [1] * (2 * n))
-    return opt == 0
+    c = [-x for x in p] + list(p)
+    y, _ = lp_maximize(c, A, [0] * len(gens), [1] * (2 * n))
+    return dot(c, y) == 0

@@ -1,6 +1,6 @@
 """Exact LP in standard form: maximize c.y subject to A y <= b, y >= 0 and
 integer caps y_j <= u_j, with b >= 0, for ample heights and cone
-membership; Fractions out.
+membership; integers out: the vertex as numerators over one denominator.
 
 Every LP starts feasible at the origin, so one phase suffices: Bland's rule
 from the slack basis, which cannot cycle (Bland 1977).  Columns enter by
@@ -31,9 +31,12 @@ minus its own, the label swapped), then the row is pivoted as usual.  Both
 are integer column operations on the scaled system (u_j is an int) that
 leave each D the determinant of its basis up to sign, so every entry stays
 a signed minor and every // stays exact.
+
+The same holds at the end: every row brought up to the last pivot's D is
+an integer row, so the vertex is read off as integer numerators over that
+one D, with no Fraction built for any row or column.
 """
 
-from fractions import Fraction
 from math import lcm
 
 # Not used for solving: bench/run.py::_import_times takes a median over the
@@ -79,9 +82,11 @@ def _pivot(T, dens, r, k, D, X, Y):
 
 def lp_maximize(c, A, b, upper=None):
     """Maximize c.y subject to A y <= b, y >= 0 and y_j <= upper[j] for each
-    upper[j] not None; returns (optimum, y).  Raises ValueError when some b_i
-    < 0, InvalidInputError when upper is not one None or int >= 0 per
-    column, LpUnbounded when c.y has no maximum."""
+    upper[j] not None; returns (y, D), an optimal vertex as integer
+    numerators y over one denominator D > 0, the last pivot's (not reduced),
+    so the optimum is c.y / D.  Raises ValueError when some b_i < 0,
+    InvalidInputError when upper is not one None or int >= 0 per column,
+    LpUnbounded when c.y has no maximum."""
     if any(bi < 0 for bi in b):
         raise ValueError("lp_maximize needs b >= 0, so that the origin is feasible")
     m, n = len(A), len(c)
@@ -89,7 +94,7 @@ def lp_maximize(c, A, b, upper=None):
     if upper is not None and (len(upper) != n or any(
             u < 0 for u in _exact_ints((u for u in upper if u is not None), msg))):
         raise InvalidInputError(msg)
-    obj, scale = _scaled([-x for x in c] + [0])
+    obj, _ = _scaled([-x for x in c] + [0])
     T = [_scaled(list(row) + [bi])[0] for row, bi in zip(A, b)] + [obj]
     X, Y = list(range(n)), list(range(n, n + m))  # x_j is j, slack i is n + i
     caps = {}  # label: (cap, label of its complement); cap slacks from n + m
@@ -126,8 +131,14 @@ def lp_maximize(c, A, b, upper=None):
             T[r][-1] += caps[label][0] * dens[r]
             Y[r] = label
         D = _pivot(T, dens, r, k, D, X, Y)
-    value = {label: Fraction(T[i][-1], dens[i]) for i, label in enumerate(Y)}
+    at = {label: i for i, label in enumerate(Y)}
+    y = []
     for j in range(n):
-        if j in caps and j not in value and j not in X:  # x_j is u_j minus its cap slack
-            value[j] = Fraction(caps[j][0]) - value.get(caps[j][1], 0)
-    return Fraction(T[m][-1], dens[m] * scale), tuple(value.get(j, Fraction(0)) for j in range(n))
+        if (i := at.get(j)) is not None:
+            y.append(T[i][-1] * D // dens[i])
+        elif j in caps and j not in X:  # x_j is u_j minus its cap slack
+            i = at.get(caps[j][1])
+            y.append(caps[j][0] * D - (0 if i is None else T[i][-1] * D // dens[i]))
+        else:
+            y.append(0)
+    return tuple(y), D

@@ -25,7 +25,7 @@ its state: the only base over which X -> U_base is proper.
 from fractions import Fraction
 from functools import cmp_to_key
 from heapq import heappop, heappush
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .circuits import _defect, classify, wall_relation
@@ -78,6 +78,11 @@ class ExtractionStep(NamedTuple):
 # ------------------------------------------------------------ projectivity
 
 
+# the rows x columns of an ample heights LP: one row per wall, a column per
+# ray and two more (README, Limits)
+MAX_LP_SIZE = 2 ** 13
+
+
 def ample_heights(fan):
     """Heights strictly convex across every wall, found by maximizing the
     worst wall defect t in [0, 1].  Raises NonProjectiveError when only
@@ -89,7 +94,8 @@ def ample_heights(fan):
     1 as the LP's bounds, not rows.  Every right-hand side is 0, so the
     origin is feasible.
     A box optimum t* > 0 over h in [-1, 1] makes (h + 1, t*, 1) feasible,
-    and then t + w >= t* + 1 at the optimum forces t > 0."""
+    and then t + w >= t* + 1 at the optimum forces t > 0.  An LP of more
+    than MAX_LP_SIZE rows x columns raises InvalidInputError unsolved."""
     rels = ((rel.ray_indices, rel.coeffs) for _, rel in _Subdivision(fan).relations())
     H, D = _ample_heights(len(fan.rays), rels)
     return tuple(Fraction(h, D) for h in H)
@@ -98,10 +104,17 @@ def ample_heights(fan):
 def _ample_heights(n_rays, rels):
     """Heights strictly convex across the walls rels, (ray indices,
     coefficients) pairs in walls() order, as integers H over one
-    denominator D > 0: the vertex of ample_heights' LP."""
+    denominator D > 0: the vertex of ample_heights' LP, h_i = y_i - w,
+    over the least common denominator of y_1, ..., y_n and w, read off the
+    LP's integer vertex with one gcd."""
     rels = list(rels)
     if not rels:
         return [0] * n_rays, 1
+    if len(rels) * (n_rays + 2) > MAX_LP_SIZE:
+        raise InvalidInputError(
+            f"the ample heights LP of {len(rels)} walls x {n_rays + 2} columns is "
+            f"past its stated limit of MAX_LP_SIZE = {MAX_LP_SIZE} rows x columns"
+        )
     A = []  # the LP of ample_heights' docstring
     for indices, coeffs in rels:
         row = [0] * (n_rays + 2)
@@ -109,12 +122,12 @@ def _ample_heights(n_rays, rels):
             row[i] = -a
         row[n_rays], row[-1] = 1, sum(coeffs)
         A.append(row)
-    _, y = lp_maximize([0] * n_rays + [1, 1], A, [0] * len(A), [2] * n_rays + [1, 1])
+    y, D = lp_maximize([0] * n_rays + [1, 1], A, [0] * len(A), [2] * n_rays + [1, 1])
     if y[n_rays] <= 0:
         raise NonProjectiveError("no strictly convex height function exists")
-    D = lcm(y[-1].denominator, *(v.denominator for v in y[:n_rays]))
-    W = y[-1].numerator * (D // y[-1].denominator)
-    return [v.numerator * (D // v.denominator) - W for v in y[:n_rays]], D
+    W = y[-1]
+    g = gcd(D, W, *y[:n_rays])
+    return [(v - W) // g for v in y[:n_rays]], D // g
 
 
 # -------------------------------------------------------------- surgeries

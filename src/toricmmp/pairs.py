@@ -91,10 +91,11 @@ def min_discrepancy_witness(pair):
 
 def _scaled_psi(pair):
     """(scaled, L): L the lcm of the psi denominators and scaled[i] the
-    integer psi_i * L."""
-    psi = psi_heights(pair)
-    L = lcm(*(h.denominator for h in psi))
-    return [h.numerator * (L // h.denominator) for h in psi], L
+    integer psi_i * L.  psi_i = 1 - p/q is (q - p)/q in lowest terms, so L
+    is the lcm of the coefficients' denominators q and psi_i * L is
+    (q - p) * (L / q)."""
+    L = lcm(*(c.denominator for c in pair.coeffs))
+    return [(c.denominator - c.numerator) * (L // c.denominator) for c in pair.coeffs], L
 
 
 def _cone_witness(fan, cone, scaled, L):

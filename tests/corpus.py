@@ -10,7 +10,8 @@ Also holds the replay oracle: step records re-applied by public surgery;
 extraction_pairs and mmp_pairs, which read the pair off the engine's own
 state after each step of terminalize and relative_mmp; the relative-MMP
 inputs (cyclic_mmp_inputs, square_mmp_inputs, and mmp_probe_pair, seeded
-inputs of a given size); and STAR_P3, a fixed fan off height one.
+inputs of a given size); STAR_P3, a fixed fan off height one; and
+lp_fractions, which reads lp_maximize's integer vertex as Fractions.
 """
 
 import random
@@ -20,6 +21,7 @@ from itertools import product
 from toricmmp.circuits import classify, wall_relation
 from toricmmp.errors import InvalidInputError, NonProjectiveError
 from toricmmp.fan import _Subdivision, make_fan, star_subdivision, walls
+from toricmmp.linprog import lp_maximize
 from toricmmp.mckay import group_lattice, make_group, quotient_pair
 from toricmmp.mmp import (
     ExtractionStep,
@@ -32,6 +34,15 @@ from toricmmp.mmp import (
     terminalize,
 )
 from toricmmp.pairs import _scaled_psi, make_pair
+
+def lp_fractions(c, A, b, upper=None):
+    """lp_maximize's (y, D) as (optimum, vertex) in Fractions: the vertex
+    y / D and the optimum c.y / D."""
+    y, D = lp_maximize(c, A, b, upper)
+    assert D > 0 and all(type(v) is int for v in (D, *y))
+    return Fraction(sum(Fraction(cj) * v for cj, v in zip(c, y)), D), \
+        tuple(Fraction(v, D) for v in y)
+
 
 # five star subdivisions of the complete fan of P^3: a projective fan whose
 # ample_heights LP, posed over h in [-1, 1] with negative right-hand sides,

@@ -1,6 +1,7 @@
 """Circuit relations and defects on hand-checked walls, plus invariants."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,7 @@ from corpus import flop_case
 from toricmmp.circuits import WallRelation, _relation, classify, defect, wall_relation
 from toricmmp.errors import EngineInvariantError, InvalidInputError
 from toricmmp.fan import Wall, make_fan, walls
-from toricmmp.lattice import cofactor_kernel, det
+from toricmmp.lattice import adjugate, cofactor_kernel, det, vec_mat
 
 
 def oracle_circuit_coeffs(vectors, apex_positions):
@@ -202,3 +203,55 @@ def test_wall_relation_rejects_a_wall_not_of_the_fan():
     assert wall == Wall((1,), 0, 1, 0, 2)
     assert wall_relation(fan, wall) == WallRelation((0, 1, 2), (1, -1, 1), (0, 2), (), (1,))
     assert wall_relation(fan, wall) == _relation(fan.rays, (1,), 0, 2)
+
+
+def dict_relation(rays, shared, apex_a, apex_b):
+    """_relation as it was, by a dict from ray index to raw coefficient,
+    re-sorted: the oracle of the sorted-merge form."""
+    cone_a = tuple(sorted(shared + (apex_a,)))
+    adj, d = adjugate(tuple(rays[i] for i in cone_a))
+    if adj is None:
+        raise InvalidInputError("degenerate wall: the rays of cone a do not span")
+    raw = dict(zip(cone_a + (apex_b,), vec_mat(rays[apex_b], adj) + (-d,)))
+    if raw[apex_a] == 0:
+        raise EngineInvariantError("apex ray with zero circuit coefficient")
+    g = gcd(*raw.values()) if raw[apex_a] > 0 else -gcd(*raw.values())
+    if raw[apex_b] // g <= 0:
+        raise EngineInvariantError("apex coefficients of opposite sign")
+    circuit = tuple(sorted(raw))
+    coeffs = tuple(raw[i] // g for i in circuit)
+    return WallRelation(
+        ray_indices=circuit,
+        coeffs=coeffs,
+        s_plus=tuple(i for i, a in zip(circuit, coeffs) if a > 0),
+        s_zero=tuple(i for i, a in zip(circuit, coeffs) if a == 0),
+        s_minus=tuple(i for i, a in zip(circuit, coeffs) if a < 0),
+    )
+
+
+def test_relation_matches_the_dict_formula_on_seeded_walls():
+    # dimensions 2-5, ray indices shuffled so apex_b lands anywhere in the
+    # merge; cone a is sometimes singular, and apex_b a planted combination
+    # of cone a's rays with zeros, so every outcome occurs
+    rng = random.Random(36)
+    seen = Counter()
+    for _ in range(1200):
+        n = rng.randint(2, 5)
+        cone = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+        if rng.random() < 0.1:
+            cone[-1] = tuple(2 * x - y for x, y in zip(cone[0], cone[1]))
+        c = [rng.choice([-2, -1, 0, 0, 1, 3]) for _ in range(n)]
+        far = tuple(sum(ci * v[j] for ci, v in zip(c, cone)) for j in range(n))
+        if not any(far):
+            continue
+        order = list(range(n + 1))
+        rng.shuffle(order)
+        rays = [(cone + [far])[order.index(i)] for i in range(n + 1)]
+        wall = (tuple(sorted(order[:n - 1])), order[n - 1], order[n])
+        got = outcome(_relation, rays, *wall)
+        assert got == outcome(dict_relation, rays, *wall), (rays, wall)
+        if isinstance(got, WallRelation):
+            seen["zero coefficient" if got.s_zero else "no zero"] += 1
+        else:
+            seen[got[1].split(":")[0]] += 1
+    assert len(seen) == 5 and min(seen.values()) >= 20, seen

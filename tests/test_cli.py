@@ -16,7 +16,7 @@ from toricmmp.fan import make_fan
 from toricmmp.jsonio import dumps, fan_to_json, group_to_json, pair_to_json
 from toricmmp.lattice import MAX_MULTIPLICITY
 from toricmmp.mckay import MAX_CASE_A_ORDER, MAX_HJ_CHAIN, make_group, quotient_pair
-from toricmmp.mmp import MAX_EXTRACTION_BOX_POINTS
+from toricmmp.mmp import MAX_EXTRACTION_BOX_POINTS, MAX_LP_SIZE, regular_triangulation
 from toricmmp.pairs import MAX_CELL_SUBSETS, make_pair
 
 
@@ -417,6 +417,29 @@ def test_cell_walk_limit_exits_one_at_once(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "flop-decompose", x, y)
     assert code == 1 and out == "" and err.startswith("error:")
     assert "92378" in err and str(MAX_CELL_SUBSETS) in err
+    assert "Traceback" not in err
+
+
+def test_ample_heights_lp_limit_exits_one_at_once(capsys, tmp_path, monkeypatch):
+    # two regular triangulations of the 8 x 8 grid at height one, zero
+    # boundary: K-equivalent, but the ample heights LP of X has 133 walls x 66
+    # columns, past MAX_LP_SIZE, so no LP is solved
+    rays = [(x, y, 1) for x in range(8) for y in range(8)]
+    files = []
+    for name, a in (("x", 1), ("y", 2)):
+        heights = [a * x * x + y * y + Fraction(x * y % 7, 97) for x, y, _ in rays]
+        pair = make_pair(regular_triangulation(rays, heights), [0] * len(rays))
+        files.append(write(tmp_path / f"{name}.json", pair_to_json(pair)))
+
+    def no_lp(*_):
+        raise AssertionError("the LP was solved")
+
+    monkeypatch.setattr("toricmmp.mmp.lp_maximize", no_lp)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "flop-decompose", *files)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert f"MAX_LP_SIZE = {MAX_LP_SIZE}" in err and "133 walls x 66 columns" in err
     assert "Traceback" not in err
 
 

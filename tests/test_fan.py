@@ -6,6 +6,8 @@ from math import atan2
 
 import pytest
 
+from corpus import lp_fractions
+
 from toricmmp import fan as fan_module
 from toricmmp.circuits import classify, wall_relation
 from toricmmp.errors import InvalidInputError
@@ -32,7 +34,6 @@ from toricmmp.lattice import (
     primitive,
     vec_mat,
 )
-from toricmmp.linprog import lp_maximize
 from toricmmp.mckay import hj_resolution
 
 P2 = make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
@@ -296,7 +297,7 @@ def lp_face_check(rays, cone_a, cone_b, shared):
     rows = [row(j, 1, 1) for j in cone_a if j not in shared]
     rows += [row(j, -1, 1) for j in cone_b if j not in shared]
     rows += [row(j, sign, 0) for j in shared for sign in (1, -1)]
-    opt, _ = lp_maximize([0] * (2 * n) + [1], rows, [0] * len(rows), [1] * (2 * n) + [None])
+    opt, _ = lp_fractions([0] * (2 * n) + [1], rows, [0] * len(rows), [1] * (2 * n) + [None])
     return opt > 0
 
 

@@ -1,10 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from corpus import flop_case
+from corpus import flop_case, lp_fractions
 
 import toricmmp.linprog as linprog_module
 import toricmmp.mmp as mmp
@@ -16,7 +17,7 @@ from toricmmp.linprog import LpUnbounded, lp_maximize
 
 def test_free_variables_chebyshev():
     # maximize t with t <= x, t <= 1 - x
-    opt, y = lp_maximize([0, 1], [[-1, 1], [1, 1]], [0, 1])
+    opt, y = lp_fractions([0, 1], [[-1, 1], [1, 1]], [0, 1])
     assert opt == Fraction(1, 2)
     assert y == (Fraction(1, 2), Fraction(1, 2))
 
@@ -25,10 +26,8 @@ def test_box_bounds():
     # x in [-1, 1] as y0 = x + 1 <= 2, and y1 <= 2: caps as plain rows, or
     # as bounds on an LP with no rows at all
     for lp in (([1, 1], [[1, 0], [0, 1]], [2, 2]), ([1, 1], [], [], [2, 2])):
-        opt, y = lp_maximize(*lp)
-        assert opt == 4
-        assert y == (2, 2)
-        assert all(isinstance(v, Fraction) for v in (opt,) + y)
+        assert lp_maximize(*lp) == ((2, 2), 1)
+        assert lp_fractions(*lp) == (4, (2, 2))
 
 
 def test_negative_right_hand_side_raises():
@@ -48,7 +47,7 @@ def test_unbounded():
 
 
 def test_exact_rational_data():
-    opt, y = lp_maximize([Fraction(1, 3)], [[Fraction(2, 7)]], [Fraction(3, 5)])
+    opt, y = lp_fractions([Fraction(1, 3)], [[Fraction(2, 7)]], [Fraction(3, 5)])
     assert opt == Fraction(1, 3) * Fraction(21, 10)
     assert y == (Fraction(21, 10),)
 
@@ -87,9 +86,9 @@ def test_mixed_rows_and_rescaled_zero_column(monkeypatch):
 
     monkeypatch.setattr(linprog_module, "_pivot", spy)
     c, A, b = [2, 2], [[2, Fraction(2, 3)], [0, 4], [0, 2]], [Fraction(1, 2), 1, 3]
-    assert lp_maximize(c, A, b) == (Fraction(5, 6), (Fraction(1, 6), Fraction(1, 4)))
+    assert lp_fractions(c, A, b) == (Fraction(5, 6), (Fraction(1, 6), Fraction(1, 4)))
     assert used
-    assert lp_maximize(c, A, b) == _sympy_maximize(c, A, b)
+    assert lp_fractions(c, A, b) == _sympy_maximize(c, A, b)
 
 
 def _with_cap_rows(c, A, b, upper):
@@ -149,10 +148,10 @@ def test_capped_steps_keep_the_exact_tableau(monkeypatch):
 
     monkeypatch.setattr(linprog_module, "_pivot", spy)
     want = (Fraction(23, 4), (Fraction(2), Fraction(1), Fraction(11, 4)))
-    assert lp_maximize(c, A, b, upper) == want
+    assert lp_fractions(c, A, b, upper) == want
     assert steps == {"column": 1, "row": 1} and len(labels) == 3
     monkeypatch.undo()
-    assert lp_maximize(*_with_cap_rows(c, A, b, upper)) == want
+    assert lp_fractions(*_with_cap_rows(c, A, b, upper)) == want
 
 
 def test_caps_as_bounds_match_caps_as_rows():
@@ -168,10 +167,8 @@ def test_caps_as_bounds_match_caps_as_rows():
         b = [0 if rng.random() < 0.75 else abs(entry()) for _ in range(m)]
         c = [entry() for _ in range(n)]
         upper = [rng.choice([None, 0, 1, 2, 3, 5]) for _ in range(n)]
-        kind, got = _outcome(lambda *lp: lp_maximize(*lp, upper=upper), c, A, b)
-        assert (kind, got) == _outcome(lp_maximize, *_with_cap_rows(c, A, b, upper)), (c, A, b, upper)
-        if kind == "optimal":
-            assert all(type(v) is Fraction for v in (got[0], *got[1]))
+        kind, got = _outcome(lambda *lp: lp_fractions(*lp, upper=upper), c, A, b)
+        assert (kind, got) == _outcome(lp_fractions, *_with_cap_rows(c, A, b, upper)), (c, A, b, upper)
         counts[kind] += 1
     assert counts["optimal"] >= 1200 and counts["LpUnbounded"] >= 50, counts
 
@@ -180,6 +177,160 @@ def test_caps_as_bounds_match_caps_as_rows():
 def test_caps_must_be_one_nonnegative_int_or_none_per_column(upper):
     with pytest.raises(InvalidInputError, match="one cap per column"):
         lp_maximize([1, 1], [[1, 1]], [1], upper)
+
+
+# ------------------------------- differential against the Fraction read-out
+
+
+def _fraction_lp_maximize(c, A, b, upper=None, seen=None):
+    """lp_maximize as it was when it read its vertex out as Fractions, one
+    per basic row and a Fraction(0) per nonbasic column, as the oracle:
+    the same pivots, then (optimum, vertex) in Fractions.  Counts its
+    column and row complements in seen."""
+    seen = Counter() if seen is None else seen
+    m, n = len(A), len(c)
+    obj, scale = linprog_module._scaled([-x for x in c] + [0])
+    T = [linprog_module._scaled(list(row) + [bi])[0] for row, bi in zip(A, b)] + [obj]
+    X, Y = list(range(n)), list(range(n, n + m))
+    caps = {}
+    for s, j in enumerate((j for j in range(n) if upper and upper[j] is not None), n + m):
+        caps[j], caps[s] = (upper[j], s), (upper[j], j)
+    dens, D = [1] * (m + 1), 1
+    while cols := [j for j in range(n) if T[m][j] < 0]:
+        k = min(cols, key=X.__getitem__)
+        best = (caps[X[k]][0], 1, caps[X[k]][1], None) if X[k] in caps else None
+        for i in range(m):
+            if (f := T[i][k]) > 0:
+                cand = (T[i][-1], f, Y[i], i)
+            elif f < 0 and Y[i] in caps:
+                u, label = caps[Y[i]]
+                cand = (u * dens[i] - T[i][-1], -f, label, i)
+            else:
+                continue
+            if best is None or (a := cand[0] * best[1]) < (z := best[0] * cand[1]) \
+                    or a == z and cand[2] < best[2]:
+                best = cand
+        if best is None:
+            raise LpUnbounded("LP unbounded")
+        _, _, label, r = best
+        if r is None:
+            seen["column"] += 1
+            u = caps[X[k]][0]
+            for Ti in T:
+                if f := Ti[k]:
+                    Ti[-1] -= f * u
+                    Ti[k] = -f
+            X[k] = label
+            continue
+        if label != Y[r]:
+            seen["row"] += 1
+            T[r] = [-x for x in T[r]]
+            T[r][-1] += caps[label][0] * dens[r]
+            Y[r] = label
+        D = linprog_module._pivot(T, dens, r, k, D, X, Y)
+    value = {label: Fraction(T[i][-1], dens[i]) for i, label in enumerate(Y)}
+    for j in range(n):
+        if j in caps and j not in value and j not in X:
+            value[j] = Fraction(caps[j][0]) - value.get(caps[j][1], 0)
+    return Fraction(T[m][-1], dens[m] * scale), tuple(value.get(j, Fraction(0)) for j in range(n))
+
+
+def _fraction_ample_heights(n_rays, rels):
+    """mmp._ample_heights as it was: the Fraction vertex cleared to
+    integers over the lcm of its denominators."""
+    rels = list(rels)
+    if not rels:
+        return [0] * n_rays, 1
+    A = []
+    for indices, coeffs in rels:
+        row = [0] * (n_rays + 2)
+        for i, a in zip(indices, coeffs):
+            row[i] = -a
+        row[n_rays], row[-1] = 1, sum(coeffs)
+        A.append(row)
+    _, y = _fraction_lp_maximize([0] * n_rays + [1, 1], A, [0] * len(A), [2] * n_rays + [1, 1])
+    if y[n_rays] <= 0:
+        raise NonProjectiveError("no strictly convex height function exists")
+    D = lcm(y[-1].denominator, *(v.denominator for v in y[:n_rays]))
+    W = y[-1].numerator * (D // y[-1].denominator)
+    return [v.numerator * (D // v.denominator) - W for v in y[:n_rays]], D
+
+
+def _agrees_with_fraction_read_out(c, A, b, upper=None, seen=None):
+    """The outcome of lp_maximize, read as Fractions, equals the oracle's;
+    returns that outcome's kind."""
+    kind, want = _outcome(lambda *lp: _fraction_lp_maximize(*lp, upper, seen), c, A, b)
+    assert _outcome(lambda *lp: lp_fractions(*lp, upper), c, A, b) == (kind, want), (c, A, b, upper)
+    return kind
+
+
+# textbook LPs on which Dantzig's rule cycles from the slack basis, as
+# (c, A, b, optimum): Beale's (1955), and Chvatal's in "Linear
+# Programming" (1983), ch. 3; Bland's rule reaches the optimum
+CYCLING = [
+    ([Fraction(3, 4), -20, Fraction(1, 2), -6],
+     [[Fraction(1, 4), -8, -1, 9], [Fraction(1, 2), -12, Fraction(-1, 2), 3], [0, 0, 1, 0]],
+     [0, 0, 1], Fraction(5, 4)),
+    ([10, -57, -9, -24],
+     [[Fraction(1, 2), Fraction(-11, 2), Fraction(-5, 2), 9],
+      [Fraction(1, 2), Fraction(-3, 2), Fraction(-1, 2), 1], [1, 0, 0, 0]],
+     [0, 0, 1], 1),
+]
+
+
+@pytest.mark.parametrize("c, A, b, optimum", CYCLING)
+def test_cycling_lps_match_the_fraction_read_out(c, A, b, optimum):
+    # with and without caps: as rows only, and with extra integer caps on
+    # some columns, loose and tight
+    assert lp_fractions(c, A, b)[0] == optimum
+    for upper in (None, [None] * 4, [2, None, 1, None], [1, 1, 1, 1], [0, None, 3, 5]):
+        _agrees_with_fraction_read_out(c, A, b, upper)
+
+
+def test_ample_heights_corpus_lps_match_the_fraction_read_out(monkeypatch):
+    # the 200 LPs of ample_heights on both fans of corpus seeds 0-99: the
+    # integer vertex y / D is the Fraction read-out's, entry by entry
+    lps, real = [], mmp.lp_maximize
+    cases = [flop_case(seed)[:2] for seed in range(100)]
+    monkeypatch.setattr(mmp, "lp_maximize", lambda *lp: lps.append(lp) or real(*lp))
+    for pair in (pair for case in cases for pair in case):
+        mmp.ample_heights(pair.fan)
+    assert len(lps) == 200
+    for c, A, b, upper in lps:
+        y, D = real(c, A, b, upper)
+        assert tuple(Fraction(v, D) for v in y) == _fraction_lp_maximize(c, A, b, upper)[1]
+
+
+def test_ample_heights_integers_match_the_fraction_read_out():
+    # _ample_heights hands the sweep today's exact (H, D) on both fans of
+    # corpus seeds 0-199, not only the same heights H / D
+    for seed in range(200):
+        for pair in flop_case(seed)[:2]:
+            rels = [(rel.ray_indices, rel.coeffs) for _, rel in _Subdivision(pair.fan).relations()]
+            n = len(pair.fan.rays)
+            assert mmp._ample_heights(n, rels) == _fraction_ample_heights(n, rels), seed
+
+
+def test_random_lps_match_the_fraction_read_out():
+    # integer and Fraction rows, b = 0 and b > 0, no caps, None caps and
+    # int caps: the same vertex or LpUnbounded, through column and row
+    # complements
+    rng = random.Random(36)
+    counts, seen = Counter(), Counter()
+    for _ in range(1500):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+        entry = (lambda: rng.randint(-3, 3)) if rng.random() < 0.5 else \
+            (lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+        A = [[entry() for _ in range(n)] for _ in range(m)]
+        b = [0 if rng.random() < 0.5 else abs(entry()) for _ in range(m)]
+        c = [entry() for _ in range(n)]
+        upper = rng.choice([None, [rng.choice([None, 0, 1, 2, 3, 5]) for _ in range(n)]])
+        counts[_agrees_with_fraction_read_out(c, A, b, upper, seen)] += 1
+        counts["fraction rows"] += any(type(x) is Fraction for row in A for x in row)
+        counts["b > 0"] += any(b)
+    assert counts["optimal"] >= 600 and counts["LpUnbounded"] >= 200, counts
+    assert counts["fraction rows"] >= 500 and counts["b > 0"] >= 500, counts
+    assert seen["column"] >= 100 and seen["row"] >= 20, seen
 
 
 # ------------------------------------------------- differential against sympy
@@ -215,7 +366,7 @@ def _agree(lps):
     outcome."""
     counts = Counter()
     for c, A, b in lps:
-        kind, mine = _outcome(lp_maximize, c, A, b)
+        kind, mine = _outcome(lp_fractions, c, A, b)
         assert _outcome(_sympy_maximize, c, A, b) == (kind, mine), (c, A, b)
         counts[kind] += 1
     return counts
@@ -249,7 +400,7 @@ def test_matches_sympy_on_ample_heights_corpus(monkeypatch):
     # sympy has no bounds: it gets the caps as rows
     counts = Counter()
     for c, A, b, upper in lps:
-        kind, mine = _outcome(lambda *lp: lp_maximize(*lp, upper), c, A, b)
+        kind, mine = _outcome(lambda *lp: lp_fractions(*lp, upper), c, A, b)
         assert _outcome(_sympy_maximize, *_with_cap_rows(c, A, b, upper)) == (kind, mine)
         counts[kind] += 1
     assert counts == {"optimal": 200}

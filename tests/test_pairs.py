@@ -17,6 +17,7 @@ from toricmmp.fan import _inward, in_support, make_fan, star_subdivision
 from toricmmp.lattice import adjugate, cofactor_kernel, det, dot, mat_rank, primitive, vec_mat
 from toricmmp.mckay import group_lattice, make_group, quotient_pair
 from toricmmp.pairs import (
+    _scaled_psi,
     cell_extreme_rays,
     is_canonical,
     is_nef,
@@ -523,3 +524,25 @@ def test_cone_witness_matches_materialized_box_points():
                             rng.randint(1, 6), ties)
     assert ties["tie", True] >= 60 and ties["tie", False] and ties["win", True] \
         and ties["lose", True], ties
+
+
+def test_scaled_psi_matches_the_one_minus_c_route():
+    # psi_i * L read off each coefficient p/q as (q - p) * (L / q), against
+    # the Fraction route: psi = 1 - c, cleared over the lcm of its
+    # denominators
+    def fraction_route(pair):
+        psi = [1 - c for c in pair.coeffs]
+        L = math.lcm(*(h.denominator for h in psi))
+        return [h.numerator * (L // h.denominator) for h in psi], L
+
+    fan = make_fan([(1, 0), (1, 1), (0, 1), (-1, 2)], [(0, 1), (1, 2), (2, 3)])
+    values = [0, Fraction(1, 2), Fraction(3, 4), Fraction(5, 7)]
+    rng = random.Random(36)
+    cases = list(product(values, repeat=4))
+    cases += [[Fraction(rng.randrange(q), q) for q in (rng.randint(1, 30) for _ in range(4))]
+              for _ in range(300)]
+    for coeffs in cases:
+        pair = make_pair(fan, coeffs)
+        assert _scaled_psi(pair) == fraction_route(pair), coeffs
+    assert _scaled_psi(make_pair(fan, [0] * 4)) == ([1] * 4, 1)
+    assert _scaled_psi(make_pair(fan, [Fraction(5, 7), 0, Fraction(3, 4), 0])) == ([8, 28, 7, 28], 28)

@@ -4,11 +4,12 @@ must still call the LP by its name, or tracing, its metrics and the smoke
 run break; every cache has a bound; the engine still generates the
 benchmark's flop inputs, whose digest the golden file records; small cones
 still take the closed-form kernels; ample_heights poses its caps as LP
-bounds; the McKay pipeline carries one fan state, counts the stack rank
-from scratch only on the resolution and reads its set-up once; it builds
-its quotient without the public constructors, its star subdivisions run
-no kind scan, and the extraction loop scores no unimodular cone that
-cannot hold a candidate at psi <= 1; only three named engine functions
+bounds and builds no Fraction on the way to its integer heights; the
+McKay pipeline carries one fan state, counts the stack rank from scratch
+only on the resolution and reads its set-up once; it builds its quotient
+without the public constructors, its star subdivisions run no kind scan,
+and the extraction loop scores no unimodular cone that cannot hold a
+candidate at psi <= 1; only three named engine functions
 call make_fan or make_pair; a fan state computes each cone pair's wall
 relation once and keeps at most one per current wall; the McKay
 pipeline's MMP builds relations only for walls of positive defect, its
@@ -35,6 +36,7 @@ from corpus import flop_case, mmp_probe_pair
 import toricmmp
 import toricmmp.fan as fan
 import toricmmp.lattice as lattice
+import toricmmp.linprog as linprog
 import toricmmp.mckay as mckay
 import toricmmp.mmp as mmp
 import toricmmp.pairs as pairs
@@ -118,6 +120,28 @@ def test_ample_heights_poses_its_caps_as_bounds(monkeypatch):
     n, [(c, A, b, upper)] = len(px.fan.rays), calls
     assert len(A) == len(b) == len(fan.walls(px.fan)) > 0
     assert upper == [2] * n + [1, 1]
+
+
+def test_ample_heights_builds_no_fraction(monkeypatch):
+    # the LP hands over its vertex as integers over one denominator, and
+    # _ample_heights reads (H, D) off it with one gcd; a read-out back
+    # through a Fraction per vertex entry would cost the flop workload
+    # about a tenth of its op time without failing any output check
+    cases = [flop_case(seed)[:2] for seed in range(20)]
+    built = Counter()
+
+    def counting(module, real):
+        return lambda *a: built.update([module]) or real(*a)
+
+    for module in (linprog, mmp):
+        monkeypatch.setattr(module, "Fraction", counting(module.__name__, Fraction), raising=False)
+    solved = 0
+    for pair in (pair for case in cases for pair in case):
+        rels = [(rel.ray_indices, rel.coeffs) for _, rel in fan._Subdivision(pair.fan).relations()]
+        H, D = mmp._ample_heights(len(pair.fan.rays), rels)
+        assert D > 0 and all(type(v) is int for v in (D, *H))
+        solved += bool(rels)
+    assert solved == 40 and built == Counter()
 
 
 def test_small_cones_take_the_closed_form_kernels(monkeypatch):
