@@ -48,3 +48,8 @@ def _exact_rationals(xs, message):
         if type(x) is not int and type(x) is not Fraction:
             raise InvalidInputError(message)
     return xs
+
+
+def _all_ints(xs):
+    """Are all of xs, exact rationals, ints?  The test of an all-int fast path."""
+    return set(map(type, xs)) <= {int}

@@ -5,9 +5,10 @@ simplicial cone as integer numerators over its determinant, box points
 included.  Its 2 x 2 and 3 x 3 cones, every cone of a surface resolution
 or of a McKay quotient 3-fold, take closed cofactor forms; other sizes
 take fraction-free Gauss-Jordan.  Around it: normal forms (Hermite, by
-inserting rows into an echelon basis, one extended gcd per pivot met, and
-Smith for invariant factors, McKay boundary divisors and the public API),
-primitive vectors, canonical lattice bases and cone multiplicities.
+inserting rows into a seedable echelon basis, one extended gcd per pivot
+met, and Smith for invariant factors, McKay boundary divisors and the
+public API), primitive vectors, canonical lattice bases, built off integer
+Hermite forms checked on the integers, and cone multiplicities.
 Everything runs on Python ints and fractions.Fraction; there is no
 floating point in this package.
 
@@ -24,7 +25,10 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .errors import InvalidInputError, _exact_ints, _exact_rationals
+from .errors import InvalidInputError, _all_ints, _exact_ints, _exact_rationals
+
+
+_ZERO = Fraction(0)  # the one zero that LatticeBasis._from_hermite shares
 
 
 def dot(u, v):
@@ -134,15 +138,17 @@ def primitive(v):
 
     Accepts int or Fraction coordinates (both have a numerator and a
     denominator, 1 for an int, so integer vectors never become Fractions);
-    rejects the zero vector.
+    an all-int v, as the exactness gate tells, skips the denominators.
+    Rejects the zero vector.
     """
     v = _exact_rationals(v, "vector coordinates must be exact rationals")
-    den = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
-    g = gcd(*ints)
+    if not _all_ints(v):
+        den = lcm(*(x.denominator for x in v))
+        v = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*v)
     if g == 0:
         raise InvalidInputError("zero vector has no primitive representative")
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in v)
 
 
 def _check_int_matrix(M):
@@ -163,14 +169,15 @@ def _xgcd(a, b):
     return (a, x, y) if a > 0 else (-a, -x, -y)
 
 
-def _hermite(rows, n):
+def _hermite(rows, n, basis=None):
     """Lower Hermite form of the integer rows on their first n columns, as
     lists, by inserting each row into an echelon basis kept by pivot: from
     the last column down, one extended gcd per pivot met, (b, v) -> (x b +
     y v, (b_j v - v_j b) / g), then a new pivot, made positive, or a zero
     row dropped; last, entries at earlier pivots go into [0, pivot).  Other
-    columns ride along: [M | I] gives [H | U] with U.M = H."""
-    basis = {}
+    columns ride along: [M | I] gives [H | U] with U.M = H.  A basis {pivot
+    j: row, positive at j and zero past it}, consumed, seeds the insertion."""
+    basis = {} if basis is None else basis
     for v in rows:
         for j in range(n - 1, -1, -1):
             if not v[j]:
@@ -192,17 +199,17 @@ def _hermite(rows, n):
     return H
 
 
-def _hermite_lower(rows):
+def _hermite_lower(rows, seed=()):
     """The unique lower-triangular Hermite form H of the lattice of the
-    integer rows, as row tuples, by _hermite's insertion.  Hermite forms
-    commute with scaling, so H / den is the canonical basis of the rows /
-    den for any den > 0."""
-    if not rows:
+    integer rows and seed rows (seed row j positive at j, zero past it), as
+    row tuples, by _hermite's insertion of the rows into the seed.  Hermite
+    forms commute with scaling, so H / den is the canonical basis of rows / den."""
+    if not rows and not seed:
         raise InvalidInputError("no generators given")
-    n = len(rows[0])
+    n = len((seed or rows)[0])
     if any(len(r) != n for r in rows):
         raise InvalidInputError("generators of mixed dimension")
-    if len(H := _hermite(rows, n)) != n:
+    if len(H := _hermite(rows, n, dict(enumerate(seed)))) != n:
         raise InvalidInputError("generators do not span a full-rank lattice")
     return tuple(map(tuple, H))
 
@@ -294,20 +301,31 @@ class LatticeBasis:
     rows: tuple
 
     def __post_init__(self):
-        n = len(self.rows)
         # constructor accepts canonical rows only; use from_rows to canonicalize
-        for i, row in enumerate(self.rows):
-            if len(_exact_rationals(row, "basis entries must be exact rationals")) != n:
+        self._check_form(self.rows, _exact_rationals)
+
+    @staticmethod
+    def _check_form(rows, gate):
+        for i, row in enumerate(rows):
+            if len(gate(row, "basis entries must be exact rationals")) != len(rows):
                 raise InvalidInputError("basis matrix must be square")
-            if row[i] <= 0 or any(row[j] != 0 for j in range(i + 1, n)):
+            if row[i] <= 0 or any(row[i + 1:]):
                 raise InvalidInputError("basis rows not in canonical form")
+
+    @classmethod
+    def _from_hermite(cls, H, den):
+        """H / den for an integer Hermite form H and int den > 0, its form checked
+        on the integers with the constructor's messages, every zero one _ZERO."""
+        cls._check_form(H, _exact_ints)
+        object.__setattr__(basis := object.__new__(cls), "rows", tuple(
+            tuple(Fraction(x, den) if x else _ZERO for x in row) for row in H))
+        return basis
 
     @classmethod
     def standard(cls, dim):
         if _exact_ints((dim,), "lattice dimension must be an integer")[0] < 1:
             raise InvalidInputError("lattice dimension must be >= 1")
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(dim))
-                         for i in range(dim)))
+        return cls._from_hermite(mat_identity(dim), 1)
 
     @classmethod
     def from_rows(cls, rows):
@@ -315,7 +333,7 @@ class LatticeBasis:
         rows = [_exact_rationals(row, "basis entries must be exact rationals") for row in rows]
         den = lcm(*(x.denominator for row in rows for x in row))
         H = _hermite_lower([[int(x * den) for x in row] for row in rows])
-        return cls(tuple(tuple(Fraction(x, den) for x in row) for row in H))
+        return cls._from_hermite(H, den)
 
     @property
     def dim(self):

@@ -43,7 +43,7 @@ from math import lcm
 # sympy lines of `python -X importtime -c "import toricmmp"`.
 import sympy  # noqa: F401
 
-from .errors import InvalidInputError, _exact_ints
+from .errors import InvalidInputError, _all_ints, _exact_ints
 
 
 class LpUnbounded(Exception):
@@ -52,7 +52,7 @@ class LpUnbounded(Exception):
 
 def _scaled(row):
     """The row times the positive lcm of its denominators, and that lcm."""
-    if set(map(type, row)) == {int}:
+    if _all_ints(row):
         return row, 1
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row], den

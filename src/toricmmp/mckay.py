@@ -5,7 +5,8 @@ by cyclic generators (1/r)(w_1..w_n).  The quotient is the orthant cone in
 the overlattice N generated by the weight vectors.  Its set-up (the rays
 and m_i, the group order, the scaled psi and every ledger entry's centre)
 is read in integers off the Hermite form of the generators' integer
-numerators and its adjugate.  The pipeline terminalizes, drops the
+numerators over den, the lcm of the orders, inserted into the echelon
+basis den I, and its adjugate.  The pipeline terminalizes, drops the
 quasi-reflection boundary, runs the relative MMP, and records one ledger
 entry per step with the exact stack-rank change.
 One fan state (fan._Subdivision) goes from the quotient cone to the
@@ -29,10 +30,10 @@ from typing import NamedTuple
 from .errors import EngineInvariantError, InvalidInputError, _exact_ints
 from .fan import Fan, _Subdivision, make_fan
 from .lattice import (
+    _ZERO,
     LatticeBasis,
     _hermite_lower,
     adjugate,
-    mat_identity,
     primitive,
     smith_normal_form,
     vec_mat,
@@ -96,16 +97,16 @@ class McKayReport(NamedTuple):
 
 def _group_hermite(G):
     """(H, den, B, order): den the lcm of the orders, H the integer lower
-    Hermite form of the generators' numerators over den, B = H / den, and
-    the index order = [B : Z^n], den^n over det H, the product of its diagonal."""
-    den = lcm(*(r for r, _ in G.gens))
-    rows = [[den * x for x in row] for row in mat_identity(G.n)]
-    rows += [[w * (den // r) for w in ws] for r, ws in G.gens]
-    H = _hermite_lower(rows)
-    order, rest = divmod(den ** G.n, prod(H[i][i] for i in range(G.n)))
+    Hermite form of [den I; the generators' numerators over den], with only
+    the generators inserted into the echelon basis den I, B = H / den checked
+    on the integers, and the index order = [B : Z^n], den^n over det H."""
+    n, den = G.n, lcm(*(r for r, _ in G.gens))
+    H = _hermite_lower([[w * (den // r) for w in ws] for r, ws in G.gens],
+                       [[den * (i == j) for i in range(n)] for j in range(n)])
+    order, rest = divmod(den ** n, prod(H[i][i] for i in range(n)))
     if rest:
         raise EngineInvariantError("lattice index is not an integer")
-    return H, den, LatticeBasis(tuple(tuple(Fraction(x, den) for x in row) for row in H)), order
+    return H, den, LatticeBasis._from_hermite(H, den), order
 
 
 def group_lattice(G):
@@ -134,7 +135,7 @@ def _quotient(G):
         rays.append(tuple(v // g for v in row))
         ms.append(den * g // d)
     fan = Fan(G.n, tuple(rays), (tuple(range(G.n)),), "cone-supported")
-    X, L = ToricPair(fan, tuple(Fraction(m - 1, m) for m in ms), B), lcm(*ms)
+    X, L = ToricPair(fan, tuple(Fraction(m - 1, m) if m > 1 else _ZERO for m in ms), B), lcm(*ms)
     return X, order, ms, [L // m for m in ms], L, H
 
 
@@ -168,7 +169,7 @@ def _standard_multiplicities(pair):
 
 def _cone_rank(d, cone, ms):
     """Multiplicity of a cone in the stack lattice: |d|, its determinant, times its m_i."""
-    return abs(d) * prod(ms[i] for i in cone)
+    return abs(d) * prod(map(ms.__getitem__, cone))
 
 
 def stack_rank(pair):
@@ -246,11 +247,14 @@ def mckay_pipeline(G):
         num = vec_mat(ray, H)  # the ambient point, times den
         if any(v < 0 for v in num):
             raise EngineInvariantError("step locus escapes the quotient cone")
-        if any(c not in ranks for c in gone):
-            raise EngineInvariantError("a step removed a cone that the rank ledger lacks")
-        after = rank - sum(map(ranks.pop, gone))
-        ranks.update((c, _cone_rank(sub.kernel(c)[1], c, ms)) for c in new)
-        after += sum(ranks[c] for c in new)
+        after = rank
+        for c in gone:
+            if c not in ranks:
+                raise EngineInvariantError("a step removed a cone that the rank ledger lacks")
+            after -= ranks.pop(c)
+        for c in new:
+            ranks[c] = r = _cone_rank(sub.kernel(c)[1], c, ms)
+            after += r
         if after > rank:
             raise EngineInvariantError(f"stack rank increased across a {kind} step")
         if psi == 1 and after != rank:

@@ -35,7 +35,6 @@ from .errors import (
     InvalidInputError,
     NonProjectiveError,
     NotKEquivalentError,
-    ToricMmpError,
     _exact_ints,
     _exact_rationals,
 )
@@ -272,8 +271,10 @@ def flop_decompose(pair_x, pair_y):
 
     A sweep that reaches Y certifies K-equivalence: rays and coefficients
     agree, and each event circuit has psi-defect 0, so psi is linear on its
-    cones and the flip keeps it.  Only a failed sweep asks k_equivalent:
-    False raises NotKEquivalentError, True the sweep's error.  When psi's
+    cones and the flip keeps it.  Only a sweep that fails with a
+    NonProjectiveError or an EngineInvariantError asks k_equivalent: False
+    raises NotKEquivalentError, True the sweep's error.  Any other refusal,
+    such as an LP past MAX_LP_SIZE, is final, K-equivalent or not.  When psi's
     ray values are those of one linear form (zero boundary at height one,
     say), k_equivalent answers from that form; only a psi that bends pays
     for its cell walk.
@@ -282,7 +283,7 @@ def flop_decompose(pair_x, pair_y):
         raise NotKEquivalentError("pairs are not K-equivalent")
     try:
         return tuple(step for step, _ in _sweep(pair_x, pair_y))
-    except ToricMmpError:
+    except (NonProjectiveError, EngineInvariantError):
         if not k_equivalent(pair_x, pair_y):
             raise NotKEquivalentError("pairs are not K-equivalent") from None
         raise

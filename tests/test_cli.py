@@ -382,10 +382,10 @@ def test_huge_group_dimension_exits_one_at_once(capsys, tmp_path, monkeypatch):
     path.write_text('{"n": 100000, "gens": []}')
     assert path.stat().st_size == 25
 
-    def no_lattice(_):
+    def no_lattice(*_):
         raise AssertionError("the group lattice was built")
 
-    monkeypatch.setattr("toricmmp.mckay.mat_identity", no_lattice)
+    monkeypatch.setattr("toricmmp.mckay._hermite_lower", no_lattice)
     for command in ("rank", "mckay"):
         code, out, err = run(capsys, command, str(path))
         assert code == 1 and out == "" and err.startswith("error:")
@@ -421,26 +421,33 @@ def test_cell_walk_limit_exits_one_at_once(capsys, tmp_path, monkeypatch):
 
 
 def test_ample_heights_lp_limit_exits_one_at_once(capsys, tmp_path, monkeypatch):
-    # two regular triangulations of the 8 x 8 grid at height one, zero
-    # boundary: K-equivalent, but the ample heights LP of X has 133 walls x 66
-    # columns, past MAX_LP_SIZE, so no LP is solved
+    # two regular triangulations of the 8 x 8 grid at height one:
+    # K-equivalent, but the ample heights LP of X has 133 walls x 66
+    # columns, past MAX_LP_SIZE, so no LP is solved.  The refusal is final:
+    # with coefficient 1/2 on the two right-hand grid columns psi bends, and
+    # a k_equivalent asked after it would walk the cells of every cone pair
     rays = [(x, y, 1) for x in range(8) for y in range(8)]
-    files = []
-    for name, a in (("x", 1), ("y", 2)):
-        heights = [a * x * x + y * y + Fraction(x * y % 7, 97) for x, y, _ in rays]
-        pair = make_pair(regular_triangulation(rays, heights), [0] * len(rays))
-        files.append(write(tmp_path / f"{name}.json", pair_to_json(pair)))
+    fans = [regular_triangulation(rays, [a * x * x + y * y + Fraction(x * y % 7, 97)
+                                         for x, y, _ in rays]) for a in (1, 2)]
 
     def no_lp(*_):
         raise AssertionError("the LP was solved")
 
+    def no_walk(*_):
+        raise AssertionError("the cell walk started")
+
     monkeypatch.setattr("toricmmp.mmp.lp_maximize", no_lp)
-    start = time.perf_counter()
-    code, out, err = run(capsys, "flop-decompose", *files)
-    assert time.perf_counter() - start < 1
-    assert code == 1 and out == "" and err.startswith("error:")
-    assert f"MAX_LP_SIZE = {MAX_LP_SIZE}" in err and "133 walls x 66 columns" in err
-    assert "Traceback" not in err
+    monkeypatch.setattr("toricmmp.pairs.cell_extreme_rays", no_walk)
+    for boundary in ("zero", "bending"):
+        coeffs = [Fraction(1, 2) if boundary == "bending" and x >= 6 else 0 for x, _, _ in rays]
+        files = [write(tmp_path / f"{boundary}-{name}.json", pair_to_json(make_pair(fan, coeffs)))
+                 for name, fan in zip("xy", fans)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, "flop-decompose", *files)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert f"MAX_LP_SIZE = {MAX_LP_SIZE}" in err and "133 walls x 66 columns" in err
+        assert "Traceback" not in err
 
 
 FUZZ_SEEDS = [

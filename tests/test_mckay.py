@@ -668,20 +668,59 @@ def test_integer_setup_matches_the_fraction_path():
         assert tuple(tuple(F(x, den) for x in row) for row in H) == X.lattice.rows
 
 
-def test_group_hermite_matches_the_reversed_pass():
-    # _group_hermite's insertion Hermite form of [den I; generators over
-    # den] against the reversed pass it replaced, on every distinct cyclic
-    # 3-fold group with r <= 12 (the quotient workload's 1,171) and on
-    # 3,000 seeded groups with n <= 6 and one to three generators
+def _hermite_groups():
+    """Every distinct cyclic 3-fold group with r <= 12 (the quotient
+    workload's 1,171) and 3,000 seeded groups with n <= 6 and one to three
+    generators."""
     rng, groups = random.Random(35), _distinct_cyclic_groups(3, 12)
     for _ in range(3000):
         n, orders = rng.randint(1, 6), [rng.randint(1, 30) for _ in range(rng.randint(1, 3))]
         groups.append(make_group(n, [(r, [rng.randrange(r) for _ in range(n)]) for r in orders]))
-    for G in groups:
+    return groups
+
+
+def test_group_hermite_matches_the_reversed_pass():
+    # _group_hermite's insertion Hermite form of [den I; generators over
+    # den], seeded with den I, against the reversed pass it replaced
+    for G in _hermite_groups():
         den = lcm(*(r for r, _ in G.gens))
         rows = [[den * x for x in row] for row in mat_identity(G.n)]
         rows += [[w * (den // r) for w in ws] for r, ws in G.gens]
         assert mckay_module._group_hermite(G)[0] == oracle_hermite_lower(rows), G
+
+
+def test_group_basis_matches_the_checked_public_build():
+    # the basis LatticeBasis._from_hermite builds off the integer Hermite
+    # form against the constructor's own Fraction check of H / den, and
+    # against from_rows of the Fraction generators
+    for G in _hermite_groups():
+        H, den, B, _ = mckay_module._group_hermite(G)
+        assert B == LatticeBasis(tuple(tuple(F(x, den) for x in row) for row in H)), G
+        rows = mat_identity(G.n) + [[F(w, r) for w in ws] for r, ws in G.gens]
+        assert B == LatticeBasis.from_rows(rows), G
+        assert all(type(x) is F for row in B.rows for x in row)
+
+
+@pytest.mark.parametrize("H, message", [
+    (((1, 0, 0), (0, 1, 0)), "basis matrix must be square"),
+    (((1, 0), (0, 1, 0)), "basis matrix must be square"),
+    (((2, 0), (1, 0)), "basis rows not in canonical form"),
+    (((-1, 0), (0, 1)), "basis rows not in canonical form"),
+    (((2, 1), (0, 3)), "basis rows not in canonical form"),
+    (((1, 0, 0), (0, 1, -1), (0, 0, 1)), "basis rows not in canonical form"),
+    (((True, 0), (0, 1)), "basis entries must be exact rationals"),
+    (((1, 0), (F(1, 2), 1)), "basis entries must be exact rationals"),
+    (((1, 0), (0, F(1))), "basis entries must be exact rationals"),
+])
+def test_from_hermite_rejects_with_the_constructor_messages(H, message):
+    # _from_hermite checks its integer form with the public constructor's
+    # messages; the constructor raises the same on H itself, but for the
+    # Fraction entries, which only the integer form refuses
+    with pytest.raises(InvalidInputError, match=message):
+        LatticeBasis._from_hermite(H, 3)
+    if not any(type(x) is F for row in H for x in row):
+        with pytest.raises(InvalidInputError, match=message):
+            LatticeBasis(H)
 
 
 def test_ledger_centres_match_the_barycentric_solve():

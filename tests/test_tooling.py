@@ -44,10 +44,9 @@ import toricmmp.pairs as pairs
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
 SRC = Path(toricmmp.__file__).resolve().parent
-# type tests outside errors.py's two gates, each a dispatch that rejects no number
+# type tests outside errors.py's gates, each a dispatch that rejects no number
 TYPE_DISPATCH = {
     ("jsonio", "to_jsonable"): "encodes by type: bool and str pass through as JSON values",
-    ("linprog", "_scaled"): "all-int fast path: any other row is scaled by its denominators",
 }
 # the engine functions outside jsonio.py that call the public constructors,
 # with what they call and why; every other fan or pair is read off a state
@@ -349,16 +348,24 @@ def test_the_mckay_mmp_builds_relations_only_for_positive_walls(monkeypatch):
 
 
 def test_the_group_hermite_form_is_one_insertion_pass(monkeypatch):
-    # _group_hermite hands its rows, den I and then the generators over den,
-    # to the insertion kernel once and as they are.  The reversed pass it
-    # replaced reversed the rows and columns, reduced upward and reversed
-    # back, at about 1.6 times the cost on the quotient workload's groups;
-    # a return to it would pass every output check
+    # _group_hermite hands the insertion kernel only the generators over
+    # den, once and as they are, seeded with the echelon basis den I, the
+    # state that inserting the rows of den I first reaches, so H is the
+    # same.  The reversed pass it replaced reversed the rows and columns,
+    # reduced upward and reversed back, at about 1.6 times the cost on the
+    # quotient workload's groups, and inserting den I's rows one by one
+    # redoes work the seed skips; a return to either would pass every
+    # output check
     calls, real = [], lattice._hermite
-    monkeypatch.setattr(lattice, "_hermite",
-                        lambda rows, n: calls.append((rows, n)) or real(rows, n))
+
+    def seeded(rows, n, basis=None):
+        calls.append((rows, n, {j: list(b) for j, b in basis.items()}))
+        return real(rows, n, basis)
+
+    monkeypatch.setattr(lattice, "_hermite", seeded)
     H = mckay._group_hermite(toricmmp.make_group(3, [(10, (1, 6, 8)), (4, (1, 3, 0))]))[0]
-    assert calls == [([[20, 0, 0], [0, 20, 0], [0, 0, 20], [2, 12, 16], [5, 15, 0]], 3)]
+    assert calls == [([[2, 12, 16], [5, 15, 0]], 3,
+                      {0: [20, 0, 0], 1: [0, 20, 0], 2: [0, 0, 20]})]
     assert H == ((10, 0, 0), (5, 5, 0), (3, 3, 4))
     read = {n.id for n in ast.walk(ast.parse(Path(lattice.__file__).read_text()))
             if isinstance(n, ast.Name)}
@@ -431,8 +438,9 @@ def _type_tests(tree):
 
 def test_only_the_gate_module_decides_what_an_exact_number_is():
     # errors._exact_ints and errors._exact_rationals are the one exactness
-    # test; another isinstance(x, int) would let bool through again, and
-    # another isinstance(x, (bool, float)) str
+    # test, and errors._all_ints the one all-int fast-path test; another
+    # isinstance(x, int) would let bool through again, and another
+    # isinstance(x, (bool, float)) str
     probe = "def f(x):\n    return isinstance(x, (bool, float)) or type(x) is not int\n"
     assert _type_tests(ast.parse(probe)) == [("f", 2), ("f", 2)]
     found = {(path.stem, name) for path in sorted(SRC.glob("*.py")) if path.stem != "errors"
