@@ -243,7 +243,7 @@ def regular_triangulation(rays, heights):
     order = seed + [k for k in range(n) if k not in seed]  # the rays by state id
     H = [hs[k].numerator * (D // hs[k].denominator) for k in order]
     budget = 10 * n ** 2  # a stated limit, not a proved bound
-    sub = _Subdivision(make_fan([rays[i] for i in seed], [tuple(range(dim))], validate="fast"))
+    sub = _Subdivision(make_fan([rays[i] for i in seed], [tuple(range(dim))]))
     vectors = sub.rays  # read by sub.score, which so holds no reference to sub
     sub.score_walls(lambda f, rel: (d, tuple(sorted(vectors[i] for i in f)))
                     if (d := _defect(rel, H)) < 0 else None)
@@ -274,10 +274,8 @@ def flop_decompose(pair_x, pair_y):
     cones and the flip keeps it.  Only a sweep that fails with a
     NonProjectiveError or an EngineInvariantError asks k_equivalent: False
     raises NotKEquivalentError, True the sweep's error.  Any other refusal,
-    such as an LP past MAX_LP_SIZE, is final, K-equivalent or not.  When psi's
-    ray values are those of one linear form (zero boundary at height one,
-    say), k_equivalent answers from that form; only a psi that bends pays
-    for its cell walk.
+    such as an LP past MAX_LP_SIZE, is final, K-equivalent or not.  Only
+    in dimension >= 4 can k_equivalent walk cells (pairs._bends_off).
     """
     if not _same_rays_and_coeffs(pair_x, pair_y):
         raise NotKEquivalentError("pairs are not K-equivalent")

@@ -14,7 +14,7 @@ from operator import mul
 
 from .circuits import _defect
 from .errors import InvalidInputError, _exact_rationals
-from .fan import Fan, _inward, _solve, _Subdivision, in_support, locate
+from .fan import Fan, _facet_map, _inward, _solve, _Subdivision, in_support, locate
 from .lattice import (
     LatticeBasis,
     _box_numerators,
@@ -200,12 +200,6 @@ def _same_rays_and_coeffs(pair_x, pair_y):
     return dict(zip(fx.rays, pair_x.coeffs)) == dict(zip(fy.rays, pair_y.coeffs))
 
 
-def _psi_is_linear(pair):
-    """Is psi one linear form on the pair's support?"""
-    fan, cone = pair.fan, pair.fan.max_cones[0]
-    return _heights_linear(fan.rays, cone, adjugate(fan.ray_matrix(cone)), _scaled_psi(pair)[0])
-
-
 def _heights_linear(rays, cone, kernel, scaled):
     """Are the integer heights scaled those of one linear form on the rays,
     a tombstone None skipped?  The form of cone, with kernel = (adj, d) its
@@ -230,21 +224,39 @@ def _cell_values(pair_x, pair_y):
                     yield _linear_eval(fx, cx, psix, e), _linear_eval(fy, cy, psiy, e)
 
 
+def _bends_off(pair, fan):
+    """Does psi of pair bend across a wall of its fan whose ray vectors are
+    not a facet of fan (a ray fan lacks matches none)?  A wall is looked up
+    first; only a miss reads its psi-defect, zero when its first cone's
+    form takes psi's value at the other apex.  False means every bending
+    wall is a facet of fan, so psi is linear on each cone of fan."""
+    own, index, facets = pair.fan, {r: i for i, r in enumerate(fan.rays)}, set(_facet_map(fan))
+    scaled = _scaled_psi(pair)[0]
+    for f, cs in _facet_map(own).items():
+        if len(cs) == 2 and tuple(sorted(index.get(own.rays[i], -1) for i in f)) not in facets:
+            (adj, d), b = adjugate(own.ray_matrix(cs[0])), sum(cs[1]) - sum(f)
+            P = [scaled[i] for i in cs[0]]
+            if dot(own.rays[b], [dot(row, P) for row in adj]) != scaled[b] * d:
+                return True
+    return False
+
+
 def k_equivalent(pair_x, pair_y):
     """Do the pairs share rays, coefficients, and log discrepancy function?
 
-    Ray-set or coefficient mismatches return False.  When psi's values at
-    the rays are those of one linear form, both psi are the PL
-    interpolations of those values over a common support, so both equal
-    that form and the answer is True without a cell walk.  A psi that bends
-    is decided exactly at the extreme rays of all full-dimensional pairwise
-    cone intersections; identical cones carry identical heights.
+    Ray-set or coefficient mismatches return False.  Else, when no bending
+    wall of Y misses X's facets (_bends_off), psi_Y is linear on each cone
+    of X and agrees with psi_X at its rays: True.  In dimension <= 3 a
+    missed wall meets a cone's interior (two planar cones over one ray set
+    overlap only if equal), where psi_Y bends and psi_X does not: False.
+    Dimension >= 4 decides the rest at the extreme rays of the
+    full-dimensional pairwise cone intersections (_cell_values).
     """
     if not _same_rays_and_coeffs(pair_x, pair_y):
         return False
-    if _psi_is_linear(pair_x):
+    if not _bends_off(pair_y, pair_x.fan):
         return True
-    return all(a == b for a, b in _cell_values(pair_x, pair_y))
+    return pair_x.fan.dim > 3 and all(a == b for a, b in _cell_values(pair_x, pair_y))
 
 
 def k_compare(pair_x, pair_y):
@@ -254,31 +266,21 @@ def k_compare(pair_x, pair_y):
     canonical divisor means lower psi: psi_X <= psi_Y everywhere with a
     strict point reports X_ge_Y.
 
-    When both psi are linear, psi_X - psi_Y is one linear form, and its
-    value at any support point is a nonnegative combination of its values
-    at X's rays: the ray loops alone see every sign, so the cell loop is
-    skipped.  For the same reason _cell_values skips identical cones.
+    When psi_Y bends only across facets of X (not _bends_off), psi_X -
+    psi_Y is linear on each cone of X, so the ray loop over X's rays sees
+    every sign, and the cell loop is skipped; so too with X and Y swapped.
+    For the same reason _cell_values skips identical cones.
     """
     _same_rays_and_coeffs(pair_x, pair_y)  # for its footing and support checks
     fx, fy = pair_x.fan, pair_y.fan
     psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
-    lt = gt = False
-    if not (_psi_is_linear(pair_x) and _psi_is_linear(pair_y)):
-        for a, b in _cell_values(pair_x, pair_y):
-            lt, gt = lt or a < b, gt or a > b
-    for i, r in enumerate(fx.rays):
-        a, b = psix[i], pl_eval(fy, psiy, r)
-        lt, gt = lt or a < b, gt or a > b
-    for i, r in enumerate(fy.rays):
-        a, b = pl_eval(fx, psix, r), psiy[i]
-        lt, gt = lt or a < b, gt or a > b
-    if lt and gt:
-        return "incomparable"
-    if lt:
-        return "X_ge_Y"
-    if gt:
-        return "Y_ge_X"
-    return "equal"
+    values = [(psix[i], pl_eval(fy, psiy, r)) for i, r in enumerate(fx.rays)]
+    values += [(pl_eval(fx, psix, r), psiy[i]) for i, r in enumerate(fy.rays)]
+    if _bends_off(pair_y, fx) and _bends_off(pair_x, fy):
+        values += _cell_values(pair_x, pair_y)
+    lt, gt = any(a < b for a, b in values), any(a > b for a, b in values)
+    return {(False, False): "equal", (True, False): "X_ge_Y",
+            (False, True): "Y_ge_X", (True, True): "incomparable"}[lt, gt]
 
 
 def is_nef(fan, heights):

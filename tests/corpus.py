@@ -10,8 +10,10 @@ Also holds the replay oracle: step records re-applied by public surgery;
 extraction_pairs and mmp_pairs, which read the pair off the engine's own
 state after each step of terminalize and relative_mmp; the relative-MMP
 inputs (cyclic_mmp_inputs, square_mmp_inputs, and mmp_probe_pair, seeded
-inputs of a given size); STAR_P3, a fixed fan off height one; and
-lp_fractions, which reads lp_maximize's integer vertex as Fractions.
+inputs of a given size); STAR_P3, a fixed fan off height one;
+lp_fractions, which reads lp_maximize's integer vertex as Fractions;
+walked_k_equivalent, the K-equivalence oracle of the cell walk with no
+wall test; and psi_linear, which tells a psi that is one linear form.
 """
 
 import random
@@ -21,6 +23,7 @@ from itertools import product
 from toricmmp.circuits import classify, wall_relation
 from toricmmp.errors import InvalidInputError, NonProjectiveError
 from toricmmp.fan import _Subdivision, make_fan, star_subdivision, walls
+from toricmmp.lattice import adjugate
 from toricmmp.linprog import lp_maximize
 from toricmmp.mckay import group_lattice, make_group, quotient_pair
 from toricmmp.mmp import (
@@ -33,7 +36,13 @@ from toricmmp.mmp import (
     regular_triangulation,
     terminalize,
 )
-from toricmmp.pairs import _scaled_psi, make_pair
+from toricmmp.pairs import (
+    _cell_values,
+    _heights_linear,
+    _same_rays_and_coeffs,
+    _scaled_psi,
+    make_pair,
+)
 
 def lp_fractions(c, A, b, upper=None):
     """lp_maximize's (y, D) as (optimum, vertex) in Fractions: the vertex
@@ -103,11 +112,12 @@ def _random_flips(rng, fan, target):
     return fan, done
 
 
-def flop_case(seed):
+def flop_case(seed, dim=None):
     """(pair_x, pair_y, flips): a K-equivalent pair separated by at least
-    one and at most six regular flips.  Deterministic in the seed."""
+    one and at most six regular flips, in dimension dim, or 3 or 4 drawn
+    from the seed when dim is None.  Deterministic in (seed, dim)."""
     rng = random.Random(seed)
-    dim = rng.choice([3, 4])
+    dim = dim or rng.choice([3, 4])
     for _ in range(20):
         rays = _height_one_points(rng, dim)
         fx = _triangulate(rng, rays)
@@ -119,6 +129,18 @@ def flop_case(seed):
         zeros = [0] * len(fx.rays)
         return make_pair(fx, zeros), make_pair(fy, zeros), done
     raise RuntimeError(f"no corpus case for seed {seed}")
+
+
+def walked_k_equivalent(pair_x, pair_y):
+    """k_equivalent decided by the cell walk alone, with no wall test."""
+    return _same_rays_and_coeffs(pair_x, pair_y) and all(
+        a == b for a, b in _cell_values(pair_x, pair_y))
+
+
+def psi_linear(pair):
+    """Is psi one linear form?  _heights_linear off the first cone."""
+    fan, cone = pair.fan, pair.fan.max_cones[0]
+    return _heights_linear(fan.rays, cone, adjugate(fan.ray_matrix(cone)), _scaled_psi(pair)[0])
 
 
 def replay(pair, steps):

@@ -423,9 +423,9 @@ def test_cell_walk_limit_exits_one_at_once(capsys, tmp_path, monkeypatch):
 def test_ample_heights_lp_limit_exits_one_at_once(capsys, tmp_path, monkeypatch):
     # two regular triangulations of the 8 x 8 grid at height one:
     # K-equivalent, but the ample heights LP of X has 133 walls x 66
-    # columns, past MAX_LP_SIZE, so no LP is solved.  The refusal is final:
-    # with coefficient 1/2 on the two right-hand grid columns psi bends, and
-    # a k_equivalent asked after it would walk the cells of every cone pair
+    # columns, past MAX_LP_SIZE, so no LP is solved.  The refusal is final,
+    # with no K-equivalence check after it, whether psi is linear or, with
+    # coefficient 1/2 on the two right-hand grid columns, bends
     rays = [(x, y, 1) for x in range(8) for y in range(8)]
     fans = [regular_triangulation(rays, [a * x * x + y * y + Fraction(x * y % 7, 97)
                                          for x, y, _ in rays]) for a in (1, 2)]
@@ -433,11 +433,11 @@ def test_ample_heights_lp_limit_exits_one_at_once(capsys, tmp_path, monkeypatch)
     def no_lp(*_):
         raise AssertionError("the LP was solved")
 
-    def no_walk(*_):
-        raise AssertionError("the cell walk started")
+    def no_check(*_):
+        raise AssertionError("k_equivalent was asked")
 
     monkeypatch.setattr("toricmmp.mmp.lp_maximize", no_lp)
-    monkeypatch.setattr("toricmmp.pairs.cell_extreme_rays", no_walk)
+    monkeypatch.setattr("toricmmp.mmp.k_equivalent", no_check)
     for boundary in ("zero", "bending"):
         coeffs = [Fraction(1, 2) if boundary == "bending" and x >= 6 else 0 for x, _, _ in rays]
         files = [write(tmp_path / f"{boundary}-{name}.json", pair_to_json(make_pair(fan, coeffs)))

@@ -14,7 +14,15 @@ from math import lcm
 import pytest
 
 import corpus
-from corpus import cyclic_mmp_inputs, flop_case, mmp_pairs, replay, square_mmp_inputs
+from corpus import (
+    cyclic_mmp_inputs,
+    flop_case,
+    mmp_pairs,
+    psi_linear,
+    replay,
+    square_mmp_inputs,
+    walked_k_equivalent,
+)
 
 from toricmmp.circuits import classify, defect, wall_relation
 from toricmmp.errors import (
@@ -832,6 +840,24 @@ def test_flop_decompose_matches_cell_walk_on_bumped_corpus():
     assert 0 < sum(verdicts) < len(verdicts)  # both verdicts are exercised
 
 
+def test_dimension_three_k_equivalence_never_walks_cells(monkeypatch):
+    # the bumped corpus's dimension-3 pairs, K-equivalent or not, are
+    # decided by their walls alone, in k_equivalent and in the fallback of
+    # flop_decompose after a failed sweep
+    def no_walk(*_):
+        raise AssertionError("the cell walk ran")
+
+    cases = [c for c in map(_bumped_corpus_case, range(80)) if c[0].fan.dim == 3]
+    expected = [walked_k_equivalent(px, py) for px, py in cases]
+    monkeypatch.setattr(pairs_module, "cell_extreme_rays", no_walk)
+    assert [k_equivalent(px, py) for px, py in cases] == expected
+    assert 0 < sum(expected) < len(cases)
+    for (px, py), same in zip(cases, expected):
+        if not same:
+            with pytest.raises(NotKEquivalentError, match="pairs are not K-equivalent"):
+                flop_decompose(px, py)
+
+
 # sha256 over dumps(flop_decompose(...)) of corpus seeds 0-79, one line per
 # seed, recorded from the sweep that rebuilt the fan and rescanned every
 # wall at each event: the sweep on one local state takes the same steps
@@ -1242,7 +1268,7 @@ def test_a_linear_psi_ends_the_mmp_with_the_steps_of_the_full_loop(monkeypatch):
         return steps, sub.fan()
 
     fast = [run(pair) for pair in pinned + sl]
-    linear = [pairs_module._psi_is_linear(pair) for pair in pinned + sl]
+    linear = [psi_linear(pair) for pair in pinned + sl]
     monkeypatch.setattr(mmp_module, "_heights_linear", lambda *_: False)
     assert [run(pair) for pair in pinned + sl] == fast
     assert all(linear[len(pinned):]) and 100 < sum(linear[:len(pinned)]) < len(pinned), (

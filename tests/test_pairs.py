@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
-from corpus import extraction_pairs, flop_case
+from corpus import extraction_pairs, flop_case, psi_linear, walked_k_equivalent
 from test_lattice import oracle_box_points_in_coords
 from test_mmp import _bumped_corpus_case
 from toricmmp import pairs as pairs_module
@@ -378,7 +378,7 @@ def test_k_compare_atiyah_equal():
     assert k_compare(px, py) == "equal"
 
 
-# ------------------------------------------------ linear-psi certificate
+# -------------------------------------------------------- bending walls
 
 
 def _certificate_cases():
@@ -397,21 +397,100 @@ def _certificate_cases():
     return cases
 
 
-def test_linear_psi_certificate_matches_cell_walk(monkeypatch):
-    # k_equivalent and k_compare with the certificate, then with it forced
-    # off so that every verdict comes from the cell walk
+def _forced_walk(monkeypatch):
+    """Make k_compare walk the cells of every pair: the wall test always
+    finds a bending wall off the other fan's facets."""
+    monkeypatch.setattr(pairs_module, "_bends_off", lambda pair, fan: True)
+
+
+def test_bending_wall_test_matches_cell_walk(monkeypatch):
+    # k_equivalent and k_compare with the wall test, then every verdict
+    # from the cell walk
     cases = _certificate_cases()
-    linear = [pairs_module._psi_is_linear(px) and pairs_module._psi_is_linear(py)
-              for px, py in cases]
+    passed = [not pairs_module._bends_off(py, px.fan) for px, py in cases]
     same = [k_equivalent(px, py) for px, py in cases]
     order = [k_compare(px, py) for px, py in cases]
-    monkeypatch.setattr(pairs_module, "_psi_is_linear", lambda pair: False)
-    assert [k_equivalent(px, py) for px, py in cases] == same
+    assert [walked_k_equivalent(px, py) for px, py in cases] == same
+    _forced_walk(monkeypatch)
     assert [k_compare(px, py) for px, py in cases] == order
-    assert linear[-2] and same[-2] and order[-1] == "equal"
-    # the shortcut fires on some pairs but not all, and every verdict occurs
-    assert 0 < sum(linear) < len(cases) and 0 < sum(same) < len(cases)
+    assert passed[-2] and same[-2] and order[-1] == "equal"
+    # the test passes on some pairs but not all, and every verdict occurs
+    assert 0 < sum(passed) < len(cases) and 0 < sum(same) < len(cases)
     assert {"equal", "X_ge_Y", "Y_ge_X", "incomparable"} <= set(order)
+
+
+def _coefficient_slice(dim, count):
+    """The pairs flop_case(seed, dim) for seeds below count, each with
+    zero, one bumped (1/4, 1/2 or 3/4 on one seeded ray) or random
+    coefficients in turn by seed, the same on both sides."""
+    cases = []
+    for seed in range(count):
+        px, py, _ = flop_case(seed, dim)
+        rng, rays = random.Random(seed), px.fan.rays
+        bumped, c = rng.choice(rays), Fraction(rng.randrange(1, 4), 4)
+        coeff = ({r: 0 for r in rays}, {r: c if r == bumped else 0 for r in rays},
+                 {r: Fraction(rng.randrange(4), 4) for r in rays})[seed % 3]
+        cases.append(tuple(make_pair(p.fan, [coeff[r] for r in p.fan.rays]) for p in (px, py)))
+    return cases
+
+
+@pytest.mark.parametrize("dim, count", [(3, 150), (4, 150), (5, 25)])
+def test_wall_test_verdicts_match_the_forced_cell_walk(monkeypatch, dim, count):
+    # k_compare is checked where its wall test passes one way: elsewhere
+    # it walks the cells itself.  Each cone pair's cells are walked once
+    # and shared between the oracle and the fallback walks
+    walk, memo = pairs_module.cell_extreme_rays, {}
+
+    def shared(*args):
+        if args not in memo:
+            memo[args] = walk(*args)
+        return memo[args]
+
+    monkeypatch.setattr(pairs_module, "cell_extreme_rays", shared)
+    cases = _coefficient_slice(dim, count)
+    same = [k_equivalent(px, py) for px, py in cases]
+    assert [walked_k_equivalent(px, py) for px, py in cases] == same
+    skips = [(px, py) for px, py in cases if not (
+        pairs_module._bends_off(py, px.fan) and pairs_module._bends_off(px, py.fan))]
+    order = [k_compare(px, py) for px, py in skips]
+    _forced_walk(monkeypatch)
+    assert [k_compare(px, py) for px, py in skips] == order
+    # True, False, linear and bending-True cases all occur, and k_compare
+    # skips its walk on some pairs but not all
+    linear = [psi_linear(px) for px, _ in cases]
+    assert 0 < sum(same) < len(cases) and any(linear) and 0 < len(skips) < len(cases)
+    assert any(s and not flat for s, flat in zip(same, linear))
+
+
+SUSPENDED_RAYS = [r + (0,) for r in ATIYAH_RAYS] + [(0, 0, 0, 1), (0, 0, 0, -1)]
+
+
+def _suspended(cones):
+    """The suspension of an Atiyah fan: each cone joined with each apex
+    (0, 0, 0, 1) and (0, 0, 0, -1)."""
+    return make_fan(SUSPENDED_RAYS, [c + (apex,) for c in cones for apex in (4, 5)])
+
+
+def test_suspended_atiyah_flop_falls_back_to_the_cell_walk(monkeypatch):
+    # Y's equator walls have defect psi(e4) + psi(-e4) > 0, and two of
+    # them are each covered by two facets of X, not by one: the wall test
+    # cannot decide, and the dimension-4 walk does
+    fx, fy = _suspended([(0, 1, 2), (0, 2, 3)]), _suspended([(0, 1, 3), (1, 2, 3)])
+    walk, walked = pairs_module.cell_extreme_rays, Counter()
+
+    def counted(*args):
+        walked["cells"] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(pairs_module, "cell_extreme_rays", counted)
+    half = Fraction(1, 2)
+    for coeffs, verdict in (([0] * 6, True), ([0, 0, 0, 0, half, 0], True),
+                            ([half, 0, 0, 0, 0, 0], False)):
+        px, py = make_pair(fx, coeffs), make_pair(fy, coeffs)
+        assert pairs_module._bends_off(py, fx)
+        walked.clear()
+        assert k_equivalent(px, py) is verdict
+        assert walked["cells"] > 0
 
 
 def _unskipped_k_compare(pair_x, pair_y):
@@ -432,7 +511,7 @@ def _unskipped_k_compare(pair_x, pair_y):
 
 
 def test_k_compare_skipping_identical_cones_matches_the_unskipped_loop(monkeypatch):
-    # with the certificate forced off, k_compare walks only the cells of
+    # with the wall test forced to fail, k_compare walks only the cells of
     # distinct cone pairs and gives the unskipped loop's verdict
     cases = _certificate_cases()
     expected = [_unskipped_k_compare(px, py) for px, py in cases]
@@ -443,7 +522,7 @@ def test_k_compare_skipping_identical_cones_matches_the_unskipped_loop(monkeypat
         walked["cells"] += 1
         return walk(fx, cx, fy, cy)
 
-    monkeypatch.setattr(pairs_module, "_psi_is_linear", lambda pair: False)
+    _forced_walk(monkeypatch)
     monkeypatch.setattr(pairs_module, "cell_extreme_rays", distinct_only)
     assert [k_compare(px, py) for px, py in cases] == expected
     assert walked["cells"] > 0
