@@ -75,6 +75,8 @@ def defect(relation, heights):
     """Convexity defect sum a_i h(v_i); positive iff the height function is
     strictly convex across the wall.  heights is indexed by fan ray index."""
     heights = _exact_rationals(heights, "heights must be exact rationals, not bool or float")
+    if len(heights) <= relation.ray_indices[-1]:
+        raise InvalidInputError("too few heights for the relation's rays")
     return _defect(relation, heights)
 
 

@@ -32,22 +32,29 @@ class EngineInvariantError(ToricMmpError):
     """An internal invariant failed; indicates a bug, not bad input."""
 
 
-def _exact_ints(xs, message):
-    """xs as a tuple of ints, never bool; else InvalidInputError(message)."""
-    xs = tuple(xs)
-    for x in xs:
-        if type(x) is not int:
-            raise InvalidInputError(message)
-    return xs
+def _gate(types):
+    """A gate: xs as a tuple whose items' exact types are in types (any type
+    for ()), of n items when n is given.  A non-sequence or an item of
+    another type raises InvalidInputError(message), a wrong length
+    InvalidInputError(wrong_length, or message when that is None)."""
+    def gate(xs, message, n=None, wrong_length=None):
+        try:
+            xs = tuple(xs)
+        except TypeError:
+            raise InvalidInputError(message) from None
+        if types:
+            for x in xs:
+                if type(x) not in types:
+                    raise InvalidInputError(message)
+        if n is not None and len(xs) != n:
+            raise InvalidInputError(wrong_length or message)
+        return xs
+    return gate
 
 
-def _exact_rationals(xs, message):
-    """xs as a tuple of ints and Fractions, never bool; else InvalidInputError(message)."""
-    xs = tuple(xs)
-    for x in xs:
-        if type(x) is not int and type(x) is not Fraction:
-            raise InvalidInputError(message)
-    return xs
+_sized = _gate(())                          # any items
+_exact_ints = _gate((int,))                 # ints, never bool
+_exact_rationals = _gate((int, Fraction))   # ints and Fractions, never bool
 
 
 def _all_ints(xs):

@@ -34,7 +34,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .circuits import _relation
-from .errors import EngineInvariantError, InvalidInputError, _exact_ints, _exact_rationals
+from .errors import EngineInvariantError, InvalidInputError, _exact_ints, _exact_rationals, _sized
 from .lattice import adjugate, dot, primitive, vec_mat
 from .linprog import lp_maximize
 
@@ -138,26 +138,13 @@ def make_fan(rays, max_cones, *, validate="full"):
     """
     if validate not in ("full", "fast"):
         raise InvalidInputError(f"unknown validation level {validate!r}")
-    rays = tuple(map(tuple, rays))
-    if not rays:
-        raise InvalidInputError("fan needs at least one ray")
-    n = len(rays[0])
-    if n < 1:
-        raise InvalidInputError("dimension must be >= 1")
-    for r in rays:
-        if len(r) != n:
-            raise InvalidInputError("rays of mixed dimension")
-        _exact_ints(r, "ray coordinates must be integers")
-        if (g := gcd(*r)) != 1:
-            raise InvalidInputError(f"ray {r} is not primitive" if g else "zero ray")
-    if len(set(rays)) != len(rays):
-        raise InvalidInputError("duplicate rays")
-
-    cones = []
-    for c in max_cones:
-        c = tuple(sorted(_exact_ints(c, "cone ray indices must be integers")))
-        if len(c) != n or len(set(c)) != n:
-            raise InvalidInputError("maximal cones must have dim distinct rays")
+    rays, n = _exact_rays(rays)
+    cones, msg = [], "cone ray indices must be integers"
+    distinct = "maximal cones must have dim distinct rays"
+    for c in _sized(max_cones, msg):
+        c = tuple(sorted(_exact_ints(c, msg, n, distinct)))
+        if len(set(c)) < n:
+            raise InvalidInputError(distinct)
         if c[0] < 0 or c[-1] >= len(rays):  # c is sorted
             raise InvalidInputError("cone ray index out of range")
         cones.append(c)
@@ -182,12 +169,28 @@ def make_fan(rays, max_cones, *, validate="full"):
     return Fan(n, rays, tuple(cones), kind)
 
 
+def _exact_rays(rays):
+    """(rays, n): rays as distinct primitive integer vectors of one
+    dimension n >= 1, as make_fan and regular_triangulation take them."""
+    if not (rays := _sized(rays, msg := "ray coordinates must be integers")):
+        raise InvalidInputError("fan needs at least one ray")
+    if (n := len(_sized(rays[0], msg))) < 1:
+        raise InvalidInputError("dimension must be >= 1")
+    out = []
+    for r in rays:
+        r = _exact_ints(_sized(r, msg, n, "rays of mixed dimension"), msg)
+        if (g := gcd(*r)) != 1:
+            raise InvalidInputError(f"ray {r} is not primitive" if g else "zero ray")
+        out.append(r)
+    if len(set(out)) != len(out):
+        raise InvalidInputError("duplicate rays")
+    return tuple(out), n
+
+
 def _exact_point(fan, p):
     """p as a tuple of exact rationals of the fan's dimension."""
-    p = _exact_rationals(p, "point coordinates must be exact rationals, not bool or float")
-    if len(p) != fan.dim:
-        raise InvalidInputError("point dimension mismatch")
-    return p
+    return _exact_rationals(p, "point coordinates must be exact rationals, not bool or float",
+                            fan.dim, "point dimension mismatch")
 
 
 def locate(fan, p):
@@ -225,7 +228,7 @@ def star_subdivision(fan, w):
     """Insert primitive(w) as a new ray; every maximal cone containing it is
     replaced by the joins of w with its facets not containing w."""
     sub = _Subdivision(fan)
-    sub.subdivide(primitive(w))
+    sub.subdivide(_sized(primitive(w), "vector dimension mismatch", fan.dim))
     return sub.fan()
 
 
@@ -356,15 +359,19 @@ class _Subdivision:
             heappush(self.queue, (key, f, rel))
 
     def _positive(self, f):
-        """Is the wall's defect under the heights h positive?  For (adj, d)
-        its first cone's kept kernel and b the other apex, the relation is
-        (b.adj, -d) over a scale of sign -d, so its sign is that of (d h_b -
+        """Is the wall's defect under the kept heights positive?"""
+        return self.bend(f, self.heights) > 0
+
+    def bend(self, f, h):
+        """The wall's defect under the heights h over a positive scale: for
+        (adj, d) its first cone's kept kernel and b the other apex, the
+        relation is (b.adj, -d) over a scale of sign -d, so this is (d h_b -
         b.W) d, W = adj.h the cone's height form (pairs._heights_linear)."""
         ca, cb = self.facets[f]
         adj, d = self.kernel(ca)
-        h, b = self.heights, sum(cb) - sum(f)
+        b = sum(cb) - sum(f)
         P = [h[i] for i in ca]
-        return (d * h[b] - dot(self.rays[b], [dot(row, P) for row in adj])) * d > 0
+        return (d * h[b] - dot(self.rays[b], [dot(row, P) for row in adj])) * d
 
     def pop(self):
         """The queued (key, facet, relation) least by (key, facet) whose

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .errors import InvalidInputError, _all_ints, _exact_ints, _exact_rationals
+from .errors import InvalidInputError, _all_ints, _exact_ints, _exact_rationals, _sized
 
 
 _ZERO = Fraction(0)  # the one zero that LatticeBasis._from_hermite shares
@@ -152,12 +152,11 @@ def primitive(v):
 
 
 def _check_int_matrix(M):
-    if not M or not M[0]:
+    """M as integer row tuples of one width >= 1."""
+    if not (M := _sized(M or (), msg := "matrix entries must be integers")) or not M[0]:
         raise InvalidInputError("empty matrix")
-    width = len(M[0])
-    for row in M:
-        if len(_exact_ints(row, "matrix entries must be integers")) != width:
-            raise InvalidInputError("ragged matrix")
+    width = len(_sized(M[0], msg))
+    return tuple(_exact_ints(row, msg, width, "ragged matrix") for row in M)
 
 
 def _xgcd(a, b):
@@ -221,7 +220,7 @@ def hermite_normal_form(M):
     on square input H is lower triangular with positive diagonal and the
     entries below each diagonal pivot reduced modulo it.
     """
-    _check_int_matrix(M)
+    M = _check_int_matrix(M)
     HU = _hermite([list(r) + e for r, e in zip(M, mat_identity(len(M)))], n := len(M[0]))
     if len(HU) < len(M):
         raise InvalidInputError("rank-deficient input to hermite_normal_form")
@@ -231,8 +230,7 @@ def hermite_normal_form(M):
 def smith_normal_form(M):
     """Smith normal form with transforms: returns (D, U, V), U.M.V = D,
     D diagonal with d_i | d_{i+1}, U and V unimodular."""
-    _check_int_matrix(M)
-    A = [list(row) for row in M]
+    A = [list(row) for row in _check_int_matrix(M)]
     m, n = len(A), len(A[0])
     U = mat_identity(m)
     V = mat_identity(n)
@@ -306,9 +304,10 @@ class LatticeBasis:
 
     @staticmethod
     def _check_form(rows, gate):
+        if not (rows := _sized(rows, msg := "basis entries must be exact rationals")):
+            raise InvalidInputError("lattice dimension must be >= 1")
         for i, row in enumerate(rows):
-            if len(gate(row, "basis entries must be exact rationals")) != len(rows):
-                raise InvalidInputError("basis matrix must be square")
+            row = gate(row, msg, len(rows), "basis matrix must be square")
             if row[i] <= 0 or any(row[i + 1:]):
                 raise InvalidInputError("basis rows not in canonical form")
 
@@ -330,7 +329,8 @@ class LatticeBasis:
     @classmethod
     def from_rows(cls, rows):
         """Canonical basis of the lattice generated by the given rational rows."""
-        rows = [_exact_rationals(row, "basis entries must be exact rationals") for row in rows]
+        msg = "basis entries must be exact rationals"
+        rows = [_exact_rationals(row, msg) for row in _sized(rows, msg)]
         den = lcm(*(x.denominator for row in rows for x in row))
         H = _hermite_lower([[int(x * den) for x in row] for row in rows])
         return cls._from_hermite(H, den)
@@ -352,9 +352,8 @@ class LatticeBasis:
 
     def coords(self, v):
         """Coordinates x of ambient point v in this basis: x.rows = v."""
-        if len(v) != self.dim:
-            raise InvalidInputError("dimension mismatch")
-        return vec_mat(_exact_rationals(v, "coordinates must be exact rationals"), self.inverse)
+        v = _sized(v, msg := "coordinates must be exact rationals", self.dim, "dimension mismatch")
+        return vec_mat(_exact_rationals(v, msg), self.inverse)
 
     def ambient(self, x):
         return vec_mat(x, self.rows)
@@ -363,8 +362,8 @@ class LatticeBasis:
 def _lattice_coord_matrix(rays, lattice, caller):
     """Integer matrix C of the coordinates of dim-many independent rays in
     the lattice basis, and |det C|, the multiplicity of their cone."""
-    if len(rays) != lattice.dim:
-        raise InvalidInputError(f"{caller} needs dim-many rays")
+    rays = _sized(rays, "coordinates must be exact rationals", lattice.dim,
+                  f"{caller} needs dim-many rays")
     C = []
     for ray in rays:
         c = lattice.coords(ray)

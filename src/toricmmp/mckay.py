@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .errors import EngineInvariantError, InvalidInputError, _exact_ints
+from .errors import EngineInvariantError, InvalidInputError, _exact_ints, _sized
 from .fan import Fan, _Subdivision, make_fan
 from .lattice import (
     _ZERO,
@@ -61,13 +61,13 @@ class GroupData(NamedTuple("GroupData", [("n", int), ("gens", tuple)])):
         if n > MAX_GROUP_DIM:
             raise InvalidInputError(f"group dimension {n} exceeds the limit {MAX_GROUP_DIM}")
         out = []
-        for r, weights in gens:
+        for gen in _sized(gens, pair := "generators must be (order, weights) pairs"):
+            r, weights = _sized(gen, pair, 2)
             if _exact_ints((r,), msg := "generator order must be a positive integer")[0] < 1:
                 raise InvalidInputError(msg)
-            ws = tuple(w % r for w in _exact_ints(weights, "generator weights must be integers"))
-            if len(ws) != n:
-                raise InvalidInputError("one weight per coordinate required")
-            out.append((r, ws))
+            ws = _exact_ints(weights, "generator weights must be integers",
+                             n, "one weight per coordinate required")
+            out.append((r, tuple(w % r for w in ws)))
         return super().__new__(cls, n, tuple(out))
 
 

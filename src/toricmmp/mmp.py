@@ -35,10 +35,9 @@ from .errors import (
     InvalidInputError,
     NonProjectiveError,
     NotKEquivalentError,
-    _exact_ints,
     _exact_rationals,
 )
-from .fan import Fan, _facet_map, _Subdivision, fans_equal, make_fan
+from .fan import Fan, _exact_rays, _facet_map, _Subdivision, fans_equal, make_fan
 from .lattice import MAX_MULTIPLICITY, mat_rank, primitive
 from .linprog import lp_maximize
 from .pairs import (
@@ -213,22 +212,13 @@ def regular_triangulation(rays, heights):
     to convexity.  One fan state (fan._Subdivision) takes every placement
     and flip from the seed cone, the only fan make_fan builds, to the
     result, whose every step ran the fast checks: so the result is the
-    state's cones in its cone order, with its kind.  The heights are
-    integers over the lcm of their denominators."""
-    rays = tuple(tuple(x) for x in rays)
-    if not rays:
-        raise InvalidInputError("no rays given")
-    dim = len(rays[0])
-    if len(set(rays)) != len(rays):
-        raise InvalidInputError("duplicate ray")
-    for r in rays:
-        if len(_exact_ints(r, msg := "rays must be integer vectors of equal length")) != dim:
-            raise InvalidInputError(msg)
-        if primitive(r) != r:
-            raise InvalidInputError(f"ray {r} is not primitive")
-    hs = _exact_rationals(heights, "heights must be exact rationals, not bool or float")
-    if len(hs) != len(rays):
-        raise InvalidInputError("one height per ray required")
+    state's cones in its cone order, with its kind.  The rays pass
+    make_fan's ray check (fan._exact_rays), with its messages, and take
+    one exact height each, read as integers over the lcm of their
+    denominators."""
+    rays, dim = _exact_rays(rays)
+    hs = _exact_rationals(heights, "heights must be exact rationals, not bool or float",
+                          len(rays), "one height per ray required")
 
     seed = []
     for i, r in enumerate(rays):

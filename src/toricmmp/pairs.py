@@ -41,9 +41,8 @@ def make_pair(fan, coeffs, lattice=None):
     if lattice.dim != fan.dim:
         raise InvalidInputError("lattice dimension does not match the fan")
     cs = tuple(map(Fraction, _exact_rationals(
-        coeffs, "boundary coefficients must be exact rationals, not bool or float")))
-    if len(cs) != len(fan.rays):
-        raise InvalidInputError("one boundary coefficient per ray required")
+        coeffs, "boundary coefficients must be exact rationals, not bool or float",
+        len(fan.rays), "one boundary coefficient per ray required")))
     for c in cs:
         if not 0 <= c < 1:
             raise InvalidInputError(f"boundary coefficient {c} outside [0,1)")
@@ -58,7 +57,8 @@ def psi_heights(pair):
 def pl_eval(fan, heights, point):
     """Evaluate the piecewise linear interpolation of ray heights at a
     support point."""
-    hs = _exact_rationals(heights, "heights must be exact rationals, not bool or float")
+    hs = _exact_rationals(heights, "heights must be exact rationals, not bool or float",
+                          len(fan.rays), "one height per ray required")
     ci, lam = locate(fan, point)
     return sum(l * Fraction(hs[i]) for l, i in zip(lam, fan.max_cones[ci]))
 
@@ -230,15 +230,10 @@ def _bends_off(pair, fan):
     first; only a miss reads its psi-defect, zero when its first cone's
     form takes psi's value at the other apex.  False means every bending
     wall is a facet of fan, so psi is linear on each cone of fan."""
-    own, index, facets = pair.fan, {r: i for i, r in enumerate(fan.rays)}, set(_facet_map(fan))
-    scaled = _scaled_psi(pair)[0]
-    for f, cs in _facet_map(own).items():
-        if len(cs) == 2 and tuple(sorted(index.get(own.rays[i], -1) for i in f)) not in facets:
-            (adj, d), b = adjugate(own.ray_matrix(cs[0])), sum(cs[1]) - sum(f)
-            P = [scaled[i] for i in cs[0]]
-            if dot(own.rays[b], [dot(row, P) for row in adj]) != scaled[b] * d:
-                return True
-    return False
+    own, scaled = _Subdivision(pair.fan), _scaled_psi(pair)[0]
+    index, facets = {r: i for i, r in enumerate(fan.rays)}, set(_facet_map(fan))
+    return any(own.bend(f, scaled) for f, cs in own.facets.items() if len(cs) == 2
+               and tuple(sorted(index.get(own.rays[i], -1) for i in f)) not in facets)
 
 
 def k_equivalent(pair_x, pair_y):
@@ -285,7 +280,6 @@ def k_compare(pair_x, pair_y):
 
 def is_nef(fan, heights):
     """Nonnegative defect across every wall."""
-    hs = _exact_rationals(heights, "heights must be exact rationals, not bool or float")
-    if len(hs) != len(fan.rays):
-        raise InvalidInputError("one height per ray required")
+    hs = _exact_rationals(heights, "heights must be exact rationals, not bool or float",
+                          len(fan.rays), "one height per ray required")
     return all(_defect(rel, hs) >= 0 for _, rel in _Subdivision(fan).relations())

@@ -122,6 +122,29 @@ def test_mmp_contracts_the_centre_of_a_square(capsys, tmp_path):
     ]
 
 
+def test_mmp_flip_line(capsys, tmp_path):
+    rays = [(0, 0, 1), (1, 0, 1), (3, 3, 2), (0, 1, 1)]
+    fan = make_fan(rays, [(0, 1, 2), (0, 2, 3)])
+    path = write(tmp_path / "flip.json", pair_to_json(make_pair(fan, [0] * 4)))
+    code, out, _ = run(capsys, "mmp", path)
+    assert code == 0
+    assert out.splitlines() == [
+        "flip at wall [0, 0, 1] [3, 3, 2]",
+        "minimal model: 4 rays, 2 cones",
+    ]
+
+
+def test_non_object_pair_file_exits_one(capsys, tmp_path):
+    path = write(tmp_path / "list.json", [[1, 0], [0, 1]])
+    code, _, err = run(capsys, "check", path)
+    assert code == 1 and err == f"error: {path}: expected a JSON object\n"
+
+
+def test_mckay_batch_on_a_file_exits_one(capsys, sixth_group_file):
+    code, _, err = run(capsys, "mckay", "--batch", sixth_group_file)
+    assert code == 1 and err == f"error: {sixth_group_file} is not a directory\n"
+
+
 def test_mckay_single(capsys, sixth_group_file):
     code, out, _ = run(capsys, "mckay", sixth_group_file)
     assert code == 0

@@ -1,7 +1,8 @@
-"""The exactness gate at every entry point: one valid call per callable that
-toricmmp exports and, for each numeric argument, that call with a bool, a
-float and a str in that argument's place, each of which raises
-InvalidInputError with the row's message.
+"""The exactness and shape gates at every entry point: one valid call per
+callable that toricmmp exports and, for each numeric argument, that call
+with a bool, a float and a str in that argument's place, each of which
+raises InvalidInputError with the row's message; and for each sequence
+argument, seven hostile shapes in its place (see SLOTS).
 
 True == 1 and 1.0 == 1, yet dumps would write them as true and 1.0; 0.1 is
 3602879701896397/2^55; and Fraction parses "0.5".  A gate that let any of
@@ -12,6 +13,8 @@ built by hand is checked like a group file.  An export
 with neither a row nor an exemption fails the coverage test, so a new entry
 point cannot skip the gate."""
 
+import inspect
+import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -104,7 +107,7 @@ ROWS = [
     # mmp
     Row("regular_triangulation",
         lambda x: T.regular_triangulation(SQUARE[:2] + [(1, x, 1), SQUARE[3]], [0, 0, 1, 0]), 1,
-        "rays must be integer vectors of equal length", arg="-rays"),
+        "ray coordinates must be integers", arg="-rays"),
     Row("regular_triangulation", lambda x: T.regular_triangulation(SQUARE, [0, 0, x, 0]), 1,
         "heights must be exact rationals", arg="-heights"),
     Row("ample_heights", lambda _: T.ample_heights(ATIYAH_X)),
@@ -197,3 +200,126 @@ def test_every_export_has_a_row_or_an_exemption():
         obj = getattr(T, name)
         assert issubclass(obj, Exception) or hasattr(obj, "_fields") or \
             hasattr(obj, "__dataclass_fields__"), name
+
+
+# ---------------------------------------------------------------- shapes
+#
+# The same gates decide what a sequence of the right length is.  Each
+# sequence argument (slot) of an entry point gets seven hostile shapes in
+# place of its valid value: None, a scalar, empty, one item too few, one
+# too many, one level too shallow (its first item: a flat vector where rows
+# are expected) and one too deep (each item wrapped: rows where a vector is
+# expected).  Each raises InvalidInputError with one of the slot's
+# messages, never a bare TypeError, IndexError or ValueError, but for the
+# shapes in the slot's takes, valid inputs of another value (an empty
+# generator list is the trivial group), which must return.
+
+
+class Slot(NamedTuple):
+    name: str                  # the export, or Class.method
+    arg: str                   # the parameter that takes the sequence
+    call: Callable             # call(x): the entry point with x in that place
+    valid: tuple               # the sequence the valid call puts there
+    message: str               # the slot's messages, a regex
+    takes: tuple = ()          # shapes that are valid input of another value
+
+
+SHAPES = ("None", "scalar", "empty", "short", "long", "shallow", "deep")
+BASIS = "basis entries must be exact rationals"
+COORDS = "coordinates must be exact rationals|dimension mismatch|not in lattice|dependent rays"
+MATRIX = "matrix entries must be integers|empty matrix|ragged matrix"
+FAN_RAYS = ("ray coordinates must be integers|fan needs at least one ray|dimension must be >= 1|"
+            "rays of mixed dimension|not primitive|zero ray|duplicate rays")
+GENS = ("generators must be .order, weights. pairs|generator order must be a positive integer|"
+        "generator weights must be integers|one weight per coordinate required")
+ONE_HEIGHT = "|one height per ray required"
+PRIMITIVE = "vector coordinates must be exact rationals|zero vector"
+
+SLOTS = [
+    # lattice
+    Slot("LatticeBasis", "rows", T.LatticeBasis, ((F(1, 2), 0), (0, 1)),
+         BASIS + "|basis matrix must be square|lattice dimension must be >= 1"),
+    Slot("LatticeBasis.from_rows", "rows", T.LatticeBasis.from_rows, ((F(1, 2), 0), (0, 1)),
+         BASIS + "|no generators given|generators of mixed dimension|full-rank lattice", ("long",)),
+    Slot("box_points", "rays", lambda x: T.box_points(x, STD2), ((1, 1), (0, 2)),
+         COORDS + "|box_points needs dim-many rays"),
+    Slot("cone_multiplicity", "rays", lambda x: T.cone_multiplicity(x, STD2), ((1, 1), (0, 2)),
+         COORDS + "|cone_multiplicity needs dim-many rays"),
+    Slot("hermite_normal_form", "M", T.hermite_normal_form, ((1, 0), (0, 2)),
+         MATRIX + "|rank-deficient", ("short",)),
+    Slot("smith_normal_form", "M", T.smith_normal_form, ((1, 0), (0, 2)), MATRIX,
+         ("short", "long")),
+    Slot("primitive", "v", T.primitive, (F(1, 2), 1), PRIMITIVE, ("short", "long")),
+    # fan
+    Slot("make_fan", "rays", lambda x: T.make_fan(x, [(0, 1)]), ((1, 0), (0, 1)),
+         FAN_RAYS + "|cone ray index out of range"),
+    Slot("make_fan", "max_cones", lambda x: T.make_fan([(1, 0), (0, 1)], x), ((0, 1),),
+         "cone ray indices must be integers|maximal cones must have dim distinct rays|"
+         "cone ray index out of range|at least one maximal cone|duplicate maximal cones"),
+    Slot("star_subdivision", "w", lambda x: T.fans_equal(T.star_subdivision(ORTHANT2, x), BLOWUP2),
+         (1, 1), PRIMITIVE + "|vector dimension mismatch"),
+    Slot("in_support", "p", lambda x: T.in_support(ORTHANT2, x), (F(1, 10), 1),
+         POINT + "|point dimension mismatch"),
+    Slot("locate", "p", lambda x: locate(ORTHANT2, x), (F(1, 10), 1),
+         POINT + "|point dimension mismatch|outside the fan support"),
+    # circuits: heights past the relation's rays are another fan's, and are ignored
+    Slot("defect", "heights", lambda x: T.defect(REL, x), (F(1, 2), 0, 0, 0),
+         HEIGHTS + "|too few heights for the relation's rays", ("long",)),
+    # pairs
+    Slot("make_pair", "coeffs", lambda x: T.make_pair(ORTHANT2, x), (F(1, 2), 0),
+         "boundary coefficients must be exact rationals|one boundary coefficient per ray required"),
+    Slot("pl_eval", "heights", lambda x: T.pl_eval(ORTHANT2, x, (1, 0)), (F(1, 2), 1),
+         HEIGHTS + ONE_HEIGHT),
+    Slot("pl_eval", "point", lambda x: T.pl_eval(ORTHANT2, (1, 1), x), (F(1, 10), 0),
+         POINT + "|point dimension mismatch"),
+    Slot("is_nef", "heights", lambda x: T.is_nef(BLOWUP2, x), (F(1, 2), 1, 1),
+         HEIGHTS + ONE_HEIGHT),
+    # mmp: the rays are make_fan's, so its messages
+    Slot("regular_triangulation", "rays", lambda x: T.regular_triangulation(x, [0, 0, 1, 0]),
+         tuple(SQUARE), FAN_RAYS + ONE_HEIGHT),
+    Slot("regular_triangulation", "heights", lambda x: T.regular_triangulation(SQUARE, x),
+         (0, 0, 1, 0), HEIGHTS + ONE_HEIGHT),
+    # mckay: any number of generators makes a group
+    Slot("make_group", "gens", lambda x: T.make_group(2, x), ((3, (1, 2)),), GENS,
+         ("empty", "short", "long")),
+    Slot("GroupData", "gens", lambda x: T.GroupData(2, x), ((3, (1, 2)),), GENS,
+         ("empty", "short", "long")),
+]
+
+
+def _shaped(slot, shape):
+    v = slot.valid
+    return {"None": None, "scalar": 1, "empty": (), "short": v[:-1], "long": v + v[-1:],
+            "shallow": v[0], "deep": tuple((x,) for x in v)}[shape]
+
+
+@pytest.mark.parametrize("slot, shape", [(s, shape) for s in SLOTS for shape in SHAPES],
+                         ids=[f"{s.name}-{s.arg}-{shape}" for s in SLOTS for shape in SHAPES])
+def test_every_sequence_argument_is_shape_gated(slot, shape):
+    slot.call(slot.valid)
+    try:
+        got = slot.call(_shaped(slot, shape))
+    except InvalidInputError as e:
+        assert shape not in slot.takes and re.search(slot.message, str(e)), str(e)
+    else:
+        assert shape in slot.takes, got
+
+
+# parameters that take no sequence: a record, a scalar, a JSON object
+# (whose lists jsonio reads through its own list check), or any value
+NOT_A_SEQUENCE = {
+    "fan", "wall", "relation", "pair", "pair_x", "pair_y", "f1", "f2", "G", "lattice",
+    "n", "r", "a", "r1", "s1", "ray_index", "validate", "d", "obj",
+}
+
+
+def test_every_sequence_argument_has_a_slot():
+    slots = {(s.name, s.arg) for s in SLOTS}
+    missing = []
+    for name, obj in vars(T).items():
+        if callable(obj) and not name.startswith("_") and not isinstance(obj, type(T)) \
+                and name not in EXEMPT:
+            missing += [(name, arg) for arg in inspect.signature(obj).parameters
+                        if arg not in NOT_A_SEQUENCE and (name, arg) not in slots]
+    assert missing == []
+    assert all(arg not in NOT_A_SEQUENCE for _, arg in slots)

@@ -38,6 +38,16 @@ from toricmmp.mckay import hj_resolution
 
 P2 = make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 ORTHANT2 = make_fan([(1, 0), (0, 1)], [(0, 1)])
+
+
+def test_make_fan_rejects_dimension_zero():
+    with pytest.raises(InvalidInputError, match="dimension must be >= 1"):
+        make_fan([()], [()])
+
+
+def test_fans_equal_compares_the_ray_vectors():
+    # the same dimension and ray count, other rays
+    assert not fans_equal(ORTHANT2, make_fan([(1, 0), (1, 1)], [(0, 1)]))
 ORTHANT3 = make_fan([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
 BLOWUP2 = make_fan([(1, 0), (0, 1), (1, 1)], [(0, 2), (1, 2)])
 

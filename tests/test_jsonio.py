@@ -21,6 +21,7 @@ from toricmmp.jsonio import (
     rational_to_json,
     to_jsonable,
 )
+from toricmmp.lattice import LatticeBasis
 from toricmmp.mckay import make_group, mckay_pipeline, quotient_pair
 
 F = Fraction
@@ -134,6 +135,22 @@ def test_report_serializes_and_is_deterministic():
     ]
     assert data["ledger"][0]["psi_value"] == "5/6"
     assert data["quotient"]["coeffs"] == ["1/2", "2/3"]
+
+
+def test_int_past_the_digit_limit_is_not_an_integer():
+    # int() refuses more than sys.get_int_max_str_digits() digits
+    with pytest.raises(InvalidInputError, match="not an integer"):
+        int_from_json("1" * 5000)
+
+
+def test_parse_rejects_a_non_object():
+    for decode in (fan_from_json, pair_from_json, group_from_json):
+        with pytest.raises(InvalidInputError, match="expected a JSON object"):
+            decode([1, 2])
+
+
+def test_to_jsonable_writes_a_lattice_as_its_rows():
+    assert to_jsonable(LatticeBasis.from_rows([(F(1, 2), 0), (0, 1)])) == [["1/2", 0], [0, 1]]
 
 
 def test_to_jsonable_rejects_floats():

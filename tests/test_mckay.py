@@ -18,7 +18,7 @@ from toricmmp import mmp as mmp_module
 from toricmmp import pairs as pairs_module
 from toricmmp.circuits import defect
 from toricmmp.jsonio import dumps
-from toricmmp.errors import EngineInvariantError, InvalidInputError
+from toricmmp.errors import BudgetExceededError, EngineInvariantError, InvalidInputError
 from toricmmp.fan import (
     _facet_map,
     _solve,
@@ -246,6 +246,14 @@ def test_pipeline_ledger_telescopes_sampled():
                     assert e.rank_before == e.rank_after
             assert e.center  # every locus meets the open quotient cone
         assert all(c == 0 for c in rep.resolution.coeffs)
+
+
+def test_pipeline_stops_at_the_extraction_budget():
+    # the SL group (1/211)(1, 50, 160) has 105 age-one elements, each one an
+    # extraction, past terminalize's stated limit of 10 * 3^2 = 90; a proved
+    # extraction bound (ROADMAP item 13) will change this pin
+    with pytest.raises(BudgetExceededError, match="extraction budget exhausted"):
+        mckay_pipeline(make_group(3, [(211, (1, 50, 160))]))
 
 
 def test_pipeline_flip_ledgers():

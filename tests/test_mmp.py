@@ -293,9 +293,9 @@ def test_regular_triangulation_flat_is_nongeneric():
 
 
 def test_regular_triangulation_rejects_ragged_rays():
-    # a short ray shares the message of an inexact one (tests/test_exactness.py)
+    # the rays are make_fan's: its ray check, with its messages
     square = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
-    with pytest.raises(InvalidInputError, match="integer vectors of equal length"):
+    with pytest.raises(InvalidInputError, match="rays of mixed dimension"):
         regular_triangulation(square[:2] + [(1, 1), square[3]], [0, 0, 1, 0])
 
 
@@ -1061,7 +1061,7 @@ def test_relative_mmp_validates_base():
 
 def test_defect_sign_matches_the_relation_defect():
     # the MMP builds relations only for walls whose defect sign, read off
-    # the first cone's kept kernel (_Subdivision._positive), is positive;
+    # the first cone's kept kernel (_Subdivision.bend), is positive;
     # the sign of the defect of the wall's relation is the oracle.  Seeded
     # flop-corpus fans in dimensions 3 and 4 and McKay resolutions, under
     # random heights, a linear form's heights with one ray bumped, and
@@ -1087,6 +1087,8 @@ def test_defect_sign_matches_the_relation_defect():
                     for first in cs, cs[::-1]:
                         sub.facets[f] = list(first)
                         assert sub._positive(f) == (d > 0), (fan, hs, f)
+                        bend = sub.bend(f, hs)  # the same sign, also of zero
+                        assert (bend > 0) - (bend < 0) == (d > 0) - (d < 0)
                         seen[(d > 0) - (d < 0), sub.kernel(first[0])[1] > 0] += 1
             assert set(sub.walls) == positive
     assert len(seen) == 6 and min(seen.values()) > 100, seen

@@ -14,9 +14,13 @@ from test_mmp import _bumped_corpus_case
 from toricmmp import pairs as pairs_module
 from toricmmp.errors import InvalidInputError
 from toricmmp.fan import _inward, in_support, make_fan, star_subdivision
-from toricmmp.lattice import adjugate, cofactor_kernel, det, dot, mat_rank, primitive, vec_mat
+from toricmmp.lattice import (
+    LatticeBasis, adjugate, cofactor_kernel, det, dot, mat_rank, primitive, vec_mat,
+)
 from toricmmp.mckay import group_lattice, make_group, quotient_pair
+from toricmmp.mmp import flop_decompose
 from toricmmp.pairs import (
+    ToricPair,
     _scaled_psi,
     cell_extreme_rays,
     is_canonical,
@@ -139,6 +143,23 @@ def test_make_pair_validation():
         make_pair(ORTHANT2, [0, Fraction(-1, 2)])
     p = make_pair(ORTHANT2, [0, Fraction(1, 2)])
     assert psi_heights(p) == (1, Fraction(1, 2))
+    with pytest.raises(InvalidInputError, match="lattice dimension does not match the fan"):
+        make_pair(ORTHANT2, [0, 0], LatticeBasis.standard(3))
+
+
+def test_pairs_on_different_footings_are_not_compared():
+    # every refusal of the shared check of k_equivalent, k_compare and
+    # flop_decompose: another lattice, another dimension (only a pair built
+    # by hand gets past the lattice test with it) and two cones of support
+    x = make_pair(ORTHANT2, [0, 0])
+    half = make_pair(ORTHANT2, [0, 0], LatticeBasis.from_rows([(Fraction(1, 2), 0), (0, 1)]))
+    orthant3 = make_fan([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
+    wedge = make_pair(make_fan([(1, 0), (1, 1)], [(0, 1)]), [0, 0])
+    for y, message in ((half, "different lattices"), (wedge, "supports differ"),
+                       (ToricPair(orthant3, (0, 0, 0), x.lattice), "different dimensions")):
+        for compare in (k_equivalent, k_compare, flop_decompose):
+            with pytest.raises(InvalidInputError, match=message):
+                compare(x, y)
 
 
 def test_pl_eval_homogeneous():
