@@ -2,10 +2,10 @@
 
 Across a wall the n+1 rays of the two adjacent simplicial cones satisfy a
 unique primitive integer relation sum a_i v_i = 0, normalized so both apex
-coefficients are positive, and read off one cone's cached adjugate.  The
-sign of sum a_i h(v_i) for a height function h is the sign of the
-intersection number of the corresponding divisor with the wall curve,
-which is all the MMP ever consumes.
+coefficients are positive, and read off one cone's adjugate, which a fan
+state keeps for each current cone.  The sign of sum a_i h(v_i) for a
+height function h is the sign of the intersection number of the
+corresponding divisor with the wall curve, which is all the MMP consumes.
 
 This module is the relation algebra only.  Which walls a fan has, and the
 relation across each, computed once per pair of cones and kept while both
@@ -41,17 +41,17 @@ def wall_relation(fan, wall):
     if a == b or a in shared or b in shared or any(
             tuple(sorted(shared + (x,))) not in fan.max_cones for x in (a, b)):
         raise InvalidInputError(f"{wall} is not a wall of the fan")
-    return _relation(fan.rays, shared, a, b)
+    cone_a = tuple(sorted(shared + (a,)))
+    return _relation(fan.rays, cone_a, a, b, adjugate(fan.ray_matrix(cone_a)))
 
 
-def _relation(rays, shared, apex_a, apex_b):
-    """wall_relation of the wall with these shared rays and apexes: with
-    C.adj = d.I for cone a = shared + apex_a, num = apex_b.adj gives the
-    relation sum num_i v_i - d apex_b = 0 over cone a's rays v_i, divided
-    by the gcd of all n+1 coefficients, signed so that apex_a's is
-    positive, and apex_b merged into cone a's sorted rays."""
-    cone_a = tuple(sorted(shared + (apex_a,)))
-    adj, d = adjugate(tuple(rays[i] for i in cone_a))
+def _relation(rays, cone_a, apex_a, apex_b, kernel):
+    """The relation across the wall of the sorted cone_a and apex_b, over
+    kernel = (adj, d), C.adj = d.I for cone a: num = apex_b.adj gives the
+    relation sum num_i v_i - d apex_b = 0 over cone a's rays v_i, divided by
+    the gcd of all n+1 coefficients, signed so that apex_a's is positive,
+    and apex_b merged into cone a's rays."""
+    adj, d = kernel
     if adj is None:
         raise InvalidInputError("degenerate wall: the rays of cone a do not span")
     num = vec_mat(rays[apex_b], adj)
@@ -81,7 +81,7 @@ def defect(relation, heights):
 
 
 def _defect(relation, heights):  # unchecked, for the engine loops' own heights
-    return sum(a * heights[i] for i, a in zip(relation.ray_indices, relation.coeffs))
+    return sum([a * heights[i] for i, a in zip(relation.ray_indices, relation.coeffs)])
 
 
 def classify(relation):

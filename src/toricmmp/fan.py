@@ -29,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import count
+from itertools import combinations, count
 from math import gcd
 from typing import NamedTuple
 
@@ -87,8 +87,8 @@ def _facet_map(fan):
     cone order."""
     fm = defaultdict(list)
     for cone in fan.max_cones:
-        for k in range(fan.dim):
-            fm[cone[:k] + cone[k + 1:]].append(cone)
+        for f in combinations(cone, fan.dim - 1):
+            fm[f].append(cone)
     return dict(fm)
 
 
@@ -242,11 +242,12 @@ class _Subdivision:
     cone's on first read), and boundary each facet in a single cone with its
     inward functional (_inward), renewed on the facets each step touched.  The
     interior facets are the walls; relation computes each wall's relation once
-    per pair of cones, kept until a step removes one of them (so rels holds
-    one per wall, but for another fan's pairs).  score_walls keeps walls, each
-    wall with its relation and a key, which each step renews on the facets
-    of the cones it removed or created, the only facets whose walls it
-    changed; queue holds an entry per scoring whose key is not None, for pop.
+    per pair of cones, off its first cone's kernel (not kept for another fan's
+    cone), and keeps it until a step removes one of them (so rels holds one
+    per wall, but for another fan's pairs).  score_walls keeps walls, each
+    wall with its relation and a key, which each step renews on the facets of
+    the cones it removed or created, the only facets whose walls it changed;
+    queue holds an entry per scoring whose key is not None, for pop.
 
     A step replaces some cones by others and applies the fast checks to
     exactly the facets it touched: new cones are simplicial and new, a facet
@@ -327,11 +328,14 @@ class _Subdivision:
     def relation(self, facet, cones=None):
         """The relation across facet between its two cones, or between the
         given cones, another fan's in the state's ray indices; kept per
-        sorted cone pair, since either cone may serve as circuits' cone a."""
-        key = tuple(sorted(self.facets[facet] if cones is None else cones))
-        if (rel := self.rels.get(key)) is None:
-            a, b = (next(i for i in c if i not in facet) for c in key)
-            rel = self.rels[key] = _relation(self.rays, facet, a, b)
+        sorted cone pair, since either cone may serve as circuits' cone a,
+        the first.  Its kernel is the kept one when cone a is current, and
+        a foreign cone's is read off the adjugate cache, never kept."""
+        ca, cb = self.facets[facet] if cones is None else cones
+        if (rel := self.rels.get(key := (ca, cb) if ca < cb else (cb, ca))) is None:
+            (ca, cb), s = key, sum(facet)  # an apex is its cone's sum minus the facet's
+            kernel = self.kernel(ca) if ca in self.max_cones else adjugate(self.ray_matrix(ca))
+            rel = self.rels[key] = _relation(self.rays, ca, sum(ca) - s, sum(cb) - s, kernel)
         return rel
 
     def relations(self):

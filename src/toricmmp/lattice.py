@@ -41,7 +41,7 @@ def vec_add(u, v):
 
 def vec_mat(x, M):
     """Row vector times matrix: returns x.M as a tuple."""
-    return tuple(sum(map(mul, x, col)) for col in zip(*M))
+    return tuple([sum(map(mul, x, col)) for col in zip(*M)])  # a list builds faster
 
 
 def mat_identity(n):
@@ -299,17 +299,20 @@ class LatticeBasis:
     rows: tuple
 
     def __post_init__(self):
-        # constructor accepts canonical rows only; use from_rows to canonicalize
-        self._check_form(self.rows, _exact_rationals)
+        # canonical rows only (from_rows canonicalizes), kept as _from_hermite keeps them
+        rows = self._check_form(self.rows, _exact_rationals)
+        object.__setattr__(self, "rows", tuple(
+            tuple(Fraction(x) if x else _ZERO for x in row) for row in rows))
 
     @staticmethod
     def _check_form(rows, gate):
-        if not (rows := _sized(rows, msg := "basis entries must be exact rationals")):
+        if not (rows := list(_sized(rows, msg := "basis entries must be exact rationals"))):
             raise InvalidInputError("lattice dimension must be >= 1")
         for i, row in enumerate(rows):
-            row = gate(row, msg, len(rows), "basis matrix must be square")
+            rows[i] = row = gate(row, msg, len(rows), "basis matrix must be square")
             if row[i] <= 0 or any(row[i + 1:]):
                 raise InvalidInputError("basis rows not in canonical form")
+        return rows
 
     @classmethod
     def _from_hermite(cls, H, den):

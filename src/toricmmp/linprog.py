@@ -10,11 +10,12 @@ Rows are scaled to integers by positive lcms and pivoted fraction-free
 (Bareiss), so each decision is an exact sign or cross-multiplied ratio test.
 
 Each row keeps its own positive denominator, the D of the last pivot that
-rewrote it (lazy Bareiss).  A pivot rewrites only the rows with a nonzero
-entry in its column; the others stand unchanged over their older D.  Signs
-and ratios within a row do not depend on its denominator, so a stale row is
-brought up to the current D (x * D // D_i, exact since Bareiss entries are
-minors) only when it becomes the pivot row.
+rewrote it (lazy Bareiss).  A pivot rewrites in place only the rows with a
+nonzero entry in its column, dividing none still over its first D, 1; the
+others stand unchanged over their older D.  Signs and ratios within a row
+do not depend on its denominator, so a stale row is brought up to the
+current D (x * D // D_i, exact since Bareiss entries are minors) only when
+it becomes the pivot row.
 
 Caps are bounds, not rows (Dantzig 1955), yet each step is the one the LP
 with a row y_j + s_j = u_j per cap would take: labels run x, then wall
@@ -67,13 +68,14 @@ def _pivot(T, dens, r, k, D, X, Y):
     if dens[r] != D:
         Tr = T[r] = [x * D // dens[r] for x in Tr]
     p = Tr[k]
-    rows = [i for i, Ti in enumerate(T) if Ti[k] and i != r]
     Tr[k] = p + D  # column k of a rewritten row comes out -f * D // Di
-    for i in rows:
-        Ti, Di = T[i], dens[i]
-        f = Ti[k]
-        T[i] = [(x * p - f * y) // Di for x, y in zip(Ti, Tr)]
-        dens[i] = p
+    for i, Ti in enumerate(T):
+        if (f := Ti[k]) and i != r:
+            if (Di := dens[i]) == 1:  # no division by a first denominator
+                T[i] = [x * p - f * y for x, y in zip(Ti, Tr)]
+            else:
+                T[i] = [(x * p - f * y) // Di for x, y in zip(Ti, Tr)]
+            dens[i] = p
     Tr[k] = D
     dens[r] = p
     X[k], Y[r] = Y[r], X[k]
@@ -103,21 +105,20 @@ def lp_maximize(c, A, b, upper=None):
     dens, D = [1] * (m + 1), 1
     while cols := [j for j in range(n) if T[m][j] < 0]:
         k = min(cols, key=X.__getitem__)
-        best = (caps[X[k]][0], 1, caps[X[k]][1], None) if X[k] in caps else None
+        a, label = caps.get(X[k], (None, None))  # the running best: ratio a / q, label, row r
+        q, r = 1, None
         for i in range(m):
             if (f := T[i][k]) > 0:
-                cand = (T[i][-1], f, Y[i], i)
+                ai, qi, li = T[i][-1], f, Y[i]
             elif f < 0 and Y[i] in caps:
-                u, label = caps[Y[i]]
-                cand = (u * dens[i] - T[i][-1], -f, label, i)
+                u, li = caps[Y[i]]
+                ai, qi = u * dens[i] - T[i][-1], -f
             else:
                 continue
-            if best is None or (a := cand[0] * best[1]) < (z := best[0] * cand[1]) \
-                    or a == z and cand[2] < best[2]:
-                best = cand
-        if best is None:
+            if label is None or (x := ai * q) < (z := a * qi) or x == z and li < label:
+                a, q, label, r = ai, qi, li, i
+        if label is None:
             raise LpUnbounded("LP unbounded")
-        _, _, label, r = best
         if r is None:  # x_k reaches its cap: complement column k in place
             u = caps[X[k]][0]
             for Ti in T:

@@ -374,10 +374,9 @@ def _sweep(pair_x, pair_y):
         if len(signatures) > 1:
             raise EngineInvariantError("simultaneous events on distinct circuits")
         d0, q, _ = key.obj
-        k_defect = Fraction(_defect(rel, scaled), L)
-        if k_defect != 0:
+        if k_defect := _defect(rel, scaled):  # an integer over L
             raise EngineInvariantError(
-                f"event wall has discrepancy defect {k_defect}, expected 0"
+                f"event wall has discrepancy defect {Fraction(k_defect, L)}, expected 0"
             )
         # unreachable on valid input.  No divisorial event: a ray's gap to
         # the lower hull of the other rays is concave in t (that hull is a
@@ -397,15 +396,14 @@ def _sweep(pair_x, pair_y):
         if signature in fired:
             raise EngineInvariantError("circuit fired twice in one sweep")
         fired.add(signature)
-        event_time = Fraction(d0, q)
-        if not 0 < event_time < 1:
-            raise EngineInvariantError(f"event time {event_time} outside (0,1)")
+        if not 0 < d0 < q:  # the crossing time d0 / q, q >= d0 > 0
+            raise EngineInvariantError(f"event time {Fraction(d0, q)} outside (0,1)")
         yield FlopStep(
             wall=tuple(sub.rays[i] for i in facet),
             circuit=signature[0],
             coeffs=rel.coeffs,
-            event_time=event_time,
-            k_defect_check=k_defect,
+            event_time=Fraction(d0, q),
+            k_defect_check=Fraction(0),
         ), sub
     if not fans_equal(sub.fan(), fy):
         raise EngineInvariantError("sweep exhausted before reaching the target fan")

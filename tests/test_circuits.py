@@ -7,11 +7,14 @@ from math import gcd
 
 import pytest
 
-from corpus import flop_case
+import toricmmp.mmp as mmp
+from corpus import flop_case, mmp_probe_pair
+from toricmmp import flop_decompose, make_group, mckay_pipeline, relative_mmp
 from toricmmp.circuits import WallRelation, _relation, classify, defect, wall_relation
 from toricmmp.errors import EngineInvariantError, InvalidInputError
-from toricmmp.fan import Wall, make_fan, walls
+from toricmmp.fan import Wall, _Subdivision, make_fan, walls
 from toricmmp.lattice import adjugate, cofactor_kernel, det, vec_mat
+from toricmmp.mckay import is_sl
 
 
 def oracle_circuit_coeffs(vectors, apex_positions):
@@ -39,12 +42,19 @@ def outcome(f, *args):
         return type(e), str(e)
 
 
+def relation(rays, shared, apex_a, apex_b):
+    """_relation of the wall with these shared rays and apexes, over cone
+    a's adjugate, as wall_relation poses it."""
+    cone_a = tuple(sorted(shared + (apex_a,)))
+    return _relation(rays, cone_a, apex_a, apex_b, adjugate(tuple(rays[i] for i in cone_a)))
+
+
 def relation_and_oracle(rays, shared, apex_a, apex_b):
     """The coefficients, or (error class, message), of _relation and of the
     oracle on the same wall."""
     circuit = tuple(sorted(shared + (apex_a, apex_b)))
     positions = (circuit.index(apex_a), circuit.index(apex_b))
-    got = outcome(_relation, rays, shared, apex_a, apex_b)
+    got = outcome(relation, rays, shared, apex_a, apex_b)
     if isinstance(got, WallRelation):
         assert got.ray_indices == circuit
         got = got.coeffs
@@ -202,7 +212,7 @@ def test_wall_relation_rejects_a_wall_not_of_the_fan():
     (wall,) = walls(fan)
     assert wall == Wall((1,), 0, 1, 0, 2)
     assert wall_relation(fan, wall) == WallRelation((0, 1, 2), (1, -1, 1), (0, 2), (), (1,))
-    assert wall_relation(fan, wall) == _relation(fan.rays, (1,), 0, 2)
+    assert wall_relation(fan, wall) == relation(fan.rays, (1,), 0, 2)
 
 
 def dict_relation(rays, shared, apex_a, apex_b):
@@ -248,10 +258,60 @@ def test_relation_matches_the_dict_formula_on_seeded_walls():
         rng.shuffle(order)
         rays = [(cone + [far])[order.index(i)] for i in range(n + 1)]
         wall = (tuple(sorted(order[:n - 1])), order[n - 1], order[n])
-        got = outcome(_relation, rays, *wall)
+        got = outcome(relation, rays, *wall)
         assert got == outcome(dict_relation, rays, *wall), (rays, wall)
         if isinstance(got, WallRelation):
             seen["zero coefficient" if got.s_zero else "no zero"] += 1
         else:
             seen[got[1].split(":")[0]] += 1
     assert len(seen) == 5 and min(seen.values()) >= 20, seen
+
+
+def test_state_relations_match_wall_relation(monkeypatch):
+    # a fan state reads a current cone's relation off the kernel it keeps
+    # and a foreign cone's, one of Y's cones in X's ray ids, off the
+    # adjugate cache.  Every relation it hands out is wall_relation's, over
+    # the state itself or, for a pair of Y's cones, over Y: each wall of X
+    # and Y on corpus seeds 0-149 in dimensions 3 and 4 and every facet the
+    # sweep rescores, then the walls of a relative MMP through flips and
+    # contractions and of a McKay slice.  Once the sweep has posed Y's
+    # rows, the state keeps kernels of its current cones only
+    cases = [flop_case(seed, dim)[:2] for seed in range(150) for dim in (3, 4)]
+    rng, groups = random.Random(3535), [make_group(3, [(10, (1, 6, 8))])]
+    while len(groups) < 40:  # non-SL, so that psi bends and the MMP has walls
+        r = rng.randint(2, 12)
+        G = make_group(3, [(r, [rng.randrange(r) for _ in range(3)])])
+        groups += [] if is_sl(G) else [G]
+    real, real_heights, seen = _Subdivision.relation, mmp._ample_heights, Counter()
+    state, target = [None], [None]  # the state that last read a relation, and Y
+
+    def checked(sub, facet, cones=None):
+        rel = real(sub, facet, cones)
+        pair = sub.facets[facet] if cones is None else cones
+        a, b = (next(i for i in c if i not in facet) for c in pair)
+        assert rel == wall_relation(sub if cones is None else target[0], Wall(facet, 0, 1, a, b))
+        seen["foreign" if any(c not in sub.max_cones for c in pair) else "current"] += 1
+        state[0] = sub
+        return rel
+
+    def heights(n, rels):
+        out = real_heights(n, rels)
+        assert set(state[0].kernels) <= set(state[0].max_cones)
+        return out
+
+    monkeypatch.setattr(_Subdivision, "relation", checked)
+    monkeypatch.setattr(mmp, "_ample_heights", heights)
+    for px, py in cases:
+        assert px.fan.rays == py.fan.rays  # Y's ray ids are X's
+        target[0] = py.fan
+        try:
+            flop_decompose(px, py)
+        except EngineInvariantError:  # a tie of one circuit over two walls (ROADMAP item 4)
+            seen["tie"] += 1
+    swept, seen = seen, Counter()
+    relative_mmp(mmp_probe_pair(0, 40))
+    mmp_seen, seen = seen, Counter()
+    for G in groups:
+        mckay_pipeline(G)
+    assert swept["foreign"] > 500 and swept["current"] > 5000 and swept["tie"] < 5, swept
+    assert mmp_seen["current"] > 500 and seen["current"] >= 10, (mmp_seen, seen)

@@ -6,8 +6,10 @@ from math import gcd, lcm
 
 import pytest
 
+from toricmmp import k_equivalent, make_fan, make_pair
 from toricmmp.errors import InvalidInputError
 from toricmmp.lattice import (
+    _ZERO,
     MAX_CACHED_MULTIPLICITY,
     BoxPoint,
     LatticeBasis,
@@ -435,6 +437,21 @@ def test_basis_standard_and_equality():
     assert b.dim == 3
     assert b.determinant == 1
     assert b == LatticeBasis.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_basis_keeps_its_rows_as_the_hermite_builds_do():
+    # the constructor checks the rows it is given and keeps them as tuples
+    # of Fraction, every zero lattice._ZERO, as standard and from_rows do:
+    # a basis given as lists is hashable, equal to the standard basis, and
+    # two orthant pairs, one on each, are on one lattice
+    b = LatticeBasis([[1, 0], [0, 1]])
+    assert hash(b) == hash(LatticeBasis.standard(2)) and b == LatticeBasis.standard(2)
+    assert all(type(x) is Fraction for row in b.rows for x in row)
+    assert b.rows[0][1] is _ZERO and b.rows[1][0] is _ZERO
+    half = LatticeBasis([[Fraction(1, 2), 0], [1, 1]])
+    assert half.rows == ((Fraction(1, 2), _ZERO), (Fraction(1), Fraction(1)))
+    orthant = make_fan([(1, 0), (0, 1)], [(0, 1)])
+    assert k_equivalent(make_pair(orthant, [0, 0], b), make_pair(orthant, [0, 0]))
 
 
 def test_basis_canonical_across_generating_sets():

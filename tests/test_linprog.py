@@ -9,7 +9,7 @@ from corpus import flop_case, lp_fractions
 
 import toricmmp.linprog as linprog_module
 import toricmmp.mmp as mmp
-from toricmmp.errors import InvalidInputError, NonProjectiveError
+from toricmmp.errors import InvalidInputError, NonProjectiveError, _exact_ints
 from toricmmp.fan import _Subdivision, make_fan, star_subdivision
 from toricmmp.lattice import primitive
 from toricmmp.linprog import LpUnbounded, lp_maximize
@@ -331,6 +331,139 @@ def test_random_lps_match_the_fraction_read_out():
     assert counts["optimal"] >= 600 and counts["LpUnbounded"] >= 200, counts
     assert counts["fraction rows"] >= 500 and counts["b > 0"] >= 500, counts
     assert seen["column"] >= 100 and seen["row"] >= 20, seen
+
+
+# ----------------------------------------- differential against the old loop
+
+
+# lp_maximize and _pivot as they were before the ratio test kept only its
+# running best and the pivot rewrote its rows in place, copied verbatim but
+# for the names: the oracle of the same rule, labels and vertex (y, D)
+def _oracle_pivot(T, dens, r, k, D, X, Y):
+    """Bareiss pivot about T[r][k] > 0 at the current denominator D; returns
+    the new D, the pivot.  Row i stands for T[i] / dens[i].  The pivot row is
+    first brought up to D; only the rows with a nonzero entry in column k
+    are rewritten, each over its own denominator."""
+    Tr = T[r]
+    if dens[r] != D:
+        Tr = T[r] = [x * D // dens[r] for x in Tr]
+    p = Tr[k]
+    rows = [i for i, Ti in enumerate(T) if Ti[k] and i != r]
+    Tr[k] = p + D  # column k of a rewritten row comes out -f * D // Di
+    for i in rows:
+        Ti, Di = T[i], dens[i]
+        f = Ti[k]
+        T[i] = [(x * p - f * y) // Di for x, y in zip(Ti, Tr)]
+        dens[i] = p
+    Tr[k] = D
+    dens[r] = p
+    X[k], Y[r] = Y[r], X[k]
+    return p
+
+
+def _oracle_lp_maximize(c, A, b, upper=None):
+    """Maximize c.y subject to A y <= b, y >= 0 and y_j <= upper[j] for each
+    upper[j] not None; returns (y, D), an optimal vertex as integer
+    numerators y over one denominator D > 0, the last pivot's (not reduced),
+    so the optimum is c.y / D.  Raises ValueError when some b_i < 0,
+    InvalidInputError when upper is not one None or int >= 0 per column,
+    LpUnbounded when c.y has no maximum."""
+    if any(bi < 0 for bi in b):
+        raise ValueError("lp_maximize needs b >= 0, so that the origin is feasible")
+    m, n = len(A), len(c)
+    msg = "lp_maximize needs one cap per column, each None or an int >= 0"
+    if upper is not None and (len(upper) != n or any(
+            u < 0 for u in _exact_ints((u for u in upper if u is not None), msg))):
+        raise InvalidInputError(msg)
+    obj, _ = linprog_module._scaled([-x for x in c] + [0])
+    T = [linprog_module._scaled(list(row) + [bi])[0] for row, bi in zip(A, b)] + [obj]
+    X, Y = list(range(n)), list(range(n, n + m))  # x_j is j, slack i is n + i
+    caps = {}  # label: (cap, label of its complement); cap slacks from n + m
+    for s, j in enumerate((j for j in range(n) if upper and upper[j] is not None), n + m):
+        caps[j], caps[s] = (upper[j], s), (upper[j], j)
+    dens, D = [1] * (m + 1), 1
+    while cols := [j for j in range(n) if T[m][j] < 0]:
+        k = min(cols, key=X.__getitem__)
+        best = (caps[X[k]][0], 1, caps[X[k]][1], None) if X[k] in caps else None
+        for i in range(m):
+            if (f := T[i][k]) > 0:
+                cand = (T[i][-1], f, Y[i], i)
+            elif f < 0 and Y[i] in caps:
+                u, label = caps[Y[i]]
+                cand = (u * dens[i] - T[i][-1], -f, label, i)
+            else:
+                continue
+            if best is None or (a := cand[0] * best[1]) < (z := best[0] * cand[1]) \
+                    or a == z and cand[2] < best[2]:
+                best = cand
+        if best is None:
+            raise LpUnbounded("LP unbounded")
+        _, _, label, r = best
+        if r is None:  # x_k reaches its cap: complement column k in place
+            u = caps[X[k]][0]
+            for Ti in T:
+                if f := Ti[k]:
+                    Ti[-1] -= f * u
+                    Ti[k] = -f
+            X[k] = label
+            continue
+        if label != Y[r]:  # row r's basic reaches its cap: complement the row
+            T[r] = [-x for x in T[r]]
+            T[r][-1] += caps[label][0] * dens[r]
+            Y[r] = label
+        D = _oracle_pivot(T, dens, r, k, D, X, Y)
+    at = {label: i for i, label in enumerate(Y)}
+    y = []
+    for j in range(n):
+        if (i := at.get(j)) is not None:
+            y.append(T[i][-1] * D // dens[i])
+        elif j in caps and j not in X:  # x_j is u_j minus its cap slack
+            i = at.get(caps[j][1])
+            y.append(caps[j][0] * D - (0 if i is None else T[i][-1] * D // dens[i]))
+        else:
+            y.append(0)
+    return tuple(y), D
+
+
+def _same_vertex(c, A, b, upper=None):
+    """lp_maximize returns the oracle's (y, D), or both raise LpUnbounded;
+    returns the outcome's kind."""
+    kind, want = _outcome(lambda *lp: _oracle_lp_maximize(*lp, upper), c, A, b)
+    assert _outcome(lambda *lp: lp_maximize(*lp, upper), c, A, b) == (kind, want), (c, A, b, upper)
+    return kind
+
+
+def test_flop_corpus_lps_keep_the_old_loops_vertex(monkeypatch):
+    # both ample heights LPs of corpus seeds 0-199, through the sweep's name
+    lps, real = [], mmp.lp_maximize
+    cases = [flop_case(seed)[:2] for seed in range(200)]
+    monkeypatch.setattr(mmp, "lp_maximize", lambda *lp: lps.append(lp) or real(*lp))
+    for pair in (pair for case in cases for pair in case):
+        mmp.ample_heights(pair.fan)
+    assert len(lps) == 400
+    assert all(_same_vertex(*lp) == "optimal" for lp in lps)
+
+
+def test_random_lps_keep_the_old_loops_vertex():
+    # the 1,500 LPs of test_random_lps_match_the_fraction_read_out
+    rng = random.Random(36)
+    counts = Counter()
+    for _ in range(1500):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+        entry = (lambda: rng.randint(-3, 3)) if rng.random() < 0.5 else \
+            (lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+        A = [[entry() for _ in range(n)] for _ in range(m)]
+        b = [0 if rng.random() < 0.5 else abs(entry()) for _ in range(m)]
+        c = [entry() for _ in range(n)]
+        upper = rng.choice([None, [rng.choice([None, 0, 1, 2, 3, 5]) for _ in range(n)]])
+        counts[_same_vertex(c, A, b, upper)] += 1
+    assert counts["optimal"] >= 600 and counts["LpUnbounded"] >= 200, counts
+
+
+@pytest.mark.parametrize("c, A, b, optimum", CYCLING)
+def test_cycling_lps_keep_the_old_loops_vertex(c, A, b, optimum):
+    for upper in (None, [None] * 4, [2, None, 1, None], [1, 1, 1, 1], [0, None, 3, 5]):
+        _same_vertex(c, A, b, upper)
 
 
 # ------------------------------------------------- differential against sympy

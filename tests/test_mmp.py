@@ -877,10 +877,10 @@ def test_sweep_computes_each_wall_relation_once(monkeypatch):
     # pair of cones, named here by the ray vectors of both cones
     calls, real = [], fan_module._relation
 
-    def counting(rays, shared, apex_a, apex_b):
-        calls.append(frozenset(frozenset(rays[i] for i in shared + (apex,))
-                               for apex in (apex_a, apex_b)))
-        return real(rays, shared, apex_a, apex_b)
+    def counting(rays, cone_a, apex_a, apex_b, kernel):
+        cone_b = tuple(i for i in cone_a if i != apex_a) + (apex_b,)
+        calls.append(frozenset(frozenset(rays[i] for i in c) for c in (cone_a, cone_b)))
+        return real(rays, cone_a, apex_a, apex_b, kernel)
 
     monkeypatch.setattr(fan_module, "_relation", counting)
     for seed in range(80):

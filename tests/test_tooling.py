@@ -3,9 +3,10 @@ by (module, function), and every name must still exist and the flop sweep
 must still call the LP by its name, or tracing, its metrics and the smoke
 run break; every cache has a bound; the engine still generates the
 benchmark's flop inputs, whose digest the golden file records; small cones
-still take the closed-form kernels; ample_heights poses its caps as LP
-bounds and builds no Fraction on the way to its integer heights; the
-McKay pipeline carries one fan state, counts the stack rank from scratch
+still take the closed-form kernels, and a fan state builds no adjugate
+for a current cone's relation but reads the kernel it keeps; ample_heights
+poses its caps as LP bounds and builds no Fraction on the way to its
+integer heights; the McKay pipeline carries one fan state, counts the stack rank from scratch
 only on the resolution and reads its set-up once; it builds its quotient
 without the public constructors, its star subdivisions run no kind scan,
 and the extraction loop scores no unimodular cone that cannot hold a
@@ -34,6 +35,7 @@ from pathlib import Path
 from corpus import flop_case, mmp_probe_pair
 
 import toricmmp
+import toricmmp.circuits as circuits
 import toricmmp.fan as fan
 import toricmmp.lattice as lattice
 import toricmmp.linprog as linprog
@@ -161,6 +163,41 @@ def test_small_cones_take_the_closed_form_kernels(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_current_cone_relation_builds_no_adjugate(monkeypatch):
+    # a fan state reads a current cone's relation off the kernel it keeps:
+    # once every cone's kernel is read, no relation of its walls builds an
+    # adjugate, and in a sweep an adjugate is built inside a relation only
+    # for an input cone on its first read, then kept, or for a foreign cone
+    # (one of Y's cones that X's state does not hold), then not kept.  A
+    # return to an adjugate lookup per relation would cost the flop
+    # workload a hash of each cone's rays and pass every output check
+    cases = [flop_case(seed)[:2] for seed in range(20)]
+    built, relation, seen, real = [], fan._Subdivision.relation, Counter(), lattice.adjugate
+    for module in (fan, circuits):
+        monkeypatch.setattr(module, "adjugate", lambda M: built.append(M) or real(M))
+    for pair in (pair for case in cases for pair in case):
+        sub = fan._Subdivision(pair.fan)
+        for cone in sub.max_cones:
+            sub.kernel(cone)
+        built.clear()
+        assert len(list(sub.relations())) == len(fan.walls(pair.fan)) > 0
+        assert built == []
+
+    def spy(sub, facet, cones=None):
+        a = min(sub.facets[facet] if cones is None else cones)  # cone a, as the state picks it
+        current, first_read, n = a in sub.max_cones, a not in sub.kernels, len(built)
+        rel = relation(sub, facet, cones)
+        assert len(built) - n <= (first_read if current else 1)
+        assert (a in sub.kernels) == current
+        seen["current" if current else "foreign"] += len(built) - n
+        return rel
+
+    monkeypatch.setattr(fan._Subdivision, "relation", spy)
+    for px, py in cases:
+        toricmmp.flop_decompose(px, py)
+    assert seen["current"] > 0 and seen["foreign"] > 0, seen
+
+
 def test_mckay_pipeline_carries_one_fan_state(monkeypatch):
     # one fan state goes from the quotient cone to the resolution, and the
     # stack rank is counted from scratch on the resolution only, the
@@ -253,11 +290,12 @@ def test_a_fan_state_computes_each_wall_relation_once(monkeypatch):
     # relative MMP has no wall to score
     calls, states, real = Counter(), [], fan._relation
 
-    def counting(rays, shared, apex_a, apex_b):
+    def counting(rays, cone_a, apex_a, apex_b, kernel):
         states.append(rays)  # a state's ray list, kept alive so its id is its own
-        cones = (frozenset(rays[i] for i in shared + (apex,)) for apex in (apex_a, apex_b))
+        cone_b = tuple(i for i in cone_a if i != apex_a) + (apex_b,)
+        cones = (frozenset(rays[i] for i in c) for c in (cone_a, cone_b))
         calls[id(rays), frozenset(cones)] += 1
-        return real(rays, shared, apex_a, apex_b)
+        return real(rays, cone_a, apex_a, apex_b, kernel)
 
     px, py, _ = flop_case(0)
     monkeypatch.setattr(fan, "_relation", counting)
