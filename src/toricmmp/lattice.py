@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .errors import InvalidInputError, _all_ints, _exact_ints, _exact_rationals, _sized
 
 
-_ZERO = Fraction(0)  # the one zero that LatticeBasis._from_hermite shares
+_ZERO = Fraction(0)  # the one zero of lattice bases and make_pair's coefficients
 
 
 def dot(u, v):
@@ -325,9 +325,11 @@ class LatticeBasis:
 
     @classmethod
     def standard(cls, dim):
+        """Z^dim, one kept object per dimension (up to _standard's cache
+        bound), so that comparing two standard bases stops at identity."""
         if _exact_ints((dim,), "lattice dimension must be an integer")[0] < 1:
             raise InvalidInputError("lattice dimension must be >= 1")
-        return cls._from_hermite(mat_identity(dim), 1)
+        return _standard(dim)
 
     @classmethod
     def from_rows(cls, rows):
@@ -360,6 +362,11 @@ class LatticeBasis:
 
     def ambient(self, x):
         return vec_mat(x, self.rows)
+
+
+@lru_cache(maxsize=1 << 4)
+def _standard(dim):
+    return LatticeBasis._from_hermite(mat_identity(dim), 1)
 
 
 def _lattice_coord_matrix(rays, lattice, caller):

@@ -5,7 +5,9 @@ membership; integers out: the vertex as numerators over one denominator.
 Every LP starts feasible at the origin, so one phase suffices: Bland's rule
 from the slack basis, which cannot cycle (Bland 1977).  Columns enter by
 least label (x before slack), rows leave by least ratio, then label; this is
-the phase two of sympy 1.14's `_simplex`, so it returns sympy's vertex.
+the phase two of sympy 1.14's `_simplex`, so it returns sympy's vertex.  The
+entering column is found in one scan of the objective row: the column of
+least label among those with a negative entry, with no candidate list.
 Rows are scaled to integers by positive lcms and pivoted fraction-free
 (Bareiss), so each decision is an exact sign or cross-multiplied ratio test.
 
@@ -99,12 +101,19 @@ def lp_maximize(c, A, b, upper=None):
     obj, _ = _scaled([-x for x in c] + [0])
     T = [_scaled(list(row) + [bi])[0] for row, bi in zip(A, b)] + [obj]
     X, Y = list(range(n)), list(range(n, n + m))  # x_j is j, slack i is n + i
-    caps = {}  # label: (cap, label of its complement); cap slacks from n + m
-    for s, j in enumerate((j for j in range(n) if upper and upper[j] is not None), n + m):
-        caps[j], caps[s] = (upper[j], s), (upper[j], j)
+    caps, s = {}, n + m  # label: (cap, label of its complement); cap slacks from n + m
+    for j, u in enumerate(upper or ()):
+        if u is not None:
+            caps[j], caps[s] = (u, s), (u, j)
+            s += 1
     dens, D = [1] * (m + 1), 1
-    while cols := [j for j in range(n) if T[m][j] < 0]:
-        k = min(cols, key=X.__getitem__)
+    while True:
+        obj, k, least = T[m], None, s  # s is past every label
+        for j, x in enumerate(X):
+            if x < least and obj[j] < 0:
+                k, least = j, x
+        if k is None:
+            break
         a, label = caps.get(X[k], (None, None))  # the running best: ratio a / q, label, row r
         q, r = 1, None
         for i in range(m):

@@ -37,7 +37,7 @@ from .errors import (
     NotKEquivalentError,
     _exact_rationals,
 )
-from .fan import Fan, _exact_rays, _facet_map, _Subdivision, fans_equal, make_fan
+from .fan import Fan, _exact_rays, _facet_map, _Subdivision, make_fan
 from .lattice import MAX_MULTIPLICITY, mat_rank, primitive
 from .linprog import lp_maximize
 from .pairs import (
@@ -330,7 +330,12 @@ def _sweep(pair_x, pair_y):
     strictly convex for the current heights, has a wall with that relation.
     So the events number at most the circuits among the rays, and the set
     of fired (circuit rays, coefficients) is the sweep's bound: a repeat is
-    an invariant break, not an exhausted budget."""
+    an invariant break, not an exhausted budget.
+
+    The end check reads Y's cones through to_x, Y's ray index -> X's: the
+    sweep has reached Y when its cones are Y's so mapped.  No fan is built
+    for it, since flips move no ray and flop_decompose has found the two
+    ray sets equal."""
     fx, fy = pair_x.fan, pair_y.fan
     n_rays = len(fx.rays)
     sub = _Subdivision(fx)
@@ -405,7 +410,7 @@ def _sweep(pair_x, pair_y):
             event_time=Fraction(d0, q),
             k_defect_check=Fraction(0),
         ), sub
-    if not fans_equal(sub.fan(), fy):
+    if sub.max_cones.keys() != {tuple(sorted(map(to_x.__getitem__, c))) for c in fy.max_cones}:
         raise EngineInvariantError("sweep exhausted before reaching the target fan")
 
 

@@ -16,6 +16,7 @@ from .circuits import _defect
 from .errors import InvalidInputError, _exact_rationals
 from .fan import Fan, _facet_map, _inward, _solve, _Subdivision, in_support, locate
 from .lattice import (
+    _ZERO,
     LatticeBasis,
     _box_numerators,
     adjugate,
@@ -40,9 +41,9 @@ def make_pair(fan, coeffs, lattice=None):
         lattice = LatticeBasis.standard(fan.dim)
     if lattice.dim != fan.dim:
         raise InvalidInputError("lattice dimension does not match the fan")
-    cs = tuple(map(Fraction, _exact_rationals(
+    cs = tuple(Fraction(c) if c else _ZERO for c in _exact_rationals(
         coeffs, "boundary coefficients must be exact rationals, not bool or float",
-        len(fan.rays), "one boundary coefficient per ray required")))
+        len(fan.rays), "one boundary coefficient per ray required"))
     for c in cs:
         if not 0 <= c < 1:
             raise InvalidInputError(f"boundary coefficient {c} outside [0,1)")
@@ -182,13 +183,15 @@ def _same_rays_and_coeffs(pair_x, pair_y):
     pairs share lattice, dimension and support, then say whether they
     carry the same coefficient on the same rays."""
     fx, fy = pair_x.fan, pair_y.fan
-    if pair_x.lattice != pair_y.lattice:
+    if pair_x.lattice is not pair_y.lattice and pair_x.lattice != pair_y.lattice:
         raise InvalidInputError("pairs live on different lattices")
     if fx.dim != fy.dim:
         raise InvalidInputError("pairs have different dimensions")
     kx, ky = fx.support_kind, fy.support_kind
     if kx != ky:
         raise InvalidInputError("supports differ")
+    if fx.rays == fy.rays:  # no ray of one fan to test in the other's support
+        return pair_x.coeffs == pair_y.coeffs
     if kx == "cone-supported":
         # a fan's own ray is in its support: test only the other fan's rays
         ox, oy = set(fx.rays), set(fy.rays)

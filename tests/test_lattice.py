@@ -18,6 +18,7 @@ from toricmmp.lattice import (
     _cached_box_numerators,
     _eliminate,
     _hermite_lower,
+    _standard,
     adjugate,
     box_points,
     cone_multiplicity,
@@ -437,6 +438,17 @@ def test_basis_standard_and_equality():
     assert b.dim == 3
     assert b.determinant == 1
     assert b == LatticeBasis.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_standard_basis_is_one_kept_object_per_dimension():
+    # so that two pairs on Z^n compare their lattices by identity; the
+    # cache behind it is bounded, and a bad dimension never reaches it
+    assert LatticeBasis.standard(3) is LatticeBasis.standard(3)
+    assert LatticeBasis.standard(2) is not LatticeBasis.standard(3)
+    assert _standard.cache_info().maxsize == 1 << 4
+    for dim, message in ((0, ">= 1"), (True, "an integer"), (3.0, "an integer")):
+        with pytest.raises(InvalidInputError, match=message):
+            LatticeBasis.standard(dim)
 
 
 def test_basis_keeps_its_rows_as_the_hermite_builds_do():

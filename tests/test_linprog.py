@@ -444,6 +444,23 @@ def test_flop_corpus_lps_keep_the_old_loops_vertex(monkeypatch):
     assert all(_same_vertex(*lp) == "optimal" for lp in lps)
 
 
+def test_flop_corpus_lps_give_one_vertex_for_ints_and_fractions(monkeypatch):
+    # both ample heights LPs of corpus seeds 0-99, and the same LPs with
+    # every entry of c, A and b a Fraction: one (y, D), the old loop's, as
+    # the entering scan reads only signs, which scaling a row keeps
+    lps, real = [], mmp.lp_maximize
+    cases = [flop_case(seed)[:2] for seed in range(100)]
+    monkeypatch.setattr(mmp, "lp_maximize", lambda *lp: lps.append(lp) or real(*lp))
+    for pair in (pair for case in cases for pair in case):
+        mmp.ample_heights(pair.fan)
+    assert len(lps) == 200
+    for c, A, b, upper in lps:
+        fc, fb = [Fraction(x) for x in c], [Fraction(x) for x in b]
+        fA = [[Fraction(x) for x in row] for row in A]
+        want = lp_maximize(c, A, b, upper)
+        assert lp_maximize(fc, fA, fb, upper) == want == _oracle_lp_maximize(fc, fA, fb, upper)
+
+
 def test_random_lps_keep_the_old_loops_vertex():
     # the 1,500 LPs of test_random_lps_match_the_fraction_read_out
     rng = random.Random(36)

@@ -939,6 +939,36 @@ def test_sweep_state_matches_rebuilt_fan(monkeypatch):
     assert events > 80
 
 
+def test_sweep_end_check_matches_fans_equal(monkeypatch):
+    # each sweep cut after c of its flips, against Y's rays as given and
+    # shuffled: the end check through to_x raises exactly when the state's
+    # fan is not Y by fans_equal, the check it replaces, with its message
+    cases = []
+    for seed in range(30):
+        px, py, _ = flop_case(seed)
+        for y in (py, _shuffled_rays(py, random.Random(seed))):
+            cases.append((seed, px, y, len(flop_decompose(px, y))))
+    cut, flips, states = [0], [], []
+    real_flip, real_pop = _Subdivision.flip, _Subdivision.pop
+    monkeypatch.setattr(_Subdivision, "flip",
+                        lambda self, rel: flips.append(rel) or real_flip(self, rel))
+    monkeypatch.setattr(_Subdivision, "pop", lambda self: states.append(self) or (
+        None if len(flips) >= cut[0] else real_pop(self)))
+    outcomes = Counter()
+    for seed, px, y, events in cases:
+        for cut[0] in range(events + 1):
+            flips.clear()
+            try:
+                tuple(_sweep(px, y))
+                raised = False
+            except EngineInvariantError as e:
+                assert str(e) == "sweep exhausted before reaching the target fan"
+                raised = True
+            assert raised is not fans_equal(states[-1].fan(), y.fan), (seed, cut)
+            outcomes[raised] += 1
+    assert outcomes[True] >= 30 and outcomes[False] == 60
+
+
 def test_crossing_test_matches_the_perturbed_defect_vector():
     # the target defect as the list of its eps-power coefficients, constant
     # term first, negative in list order iff the wall crosses

@@ -10,12 +10,12 @@ import pytest
 
 from corpus import extraction_pairs, flop_case, psi_linear, walked_k_equivalent
 from test_lattice import oracle_box_points_in_coords
-from test_mmp import _bumped_corpus_case
+from test_mmp import _bumped_corpus_case, _shuffled_rays
 from toricmmp import pairs as pairs_module
 from toricmmp.errors import InvalidInputError
 from toricmmp.fan import _inward, in_support, make_fan, star_subdivision
 from toricmmp.lattice import (
-    LatticeBasis, adjugate, cofactor_kernel, det, dot, mat_rank, primitive, vec_mat,
+    _ZERO, LatticeBasis, adjugate, cofactor_kernel, det, dot, mat_rank, primitive, vec_mat,
 )
 from toricmmp.mckay import group_lattice, make_group, quotient_pair
 from toricmmp.mmp import flop_decompose
@@ -160,6 +160,70 @@ def test_pairs_on_different_footings_are_not_compared():
         for compare in (k_equivalent, k_compare, flop_decompose):
             with pytest.raises(InvalidInputError, match=message):
                 compare(x, y)
+
+
+def _unshortcut_same_rays_and_coeffs(pair_x, pair_y):
+    """pairs._same_rays_and_coeffs without its shortcuts: the lattices
+    compared row by row, every foreign ray's support test, and coefficients
+    compared through dicts keyed by ray."""
+    fx, fy = pair_x.fan, pair_y.fan
+    if pair_x.lattice != pair_y.lattice:
+        raise InvalidInputError("pairs live on different lattices")
+    if fx.dim != fy.dim:
+        raise InvalidInputError("pairs have different dimensions")
+    kx, ky = fx.support_kind, fy.support_kind
+    if kx != ky:
+        raise InvalidInputError("supports differ")
+    if kx == "cone-supported":
+        ox, oy = set(fx.rays), set(fy.rays)
+        ok = all(in_support(fy, r) for r in fx.rays if r not in oy) and all(
+            in_support(fx, r) for r in fy.rays if r not in ox
+        )
+        if not ok:
+            raise InvalidInputError("supports differ")
+    return dict(zip(fx.rays, pair_x.coeffs)) == dict(zip(fy.rays, pair_y.coeffs))
+
+
+def _verdict(check, pair_x, pair_y):
+    try:
+        return check(pair_x, pair_y)
+    except InvalidInputError as e:
+        return str(e)
+
+
+def test_same_rays_and_coeffs_matches_the_unshortcut_check():
+    # corpus pairs with Y's rays as given and shuffled, with one coefficient
+    # raised on one side, on another lattice, against one cone of X, and in
+    # another dimension: one verdict and one refusal message either way
+    rng, cases = random.Random(41), []
+    for seed in range(40):
+        px, py, _ = flop_case(seed)
+        dim, n = px.fan.dim, len(px.fan.rays)
+        k = rng.randrange(n)
+        bumped = make_pair(py.fan, [Fraction(1, 2) if i == k else 0 for i in range(n)])
+        other = LatticeBasis.from_rows(
+            [[Fraction(int(i == j), 1 + (i == j == 0)) for j in range(dim)] for i in range(dim)])
+        cone = make_pair(make_fan(px.fan.ray_matrix(px.fan.max_cones[0]), [range(dim)]),
+                         [0] * dim)
+        flat = ToricPair(make_fan([(1, 0), (0, 1)], [(0, 1)]), (0, 0), px.lattice)
+        cases += [(px, py), (px, _shuffled_rays(py, rng)), (px, bumped),
+                  (_shuffled_rays(bumped, rng), px), (px, make_pair(py.fan, py.coeffs, other)),
+                  (cone, py), (px, cone), (px, flat)]
+    verdicts = Counter()
+    for px, py in cases:
+        want = _verdict(_unshortcut_same_rays_and_coeffs, px, py)
+        assert _verdict(pairs_module._same_rays_and_coeffs, px, py) == want
+        verdicts[want] += 1
+    assert verdicts == {True: 80, False: 80, "pairs live on different lattices": 40,
+                        "supports differ": 80, "pairs have different dimensions": 40}
+
+
+def test_make_pair_keeps_zero_coefficients_as_the_shared_zero():
+    # so that comparing two pairs' coefficient tuples stops at identity
+    for zero in (0, Fraction(0), Fraction(0, 7)):
+        pair = make_pair(ORTHANT2, [zero, Fraction(1, 2)])
+        assert pair.coeffs[0] is _ZERO and pair.coeffs == (0, Fraction(1, 2))
+        assert type(pair.coeffs[1]) is Fraction
 
 
 def test_pl_eval_homogeneous():

@@ -2,8 +2,9 @@
 by (module, function), and every name must still exist and the flop sweep
 must still call the LP by its name, or tracing, its metrics and the smoke
 run break; every cache has a bound; the engine still generates the
-benchmark's flop inputs, whose digest the golden file records; small cones
-still take the closed-form kernels, and a fan state builds no adjugate
+benchmark's inputs and every op's output, whose digests the golden files
+record; every stated limit and cache bound has its README value; small
+cones still take the closed-form kernels, and a fan state builds no adjugate
 for a current cone's relation but reads the kernel it keeps; ample_heights
 poses its caps as LP bounds and builds no Fraction on the way to its
 integer heights; the McKay pipeline carries one fan state, counts the stack rank from scratch
@@ -22,8 +23,10 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -88,15 +91,64 @@ def test_every_lru_cache_is_bounded():
     assert [name for name, size in caches.items() if size is None] == []
 
 
-def test_flop_universe_matches_its_golden_digest(monkeypatch):
-    # the flop inputs are built by regular_triangulation and bistellar_flip;
-    # a change to either that moves the universe fails here, not in a bench
+def test_every_bench_op_matches_its_golden_digest(monkeypatch, tmp_path):
+    # the four bench universes and every op's output, run in-process through
+    # the bench's own execute, against bench/golden: an engine change that
+    # moves any output fails here, naming the first op that moved, and so
+    # does one that moves an input (the flop inputs are built by
+    # regular_triangulation and bistellar_flip).  The CLI ops' files are
+    # written under tmp_path, never under bench/
     monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.delitem(sys.modules, "workloads", raising=False)
-    workloads = importlib.import_module("workloads")
-    golden = json.loads((BENCH / "golden" / "flop.json").read_text())
-    text = toricmmp.dumps(workloads._flop_universe())
-    assert workloads.digest(text) == golden["inputs"]
+    for name in ("workloads", "tracer", "worker"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    worker = importlib.import_module("worker")
+    if cores:  # the worker pins its process to one core on import
+        os.sched_setaffinity(0, cores)
+    W = worker.W
+    monkeypatch.chdir(tmp_path)
+    for name, universe in W.make_universes().items():
+        golden = json.loads((BENCH / "golden" / f"{name}.json").read_text())
+        text = toricmmp.dumps(universe)
+        assert W.digest(text) == golden["inputs"], f"the {name} universe moved"
+        universe = json.loads(text)
+        ids = range(len(universe["ops"]))
+        prepared = W.prepare(name, universe, ids, tmp_path)
+        for i in ids:
+            _, out, _ = worker.execute(name, prepared[i], universe["ops"][i], True)
+            assert W.digest(out) == golden["outputs"][i], f"{name} op {i} moved:\n{out[:400]}"
+
+
+def _limit_value(text):
+    """The number a README Limits value starts with: 32, 10,000, 10^6, 2^13."""
+    base, _, power = text.split()[0].replace(",", "").partition("^")
+    return int(base) ** int(power or 1)
+
+
+def test_every_stated_limit_has_its_readme_value():
+    # each README Limits row that names a module constant, or one of these
+    # caches, pins its value, so a limit that drifts from its row fails here
+    caches = {
+        "box-numerator `lru_cache`": lattice._cached_box_numerators,
+        "`adjugate` `lru_cache`": lattice.adjugate,
+        "standard-basis `lru_cache`": lattice._standard,
+    }
+    readme = (SRC.parents[1] / "README.md").read_text()
+    table = readme.split("\n## Limits\n", 1)[1].split("\n## ", 1)[0]
+    pinned = {}
+    for line in table.splitlines():
+        if not line.startswith("| ") or line.startswith(("| name", "| ---")):
+            continue
+        name, value = (cell.strip() for cell in line.split("|")[1:3])
+        if name in caches:
+            pinned[name] = (caches[name].cache_info().maxsize, _limit_value(value))
+        elif m := re.fullmatch(r"`(\w+)\.([A-Z_]+)`", name):
+            module = importlib.import_module(f"toricmmp.{m[1]}")
+            pinned[name] = (getattr(module, m[2]), _limit_value(value))
+    assert {name: actual for name, (actual, _) in pinned.items()} == {
+        name: stated for name, (_, stated) in pinned.items()
+    }
+    assert set(caches) < set(pinned) and len(pinned) >= 11
 
 
 def test_flop_decompose_calls_the_traced_lp_name(monkeypatch):
