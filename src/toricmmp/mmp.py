@@ -265,7 +265,7 @@ def flop_decompose(pair_x, pair_y):
     NonProjectiveError or an EngineInvariantError asks k_equivalent: False
     raises NotKEquivalentError, True the sweep's error.  Any other refusal,
     such as an LP past MAX_LP_SIZE, is final, K-equivalent or not.  Only
-    in dimension >= 4 can k_equivalent walk cells (pairs._bends_off).
+    in dimension >= 4 does k_equivalent pose LPs (pairs._exceeds).
     """
     if not _same_rays_and_coeffs(pair_x, pair_y):
         raise NotKEquivalentError("pairs are not K-equivalent")

@@ -14,7 +14,7 @@ from operator import mul
 
 from .circuits import _defect
 from .errors import InvalidInputError, _exact_rationals
-from .fan import Fan, _facet_map, _inward, _solve, _Subdivision, in_support, locate
+from .fan import Fan, _facet_map, _inward, _Subdivision, in_support, locate
 from .lattice import (
     _ZERO,
     LatticeBasis,
@@ -27,6 +27,7 @@ from .lattice import (
     vec_add,
     vec_mat,
 )
+from .linprog import lp_maximize
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,6 @@ def pl_eval(fan, heights, point):
                           len(fan.rays), "one height per ray required")
     ci, lam = locate(fan, point)
     return sum(l * Fraction(hs[i]) for l, i in zip(lam, fan.max_cones[ci]))
-
-
-def _linear_eval(fan, cone, heights, point):
-    # the linear extension of the cone's heights, no containment test
-    num, m = _solve(fan.ray_matrix(cone), point)
-    return sum(x * heights[i] for x, i in zip(num, cone)) / m
 
 
 def min_discrepancy_witness(pair):
@@ -141,6 +136,15 @@ def is_canonical(pair):
 MAX_CELL_SUBSETS = 2 ** 14
 
 
+def _separated(rx, ry):
+    """Do two full-dimensional simplicial cones, given by their ray
+    matrices, meet in a hyperplane at most?  They do when a facet
+    functional of one is <= 0 on every ray of the other."""
+    return any(all(dot(u, r) <= 0 for r in q) for p, q in ((rx, ry), (ry, rx))
+               for u in (_inward(adjugate(p), k) for k in range(len(p))))
+
+
+# no engine caller: the Tier-1 reference walk and a tracer name until ROADMAP item 1 or 9
 def cell_extreme_rays(fan_x, cone_x, fan_y, cone_y):
     """Primitive extreme rays of the intersection of two full-dimensional
     simplicial cones; empty when the intersection is lower-dimensional.
@@ -155,12 +159,7 @@ def cell_extreme_rays(fan_x, cone_x, fan_y, cone_y):
         raise InvalidInputError(
             f"cell walk over {count} facet subsets exceeds the limit {MAX_CELL_SUBSETS}"
         )
-    # a facet functional of one cone that is <= 0 on every ray of the other
-    # confines the intersection to its hyperplane
-    rx, ry = fan_x.ray_matrix(cone_x), fan_y.ray_matrix(cone_y)
-    if any(all(dot(u, r) <= 0 for r in ry) for u in ux) or any(
-        all(dot(u, r) <= 0 for r in rx) for u in uy
-    ):
+    if _separated(fan_x.ray_matrix(cone_x), fan_y.ray_matrix(cone_y)):
         return ()
     found = {}
     for sub in combinations(funcs, n - 1):
@@ -213,18 +212,33 @@ def _heights_linear(rays, cone, kernel, scaled):
     return all(r is None or dot(r, W) == s * d for r, s in zip(rays, scaled))
 
 
-def _cell_values(pair_x, pair_y):
-    """(psi_X, psi_Y) at the extreme rays of every full-dimensional
-    intersection of a cone of X with a cone of Y, skipping identical cones:
-    their cell is the cone itself, whose rays the callers compare."""
+def _overlaps(pair_x, pair_y):
+    """(a, b) for each cone of X and cone of Y on distinct ray sets that
+    _separated does not part, a and b each the cone's (rays, psi heights).
+    Identical cones are skipped: psi_X - psi_Y is linear on them, so its
+    sign shows at their rays, which the callers compare."""
     fx, fy = pair_x.fan, pair_y.fan
     psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
     for cx in fx.max_cones:
-        rx = set(fx.ray_matrix(cx))
+        rx = fx.ray_matrix(cx)
         for cy in fy.max_cones:
-            if rx != set(fy.ray_matrix(cy)):
-                for e in cell_extreme_rays(fx, cx, fy, cy):
-                    yield _linear_eval(fx, cx, psix, e), _linear_eval(fy, cy, psiy, e)
+            ry = fy.ray_matrix(cy)
+            if set(rx) != set(ry) and not _separated(rx, ry):
+                yield (rx, [psix[i] for i in cx]), (ry, [psiy[i] for i in cy])
+
+
+def _exceeds(a, b):
+    """Does m_a exceed m_b somewhere on the intersection of two simplicial
+    cones, a and b each (rays, heights), m the linear form taking those
+    heights at the rays?  One exact LP maximizes m_a - m_b at the point
+    sum mu_j s_j = sum nu_k t_k, over mu, nu >= 0 with sum mu <= 1: the
+    origin is feasible, and nu is the point in b's basis, so it is bounded."""
+    (S, h), (T, g) = a, b
+    eq = [list(s) + [-x for x in t] for s, t in zip(zip(*S), zip(*T))]
+    c = list(h) + [-x for x in g]
+    A = eq + [[-x for x in row] for row in eq] + [[1] * len(S) + [0] * len(T)]
+    y, _ = lp_maximize(c, A, [0] * (2 * len(eq)) + [1])
+    return dot(c, y) > 0
 
 
 def _bends_off(pair, fan):
@@ -247,14 +261,15 @@ def k_equivalent(pair_x, pair_y):
     of X and agrees with psi_X at its rays: True.  In dimension <= 3 a
     missed wall meets a cone's interior (two planar cones over one ray set
     overlap only if equal), where psi_Y bends and psi_X does not: False.
-    Dimension >= 4 decides the rest at the extreme rays of the
-    full-dimensional pairwise cone intersections (_cell_values).
+    Dimension >= 4 decides the rest by two exact LPs per overlapping cone
+    pair (_overlaps): does psi_X exceed psi_Y on it, or psi_Y psi_X?
     """
     if not _same_rays_and_coeffs(pair_x, pair_y):
         return False
     if not _bends_off(pair_y, pair_x.fan):
         return True
-    return pair_x.fan.dim > 3 and all(a == b for a, b in _cell_values(pair_x, pair_y))
+    return pair_x.fan.dim > 3 and not any(
+        _exceeds(a, b) or _exceeds(b, a) for a, b in _overlaps(pair_x, pair_y))
 
 
 def k_compare(pair_x, pair_y):
@@ -266,17 +281,21 @@ def k_compare(pair_x, pair_y):
 
     When psi_Y bends only across facets of X (not _bends_off), psi_X -
     psi_Y is linear on each cone of X, so the ray loop over X's rays sees
-    every sign, and the cell loop is skipped; so too with X and Y swapped.
-    For the same reason _cell_values skips identical cones.
+    every sign, and no LP is posed; so too with X and Y swapped.  Else
+    each overlapping cone pair (_overlaps) gets an LP per sign not yet
+    seen (_exceeds), until both are.
     """
     _same_rays_and_coeffs(pair_x, pair_y)  # for its footing and support checks
     fx, fy = pair_x.fan, pair_y.fan
     psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
     values = [(psix[i], pl_eval(fy, psiy, r)) for i, r in enumerate(fx.rays)]
     values += [(pl_eval(fx, psix, r), psiy[i]) for i, r in enumerate(fy.rays)]
-    if _bends_off(pair_y, fx) and _bends_off(pair_x, fy):
-        values += _cell_values(pair_x, pair_y)
     lt, gt = any(a < b for a, b in values), any(a > b for a, b in values)
+    if _bends_off(pair_y, fx) and _bends_off(pair_x, fy):
+        for a, b in _overlaps(pair_x, pair_y):
+            if lt and gt:
+                break
+            gt, lt = gt or _exceeds(a, b), lt or _exceeds(b, a)
     return {(False, False): "equal", (True, False): "X_ge_Y",
             (False, True): "Y_ge_X", (True, True): "incomparable"}[lt, gt]
 

@@ -5,8 +5,9 @@ the suite.
 The bound counts this process's user CPU time (ITIMER_VIRTUAL, signal
 SIGVTALRM), so it neither counts the time a test waits on a child process
 nor touches the SIGALRM that tests set for their own wall-clock bounds.
-The slowest test takes 4.6 s of wall time (pytest --durations=10, one
-Tier-1 run); the budget is more than six times that.
+The slowest test, the dimension-5 slice of the cell-walk oracle check in
+test_pairs.py, takes 9.6 s of wall time (pytest --durations=10, one Tier-1
+run); the budget is about three times that.
 """
 
 import signal

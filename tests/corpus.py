@@ -12,8 +12,11 @@ state after each step of terminalize and relative_mmp; the relative-MMP
 inputs (cyclic_mmp_inputs, square_mmp_inputs, and mmp_probe_pair, seeded
 inputs of a given size); STAR_P3, a fixed fan off height one;
 lp_fractions, which reads lp_maximize's integer vertex as Fractions;
-walked_k_equivalent, the K-equivalence oracle of the cell walk with no
-wall test; and psi_linear, which tells a psi that is one linear form.
+_cell_values, psi of both pairs at the extreme rays of every cell of the
+exact cell walk (pairs.cell_extreme_rays), which no engine function calls;
+walked_k_equivalent and walked_k_compare, the K-equivalence and
+K-comparison oracles of that walk, with no wall test and no LP; and
+psi_linear, which tells a psi that is one linear form.
 """
 
 import random
@@ -22,7 +25,7 @@ from itertools import product
 
 from toricmmp.circuits import classify, wall_relation
 from toricmmp.errors import InvalidInputError, NonProjectiveError
-from toricmmp.fan import _Subdivision, make_fan, star_subdivision, walls
+from toricmmp.fan import _solve, _Subdivision, make_fan, star_subdivision, walls
 from toricmmp.lattice import adjugate
 from toricmmp.linprog import lp_maximize
 from toricmmp.mckay import group_lattice, make_group, quotient_pair
@@ -37,11 +40,13 @@ from toricmmp.mmp import (
     terminalize,
 )
 from toricmmp.pairs import (
-    _cell_values,
     _heights_linear,
     _same_rays_and_coeffs,
     _scaled_psi,
+    cell_extreme_rays,
     make_pair,
+    pl_eval,
+    psi_heights,
 )
 
 def lp_fractions(c, A, b, upper=None):
@@ -131,10 +136,45 @@ def flop_case(seed, dim=None):
     raise RuntimeError(f"no corpus case for seed {seed}")
 
 
+def _linear_eval(fan, cone, heights, point):
+    """The linear extension of the cone's heights at point, with no
+    containment test."""
+    num, m = _solve(fan.ray_matrix(cone), point)
+    return sum(x * heights[i] for x, i in zip(num, cone)) / m
+
+
+def _cell_values(pair_x, pair_y):
+    """(psi_X, psi_Y) at the extreme rays of every full-dimensional
+    intersection of a cone of X with a cone of Y, skipping identical cones:
+    their cell is the cone itself, whose rays the callers compare."""
+    fx, fy = pair_x.fan, pair_y.fan
+    psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
+    for cx in fx.max_cones:
+        rx = set(fx.ray_matrix(cx))
+        for cy in fy.max_cones:
+            if rx != set(fy.ray_matrix(cy)):
+                for e in cell_extreme_rays(fx, cx, fy, cy):
+                    yield _linear_eval(fx, cx, psix, e), _linear_eval(fy, cy, psiy, e)
+
+
 def walked_k_equivalent(pair_x, pair_y):
     """k_equivalent decided by the cell walk alone, with no wall test."""
     return _same_rays_and_coeffs(pair_x, pair_y) and all(
         a == b for a, b in _cell_values(pair_x, pair_y))
+
+
+def walked_k_compare(pair_x, pair_y):
+    """k_compare decided by psi at every ray and every cell's extreme rays,
+    with no wall test."""
+    _same_rays_and_coeffs(pair_x, pair_y)
+    fx, fy = pair_x.fan, pair_y.fan
+    psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
+    values = [(psix[i], pl_eval(fy, psiy, r)) for i, r in enumerate(fx.rays)]
+    values += [(pl_eval(fx, psix, r), psiy[i]) for i, r in enumerate(fy.rays)]
+    values += _cell_values(pair_x, pair_y)
+    lt, gt = any(a < b for a, b in values), any(a > b for a, b in values)
+    return {(False, False): "equal", (True, False): "X_ge_Y",
+            (False, True): "Y_ge_X", (True, True): "incomparable"}[lt, gt]
 
 
 def psi_linear(pair):

@@ -9,15 +9,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from corpus import STAR_P3
+from corpus import STAR_P3, walked_k_equivalent
 
 from toricmmp.cli import main
 from toricmmp.fan import make_fan
-from toricmmp.jsonio import dumps, fan_to_json, group_to_json, pair_to_json
+from toricmmp.jsonio import dumps, fan_to_json, group_to_json, pair_from_json, pair_to_json
 from toricmmp.lattice import MAX_MULTIPLICITY
 from toricmmp.mckay import MAX_CASE_A_ORDER, MAX_HJ_CHAIN, make_group, quotient_pair
 from toricmmp.mmp import MAX_EXTRACTION_BOX_POINTS, MAX_LP_SIZE, regular_triangulation
-from toricmmp.pairs import MAX_CELL_SUBSETS, make_pair
+from toricmmp.pairs import make_pair
 
 
 def write(path, payload):
@@ -415,32 +415,43 @@ def test_huge_group_dimension_exits_one_at_once(capsys, tmp_path, monkeypatch):
         assert "100000" in err and "Traceback" not in err
 
 
-def test_cell_walk_limit_exits_one_at_once(capsys, tmp_path, monkeypatch):
-    # the height-one circuit w - sum v_k + (n - 2) v_0 = 0 in dimension 10,
-    # both sides, with coefficient 1/2 on v_0: the sweep fails on the
-    # nonzero event defect, and the cell walk over one cone pair would need
-    # C(19, 9) = 92,378 facet subsets
-    n = 10
+def _circuit_sides(n, coeffs):
+    """The two triangulations of the height-one circuit
+    w - sum v_k + (n - 2) v_0 = 0 in dimension n, as pair payloads: X's
+    cones each drop v_0 or w, Y's each drop one v_k."""
     rays = [[0] * (n - 1) + [1]]
     rays += [[int(i == k) for i in range(n - 1)] + [1] for k in range(n - 1)]
     rays.append([1] * n)
-    coeffs = ["1/2"] + [0] * n
 
     def side(drop):
         cones = [[i for i in range(n + 1) if i != j] for j in drop]
         return {"dim": n, "rays": rays, "cones": cones, "coeffs": coeffs}
 
-    x = write(tmp_path / "x.json", side([0, n]))
-    y = write(tmp_path / "y.json", side(range(1, n)))
+    return side([0, n]), side(range(1, n))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_bending_circuit_is_refused_without_the_cell_walk(capsys, tmp_path, monkeypatch, n):
+    # with coefficient 1/2 on v_0 the sweep fails on the nonzero event
+    # defect and k_equivalent answers by LPs; the cell walk of one of its
+    # cone pairs would need C(2n - 1, n - 1) facet subsets (92,378 at
+    # n = 10, past MAX_CELL_SUBSETS).  With zero boundary the sweep makes
+    # the one flop
+    half, zero = (_circuit_sides(n, coeffs) for coeffs in (["1/2"] + [0] * n, [0] * (n + 1)))
+    if n <= 6:
+        for (x, y), verdict in ((half, False), (zero, True)):
+            assert walked_k_equivalent(pair_from_json(x), pair_from_json(y)) is verdict
 
     def no_walk(_):
         raise AssertionError("the cell walk enumerated facet subsets")
 
     monkeypatch.setattr("toricmmp.pairs.cofactor_kernel", no_walk)
-    code, out, err = run(capsys, "flop-decompose", x, y)
-    assert code == 1 and out == "" and err.startswith("error:")
-    assert "92378" in err and str(MAX_CELL_SUBSETS) in err
-    assert "Traceback" not in err
+    code, out, err = run(capsys, "flop-decompose", write(tmp_path / "x.json", half[0]),
+                         write(tmp_path / "y.json", half[1]))
+    assert (code, out) == (1, "") and err == "error: pairs are not K-equivalent\n"
+    code, out, err = run(capsys, "flop-decompose", write(tmp_path / "x0.json", zero[0]),
+                         write(tmp_path / "y0.json", zero[1]))
+    assert (code, out.splitlines()[-1], err) == (0, "flops: 1", "")
 
 
 def test_ample_heights_lp_limit_exits_one_at_once(capsys, tmp_path, monkeypatch):

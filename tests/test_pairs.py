@@ -8,7 +8,10 @@ from itertools import combinations, product
 
 import pytest
 
-from corpus import extraction_pairs, flop_case, psi_linear, walked_k_equivalent
+import corpus
+from corpus import (
+    extraction_pairs, flop_case, psi_linear, walked_k_compare, walked_k_equivalent,
+)
 from test_lattice import oracle_box_points_in_coords
 from test_mmp import _bumped_corpus_case, _shuffled_rays
 from toricmmp import pairs as pairs_module
@@ -382,6 +385,10 @@ def test_cell_extreme_rays_overlap():
     # lower-dimensional intersection reports empty
     fan3 = make_fan([(1, -1), (-1, -1)], [(0, 1)], validate="fast")
     assert cell_extreme_rays(ORTHANT2, (0, 1), fan3, (0, 1)) == ()
+    # cones sharing a facet are parted by its functional, which is 0 on the
+    # shared ray, with no walk and no LP
+    assert pairs_module._separated(((1, 0), (0, 1)), ((0, 1), (-1, 0)))
+    assert not pairs_module._separated(((1, 0), (0, 1)), ((1, 1), (-1, 1)))
 
 
 def unfiltered_cell_extreme_rays(fan_x, cone_x, fan_y, cone_y):
@@ -405,15 +412,9 @@ def unfiltered_cell_extreme_rays(fan_x, cone_x, fan_y, cone_y):
     return tuple(sorted(found))
 
 
-def test_cell_extreme_rays_prefilter_matches_unfiltered_walk(monkeypatch):
-    walks = []
-    real_kernel = pairs_module.cofactor_kernel
-
-    def counted(rows):
-        walks.append(rows)
-        return real_kernel(rows)
-
-    monkeypatch.setattr(pairs_module, "cofactor_kernel", counted)
+def _prefilter_cone_pairs():
+    """800 cone pairs: every cone pair of flop_case seeds 0-5, then pairs of
+    seeded random simplicial cones in dimensions 2, 3 and 4."""
     cases = []
     for seed in range(6):
         px, py, _ = flop_case(seed)
@@ -429,13 +430,49 @@ def test_cell_extreme_rays_prefilter_matches_unfiltered_walk(monkeypatch):
                 rays = [primitive(r) for r in rays]
                 fans.append(make_fan(rays, [tuple(range(dim))], validate="fast"))
         cases.append((fans[0], tuple(range(dim)), fans[1], tuple(range(dim))))
+    return cases
+
+
+def test_cell_extreme_rays_prefilter_matches_unfiltered_walk(monkeypatch):
+    walks = []
+    real_kernel = pairs_module.cofactor_kernel
+
+    def counted(rows):
+        walks.append(rows)
+        return real_kernel(rows)
+
+    monkeypatch.setattr(pairs_module, "cofactor_kernel", counted)
     verdicts = Counter()
-    for fx, cx, fy, cy in cases:
+    for fx, cx, fy, cy in _prefilter_cone_pairs():
         walks.clear()
         got = cell_extreme_rays(fx, cx, fy, cy)
         assert got == unfiltered_cell_extreme_rays(fx, cx, fy, cy)
         verdicts["nonempty" if got else "walked" if walks else "filtered"] += 1
     assert all(verdicts[v] >= 20 for v in ("nonempty", "walked", "filtered")), verdicts
+
+
+def test_exceeds_matches_the_signs_at_each_cells_extreme_rays():
+    # wherever the walk finds a full-dimensional cell, the LP's answer in
+    # each direction is the sign of m_x - m_y at the cell's extreme rays
+    # (a linear form is positive somewhere on a cone iff at one of its
+    # rays), so a wrong LP shows here even where a final verdict holds.
+    # Heights are seeded; a quarter of the pairs carry one linear form
+    rng, seen = random.Random(77), Counter()
+    for fx, cx, fy, cy in _prefilter_cone_pairs():
+        hx = [Fraction(rng.randint(-3, 6), rng.randint(1, 3)) for _ in fx.rays]
+        hy = [Fraction(rng.randint(-3, 6), rng.randint(1, 3)) for _ in fy.rays]
+        if rng.random() < 0.25:  # one linear form on both cones
+            hy = [corpus._linear_eval(fx, cx, hx, r) for r in fy.rays]
+        if not (cell := cell_extreme_rays(fx, cx, fy, cy)):
+            continue
+        diffs = [corpus._linear_eval(fx, cx, hx, e) - corpus._linear_eval(fy, cy, hy, e)
+                 for e in cell]
+        a = (fx.ray_matrix(cx), [hx[i] for i in cx])
+        b = (fy.ray_matrix(cy), [hy[i] for i in cy])
+        up, down = any(d > 0 for d in diffs), any(d < 0 for d in diffs)
+        assert (pairs_module._exceeds(a, b), pairs_module._exceeds(b, a)) == (up, down)
+        seen[up, down] += 1
+    assert all(seen[k] >= 10 for k in product((False, True), repeat=2)), seen
 
 
 # ------------------------------------------------------------- k_compare
@@ -519,34 +556,6 @@ def _coefficient_slice(dim, count):
     return cases
 
 
-@pytest.mark.parametrize("dim, count", [(3, 150), (4, 150), (5, 25)])
-def test_wall_test_verdicts_match_the_forced_cell_walk(monkeypatch, dim, count):
-    # k_compare is checked where its wall test passes one way: elsewhere
-    # it walks the cells itself.  Each cone pair's cells are walked once
-    # and shared between the oracle and the fallback walks
-    walk, memo = pairs_module.cell_extreme_rays, {}
-
-    def shared(*args):
-        if args not in memo:
-            memo[args] = walk(*args)
-        return memo[args]
-
-    monkeypatch.setattr(pairs_module, "cell_extreme_rays", shared)
-    cases = _coefficient_slice(dim, count)
-    same = [k_equivalent(px, py) for px, py in cases]
-    assert [walked_k_equivalent(px, py) for px, py in cases] == same
-    skips = [(px, py) for px, py in cases if not (
-        pairs_module._bends_off(py, px.fan) and pairs_module._bends_off(px, py.fan))]
-    order = [k_compare(px, py) for px, py in skips]
-    _forced_walk(monkeypatch)
-    assert [k_compare(px, py) for px, py in skips] == order
-    # True, False, linear and bending-True cases all occur, and k_compare
-    # skips its walk on some pairs but not all
-    linear = [psi_linear(px) for px, _ in cases]
-    assert 0 < sum(same) < len(cases) and any(linear) and 0 < len(skips) < len(cases)
-    assert any(s and not flat for s, flat in zip(same, linear))
-
-
 SUSPENDED_RAYS = [r + (0,) for r in ATIYAH_RAYS] + [(0, 0, 0, 1), (0, 0, 0, -1)]
 
 
@@ -556,61 +565,60 @@ def _suspended(cones):
     return make_fan(SUSPENDED_RAYS, [c + (apex,) for c in cones for apex in (4, 5)])
 
 
-def test_suspended_atiyah_flop_falls_back_to_the_cell_walk(monkeypatch):
-    # Y's equator walls have defect psi(e4) + psi(-e4) > 0, and two of
-    # them are each covered by two facets of X, not by one: the wall test
-    # cannot decide, and the dimension-4 walk does
+def _suspended_atiyah_cases():
+    """The suspended Atiyah flop with zero boundary, 1/2 on the apex e4 and
+    1/2 on ray 0.  Y's equator walls have defect psi(e4) + psi(-e4) > 0,
+    and two of them are each covered by two facets of X, not by one, so the
+    wall test cannot decide and the LPs do: K-equivalent, K-equivalent, not."""
     fx, fy = _suspended([(0, 1, 2), (0, 2, 3)]), _suspended([(0, 1, 3), (1, 2, 3)])
-    walk, walked = pairs_module.cell_extreme_rays, Counter()
-
-    def counted(*args):
-        walked["cells"] += 1
-        return walk(*args)
-
-    monkeypatch.setattr(pairs_module, "cell_extreme_rays", counted)
     half = Fraction(1, 2)
-    for coeffs, verdict in (([0] * 6, True), ([0, 0, 0, 0, half, 0], True),
-                            ([half, 0, 0, 0, 0, 0], False)):
-        px, py = make_pair(fx, coeffs), make_pair(fy, coeffs)
-        assert pairs_module._bends_off(py, fx)
-        walked.clear()
-        assert k_equivalent(px, py) is verdict
-        assert walked["cells"] > 0
+    return [(make_pair(fx, c), make_pair(fy, c))
+            for c in ([0] * 6, [0, 0, 0, 0, half, 0], [half, 0, 0, 0, 0, 0])]
 
 
-def _unskipped_k_compare(pair_x, pair_y):
-    """k_compare with the cell loop over every cone pair, identical ones
-    included."""
-    fx, fy = pair_x.fan, pair_y.fan
-    psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
-    values = [
-        (pairs_module._linear_eval(fx, cx, psix, e), pairs_module._linear_eval(fy, cy, psiy, e))
-        for cx in fx.max_cones for cy in fy.max_cones
-        for e in pairs_module.cell_extreme_rays(fx, cx, fy, cy)
-    ]
-    values += [(psix[i], pl_eval(fy, psiy, r)) for i, r in enumerate(fx.rays)]
-    values += [(pl_eval(fx, psix, r), psiy[i]) for i, r in enumerate(fy.rays)]
-    lt, gt = any(a < b for a, b in values), any(a > b for a, b in values)
-    return {(True, True): "incomparable", (True, False): "X_ge_Y",
-            (False, True): "Y_ge_X", (False, False): "equal"}[lt, gt]
+def _walked_once(monkeypatch):
+    """Make the oracles walk each cone pair's cells once, in either order:
+    cell_extreme_rays sorts its rays, so both orders give one answer."""
+    walk, memo = corpus.cell_extreme_rays, {}
+
+    def shared(fx, cx, fy, cy):
+        if (fx, cx, fy, cy) not in memo:
+            memo[fx, cx, fy, cy] = memo[fy, cy, fx, cx] = walk(fx, cx, fy, cy)
+        return memo[fx, cx, fy, cy]
+
+    monkeypatch.setattr(corpus, "cell_extreme_rays", shared)
 
 
-def test_k_compare_skipping_identical_cones_matches_the_unskipped_loop(monkeypatch):
-    # with the wall test forced to fail, k_compare walks only the cells of
-    # distinct cone pairs and gives the unskipped loop's verdict
-    cases = _certificate_cases()
-    expected = [_unskipped_k_compare(px, py) for px, py in cases]
-    walk, walked = pairs_module.cell_extreme_rays, Counter()
+def _forbidden(*_):
+    raise AssertionError("an engine function walked cells")
 
-    def distinct_only(fx, cx, fy, cy):
-        assert set(fx.ray_matrix(cx)) != set(fy.ray_matrix(cy))
-        walked["cells"] += 1
-        return walk(fx, cx, fy, cy)
 
-    _forced_walk(monkeypatch)
-    monkeypatch.setattr(pairs_module, "cell_extreme_rays", distinct_only)
-    assert [k_compare(px, py) for px, py in cases] == expected
-    assert walked["cells"] > 0
+@pytest.mark.parametrize("name", ["certificate", "dim3", "dim4", "dim5"])
+def test_k_equivalent_and_k_compare_match_the_cell_walk(monkeypatch, name):
+    # the walk oracles first, then the engine with the walk forbidden, in
+    # both argument orders; dimension 3 answers a bending wall off X's
+    # facets for free, dimension >= 4 and k_compare by LPs.  The suspended
+    # Atiyah flop rides with the certificate cases
+    cases = {"certificate": lambda: _certificate_cases() + _suspended_atiyah_cases(),
+             "dim3": lambda: _coefficient_slice(3, 150), "dim4": lambda: _coefficient_slice(4, 150),
+             "dim5": lambda: _coefficient_slice(5, 25)}[name]()
+    cases += [(py, px) for px, py in cases]
+    _walked_once(monkeypatch)
+    same = [walked_k_equivalent(px, py) for px, py in cases]
+    order = [walked_k_compare(px, py) for px, py in cases]
+    monkeypatch.setattr(pairs_module, "cell_extreme_rays", _forbidden)
+    monkeypatch.setattr(pairs_module, "cofactor_kernel", _forbidden)
+    assert [k_equivalent(px, py) for px, py in cases] == same
+    assert [k_compare(px, py) for px, py in cases] == order
+    # True, False, linear and bending-True cases occur, and every k_compare
+    # class (the 25 dimension-5 pairs have no incomparable one)
+    linear = [psi_linear(px) for px, _ in cases]
+    assert 0 < sum(same) < len(cases) and any(linear)
+    assert any(s and not flat for s, flat in zip(same, linear))
+    assert set(order) == {"equal", "X_ge_Y", "Y_ge_X"} | (
+        set() if name == "dim5" else {"incomparable"})
+    if name == "certificate":
+        assert same[-3:] == [True, True, False]
 
 
 # ------------------------------------------------------------------- nef

@@ -17,7 +17,8 @@ relation once and keeps at most one per current wall; the McKay
 pipeline's MMP builds relations only for walls of positive defect, its
 group Hermite form is one insertion pass, and its witness search builds
 no pair sum that loses to a box point; only the gate module decides what
-an exact number is; and no engine module imports a name it never reads."""
+an exact number is; no engine module imports a name it never reads; and no
+engine function reaches the cell walk."""
 
 import ast
 import importlib
@@ -589,3 +590,31 @@ def test_only_named_engine_functions_call_the_public_constructors():
                    for top, name in _constructor_calls(ast.parse(path.read_text())))
     assert found == sorted((mod, top, name) for (mod, top), (names, _) in
                            CONSTRUCTOR_CALLS.items() for name in names)
+
+
+def _walk_calls(tree):
+    """(enclosing function, name) of every call to cell_extreme_rays,
+    cofactor_kernel or det, by name or attribute, in a module's tree."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            for node in ast.walk(fn):
+                name = isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None))
+                if name in ("cell_extreme_rays", "cofactor_kernel", "det"):
+                    found.append((getattr(fn, "name", "<lambda>"), name))
+    return found
+
+
+def test_no_engine_function_reaches_the_cell_walk():
+    # k_equivalent and k_compare decide by exact LPs; the walk stays only
+    # as the tests' reference and a bench tracer name, and each link of it
+    # is called only by the link before
+    probe = "def f(x):\n    return lattice.det(x) + g(lambda: cell_extreme_rays(x))\n"
+    assert sorted(_walk_calls(ast.parse(probe))) == [
+        ("<lambda>", "cell_extreme_rays"), ("f", "cell_extreme_rays"), ("f", "det")]
+    found = sorted((path.stem, fn, name) for path in SRC.glob("*.py")
+                   for fn, name in set(_walk_calls(ast.parse(path.read_text()))))
+    assert found == [("lattice", "cofactor_kernel", "det"),
+                     ("pairs", "cell_extreme_rays", "cofactor_kernel")]
+
