@@ -576,6 +576,69 @@ def _suspended_atiyah_cases():
             for c in ([0] * 6, [0, 0, 0, 0, half, 0], [half, 0, 0, 0, 0, 0])]
 
 
+def test_suspended_atiyah_flop_falls_back_to_the_cell_walk(monkeypatch):
+    # the wall test cannot decide the suspended Atiyah flop; k_equivalent
+    # falls back to the LPs, not to the engine's walk, and gives the cell
+    # walk oracle's True, True, False
+    cases = _suspended_atiyah_cases()
+    expected = [walked_k_equivalent(px, py) for px, py in cases]
+    assert expected == [True, True, False]
+    real, posed = pairs_module._exceeds, Counter()
+
+    def counted(a, b):
+        posed["lp"] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(pairs_module, "_exceeds", counted)
+    monkeypatch.setattr(pairs_module, "cell_extreme_rays", _forbidden)
+    monkeypatch.setattr(pairs_module, "cofactor_kernel", _forbidden)
+    for (px, py), verdict in zip(cases, expected):
+        assert pairs_module._bends_off(py, px.fan)
+        posed.clear()
+        assert k_equivalent(px, py) is verdict
+        assert posed["lp"] > 0
+
+
+def _unskipped_k_compare(pair_x, pair_y):
+    """k_compare from the cell walk over every cone pair, identical ones
+    included."""
+    fx, fy = pair_x.fan, pair_y.fan
+    psix, psiy = psi_heights(pair_x), psi_heights(pair_y)
+    values = [
+        (corpus._linear_eval(fx, cx, psix, e), corpus._linear_eval(fy, cy, psiy, e))
+        for cx in fx.max_cones for cy in fy.max_cones
+        for e in corpus.cell_extreme_rays(fx, cx, fy, cy)
+    ]
+    values += [(psix[i], pl_eval(fy, psiy, r)) for i, r in enumerate(fx.rays)]
+    values += [(pl_eval(fx, psix, r), psiy[i]) for i, r in enumerate(fy.rays)]
+    lt, gt = any(a < b for a, b in values), any(a > b for a, b in values)
+    return {(True, True): "incomparable", (True, False): "X_ge_Y",
+            (False, True): "Y_ge_X", (False, False): "equal"}[lt, gt]
+
+
+def test_k_compare_skipping_identical_cones_matches_the_unskipped_loop(monkeypatch):
+    # with the wall test forced to fail, k_compare poses LPs only for
+    # distinct cone pairs and gives the unskipped walk's verdict; some
+    # cases do share a cone, so the skip is exercised
+    cases = _certificate_cases()
+    assert any(set(px.fan.ray_matrix(cx)) == set(py.fan.ray_matrix(cy))
+               for px, py in cases for cx in px.fan.max_cones for cy in py.fan.max_cones)
+    expected = [_unskipped_k_compare(px, py) for px, py in cases]
+    real, posed = pairs_module._exceeds, Counter()
+
+    def distinct_only(a, b):
+        assert set(a[0]) != set(b[0])
+        posed["lp"] += 1
+        return real(a, b)
+
+    _forced_walk(monkeypatch)
+    monkeypatch.setattr(pairs_module, "_exceeds", distinct_only)
+    monkeypatch.setattr(pairs_module, "cell_extreme_rays", _forbidden)
+    monkeypatch.setattr(pairs_module, "cofactor_kernel", _forbidden)
+    assert [k_compare(px, py) for px, py in cases] == expected
+    assert posed["lp"] > 0
+
+
 def _walked_once(monkeypatch):
     """Make the oracles walk each cone pair's cells once, in either order:
     cell_extreme_rays sorts its rays, so both orders give one answer."""
