@@ -15,7 +15,7 @@ from .errors import EngineInvariantError, InvalidInputError
 from .jsonio import dumps, group_from_json, pair_from_json
 from .mckay import case_a_components, hj_resolution, mckay_pipeline, quotient_pair, stack_rank
 from .mmp import flop_decompose, relative_mmp, terminalize
-from .pairs import is_canonical, is_nef, is_terminal, psi_heights
+from .pairs import is_nef, min_discrepancy_witness, psi_heights
 
 
 def _load_json(path):
@@ -65,11 +65,12 @@ def _emit(args, payload, lines):
 
 def _cmd_check(args):
     pair = _load_pair(args.pair)
+    wit = min_discrepancy_witness(pair)  # is_terminal's and is_canonical's one witness
     flags = {
         "valid": True,
         "complete": pair.fan.support_kind == "complete",
-        "terminal": is_terminal(pair),
-        "canonical": is_canonical(pair),
+        "terminal": wit is None or wit[0] > 1,
+        "canonical": wit is None or wit[0] >= 1,
         "nef": is_nef(pair.fan, psi_heights(pair)),
     }
     lines = [f"{k}: {json.dumps(v)}" for k, v in flags.items()]

@@ -47,7 +47,7 @@ class Fan:
     support_kind: str           # "complete" | "cone-supported"
 
     def ray_matrix(self, cone):
-        return tuple(map(self.rays.__getitem__, cone))
+        return tuple([self.rays[i] for i in cone])
 
 
 class Wall(NamedTuple):
@@ -420,7 +420,8 @@ class _Subdivision:
         """Append the ray w, replace each cone of its star, walked from cone
         (none when cone is None), by the joins of w with its facets missing
         a ray of the face whose relative interior holds w, and join w to
-        each facet seen."""
+        each facet seen.  A join is its sorted facet with w's id, the
+        largest, appended, so it is sorted as built."""
         if w in self.rays:
             raise InvalidInputError(f"{w} is already a ray")
         w_idx, gone, new = len(self.rays), [], []
@@ -431,10 +432,9 @@ class _Subdivision:
                 raise EngineInvariantError(f"{w} is outside the cone {cone} it subdivides")
             face = {i for i, x in zip(cone, num) if x > 0}
             gone = sorted(_walk_star(self.facets, cone, face), key=self.max_cones.__getitem__)
-            new = [tuple(sorted(c[:k] + c[k + 1:] + (w_idx,)))
-                   for c in gone for k, i in enumerate(c) if i in face]
+            new = [c[:k] + c[k + 1:] + (w_idx,) for c in gone for k, i in enumerate(c) if i in face]
         self.rays.append(w)
-        new += [tuple(sorted(f + (w_idx,))) for f in seen]
+        new += [f + (w_idx,) for f in seen]
         self._replace(gone, new, "star subdivision" if gone else "placing")
         return gone, new
 
@@ -492,47 +492,50 @@ class _Subdivision:
         rescore them; a new boundary facet that the support kind forbids
         raises EngineInvariantError.  A removed cone takes the relations of
         its walls with it."""
+        facets, kernels, cones, rels = self.facets, self.kernels, self.max_cones, self.rels
         change = {}
         for c in gone:
-            del self.max_cones[c]
-            self.kernels.pop(c, None)  # an input cone's only once read
+            del cones[c]
+            kernels.pop(c, None)  # an input cone's only once read
             for k in range(self.dim):
                 f = c[:k] + c[k + 1:]
-                if len(cs := self.facets[f]) == 2 and self.rels:
-                    self.rels.pop(tuple(sorted(cs)), None)
+                if len(cs := facets[f]) == 2 and rels:
+                    rels.pop(tuple(sorted(cs)), None)
                 cs.remove(c)
                 change[f] = change.get(f, 0) - 1
         for c in new:
-            if c in self.max_cones:
+            if c in cones:
                 raise InvalidInputError("duplicate maximal cones")
             if (kernel := adjugate(self.ray_matrix(c)))[1] == 0:
                 raise InvalidInputError(f"cone {c} is not simplicial")
-            self.kernels[c] = kernel
-            self.max_cones[c] = next(self.order)
+            kernels[c] = kernel
+            cones[c] = next(self.order)
             for k in range(self.dim):
                 f = c[:k] + c[k + 1:]
-                self.facets.setdefault(f, []).append(c)
+                facets.setdefault(f, []).append(c)
                 change[f] = change.get(f, 0) + 1
+        boundary, kernel = self._boundary, self.kernel
         for f, delta in change.items():
-            cs = self.facets[f]
-            if self._boundary is not None:
+            cs = facets[f]
+            if boundary is not None:
                 if len(cs) == 1:
-                    self._boundary[f] = self._functional(cs[0], f)
+                    boundary[f] = self._functional(cs[0], f)
                 else:
-                    self._boundary.pop(f, None)
+                    boundary.pop(f, None)
             if len(cs) > 2:
                 raise InvalidInputError(f"facet {f} shared by more than two cones")
             if len(cs) == 2:
                 # apexes on opposite sides: (-1)^(ka+kb) det cb is det ca with
                 # cb's apex in place of ca's (an apex is its cone's sum minus f's)
-                ca, cb = cs
-                ka, kb = ca.index(sum(ca) - sum(f)), cb.index(sum(cb) - sum(f))
-                if self.kernel(ca)[1] * self.kernel(cb)[1] * (-1) ** (ka + kb) >= 0:
+                (ca, cb), s = cs, sum(f)
+                ka, kb = ca.index(sum(ca) - s), cb.index(sum(cb) - s)
+                dd = kernel(ca)[1] * kernel(cb)[1]
+                if (-dd if (ka + kb) & 1 else dd) >= 0:
                     raise InvalidInputError(
                         f"cones {ca} and {cb} lie on the same side of their shared facet {f}"
                     )
             elif not cs:
-                del self.facets[f]
+                del facets[f]
             elif delta and what != "star subdivision" and not self._keeps_kind(f):
                 raise EngineInvariantError(f"{what} changed the support kind")
         if self.refused:
@@ -552,8 +555,10 @@ class _Subdivision:
 
     def _keeps_kind(self, facet):
         """May facet, newly in a single cone, lie on the boundary?"""
-        return self.kind is None or self.kind == "cone-supported" and all(
-            dot(self.boundary[facet], r) >= 0 for r in self.rays if r is not None)
+        if self.kind != "cone-supported":
+            return self.kind is None
+        u = self.boundary[facet]  # read once, not once per ray
+        return all(dot(u, r) >= 0 for r in self.rays if r is not None)
 
 
 def fans_equal(f1, f2):

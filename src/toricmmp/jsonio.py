@@ -29,7 +29,7 @@ def int_from_json(v):
         return _exact_ints((v,), f"expected an integer, got {type(v).__name__}")[0]
     s = v.strip()
     body = s[1:] if s[:1] in "+-" else s
-    if body.isdecimal():
+    if body.isdecimal() and body.isascii():  # int() takes any Unicode digit
         try:
             return int(s)
         except ValueError:  # more digits than int() converts

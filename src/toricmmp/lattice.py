@@ -4,7 +4,8 @@ One integer cone kernel, the cached `adjugate`, serves every solve over a
 simplicial cone as integer numerators over its determinant, box points
 included.  Its 2 x 2 and 3 x 3 cones, every cone of a surface resolution
 or of a McKay quotient 3-fold, take closed cofactor forms; other sizes
-take fraction-free Gauss-Jordan.  Around it: normal forms (Hermite, by
+take fraction-free Gauss-Jordan.  A row times a 3 x 3 matrix is written
+out too.  Around it: normal forms (Hermite, by
 inserting rows into a seedable echelon basis, one extended gcd per pivot
 met, and Smith for invariant factors, McKay boundary divisors and the
 public API), primitive vectors, canonical lattice bases, built off integer
@@ -36,11 +37,16 @@ def dot(u, v):
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple([a + b for a, b in zip(u, v)])
 
 
 def vec_mat(x, M):
-    """Row vector times matrix: returns x.M as a tuple."""
+    """Row vector times matrix: returns x.M as a tuple.  A 3 x 3 matrix, the
+    size of every McKay 3-fold cone, takes the product written out."""
+    if len(x) == len(M) == len(M[0]) == 3:
+        a, b, c = x
+        (p, q, r), (s, t, u), (v, w, y) = M
+        return (a * p + b * s + c * v, a * q + b * t + c * w, a * r + b * u + c * y)
     return tuple([sum(map(mul, x, col)) for col in zip(*M)])  # a list builds faster
 
 
@@ -56,17 +62,18 @@ def _adjugate(M):
     n = len(M)
     if n == 2:
         (a, b), (c, d) = M
-        adj = ((d, -b), (-c, a))
+        adj, det = ((d, -b), (-c, a)), a * d - b * c
     elif n == 3:
         (a, b, c), (d, e, f), (g, h, i) = M
+        A, B, C = e * i - f * h, f * g - d * i, d * h - e * g  # adj's first column
         adj = (
-            (e * i - f * h, c * h - b * i, b * f - c * e),
-            (f * g - d * i, a * i - c * g, c * d - a * f),
-            (d * h - e * g, b * g - a * h, a * e - b * d),
+            (A, c * h - b * i, b * f - c * e),
+            (B, a * i - c * g, c * d - a * f),
+            (C, b * g - a * h, a * e - b * d),
         )
+        det = a * A + b * B + c * C  # M's first row times that column
     else:
         return _eliminate(M)
-    det = sum(map(mul, M[0], next(zip(*adj))))
     return (adj, det) if det else (None, 0)
 
 
@@ -148,7 +155,7 @@ def primitive(v):
     g = gcd(*v)
     if g == 0:
         raise InvalidInputError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
 
 
 def _check_int_matrix(M):
@@ -319,8 +326,8 @@ class LatticeBasis:
         """H / den for an integer Hermite form H and int den > 0, its form checked
         on the integers with the constructor's messages, every zero one _ZERO."""
         cls._check_form(H, _exact_ints)
-        object.__setattr__(basis := object.__new__(cls), "rows", tuple(
-            tuple(Fraction(x, den) if x else _ZERO for x in row) for row in H))
+        object.__setattr__(basis := object.__new__(cls), "rows", tuple([
+            tuple([Fraction(x, den) if x else _ZERO for x in row]) for row in H]))
         return basis
 
     @classmethod
@@ -411,11 +418,13 @@ def _span_mod(gens, m):
     for g in gens:
         if len(group) == m:
             break
-        seen, o = set(group), m // gcd(m, *g)
-        k = next(k for k in range(1, o + 1)
-                 if o % k == 0 and tuple(k * x % m for x in g) in seen)
-        steps = list(zip(*([j * x % m for j in range(1, k)] for x in g)))
-        group += steps + [tuple((a + b) % m for a, b in zip(x, s))
+        if g in (seen := set(group)):  # k = 1: g adds no coset (a zero row, say)
+            continue
+        o = m // gcd(m, *g)  # the order of g, and its k modulo the zero group
+        k = o if len(group) == 1 else next(
+            k for k in range(2, o + 1) if o % k == 0 and tuple([k * x % m for x in g]) in seen)
+        steps = list(zip(*[[j * x % m for j in range(1, k)] for x in g]))
+        group += steps + [tuple([(a + b) % m for a, b in zip(x, s)])
                           for x in group[1:] for s in steps]
     return group
 
@@ -452,7 +461,7 @@ def _enumerate_box_numerators(C):
         raise InvalidInputError(
             f"cone multiplicity {m} exceeds the box-point limit {MAX_MULTIPLICITY}"
         )
-    return m, tuple(_span_mod([tuple(x % m for x in row) for row in adj], m)[1:])
+    return m, tuple(_span_mod([tuple([x % m for x in row]) for row in adj], m)[1:])
 
 
 _cached_box_numerators = lru_cache(maxsize=1 << 13)(_enumerate_box_numerators)

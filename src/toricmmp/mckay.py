@@ -132,10 +132,10 @@ def _quotient(G):
         g = gcd(*row)
         if den * g % d:
             raise EngineInvariantError(f"axis point {i} escaped its own overlattice")
-        rays.append(tuple(v // g for v in row))
+        rays.append(tuple([v // g for v in row]))
         ms.append(den * g // d)
     fan = Fan(G.n, tuple(rays), (tuple(range(G.n)),), "cone-supported")
-    X, L = ToricPair(fan, tuple(Fraction(m - 1, m) if m > 1 else _ZERO for m in ms), B), lcm(*ms)
+    X, L = ToricPair(fan, tuple([Fraction(m - 1, m) if m > 1 else _ZERO for m in ms]), B), lcm(*ms)
     return X, order, ms, [L // m for m in ms], L, H
 
 
@@ -195,7 +195,7 @@ def case_a_components(r1, s1):
     if r1 > MAX_CASE_A_ORDER:
         raise InvalidInputError(f"order {r1} exceeds the case-A limit of {MAX_CASE_A_ORDER}")
     excluded = {(k * r1) // s1 for k in range(1, s1)}
-    return tuple(l for l in range(1, r1) if l not in excluded)
+    return tuple([l for l in range(1, r1) if l not in excluded])
 
 
 def boundary_divisor_pair(pair, ray_index):
@@ -240,26 +240,26 @@ def mckay_pipeline(G):
     rank_x = rank = _cone_rank(sub.kernel(cone)[1], cone, ms)
     if rank_x != order:  # also when the cone is singular, of rank 0
         raise EngineInvariantError("stack rank of the quotient misses the group order")
-    ledger, ranks = [], {cone: rank_x}
+    ledger, ranks, kernels = [], {cone: rank_x}, sub.kernels
 
     def record(kind, ray, gone, new, psi=None, components=None):
         nonlocal rank
         num = vec_mat(ray, H)  # the ambient point, times den
-        if any(v < 0 for v in num):
+        if min(num) < 0:
             raise EngineInvariantError("step locus escapes the quotient cone")
         after = rank
         for c in gone:
             if c not in ranks:
                 raise EngineInvariantError("a step removed a cone that the rank ledger lacks")
             after -= ranks.pop(c)
-        for c in new:
-            ranks[c] = r = _cone_rank(sub.kernel(c)[1], c, ms)
+        for c in new:  # kept: the quotient cone's read above, the others' by their steps
+            ranks[c] = r = _cone_rank(kernels[c][1], c, ms)
             after += r
         if after > rank:
             raise EngineInvariantError(f"stack rank increased across a {kind} step")
         if psi == 1 and after != rank:
             raise EngineInvariantError("crepant extraction changed the stack rank")
-        center = tuple(i for i, v in enumerate(num) if v > 0)
+        center = tuple([i for i, v in enumerate(num) if v > 0])
         ledger.append(LedgerEntry(kind, ray, center, rank, after, psi, components))
         rank = after
 
@@ -281,7 +281,7 @@ def mckay_pipeline(G):
             ray = st.removed_ray
         record(st.kind, ray, gone, new)
 
-    resolution = ToricPair(fan := sub.fan(), (Fraction(0),) * len(fan.rays), X.lattice)
+    resolution = ToricPair(fan := sub.fan(), (_ZERO,) * len(fan.rays), X.lattice)
     if stack_rank(resolution) != rank:
         raise EngineInvariantError("rank ledger misses the stack rank of the resolution")
     return McKayReport(

@@ -96,17 +96,26 @@ def _scaled_psi(pair):
 
 def _cone_witness(fan, cone, scaled, L):
     """The least (psi value, point) over the nonzero box points of one
-    cone and the primitive sums of two of its rays, or None.  Only the box
-    numerators of least score sum(num_i * P_i) become points, and only the
-    pair sums whose key m (P_a + P_b) is at most that least score become
-    sums: a larger key loses to a box point."""
+    cone and the primitive sums of two of its rays, or None.  One scan
+    finds the box numerators of least score sum(num_i * P_i); among them
+    the least num.C wins, compared undivided (each coordinate is a
+    multiple of m > 0, so the order is that of the points), and only it is
+    divided into a point.  Only the pair sums whose key m (P_a + P_b) is
+    at most that least score become sums: a larger key loses to a box
+    point."""
     C = fan.ray_matrix(cone)
     m, nums = _box_numerators(C)
     P = [scaled[i] for i in cone]
-    scores = [sum(map(mul, num, P)) for num in nums]
-    low = min(scores, default=inf)
-    keys = [(low, tuple(x // m for x in vec_mat(num, C)))
-            for num, s in zip(nums, scores) if s == low]
+    low, ties = inf, []
+    for num in nums:
+        if (s := sum(map(mul, num, P))) < low:
+            low, ties = s, [num]
+        elif s == low:
+            ties.append(num)
+    keys = []
+    if ties:
+        best = min(vec_mat(num, C) for num in ties) if len(ties) > 1 else vec_mat(ties[0], C)
+        keys.append((low, tuple([x // m for x in best])))
     for a, b in combinations(cone, 2):
         key = m * (scaled[a] + scaled[b])
         if key <= low and gcd(*(w := vec_add(fan.rays[a], fan.rays[b]))) == 1:

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from corpus import STAR_P3, walked_k_equivalent
 
+import toricmmp.pairs as pairs_module
 from toricmmp.cli import main
 from toricmmp.fan import make_fan
 from toricmmp.jsonio import dumps, fan_to_json, group_to_json, pair_from_json, pair_to_json
@@ -64,6 +65,24 @@ def test_check_json(capsys, tmp_path):
         "valid": True, "complete": True, "terminal": True,
         "canonical": True, "nef": True,
     }
+
+
+@pytest.mark.parametrize("r, expect", [(2, (False, True)), (3, (False, False)), (1, (True, True))])
+def test_check_reads_one_witness(capsys, tmp_path, monkeypatch, r, expect):
+    # terminal and canonical come off one min_discrepancy_witness call
+    pair = quotient_pair(make_group(2, [(r, (1, 1))]))
+    calls, real = [], pairs_module.min_discrepancy_witness
+
+    def spy(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(pairs_module, "min_discrepancy_witness", spy)
+    monkeypatch.setattr("toricmmp.cli.min_discrepancy_witness", spy)
+    code, out, _ = run(capsys, "check", write(tmp_path / "x.json", pair_to_json(pair)), "--json")
+    assert code == 0 and len(calls) == 1
+    data = json.loads(out)
+    assert (data["terminal"], data["canonical"]) == expect
 
 
 def test_check_rejects_bad_file(capsys, tmp_path):

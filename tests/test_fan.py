@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +7,7 @@ from math import atan2
 
 import pytest
 
-from corpus import lp_fractions
+from corpus import lp_fractions, square_mmp_inputs
 
 from toricmmp import fan as fan_module
 from toricmmp.circuits import classify, wall_relation
@@ -34,7 +35,7 @@ from toricmmp.lattice import (
     primitive,
     vec_mat,
 )
-from toricmmp.mckay import hj_resolution
+from toricmmp.mckay import hj_resolution, make_group, mckay_pipeline
 
 P2 = make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 ORTHANT2 = make_fan([(1, 0), (0, 1)], [(0, 1)])
@@ -163,6 +164,30 @@ def test_make_fan_rejects_bad_input():
         )
     with pytest.raises(InvalidInputError, match=r"same side of their shared facet \(1,\)"):
         make_fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2)])
+
+
+E3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+E4 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("rays, cones, facet, parity, across", [
+    # the apexes at the same place in both cones: ka + kb even
+    (E3 + [(1, 1, 1)], [(0, 1, 2), (0, 1, 3)], (0, 1), 0, (1, 1, -1)),
+    (E4 + [(1, 1, 1, 1)], [(0, 1, 2, 3), (0, 1, 2, 4)], (0, 1, 2), 0, (1, 1, 1, -1)),
+    # the apexes one place apart: ka + kb odd
+    (E3 + [(1, 1, 1)], [(0, 1, 2), (0, 2, 3)], (0, 2), 1, (1, -1, 1)),
+    (E4 + [(1, 1, 1, 1)], [(0, 1, 2, 3), (0, 1, 3, 4)], (0, 1, 3), 1, (1, 1, -1, 1)),
+])
+def test_same_side_rejection_in_3d_and_4d(rays, cones, facet, parity, across):
+    # the side test multiplies the two cones' determinants by the sign of
+    # the apexes' places; the last ray, the second cone's apex, lies on the
+    # first apex's side of the facet, and moved across it the fan is valid
+    ka, kb = (c.index(sum(c) - sum(facet)) for c in cones)
+    assert (ka + kb) % 2 == parity
+    message = re.escape(f"same side of their shared facet {facet}")
+    with pytest.raises(InvalidInputError, match=message):
+        make_fan(rays, cones, validate="fast")
+    assert make_fan(rays[:-1] + [across], cones, validate="fast").max_cones == tuple(cones)
 
 
 def test_make_fan_rejects_unknown_level_first():
@@ -530,6 +555,34 @@ def test_star_subdivision_preserves_support_random():
             assert sub.fan() == f
             kinds[f.support_kind] += 1
     assert set(kinds) == {"complete", "cone-supported"}, kinds
+
+
+def test_joins_are_sorted_and_end_with_the_new_id(monkeypatch):
+    # _join builds each created cone as a sorted facet plus the new ray's
+    # id, the largest, and sorts none: over seeded triangulations (placing,
+    # inside and outside the support), McKay runs and star subdivisions of
+    # complete fans, every cone a star subdivision or a placing creates is
+    # sorted and ends with the id of the ray appended just before
+    real, made = _Subdivision._replace, Counter()
+
+    def spy(self, gone, new, what):
+        if what in ("star subdivision", "placing"):
+            for c in new:
+                assert list(c) == sorted(set(c)) and c[-1] == len(self.rays) - 1, (c, what)
+            made[what] += len(new)
+        return real(self, gone, new, what)
+
+    monkeypatch.setattr(_Subdivision, "_replace", spy)
+    square_mmp_inputs(5, 12)
+    for r in range(2, 30):
+        mckay_pipeline(make_group(3, [(r, (1, 2, r - 3))]))
+    rng = random.Random(4242)
+    for _ in range(20):
+        cone = P3.max_cones[rng.randrange(len(P3.max_cones))]
+        coeffs = [rng.randint(1, 3) for _ in cone]
+        star_subdivision(P3, primitive(tuple(
+            sum(c * P3.rays[i][j] for c, i in zip(coeffs, cone)) for j in range(3))))
+    assert made["star subdivision"] > 500 and made["placing"] > 50, made
 
 
 def _contracted_oracle(fan, rel, j):

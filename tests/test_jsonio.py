@@ -143,6 +143,26 @@ def test_int_past_the_digit_limit_is_not_an_integer():
         int_from_json("1" * 5000)
 
 
+@pytest.mark.parametrize("text", ["\u0663", "\uff11\uff12", "-\u0663", "1\u0663"])
+def test_int_takes_only_ascii_digits(text):
+    # str.isdecimal and int() both accept any Unicode decimal digit
+    with pytest.raises(InvalidInputError, match="not an integer"):
+        int_from_json(text)
+
+
+@pytest.mark.parametrize("text", ["3/\uff14", "\u0663/4", "\u0663"])
+def test_rational_takes_only_ascii_digits(text):
+    with pytest.raises(InvalidInputError, match="not a rational"):
+        rational_from_json(text)
+
+
+def test_group_file_with_a_non_ascii_order_is_refused():
+    with pytest.raises(InvalidInputError, match="not an integer"):
+        group_from_json({"n": 3, "gens": [{"r": "\u0667", "weights": [1, 2, 4]}]})
+    assert group_from_json({"n": 3, "gens": [{"r": "7", "weights": [1, 2, 4]}]}) == make_group(
+        3, [(7, (1, 2, 4))])
+
+
 def test_parse_rejects_a_non_object():
     for decode in (fan_from_json, pair_from_json, group_from_json):
         with pytest.raises(InvalidInputError, match="expected a JSON object"):

@@ -706,7 +706,8 @@ def _check_cone_witness(rays, scaled, L, ties):
     """_cone_witness of the one-cone fan on rays against the least (psi
     value, point) over every sorted box point and every primitive pair sum,
     counting each pair sum in ties by how it compares with the least box
-    value and whether it is 0."""
+    value and whether it is 0, and each cone by whether more than one box
+    point takes the least value."""
     n = len(rays)
     fan = make_fan(rays, [tuple(range(n))], validate="fast")
     cone = fan.max_cones[0]
@@ -715,6 +716,7 @@ def _check_cone_witness(rays, scaled, L, ties):
         for p, bary in oracle_box_points_in_coords(fan.ray_matrix(cone))
     ]
     low = min(cands, default=(None,))[0]
+    ties["box", sum(v == low for v, _ in cands) > 1] += bool(cands)
     for a, b in combinations(cone, 2):
         w = tuple(x + y for x, y in zip(fan.rays[a], fan.rays[b]))
         if math.gcd(*w) == 1:
@@ -759,6 +761,15 @@ def test_cone_witness_matches_materialized_box_points():
                             rng.randint(1, 6), ties)
     assert ties["tie", True] >= 60 and ties["tie", False] and ties["win", True] \
         and ties["lose", True], ties
+    # the quotient cones of SL groups (1/r)(1, k, r - 1 - k), r <= 60, three
+    # seeded k for each r, under their own psi: here box numerators tie at
+    # the least score, and the least point among them wins
+    ties.clear()
+    for r in range(3, 61):
+        for k in rng.sample(range(1, r - 1), min(3, r - 2)):
+            X = quotient_pair(make_group(3, [(r, (1, k, r - 1 - k))]))
+            _check_cone_witness(X.fan.rays, *pairs_module._scaled_psi(X), ties)
+    assert ties["box", True] >= 150, ties
 
 
 def test_scaled_psi_matches_the_one_minus_c_route():
